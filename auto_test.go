@@ -9,6 +9,7 @@ package congestedclique
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -199,6 +200,47 @@ func TestAutoSparseWordAdvantage(t *testing.T) {
 	}
 	if auto.Stats.Rounds >= det.Stats.Rounds {
 		t.Fatalf("sparse rounds: auto %d vs pipeline %d", auto.Stats.Rounds, det.Stats.Rounds)
+	}
+}
+
+// TestAutoRouteKeepsWideSeq is the regression pin for Seq truncation: Seq is
+// the caller's bookkeeping, any int, and the fast arms must carry it whole.
+// The step programs once held it as int32, so {Seq: 1 << 40} came back as
+// {Seq: 0} on a WithSparsePath handle — the path every Auto Route takes now.
+// The option itself is passed once more to pin that it is still accepted and
+// changes nothing.
+func TestAutoRouteKeepsWideSeq(t *testing.T) {
+	t.Parallel()
+	const n = 16
+	seqs := []int{1 << 40, -1, math.MinInt64, math.MaxInt64, 7, -(1 << 33), 1<<32 + 5, 0, 1 << 31, -(1 << 31) - 1}
+	direct := make([][]Message, n)
+	direct[1] = []Message{{Src: 1, Dst: 3, Seq: 1 << 40, Payload: 11}, {Src: 1, Dst: 3, Seq: -1, Payload: 12}}
+	direct[2] = []Message{{Src: 2, Dst: 3, Seq: math.MinInt64, Payload: 13}}
+	broadcast := make([][]Message, n)
+	for j, seq := range seqs {
+		broadcast[0] = append(broadcast[0], Message{Src: 0, Dst: 1 + j%2, Seq: seq, Payload: int64(100 + j)})
+	}
+	for _, tc := range []struct {
+		name string
+		msgs [][]Message
+		want RouteStrategy
+	}{
+		{"direct", direct, StrategyDirect},
+		{"broadcast", broadcast, StrategyBroadcast},
+	} {
+		for _, opts := range [][]Option{
+			{WithAlgorithm(AlgorithmAuto)},
+			{WithAlgorithm(AlgorithmAuto), WithSparsePath()},
+		} {
+			res, err := Route(n, tc.msgs, opts...)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if res.Strategy != tc.want {
+				t.Fatalf("%s: strategy %v, want %v", tc.name, res.Strategy, tc.want)
+			}
+			checkDelivery(t, tc.msgs, res)
+		}
 	}
 }
 

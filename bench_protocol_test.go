@@ -303,13 +303,13 @@ func BenchmarkSortCachedHit(b *testing.B) {
 	}
 }
 
-// BenchmarkSparseRoute measures the sparse demand path end to end: the
+// BenchmarkSparseRoute measures the direct step program end to end: the
 // O(n)-message frontier instance (workload.ScaleSparseRoute) issued
-// repeatedly on one long-lived WithSparsePath handle, planned by
-// AlgorithmAuto and executed by the step executors. cmd/benchguard holds
-// allocs/op to the committed baseline, so a dense O(n²) structure creeping
-// back into the sparse pipeline is caught at small n long before the
-// frontier guard would see it at n=16384.
+// repeatedly on one long-lived handle, planned by AlgorithmAuto and run on
+// the step scheduler. cmd/benchguard holds allocs/op to the committed
+// baseline, so a dense O(n²) structure creeping back into the step programs
+// is caught at small n long before the frontier guard would see it at
+// n=16384.
 func BenchmarkSparseRoute(b *testing.B) {
 	ctx := context.Background()
 	for _, n := range []int{64, 256} {
@@ -319,7 +319,7 @@ func BenchmarkSparseRoute(b *testing.B) {
 		}
 		msgs := instanceMessages(ri)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			cl, err := New(n, WithSparsePath())
+			cl, err := New(n)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -339,14 +339,14 @@ func BenchmarkSparseRoute(b *testing.B) {
 	}
 }
 
-// BenchmarkSparseSort is BenchmarkSparseRoute for the sorting pipeline: the
-// presorted O(n)-key frontier instance on the sparse step executors.
+// BenchmarkSparseSort is BenchmarkSparseRoute for sorting: the presorted
+// O(n)-key frontier instance, below the density gate, on the step program.
 func BenchmarkSparseSort(b *testing.B) {
 	ctx := context.Background()
 	for _, n := range []int{64, 256} {
 		values := workload.ScalePresortedValues(n)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			cl, err := New(n, WithSparsePath())
+			cl, err := New(n)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -1,21 +1,23 @@
 package main
 
 // The scale-out frontier curve (cliquebench -scaling-json): full Route and
-// Sort protocol runs on the sparse demand path at n up to 16384, recording
-// wall time, allocation figures, process peak RSS and the model cost (rounds,
-// total words) per point. At every size where the dense scheduler is still
-// affordable the sparse output is cross-checked element by element against
-// it, so the curve doubles as a correctness pin. Results merge into the
-// scaling section of BENCH_protocol.json by (op, n), preserving every other
-// section of the document.
+// Sort protocol runs of sparse demand under AlgorithmAuto at n up to 16384,
+// recording wall time, allocation figures, process peak RSS and the model
+// cost (rounds, total words) per point. Every point's output is checked with
+// internal/verify against the paper's correctness conditions, so the curve
+// doubles as a correctness pin. Results merge into the scaling section of
+// BENCH_protocol.json by (op, n), preserving every other section of the
+// document.
 
 import (
 	"fmt"
-	"reflect"
+	"runtime"
 
 	cc "congestedclique"
 
+	"congestedclique/internal/core"
 	"congestedclique/internal/experiments"
+	"congestedclique/internal/verify"
 	"congestedclique/internal/workload"
 )
 
@@ -23,10 +25,6 @@ import (
 // skipped. Sizes run ascending so the recorded VmHWM reads as "peak RSS
 // after completing size n".
 var scalingSizes = []int{256, 1024, 4096, 16384}
-
-// denseCrossCheckMaxN bounds the sizes where the dense scheduler (O(n²)
-// demand matrix) is run alongside the sparse path for verification.
-const denseCrossCheckMaxN = 1024
 
 // scalingMessages converts a workload routing instance to the public message
 // type.
@@ -45,6 +43,7 @@ func scalingMessages(ri *workload.RoutingInstance) [][]cc.Message {
 // sorting input at one size.
 type scalingOp struct {
 	op     string
+	sent   [][]core.Message // the routing instance as the oracle reads it
 	route  [][]cc.Message
 	values [][]int64
 }
@@ -62,81 +61,63 @@ func scalingOps(n int) ([]scalingOp, error) {
 		return nil, err
 	}
 	return []scalingOp{
-		{op: "route-sparse", route: scalingMessages(ri)},
-		{op: "route-broadcast", route: scalingMessages(bi)},
+		{op: "route-sparse", sent: ri.Msgs, route: scalingMessages(ri)},
+		{op: "route-broadcast", sent: bi.Msgs, route: scalingMessages(bi)},
 		{op: "sort-presorted", values: workload.ScalePresortedValues(n)},
 	}, nil
 }
 
-// rowsEqual compares per-node output rows, treating absent and empty rows as
-// equal (the dense and sparse schedulers may differ in which they produce
-// for inactive nodes).
-func rowsEqual[T any](a, b [][]T) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) == 0 && len(b[i]) == 0 {
-			continue
-		}
-		if !reflect.DeepEqual(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// measureScaling runs one frontier point: a verification/warm-up pass (with
-// the dense cross-check when n allows it) followed by iters timed runs
-// through the shared measurement helper.
+// measureScaling runs one frontier point: a warm-up pass whose output must
+// pass the internal/verify oracle, followed by iters timed runs through the
+// shared measurement helper.
 func measureScaling(n, iters int, o scalingOp) (experiments.ScalingBench, error) {
-	sparseOpts := []cc.Option{cc.WithAlgorithm(cc.AlgorithmAuto), cc.WithSparsePath()}
+	auto := cc.WithAlgorithm(cc.AlgorithmAuto)
 	var strategy string
 	var stats cc.Stats
-	verified := false
 
-	// Warm-up pass doubling as the correctness pin.
 	if o.route != nil {
-		sres, err := cc.Route(n, o.route, sparseOpts...)
+		res, err := cc.Route(n, o.route, auto)
 		if err != nil {
 			return experiments.ScalingBench{}, err
 		}
-		strategy, stats = sres.Strategy.String(), sres.Stats
-		if n <= denseCrossCheckMaxN {
-			dres, err := cc.Route(n, o.route, cc.WithAlgorithm(cc.AlgorithmAuto))
-			if err != nil {
-				return experiments.ScalingBench{}, fmt.Errorf("dense cross-check: %w", err)
+		strategy, stats = res.Strategy.String(), res.Stats
+		delivered := make([][]core.Message, n)
+		for i, row := range res.Delivered {
+			for _, m := range row {
+				delivered[i] = append(delivered[i], core.Message(m))
 			}
-			if sres.Strategy != dres.Strategy || sres.Stats != dres.Stats || !rowsEqual(sres.Delivered, dres.Delivered) {
-				return experiments.ScalingBench{}, fmt.Errorf("sparse path diverges from dense scheduler (%s n=%d)", o.op, n)
-			}
-			verified = true
+		}
+		if err := verify.Routing(o.sent, delivered); err != nil {
+			return experiments.ScalingBench{}, err
 		}
 	} else {
-		sres, err := cc.Sort(n, o.values, sparseOpts...)
+		res, err := cc.Sort(n, o.values, auto)
 		if err != nil {
 			return experiments.ScalingBench{}, err
 		}
-		strategy, stats = sres.Strategy.String(), sres.Stats
-		if n <= denseCrossCheckMaxN {
-			dres, err := cc.Sort(n, o.values, cc.WithAlgorithm(cc.AlgorithmAuto))
-			if err != nil {
-				return experiments.ScalingBench{}, fmt.Errorf("dense cross-check: %w", err)
+		strategy, stats = res.Strategy.String(), res.Stats
+		input := make([][]core.Key, n)
+		results := make([]*core.SortResult, n)
+		for i := 0; i < n; i++ {
+			for j, v := range o.values[i] {
+				input[i] = append(input[i], core.Key{Value: v, Origin: i, Seq: j})
 			}
-			if sres.Strategy != dres.Strategy || sres.Stats != dres.Stats || sres.Total != dres.Total ||
-				!reflect.DeepEqual(sres.Starts, dres.Starts) || !rowsEqual(sres.Batches, dres.Batches) {
-				return experiments.ScalingBench{}, fmt.Errorf("sparse path diverges from dense scheduler (%s n=%d)", o.op, n)
+			results[i] = &core.SortResult{Start: res.Starts[i], Total: res.Total}
+			for _, k := range res.Batches[i] {
+				results[i].Batch = append(results[i].Batch, core.Key(k))
 			}
-			verified = true
+		}
+		if err := verify.Sorting(input, results); err != nil {
+			return experiments.ScalingBench{}, err
 		}
 	}
 
 	m, err := experiments.MeasureOp(iters, func() error {
 		if o.route != nil {
-			_, opErr := cc.Route(n, o.route, sparseOpts...)
+			_, opErr := cc.Route(n, o.route, auto)
 			return opErr
 		}
-		_, opErr := cc.Sort(n, o.values, sparseOpts...)
+		_, opErr := cc.Sort(n, o.values, auto)
 		return opErr
 	})
 	if err != nil {
@@ -154,7 +135,7 @@ func measureScaling(n, iters int, o scalingOp) (experiments.ScalingBench, error)
 		AllocsPerOp:   m.AllocsPerOp,
 		BytesPerOp:    m.BytesPerOp,
 		PeakRSSBytes:  experiments.PeakRSSBytes(),
-		Verified:      verified,
+		Verified:      true,
 	}, nil
 }
 
@@ -176,12 +157,13 @@ func runScalingBench(path string, maxN int) error {
 	}
 	sec.Tool = "cliquebench -scaling-json"
 	sec.Schema = "congestedclique/bench-scaling/v1"
-	sec.Note = "full sparse-path protocol runs (AlgorithmAuto + WithSparsePath, one-shot handles) per point; " +
-		"peak_rss_bytes is the process VmHWM sampled after the point and is monotone across one invocation " +
-		"(sizes run ascending, so it reads as peak RSS after completing size n); verified means the sparse " +
-		"delivery was compared element by element against the dense scheduler on the identical instance, " +
-		"done at every n <= 1024 where the dense O(n^2) demand matrix is affordable; single-core container " +
-		"(GOMAXPROCS=1), so wall times show the simulation's sequential cost, not protocol parallelism"
+	sec.Note = fmt.Sprintf("full AlgorithmAuto protocol runs of sparse demand (one-shot handles; the planner's fast "+
+		"strategies run as step programs on the worker-pool scheduler) per point; peak_rss_bytes is the process "+
+		"VmHWM sampled after the point and is monotone across one invocation (sizes run ascending, so it reads as "+
+		"peak RSS after completing size n); verified means the output passed internal/verify (Routing: every "+
+		"message exactly once at its destination; Sorting: sorted, contiguous, balanced batches), checked at every "+
+		"n; GOMAXPROCS=%d, so wall times show the simulation's cost on this host, not protocol parallelism",
+		runtime.GOMAXPROCS(0))
 
 	for _, n := range scalingSizes {
 		if n > maxN {

@@ -63,8 +63,9 @@ func runChaos(n int, names string, markdown bool) (string, error) {
 		return "", fmt.Errorf("fault-free sort golden: %w", err)
 	}
 
-	// Sparse scenarios run on the O(n) scale-out instance through the sparse
-	// step executors; their golden is the same fault-free sparse-path run.
+	// Sparse scenarios run on the O(n) scale-out instance, which AlgorithmAuto
+	// serves with a step program on the engine-driven scheduler; their golden
+	// is the same run fault-free.
 	ri, err := workload.ScaleSparseRoute(n, 1)
 	if err != nil {
 		return "", err
@@ -76,12 +77,7 @@ func runChaos(n int, names string, markdown bool) (string, error) {
 			sparseMsgs[i][j] = cc.Message{Src: m.Src, Dst: m.Dst, Seq: m.Seq, Payload: int64(m.Payload)}
 		}
 	}
-	sparseCl, err := cc.New(n, cc.WithSparsePath())
-	if err != nil {
-		return "", err
-	}
-	defer sparseCl.Close()
-	goldenSparse, err := sparseCl.Route(ctx, sparseMsgs, cc.WithAlgorithm(cc.AlgorithmAuto))
+	goldenSparse, err := cl.Route(ctx, sparseMsgs, cc.WithAlgorithm(cc.AlgorithmAuto))
 	if err != nil {
 		return "", fmt.Errorf("fault-free sparse route golden: %w", err)
 	}
@@ -161,19 +157,11 @@ func runChaosScenario(ctx context.Context, cl *cc.Clique, sc workload.ChaosScena
 	if err != nil {
 		return chaosRow{}, err
 	}
-	// The watchdog deadline and sparse path are handle-scoped, so scenarios
-	// using either run on their own short-lived handle instead of re-arming
-	// the shared one.
+	// The watchdog deadline is handle-scoped, so scenarios using it run on
+	// their own short-lived handle instead of re-arming the shared one.
 	runCl := cl
-	if sc.Deadline > 0 || sc.Sparse {
-		var handleOpts []cc.Option
-		if sc.Deadline > 0 {
-			handleOpts = append(handleOpts, cc.WithRoundDeadline(sc.Deadline))
-		}
-		if sc.Sparse {
-			handleOpts = append(handleOpts, cc.WithSparsePath())
-		}
-		runCl, err = cc.New(n, handleOpts...)
+	if sc.Deadline > 0 {
+		runCl, err = cc.New(n, cc.WithRoundDeadline(sc.Deadline))
 		if err != nil {
 			return chaosRow{}, err
 		}

@@ -456,10 +456,6 @@ type config struct {
 	// operation (WithChargedCensus; also implied by planCacheCap > 0).
 	// Handle-scoped.
 	census bool
-	// sparsePath routes AlgorithmAuto operations whose plan admits it
-	// through the sparse step-mode executors (WithSparsePath).
-	// Handle-scoped.
-	sparsePath bool
 	// handleScoped is set to the option's name by every handle-scoped option
 	// so that per-call application can reject it with a useful message. It is
 	// reset before call options are applied and ignored by New.
@@ -617,25 +613,17 @@ func WithChargedCensus() Option {
 	}
 }
 
-// WithSparsePath executes AlgorithmAuto operations on the sparse scale-out
-// path whenever the plan admits it: the instance is converted to a
-// per-source adjacency (internal/core.SparseDemand), planned without dense
-// matrices, and — for the empty, direct and broadcast routing strategies and
-// the empty and presorted sorting strategies — executed as a step program on
-// the engine-driven worker-pool scheduler, so no per-node goroutine stack or
-// length-n per-node buffer exists. Results, stats, and the charged census
-// wire format are bit-identical to the default path on every instance both
-// can run; plans the sparse executors do not cover (the full-load pipeline
-// arms) fall back to the blocking path transparently. This is the switch
-// that takes Route and Sort to n in the tens of thousands on sparse
-// instances (see docs/PERFORMANCE.md, "Scaling curve"). Handle-scoped: pass
-// it to New.
+// WithSparsePath does nothing.
+//
+// Deprecated: AlgorithmAuto picks the scheduler from the plan. The fast
+// strategies (empty, direct and broadcast Route; empty and, below the
+// full-load threshold, presorted Sort) always run as step programs on the
+// engine-driven worker pool — what this option used to switch on — and take
+// Route and Sort to n in the tens of thousands on sparse instances (see
+// docs/PERFORMANCE.md, "Scaling curve"). The option remains so that existing
+// callers keep compiling.
 func WithSparsePath() Option {
-	return func(c *config) error {
-		c.sparsePath = true
-		c.handleScoped = "WithSparsePath"
-		return nil
-	}
+	return func(*config) error { return nil }
 }
 
 // Census round costs charged to every AlgorithmAuto operation when the

@@ -647,7 +647,8 @@ func (nw *Network) Run(program func(*Node) error) error {
 // failing node wins, regardless of the temporal order in which nodes failed.
 // An engine-level failure (such as a strict edge-budget violation or a
 // context cancellation) is returned only if no node program reported an
-// error itself.
+// error itself — or when the winning node's error merely wraps that failure,
+// in which case the failure is returned bare (see firstError).
 //
 // A node panic — injected or real — fails the whole run fast: the crash is
 // recorded as the run's root-cause failure before the crashed node's barrier
@@ -748,17 +749,25 @@ func (nw *Network) RunContext(ctx context.Context, program func(*Node) error) er
 }
 
 // firstError implements the documented deterministic error rule: lowest
-// failing node id first, engine failure only if no program failed.
+// failing node id first, engine failure only if no program failed. When that
+// node's error merely wraps the engine's root-cause failure — it was told of
+// it by its next Exchange — the root cause itself is returned: which protocol
+// step a bystander happened to be in when it noticed depends on goroutine
+// scheduling, and a failed run's error must replay identically.
 func (nw *Network) firstError(errs []error) error {
+	var root error
+	if f := nw.fail.Load(); f != nil {
+		root = f.err
+	}
 	for _, err := range errs {
 		if err != nil {
+			if root != nil && errors.Is(err, root) {
+				return root
+			}
 			return err
 		}
 	}
-	if f := nw.fail.Load(); f != nil {
-		return f.err
-	}
-	return nil
+	return root
 }
 
 // StepFunc is one node's program in the engine-driven scheduling mode of

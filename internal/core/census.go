@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"congestedclique/internal/clique"
 )
@@ -26,8 +27,8 @@ import (
 //	                   rowHash] (4 words).
 //	R3  decide+spread  node 0 -> all: [strategy, relayRounds, fingerprint]
 //	                   (3 words). Node 0 recomputes the dispatch from the
-//	                   aggregates via routeStrategyFromCensus — the same
-//	                   decision procedure as PlanRoute — and folds the row
+//	                   aggregates via routeStrategyFromCensus — the very
+//	                   function PlanRoute dispatches with — and folds the row
 //	                   hashes in node order into the instance fingerprint
 //	                   (the identical fold RouteFingerprint performs
 //	                   host-side). Every node checks the broadcast strategy
@@ -58,92 +59,79 @@ const (
 	SortCensusRounds = 2
 )
 
-// routeStrategyFromCensus replays PlanRoute's dispatch decision from the
-// census aggregates. PlanRoute and this function must agree on every
-// instance — a test sweeps the workload catalog to pin that — so the
-// distributed verdict is the plan's verdict whenever the plan matches the
-// instance.
-func routeStrategyFromCensus(n, total, maxPairMult, activeSources, relayRounds int) RouteStrategy {
-	switch {
-	case total == 0:
-		return StrategyEmpty
-	case total > FastPathMaxTotal(n):
-		return StrategyPipeline
-	case maxPairMult <= DirectMaxMultiplicity:
-		return StrategyDirect
-	case activeSources > BroadcastSourceCap(n):
-		return StrategyPipeline
-	case 1+relayRounds <= BroadcastMaxRounds:
-		return StrategyBroadcast
-	default:
-		return StrategyPipeline
-	}
+// routeCensus is one node's part of the charged route census as a step
+// program: rounds 0..2 send R1..R3, round RouteCensusRounds verifies the
+// distributed verdict against the plan. Any disagreement — strategy, relay
+// rounds, or cache fingerprint — is an error: the plan does not match the
+// instance the nodes are actually holding. The two fields are all a node
+// carries between rounds.
+type routeCensus struct {
+	recvTotal  int
+	rowPairMax int
 }
 
-// runRouteCensus executes one node's part of the charged route census and
-// verifies the distributed verdict against the plan. Any disagreement —
-// strategy, relay rounds, or cache fingerprint — is an error: the plan does
-// not match the instance the nodes are actually holding.
-func runRouteCensus(ex clique.Exchanger, msgs []Message, plan RoutePlan) error {
+func (c *routeCensus) step(ex clique.Exchanger, plan *RoutePlan, row []Message, round int, inbox clique.Inbox) error {
 	n := ex.N()
-
-	// R1: transpose the demand counts so every node learns its receive total.
-	cnt := make([]int, n)
-	rowPairMax := 0
-	for _, m := range msgs {
-		if m.Dst < 0 || m.Dst >= n {
-			return fmt.Errorf("core: census: destination %d out of range", m.Dst)
+	switch round {
+	case 0:
+		// R1: transpose the demand counts so every node learns its receive
+		// total. One buffer holds the sorted destinations and, compacted over
+		// their front, the per-destination counts the sends are views of (the
+		// write index never passes the read index, and the engine copies
+		// payloads at delivery) — the node's only allocation, sized by its own
+		// row rather than by n.
+		if len(row) == 0 {
+			return nil
 		}
-		cnt[m.Dst]++
-		if cnt[m.Dst] > rowPairMax {
-			rowPairMax = cnt[m.Dst]
-		}
-	}
-	// One backing buffer for all R1 sends: the engine copies payloads at
-	// delivery, and the capacity-n pre-allocation means the views handed to
-	// Send stay valid (append never reallocates).
-	sendBuf := make([]clique.Word, 0, n)
-	for dst, v := range cnt {
-		if v > 0 {
-			sendBuf = append(sendBuf, clique.Word(v))
-			ex.Send(dst, clique.Packet(sendBuf[len(sendBuf)-1:]))
-		}
-	}
-	inbox, err := ex.Exchange()
-	if err != nil {
-		return fmt.Errorf("core: census: %w", err)
-	}
-	recvTotal := 0
-	for _, packets := range inbox {
-		for _, p := range packets {
-			if len(p) < 1 {
-				return fmt.Errorf("core: census: malformed count message")
+		buf := make([]clique.Word, len(row))
+		for i, m := range row {
+			if m.Dst < 0 || m.Dst >= n {
+				return fmt.Errorf("core: census: destination %d out of range", m.Dst)
 			}
-			recvTotal += int(p[0])
+			buf[i] = clique.Word(m.Dst)
 		}
-	}
-
-	// R2: every node reports its aggregates to node 0. The row hash is the
-	// order-sensitive FNV fold over this node's destination sequence — the
-	// same function the host-side fingerprint uses per row.
-	ex.Send(0, clique.Packet{
-		clique.Word(len(msgs)),
-		clique.Word(recvTotal),
-		clique.Word(rowPairMax),
-		clique.Word(routeRowHash(msgs)),
-	})
-	inbox, err = ex.Exchange()
-	if err != nil {
-		return fmt.Errorf("core: census: %w", err)
-	}
-
-	// R3: node 0 folds the fingerprint, recomputes the dispatch and
-	// broadcasts the verdict.
-	if ex.ID() == 0 {
+		slices.Sort(buf)
+		w := 0
+		for i := 0; i < len(buf); w++ {
+			dst, j := buf[i], i
+			for j < len(buf) && buf[j] == dst {
+				j++
+			}
+			if j-i > c.rowPairMax {
+				c.rowPairMax = j - i
+			}
+			buf[w] = clique.Word(j - i)
+			ex.Send(int(dst), clique.Packet(buf[w:w+1:w+1]))
+			i = j
+		}
+	case 1:
+		// R2: every node reports its aggregates to node 0. The row hash is
+		// the order-sensitive FNV fold over this node's destination sequence
+		// — the same function the host-side fingerprint uses per row.
+		for from := range inbox {
+			for _, p := range inbox[from] {
+				if len(p) < 1 {
+					return fmt.Errorf("core: census: malformed count message")
+				}
+				c.recvTotal += int(p[0])
+			}
+		}
+		ex.Send(0, clique.Packet{
+			clique.Word(len(row)),
+			clique.Word(c.recvTotal),
+			clique.Word(c.rowPairMax),
+			clique.Word(routeRowHash(row)),
+		})
+	case 2:
+		// R3: node 0 folds the fingerprint, recomputes the dispatch and
+		// broadcasts the verdict.
+		if ex.ID() != 0 {
+			return nil
+		}
 		total, maxPair, activeSources := 0, 0, 0
 		h := uint64(fnvOffset64)
 		for from := 0; from < n; from++ {
-			if len(inbox[from]) != 1 || len(inbox[from][0]) != 4 {
+			if from >= len(inbox) || len(inbox[from]) != 1 || len(inbox[from][0]) != 4 {
 				return fmt.Errorf("core: census: node 0 missing aggregate from node %d", from)
 			}
 			p := inbox[from][0]
@@ -157,52 +145,50 @@ func runRouteCensus(ex clique.Exchanger, msgs []Message, plan RoutePlan) error {
 			}
 			h = foldRows(h, sendTotal, uint64(p[3]))
 		}
-		strategy := routeStrategyFromCensus(n, total, maxPair, activeSources, plan.relayRoundsCensus)
+		strategy, _ := routeStrategyFromCensus(n, total, activeSources,
+			func() int { return maxPair }, func() int { return plan.relayRoundsCensus })
 		verdict := clique.Packet{clique.Word(strategy), clique.Word(plan.relayRoundsCensus), clique.Word(h)}
 		for to := 0; to < n; to++ {
 			ex.Send(to, verdict)
 		}
-	}
-	inbox, err = ex.Exchange()
-	if err != nil {
-		return fmt.Errorf("core: census: %w", err)
-	}
-	if len(inbox[0]) != 1 || len(inbox[0][0]) != 3 {
-		return fmt.Errorf("core: census: node %d missing verdict broadcast", ex.ID())
-	}
-	verdict := inbox[0][0]
-	if RouteStrategy(verdict[0]) != plan.Strategy {
-		return fmt.Errorf("core: census: distributed verdict %v disagrees with plan %v at node %d",
-			RouteStrategy(verdict[0]), plan.Strategy, ex.ID())
-	}
-	if int(verdict[1]) != plan.relayRoundsCensus {
-		return fmt.Errorf("core: census: relay rounds %d disagree with plan %d", int(verdict[1]), plan.relayRoundsCensus)
-	}
-	if plan.CensusHasFP && uint64(verdict[2]) != plan.CensusFP {
-		return fmt.Errorf("core: census: instance fingerprint %x disagrees with plan fingerprint %x at node %d",
-			uint64(verdict[2]), plan.CensusFP, ex.ID())
+	case RouteCensusRounds:
+		if len(inbox) == 0 || len(inbox[0]) != 1 || len(inbox[0][0]) != 3 {
+			return fmt.Errorf("core: census: node %d missing verdict broadcast", ex.ID())
+		}
+		verdict := inbox[0][0]
+		if RouteStrategy(verdict[0]) != plan.Strategy {
+			return fmt.Errorf("core: census: distributed verdict %v disagrees with plan %v at node %d",
+				RouteStrategy(verdict[0]), plan.Strategy, ex.ID())
+		}
+		if int(verdict[1]) != plan.relayRoundsCensus {
+			return fmt.Errorf("core: census: relay rounds %d disagree with plan %d", int(verdict[1]), plan.relayRoundsCensus)
+		}
+		if plan.CensusHasFP && uint64(verdict[2]) != plan.CensusFP {
+			return fmt.Errorf("core: census: instance fingerprint %x disagrees with plan fingerprint %x at node %d",
+				uint64(verdict[2]), plan.CensusFP, ex.ID())
+		}
 	}
 	return nil
 }
 
-// runSortCensus executes one node's part of the charged sort census: a
-// two-round fingerprint agreement plus verdict broadcast (see the file
-// comment for why the sort verdict itself is echoed, not re-derived).
-func runSortCensus(ex clique.Exchanger, myKeys []Key, plan SortPlan) error {
+// sortCensusStep is one node's part of the charged sort census as a step
+// program: a two-round fingerprint agreement plus verdict broadcast, verified
+// in round SortCensusRounds (see the file comment for why the sort verdict
+// itself is echoed, not re-derived). It carries no state between rounds.
+func sortCensusStep(ex clique.Exchanger, plan *SortPlan, row []Key, round int, inbox clique.Inbox) error {
 	n := ex.N()
-
-	// R1: every node reports (count, row hash) to node 0.
-	ex.Send(0, clique.Packet{clique.Word(len(myKeys)), clique.Word(sortRowHash(myKeys))})
-	inbox, err := ex.Exchange()
-	if err != nil {
-		return fmt.Errorf("core: sort census: %w", err)
-	}
-
-	// R2: node 0 folds and broadcasts [strategy, fingerprint].
-	if ex.ID() == 0 {
+	switch round {
+	case 0:
+		// R1: every node reports (count, row hash) to node 0.
+		ex.Send(0, clique.Packet{clique.Word(len(row)), clique.Word(sortRowHash(row))})
+	case 1:
+		// R2: node 0 folds and broadcasts [strategy, fingerprint].
+		if ex.ID() != 0 {
+			return nil
+		}
 		h := uint64(fnvOffset64)
 		for from := 0; from < n; from++ {
-			if len(inbox[from]) != 1 || len(inbox[from][0]) != 2 {
+			if from >= len(inbox) || len(inbox[from]) != 1 || len(inbox[from][0]) != 2 {
 				return fmt.Errorf("core: sort census: node 0 missing aggregate from node %d", from)
 			}
 			p := inbox[from][0]
@@ -212,22 +198,19 @@ func runSortCensus(ex clique.Exchanger, myKeys []Key, plan SortPlan) error {
 		for to := 0; to < n; to++ {
 			ex.Send(to, verdict)
 		}
-	}
-	inbox, err = ex.Exchange()
-	if err != nil {
-		return fmt.Errorf("core: sort census: %w", err)
-	}
-	if len(inbox[0]) != 1 || len(inbox[0][0]) != 2 {
-		return fmt.Errorf("core: sort census: node %d missing verdict broadcast", ex.ID())
-	}
-	verdict := inbox[0][0]
-	if SortStrategy(verdict[0]) != plan.Strategy {
-		return fmt.Errorf("core: sort census: broadcast verdict %v disagrees with plan %v at node %d",
-			SortStrategy(verdict[0]), plan.Strategy, ex.ID())
-	}
-	if plan.CensusHasFP && uint64(verdict[1]) != plan.CensusFP {
-		return fmt.Errorf("core: sort census: instance fingerprint %x disagrees with plan fingerprint %x at node %d",
-			uint64(verdict[1]), plan.CensusFP, ex.ID())
+	case SortCensusRounds:
+		if len(inbox) == 0 || len(inbox[0]) != 1 || len(inbox[0][0]) != 2 {
+			return fmt.Errorf("core: sort census: node %d missing verdict broadcast", ex.ID())
+		}
+		verdict := inbox[0][0]
+		if SortStrategy(verdict[0]) != plan.Strategy {
+			return fmt.Errorf("core: sort census: broadcast verdict %v disagrees with plan %v at node %d",
+				SortStrategy(verdict[0]), plan.Strategy, ex.ID())
+		}
+		if plan.CensusHasFP && uint64(verdict[1]) != plan.CensusFP {
+			return fmt.Errorf("core: sort census: instance fingerprint %x disagrees with plan fingerprint %x at node %d",
+				uint64(verdict[1]), plan.CensusFP, ex.ID())
+		}
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"congestedclique/internal/clique"
@@ -159,27 +160,31 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 	}
 }
 
-// TestRouteStrategyCensusAgreement pins that the census's distributed
-// decision procedure replays PlanRoute's dispatch exactly, across every
-// strategy class: the aggregates node 0 folds (total, per-pair max, active
-// sources) plus the plan's relay-round echo must reproduce the plan.
+// TestRouteStrategyCensusAgreement pins the charged census against the plan
+// in every class of the dispatch rule. The expected strategy is stated by
+// hand; the census run on the wire — node 0 deciding from the aggregates it
+// gathered, not from the plan — must accept PlanRoute's verdict, and must
+// reject the same plan with the verdict flipped.
 func TestRouteStrategyCensusAgreement(t *testing.T) {
 	t.Parallel()
 	const n = 64
-	cases := map[string][][]Message{
-		"empty":           nil,
-		"sparse-direct":   sparseInstance(n, 2, 1),
-		"direct-boundary": sparseInstance(n, 1, DirectMaxMultiplicity),
-		"past-direct":     sparseInstance(n, 1, DirectMaxMultiplicity+1),
-		"full-load":       sparseInstance(n, n, 1),
-		"broadcast-shaped": func() [][]Message {
+	cases := map[string]struct {
+		msgs [][]Message
+		want RouteStrategy
+	}{
+		"empty":           {make([][]Message, n), StrategyEmpty},
+		"sparse-direct":   {sparseInstance(n, 2, 1), StrategyDirect},
+		"direct-boundary": {sparseInstance(n, 1, DirectMaxMultiplicity), StrategyDirect},
+		"past-direct":     {sparseInstance(n, 1, DirectMaxMultiplicity+1), StrategyPipeline},
+		"full-load":       {sparseInstance(n, n, 1), StrategyPipeline},
+		"broadcast-shaped": {func() [][]Message {
 			msgs := make([][]Message, n)
 			for j := 0; j < n; j++ {
 				msgs[0] = append(msgs[0], Message{Src: 0, Dst: 1 + j%4, Seq: j, Payload: clique.Word(j)})
 			}
 			return msgs
-		}(),
-		"scatter-too-deep": func() [][]Message {
+		}(), StrategyBroadcast},
+		"scatter-too-deep": {func() [][]Message {
 			msgs := make([][]Message, n)
 			for src := 0; src < 8; src++ {
 				for k := 0; k < 8; k++ {
@@ -187,31 +192,38 @@ func TestRouteStrategyCensusAgreement(t *testing.T) {
 				}
 			}
 			return msgs
-		}(),
+		}(), StrategyPipeline},
 	}
-	for name, msgs := range cases {
-		name, msgs := name, msgs
+	for name, tc := range cases {
+		name, tc := name, tc
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			plan := PlanRoute(n, msgs)
-			total, active := 0, 0
-			pair := map[[2]int]int{}
-			maxPair := 0
-			for src, row := range msgs {
-				total += len(row)
-				if len(row) > 0 {
-					active++
-				}
-				for _, m := range row {
-					pair[[2]int{src, m.Dst}]++
-					if pair[[2]int{src, m.Dst}] > maxPair {
-						maxPair = pair[[2]int{src, m.Dst}]
-					}
-				}
+			plan := PlanRoute(n, tc.msgs)
+			if plan.Strategy != tc.want {
+				t.Fatalf("plan decided %v (%s), want %v", plan.Strategy, plan.Reason, tc.want)
 			}
-			got := routeStrategyFromCensus(n, total, maxPair, active, plan.relayRoundsCensus)
-			if got != plan.Strategy {
-				t.Fatalf("census decides %v, plan decided %v (%s)", got, plan.Strategy, plan.Reason)
+			plan.Census, plan.CensusHasFP, plan.CensusFP = true, true, RouteFingerprint(n, tc.msgs).Hash
+			run := func(plan RoutePlan) error {
+				nw, err := clique.New(n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer nw.Close()
+				return nw.Run(func(nd *clique.Node) error {
+					_, rErr := AutoRoute(nd, tc.msgs[nd.ID()], plan)
+					return rErr
+				})
+			}
+			if err := run(plan); err != nil {
+				t.Fatalf("census rejected the plan: %v", err)
+			}
+			flipped := plan
+			flipped.Strategy = StrategyDirect
+			if tc.want == StrategyDirect {
+				flipped.Strategy = StrategyPipeline
+			}
+			if err := run(flipped); err == nil || !strings.Contains(err.Error(), "disagrees with plan") {
+				t.Fatalf("census accepted a flipped verdict: %v", err)
 			}
 		})
 	}

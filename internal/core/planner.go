@@ -155,8 +155,8 @@ type RoutePlan struct {
 	RelayRounds int
 
 	// relayRoundsCensus is the scatter depth the dispatch decision consumed
-	// (set whenever planRelayRounds ran, even when the pipeline won); the
-	// charged census broadcasts it so its distributed decision replays
+	// (set whenever the decision asked for it, even when the pipeline won);
+	// the charged census broadcasts it so its distributed decision replays
 	// PlanRoute's exactly.
 	relayRoundsCensus int
 
@@ -268,207 +268,102 @@ func PlanRoute(n int, msgs [][]Message) RoutePlan {
 		}
 	}
 
-	if plan.TotalMessages == 0 {
-		plan.Strategy = StrategyEmpty
-		plan.Reason = "no messages"
-		return plan
-	}
-	if plan.TotalMessages > FastPathMaxTotal(n) {
-		plan.Strategy = StrategyPipeline
-		plan.Reason = fmt.Sprintf("full-load regime: %d messages > n²/4 = %d", plan.TotalMessages, FastPathMaxTotal(n))
-		return plan
-	}
-
-	// Fast-path eligible: compute the per-pair multiplicity by sorting the
-	// pair keys (bounded by the gated total message count — O(total log
-	// total), no per-call map).
-	sc.keys = sc.keys[:0]
-	for _, row := range msgs {
-		for _, m := range row {
-			sc.keys = append(sc.keys, uint64(m.Src)*uint64(n)+uint64(m.Dst))
+	// The two aggregates below cost a sort of one key per message (bounded by
+	// the gated total — O(total log total), no per-call map), so the dispatch
+	// rule asks for them only when its decision reaches them: the most
+	// messages sharing one (source, destination) pair, and — scattered — one
+	// (relay, destination) pair, where the broadcast path's deterministic
+	// scatter sends message k of source s to relay (s+k) mod n and the
+	// delivery rounds it induces are the most messages any relay holds for
+	// one destination.
+	maxRun := func(scattered bool) int {
+		sc.keys = sc.keys[:0]
+		for src, row := range msgs {
+			for k, m := range row {
+				node := src
+				if scattered {
+					node = (src + k) % n
+				}
+				sc.keys = append(sc.keys, uint64(node)*uint64(n)+uint64(m.Dst))
+			}
 		}
+		return sc.maxRunOfSortedKeys()
 	}
-	plan.MaxPairMultiplicity = sc.maxRunOfSortedKeys()
-
-	if plan.MaxPairMultiplicity <= DirectMaxMultiplicity {
-		plan.Strategy = StrategyDirect
-		plan.Reason = fmt.Sprintf("sparse demand: max pair multiplicity %d ≤ %d, one-frame direct send in a single round",
-			plan.MaxPairMultiplicity, DirectMaxMultiplicity)
-		return plan
+	plan.Strategy, plan.Reason = routeStrategyFromCensus(n, plan.TotalMessages, plan.ActiveSources,
+		func() int {
+			plan.MaxPairMultiplicity = maxRun(false)
+			return plan.MaxPairMultiplicity
+		},
+		func() int {
+			plan.relayRoundsCensus = maxRun(true)
+			return plan.relayRoundsCensus
+		})
+	if plan.Strategy == StrategyBroadcast {
+		plan.RelayRounds = plan.relayRoundsCensus
 	}
-
-	if plan.ActiveSources > BroadcastSourceCap(n) {
-		plan.Strategy = StrategyPipeline
-		plan.Reason = fmt.Sprintf("skewed demand: max pair multiplicity %d exceeds the direct budget and %d sources exceed the broadcast cap %d",
-			plan.MaxPairMultiplicity, plan.ActiveSources, BroadcastSourceCap(n))
-		return plan
-	}
-	relayRounds := planRelayRounds(n, msgs, sc)
-	plan.relayRoundsCensus = relayRounds
-	if 1+relayRounds <= BroadcastMaxRounds {
-		plan.Strategy = StrategyBroadcast
-		plan.RelayRounds = relayRounds
-		plan.Reason = fmt.Sprintf("one-to-many demand: %d source(s), scatter + %d delivery round(s)",
-			plan.ActiveSources, relayRounds)
-		return plan
-	}
-	plan.Strategy = StrategyPipeline
-	plan.Reason = fmt.Sprintf("skewed demand: max pair multiplicity %d exceeds the direct budget and scatter would need 1+%d rounds (cap %d)",
-		plan.MaxPairMultiplicity, relayRounds, BroadcastMaxRounds)
 	return plan
 }
 
-// planRelayRounds simulates the broadcast path's deterministic scatter —
-// message k of source s goes to relay (s+k) mod n — and returns the number
-// of delivery rounds it induces: the largest number of messages any relay
-// holds for one destination (counted by sorting (relay, dst) keys in the
-// shared scratch).
-func planRelayRounds(n int, msgs [][]Message, sc *plannerScratch) int {
-	sc.keys = sc.keys[:0]
-	for src, row := range msgs {
-		for k, m := range row {
-			relay := (src + k) % n
-			sc.keys = append(sc.keys, uint64(relay)*uint64(n)+uint64(m.Dst))
-		}
+// routeStrategyFromCensus is the planner's dispatch rule, the one copy of its
+// decision order: PlanRoute applies it to the centrally computed census and
+// node 0 of the charged census (census.go) to the aggregates it gathered on
+// the wire, so the distributed verdict is the plan's verdict whenever the
+// plan matches the instance. maxPairMult and scatterRounds are functions
+// because the central planner computes those aggregates only on demand.
+func routeStrategyFromCensus(n, total, activeSources int, maxPairMult, scatterRounds func() int) (RouteStrategy, string) {
+	if total == 0 {
+		return StrategyEmpty, "no messages"
 	}
-	return sc.maxRunOfSortedKeys()
+	if total > FastPathMaxTotal(n) {
+		return StrategyPipeline, fmt.Sprintf("full-load regime: %d messages > n²/4 = %d", total, FastPathMaxTotal(n))
+	}
+	mult := maxPairMult()
+	if mult <= DirectMaxMultiplicity {
+		return StrategyDirect, fmt.Sprintf("sparse demand: max pair multiplicity %d ≤ %d, one-frame direct send in a single round",
+			mult, DirectMaxMultiplicity)
+	}
+	if activeSources > BroadcastSourceCap(n) {
+		return StrategyPipeline, fmt.Sprintf("skewed demand: max pair multiplicity %d exceeds the direct budget and %d sources exceed the broadcast cap %d",
+			mult, activeSources, BroadcastSourceCap(n))
+	}
+	relayRounds := scatterRounds()
+	if 1+relayRounds <= BroadcastMaxRounds {
+		return StrategyBroadcast, fmt.Sprintf("one-to-many demand: %d source(s), scatter + %d delivery round(s)",
+			activeSources, relayRounds)
+	}
+	return StrategyPipeline, fmt.Sprintf("skewed demand: max pair multiplicity %d exceeds the direct budget and scatter would need 1+%d rounds (cap %d)",
+		mult, relayRounds, BroadcastMaxRounds)
 }
 
-// AutoRoute executes one node's part of a planned routing instance. Every
-// node must pass the same plan (PlanRoute of the same instance) and its own
-// message row; the plan fixes the communication schedule, so no agreement
-// rounds are needed. The output contract matches Route: the messages
-// addressed to this node, sorted by (Src, Dst, Seq).
+// AutoRoute executes one node's part of a planned routing instance on the
+// blocking scheduler. Every node must pass the same plan (PlanRoute of the
+// same instance) and its own message row; the plan fixes the communication
+// schedule, so no agreement rounds are needed. The output contract matches
+// Route: the messages addressed to this node, sorted by (Src, Dst, Seq). The
+// charged census and the empty, direct and broadcast arms are the step
+// programs of census.go and sparse_route.go under driveBlocking; the pipeline
+// arm is the Theorem 3.7 executor.
 func AutoRoute(ex clique.Exchanger, msgs []Message, plan RoutePlan) ([]Message, error) {
 	if plan.N != ex.N() {
 		return nil, fmt.Errorf("core: plan computed for n=%d executed on n=%d", plan.N, ex.N())
 	}
+	var p routeProgram
 	if plan.Census {
-		if err := runRouteCensus(ex, msgs, plan); err != nil {
-			return nil, err
-		}
-	}
-	switch plan.Strategy {
-	case StrategyEmpty:
-		if len(msgs) != 0 {
-			return nil, fmt.Errorf("core: empty plan but node %d holds %d messages", ex.ID(), len(msgs))
-		}
-		return nil, nil
-	case StrategyDirect:
-		return directRoute(ex, msgs)
-	case StrategyBroadcast:
-		return broadcastRoute(ex, msgs, plan.RelayRounds)
-	case StrategyPipeline:
-		return routeWithSchedule(ex, msgs, plan.Sched, plan.Capture)
-	default:
-		return nil, fmt.Errorf("core: unknown route strategy %v", plan.Strategy)
-	}
-}
-
-// directRoute delivers every message straight over its source-destination
-// edge in a single round: all messages sharing one pair are packed into one
-// frame of [seq, payload] pairs sent with SendFramed, so the engine accounts
-// them as individual model messages while the frame stays within
-// DirectFrameWords (the plan guarantees the multiplicity bound; a violation
-// means the plan does not match the instance and is reported as an error).
-func directRoute(ex clique.Exchanger, msgs []Message) ([]Message, error) {
-	n := ex.N()
-	byDst := make([][]Message, n)
-	for _, m := range msgs {
-		if m.Src != ex.ID() {
-			return nil, fmt.Errorf("core: message (%d->%d) submitted by node %d", m.Src, m.Dst, ex.ID())
-		}
-		byDst[m.Dst] = append(byDst[m.Dst], m)
-		if len(byDst[m.Dst]) > DirectMaxMultiplicity {
-			return nil, fmt.Errorf("core: node %d holds %d messages for node %d, the direct plan allows %d",
-				ex.ID(), len(byDst[m.Dst]), m.Dst, DirectMaxMultiplicity)
-		}
-	}
-	for dst, queue := range byDst {
-		if len(queue) == 0 {
-			continue
-		}
-		frame := make(clique.Packet, 0, len(queue)*directWordsPerMessage)
-		for _, m := range queue {
-			frame = append(frame, clique.Word(m.Seq), m.Payload)
-		}
-		ex.SendFramed(dst, frame, len(queue), len(frame))
-	}
-	inbox, err := ex.Exchange()
-	if err != nil {
-		return nil, err
-	}
-	var received []Message
-	for from, packets := range inbox {
-		for _, p := range packets {
-			if len(p)%directWordsPerMessage != 0 {
-				return nil, fmt.Errorf("core: malformed direct frame with %d words", len(p))
-			}
-			for i := 0; i < len(p); i += directWordsPerMessage {
-				received = append(received, Message{Src: from, Dst: ex.ID(), Seq: int(p[i]), Payload: p[i+1]})
-			}
-		}
-	}
-	sortMessages(received)
-	return received, nil
-}
-
-// broadcastRoute is the one-to-many fast path: message k of this node is
-// scattered to relay (id+k) mod n in one round, then every relay forwards
-// its held messages to their destinations, one message per (relay,
-// destination) edge per round, for exactly relayRounds rounds. Decoded
-// packets are converted to Message values immediately, so nothing aliases
-// engine receive memory past the payload grace window.
-func broadcastRoute(ex clique.Exchanger, msgs []Message, relayRounds int) ([]Message, error) {
-	n := ex.N()
-	for k, m := range msgs {
-		if m.Src != ex.ID() {
-			return nil, fmt.Errorf("core: message (%d->%d) submitted by node %d", m.Src, m.Dst, ex.ID())
-		}
-		ex.Send((ex.ID()+k)%n, clique.Packet{clique.Word(m.Dst), clique.Word(m.Seq), m.Payload})
-	}
-	inbox, err := ex.Exchange()
-	if err != nil {
-		return nil, err
-	}
-	held := make([][]Message, n)
-	for from, packets := range inbox {
-		for _, p := range packets {
-			if len(p) < relayWordsPerMessage {
-				return nil, fmt.Errorf("core: malformed scattered message with %d words", len(p))
-			}
-			dst := int(p[0])
-			if dst < 0 || dst >= n {
-				return nil, fmt.Errorf("core: scattered destination %d out of range", dst)
-			}
-			held[dst] = append(held[dst], Message{Src: from, Dst: dst, Seq: int(p[1]), Payload: p[2]})
-			if len(held[dst]) > relayRounds {
-				return nil, fmt.Errorf("core: relay %d holds %d messages for node %d, broadcast plan allows %d",
-					ex.ID(), len(held[dst]), dst, relayRounds)
-			}
-		}
-	}
-	var received []Message
-	for r := 0; r < relayRounds; r++ {
-		for dst, queue := range held {
-			if r < len(queue) {
-				m := queue[r]
-				ex.Send(dst, clique.Packet{clique.Word(m.Src), clique.Word(m.Seq), m.Payload})
-			}
-		}
-		inbox, err := ex.Exchange()
+		err := driveBlocking(ex, func(round int, inbox clique.Inbox) (bool, error) {
+			return round == RouteCensusRounds, p.census.step(ex, &plan, msgs, round, inbox)
+		})
 		if err != nil {
 			return nil, err
 		}
-		for _, packets := range inbox {
-			for _, p := range packets {
-				if len(p) < relayWordsPerMessage {
-					return nil, fmt.Errorf("core: malformed relayed message with %d words", len(p))
-				}
-				received = append(received, Message{Src: int(p[0]), Dst: ex.ID(), Seq: int(p[1]), Payload: p[2]})
-			}
-		}
 	}
-	sortMessages(received)
-	return received, nil
+	if plan.Strategy == StrategyPipeline {
+		return routeWithSchedule(ex, msgs, plan.Sched, plan.Capture)
+	}
+	err := driveBlocking(ex, func(round int, inbox clique.Inbox) (bool, error) {
+		return p.step(ex, &plan, msgs, round, inbox)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return p.out, nil
 }

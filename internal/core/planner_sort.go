@@ -273,20 +273,18 @@ func PlanSort(n int, keys [][]Key) SortPlan {
 	return plan
 }
 
-// AutoSort executes one node's part of a planned sorting instance. Every
-// node must pass the same plan (PlanSort of the same instance) and its own
-// key row; the plan fixes the communication schedule, so no agreement rounds
-// are needed. The output contract matches Sort exactly: node i's batch of
-// the globally sorted sequence, identical to the Deterministic pipeline's
-// bit for bit.
+// AutoSort executes one node's part of a planned sorting instance on the
+// blocking scheduler. Every node must pass the same plan (PlanSort of the
+// same instance) and its own key row; the plan fixes the communication
+// schedule, so no agreement rounds are needed. The output contract matches
+// Sort exactly: node i's batch of the globally sorted sequence, identical to
+// the Deterministic pipeline's bit for bit. The charged census and the empty
+// arm are the step programs of census.go and sparse_sort.go under
+// driveBlocking; the presorted arm is the dense-load twin of that file's step
+// program (its comment says why both exist).
 func AutoSort(ex clique.Exchanger, myKeys []Key, plan SortPlan) (*SortResult, error) {
 	if plan.N != ex.N() {
 		return nil, fmt.Errorf("core: sort plan computed for n=%d executed on n=%d", plan.N, ex.N())
-	}
-	if plan.Census && ex.N() > 1 {
-		if err := runSortCensus(ex, myKeys, plan); err != nil {
-			return nil, err
-		}
 	}
 	if ex.N() == 1 {
 		// Mirror Sort's single-node shortcut for every arm.
@@ -294,12 +292,15 @@ func AutoSort(ex clique.Exchanger, myKeys []Key, plan SortPlan) (*SortResult, er
 		sortKeys(batch)
 		return &SortResult{Batch: batch, Start: 0, Total: len(batch)}, nil
 	}
-	switch plan.Strategy {
-	case SortStrategyEmpty:
-		if len(myKeys) != 0 {
-			return nil, fmt.Errorf("core: empty sort plan but node %d holds %d keys", ex.ID(), len(myKeys))
+	if plan.Census {
+		err := driveBlocking(ex, func(round int, inbox clique.Inbox) (bool, error) {
+			return round == SortCensusRounds, sortCensusStep(ex, &plan, myKeys, round, inbox)
+		})
+		if err != nil {
+			return nil, err
 		}
-		return &SortResult{}, nil
+	}
+	switch plan.Strategy {
 	case SortStrategyPresorted:
 		return presortedSort(ex, myKeys, plan)
 	case SortStrategySmallDomain:
@@ -307,7 +308,16 @@ func AutoSort(ex clique.Exchanger, myKeys []Key, plan SortPlan) (*SortResult, er
 	case SortStrategyPipeline:
 		return Sort(ex, myKeys)
 	default:
-		return nil, fmt.Errorf("core: unknown sort strategy %v", plan.Strategy)
+		// The empty arm — and the unknown-strategy error — are the step
+		// program's.
+		var p sortProgram
+		err := driveBlocking(ex, func(round int, inbox clique.Inbox) (bool, error) {
+			return p.step(ex, &plan, myKeys, round, inbox)
+		})
+		if err != nil {
+			return nil, err
+		}
+		return p.result, nil
 	}
 }
 

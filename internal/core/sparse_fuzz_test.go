@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"math/rand"
@@ -6,11 +6,13 @@ import (
 	"testing"
 
 	"congestedclique/internal/clique"
+	"congestedclique/internal/core"
+	"congestedclique/internal/verify"
 )
 
 // fuzzSparseInstance generates a random Problem 3.1 instance (per-source and
 // per-sink loads capped at n) from the fuzzed parameters.
-func fuzzSparseInstance(seed int64, nRaw, perRaw uint8, concentrate, ragged bool) (int, [][]Message) {
+func fuzzSparseInstance(seed int64, nRaw, perRaw uint8, concentrate, ragged bool) (int, [][]core.Message) {
 	n := 8 + int(nRaw)%57 // 8..64
 	per := int(perRaw) % (n + 1)
 	rng := rand.New(rand.NewSource(seed))
@@ -18,7 +20,7 @@ func fuzzSparseInstance(seed int64, nRaw, perRaw uint8, concentrate, ragged bool
 	if ragged {
 		rows = 1 + rng.Intn(n)
 	}
-	msgs := make([][]Message, rows)
+	msgs := make([][]core.Message, rows)
 	recv := make([]int, n)
 	for src := 0; src < rows; src++ {
 		count := rng.Intn(per + 1)
@@ -31,15 +33,14 @@ func fuzzSparseInstance(seed int64, nRaw, perRaw uint8, concentrate, ragged bool
 				continue
 			}
 			recv[dst]++
-			msgs[src] = append(msgs[src], Message{Src: src, Dst: dst, Seq: len(msgs[src]), Payload: clique.Word(rng.Int63n(1 << 40))})
+			msgs[src] = append(msgs[src], core.Message{Src: src, Dst: dst, Seq: len(msgs[src]), Payload: clique.Word(rng.Int63n(1 << 40))})
 		}
 	}
 	return n, msgs
 }
 
-// FuzzSparseRoundTrip checks that the sparse demand representation is
-// lossless: rows round-trip exactly, totals agree, the fingerprint matches
-// the dense RouteFingerprint and the sparse planner replays PlanRoute.
+// FuzzSparseRoundTrip checks that SparseDemand accepts every generated
+// Problem 3.1 instance and hands each node exactly its own row.
 func FuzzSparseRoundTrip(f *testing.F) {
 	f.Add(int64(1), uint8(16), uint8(4), false, false)
 	f.Add(int64(2), uint8(9), uint8(0), false, true)
@@ -47,40 +48,25 @@ func FuzzSparseRoundTrip(f *testing.F) {
 	f.Add(int64(4), uint8(31), uint8(200), true, true)
 	f.Fuzz(func(t *testing.T, seed int64, nRaw, perRaw uint8, concentrate, ragged bool) {
 		n, msgs := fuzzSparseInstance(seed, nRaw, perRaw, concentrate, ragged)
-		sd, err := NewSparseDemand(n, msgs)
+		sd, err := core.NewSparseDemand(n, msgs)
 		if err != nil {
 			t.Fatalf("NewSparseDemand: %v", err)
 		}
-		back := sd.Messages()
-		total := 0
 		for i := 0; i < n; i++ {
-			var want []Message
+			var want []core.Message
 			if i < len(msgs) {
 				want = msgs[i]
 			}
-			total += len(want)
-			if len(want) == 0 && len(back[i]) == 0 {
-				continue
+			if got := sd.Row(i); len(got) != len(want) || len(want) > 0 && !reflect.DeepEqual(got, want) {
+				t.Fatalf("row %d does not round-trip: got %v want %v", i, got, want)
 			}
-			if !reflect.DeepEqual(back[i], want) {
-				t.Fatalf("row %d does not round-trip: got %v want %v", i, back[i], want)
-			}
-		}
-		if sd.Total() != total {
-			t.Fatalf("Total = %d, want %d", sd.Total(), total)
-		}
-		if got, want := sd.Fingerprint(), RouteFingerprint(n, msgs); got != want {
-			t.Fatalf("sparse fingerprint %v != dense %v", got, want)
-		}
-		if got, want := PlanRouteSparse(sd), PlanRoute(n, msgs); !reflect.DeepEqual(got, want) {
-			t.Fatalf("sparse plan %+v != dense plan %+v", got, want)
 		}
 	})
 }
 
-// FuzzSparseRouteMatchesDense executes every sparse-served generated
-// instance on both schedulers and requires bit-identical outputs and
-// metrics.
+// FuzzSparseRouteMatchesDense executes every generated instance with a
+// step-program plan under both drivers, requires bit-identical outputs and
+// metrics, and checks the deliveries against the oracle.
 func FuzzSparseRouteMatchesDense(f *testing.F) {
 	f.Add(int64(1), uint8(16), uint8(2), false, false)
 	f.Add(int64(2), uint8(9), uint8(1), false, true)
@@ -88,33 +74,18 @@ func FuzzSparseRouteMatchesDense(f *testing.F) {
 	f.Add(int64(4), uint8(31), uint8(3), true, true)
 	f.Fuzz(func(t *testing.T, seed int64, nRaw, perRaw uint8, concentrate, ragged bool) {
 		n, msgs := fuzzSparseInstance(seed, nRaw, perRaw, concentrate, ragged)
-		sd, err := NewSparseDemand(n, msgs)
-		if err != nil {
-			t.Fatalf("NewSparseDemand: %v", err)
+		plan := core.PlanRoute(n, msgs)
+		if !core.SparseStepCapable(plan.Strategy) {
+			return // pipeline arm: not a step program
 		}
-		plan := PlanRouteSparse(sd)
-		if !SparseStepCapable(plan.Strategy) {
-			return // pipeline arm: blocking scheduler only
+		if plan.Census = seed%2 == 0; plan.Census {
+			plan.CensusHasFP, plan.CensusFP = true, core.RouteFingerprint(n, msgs).Hash
 		}
-		plan.Census = seed%2 == 0
-		if plan.Census {
-			plan.CensusHasFP = true
-			plan.CensusFP = sd.Fingerprint().Hash
-		}
-		wantOut, wantM := runDenseAutoRoute(t, n, msgs, plan)
-		gotOut, gotM := runSparseRoute(t, sd, plan)
-		for i := 0; i < n; i++ {
-			if len(wantOut[i]) == 0 && len(gotOut[i]) == 0 {
-				continue
-			}
-			if !reflect.DeepEqual(gotOut[i], wantOut[i]) {
-				t.Fatalf("strategy %v: node %d outputs differ:\n sparse %v\n dense  %v", plan.Strategy, i, gotOut[i], wantOut[i])
-			}
-		}
-		if gotM.Rounds != wantM.Rounds || gotM.TotalWords != wantM.TotalWords ||
-			gotM.TotalMessages != wantM.TotalMessages ||
-			gotM.MaxEdgeWords != wantM.MaxEdgeWords || gotM.MaxEdgeMessages != wantM.MaxEdgeMessages {
-			t.Fatalf("strategy %v: metrics differ:\n sparse %+v\n dense  %+v", plan.Strategy, gotM, wantM)
+		delivered := routeUnderBothDrivers(t, plan.Strategy.String(), n, msgs, plan)
+		sent := make([][]core.Message, n)
+		copy(sent, msgs)
+		if err := verify.Routing(sent, delivered); err != nil {
+			t.Fatalf("strategy %v: %v", plan.Strategy, err)
 		}
 	})
 }

@@ -7,359 +7,184 @@ import (
 	"congestedclique/internal/clique"
 )
 
-// This file implements the sparse step-mode executor for planned routing
-// instances: the engine-driven (RunRounds) counterpart of AutoRoute for the
-// strategies SparseStepCapable admits — empty, direct and broadcast — plus
-// the charged route census. The wire behaviour is byte-identical to the
-// blocking executors in planner.go and census.go: the same packets and frames
-// on the same edges in the same rounds, the same SendFramed model accounting
-// and the same error strings, so Stats and results match the dense path bit
-// for bit wherever both run. What changes is memory: no per-node goroutine
-// stack, no length-n per-node slice (directRoute's byDst, broadcastRoute's
-// held, the census count array) — every node's state is proportional to its
-// own traffic, and the run's only O(n) allocations are flat index tables.
+// This file implements Route's fast arms — empty, direct and broadcast — as
+// the per-node step program routeProgram, and SparseRouteRun, its adapter to
+// the engine-driven scheduler (AutoRoute in planner.go is the blocking one;
+// see sparse.go for the two drivers). Every node's state is proportional to
+// its own traffic: no length-n per-node slice exists anywhere in a run.
 //
-// Round mapping. With the census armed, step rounds 0..2 carry the three
-// census exchanges (R1 counts, R2 aggregates, R3 verdict) and the verdict is
-// verified at the start of step round 3, which doubles as the strategy's
-// round 0 — exactly the schedule the blocking path produces with its census
-// exchanges followed by the strategy's own. Strategy rounds:
+// Round mapping of the strategies (with the census armed, SparseRouteRun
+// prepends its RouteCensusRounds rounds; the verdict is verified in the step
+// that is also the strategy's round 0):
 //
 //	direct     round 0: frames out          round 1: decode, done
 //	broadcast  round 0: scatter             round 1: build held, relay 0
 //	           round 1+r: accumulate, relay r (r < RelayRounds)
 //	           round 1+RelayRounds: accumulate, done
 //	empty      round 0: done
-type SparseRouteRun struct {
-	n    int
-	plan RoutePlan
-	sd   *SparseDemand
-	off  int // census rounds preceding the strategy phase
-
-	// grouped mirrors sd.Entries with each row stably sorted by destination
-	// (submission order preserved within a destination); built only when the
-	// direct path or the census needs per-destination runs.
-	grouped []SparseEntry
-
-	nodes []sparseRouteNode
-	outs  [][]Message
-}
-
-// sparseRouteNode is the per-node state of a run: census receive total and
-// the broadcast path's held/received accumulators. All slices are sized by
-// the node's own traffic.
-type sparseRouteNode struct {
-	recvTotal int
+type routeProgram struct {
+	census routeCensus
 
 	held      []Message // broadcast: held messages, grouped by ascending dst
 	heldStart []int32   // group boundaries into held
 	received  []Message
 	relayBuf  []clique.Word
+
+	out []Message // the node's deliveries, sorted by (Src, Dst, Seq)
 }
 
-// NewSparseRouteRun prepares a step-mode execution of plan over sd. The plan
-// must be PlanRouteSparse (equivalently PlanRoute) of the same instance and
-// its strategy must be SparseStepCapable.
-func NewSparseRouteRun(sd *SparseDemand, plan RoutePlan) (*SparseRouteRun, error) {
-	if !SparseStepCapable(plan.Strategy) {
-		return nil, fmt.Errorf("core: sparse route: strategy %v requires the blocking scheduler", plan.Strategy)
-	}
-	if plan.N != sd.N() {
-		return nil, fmt.Errorf("core: plan computed for n=%d executed on n=%d", plan.N, sd.N())
-	}
-	run := &SparseRouteRun{
-		n:     sd.N(),
-		plan:  plan,
-		sd:    sd,
-		nodes: make([]sparseRouteNode, sd.N()),
-		outs:  make([][]Message, sd.N()),
-	}
-	if plan.Census {
-		run.off = RouteCensusRounds
-	}
-	if plan.Census || plan.Strategy == StrategyDirect {
-		run.grouped = make([]SparseEntry, len(sd.Entries))
-		copy(run.grouped, sd.Entries)
-		for r := range sd.Sources {
-			seg := run.grouped[sd.RowStart[r]:sd.RowStart[r+1]]
-			slices.SortStableFunc(seg, func(a, b SparseEntry) int { return int(a.Dst) - int(b.Dst) })
-		}
-	}
-	return run, nil
-}
-
-// groupedRow returns node's entries sorted by destination (nil when the run
-// did not need grouping or the node is inactive).
-func (run *SparseRouteRun) groupedRow(node int) []SparseEntry {
-	r := run.sd.rowOf[node]
-	if r < 0 || run.grouped == nil {
-		return nil
-	}
-	return run.grouped[run.sd.RowStart[r]:run.sd.RowStart[r+1]]
-}
-
-// Output returns the messages delivered to node (sorted by Src, Dst, Seq),
-// valid after the run completes successfully.
-func (run *SparseRouteRun) Output(node int) []Message { return run.outs[node] }
-
-// Rounds returns the total step rounds the run will use (census included).
-func (run *SparseRouteRun) Rounds() int { return run.off + run.plan.Rounds() }
-
-// Step is the clique.StepFunc of the run: every node executes it once per
-// round under RunRounds.
-func (run *SparseRouteRun) Step(nd *clique.Node, round int, inbox clique.Inbox) (bool, error) {
-	if round < run.off {
-		return false, run.censusStep(nd, round, inbox)
-	}
-	if run.off > 0 && round == run.off {
-		if err := run.censusVerify(nd, inbox); err != nil {
-			return true, err
-		}
-	}
-	sround := round - run.off
-	switch run.plan.Strategy {
+// step executes strategy round `round` of plan for the node holding row.
+func (p *routeProgram) step(ex clique.Exchanger, plan *RoutePlan, row []Message, round int, inbox clique.Inbox) (bool, error) {
+	switch plan.Strategy {
 	case StrategyEmpty:
-		if row := run.sd.Row(nd.ID()); len(row) != 0 {
-			return true, fmt.Errorf("core: empty plan but node %d holds %d messages", nd.ID(), len(row))
+		if len(row) != 0 {
+			return true, fmt.Errorf("core: empty plan but node %d holds %d messages", ex.ID(), len(row))
 		}
 		return true, nil
 	case StrategyDirect:
-		return run.directStep(nd, sround, inbox)
+		return p.directStep(ex, row, round, inbox)
 	case StrategyBroadcast:
-		return run.broadcastStep(nd, sround, inbox)
+		return p.broadcastStep(ex, row, plan.RelayRounds, round, inbox)
 	default:
-		return true, fmt.Errorf("core: unknown route strategy %v", run.plan.Strategy)
+		return true, fmt.Errorf("core: unknown route strategy %v", plan.Strategy)
 	}
 }
 
-// censusStep executes census rounds 0..2: the same three exchanges as
-// runRouteCensus, with the per-destination counts read off the grouped row
-// instead of a dense length-n array.
-func (run *SparseRouteRun) censusStep(nd *clique.Node, round int, inbox clique.Inbox) error {
-	n := run.n
-	id := nd.ID()
-	st := &run.nodes[id]
-	switch round {
-	case 0:
-		// R1: transpose the demand counts, one word per busy destination.
-		grouped := run.groupedRow(id)
-		buf := make([]clique.Word, 0, len(grouped))
-		for i := 0; i < len(grouped); {
-			j := i
-			for j < len(grouped) && grouped[j].Dst == grouped[i].Dst {
-				j++
-			}
-			buf = append(buf, clique.Word(j-i))
-			nd.Send(int(grouped[i].Dst), clique.Packet(buf[len(buf)-1:]))
-			i = j
-		}
-	case 1:
-		// Decode R1, report aggregates to node 0.
-		for from := 0; from < len(inbox); from++ {
-			for _, p := range inbox[from] {
-				if len(p) < 1 {
-					return fmt.Errorf("core: census: malformed count message")
-				}
-				st.recvTotal += int(p[0])
-			}
-		}
-		grouped := run.groupedRow(id)
-		rowPairMax := 0
-		for i := 0; i < len(grouped); {
-			j := i
-			for j < len(grouped) && grouped[j].Dst == grouped[i].Dst {
-				j++
-			}
-			if j-i > rowPairMax {
-				rowPairMax = j - i
-			}
-			i = j
-		}
-		row := run.sd.Row(id)
-		nd.Send(0, clique.Packet{
-			clique.Word(len(row)),
-			clique.Word(st.recvTotal),
-			clique.Word(rowPairMax),
-			clique.Word(sparseRowHash(row)),
-		})
-	case 2:
-		// Node 0 folds the fingerprint, recomputes the dispatch and
-		// broadcasts the verdict.
-		if id != 0 {
-			return nil
-		}
-		total, maxPair, activeSources := 0, 0, 0
-		h := uint64(fnvOffset64)
-		for from := 0; from < n; from++ {
-			if from >= len(inbox) || len(inbox[from]) != 1 || len(inbox[from][0]) != 4 {
-				return fmt.Errorf("core: census: node 0 missing aggregate from node %d", from)
-			}
-			p := inbox[from][0]
-			sendTotal := int(p[0])
-			total += sendTotal
-			if sendTotal > 0 {
-				activeSources++
-			}
-			if int(p[2]) > maxPair {
-				maxPair = int(p[2])
-			}
-			h = foldRows(h, sendTotal, uint64(p[3]))
-		}
-		strategy := routeStrategyFromCensus(n, total, maxPair, activeSources, run.plan.relayRoundsCensus)
-		verdict := clique.Packet{clique.Word(strategy), clique.Word(run.plan.relayRoundsCensus), clique.Word(h)}
-		for to := 0; to < n; to++ {
-			nd.Send(to, verdict)
-		}
-	}
-	return nil
-}
-
-// censusVerify checks the broadcast verdict against the plan at step round 3,
-// with the exact disagreement diagnostics of the blocking census.
-func (run *SparseRouteRun) censusVerify(nd *clique.Node, inbox clique.Inbox) error {
-	plan := run.plan
-	if len(inbox) == 0 || len(inbox[0]) != 1 || len(inbox[0][0]) != 3 {
-		return fmt.Errorf("core: census: node %d missing verdict broadcast", nd.ID())
-	}
-	verdict := inbox[0][0]
-	if RouteStrategy(verdict[0]) != plan.Strategy {
-		return fmt.Errorf("core: census: distributed verdict %v disagrees with plan %v at node %d",
-			RouteStrategy(verdict[0]), plan.Strategy, nd.ID())
-	}
-	if int(verdict[1]) != plan.relayRoundsCensus {
-		return fmt.Errorf("core: census: relay rounds %d disagree with plan %d", int(verdict[1]), plan.relayRoundsCensus)
-	}
-	if plan.CensusHasFP && uint64(verdict[2]) != plan.CensusFP {
-		return fmt.Errorf("core: census: instance fingerprint %x disagrees with plan fingerprint %x at node %d",
-			uint64(verdict[2]), plan.CensusFP, nd.ID())
-	}
-	return nil
-}
-
-// directStep is directRoute as a step program: one frame per busy
-// (source, destination) pair in strategy round 0, decode in round 1.
-func (run *SparseRouteRun) directStep(nd *clique.Node, sround int, inbox clique.Inbox) (bool, error) {
-	id := nd.ID()
-	switch sround {
-	case 0:
-		grouped := run.groupedRow(id)
-		if len(grouped) == 0 {
+// directStep delivers every message straight over its source-destination
+// edge in a single round: all messages sharing one pair are packed into one
+// frame of [seq, payload] pairs sent with SendFramed, so the engine accounts
+// them as individual model messages while the frame stays within
+// DirectFrameWords (the plan guarantees the multiplicity bound; a violation
+// means the plan does not match the instance and is reported as an error).
+func (p *routeProgram) directStep(ex clique.Exchanger, row []Message, round int, inbox clique.Inbox) (bool, error) {
+	id := ex.ID()
+	if round == 0 {
+		if len(row) == 0 {
 			return false, nil
 		}
-		// One backing buffer for all frames: pre-sized exactly, so appends
-		// never reallocate and the frame views handed to the engine stay
-		// valid until delivery.
-		buf := make([]clique.Word, 0, len(grouped)*directWordsPerMessage)
-		for i := 0; i < len(grouped); {
-			j := i
-			for j < len(grouped) && grouped[j].Dst == grouped[i].Dst {
-				j++
+		// One allocation serves the round: the frames fill the first two
+		// thirds (sized exactly, so the views handed to the engine stay valid
+		// until delivery) and the last third holds one (dst, position) key
+		// per message, sorted to group the row by destination with the
+		// submission order kept inside each group.
+		l := len(row)
+		buf := make([]clique.Word, (directWordsPerMessage+1)*l)
+		keys := buf[directWordsPerMessage*l:]
+		for k, m := range row {
+			if m.Src != id {
+				return true, fmt.Errorf("core: message (%d->%d) submitted by node %d", m.Src, m.Dst, id)
+			}
+			keys[k] = clique.Word(m.Dst)<<32 | clique.Word(k)
+		}
+		slices.Sort(keys)
+		pos := 0
+		for i := 0; i < l; {
+			dst, start, j := keys[i]>>32, pos, i
+			for ; j < l && keys[j]>>32 == dst; j++ {
+				m := row[keys[j]&(1<<32-1)]
+				buf[pos], buf[pos+1] = clique.Word(m.Seq), m.Payload
+				pos += directWordsPerMessage
 			}
 			if j-i > DirectMaxMultiplicity {
 				return true, fmt.Errorf("core: node %d holds %d messages for node %d, the direct plan allows %d",
-					id, DirectMaxMultiplicity+1, int(grouped[i].Dst), DirectMaxMultiplicity)
+					id, j-i, int(dst), DirectMaxMultiplicity)
 			}
-			pos := len(buf)
-			for _, e := range grouped[i:j] {
-				buf = append(buf, clique.Word(e.Seq), e.Payload)
-			}
-			frame := clique.Packet(buf[pos:len(buf):len(buf)])
-			nd.SendFramed(int(grouped[i].Dst), frame, j-i, len(frame))
+			ex.SendFramed(int(dst), clique.Packet(buf[start:pos:pos]), j-i, pos-start)
 			i = j
 		}
 		return false, nil
-	default:
-		var received []Message
-		for from := 0; from < len(inbox); from++ {
-			for _, p := range inbox[from] {
-				if len(p)%directWordsPerMessage != 0 {
-					return true, fmt.Errorf("core: malformed direct frame with %d words", len(p))
-				}
-				for i := 0; i < len(p); i += directWordsPerMessage {
-					received = append(received, Message{Src: from, Dst: id, Seq: int(p[i]), Payload: p[i+1]})
-				}
+	}
+	var received []Message
+	for from := range inbox {
+		for _, pk := range inbox[from] {
+			if len(pk)%directWordsPerMessage != 0 {
+				return true, fmt.Errorf("core: malformed direct frame with %d words", len(pk))
+			}
+			for i := 0; i < len(pk); i += directWordsPerMessage {
+				received = append(received, Message{Src: from, Dst: id, Seq: int(pk[i]), Payload: pk[i+1]})
 			}
 		}
-		sortMessages(received)
-		run.outs[id] = received
-		return true, nil
 	}
+	sortMessages(received)
+	p.out = received
+	return true, nil
 }
 
-// broadcastStep is broadcastRoute as a step program: scatter in strategy
-// round 0, held-group assembly plus the first relay round in round 1, then
-// one relay round per step until RelayRounds are done.
-func (run *SparseRouteRun) broadcastStep(nd *clique.Node, sround int, inbox clique.Inbox) (bool, error) {
-	n := run.n
-	id := nd.ID()
-	st := &run.nodes[id]
-	relayRounds := run.plan.RelayRounds
-	switch {
-	case sround == 0:
-		row := run.sd.Row(id)
+// broadcastStep is the one-to-many fast path: message k of this node is
+// scattered to relay (id+k) mod n in round 0, then every relay forwards its
+// held messages to their destinations, one message per (relay, destination)
+// edge per round, for exactly relayRounds rounds. Decoded packets are
+// converted to Message values immediately, so nothing aliases engine receive
+// memory past the step call.
+func (p *routeProgram) broadcastStep(ex clique.Exchanger, row []Message, relayRounds, round int, inbox clique.Inbox) (bool, error) {
+	n, id := ex.N(), ex.ID()
+	switch round {
+	case 0:
 		if len(row) == 0 {
 			return false, nil
 		}
 		buf := make([]clique.Word, 0, len(row)*relayWordsPerMessage)
-		for k, e := range row {
+		for k, m := range row {
+			if m.Src != id {
+				return true, fmt.Errorf("core: message (%d->%d) submitted by node %d", m.Src, m.Dst, id)
+			}
 			pos := len(buf)
-			buf = append(buf, clique.Word(e.Dst), clique.Word(e.Seq), e.Payload)
-			nd.Send((id+k)%n, clique.Packet(buf[pos:len(buf):len(buf)]))
+			buf = append(buf, clique.Word(m.Dst), clique.Word(m.Seq), m.Payload)
+			ex.Send((id+k)%n, clique.Packet(buf[pos:len(buf):len(buf)]))
 		}
 		return false, nil
-	case sround == 1:
-		// Assemble the held groups from the scatter round. A stable sort by
-		// destination reproduces the dense path's per-destination append
-		// order (ascending sender, packet order within a sender).
-		for from := 0; from < len(inbox); from++ {
-			for _, p := range inbox[from] {
-				if len(p) < relayWordsPerMessage {
-					return true, fmt.Errorf("core: malformed scattered message with %d words", len(p))
+	case 1:
+		// Assemble the held groups from the scatter round: stably sorted by
+		// destination, so each group keeps ascending sender order and the
+		// packet order within a sender.
+		for from := range inbox {
+			for _, pk := range inbox[from] {
+				if len(pk) < relayWordsPerMessage {
+					return true, fmt.Errorf("core: malformed scattered message with %d words", len(pk))
 				}
-				dst := int(p[0])
+				dst := int(pk[0])
 				if dst < 0 || dst >= n {
 					return true, fmt.Errorf("core: scattered destination %d out of range", dst)
 				}
-				st.held = append(st.held, Message{Src: from, Dst: dst, Seq: int(p[1]), Payload: p[2]})
+				p.held = append(p.held, Message{Src: from, Dst: dst, Seq: int(pk[1]), Payload: pk[2]})
 			}
 		}
-		slices.SortStableFunc(st.held, func(a, b Message) int { return a.Dst - b.Dst })
-		st.heldStart = append(st.heldStart, 0)
-		for i := 0; i < len(st.held); {
+		slices.SortStableFunc(p.held, func(a, b Message) int { return a.Dst - b.Dst })
+		p.heldStart = append(p.heldStart, 0)
+		for i := 0; i < len(p.held); {
 			j := i
-			for j < len(st.held) && st.held[j].Dst == st.held[i].Dst {
+			for j < len(p.held) && p.held[j].Dst == p.held[i].Dst {
 				j++
 			}
 			if j-i > relayRounds {
 				return true, fmt.Errorf("core: relay %d holds %d messages for node %d, broadcast plan allows %d",
-					id, relayRounds+1, st.held[i].Dst, relayRounds)
+					id, j-i, p.held[i].Dst, relayRounds)
 			}
-			st.heldStart = append(st.heldStart, int32(j))
+			p.heldStart = append(p.heldStart, int32(j))
 			i = j
 		}
 		if relayRounds == 0 {
-			run.outs[id] = nil
 			return true, nil
 		}
-		st.relayBuf = make([]clique.Word, 0, relayWordsPerMessage*(len(st.heldStart)-1))
-		run.relaySends(nd, st, 0)
+		p.relayBuf = make([]clique.Word, 0, relayWordsPerMessage*(len(p.heldStart)-1))
+		p.relaySends(ex, 0)
 		return false, nil
 	default:
-		r := sround - 2 // the relay round whose traffic this inbox carries
-		for from := 0; from < len(inbox); from++ {
-			for _, p := range inbox[from] {
-				if len(p) < relayWordsPerMessage {
-					return true, fmt.Errorf("core: malformed relayed message with %d words", len(p))
+		r := round - 2 // the relay round whose traffic this inbox carries
+		for from := range inbox {
+			for _, pk := range inbox[from] {
+				if len(pk) < relayWordsPerMessage {
+					return true, fmt.Errorf("core: malformed relayed message with %d words", len(pk))
 				}
-				st.received = append(st.received, Message{Src: int(p[0]), Dst: id, Seq: int(p[1]), Payload: p[2]})
+				p.received = append(p.received, Message{Src: int(pk[0]), Dst: id, Seq: int(pk[1]), Payload: pk[2]})
 			}
 		}
 		if r+1 < relayRounds {
-			run.relaySends(nd, st, r+1)
+			p.relaySends(ex, r+1)
 			return false, nil
 		}
-		sortMessages(st.received)
-		run.outs[id] = st.received
+		sortMessages(p.received)
+		p.out = p.received
 		return true, nil
 	}
 }
@@ -368,16 +193,57 @@ func (run *SparseRouteRun) broadcastStep(nd *clique.Node, sround int, inbox cliq
 // dst) with more than r messages, the r-th one travels over the relay's own
 // edge to the destination. The packet buffer is reused across relay rounds —
 // the engine has copied the previous round's payloads at its delivery.
-func (run *SparseRouteRun) relaySends(nd *clique.Node, st *sparseRouteNode, r int) {
-	buf := st.relayBuf[:0]
-	for g := 0; g+1 < len(st.heldStart); g++ {
-		lo, hi := int(st.heldStart[g]), int(st.heldStart[g+1])
+func (p *routeProgram) relaySends(ex clique.Exchanger, r int) {
+	buf := p.relayBuf[:0]
+	for g := 0; g+1 < len(p.heldStart); g++ {
+		lo, hi := int(p.heldStart[g]), int(p.heldStart[g+1])
 		if r < hi-lo {
-			m := st.held[lo+r]
+			m := p.held[lo+r]
 			pos := len(buf)
 			buf = append(buf, clique.Word(m.Src), clique.Word(m.Seq), m.Payload)
-			nd.Send(m.Dst, clique.Packet(buf[pos:len(buf):len(buf)]))
+			ex.Send(m.Dst, clique.Packet(buf[pos:len(buf):len(buf)]))
 		}
 	}
-	st.relayBuf = buf
+	p.relayBuf = buf
+}
+
+// SparseRouteRun drives one routeProgram per node on the engine's step
+// scheduler (RunRounds): with the census armed, step rounds 0..2 carry its
+// three exchanges and the strategy starts in the round that verifies it.
+type SparseRouteRun struct {
+	plan  RoutePlan
+	sd    *SparseDemand
+	progs []routeProgram
+}
+
+// NewSparseRouteRun prepares a step-mode execution of plan over sd. The plan
+// must be PlanRoute of the same instance and its strategy must be
+// SparseStepCapable.
+func NewSparseRouteRun(sd *SparseDemand, plan RoutePlan) (*SparseRouteRun, error) {
+	if !SparseStepCapable(plan.Strategy) {
+		return nil, fmt.Errorf("core: sparse route: strategy %v requires the blocking scheduler", plan.Strategy)
+	}
+	if plan.N != sd.N() {
+		return nil, fmt.Errorf("core: plan computed for n=%d executed on n=%d", plan.N, sd.N())
+	}
+	return &SparseRouteRun{plan: plan, sd: sd, progs: make([]routeProgram, sd.N())}, nil
+}
+
+// Output returns the messages delivered to node (sorted by Src, Dst, Seq),
+// valid after the run completes successfully.
+func (run *SparseRouteRun) Output(node int) []Message { return run.progs[node].out }
+
+// Step is the clique.StepFunc of the run: every node executes it once per
+// round under RunRounds.
+func (run *SparseRouteRun) Step(nd *clique.Node, round int, inbox clique.Inbox) (bool, error) {
+	p, row := &run.progs[nd.ID()], run.sd.Row(nd.ID())
+	if run.plan.Census {
+		if round <= RouteCensusRounds {
+			if err := p.census.step(nd, &run.plan, row, round, inbox); err != nil || round < RouteCensusRounds {
+				return err != nil, err
+			}
+		}
+		round -= RouteCensusRounds
+	}
+	return p.step(nd, &run.plan, row, round, inbox)
 }

@@ -7,162 +7,57 @@ import (
 	"congestedclique/internal/clique"
 )
 
-// This file implements the sparse step-mode executor for planned sorting
-// instances: the RunRounds counterpart of AutoSort for the strategies
-// SparseSortStepCapable admits — empty and presorted — plus the charged sort
-// census. Like sparse_route.go it reproduces the blocking path's wire
-// behaviour exactly: the presorted arm stages the same ranked bundles and
-// forwards the same rank records through the same flat frames (one frame per
-// busy destination per round, emitted in first-touch order, accounted with
-// the identical SendFramed message count and model words), so stats and
-// batches match the dense path bit for bit. The dense path's per-node comm
-// scratch (length-n destination tables, member maps, arenas) is replaced by
-// a first-touch stager whose state is proportional to the node's own
-// traffic; the run's only O(n) allocations are the result headers.
+// This file implements Sort's empty and presorted arms as the per-node step
+// program sortProgram, and SparseSortRun, its adapter to the engine-driven
+// scheduler (see sparse.go for the two drivers).
 //
-// Round mapping. With the census armed, step rounds 0..1 carry the two
-// census exchanges and the verdict is verified at the start of step round 2,
-// which doubles as the strategy's round 0:
+// The presorted arm is the one fast path that exists twice, on purpose. The
+// step program below stages through frameStager, whose state is proportional
+// to the node's own traffic — what a run at n=16384 needs. AutoSort's
+// presortedSort (planner_sort.go) runs the same two dealByRank rounds through
+// the pooled dense comm scratch, which is several times cheaper per key once
+// every node holds ~n keys: forcing this program at full load read the
+// benchmark's auto_mix workload (n=256, n² keys) at 383.9k allocs/op against
+// 23.9k and 2.64 against 1.75 op_p50_cal. Each wins on one benchmark
+// workload, so both stay and the session picks from what it already knows:
+// the step program iff plan.TotalKeys ≤ FastPathMaxTotal(n). Both put the
+// same ranked bundles and rank records into the same flat frames (one frame
+// per busy destination per round, first-touch order, identical SendFramed
+// accounting), so results and Stats are bit-identical;
+// TestSparseSortRunMatchesDense pins that.
+//
+// Round mapping (with the census armed, SparseSortRun prepends its
+// SortCensusRounds rounds):
 //
 //	presorted  round 0: ranked bundles out   round 1: forward by rank
 //	           round 2: assemble batch, done
 //	empty      round 0: done
-type SparseSortRun struct {
-	n    int
-	plan SortPlan
-	keys [][]Key
-	off  int // census rounds preceding the strategy phase
-
-	nodes   []sparseSortNode
-	results []*SortResult
-}
-
-// sparseSortNode is the per-node state of a sorting run: the frame stager
-// and the relayed records carried from the deal round to the forward round.
-type sparseSortNode struct {
+type sortProgram struct {
 	stager frameStager
+	result *SortResult // non-nil once the program is done
 }
 
-// NewSparseSortRun prepares a step-mode execution of plan over keys (indexed
-// by node, rows beyond len(keys) empty). The plan must be PlanSort of the
-// same instance and its strategy must be SparseSortStepCapable.
-func NewSparseSortRun(n int, keys [][]Key, plan SortPlan) (*SparseSortRun, error) {
-	if !SparseSortStepCapable(plan.Strategy) {
-		return nil, fmt.Errorf("core: sparse sort: strategy %v requires the blocking scheduler", plan.Strategy)
-	}
-	if plan.N != n {
-		return nil, fmt.Errorf("core: sort plan computed for n=%d executed on n=%d", plan.N, n)
-	}
-	run := &SparseSortRun{
-		n:       n,
-		plan:    plan,
-		keys:    keys,
-		nodes:   make([]sparseSortNode, n),
-		results: make([]*SortResult, n),
-	}
-	if plan.Census {
-		run.off = SortCensusRounds
-	}
-	return run, nil
-}
-
-// row returns node's key row (nil when the node holds no keys).
-func (run *SparseSortRun) row(node int) []Key {
-	if node < len(run.keys) {
-		return run.keys[node]
-	}
-	return nil
-}
-
-// Result returns node's sort result, valid after the run completes
-// successfully; it is non-nil for every node.
-func (run *SparseSortRun) Result(node int) *SortResult { return run.results[node] }
-
-// Rounds returns the total step rounds the run will use (census included).
-func (run *SparseSortRun) Rounds() int { return run.off + run.plan.Rounds() }
-
-// Step is the clique.StepFunc of the run.
-func (run *SparseSortRun) Step(nd *clique.Node, round int, inbox clique.Inbox) (bool, error) {
-	if round < run.off {
-		return false, run.censusStep(nd, round, inbox)
-	}
-	if run.off > 0 && round == run.off {
-		if err := run.censusVerify(nd, inbox); err != nil {
-			return true, err
-		}
-	}
-	sround := round - run.off
-	switch run.plan.Strategy {
+// step executes strategy round `round` of plan for the node holding row.
+func (p *sortProgram) step(ex clique.Exchanger, plan *SortPlan, row []Key, round int, inbox clique.Inbox) (bool, error) {
+	switch plan.Strategy {
 	case SortStrategyEmpty:
-		if row := run.row(nd.ID()); len(row) != 0 {
-			return true, fmt.Errorf("core: empty sort plan but node %d holds %d keys", nd.ID(), len(row))
+		if len(row) != 0 {
+			return true, fmt.Errorf("core: empty sort plan but node %d holds %d keys", ex.ID(), len(row))
 		}
-		run.results[nd.ID()] = &SortResult{}
+		p.result = &SortResult{}
 		return true, nil
 	case SortStrategyPresorted:
-		return run.presortedStep(nd, sround, inbox)
+		return p.presortedStep(ex, plan, row, round, inbox)
 	default:
-		return true, fmt.Errorf("core: unknown sort strategy %v", run.plan.Strategy)
+		return true, fmt.Errorf("core: unknown sort strategy %v", plan.Strategy)
 	}
-}
-
-// censusStep executes the two sort-census exchanges of runSortCensus.
-func (run *SparseSortRun) censusStep(nd *clique.Node, round int, inbox clique.Inbox) error {
-	n := run.n
-	id := nd.ID()
-	switch round {
-	case 0:
-		// R1: every node reports (count, row hash) to node 0.
-		row := run.row(id)
-		nd.Send(0, clique.Packet{clique.Word(len(row)), clique.Word(sortRowHash(row))})
-	case 1:
-		// R2: node 0 folds and broadcasts [strategy, fingerprint].
-		if id != 0 {
-			return nil
-		}
-		h := uint64(fnvOffset64)
-		for from := 0; from < n; from++ {
-			if from >= len(inbox) || len(inbox[from]) != 1 || len(inbox[from][0]) != 2 {
-				return fmt.Errorf("core: sort census: node 0 missing aggregate from node %d", from)
-			}
-			p := inbox[from][0]
-			h = foldRows(h, int(p[0]), uint64(p[1]))
-		}
-		verdict := clique.Packet{clique.Word(run.plan.Strategy), clique.Word(h)}
-		for to := 0; to < n; to++ {
-			nd.Send(to, verdict)
-		}
-	}
-	return nil
-}
-
-// censusVerify checks the broadcast sort verdict against the plan at step
-// round 2, with the exact diagnostics of the blocking census.
-func (run *SparseSortRun) censusVerify(nd *clique.Node, inbox clique.Inbox) error {
-	plan := run.plan
-	if len(inbox) == 0 || len(inbox[0]) != 1 || len(inbox[0][0]) != 2 {
-		return fmt.Errorf("core: sort census: node %d missing verdict broadcast", nd.ID())
-	}
-	verdict := inbox[0][0]
-	if SortStrategy(verdict[0]) != plan.Strategy {
-		return fmt.Errorf("core: sort census: broadcast verdict %v disagrees with plan %v at node %d",
-			SortStrategy(verdict[0]), plan.Strategy, nd.ID())
-	}
-	if plan.CensusHasFP && uint64(verdict[1]) != plan.CensusFP {
-		return fmt.Errorf("core: sort census: instance fingerprint %x disagrees with plan fingerprint %x at node %d",
-			uint64(verdict[1]), plan.CensusFP, nd.ID())
-	}
-	return nil
 }
 
 // presortedStep is presortedSort (and the dealByRank/dealDeliver pair behind
 // it) as a step program.
-func (run *SparseSortRun) presortedStep(nd *clique.Node, sround int, inbox clique.Inbox) (bool, error) {
+func (p *sortProgram) presortedStep(ex clique.Exchanger, plan *SortPlan, myKeys []Key, round int, inbox clique.Inbox) (bool, error) {
 	const context = "presorted.rank"
-	n := run.n
-	id := nd.ID()
-	st := &run.nodes[id]
-	plan := run.plan
+	n, id := ex.N(), ex.ID()
 	total := 0
 	if len(plan.StartRanks) > 0 {
 		total = plan.StartRanks[len(plan.StartRanks)-1]
@@ -171,12 +66,11 @@ func (run *SparseSortRun) presortedStep(nd *clique.Node, sround int, inbox cliqu
 	if perNode == 0 {
 		perNode = 1
 	}
-	switch sround {
+	switch round {
 	case 0:
 		if len(plan.StartRanks) != n+1 {
 			return true, fmt.Errorf("core: presorted plan carries %d start ranks for n=%d", len(plan.StartRanks), n)
 		}
-		myKeys := run.row(id)
 		if got, want := len(myKeys), plan.StartRanks[id+1]-plan.StartRanks[id]; got != want {
 			return true, fmt.Errorf("core: presorted plan expected %d keys at node %d, got %d (plan does not match the instance)", want, id, got)
 		}
@@ -187,16 +81,16 @@ func (run *SparseSortRun) presortedStep(nd *clique.Node, sround int, inbox cliqu
 		packetIdx := 0
 		for lo := 0; lo < len(keys); lo += keysPerBundle {
 			hi := min(lo+keysPerBundle, len(keys))
-			st.stager.open((id + packetIdx) % n)
-			st.stager.words(clique.Word(hi - lo))
+			p.stager.open((id + packetIdx) % n)
+			p.stager.words(clique.Word(hi - lo))
 			for t := lo; t < hi; t++ {
 				k := keys[t]
-				st.stager.words(clique.Word(start+t), k.Value, clique.Word(k.Origin), clique.Word(k.Seq))
+				p.stager.words(clique.Word(start+t), k.Value, clique.Word(k.Origin), clique.Word(k.Seq))
 			}
-			st.stager.close()
+			p.stager.close()
 			packetIdx++
 		}
-		st.stager.flush(nd)
+		p.stager.flush(ex)
 		return false, nil
 	case 1:
 		// Decode the ranked bundles and forward every key to the node owning
@@ -208,32 +102,32 @@ func (run *SparseSortRun) presortedStep(nd *clique.Node, sround int, inbox cliqu
 				if err != nil {
 					return true, fmt.Errorf("%s deal: %w", context, err)
 				}
-				for _, p := range records {
-					if len(p) < 1 {
+				for _, rec := range records {
+					if len(rec) < 1 {
 						continue
 					}
-					count := int(p[0])
-					if count < 0 || len(p) < 1+count*(keyWords+1) {
+					count := int(rec[0])
+					if count < 0 || len(rec) < 1+count*(keyWords+1) {
 						return true, fmt.Errorf("%s deal: malformed ranked bundle", context)
 					}
 					for i := 0; i < count; i++ {
 						base := 1 + i*(keyWords+1)
-						k, decErr := decodeKey(p[base+1:])
+						k, decErr := decodeKey(rec[base+1:])
 						if decErr != nil {
 							return true, fmt.Errorf("%s deal: %w", context, decErr)
 						}
-						relayed = append(relayed, rankedKey{rank: int(p[base]), key: k})
+						relayed = append(relayed, rankedKey{rank: int(rec[base]), key: k})
 					}
 				}
 			}
 		}
 		for _, rk := range relayed {
 			dst := min(rk.rank/perNode, n-1)
-			st.stager.open(dst)
-			st.stager.words(clique.Word(rk.rank), rk.key.Value, clique.Word(rk.key.Origin), clique.Word(rk.key.Seq))
-			st.stager.close()
+			p.stager.open(dst)
+			p.stager.words(clique.Word(rk.rank), rk.key.Value, clique.Word(rk.key.Origin), clique.Word(rk.key.Seq))
+			p.stager.close()
 		}
-		st.stager.flush(nd)
+		p.stager.flush(ex)
 		return false, nil
 	default:
 		// Assemble the contiguous batch.
@@ -244,15 +138,15 @@ func (run *SparseSortRun) presortedStep(nd *clique.Node, sround int, inbox cliqu
 				if err != nil {
 					return true, fmt.Errorf("%s deliver: %w", context, err)
 				}
-				for _, p := range records {
-					if len(p) < 1+keyWords {
+				for _, rec := range records {
+					if len(rec) < 1+keyWords {
 						continue
 					}
-					k, decErr := decodeKey(p[1:])
+					k, decErr := decodeKey(rec[1:])
 					if decErr != nil {
 						return true, fmt.Errorf("%s deliver: %w", context, decErr)
 					}
-					mine = append(mine, rankedKey{rank: int(p[0]), key: k})
+					mine = append(mine, rankedKey{rank: int(rec[0]), key: k})
 				}
 			}
 		}
@@ -270,9 +164,52 @@ func (run *SparseSortRun) presortedStep(nd *clique.Node, sround int, inbox cliqu
 			}
 			res.Batch = append(res.Batch, rk.key)
 		}
-		run.results[id] = res
+		p.result = res
 		return true, nil
 	}
+}
+
+// SparseSortRun drives one sortProgram per node on the engine's step
+// scheduler (RunRounds): with the census armed, step rounds 0..1 carry its
+// two exchanges and the strategy starts in the round that verifies it.
+type SparseSortRun struct {
+	plan  SortPlan
+	keys  [][]Key
+	progs []sortProgram
+}
+
+// NewSparseSortRun prepares a step-mode execution of plan over keys (indexed
+// by node, rows beyond len(keys) empty). The plan must be PlanSort of the
+// same instance and its strategy must be SparseSortStepCapable.
+func NewSparseSortRun(n int, keys [][]Key, plan SortPlan) (*SparseSortRun, error) {
+	if !SparseSortStepCapable(plan.Strategy) {
+		return nil, fmt.Errorf("core: sparse sort: strategy %v requires the blocking scheduler", plan.Strategy)
+	}
+	if plan.N != n {
+		return nil, fmt.Errorf("core: sort plan computed for n=%d executed on n=%d", plan.N, n)
+	}
+	return &SparseSortRun{plan: plan, keys: keys, progs: make([]sortProgram, n)}, nil
+}
+
+// Result returns node's sort result, valid after the run completes
+// successfully; it is non-nil for every node.
+func (run *SparseSortRun) Result(node int) *SortResult { return run.progs[node].result }
+
+// Step is the clique.StepFunc of the run.
+func (run *SparseSortRun) Step(nd *clique.Node, round int, inbox clique.Inbox) (bool, error) {
+	var row []Key
+	if nd.ID() < len(run.keys) {
+		row = run.keys[nd.ID()]
+	}
+	if run.plan.Census {
+		if round <= SortCensusRounds {
+			if err := sortCensusStep(nd, &run.plan, row, round, inbox); err != nil || round < SortCensusRounds {
+				return err != nil, err
+			}
+		}
+		round -= SortCensusRounds
+	}
+	return run.progs[nd.ID()].step(nd, &run.plan, row, round, inbox)
 }
 
 // frameStager is the comm staging log (stageOpen/stageClose/flushFrames in
@@ -333,7 +270,7 @@ func (s *frameStager) close() {
 // single-record frames served straight from the log, multi-record frames
 // copied into frameBuf — and hands them to the engine with the logical
 // message count and model word cost, exactly like comm.flushFrames.
-func (s *frameStager) flush(nd *clique.Node) {
+func (s *frameStager) flush(ex clique.Exchanger) {
 	if len(s.touched) == 0 {
 		return
 	}
@@ -373,10 +310,10 @@ func (s *frameStager) flush(nd *clique.Node) {
 		if count == 1 {
 			frame := s.stage[start : start+size : start+size]
 			frame[0] = 1
-			nd.SendFramed(int(d), clique.Packet(frame), 1, size-2)
+			ex.SendFramed(int(d), clique.Packet(frame), 1, size-2)
 		} else {
 			s.frameBuf[start] = clique.Word(count)
-			nd.SendFramed(int(d), clique.Packet(s.frameBuf[start:start+size:start+size]), count, size-1-count)
+			ex.SendFramed(int(d), clique.Packet(s.frameBuf[start:start+size:start+size]), count, size-1-count)
 		}
 		delete(s.load, d)
 	}

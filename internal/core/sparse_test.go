@@ -8,8 +8,8 @@ import (
 	"congestedclique/internal/clique"
 )
 
-// sparseTestInstances is the shape catalog the sparse-path parity tests sweep:
-// every strategy the sparse executors cover plus the pipeline fallbacks, with
+// sparseTestInstances is the shape catalog the step-program tests sweep:
+// every strategy written as a step program plus the pipeline fallbacks, with
 // ragged and inactive rows mixed in.
 func sparseTestInstances(n int) map[string][][]Message {
 	oneToMany := make([][]Message, n)
@@ -40,25 +40,14 @@ func TestSparseDemandRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: NewSparseDemand: %v", name, err)
 		}
-		back := sd.Messages()
 		for i := 0; i < n; i++ {
 			var want []Message
 			if i < len(msgs) {
 				want = msgs[i]
 			}
-			if len(want) == 0 && len(back[i]) == 0 {
-				continue
+			if got := sd.Row(i); len(got) != len(want) || len(want) > 0 && !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: row %d does not round-trip: got %v want %v", name, i, got, want)
 			}
-			if !reflect.DeepEqual(back[i], want) {
-				t.Fatalf("%s: row %d does not round-trip: got %v want %v", name, i, back[i], want)
-			}
-		}
-		total := 0
-		for _, row := range msgs {
-			total += len(row)
-		}
-		if sd.Total() != total {
-			t.Fatalf("%s: Total = %d, want %d", name, sd.Total(), total)
 		}
 	}
 }
@@ -71,128 +60,6 @@ func TestSparseDemandRejectsMalformedRows(t *testing.T) {
 	}
 	if _, err := NewSparseDemand(n, [][]Message{{{Src: 0, Dst: n}}}); err == nil {
 		t.Error("out-of-range Dst accepted")
-	}
-}
-
-func TestSparseFingerprintMatchesRouteFingerprint(t *testing.T) {
-	t.Parallel()
-	const n = 48
-	for name, msgs := range sparseTestInstances(n) {
-		sd, err := NewSparseDemand(n, msgs)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if got, want := sd.Fingerprint(), RouteFingerprint(n, msgs); got != want {
-			t.Errorf("%s: sparse fingerprint %v != dense %v", name, got, want)
-		}
-	}
-}
-
-func TestPlanRouteSparseMatchesPlanRoute(t *testing.T) {
-	t.Parallel()
-	for _, n := range []int{8, 48, 90} {
-		for name, msgs := range sparseTestInstances(n) {
-			sd, err := NewSparseDemand(n, msgs)
-			if err != nil {
-				t.Fatalf("n=%d %s: %v", n, name, err)
-			}
-			got := PlanRouteSparse(sd)
-			want := PlanRoute(n, msgs)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("n=%d %s: sparse plan %+v\n  != dense plan %+v", n, name, got, want)
-			}
-		}
-	}
-}
-
-// runDenseAutoRoute executes AutoRoute on the blocking scheduler and returns
-// the per-node outputs and run metrics.
-func runDenseAutoRoute(t *testing.T, n int, msgs [][]Message, plan RoutePlan) ([][]Message, clique.Metrics) {
-	t.Helper()
-	nw, err := clique.New(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nw.Close()
-	outs := make([][]Message, n)
-	err = nw.Run(func(nd *clique.Node) error {
-		var row []Message
-		if nd.ID() < len(msgs) {
-			row = msgs[nd.ID()]
-		}
-		out, rErr := AutoRoute(nd, row, plan)
-		if rErr != nil {
-			return rErr
-		}
-		outs[nd.ID()] = out
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("dense AutoRoute: %v", err)
-	}
-	return outs, nw.Metrics()
-}
-
-// runSparseRoute executes the sparse step-mode run and returns the per-node
-// outputs and run metrics.
-func runSparseRoute(t *testing.T, sd *SparseDemand, plan RoutePlan) ([][]Message, clique.Metrics) {
-	t.Helper()
-	n := sd.N()
-	nw, err := clique.New(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nw.Close()
-	run, err := NewSparseRouteRun(sd, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := nw.RunRounds(run.Step); err != nil {
-		t.Fatalf("sparse route run: %v", err)
-	}
-	outs := make([][]Message, n)
-	for i := 0; i < n; i++ {
-		outs[i] = run.Output(i)
-	}
-	return outs, nw.Metrics()
-}
-
-func TestSparseRouteRunMatchesDense(t *testing.T) {
-	t.Parallel()
-	for _, n := range []int{8, 48, 90} {
-		for name, msgs := range sparseTestInstances(n) {
-			for _, census := range []bool{false, true} {
-				sd, err := NewSparseDemand(n, msgs)
-				if err != nil {
-					t.Fatalf("n=%d %s: %v", n, name, err)
-				}
-				plan := PlanRouteSparse(sd)
-				if !SparseStepCapable(plan.Strategy) {
-					continue // pipeline arm: blocking scheduler only
-				}
-				plan.Census = census
-				if census {
-					plan.CensusHasFP = true
-					plan.CensusFP = sd.Fingerprint().Hash
-				}
-				label := fmt.Sprintf("n=%d/%s/census=%v", n, name, census)
-				wantOut, wantM := runDenseAutoRoute(t, n, msgs, plan)
-				gotOut, gotM := runSparseRoute(t, sd, plan)
-				for i := 0; i < n; i++ {
-					if len(wantOut[i]) == 0 && len(gotOut[i]) == 0 {
-						continue
-					}
-					if !reflect.DeepEqual(gotOut[i], wantOut[i]) {
-						t.Fatalf("%s: node %d outputs differ:\n sparse %v\n dense  %v", label, i, gotOut[i], wantOut[i])
-					}
-				}
-				if gotM.Rounds != wantM.Rounds || gotM.TotalWords != wantM.TotalWords ||
-					gotM.TotalMessages != wantM.TotalMessages ||
-					gotM.MaxEdgeWords != wantM.MaxEdgeWords || gotM.MaxEdgeMessages != wantM.MaxEdgeMessages {
-					t.Errorf("%s: metrics differ:\n sparse %+v\n dense  %+v", label, gotM, wantM)
-				}
-			}
-		}
 	}
 }
 
@@ -214,7 +81,8 @@ func presortedKeysInstance(n int) [][]Key {
 	return keys
 }
 
-// runDenseAutoSort executes AutoSort on the blocking scheduler.
+// runDenseAutoSort executes AutoSort on the blocking scheduler, where the
+// presorted arm is the dense-load dealByRank twin.
 func runDenseAutoSort(t *testing.T, n int, keys [][]Key, plan SortPlan) ([]*SortResult, clique.Metrics) {
 	t.Helper()
 	nw, err := clique.New(n)

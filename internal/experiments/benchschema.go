@@ -228,9 +228,9 @@ func (s *TemporalSection) MergeTemporalRun(run TemporalBench) {
 }
 
 // ScalingBench is one point of the scale-out frontier curve: a full
-// protocol run (sparse demand, AlgorithmAuto, WithSparsePath) at one clique
-// size, with wall time, allocation figures and the process peak RSS recorded
-// alongside the model cost.
+// protocol run (sparse demand, AlgorithmAuto) at one clique size, with wall
+// time, allocation figures and the process peak RSS recorded alongside the
+// model cost.
 type ScalingBench struct {
 	// Op names the measured operation: route-sparse, route-broadcast or
 	// sort-presorted.
@@ -250,9 +250,9 @@ type ScalingBench struct {
 	// invocation, so with sizes measured in ascending order it reads as
 	// "peak RSS after completing size n".
 	PeakRSSBytes int64 `json:"peak_rss_bytes,omitempty"`
-	// Verified reports that the sparse-path delivery was compared element by
-	// element against the dense scheduler on the identical instance (done at
-	// every n where the dense path is affordable, n <= 1024).
+	// Verified reports that the point's output passed the internal/verify
+	// oracle (Routing respectively Sorting), which cliquebench runs at every
+	// n; documents written before that check existed carry false at n >= 4096.
 	Verified bool `json:"verified"`
 }
 

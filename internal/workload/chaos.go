@@ -34,9 +34,9 @@ type ChaosScenario struct {
 	// Op selects the session operation under test.
 	Op ChaosOp
 	// Sparse runs the operation on the sparse scale-out instance
-	// (ScaleSparseRoute) under WithSparsePath + AlgorithmAuto instead of the
-	// uniform full-load workload, so the catalog also exercises the
-	// engine-driven step executors' fault paths.
+	// (ScaleSparseRoute) under AlgorithmAuto instead of the uniform
+	// full-load workload, so the catalog also exercises the fault paths of
+	// the engine-driven step scheduler the planner's fast strategies run on.
 	Sparse bool
 	// Deadline, when positive, arms the round watchdog (WithRoundDeadline)
 	// for every attempt of the run.
@@ -111,7 +111,7 @@ func ChaosScenarios() []ChaosScenario {
 		},
 		{
 			Name:        "sparse-panic-retry",
-			Description: "node n/4 panics at round 1 of a sparse-path route (step scheduler); one retry re-runs the op fault-free and must reproduce the golden delivery",
+			Description: "node n/4 panics at round 1 of a sparse direct route (step scheduler); one retry re-runs the op fault-free and must reproduce the golden delivery",
 			Op:          ChaosRoute,
 			Sparse:      true,
 			Retries:     1,
@@ -122,7 +122,7 @@ func ChaosScenarios() []ChaosScenario {
 		},
 		{
 			Name:        "sparse-straggler-absorbed",
-			Description: "node n/2 stalls 5ms at round 0 of a sparse-path route under a 5s watchdog; the step scheduler absorbs the stall and the delivery stays bit-identical",
+			Description: "node n/2 stalls 5ms at round 0 of a sparse direct route under a 5s watchdog; the step scheduler absorbs the stall and the delivery stays bit-identical",
 			Op:          ChaosRoute,
 			Sparse:      true,
 			Deadline:    5 * time.Second,

@@ -8,8 +8,8 @@ package congestedclique
 // within the theorem bounds (16 for routing, Theorem 3.7; 37 for sorting,
 // Theorem 4.5), and the globally sorted contiguous balanced batches with
 // footnote-5 tie-breaking (Value, Origin, Seq). Small sizes sweep every
-// shape on both the dense and sparse handles; n=4096 runs the sparse-served
-// shapes through the step executors.
+// shape; n=4096 runs the O(n)-volume shapes, which the planner serves with
+// the step programs.
 
 import (
 	"fmt"
@@ -94,9 +94,9 @@ func addCapped(msgs [][]Message, recv []int, src, dst int, rng *rand.Rand) {
 
 // checkRouteInvariants runs one instance and checks the paper's routing
 // invariants on the result.
-func checkRouteInvariants(t *testing.T, label string, n int, msgs [][]Message, opts ...Option) {
+func checkRouteInvariants(t *testing.T, label string, n int, msgs [][]Message) {
 	t.Helper()
-	res, err := Route(n, msgs, append([]Option{WithAlgorithm(AlgorithmAuto)}, opts...)...)
+	res, err := Route(n, msgs, WithAlgorithm(AlgorithmAuto))
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -147,15 +147,14 @@ func TestPropertyRouteInvariants(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
 				msgs := shape.gen(n, rand.New(rand.NewSource(seed)))
 				label := fmt.Sprintf("n=%d/%s/seed=%d", n, shape.name, seed)
-				checkRouteInvariants(t, label+"/dense", n, msgs)
-				checkRouteInvariants(t, label+"/sparse", n, msgs, WithSparsePath())
+				checkRouteInvariants(t, label, n, msgs)
 			}
 		}
 	}
 }
 
 // TestPropertyRouteInvariantsAtScale sweeps the O(n)-message shapes at
-// n=4096 through the sparse step executors.
+// n=4096 through the step programs.
 func TestPropertyRouteInvariantsAtScale(t *testing.T) {
 	const n = 4096
 	for _, shape := range routeShapes {
@@ -163,7 +162,7 @@ func TestPropertyRouteInvariantsAtScale(t *testing.T) {
 			continue
 		}
 		msgs := shape.gen(n, rand.New(rand.NewSource(1)))
-		checkRouteInvariants(t, fmt.Sprintf("n=%d/%s", n, shape.name), n, msgs, WithSparsePath())
+		checkRouteInvariants(t, fmt.Sprintf("n=%d/%s", n, shape.name), n, msgs)
 	}
 }
 
@@ -219,9 +218,9 @@ var sortShapes = []struct {
 // checkSortInvariants runs one instance and checks the paper's sorting
 // invariants — Theorem 4.5's round bound and Problem 4.1's output contract
 // with footnote-5 tie-breaking — on the result.
-func checkSortInvariants(t *testing.T, label string, n int, values [][]int64, opts ...Option) {
+func checkSortInvariants(t *testing.T, label string, n int, values [][]int64) {
 	t.Helper()
-	res, err := Sort(n, values, append([]Option{WithAlgorithm(AlgorithmAuto)}, opts...)...)
+	res, err := Sort(n, values, WithAlgorithm(AlgorithmAuto))
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -257,15 +256,14 @@ func TestPropertySortInvariants(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
 				values := shape.gen(n, rand.New(rand.NewSource(seed)))
 				label := fmt.Sprintf("n=%d/%s/seed=%d", n, shape.name, seed)
-				checkSortInvariants(t, label+"/dense", n, values)
-				checkSortInvariants(t, label+"/sparse", n, values, WithSparsePath())
+				checkSortInvariants(t, label, n, values)
 			}
 		}
 	}
 }
 
 // TestPropertySortInvariantsAtScale sweeps the O(n)-key shapes at n=4096
-// through the sparse step executors.
+// through the step programs.
 func TestPropertySortInvariantsAtScale(t *testing.T) {
 	const n = 4096
 	for _, shape := range sortShapes {
@@ -273,6 +271,6 @@ func TestPropertySortInvariantsAtScale(t *testing.T) {
 			continue
 		}
 		values := shape.gen(n, rand.New(rand.NewSource(1)))
-		checkSortInvariants(t, fmt.Sprintf("n=%d/%s", n, shape.name), n, values, WithSparsePath())
+		checkSortInvariants(t, fmt.Sprintf("n=%d/%s", n, shape.name), n, values)
 	}
 }

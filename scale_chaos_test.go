@@ -1,9 +1,9 @@
 package congestedclique
 
-// Chaos at scale: the step executors' fault paths at n=4096 on the sparse
+// Chaos at scale: the step scheduler's fault paths at n=4096 on the sparse
 // route. A straggler stall under a generous watchdog is absorbed; a panic
 // mid-round fails the attempt and the session retry re-runs it fault-free.
-// Both recoveries must reproduce the fault-free sparse golden bit for bit.
+// Both recoveries must reproduce the fault-free golden bit for bit.
 
 import (
 	"context"
@@ -22,7 +22,7 @@ func TestSparsePathChaosAtScale(t *testing.T) {
 	msgs := instanceMessages(ri)
 	ctx := context.Background()
 
-	golden, err := Route(n, msgs, WithAlgorithm(AlgorithmAuto), WithSparsePath())
+	golden, err := Route(n, msgs, WithAlgorithm(AlgorithmAuto))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestSparsePathChaosAtScale(t *testing.T) {
 	}
 
 	t.Run("straggler-absorbed", func(t *testing.T) {
-		cl, err := New(n, WithSparsePath(), WithRoundDeadline(30*time.Second))
+		cl, err := New(n, WithRoundDeadline(30*time.Second))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,7 +45,7 @@ func TestSparsePathChaosAtScale(t *testing.T) {
 	})
 
 	t.Run("panic-then-retry", func(t *testing.T) {
-		cl, err := New(n, WithSparsePath())
+		cl, err := New(n)
 		if err != nil {
 			t.Fatal(err)
 		}

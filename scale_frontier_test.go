@@ -1,6 +1,6 @@
 //go:build !race
 
-// The scale-out frontier guard runs at n=16384 and pins the sparse path's
+// The scale-out frontier guard runs at n=16384 and pins the step programs'
 // memory discipline with a hard allocation budget, so it is excluded from
 // race builds (the race runtime's shadow memory would dominate the budget);
 // the non-race tier-1 run and the CI large-n smoke job execute it.
@@ -48,7 +48,7 @@ func readVmHWM() int64 {
 }
 
 // TestScaleFrontier16k is the tentpole acceptance pin: full Route and Sort
-// protocol runs complete at n=16384 on the sparse path, outputs verify
+// protocol runs complete at n=16384 as step programs, outputs verify
 // against the paper's correctness conditions, and the whole exercise stays
 // within a 256 MiB allocation budget — a dense O(n²) representation would
 // need gigabytes (16384² words is 2 GiB for a single n×n matrix), so the
@@ -66,11 +66,11 @@ func TestScaleFrontier16k(t *testing.T) {
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
 
-	routeRes, err := Route(n, msgs, WithAlgorithm(AlgorithmAuto), WithSparsePath())
+	routeRes, err := Route(n, msgs, WithAlgorithm(AlgorithmAuto))
 	if err != nil {
 		t.Fatalf("route at n=%d: %v", n, err)
 	}
-	sortRes, err := Sort(n, values, WithAlgorithm(AlgorithmAuto), WithSparsePath())
+	sortRes, err := Sort(n, values, WithAlgorithm(AlgorithmAuto))
 	if err != nil {
 		t.Fatalf("sort at n=%d: %v", n, err)
 	}
@@ -80,7 +80,7 @@ func TestScaleFrontier16k(t *testing.T) {
 	allocated := int64(after.TotalAlloc - before.TotalAlloc)
 	const budget = 256 << 20
 	if allocated > budget {
-		t.Errorf("route+sort at n=%d allocated %d MiB, budget %d MiB — a quadratic structure is back on the sparse path",
+		t.Errorf("route+sort at n=%d allocated %d MiB, budget %d MiB — a quadratic structure is back in the step programs",
 			n, allocated>>20, int64(budget)>>20)
 	}
 	t.Logf("n=%d: route %v (%d rounds), sort %v (%d rounds), allocated %d MiB, peak RSS %d MiB",

@@ -468,20 +468,7 @@ func (u *execUnit) route(ctx context.Context, cfg config, msgs [][]Message, pc *
 		plan     core.RoutePlan
 		fp       core.Fingerprint
 		cacheHit bool
-		sd       *core.SparseDemand
 	)
-	if cfg.sparsePath && cfg.algorithm == AlgorithmAuto && u.n > 1 {
-		// Sparse scale-out path (WithSparsePath): the instance is held as a
-		// per-source adjacency and — when the plan's strategy has a step-mode
-		// executor — run on the worker-pool scheduler, so no per-node dense
-		// buffer or goroutine stack exists. Wire behaviour, results and stats
-		// are bit-identical to the blocking path.
-		var sdErr error
-		sd, sdErr = core.NewSparseDemand(u.n, inputs)
-		if sdErr != nil {
-			return nil, sdErr
-		}
-	}
 	if cfg.algorithm == AlgorithmAuto {
 		if pc != nil {
 			var hit *core.RouteHit
@@ -500,11 +487,7 @@ func (u *execUnit) route(ctx context.Context, cfg config, msgs [][]Message, pc *
 			}
 		}
 		if !cacheHit {
-			if sd != nil {
-				plan = core.PlanRouteSparse(sd)
-			} else {
-				plan = core.PlanRoute(u.n, inputs)
-			}
+			plan = core.PlanRoute(u.n, inputs)
 			if pc != nil && plan.Strategy == core.StrategyPipeline {
 				plan.Capture = core.NewRouteScheduleCapture(u.n)
 			}
@@ -518,9 +501,21 @@ func (u *execUnit) route(ctx context.Context, cfg config, msgs [][]Message, pc *
 		}
 	}
 
+	// The scheduler follows from the plan: a strategy written as a step
+	// program (empty, direct, broadcast — fresh verdict or cache hit alike)
+	// runs on the engine-driven worker pool, with no goroutine or length-n
+	// buffer per node; everything else — the pipeline arm, and the other
+	// algorithms, whose plan is the zero value — is a blocking program with
+	// a goroutine per node. The step
+	// run's view of the instance is built only here, after the verdict, so
+	// pipeline-bound instances never pay for it.
 	outputs := u.msgOut
 	var runErr error
-	if sd != nil && core.SparseStepCapable(plan.Strategy) {
+	if core.SparseStepCapable(plan.Strategy) {
+		sd, buildErr := core.NewSparseDemand(u.n, inputs)
+		if buildErr != nil {
+			return nil, buildErr
+		}
 		run, buildErr := core.NewSparseRouteRun(sd, plan)
 		if buildErr != nil {
 			return nil, buildErr
@@ -678,6 +673,18 @@ func (u *execUnit) sortKeys(ctx context.Context, cfg config, keys [][]Key, pc *c
 	return u.sortStaged(ctx, cfg, inputs, pc)
 }
 
+// sortOnStepScheduler chooses the scheduler of a sort from its plan (the zero
+// plan of the non-Auto algorithms is not step-capable), like route does —
+// with one more condition. The presorted arm exists
+// as a step program, whose per-node state is proportional to its own traffic
+// (what n=16384 needs), and as the blocking dealByRank twin, whose pooled
+// dense scratch is several times cheaper per key once every node holds ~n
+// keys (internal/core/sparse_sort.go has the measurements). Each wins on one
+// side of the planner's own full-load threshold, so that threshold decides.
+func sortOnStepScheduler(n int, plan core.SortPlan) bool {
+	return n > 1 && core.SparseSortStepCapable(plan.Strategy) && plan.TotalKeys <= core.FastPathMaxTotal(n)
+}
+
 // sortStaged runs the sorting pipeline on inputs already staged as core keys
 // (the caller owns the unit).
 func (u *execUnit) sortStaged(ctx context.Context, cfg config, inputs [][]core.Key, pc *core.PlanCache) (*SortResult, error) {
@@ -727,11 +734,7 @@ func (u *execUnit) sortStaged(ctx context.Context, cfg config, inputs [][]core.K
 	}
 
 	var runErr error
-	if cfg.sparsePath && cfg.algorithm == AlgorithmAuto && u.n > 1 && core.SparseSortStepCapable(plan.Strategy) {
-		// Sparse scale-out path (WithSparsePath): the empty and presorted
-		// arms run as step programs on the worker-pool scheduler — same wire
-		// traffic, results and stats as the blocking path, no per-node dense
-		// comm scratch or goroutine stack.
+	if sortOnStepScheduler(u.n, plan) {
 		run, buildErr := core.NewSparseSortRun(u.n, inputs, plan)
 		if buildErr != nil {
 			return nil, buildErr

@@ -700,6 +700,35 @@ func TestInjectedPanicNonSquareN(t *testing.T) {
 	}
 }
 
+// TestInjectedPanicErrorReplaysIdentically pins the canonical form of a
+// failed run's error (cliquescen -chaos compares the strings of two replays).
+// At n=48 the route is multiplexed, so the lowest-id bystander learns of node
+// 12's crash in whichever Mux sub-step it has reached — step2.1 or step2.3,
+// by goroutine scheduling — and its wrapper used to be the run's error. The
+// engine now returns the root cause such a wrapper wraps.
+func TestInjectedPanicErrorReplaysIdentically(t *testing.T) {
+	t.Parallel()
+	const n = 48
+	msgs := benchRouteWorkload(n)
+	cl, err := New(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	var first string
+	for i := 0; i < 50; i++ {
+		_, err := cl.Route(context.Background(), msgs, WithInjectedPanic(n/4, 2))
+		if !errors.Is(err, ErrFaultInjected) {
+			t.Fatalf("replay %d: error %v does not wrap ErrFaultInjected", i, err)
+		}
+		if i == 0 {
+			first = err.Error()
+		} else if err.Error() != first {
+			t.Fatalf("replay %d: error %q differs from the first replay's %q", i, err, first)
+		}
+	}
+}
+
 // FuzzPoolCancelAtRandomRound cancels Route operations at fuzzer-chosen
 // rounds, with and without a retry budget. Invariants: a cancellation that
 // fires surfaces as a deterministic transient error (two runs, identical
