@@ -340,7 +340,7 @@ func BenchmarkSparseRoute(b *testing.B) {
 }
 
 // BenchmarkSparseSort is BenchmarkSparseRoute for sorting: the presorted
-// O(n)-key frontier instance, below the density gate, on the step program.
+// O(n)-key frontier instance on the presorted step program.
 func BenchmarkSparseSort(b *testing.B) {
 	ctx := context.Background()
 	for _, n := range []int{64, 256} {
@@ -355,6 +355,46 @@ func BenchmarkSparseSort(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				res, err := cl.Sort(ctx, values, WithAlgorithm(AlgorithmAuto))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Strategy != SortStrategyPresorted {
+					b.Fatalf("strategy %v, want presorted", res.Strategy)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkPresortedFull is the other end of the presorted step program's
+// range: the catalog's sort-presorted instance (n keys at every node) on one
+// reused handle. A blocking twin on the comms' dense staging used to serve
+// this density; the benchguard entry holds the step program to what that
+// twin cost, so per-node buffers that stop being recycled show up here.
+func BenchmarkPresortedFull(b *testing.B) {
+	ctx := context.Background()
+	sc, _ := workload.SortScenarioByName("sort-presorted")
+	for _, n := range []int{64, 256} {
+		si, err := sc.Build(n, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		keys := make([][]Key, n)
+		for i, row := range si.Keys {
+			for _, k := range row {
+				keys[i] = append(keys[i], fromCoreKey(k))
+			}
+		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			cl, err := New(n)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer cl.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := cl.SortKeys(ctx, keys, WithAlgorithm(AlgorithmAuto))
 				if err != nil {
 					b.Fatal(err)
 				}

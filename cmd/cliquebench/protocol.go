@@ -13,20 +13,6 @@ import (
 	"congestedclique/internal/workload"
 )
 
-// Pre-refactor reference numbers for the flat-frame protocol layer, measured
-// on the per-parcel implementation (PR 1 engine + string-keyed protocol
-// layer) with `go test -bench -benchmem` on the CI reference machine. They
-// are embedded so every regenerated BENCH_protocol.json carries the
-// before/after comparison that motivated the frame layer.
-var protocolBaseline = []experiments.ProtocolBench{
-	{Name: "BenchmarkRoute/n=64", N: 64, NsPerOp: 20770276, AllocsPerOp: 151883, BytesPerOp: 17739576},
-	{Name: "BenchmarkRoute/n=256", N: 256, NsPerOp: 367117909, AllocsPerOp: 1988717, BytesPerOp: 293504144},
-	{Name: "BenchmarkRoute/n=1024", N: 1024, NsPerOp: 7037644654, AllocsPerOp: 28560944, BytesPerOp: 5281926424},
-	{Name: "BenchmarkSort/n=64", N: 64, NsPerOp: 64200003, AllocsPerOp: 326622, BytesPerOp: 35341052},
-	{Name: "BenchmarkSort/n=256", N: 256, NsPerOp: 850540255, AllocsPerOp: 4273698, BytesPerOp: 569370288},
-	{Name: "BenchmarkSort/n=1024", N: 1024, NsPerOp: 15590759332, AllocsPerOp: 61979523, BytesPerOp: 10170009872},
-}
-
 // protocolRouteWorkload builds the shared deterministic full-load routing
 // instance (workload.ProtocolBenchRoute) — the same workload BenchmarkRoute
 // and the stats-invariant goldens measure.
@@ -143,21 +129,6 @@ func runProtocolBench(path string, maxN int) error {
 		}
 	}
 
-	baseByName := make(map[string]experiments.ProtocolBench, len(protocolBaseline))
-	for _, b := range protocolBaseline {
-		baseByName[b.Name] = b
-	}
-	for i := range measured {
-		if base, ok := baseByName[measured[i].Name]; ok {
-			if measured[i].NsPerOp > 0 {
-				measured[i].SpeedupVs = float64(base.NsPerOp) / float64(measured[i].NsPerOp)
-			}
-			if measured[i].AllocsPerOp > 0 {
-				measured[i].AllocRatio = float64(base.AllocsPerOp) / float64(measured[i].AllocsPerOp)
-			}
-		}
-	}
-
 	// Each session-reuse entry is compared against its fresh-handle twin:
 	// SpeedupVs/AllocRatio here mean "vs the fresh-network path of the same
 	// build", the amortization the session API exists to deliver.
@@ -196,11 +167,10 @@ func runProtocolBench(path string, maxN int) error {
 		// The scenarios, service, temporal and scaling sections are owned by
 		// other writers (cmd/cliquescen, cmd/cliqued, -scaling-json);
 		// regenerating the protocol sections must not destroy them.
-		Scenarios:           prev.Scenarios,
-		Service:             prev.Service,
-		Temporal:            prev.Temporal,
-		Scaling:             prev.Scaling,
-		PreRefactorBaseline: protocolBaseline,
+		Scenarios: prev.Scenarios,
+		Service:   prev.Service,
+		Temporal:  prev.Temporal,
+		Scaling:   prev.Scaling,
 	}
 	return experiments.WriteProtocolDoc(path, doc)
 }

@@ -47,14 +47,12 @@ type Exchanger interface {
 	// ReportMemory records a self-reported resident memory footprint in words;
 	// the per-node maximum is kept (Section 5 accounting).
 	ReportMemory(words int)
-	// SharedCompute returns the result of f, memoising it under key when the
-	// shared deterministic-computation cache is enabled. Every node calling
-	// SharedCompute with the same key must supply a function computing the
-	// same (deterministic) value; the cache only removes redundant
-	// recomputation in the simulator, it does not communicate.
-	SharedCompute(key string, f func() interface{}) interface{}
-	// SharedComputeKeyed is SharedCompute with a structured key, so protocol
-	// round loops can address the cache without building strings.
+	// SharedComputeKeyed returns the result of f, memoising it under key when
+	// the shared deterministic-computation cache is enabled. Every node
+	// calling it with the same key must supply a function computing the same
+	// (deterministic) value; the cache only removes redundant recomputation in
+	// the simulator, it does not communicate. The key is structured so
+	// protocol round loops can address the cache without building strings.
 	SharedComputeKeyed(key SharedKey, f func() interface{}) interface{}
 }
 
@@ -278,7 +276,6 @@ type Network struct {
 	cum       Cumulative
 
 	sharedMu sync.Mutex
-	shared   map[string]interface{}
 	sharedK  map[SharedKey]interface{}
 
 	stepsMu sync.Mutex
@@ -307,12 +304,16 @@ type netBuffers struct {
 	edgeTouch []int32
 	recvTouch []int32
 	setFrom   [][]int32
-	// nodes and pending recycle the per-run node state of the blocking Run
-	// path: the Node structs themselves and each node's outbox backing array
-	// (cleared of packet references at leave so no payload memory is
-	// retained), so a run on a warm engine allocates neither.
+	// nodes and pending recycle the per-run node state of both schedulers:
+	// the Node structs themselves and each node's outbox backing array
+	// (cleared of packet references when the node retires — leave under Run,
+	// the end of the run under RunRounds — so no payload memory is retained),
+	// so a run on a warm engine allocates neither. segs recycles the
+	// per-receiver segment lists of RunRounds; it is sized by the first
+	// step-mode run, so blocking-only engines never carry it.
 	nodes   []Node
 	pending [][]pendingPacket
+	segs    [][]inboxSeg
 }
 
 var netBufPool = sync.Pool{New: func() interface{} { return new(netBuffers) }}
@@ -428,7 +429,6 @@ func New(n int, opts ...Option) (*Network, error) {
 		edgeTouch: b.edgeTouch,
 		recvTouch: b.recvTouch,
 		setFrom:   b.setFrom,
-		shared:    make(map[string]interface{}),
 		sharedK:   make(map[SharedKey]interface{}),
 		steps:     make(map[int]int64),
 		memory:    make(map[int]int64),
@@ -534,7 +534,6 @@ func (nw *Network) resetRun() {
 	nw.gen.Store(&generation{done: make(chan struct{})})
 
 	nw.sharedMu.Lock()
-	clear(nw.shared)
 	clear(nw.sharedK)
 	nw.sharedMu.Unlock()
 
@@ -825,12 +824,40 @@ func (nw *Network) RunRoundsContext(ctx context.Context, step StepFunc) error {
 		k = nw.n
 	}
 
-	nodes := make([]*Node, nw.n)
-	for i := range nodes {
-		nodes[i] = &Node{nw: nw, id: i, stepMode: true}
+	// Node structs, outbox backing arrays and segment lists are recycled
+	// across runs exactly as RunContext recycles the first two (see
+	// netBuffers.nodes): at ~n keys per node they are the bulk of what a
+	// step-mode run would otherwise re-grow from nil every time.
+	b := nw.buffers
+	if len(b.segs) < nw.n {
+		b.segs = make([][]inboxSeg, nw.n)
 	}
+	nodes := b.nodes[:nw.n]
+	for i := range nodes {
+		nodes[i] = Node{nw: nw, id: i, stepMode: true, pending: b.pending[i]}
+		b.segs[i] = b.segs[i][:0] // a run that ended after a delivery left its lists set
+	}
+	// Hand the outbox arrays back on every exit with no packet reference
+	// left in them, so the pooled buffers never pin payload memory (the
+	// step-mode counterpart of leave). The workers have exited by then, and
+	// each array is in reclaim after a step or still in pending before one;
+	// delivery has already cleared every round it consumed, so only the
+	// final, undelivered sends remain — a run that staged little sweeps
+	// little, whatever capacity an earlier dense run left behind.
+	defer func() {
+		for i := range nodes {
+			nd := &nodes[i]
+			out := nd.reclaim
+			if out == nil {
+				out = nd.pending
+			}
+			clear(out)
+			b.pending[i] = out[:0]
+			nd.pending, nd.reclaim = nil, nil
+		}
+	}()
 	errs := make([]error, nw.n)
-	nw.segs = make([][]inboxSeg, nw.n) // switches delivery to segment mode
+	nw.segs = b.segs[:nw.n] // switches delivery to segment mode
 	watching := nw.startWatchdogRun()
 
 	type ack struct {
@@ -852,7 +879,7 @@ func (nw *Network) RunRoundsContext(ctx context.Context, step StepFunc) error {
 			for round := range startCh {
 				var a ack
 				for id := lo; id < hi; id++ {
-					nd := nodes[id]
+					nd := &nodes[id]
 					if nd.departed {
 						continue
 					}
@@ -961,9 +988,9 @@ func (nw *Network) RunRoundsContext(ctx context.Context, step StepFunc) error {
 	}
 
 	nw.stepsMu.Lock()
-	for _, nd := range nodes {
-		nw.steps[nd.id] = nd.steps
-		nw.memory[nd.id] = nd.memory
+	for i := range nodes {
+		nw.steps[i] = nodes[i].steps
+		nw.memory[i] = nodes[i].memory
 	}
 	nw.stepsMu.Unlock()
 
@@ -1099,34 +1126,8 @@ func (nw *Network) ArmSharedSeed(snap SharedSnapshot) {
 	nw.pendingSeed = snap
 }
 
-// SharedCompute memoises a deterministic computation across nodes (see
-// Exchanger).
-func (nd *Node) SharedCompute(key string, f func() interface{}) interface{} {
-	if !nd.nw.cfg.sharedCache {
-		return f()
-	}
-	nw := nd.nw
-	nw.sharedMu.Lock()
-	if v, ok := nw.shared[key]; ok {
-		nw.sharedMu.Unlock()
-		return v
-	}
-	nw.sharedMu.Unlock()
-	// Compute outside the lock: colorings can be expensive and the value is
-	// deterministic, so racing computations produce identical results.
-	v := f()
-	nw.sharedMu.Lock()
-	if prev, ok := nw.shared[key]; ok {
-		v = prev
-	} else {
-		nw.shared[key] = v
-	}
-	nw.sharedMu.Unlock()
-	return v
-}
-
-// SharedComputeKeyed memoises a deterministic computation under a structured
-// key (see Exchanger).
+// SharedComputeKeyed memoises a deterministic computation across nodes under
+// a structured key (see Exchanger).
 func (nd *Node) SharedComputeKeyed(key SharedKey, f func() interface{}) interface{} {
 	if !nd.nw.cfg.sharedCache {
 		return f()
@@ -1468,6 +1469,11 @@ func (nw *Network) deliverRound() {
 			sentWords += w
 			stats.Messages += int(pp.count)
 			stats.Words += w
+		}
+		if segMode {
+			// The step-mode node refills this array next round and hands it
+			// back to the buffer pool at the end of the run (see RunRounds).
+			clear(out)
 		}
 		if sentWords > stats.MaxNodeSentWords {
 			stats.MaxNodeSentWords = sentWords

@@ -339,7 +339,7 @@ func TestSharedComputeCaching(t *testing.T) {
 	}
 	var calls atomic.Int64
 	err = nw.Run(func(nd *Node) error {
-		v := nd.SharedCompute("answer", func() interface{} {
+		v := nd.SharedComputeKeyed(SharedKey{Label: "answer"}, func() interface{} {
 			calls.Add(1)
 			return 42
 		})
@@ -364,7 +364,7 @@ func TestSharedComputeCaching(t *testing.T) {
 	}
 	var calls2 atomic.Int64
 	err = nw2.Run(func(nd *Node) error {
-		nd.SharedCompute("answer", func() interface{} {
+		nd.SharedComputeKeyed(SharedKey{Label: "answer"}, func() interface{} {
 			calls2.Add(1)
 			return 42
 		})

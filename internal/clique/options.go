@@ -13,7 +13,7 @@ type config struct {
 	// Zero disables strict enforcement (loads are still recorded in Metrics).
 	maxWordsPerEdge int
 	// sharedCache enables the deterministic shared-computation cache exposed
-	// through Exchanger.SharedCompute. Disabling it makes every node perform
+	// through Exchanger.SharedComputeKeyed. Disabling it makes every node perform
 	// the computation itself, which changes nothing observable except
 	// simulator wall-clock time.
 	sharedCache bool
@@ -96,7 +96,7 @@ func WithRoundDeadline(d time.Duration) Option {
 }
 
 // WithSharedCache enables or disables the deterministic shared-computation
-// cache (see Exchanger.SharedCompute). It is enabled by default.
+// cache (see Exchanger.SharedComputeKeyed). It is enabled by default.
 func WithSharedCache(enabled bool) Option {
 	return func(c *config) error {
 		c.sharedCache = enabled

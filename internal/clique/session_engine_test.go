@@ -179,7 +179,7 @@ func TestSharedCacheScopedPerRun(t *testing.T) {
 	defer nw.Close()
 	var calls atomic.Int64
 	program := func(nd *Node) error {
-		v := nd.SharedCompute("schedule", func() interface{} {
+		v := nd.SharedComputeKeyed(SharedKey{Label: "schedule"}, func() interface{} {
 			return calls.Add(1)
 		})
 		if v.(int64) < 1 {

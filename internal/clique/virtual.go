@@ -309,11 +309,6 @@ func (v *VNode) CountSteps(k int) { v.mux.nd.CountSteps(k) }
 // ReportMemory delegates to the physical node.
 func (v *VNode) ReportMemory(words int) { v.mux.nd.ReportMemory(words) }
 
-// SharedCompute delegates to the physical node.
-func (v *VNode) SharedCompute(key string, f func() interface{}) interface{} {
-	return v.mux.nd.SharedCompute(key, f)
-}
-
 // SharedComputeKeyed delegates to the physical node.
 func (v *VNode) SharedComputeKeyed(key SharedKey, f func() interface{}) interface{} {
 	return v.mux.nd.SharedComputeKeyed(key, f)

@@ -303,7 +303,7 @@ func TestVNodeDelegation(t *testing.T) {
 				}
 				ex.CountSteps(5)
 				ex.ReportMemory(11)
-				v := ex.SharedCompute("k", func() interface{} { return "v" })
+				v := ex.SharedComputeKeyed(SharedKey{Label: "k"}, func() interface{} { return "v" })
 				if v.(string) != "v" {
 					return fmt.Errorf("shared compute not delegated")
 				}

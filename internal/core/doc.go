@@ -27,10 +27,11 @@
 //
 // # Flat-frame wire format
 //
-// All communication goes through the comm type's flat-frame pipeline: every
+// All protocol communication goes through the flat-frame pipeline: every
 // logical model message a node sends to one neighbor in one round is staged
-// into a per-instance log and flushed as a single physical packet per busy
-// edge, the frame
+// into a log (the stager of frame.go, held by a comm or by a presorted step
+// program's node) and flushed as a single physical packet per busy edge, the
+// frame
 //
 //	[count, len_1, msg_1 words..., ..., len_count, msg_count words...]
 //
@@ -42,10 +43,10 @@
 // algorithmic change — the stats_invariants tests in the root package pin
 // this against goldens captured from the per-parcel implementation.
 //
-// On physical nodes the receive side uses the engine's flat inbox
-// (clique.Node.ExchangeFlat): delivery hands the round's traffic as raw
+// The receive side of a comm is the engine's flat inbox
+// (clique.FlatExchanger.ExchangeFlat, offered by physical nodes and by the
+// Mux's virtual nodes alike): delivery hands the round's traffic as raw
 // [from, len, payload...] records which comm.exchange decodes in one sweep.
-// Virtual nodes (clique.Mux instances) fall back to the boxed Inbox path.
 //
 // # Arena ownership and lifetime rules
 //
@@ -70,10 +71,11 @@
 //     consumes them before releasing the comm.
 //
 //   - Staging memory. The staging log and frame buffer are recycled every
-//     round; the engine copies frame contents at the barrier, so nothing may
-//     retain them across an exchange.
+//     round; the engine copies frame contents at delivery, so nothing may
+//     retain them across an exchange — and nothing may overwrite them before
+//     it, which is why a step program's node keeps its stager across steps.
 //
-// comm.release returns all of it to a process-wide pool; it is only legal
+// comm.release returns all of it to process-wide pools; it is only legal
 // once the instance's results have been copied into caller-owned values.
 // Sub-instances whose arena-backed parcels flow upward (the V1/V2/corner
 // routers of Theorem 3.7's decomposition) are never released and fall to the

@@ -12,9 +12,10 @@ import (
 
 // Every fast path is one step program with two drivers (see sparse.go). The
 // tests in this file run each program under both — the engine-driven step
-// scheduler (RunRounds) and the blocking scheduler (Run + driveBlocking) —
-// and require identical outputs and identical Metrics, then check the output
-// against the paper's correctness conditions with internal/verify.
+// scheduler (RunRounds) and the blocking scheduler (Run + driveBlocking, by
+// way of AutoRoute and AutoSort) — and require identical outputs and
+// identical Metrics, then check the output against the paper's correctness
+// conditions with internal/verify.
 
 // onNetwork runs body on a fresh n-node engine and returns the run's metrics.
 func onNetwork(t testing.TB, n int, body func(nw *clique.Network) error) clique.Metrics {
@@ -92,49 +93,56 @@ func TestStepProgramsUnderBothDrivers(t *testing.T) {
 				}
 			}
 
+			// Full load — n keys at every node — is the density the blocking
+			// dealByRank twin used to serve.
+			fullLoad := make([][]core.Key, n)
+			for i := range fullLoad {
+				for j := 0; j < n; j++ {
+					fullLoad[i] = append(fullLoad[i], core.Key{Value: int64(2 * (i*n + j)), Origin: i, Seq: j})
+				}
+			}
 			for name, keys := range map[string][][]core.Key{
-				"empty":     make([][]core.Key, n),
-				"presorted": core.PresortedKeysInstance(n),
+				"empty":          make([][]core.Key, n),
+				"presorted":      core.PresortedKeysInstance(n),
+				"presorted-full": fullLoad,
 			} {
 				plan := core.PlanSort(n, keys)
+				if !core.SparseSortStepCapable(plan.Strategy) {
+					t.Fatalf("sort/n=%d/%s: plan strategy %v is not a step program", n, name, plan.Strategy)
+				}
 				if plan.Census = census; census {
 					fp, _ := core.SortFingerprint(n, keys)
 					plan.CensusHasFP, plan.CensusFP = true, fp.Hash
 				}
 				label := fmt.Sprintf("sort/n=%d/%s/%v/census=%v", n, name, plan.Strategy, census)
-				var results [2][]*core.SortResult
-				var metrics [2]clique.Metrics
-				for d, drive := range []func(*clique.Network, *core.SparseSortRun) error{
-					func(nw *clique.Network, run *core.SparseSortRun) error { return nw.RunRounds(run.Step) },
-					func(nw *clique.Network, run *core.SparseSortRun) error {
-						return nw.Run(func(nd *clique.Node) error {
-							return core.DriveBlocking(nd, func(round int, inbox clique.Inbox) (bool, error) {
-								return run.Step(nd, round, inbox)
-							})
-						})
-					},
-				} {
-					metrics[d] = onNetwork(t, n, func(nw *clique.Network) error {
-						run, err := core.NewSparseSortRun(n, keys, plan)
-						if err != nil {
-							return err
-						}
-						if err := drive(nw, run); err != nil {
-							return err
-						}
-						for i := 0; i < n; i++ {
-							results[d] = append(results[d], run.Result(i))
-						}
-						return nil
+				stepped := make([]*core.SortResult, n)
+				stepM := onNetwork(t, n, func(nw *clique.Network) error {
+					run, err := core.NewSparseSortRun(n, keys, plan)
+					if err != nil {
+						return err
+					}
+					if err := nw.RunRounds(run.Step); err != nil {
+						return err
+					}
+					for i := range stepped {
+						stepped[i] = run.Result(i)
+					}
+					return nil
+				})
+				blocked := make([]*core.SortResult, n)
+				blockM := onNetwork(t, n, func(nw *clique.Network) error {
+					return nw.Run(func(nd *clique.Node) (err error) {
+						blocked[nd.ID()], err = core.AutoSort(nd, keys[nd.ID()], plan)
+						return err
 					})
-				}
-				if !reflect.DeepEqual(results[0], results[1]) {
+				})
+				if !reflect.DeepEqual(stepped, blocked) {
 					t.Fatalf("%s: results differ between drivers", label)
 				}
-				if !reflect.DeepEqual(metrics[0], metrics[1]) {
-					t.Fatalf("%s: metrics differ:\n step     %+v\n blocking %+v", label, metrics[0], metrics[1])
+				if !reflect.DeepEqual(stepM, blockM) {
+					t.Fatalf("%s: metrics differ:\n step     %+v\n blocking %+v", label, stepM, blockM)
 				}
-				if err := verify.Sorting(keys, results[0]); err != nil {
+				if err := verify.Sorting(keys, stepped); err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
 			}

@@ -6,5 +6,4 @@ package core
 var (
 	SparseTestInstances   = sparseTestInstances
 	PresortedKeysInstance = presortedKeysInstance
-	DriveBlocking         = driveBlocking
 )

@@ -9,7 +9,7 @@ import (
 )
 
 // encodeFrameRef is the reference encoder for the frame wire layout
-// ([count, len_1, msg_1..., ..., len_k, msg_k...]); comm.flushFrames must
+// ([count, len_1, msg_1..., ..., len_k, msg_k...]); stager.flush must
 // stay byte-compatible with it.
 func encodeFrameRef(msgs [][]clique.Word) clique.Packet {
 	frame := clique.Packet{clique.Word(len(msgs))}

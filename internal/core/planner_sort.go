@@ -279,18 +279,15 @@ func PlanSort(n int, keys [][]Key) SortPlan {
 // schedule, so no agreement rounds are needed. The output contract matches
 // Sort exactly: node i's batch of the globally sorted sequence, identical to
 // the Deterministic pipeline's bit for bit. The charged census and the empty
-// arm are the step programs of census.go and sparse_sort.go under
-// driveBlocking; the presorted arm is the dense-load twin of that file's step
-// program (its comment says why both exist).
+// and presorted arms are the step programs of census.go and sparse_sort.go
+// under driveBlocking.
 func AutoSort(ex clique.Exchanger, myKeys []Key, plan SortPlan) (*SortResult, error) {
 	if plan.N != ex.N() {
 		return nil, fmt.Errorf("core: sort plan computed for n=%d executed on n=%d", plan.N, ex.N())
 	}
 	if ex.N() == 1 {
 		// Mirror Sort's single-node shortcut for every arm.
-		batch := append([]Key(nil), myKeys...)
-		sortKeys(batch)
-		return &SortResult{Batch: batch, Start: 0, Total: len(batch)}, nil
+		return sortAlone(myKeys), nil
 	}
 	if plan.Census {
 		err := driveBlocking(ex, func(round int, inbox clique.Inbox) (bool, error) {
@@ -301,15 +298,13 @@ func AutoSort(ex clique.Exchanger, myKeys []Key, plan SortPlan) (*SortResult, er
 		}
 	}
 	switch plan.Strategy {
-	case SortStrategyPresorted:
-		return presortedSort(ex, myKeys, plan)
 	case SortStrategySmallDomain:
 		return smallDomainSort(ex, myKeys, plan)
 	case SortStrategyPipeline:
 		return Sort(ex, myKeys)
 	default:
-		// The empty arm — and the unknown-strategy error — are the step
-		// program's.
+		// The empty and presorted arms — and the unknown-strategy error — are
+		// the step program's.
 		var p sortProgram
 		err := driveBlocking(ex, func(round int, inbox clique.Inbox) (bool, error) {
 			return p.step(ex, &plan, myKeys, round, inbox)
@@ -319,25 +314,6 @@ func AutoSort(ex clique.Exchanger, myKeys []Key, plan SortPlan) (*SortResult, er
 		}
 		return p.result, nil
 	}
-}
-
-// presortedSort is the skip-redistribution arm: the plan certifies that the
-// rows partition the global order, so after a free local sort this node's
-// run occupies the contiguous global ranks starting at StartRanks[me] and
-// the two dealByRank rounds of Algorithm 4's Step 8 finish the job alone.
-func presortedSort(ex clique.Exchanger, myKeys []Key, plan SortPlan) (*SortResult, error) {
-	c := fullComm(ex, fmt.Sprintf("presorted@r%d", ex.Round()))
-	defer c.release()
-	n := c.size()
-	if len(plan.StartRanks) != n+1 {
-		return nil, fmt.Errorf("core: presorted plan carries %d start ranks for n=%d", len(plan.StartRanks), n)
-	}
-	if got, want := len(myKeys), plan.StartRanks[c.me+1]-plan.StartRanks[c.me]; got != want {
-		return nil, fmt.Errorf("core: presorted plan expected %d keys at node %d, got %d (plan does not match the instance)", want, ex.ID(), got)
-	}
-	run := append([]Key(nil), myKeys...)
-	sortKeys(run)
-	return dealByRank(c, run, plan.StartRanks[c.me], plan.StartRanks[n], "presorted.rank")
 }
 
 // smallDomainSort is the Section 6.3 arm: keys take at most

@@ -52,9 +52,7 @@ func Sort(ex clique.Exchanger, myKeys []Key) (*SortResult, error) {
 		}
 	}
 	if n == 1 {
-		batch := append([]Key(nil), myKeys...)
-		sortKeys(batch)
-		return &SortResult{Batch: batch, Start: 0, Total: len(batch)}, nil
+		return sortAlone(myKeys), nil
 	}
 	if n < routeTrivialThreshold {
 		// Tiny cliques: a single application of Algorithm 3 over the whole
@@ -63,6 +61,13 @@ func Sort(ex clique.Exchanger, myKeys []Key) (*SortResult, error) {
 		return sortTiny(c, myKeys)
 	}
 	return sortLarge(c, myKeys, label)
+}
+
+// sortAlone is the single-node clique's sort: no communication at all.
+func sortAlone(myKeys []Key) *SortResult {
+	batch := append([]Key(nil), myKeys...)
+	sortKeys(batch)
+	return &SortResult{Batch: batch, Start: 0, Total: len(batch)}
 }
 
 // sortTiny sorts a small clique with one invocation of Algorithm 3 over the
@@ -374,95 +379,89 @@ type rankedKey struct {
 // rounds suffice: keys are dealt round-robin over all nodes (with their rank
 // attached) and every relay forwards each key to its final node.
 func dealByRank(c *comm, run []Key, start, total int, context string) (*SortResult, error) {
-	n := c.size()
-	perNode := ceilDiv(total, n)
-	if perNode == 0 {
-		perNode = 1
-	}
-
-	// Round 1: deal (rank,key) pairs, bundled, round-robin over all nodes.
-	const bundle = keysPerBundle
-	packetIdx := 0
-	for lo := 0; lo < len(run); lo += bundle {
-		hi := min(lo+bundle, len(run))
-		c.stageOpen((c.me + packetIdx) % n)
-		c.stageWords(clique.Word(hi - lo))
-		for t := lo; t < hi; t++ {
-			k := run[t]
-			c.stageWords(clique.Word(start+t), k.Value, clique.Word(k.Origin), clique.Word(k.Seq))
-		}
-		c.stageClose()
-		packetIdx++
-	}
-	return dealDeliver(c, perNode, total, context)
+	c.rankScratch = rankRun(c.rankScratch[:0], run, start)
+	return dealRanked(c, c.rankScratch, total, context)
 }
 
-// dealRanked is dealByRank for keys whose global ranks are not contiguous
+// dealRanked is dealByRank for keys whose global ranks need not be contiguous
 // (the small-domain sorting arm, where a node's keys interleave with every
 // other node's in the global order): the caller supplies each key's exact
-// rank and the two relay rounds are otherwise identical.
+// rank. It drives the redistribution's three pieces — stageRankedBundles,
+// forwardByRank, assembleBatch, which the presorted step program
+// (sparse_sort.go) drives from its step inbox — around the comm's exchanges.
 func dealRanked(c *comm, ranked []rankedKey, total int, context string) (*SortResult, error) {
 	n := c.size()
-	perNode := ceilDiv(total, n)
-	if perNode == 0 {
-		perNode = 1
-	}
-	const bundle = keysPerBundle
-	packetIdx := 0
-	for lo := 0; lo < len(ranked); lo += bundle {
-		hi := min(lo+bundle, len(ranked))
-		c.stageOpen((c.me + packetIdx) % n)
-		c.stageWords(clique.Word(hi - lo))
-		for t := lo; t < hi; t++ {
-			rk := ranked[t]
-			c.stageWords(clique.Word(rk.rank), rk.key.Value, clique.Word(rk.key.Origin), clique.Word(rk.key.Seq))
-		}
-		c.stageClose()
-		packetIdx++
-	}
-	return dealDeliver(c, perNode, total, context)
-}
-
-// dealDeliver finishes the two-round redistribution once round 1's ranked
-// bundles are staged: exchange, forward every key to the node owning its
-// rank range, and assemble the contiguous batch.
-func dealDeliver(c *comm, perNode, total int, context string) (*SortResult, error) {
-	n := c.size()
+	perNode := ranksPerNode(total, n)
+	stageRankedBundles(c.stager, c.me, n, ranked)
 	rx, err := c.exchange()
 	if err != nil {
 		return nil, fmt.Errorf("%s deal: %w", context, err)
 	}
-	relayed := c.rankScratch[0][:0]
-	for _, p := range rx.all() {
-		if len(p) < 1 {
-			continue
-		}
-		count := int(p[0])
-		if count < 0 || len(p) < 1+count*(keyWords+1) {
-			return nil, fmt.Errorf("%s deal: malformed ranked bundle", context)
-		}
-		for i := 0; i < count; i++ {
-			base := 1 + i*(keyWords+1)
-			k, decErr := decodeKey(p[base+1:])
-			if decErr != nil {
-				return nil, fmt.Errorf("%s deal: %w", context, decErr)
-			}
-			relayed = append(relayed, rankedKey{rank: int(p[base]), key: k})
-		}
-	}
-	c.rankScratch[0] = relayed
-
-	// Round 2: forward every key to the node owning its rank range.
-	for _, rk := range relayed {
-		dst := min(rk.rank/perNode, n-1)
-		c.send(dst, clique.Word(rk.rank), rk.key.Value, clique.Word(rk.key.Origin), clique.Word(rk.key.Seq))
+	if err := forwardByRank(c.stager, rx.all(), perNode, n, context); err != nil {
+		return nil, err
 	}
 	rx, err = c.exchange()
 	if err != nil {
 		return nil, fmt.Errorf("%s deliver: %w", context, err)
 	}
-	mine := c.rankScratch[1][:0]
-	for _, p := range rx.all() {
+	c.rankScratch = slices.Grow(c.rankScratch[:0], len(rx.all()))
+	return assembleBatch(rx.all(), c.rankScratch, c.ex.ID(), perNode, total, context)
+}
+
+// ranksPerNode is the width of every node's rank range in the balanced
+// output: node i ends up with ranks [i*perNode, (i+1)*perNode).
+func ranksPerNode(total, n int) int {
+	return max(ceilDiv(total, n), 1)
+}
+
+// rankRun appends run to buf with the consecutive global ranks start,
+// start+1, ... attached.
+func rankRun(buf []rankedKey, run []Key, start int) []rankedKey {
+	for t, k := range run {
+		buf = append(buf, rankedKey{rank: start + t, key: k})
+	}
+	return buf
+}
+
+// stageRankedBundles stages round 1 of the redistribution for node me: its
+// (rank,key) pairs, bundled, dealt round-robin over all n nodes.
+func stageRankedBundles(s *stager, me, n int, ranked []rankedKey) {
+	for lo, packetIdx := 0, 0; lo < len(ranked); lo, packetIdx = lo+keysPerBundle, packetIdx+1 {
+		hi := min(lo+keysPerBundle, len(ranked))
+		s.stageOpen((me + packetIdx) % n)
+		s.stageWords(clique.Word(hi - lo))
+		for _, rk := range ranked[lo:hi] {
+			s.stageWords(clique.Word(rk.rank), rk.key.Value, clique.Word(rk.key.Origin), clique.Word(rk.key.Seq))
+		}
+		s.stageClose()
+	}
+}
+
+// forwardByRank stages round 2: every key of the received ranked bundles
+// travels on, as a [rank, key] record, to the node owning its rank range.
+func forwardByRank(s *stager, bundles [][]clique.Word, perNode, n int, context string) error {
+	const recWords = 1 + keyWords
+	for _, p := range bundles {
+		if len(p) < 1 {
+			continue
+		}
+		count := int(p[0])
+		if count < 0 || len(p) < 1+count*recWords {
+			return fmt.Errorf("%s deal: malformed ranked bundle", context)
+		}
+		for i := 0; i < count; i++ {
+			rec := p[1+i*recWords : 1+(i+1)*recWords]
+			s.send(min(int(rec[0])/perNode, n-1), rec...)
+		}
+	}
+	return nil
+}
+
+// assembleBatch finishes the redistribution at node id: the received [rank,
+// key] records, ordered by rank, must form one contiguous run — the node's
+// batch. mine is scratch with room for one entry per record.
+func assembleBatch(records [][]clique.Word, mine []rankedKey, id, perNode, total int, context string) (*SortResult, error) {
+	for _, p := range records {
 		if len(p) < 1+keyWords {
 			continue
 		}
@@ -472,7 +471,6 @@ func dealDeliver(c *comm, perNode, total int, context string) (*SortResult, erro
 		}
 		mine = append(mine, rankedKey{rank: int(p[0]), key: k})
 	}
-	c.rankScratch[1] = mine
 	slices.SortFunc(mine, func(a, b rankedKey) int { return a.rank - b.rank })
 
 	res := &SortResult{Total: total}
@@ -480,11 +478,11 @@ func dealDeliver(c *comm, perNode, total int, context string) (*SortResult, erro
 		res.Start = mine[0].rank
 		res.Batch = make([]Key, 0, len(mine))
 	} else {
-		res.Start = min(c.me*perNode, total)
+		res.Start = min(id*perNode, total)
 	}
 	for i, rk := range mine {
 		if i > 0 && mine[i-1].rank+1 != rk.rank {
-			return nil, fmt.Errorf("%s deliver: node %d received non-contiguous ranks %d and %d", context, c.ex.ID(), mine[i-1].rank, rk.rank)
+			return nil, fmt.Errorf("%s deliver: node %d received non-contiguous ranks %d and %d", context, id, mine[i-1].rank, rk.rank)
 		}
 		res.Batch = append(res.Batch, rk.key)
 	}

@@ -1,8 +1,8 @@
 package core
 
 import (
-	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"congestedclique/internal/clique"
@@ -81,91 +81,51 @@ func presortedKeysInstance(n int) [][]Key {
 	return keys
 }
 
-// runDenseAutoSort executes AutoSort on the blocking scheduler, where the
-// presorted arm is the dense-load dealByRank twin.
-func runDenseAutoSort(t *testing.T, n int, keys [][]Key, plan SortPlan) ([]*SortResult, clique.Metrics) {
-	t.Helper()
-	nw, err := clique.New(n)
+// TestRankRedistributionRejectsMalformed pins the safety checks of the one
+// decode both drivers of the rank redistribution share: a bundle shorter than
+// its key count claims, a frame that lies about its length, and a batch with
+// a hole in its rank range are errors, never panics or silent output.
+func TestRankRedistributionRejectsMalformed(t *testing.T) {
+	t.Parallel()
+	var s stager
+	good := []clique.Word{2, 4, 40, 1, 0, 5, 50, 1, 1}
+	if err := forwardByRank(&s, [][]clique.Word{good}, 2, 8, "test"); err != nil {
+		t.Fatalf("well-formed bundle rejected: %v", err)
+	}
+	for name, bundle := range map[string][]clique.Word{
+		"short":          good[:len(good)-1],
+		"negative count": {-1},
+	} {
+		if err := forwardByRank(&s, [][]clique.Word{bundle}, 2, 8, "test"); err == nil || !strings.Contains(err.Error(), "malformed ranked bundle") {
+			t.Errorf("%s bundle: got %v, want a malformed-bundle error", name, err)
+		}
+	}
+
+	// A frame that claims two messages in three words, met by the step
+	// program in its forwarding round.
+	nw, err := clique.New(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer nw.Close()
-	results := make([]*SortResult, n)
-	err = nw.Run(func(nd *clique.Node) error {
-		var row []Key
-		if nd.ID() < len(keys) {
-			row = keys[nd.ID()]
+	plan := SortPlan{N: 2, Strategy: SortStrategyPresorted, StartRanks: []int{0, 0, 0}}
+	progs := make([]sortProgram, 2)
+	err = nw.RunRounds(func(nd *clique.Node, round int, inbox clique.Inbox) (bool, error) {
+		if round == 0 && nd.ID() == 0 {
+			nd.Send(1, clique.Packet{2, 1, 7})
 		}
-		res, sErr := AutoSort(nd, row, plan)
-		if sErr != nil {
-			return sErr
-		}
-		results[nd.ID()] = res
-		return nil
+		return progs[nd.ID()].step(nd, &plan, nil, round, inbox)
 	})
-	if err != nil {
-		t.Fatalf("dense AutoSort: %v", err)
+	if err == nil || !strings.Contains(err.Error(), "presorted.rank deal: core: frame message 1/2 missing its length slot") {
+		t.Errorf("truncated frame: got %v, want a frame-decode error from the deal round", err)
 	}
-	return results, nw.Metrics()
-}
 
-func TestSparseSortRunMatchesDense(t *testing.T) {
-	t.Parallel()
-	for _, n := range []int{8, 48, 90} {
-		for _, tc := range []struct {
-			name string
-			keys [][]Key
-		}{
-			{"empty", make([][]Key, n)},
-			{"presorted", presortedKeysInstance(n)},
-		} {
-			for _, census := range []bool{false, true} {
-				plan := PlanSort(n, tc.keys)
-				if !SparseSortStepCapable(plan.Strategy) {
-					t.Fatalf("n=%d %s: plan strategy %v not step-capable", n, tc.name, plan.Strategy)
-				}
-				plan.Census = census
-				if census {
-					if fp, ok := SortFingerprint(n, tc.keys); ok {
-						plan.CensusHasFP = true
-						plan.CensusFP = fp.Hash
-					}
-				}
-				label := fmt.Sprintf("n=%d/%s/census=%v", n, tc.name, census)
-
-				want, wantM := runDenseAutoSort(t, n, tc.keys, plan)
-
-				nw, err := clique.New(n)
-				if err != nil {
-					t.Fatal(err)
-				}
-				run, err := NewSparseSortRun(n, tc.keys, plan)
-				if err != nil {
-					nw.Close()
-					t.Fatal(err)
-				}
-				if err := nw.RunRounds(run.Step); err != nil {
-					nw.Close()
-					t.Fatalf("%s: sparse sort run: %v", label, err)
-				}
-				gotM := nw.Metrics()
-				for i := 0; i < n; i++ {
-					got := run.Result(i)
-					if got == nil {
-						t.Fatalf("%s: node %d has no result", label, i)
-					}
-					if got.Start != want[i].Start || got.Total != want[i].Total ||
-						!(len(got.Batch) == 0 && len(want[i].Batch) == 0 || reflect.DeepEqual(got.Batch, want[i].Batch)) {
-						t.Fatalf("%s: node %d results differ:\n sparse %+v\n dense  %+v", label, i, got, want[i])
-					}
-				}
-				nw.Close()
-				if gotM.Rounds != wantM.Rounds || gotM.TotalWords != wantM.TotalWords ||
-					gotM.TotalMessages != wantM.TotalMessages ||
-					gotM.MaxEdgeWords != wantM.MaxEdgeWords || gotM.MaxEdgeMessages != wantM.MaxEdgeMessages {
-					t.Errorf("%s: metrics differ:\n sparse %+v\n dense  %+v", label, gotM, wantM)
-				}
-			}
-		}
+	records := [][]clique.Word{{3, 30, 0, 0}, {5, 50, 0, 1}}
+	if _, err := assembleBatch(records, nil, 1, 2, 8, "test"); err == nil || !strings.Contains(err.Error(), "non-contiguous ranks 3 and 5") {
+		t.Errorf("batch with a rank hole: got %v, want a non-contiguous-rank error", err)
+	}
+	res, err := assembleBatch([][]clique.Word{{5, 50, 0, 1}, {4, 40, 0, 0}}, nil, 2, 2, 8, "test")
+	if err != nil || res.Start != 4 || !reflect.DeepEqual(res.Batch, []Key{{Value: 40}, {Value: 50, Seq: 1}}) {
+		t.Errorf("contiguous batch: got %+v, %v", res, err)
 	}
 }

@@ -167,40 +167,37 @@ const (
 // the member list, so an instance never touches edges with both endpoints
 // outside its members (the property that lets instances run concurrently).
 //
-// The comm owns the instance's flat-frame pipeline state: per-destination
-// frame builders (flushed into one SendFramed packet per busy edge at every
-// exchange), the decoded receive buffer, and a word arena backing re-encoded
-// payloads. All of it is recycled round over round, so a steady-state
-// protocol round performs no per-message allocation.
+// The comm owns the instance's flat-frame pipeline state: the staging log
+// (flushed into one SendFramed packet per busy edge at every exchange), the
+// decoded receive buffer, and a word arena backing re-encoded payloads. All
+// of it is recycled round over round, so a steady-state protocol round
+// performs no per-message allocation.
 type comm struct {
-	ex      clique.Exchanger
+	// ex receives flat (both the physical node and the Mux's virtual nodes
+	// do; newComm rejects an exchanger that does not): delivery hands this
+	// comm raw [from, len, payload...] records instead of assembling an Inbox.
+	ex      clique.FlatExchanger
 	members []int
 	me      int // local index of this node, or -1 if it is not a member
 	label   string
 
-	// flatEx is non-nil when ex supports the flat receive path (both the
-	// physical node and the Mux's virtual nodes do): delivery hands this comm
-	// raw [from, len, payload...] records instead of assembling an Inbox.
-	// Exchangers without the capability fall back to the boxed path.
-	flatEx clique.FlatExchanger
+	// The outgoing staging log (see frame.go). On a passthrough virtual node
+	// (stager.tagEx set) received flat records are shared by all instances
+	// on the node, so exchange filters them by stager.frameTag and strips it
+	// before decoding.
+	*stager
 
-	// tagEx is non-nil when ex is a passthrough virtual node: frames are
-	// staged with frameTag as their leading word and handed over zero-copy via
-	// SendTagged, and received flat records are shared by all instances on the
-	// node, so this comm filters them by frameTag and strips it before
-	// decoding.
-	tagEx    clique.FrameTagger
-	frameTag clique.Word
-
-	// commScratch holds every reusable buffer of the instance. It is
-	// acquired from a process-wide pool at newComm and returned by release,
-	// so the hundreds of short-lived instances a protocol spawns (one per
-	// node per call, plus sub-instances) do not cold-start their pipeline
-	// buffers from zero capacity each time.
+	// commScratch holds every other reusable buffer of the instance. Both
+	// are acquired from process-wide pools at newComm and returned by
+	// release, so the hundreds of short-lived instances a protocol spawns
+	// (one per node per call, plus sub-instances) do not cold-start their
+	// pipeline buffers from zero capacity each time.
 	*commScratch
 }
 
-// commScratch is the poolable buffer state of a comm. Releasing hands every
+// commScratch is the poolable buffer state of a comm (a presorted step
+// program borrows one per step for its rank and receive buffers and the
+// destination tables of its flush). Releasing hands every
 // buffer — including the arena — to the next acquirer, so release is only
 // legal once the comm's results have been fully copied out of arena-backed
 // parcels and scratch slices (protocol entry points release after converting
@@ -210,19 +207,7 @@ type comm struct {
 type commScratch struct {
 	local []int32 // dense global id -> local index table, -1 for non-members
 
-	// Outgoing staging state. Messages are appended to a single flat log
-	// ([dst, len, payload...] records) during the round; flushFrames then
-	// assembles one frame per busy destination in frameBuf and hands the
-	// frames to the engine. Two flat buffers instead of per-destination ones
-	// keep the cold-start cost of a fresh comm at O(1) allocations.
-	stage      []clique.Word
-	stageLenAt int // index of the open record's length slot
-	stageDst   int // destination of the open record
-	frameBuf   []clique.Word
-	dstLoad    []uint64 // per-destination (frame words << 32 | messages) this round
-	dstOff     []int32  // per-destination write cursor during assembly
-	dstStart   []int32  // per-destination frame start during assembly
-	dstTouched []int32  // destinations staged this round
+	dst dstTables // what the stager's flush needs per destination
 
 	rx rxBuf // decoded inbound messages of the last exchange
 
@@ -240,9 +225,10 @@ type commScratch struct {
 	itemScratch [4][]item
 	itemCursor  int
 
-	// rankScratch backs the two rankedKey accumulators of dealByRank (relayed
-	// keys, then own keys); both are dead once the batch has been copied out.
-	rankScratch [2][]rankedKey
+	// rankScratch backs the rankedKey slices of the rank redistribution: the
+	// ranked run (dead once its bundles are staged), then the received batch
+	// (dead once it has been copied out).
+	rankScratch []rankedKey
 
 	// posScratch maps a local member index to its position inside the group
 	// currently being processed (-1 outside); groupPositions/releasePositions
@@ -297,19 +283,11 @@ func acquireScratch(size, n int) *commScratch {
 	for i := range s.local {
 		s.local[i] = -1
 	}
-	if cap(s.dstLoad) < size {
-		s.dstLoad = make([]uint64, size)
-		s.dstOff = make([]int32, size)
-		s.dstStart = make([]int32, size)
-	}
-	s.dstLoad = s.dstLoad[:size]
-	s.dstOff = s.dstOff[:size]
-	s.dstStart = s.dstStart[:size]
-	// A released comm may have aborted mid-round (error paths), so the
-	// per-destination accounting cannot be assumed clean.
-	clear(s.dstLoad)
-	s.dstTouched = s.dstTouched[:0]
-	s.stage = s.stage[:0]
+	s.dst.grow(size)
+	// A released comm may have aborted mid-flush (a send to an invalid node
+	// panics), so the per-destination accounting cannot be assumed clean.
+	clear(s.dst.load)
+	s.dst.touched = s.dst.touched[:0]
 	s.arena = s.arena[:0]
 	if cap(s.posScratch) < size {
 		s.posScratch = make([]int32, size)
@@ -333,6 +311,8 @@ func (c *comm) release() {
 	}
 	c.commScratch = nil
 	commScratchPool.Put(s)
+	c.stager.recycle()
+	c.stager = nil
 }
 
 // newComm builds the context for an instance named label (labels scope the
@@ -350,6 +330,10 @@ func newComm(ex clique.Exchanger, label string, members []int) (*comm, error) {
 			return nil, fmt.Errorf("core: instance %q members not sorted/distinct at index %d", label, i)
 		}
 	}
+	flatEx, ok := ex.(clique.FlatExchanger)
+	if !ok {
+		return nil, fmt.Errorf("core: instance %q: exchanger %T has no flat receive path", label, ex)
+	}
 	scratch := acquireScratch(len(members), ex.N())
 	for i, g := range members {
 		scratch.local[g] = int32(i)
@@ -358,21 +342,13 @@ func newComm(ex clique.Exchanger, label string, members []int) (*comm, error) {
 	if idx := scratch.local[ex.ID()]; idx >= 0 {
 		me = int(idx)
 	}
-	nd, _ := ex.(clique.FlatExchanger)
-	c := &comm{
-		ex:          ex,
-		members:     members,
-		me:          me,
-		label:       label,
-		flatEx:      nd,
-		commScratch: scratch,
-	}
+	st := pooledStager()
 	if ft, ok := ex.(clique.FrameTagger); ok {
 		if tag, on := ft.FrameTag(); on {
-			c.tagEx, c.frameTag = ft, tag
+			st.tagEx, st.frameTag = ft, tag
 		}
 	}
-	return c, nil
+	return &comm{ex: flatEx, members: members, me: me, label: label, stager: st, commScratch: scratch}, nil
 }
 
 // fullComm is the common case of an instance spanning the whole clique.
@@ -383,7 +359,8 @@ func fullComm(ex clique.Exchanger, label string) *comm {
 	}
 	c, err := newComm(ex, label, members)
 	if err != nil {
-		// Cannot happen: the member list is valid by construction.
+		// Cannot happen: the member list is valid by construction and both
+		// of the engine's exchangers receive flat.
 		panic(err)
 	}
 	return c
@@ -407,139 +384,12 @@ func (c *comm) localOf(global int) (int, bool) {
 	return int(idx), idx >= 0
 }
 
-// stageOpen starts a new logical message bound for the member with the given
-// local index. Messages must be closed (stageClose) before the next open.
-// On a tagged exchanger the record carries two extra header slots (tag and a
-// count slot pre-set to 1) so that a destination's only message doubles as a
-// complete tagged frame without any assembly copy.
-func (c *comm) stageOpen(localTo int) {
-	if c.tagEx != nil {
-		c.stage = append(c.stage, clique.Word(localTo), c.frameTag, 1, 0)
-	} else {
-		c.stage = append(c.stage, clique.Word(localTo), 0)
-	}
-	c.stageLenAt = len(c.stage) - 1
-	c.stageDst = localTo
-}
-
-// stageWords appends payload words to the open message.
-func (c *comm) stageWords(ws ...clique.Word) {
-	c.stage = append(c.stage, ws...)
-}
-
-// stageClose finishes the open message, fixing its length slot and the
-// destination's frame accounting.
-func (c *comm) stageClose() {
-	l := uint64(len(c.stage) - c.stageLenAt - 1)
-	c.stage[c.stageLenAt] = clique.Word(l)
-	d := c.stageDst
-	if c.dstLoad[d] == 0 {
-		c.dstTouched = append(c.dstTouched, int32(d))
-		// Remember the record start: if this stays the destination's only
-		// message this round, flushFrames sends it straight from the log.
-		hdr := 1
-		if c.tagEx != nil {
-			hdr = 3
-		}
-		c.dstStart[d] = int32(c.stageLenAt - hdr)
-	}
-	c.dstLoad[d] += (l+1)<<32 | 1 // payload plus the length slot, one message
-}
-
-// send stages one logical message for the member with the given local index.
-func (c *comm) send(localTo int, ws ...clique.Word) {
-	c.stageOpen(localTo)
-	c.stageWords(ws...)
-	c.stageClose()
-}
-
 // sendHeld stages one held parcel for the member with the given local index.
 func (c *comm) sendHeld(localTo int, h held) {
 	c.stageOpen(localTo)
 	c.stageWords(clique.Word(h.dstLocal), clique.Word(h.interSet), clique.Word(h.src))
 	c.stageWords(h.payload...)
 	c.stageClose()
-}
-
-// flushFrames assembles the staging log into one frame per busy destination
-// and hands the frames to the engine, accounted at their logical message
-// count and model word cost. Both buffers are reused round over round; the
-// engine copies the frame contents at the barrier, so overwriting them at
-// the next flush (which happens only after the next Exchange has returned)
-// is within the engine's buffer contract.
-func (c *comm) flushFrames() {
-	if len(c.dstTouched) == 0 {
-		return
-	}
-	// Destinations with a single message are served straight from the
-	// staging log: the record layout [dst, len, words...] doubles as the
-	// frame [count=1, len, words...] once the dst slot is overwritten (on a
-	// tagged exchanger the record [dst, tag, 1, len, words...] already ends
-	// in a complete frame), so no assembly copy happens. The relay schedules
-	// of Corollaries 3.3/3.4 spread traffic to one message per edge, making
-	// this the common case.
-	tagged := c.tagEx != nil
-	hdrExtra := 0 // extra frame slots before the count slot (the tag)
-	if tagged {
-		hdrExtra = 1
-	}
-	total := 0
-	multi := false
-	for _, d := range c.dstTouched {
-		if uint32(c.dstLoad[d]) > 1 {
-			multi = true
-			c.dstStart[d] = int32(total)
-			c.dstOff[d] = int32(total + 1 + hdrExtra) // write cursor, past tag and count slots
-			total += 1 + hdrExtra + int(c.dstLoad[d]>>32)
-		}
-	}
-	if multi {
-		if cap(c.frameBuf) < total {
-			c.frameBuf = make([]clique.Word, total, total+total/2)
-		} else {
-			c.frameBuf = c.frameBuf[:total]
-		}
-		for i := 0; i < len(c.stage); {
-			d := int(c.stage[i])
-			l := int(c.stage[i+1+2*hdrExtra]) // length slot follows the record header
-			if uint32(c.dstLoad[d]) > 1 {
-				cur := int(c.dstOff[d])
-				copy(c.frameBuf[cur:cur+1+l], c.stage[i+1+2*hdrExtra:i+2+2*hdrExtra+l])
-				c.dstOff[d] = int32(cur + 1 + l)
-			}
-			i += 2 + 2*hdrExtra + l
-		}
-	}
-	for _, d := range c.dstTouched {
-		load := c.dstLoad[d]
-		count := int(uint32(load))
-		size := 1 + int(load>>32) // untagged frame size: count slot plus records
-		start := int(c.dstStart[d])
-		if count == 1 {
-			if tagged {
-				// stage[start:] is [dst, tag, 1, len, words...]: everything
-				// after the dst slot is the finished tagged frame.
-				frame := c.stage[start+1 : start+2+size : start+2+size]
-				c.tagEx.SendTagged(c.members[d], frame, 1, size-2)
-			} else {
-				frame := c.stage[start : start+size : start+size]
-				frame[0] = 1
-				c.ex.SendFramed(c.members[d], frame, 1, size-2)
-			}
-		} else {
-			if tagged {
-				c.frameBuf[start] = c.frameTag
-				c.frameBuf[start+1] = clique.Word(count)
-				c.tagEx.SendTagged(c.members[d], c.frameBuf[start:start+1+size:start+1+size], count, size-1-count)
-			} else {
-				c.frameBuf[start] = clique.Word(count)
-				c.ex.SendFramed(c.members[d], c.frameBuf[start:start+size:start+size], count, size-1-count)
-			}
-		}
-		c.dstLoad[d] = 0
-	}
-	c.dstTouched = c.dstTouched[:0]
-	c.stage = c.stage[:0]
 }
 
 // exchange flushes the staged frames, runs one round barrier and decodes
@@ -549,7 +399,7 @@ func (c *comm) flushFrames() {
 // exchange on this comm; message words follow the engine's payload grace
 // rules (clique.PayloadGraceRounds).
 func (c *comm) exchange() (*rxBuf, error) {
-	c.flushFrames()
+	c.flush(&c.dst, c.ex, c.members)
 	rx := &c.rx
 	rx.msgs = rx.msgs[:0]
 	if cap(rx.start) < c.size()+1 {
@@ -558,81 +408,62 @@ func (c *comm) exchange() (*rxBuf, error) {
 		rx.start = rx.start[:c.size()+1]
 	}
 
-	if nd := c.flatEx; nd != nil {
-		// Flat path: decode the raw [from, len, payload...] records the
-		// deliverer wrote into the receive arena. Records arrive in
-		// ascending sender order, so the per-sender index is built in the
-		// same sweep. On a tagged exchanger the inbox is shared by every
-		// instance on the node: records of other instances are skipped by
-		// tag, and this instance's records carry the tag as their first
-		// payload word.
-		flat, err := nd.ExchangeFlat()
-		if err != nil {
-			return nil, fmt.Errorf("core: instance %q exchange: %w", c.label, err)
-		}
-		tagged := c.tagEx != nil
-		cur := 0
-		for i := 0; i < len(flat); {
-			if i+2 > len(flat) {
-				return nil, fmt.Errorf("core: instance %q: truncated flat record", c.label)
-			}
-			from := int(flat[i])
-			l := int(flat[i+1])
-			if l < 0 || i+2+l > len(flat) {
-				return nil, fmt.Errorf("core: instance %q: malformed flat record", c.label)
-			}
-			frame := clique.Packet(flat[i+2 : i+2+l : i+2+l])
-			i += 2 + l
-			if tagged {
-				if l < 1 || frame[0] != c.frameTag {
-					continue // another instance's record
-				}
-				frame = frame[1:]
-				l--
-			}
-			if from < 0 || from >= len(c.local) {
-				return nil, fmt.Errorf("core: instance %q: flat record from invalid node %d", c.label, from)
-			}
-			li := int(c.local[from])
-			if li < 0 {
-				continue // sender is not a member of this instance
-			}
-			for cur <= li {
-				rx.start[cur] = int32(len(rx.msgs))
-				cur++
-			}
-			// The single-message frame layout [1, len, words...] is by far the
-			// most common (relay schedules spread to one message per edge), so
-			// decode it without the general frame walk.
-			if l >= 2 && frame[0] == 1 && int(frame[1]) == l-2 {
-				rx.msgs = append(rx.msgs, frame[2:l:l])
-				continue
-			}
-			rx.msgs, err = appendFrameMessages(rx.msgs, frame)
-			if err != nil {
-				return nil, fmt.Errorf("core: instance %q: %w", c.label, err)
-			}
-		}
-		for ; cur <= c.size(); cur++ {
-			rx.start[cur] = int32(len(rx.msgs))
-		}
-		return rx, nil
-	}
-
-	inbox, err := c.ex.Exchange()
+	// Decode the raw [from, len, payload...] records the deliverer wrote into
+	// the receive arena. Records arrive in ascending sender order, so the
+	// per-sender index is built in the same sweep. On a tagged exchanger the
+	// inbox is shared by every instance on the node: records of other
+	// instances are skipped by tag, and this instance's records carry the tag
+	// as their first payload word.
+	flat, err := c.ex.ExchangeFlat()
 	if err != nil {
 		return nil, fmt.Errorf("core: instance %q exchange: %w", c.label, err)
 	}
-	for li, g := range c.members {
-		rx.start[li] = int32(len(rx.msgs))
-		for _, p := range inbox.From(g) {
-			rx.msgs, err = appendFrameMessages(rx.msgs, p)
-			if err != nil {
-				return nil, fmt.Errorf("core: instance %q: %w", c.label, err)
+	tagged := c.tagEx != nil
+	cur := 0
+	for i := 0; i < len(flat); {
+		if i+2 > len(flat) {
+			return nil, fmt.Errorf("core: instance %q: truncated flat record", c.label)
+		}
+		from := int(flat[i])
+		l := int(flat[i+1])
+		if l < 0 || i+2+l > len(flat) {
+			return nil, fmt.Errorf("core: instance %q: malformed flat record", c.label)
+		}
+		frame := clique.Packet(flat[i+2 : i+2+l : i+2+l])
+		i += 2 + l
+		if tagged {
+			if l < 1 || frame[0] != c.frameTag {
+				continue // another instance's record
 			}
+			frame = frame[1:]
+			l--
+		}
+		if from < 0 || from >= len(c.local) {
+			return nil, fmt.Errorf("core: instance %q: flat record from invalid node %d", c.label, from)
+		}
+		li := int(c.local[from])
+		if li < 0 {
+			continue // sender is not a member of this instance
+		}
+		for cur <= li {
+			rx.start[cur] = int32(len(rx.msgs))
+			cur++
+		}
+		// The single-message frame layout [1, len, words...] is by far the
+		// most common (relay schedules spread to one message per edge), so
+		// decode it without the general frame walk.
+		if l >= 2 && frame[0] == 1 && int(frame[1]) == l-2 {
+			rx.msgs = append(rx.msgs, frame[2:l:l])
+			continue
+		}
+		rx.msgs, err = appendFrameMessages(rx.msgs, frame)
+		if err != nil {
+			return nil, fmt.Errorf("core: instance %q: %w", c.label, err)
 		}
 	}
-	rx.start[c.size()] = int32(len(rx.msgs))
+	for ; cur <= c.size(); cur++ {
+		rx.start[cur] = int32(len(rx.msgs))
+	}
 	return rx, nil
 }
 

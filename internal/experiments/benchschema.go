@@ -332,9 +332,6 @@ type ProtocolDoc struct {
 	// ScalingSection); owned by cmd/cliquebench -scaling-json and preserved
 	// by the other writers.
 	Scaling *ScalingSection `json:"scaling,omitempty"`
-	// PreRefactorBaseline is the recorded per-parcel implementation the
-	// flat-frame layer is compared against.
-	PreRefactorBaseline []ProtocolBench `json:"pre_refactor_baseline"`
 }
 
 // OpMeasurement is one wall-clock/allocation measurement produced by

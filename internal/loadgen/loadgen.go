@@ -66,9 +66,10 @@ type Result struct {
 	// operations.
 	P50, P90, P99, P999 time.Duration
 	// Verified is the number of operations whose results were cross-checked
-	// against the serial golden in the verification pass (0 when
-	// Config.Verify is off). The measured pass runs the same operation count
-	// again without comparisons.
+	// against the serial golden (0 when Config.Verify is off): those of the
+	// verification pass — the measured pass runs the same operation count
+	// again without comparisons — plus, in network open-loop mode, every
+	// success of the measured window, which that mode always checks.
 	Verified int
 	// SucceededOps and FailedOps split TotalOps for the measured pass: an
 	// operation error no longer aborts the measured window — it is counted

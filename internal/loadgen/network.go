@@ -263,6 +263,11 @@ func RunNetwork(ctx context.Context, cfg NetworkConfig) (Result, error) {
 	res.PlanCacheHits = statsAfter.PlanCacheHits - statsBefore.PlanCacheHits
 	res.PlanCacheMisses = statsAfter.PlanCacheMisses - statsBefore.PlanCacheMisses
 	res.Verified = verified
+	if cfg.Verify && cfg.Rate > 0 {
+		// The open loop compares every in-window success with the golden too
+		// (a mismatch aborts the run above).
+		res.Verified += res.SucceededOps
+	}
 	return res, nil
 }
 

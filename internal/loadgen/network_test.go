@@ -79,18 +79,25 @@ func TestRunNetworkFaultedRetries(t *testing.T) {
 
 func TestRunNetworkOpenLoopOverload(t *testing.T) {
 	const n = 16
-	// A deliberately tiny server: one engine, queue depth 1, so an offered
-	// rate far above capacity must shed — with every accepted result still
-	// verifying against the golden (issue() verifies in open-loop mode).
-	addr := startServiceServer(t, service.Config{N: n, MaxConcurrency: 1, QueueDepth: 1})
+	// A deliberately tiny server: one engine and a queue just deep enough
+	// that the closed-loop verification pass (4 streams) cannot shed, so an
+	// offered rate far above capacity must — with every accepted result
+	// still verifying against the golden (issue() verifies in open-loop
+	// mode) and counted as verified.
+	const streams, prePassOps = 4, 2
+	addr := startServiceServer(t, service.Config{N: n, MaxConcurrency: 1, QueueDepth: streams})
 	res, err := RunNetwork(context.Background(), NetworkConfig{
-		Config:   Config{N: n, Concurrency: 1, Streams: 4, Workload: "route", Verify: false},
+		Config:   Config{N: n, Concurrency: 1, Streams: streams, OpsPerStream: prePassOps, Workload: "route", Verify: true},
 		Addr:     addr,
 		Rate:     2000,
 		Duration: 500 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("RunNetwork: %v", err)
+	}
+	if want := streams*prePassOps + res.SucceededOps; res.Verified != want {
+		t.Errorf("verified %d ops, want %d (the pre-pass's %d plus %d in-window successes)",
+			res.Verified, want, streams*prePassOps, res.SucceededOps)
 	}
 	if res.SucceededOps == 0 {
 		t.Fatal("no operation succeeded in the open-loop window")

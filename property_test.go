@@ -215,15 +215,9 @@ var sortShapes = []struct {
 	}},
 }
 
-// checkSortInvariants runs one instance and checks the paper's sorting
-// invariants — Theorem 4.5's round bound and Problem 4.1's output contract
-// with footnote-5 tie-breaking — on the result.
-func checkSortInvariants(t *testing.T, label string, n int, values [][]int64) {
-	t.Helper()
-	res, err := Sort(n, values, WithAlgorithm(AlgorithmAuto))
-	if err != nil {
-		t.Fatalf("%s: %v", label, err)
-	}
+// verifySortOutput checks a public sort result of values against Problem
+// 4.1's output contract (internal/verify's oracle).
+func verifySortOutput(n int, values [][]int64, res *SortResult) error {
 	input := make([][]core.Key, n)
 	results := make([]*core.SortResult, n)
 	for i := 0; i < n; i++ {
@@ -238,7 +232,19 @@ func checkSortInvariants(t *testing.T, label string, n int, values [][]int64) {
 		}
 		results[i] = sr
 	}
-	if err := verify.Sorting(input, results); err != nil {
+	return verify.Sorting(input, results)
+}
+
+// checkSortInvariants runs one instance and checks the paper's sorting
+// invariants — Theorem 4.5's round bound and Problem 4.1's output contract
+// with footnote-5 tie-breaking — on the result.
+func checkSortInvariants(t *testing.T, label string, n int, values [][]int64) {
+	t.Helper()
+	res, err := Sort(n, values, WithAlgorithm(AlgorithmAuto))
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if err := verifySortOutput(n, values, res); err != nil {
 		t.Fatalf("%s (strategy %v): %v", label, res.Strategy, err)
 	}
 	if res.Stats.Rounds > 37 {

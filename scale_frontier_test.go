@@ -108,19 +108,7 @@ func TestScaleFrontier16k(t *testing.T) {
 	if err := verify.Routing(sent, delivered); err != nil {
 		t.Errorf("route output: %v", err)
 	}
-	input := make([][]core.Key, n)
-	results := make([]*core.SortResult, n)
-	for i := 0; i < n; i++ {
-		for j, v := range values[i] {
-			input[i] = append(input[i], core.Key{Value: v, Origin: i, Seq: j})
-		}
-		res := &core.SortResult{Start: sortRes.Starts[i], Total: sortRes.Total}
-		for _, k := range sortRes.Batches[i] {
-			res.Batch = append(res.Batch, core.Key{Value: k.Value, Origin: k.Origin, Seq: k.Seq})
-		}
-		results[i] = res
-	}
-	if err := verify.Sorting(input, results); err != nil {
+	if err := verifySortOutput(n, values, sortRes); err != nil {
 		t.Errorf("sort output: %v", err)
 	}
 }

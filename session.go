@@ -673,18 +673,6 @@ func (u *execUnit) sortKeys(ctx context.Context, cfg config, keys [][]Key, pc *c
 	return u.sortStaged(ctx, cfg, inputs, pc)
 }
 
-// sortOnStepScheduler chooses the scheduler of a sort from its plan (the zero
-// plan of the non-Auto algorithms is not step-capable), like route does —
-// with one more condition. The presorted arm exists
-// as a step program, whose per-node state is proportional to its own traffic
-// (what n=16384 needs), and as the blocking dealByRank twin, whose pooled
-// dense scratch is several times cheaper per key once every node holds ~n
-// keys (internal/core/sparse_sort.go has the measurements). Each wins on one
-// side of the planner's own full-load threshold, so that threshold decides.
-func sortOnStepScheduler(n int, plan core.SortPlan) bool {
-	return n > 1 && core.SparseSortStepCapable(plan.Strategy) && plan.TotalKeys <= core.FastPathMaxTotal(n)
-}
-
 // sortStaged runs the sorting pipeline on inputs already staged as core keys
 // (the caller owns the unit).
 func (u *execUnit) sortStaged(ctx context.Context, cfg config, inputs [][]core.Key, pc *core.PlanCache) (*SortResult, error) {
@@ -733,8 +721,10 @@ func (u *execUnit) sortStaged(ctx context.Context, cfg config, inputs [][]core.K
 		}
 	}
 
+	// The scheduler follows from the plan, as in route (the zero plan of the
+	// other algorithms is not step-capable).
 	var runErr error
-	if sortOnStepScheduler(u.n, plan) {
+	if core.SparseSortStepCapable(plan.Strategy) {
 		run, buildErr := core.NewSparseSortRun(u.n, inputs, plan)
 		if buildErr != nil {
 			return nil, buildErr

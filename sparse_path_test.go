@@ -2,9 +2,9 @@ package congestedclique
 
 // Session-level pins for the step programs: AlgorithmAuto picks the scheduler
 // from the plan, so these tests fix what must not depend on that choice — the
-// presorted arm's two implementations agreeing bit for bit on both sides of
-// the density gate that selects between them, and a plan-cache hit reaching
-// the step program with its census fingerprint pinned.
+// presorted arm's observable behaviour from sparse to full load, and a
+// plan-cache hit reaching the step program with its census fingerprint
+// pinned.
 
 import (
 	"context"
@@ -26,30 +26,34 @@ func routeResultEqual(t *testing.T, label string, got, want *RouteResult) {
 	routeDeliveredEqual(t, label, got, want)
 }
 
-// TestSparsePathSortBitIdentical is the both-sides pin of the Sort density
-// gate (sortOnStepScheduler): a presorted instance of exactly n²/4 keys runs
-// as the step program, one key more runs the blocking dealByRank twin. On
-// each side the public result must equal the Deterministic pipeline's
-// batches, and both implementations — driven directly on a bare engine — must
-// reproduce the public result's batches and Stats exactly, so nothing a
-// caller can observe changes at the gate.
+// TestSparsePathSortBitIdentical pins what a caller observes of the presorted
+// arm at every density — n²/4 keys, one more (the planner's full-load
+// threshold for routing, which Sort must not care about), and the n² keys of
+// a full load — at square and non-square n, census on and off: the
+// Deterministic pipeline's batches, Starts and Total bit for bit, the
+// presorted strategy in exactly its two rounds (plus the census's), Stats
+// equal to the same plan run by core.AutoSort on a bare engine's blocking
+// scheduler (the driver the session does not use), and a pass from the
+// Problem 4.1 oracle.
 func TestSparsePathSortBitIdentical(t *testing.T) {
 	t.Parallel()
-	for _, n := range []int{16, 64} {
-		for _, over := range []bool{false, true} {
-			total := core.FastPathMaxTotal(n)
-			if over {
-				total++
-			}
+	for _, n := range []int{16, 64, 48} {
+		for _, total := range []int{n * n / 4, n*n/4 + 1, n * n} {
 			values := make([][]int64, n)
 			for k := 0; k < total; k++ {
 				values[k*n/total] = append(values[k*n/total], int64(3*k))
 			}
+			det, err := Sort(n, values)
+			if err != nil {
+				t.Fatalf("n=%d/keys=%d: deterministic: %v", n, total, err)
+			}
 			for _, census := range []bool{false, true} {
-				label := fmt.Sprintf("n=%d/over=%v/census=%v", n, over, census)
+				label := fmt.Sprintf("n=%d/keys=%d/census=%v", n, total, census)
+				wantRounds := 2
 				var handleOpts []Option
 				if census {
 					handleOpts = append(handleOpts, WithChargedCensus())
+					wantRounds += SortCensusRounds
 				}
 				cl, err := New(n, handleOpts...)
 				if err != nil {
@@ -60,14 +64,13 @@ func TestSparsePathSortBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: auto: %v", label, err)
 				}
-				det, err := Sort(n, values)
-				if err != nil {
-					t.Fatalf("%s: deterministic: %v", label, err)
-				}
-				if auto.Strategy != SortStrategyPresorted {
-					t.Fatalf("%s: strategy %v, want presorted", label, auto.Strategy)
+				if auto.Strategy != SortStrategyPresorted || auto.Stats.Rounds != wantRounds {
+					t.Fatalf("%s: strategy %v in %d rounds, want presorted in %d", label, auto.Strategy, auto.Stats.Rounds, wantRounds)
 				}
 				sortBatchesEqual(t, label, auto, det)
+				if err := verifySortOutput(n, values, auto); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
 
 				keys := make([][]core.Key, n)
 				for i, row := range values {
@@ -77,52 +80,21 @@ func TestSparsePathSortBitIdentical(t *testing.T) {
 				}
 				plan := core.PlanSort(n, keys)
 				plan.Census = census
-				if got := sortOnStepScheduler(n, plan); got == over {
-					t.Fatalf("%s: %d keys on the step scheduler = %v, want %v", label, plan.TotalKeys, got, !over)
+				nw, err := clique.New(n)
+				if err != nil {
+					t.Fatal(err)
 				}
-				for arm, run := range map[string]func(*clique.Network, []*core.SortResult) error{
-					"step": func(nw *clique.Network, out []*core.SortResult) error {
-						sr, err := core.NewSparseSortRun(n, keys, plan)
-						if err != nil {
-							return err
-						}
-						if err := nw.RunRounds(sr.Step); err != nil {
-							return err
-						}
-						for i := range out {
-							out[i] = sr.Result(i)
-						}
-						return nil
-					},
-					"blocking": func(nw *clique.Network, out []*core.SortResult) error {
-						return nw.Run(func(nd *clique.Node) (err error) {
-							out[nd.ID()], err = core.AutoSort(nd, keys[nd.ID()], plan)
-							return err
-						})
-					},
-				} {
-					nw, err := clique.New(n)
-					if err != nil {
-						t.Fatal(err)
-					}
-					out := make([]*core.SortResult, n)
-					err = run(nw, out)
-					stats := statsFromMetrics(nw.Metrics())
-					nw.Close()
-					if err != nil {
-						t.Fatalf("%s: %s arm: %v", label, arm, err)
-					}
-					if stats != auto.Stats {
-						t.Fatalf("%s: %s arm stats differ from the public result:\n arm    %+v\n public %+v", label, arm, stats, auto.Stats)
-					}
-					got := &SortResult{Batches: make([][]Key, n), Starts: make([]int, n)}
-					for i, res := range out {
-						got.Total, got.Starts[i] = res.Total, res.Start
-						for _, k := range res.Batch {
-							got.Batches[i] = append(got.Batches[i], fromCoreKey(k))
-						}
-					}
-					sortBatchesEqual(t, label+"/"+arm, got, auto)
+				err = nw.Run(func(nd *clique.Node) error {
+					_, err := core.AutoSort(nd, keys[nd.ID()], plan)
+					return err
+				})
+				stats := statsFromMetrics(nw.Metrics())
+				nw.Close()
+				if err != nil {
+					t.Fatalf("%s: blocking driver: %v", label, err)
+				}
+				if stats != auto.Stats {
+					t.Fatalf("%s: blocking driver's stats differ from the public result:\n blocking %+v\n public   %+v", label, stats, auto.Stats)
 				}
 			}
 		}
