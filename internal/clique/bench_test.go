@@ -60,8 +60,8 @@ func BenchmarkAllToAll(b *testing.B) {
 					if err != nil {
 						return err
 					}
-					if inbox.Count() != nd.N() {
-						return fmt.Errorf("node %d received %d packets, want %d", nd.ID(), inbox.Count(), nd.N())
+					if countPackets(inbox) != nd.N() {
+						return fmt.Errorf("node %d received %d packets, want %d", nd.ID(), countPackets(inbox), nd.N())
 					}
 				}
 				return nil
@@ -88,8 +88,8 @@ func BenchmarkAllToAllRunRounds(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			err = nw.RunRounds(func(nd *Node, round int, inbox Inbox) (bool, error) {
-				if round > 0 && inbox.Count() != nd.N() {
-					return true, fmt.Errorf("node %d received %d packets, want %d", nd.ID(), inbox.Count(), nd.N())
+				if round > 0 && countPackets(inbox) != nd.N() {
+					return true, fmt.Errorf("node %d received %d packets, want %d", nd.ID(), countPackets(inbox), nd.N())
 				}
 				if round == rounds {
 					return true, nil

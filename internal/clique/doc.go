@@ -32,6 +32,23 @@
 // recycled through a sync.Pool, so a steady-state round allocates nothing
 // beyond the generation channel.
 //
+// # One record format, three readers
+//
+// Delivery writes exactly one format: every packet becomes a [from, len,
+// payload...] record appended to its receiver's arena (FlatInbox), in
+// ascending sender order, whoever the receiver is and however it will read.
+// ExchangeFlat hands those records out as they are — the path of the
+// flat-frame protocol layer. A boxed Inbox is never delivered; it is a view
+// (sender table + packet headers) the receiver builds over the records on its
+// own goroutine, by one builder with three callers: Node.Exchange (the node's
+// view, pooled with the Network's buffers), the RunRounds worker (one view
+// per worker, rebuilt for each stepping node) and VNode.Exchange (the
+// instance's view, built with a tag filter over the node's shared records on
+// a passthrough Mux, or over the instance's own ring on a stacked one).
+// Lifetimes: the Inbox structure is valid until the receiver's next exchange
+// (the end of the step call under RunRounds); the payload words, boxed or
+// flat, for PayloadGraceRounds further barriers.
+//
 // Executions are deterministic: delivery scans senders in ascending id order
 // and node programs see identical inboxes and metrics on every run of the
 // same workload, for every worker count.
@@ -62,7 +79,7 @@
 // API pools them behind one handle). The locality rules:
 //
 //   - Engine-local, by ownership: the netBuffers delivery state (arenas,
-//     backbones, outboxes, Node structs) is checked out of the process-wide
+//     receive views, outboxes, Node structs) is checked out of the process-wide
 //     netBufPool at New and owned exclusively by that Network until Close —
 //     two live Networks never share a buffer set. The shared-computation
 //     cache, metrics, cumulative totals and step accounting are plain fields

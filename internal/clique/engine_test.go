@@ -388,14 +388,18 @@ func TestRunRoundsAllToAll(t *testing.T) {
 }
 
 // TestRunRoundsPanicAndError: a panicking step surfaces as that node's error,
-// lowest failing id wins, and the run terminates.
+// lowest failing id wins, and the run terminates — with the very error the
+// same program produces under Run (one panic-to-error conversion, recorded as
+// the run's failure by both schedulers).
 func TestRunRoundsPanicAndError(t *testing.T) {
 	t.Parallel()
 	nw, err := New(16, WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = nw.RunRounds(func(nd *Node, round int, inbox Inbox) (bool, error) {
+	defer nw.Close()
+	// program is node nd's compute phase of the given round; done ends it.
+	program := func(nd *Node, round int) (done bool, err error) {
 		if round == 2 {
 			switch nd.ID() {
 			case 9:
@@ -405,9 +409,25 @@ func TestRunRoundsPanicAndError(t *testing.T) {
 			}
 		}
 		return round == 3, nil
+	}
+	stepErr := nw.RunRounds(func(nd *Node, round int, inbox Inbox) (bool, error) {
+		return program(nd, round)
 	})
-	if err == nil || !contains(err.Error(), "node 9 panicked") {
-		t.Fatalf("want node 9 panic (lowest failing id), got %v", err)
+	if stepErr == nil || !contains(stepErr.Error(), "node 9 panicked") {
+		t.Fatalf("want node 9 panic (lowest failing id), got %v", stepErr)
+	}
+	runErr := nw.Run(func(nd *Node) error {
+		for round := 0; ; round++ {
+			if done, err := program(nd, round); done || err != nil {
+				return err
+			}
+			if _, err := nd.Exchange(); err != nil {
+				return err
+			}
+		}
+	})
+	if runErr == nil || runErr.Error() != stepErr.Error() {
+		t.Fatalf("Run reports %q, RunRounds %q for the same panicking program", runErr, stepErr)
 	}
 }
 
@@ -422,7 +442,7 @@ func TestRunRoundsStaggeredDeparture(t *testing.T) {
 	}
 	got := make([]int, n)
 	err = nw.RunRounds(func(nd *Node, round int, inbox Inbox) (bool, error) {
-		got[nd.ID()] += inbox.Count()
+		got[nd.ID()] += countPackets(inbox)
 		// Everyone pings node 1 every round it participates in; node i
 		// departs after its step in round i (node 0 immediately).
 		nd.Send(1, Packet{Word(nd.ID())})
@@ -502,8 +522,8 @@ func TestWithWorkersBlockingRun(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if inbox.Count() != n {
-				return fmt.Errorf("node %d round %d: %d packets, want %d", nd.ID(), r, inbox.Count(), n)
+			if countPackets(inbox) != n {
+				return fmt.Errorf("node %d round %d: %d packets, want %d", nd.ID(), r, countPackets(inbox), n)
 			}
 		}
 		return nil

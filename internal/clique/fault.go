@@ -236,7 +236,7 @@ func (nw *Network) noteArrival(id, r int, departed bool) {
 	nw.arrivals[id].Store(int32(r) + 1)
 }
 
-// startWatchdogRun prepares the round watchdog for one blocking run: it
+// startWatchdogRun prepares the round watchdog for one run: it
 // resets the arrival tracker and kicks the persistent watchdog goroutine
 // (started lazily on the first deadline-enabled run, reused for every later
 // one — a fault-free warm run allocates nothing for the watchdog). No-op

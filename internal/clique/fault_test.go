@@ -432,8 +432,8 @@ func TestFailurePathDoesNotPoisonPooledBuffers(t *testing.T) {
 		if b.outboxes[i] != nil {
 			t.Fatalf("pooled netBuffers.outboxes[%d] still set after Close", i)
 		}
-		if b.inboxes[i] != nil {
-			t.Fatalf("pooled netBuffers.inboxes[%d] still set after Close", i)
+		if err := viewAtRest(&b.views[i]); err != nil {
+			t.Fatalf("pooled netBuffers.views[%d] after Close: %v", i, err)
 		}
 	}
 	for ai, arr := range backing {

@@ -41,6 +41,11 @@ type Exchanger interface {
 	// Exchange blocks until every active node has reached the barrier, then
 	// returns everything this node received in the round, indexed by sender.
 	Exchange() (Inbox, error)
+	// ExchangeFlat is Exchange returning the round's packets as the raw
+	// [from, len, payload...] records delivery wrote (see FlatInbox) instead
+	// of a boxed Inbox built over them. It is the receive path of the
+	// flat-frame protocol layer, which decodes the records directly.
+	ExchangeFlat() (FlatInbox, error)
 	// CountSteps adds k to this node's self-reported local-computation step
 	// counter (Section 5 accounting). It is a no-op for k <= 0.
 	CountSteps(k int)
@@ -54,18 +59,6 @@ type Exchanger interface {
 	// the simulator, it does not communicate. The key is structured so
 	// protocol round loops can address the cache without building strings.
 	SharedComputeKeyed(key SharedKey, f func() interface{}) interface{}
-}
-
-// FlatExchanger is implemented by exchangers that additionally offer the flat
-// receive path: ExchangeFlat returns the round's traffic as raw [from, len,
-// payload...] records instead of an assembled Inbox. Both the physical Node
-// and the Mux's VNode implement it, so the flat-frame protocol layer can use
-// the cheap receive representation whether it runs directly on the engine or
-// multiplexed on a virtual node.
-type FlatExchanger interface {
-	Exchanger
-	// ExchangeFlat is Exchange returning the round's packets as a FlatInbox.
-	ExchangeFlat() (FlatInbox, error)
 }
 
 // FrameTagger is implemented by exchangers whose wire frames carry a leading
@@ -101,7 +94,7 @@ type SharedKey struct {
 
 // generation is one epoch of the round barrier. Nodes that arrive before the
 // round is complete park on done; the round's deliverer closes it after
-// swapping outboxes into inboxes, which both wakes the waiters and publishes
+// writing the round's records, which both wakes the waiters and publishes
 // (in the memory-model sense) everything the delivery phase wrote.
 type generation struct {
 	done     chan struct{}
@@ -122,24 +115,8 @@ func (g *generation) release() {
 // atomic.Pointer.
 type failure struct{ err error }
 
-// inboxSeg is one contiguous run of a receiver's header arena holding the
-// packets of a single sender (worker-pool mode only).
-type inboxSeg struct {
-	from       int32
-	start, end int32
-}
-
 // activeOne is the increment of the live-node half of Network.state.
 const activeOne = uint64(1) << 32
-
-// recvScratch is the per-receiver round state of the deliverer: the sender
-// of the receiver's currently open header-arena segment, the segment start,
-// and the words received so far this round.
-type recvScratch struct {
-	lastFrom int32
-	segStart int32
-	words    int32
-}
 
 // payloadRingDepth is the number of per-receiver payload arenas cycled
 // through by delivery. Words received in round r are only overwritten when
@@ -167,15 +144,19 @@ func stateParts(s uint64) (active, arrived uint32) {
 // nodes (high 32 bits) and the number of arrived nodes (low 32 bits); the
 // arrival that makes the two halves equal elects that goroutine the round's
 // deliverer. Delivery therefore runs while every other live node is parked on
-// the current generation's channel, so it swaps outboxes into inboxes and
-// computes the round statistics without holding any lock, and no lock is ever
-// held, contended or otherwise, while a node computes.
+// the current generation's channel, so it copies the outboxes into the
+// receivers' arenas and computes the round statistics without holding any
+// lock, and no lock is ever held, contended or otherwise, while a node
+// computes.
 //
-// Delivery copies payload words into per-receiver arenas cycled on a
+// Delivery writes one format only: every packet becomes a [from, len,
+// payload...] record appended to its receiver's word arena, cycled on a
 // payloadRingDepth-round ring (so received words stay valid for
-// PayloadGraceRounds further barriers and can be re-sent without cloning),
-// and tracks per-edge load in dense per-node scratch slices: O(1) per packet
-// with no hashing and no per-round allocation in steady state.
+// PayloadGraceRounds further barriers and can be re-sent without cloning).
+// A boxed Inbox is a view the receiver builds over those records (see
+// inboxView). Per-edge load is tracked in dense per-node scratch slices:
+// O(1) per packet with no hashing and no per-round allocation in steady
+// state.
 type Network struct {
 	n   int
 	cfg config
@@ -202,47 +183,25 @@ type Network struct {
 	// outboxes[i] is published by node i when it arrives at the barrier and
 	// consumed (and nilled) by the deliverer.
 	outboxes [][]pendingPacket
-	// inboxes[i] is set by the deliverer iff node i received traffic this
-	// round; the owner consumes and nils it after the barrier.
-	inboxes  []Inbox
 	departed []bool
-	// flat[i] is published by node i alongside its outbox: true when the node
-	// called ExchangeFlat for this round, making delivery write its traffic
-	// as flat [from, len, payload...] records into the word arena instead of
-	// building an Inbox (no header arena, no backbone, no segment tracking).
-	flat []bool
 
-	// Per-receiver delivery buffers, reused round over round. backbone[t] is
-	// the Inbox handed to node t and hdrArena[t] holds the packet headers;
-	// both are retired (cleared or resliced, keeping capacity) by the owning
-	// node when it next arrives at the barrier. wordArena[r%payloadRingDepth][t]
-	// holds the payload words copied for node t in round r; the ring keeps
+	// wordArena[r%payloadRingDepth][t] holds the records delivered to node t
+	// in round r. The slot is resliced to empty (keeping capacity) by the
+	// owning node when it arrives at the barrier of round r, so after the
+	// turn-over it holds exactly that round's traffic; the ring keeps
 	// received words valid for PayloadGraceRounds further barriers. Growth is
 	// append-only, so views created before a reallocation stay valid.
-	backbone  []Inbox
-	hdrArena  [][]Packet
 	wordArena [payloadRingDepth][][]Word
 
 	// Deliverer scratch, indexed densely by node id. destLoad packs the
 	// per-edge (words, messages) load of the sender currently being scanned
-	// (reset via edgeTouch); recv packs the per-receiver round state into one
-	// cache line per receiver (reset via recvTouch) — the delivery loop's
-	// per-packet cost is dominated by these random accesses.
+	// (reset via edgeTouch); recvWords is the model words each receiver got
+	// this round (reset via recvTouch) — the delivery loop's per-packet cost
+	// is dominated by these random accesses.
 	destLoad  []uint64
-	recv      []recvScratch
+	recvWords []int32
 	edgeTouch []int32
 	recvTouch []int32
-	// setFrom[t] lists the backbone entries populated for receiver t this
-	// round, so retire clears O(traffic) entries instead of all n.
-	setFrom [][]int32
-
-	// Worker-pool mode (RunRounds). An inbox there is only alive during one
-	// step call, so instead of a persistent n-entry backbone per receiver
-	// (Θ(n²) memory), delivery records per-receiver segment lists and each
-	// worker materialises them into its own scratch backbone just for the
-	// step call: O(traffic + workers·n) memory. segs is non-nil exactly in
-	// worker-pool mode.
-	segs [][]inboxSeg
 
 	// sem, when non-nil, bounds the number of concurrently computing node
 	// goroutines in Run (see WithWorkers).
@@ -293,27 +252,24 @@ type Network struct {
 type netBuffers struct {
 	n         int
 	outboxes  [][]pendingPacket
-	inboxes   []Inbox
 	departed  []bool
-	flat      []bool
-	backbone  []Inbox
-	hdrArena  [][]Packet
 	wordArena [payloadRingDepth][][]Word
-	recv      []recvScratch
+	recvWords []int32
 	destLoad  []uint64
 	edgeTouch []int32
 	recvTouch []int32
-	setFrom   [][]int32
 	// nodes and pending recycle the per-run node state of both schedulers:
 	// the Node structs themselves and each node's outbox backing array
 	// (cleared of packet references when the node retires — leave under Run,
 	// the end of the run under RunRounds — so no payload memory is retained),
-	// so a run on a warm engine allocates neither. segs recycles the
-	// per-receiver segment lists of RunRounds; it is sized by the first
-	// step-mode run, so blocking-only engines never carry it.
+	// so a run on a warm engine allocates neither. views recycles the boxed
+	// receive views: views[i] belongs to node i under Run and to worker i
+	// under RunRounds, is filled on its owner's first boxed receive (so
+	// flat-only engines never carry one) and is reset by the owner before it
+	// lets go, so a pooled view pins nothing.
 	nodes   []Node
 	pending [][]pendingPacket
-	segs    [][]inboxSeg
+	views   []inboxView
 }
 
 var netBufPool = sync.Pool{New: func() interface{} { return new(netBuffers) }}
@@ -324,43 +280,29 @@ func acquireNetBuffers(n int) *netBuffers {
 	b := netBufPool.Get().(*netBuffers)
 	if b.n < n {
 		b.outboxes = make([][]pendingPacket, n)
-		b.inboxes = make([]Inbox, n)
 		b.departed = make([]bool, n)
-		b.flat = make([]bool, n)
-		b.backbone = make([]Inbox, n)
-		b.hdrArena = make([][]Packet, n)
 		for p := range b.wordArena {
 			b.wordArena[p] = make([][]Word, n)
 		}
-		b.recv = make([]recvScratch, n)
+		b.recvWords = make([]int32, n)
 		b.destLoad = make([]uint64, n)
-		b.setFrom = make([][]int32, n)
 		b.nodes = make([]Node, n)
 		b.pending = make([][]pendingPacket, n)
+		b.views = make([]inboxView, n)
 		b.n = n
 	}
 	for i := 0; i < n; i++ {
-		b.recv[i].lastFrom = -1
-		b.recv[i].words = 0
+		b.recvWords[i] = 0
 		b.departed[i] = false
-		b.flat[i] = false
 		b.destLoad[i] = 0
 		b.outboxes[i] = nil
-		b.inboxes[i] = nil
-		// Inner backbones are sized for the network that created them; one
-		// inherited from a smaller network must not be indexed by a larger
-		// one (delivery would index backbone[to][from] out of range).
-		if len(b.backbone[i]) < n {
-			b.backbone[i] = nil
-		}
 	}
 	return b
 }
 
 // releaseBuffers cleans the delivery state left over from the final rounds
-// (whose inboxes were never retired by the departed nodes) and returns it to
-// the pool. It is called by Close; after this point any packet views
-// previously handed out may be overwritten by a future Network.
+// and returns it to the pool. It is called by Close; after this point any
+// packet views previously handed out may be overwritten by a future Network.
 func (nw *Network) releaseBuffers() {
 	b := nw.buffers
 	if b == nil {
@@ -369,12 +311,6 @@ func (nw *Network) releaseBuffers() {
 	nw.buffers = nil
 	n := nw.n
 	for t := 0; t < n; t++ {
-		if bb := b.backbone[t]; bb != nil {
-			for _, f := range b.setFrom[t] {
-				bb[f] = nil
-			}
-			b.setFrom[t] = b.setFrom[t][:0]
-		}
 		// A run that failed between publish and delivery (injected
 		// cancellation, watchdog fire, delivery panic) leaves published
 		// outboxes unconsumed; their pendingPacket entries reference
@@ -384,14 +320,8 @@ func (nw *Network) releaseBuffers() {
 			clear(out[:cap(out)])
 			b.outboxes[t] = nil
 		}
-		b.inboxes[t] = nil
-		ha := b.hdrArena[t]
-		clear(ha[:cap(ha)])
-		b.hdrArena[t] = ha[:0]
 		for p := range b.wordArena {
-			if b.wordArena[p][t] != nil {
-				b.wordArena[p][t] = b.wordArena[p][t][:0]
-			}
+			b.wordArena[p][t] = b.wordArena[p][t][:0]
 		}
 	}
 	b.edgeTouch = nw.edgeTouch[:0]
@@ -418,17 +348,12 @@ func New(n int, opts ...Option) (*Network, error) {
 		cfg:       cfg,
 		buffers:   b,
 		outboxes:  b.outboxes,
-		inboxes:   b.inboxes,
 		departed:  b.departed,
-		flat:      b.flat,
-		backbone:  b.backbone,
-		hdrArena:  b.hdrArena,
 		wordArena: b.wordArena,
-		recv:      b.recv,
+		recvWords: b.recvWords,
 		destLoad:  b.destLoad,
 		edgeTouch: b.edgeTouch,
 		recvTouch: b.recvTouch,
-		setFrom:   b.setFrom,
 		sharedK:   make(map[SharedKey]interface{}),
 		steps:     make(map[int]int64),
 		memory:    make(map[int]int64),
@@ -505,29 +430,16 @@ func (nw *Network) endRun(completed bool) {
 func (nw *Network) resetRun() {
 	b := nw.buffers
 	for t := 0; t < nw.n; t++ {
-		if bb := b.backbone[t]; bb != nil {
-			for _, f := range b.setFrom[t] {
-				bb[f] = nil
-			}
-			b.setFrom[t] = b.setFrom[t][:0]
-		}
-		b.hdrArena[t] = b.hdrArena[t][:0]
 		for p := range b.wordArena {
-			if b.wordArena[p][t] != nil {
-				b.wordArena[p][t] = b.wordArena[p][t][:0]
-			}
+			b.wordArena[p][t] = b.wordArena[p][t][:0]
 		}
-		b.recv[t].lastFrom = -1
-		b.recv[t].words = 0
+		b.recvWords[t] = 0
 		b.departed[t] = false
-		b.flat[t] = false
 		b.destLoad[t] = 0
 		b.outboxes[t] = nil
-		b.inboxes[t] = nil
 	}
 	nw.edgeTouch = nw.edgeTouch[:0]
 	nw.recvTouch = nw.recvTouch[:0]
-	nw.segs = nil
 	nw.sem = nil
 	nw.round.Store(0)
 	nw.fail.Store(nil)
@@ -712,7 +624,7 @@ func (nw *Network) RunContext(ctx context.Context, program func(*Node) error) er
 			// runs (see netBuffers.nodes); leave clears the packet
 			// references when the node retires.
 			nd := &nw.buffers.nodes[id]
-			*nd = Node{nw: nw, id: id, pending: nw.buffers.pending[id]}
+			*nd = Node{nw: nw, id: id, pending: nw.buffers.pending[id], view: &nw.buffers.views[id]}
 			if nw.sem != nil {
 				<-nw.sem
 				// A node outside the barrier always holds its compute slot, so
@@ -824,26 +736,22 @@ func (nw *Network) RunRoundsContext(ctx context.Context, step StepFunc) error {
 		k = nw.n
 	}
 
-	// Node structs, outbox backing arrays and segment lists are recycled
-	// across runs exactly as RunContext recycles the first two (see
-	// netBuffers.nodes): at ~n keys per node they are the bulk of what a
-	// step-mode run would otherwise re-grow from nil every time.
+	// Node structs and outbox backing arrays are recycled across runs
+	// exactly as RunContext recycles them (see netBuffers.nodes): at ~n keys
+	// per node they are the bulk of what a step-mode run would otherwise
+	// re-grow from nil every time.
 	b := nw.buffers
-	if len(b.segs) < nw.n {
-		b.segs = make([][]inboxSeg, nw.n)
-	}
 	nodes := b.nodes[:nw.n]
 	for i := range nodes {
 		nodes[i] = Node{nw: nw, id: i, stepMode: true, pending: b.pending[i]}
-		b.segs[i] = b.segs[i][:0] // a run that ended after a delivery left its lists set
 	}
 	// Hand the outbox arrays back on every exit with no packet reference
 	// left in them, so the pooled buffers never pin payload memory (the
 	// step-mode counterpart of leave). The workers have exited by then, and
 	// each array is in reclaim after a step or still in pending before one;
-	// delivery has already cleared every round it consumed, so only the
-	// final, undelivered sends remain — a run that staged little sweeps
-	// little, whatever capacity an earlier dense run left behind.
+	// every step cleared the sends it reclaimed, so only the final round's
+	// remain — a run that staged little sweeps little, whatever capacity an
+	// earlier dense run left behind.
 	defer func() {
 		for i := range nodes {
 			nd := &nodes[i]
@@ -857,7 +765,6 @@ func (nw *Network) RunRoundsContext(ctx context.Context, step StepFunc) error {
 		}
 	}()
 	errs := make([]error, nw.n)
-	nw.segs = b.segs[:nw.n] // switches delivery to segment mode
 	watching := nw.startWatchdogRun()
 
 	type ack struct {
@@ -871,11 +778,11 @@ func (nw *Network) RunRoundsContext(ctx context.Context, step StepFunc) error {
 		starts[w] = make(chan int, 1)
 		lo, hi := w*nw.n/k, (w+1)*nw.n/k
 		workers.Add(1)
-		go func(startCh chan int, lo, hi int) {
+		go func(startCh chan int, view *inboxView, lo, hi int) {
 			defer workers.Done()
-			// scratch holds the materialised inbox of the node currently
-			// stepping; entries are cleared again right after the step call.
-			scratch := make(Inbox, nw.n)
+			// An inbox is only alive during one step call, so one view per
+			// worker boxes the records of whichever node is stepping and is
+			// reset right after: O(traffic + workers·n) memory.
 			for round := range startCh {
 				var a ack
 				for id := lo; id < hi; id++ {
@@ -883,44 +790,21 @@ func (nw *Network) RunRoundsContext(ctx context.Context, step StepFunc) error {
 					if nd.departed {
 						continue
 					}
-					if f := nw.faults.at(id, round); f != nil {
-						switch f.Kind {
-						case FaultPanic:
-							// The injected crash surfaces exactly like a panic
-							// inside step would: the node departs with the
-							// fault-coordinate error and the round is never
-							// delivered.
-							errs[id] = nodePanicError(id, &injectedPanic{node: id, round: round})
-							nw.setFailure(errs[id])
-							a.failed = true
-							nd.departed = true
-							nw.departed[id] = true
-							nw.noteArrival(id, 0, true)
-							a.left++
-							continue
-						case FaultStall:
-							nw.stallNode(f.Stall)
-						}
-					}
 					var inbox Inbox
-					if segs := nw.segs[id]; len(segs) > 0 {
-						ha := nw.hdrArena[id]
-						for _, s := range segs {
-							scratch[s.from] = ha[s.start:s.end:s.end]
+					if round > 0 {
+						if flat := nw.wordArena[(round-1)%payloadRingDepth][id]; len(flat) > 0 {
+							inbox = view.build(nw.n, flat, noTag)
 						}
-						inbox = scratch
 					}
 					if nd.reclaim != nil {
+						// Last round's outbox has been delivered: refill it,
+						// dropping the packet references it still holds.
+						clear(nd.reclaim)
 						nd.pending = nd.reclaim[:0]
 						nd.reclaim = nil
 					}
-					done, err := runStep(step, nd, round, inbox)
-					if segs := nw.segs[id]; len(segs) > 0 {
-						for _, s := range segs {
-							scratch[s.from] = nil
-						}
-						nw.segs[id] = segs[:0]
-					}
+					done, err := nw.runStep(step, nd, round, inbox)
+					view.reset()
 					nd.retire()
 					nd.reclaim = nd.pending
 					nw.outboxes[id] = nd.pending
@@ -942,7 +826,7 @@ func (nw *Network) RunRoundsContext(ctx context.Context, step StepFunc) error {
 				}
 				acks <- a
 			}
-		}(starts[w], lo, hi)
+		}(starts[w], &b.views[w], lo, hi)
 	}
 
 	remaining := nw.n
@@ -999,14 +883,26 @@ func (nw *Network) RunRoundsContext(ctx context.Context, step StepFunc) error {
 	return err
 }
 
-// runStep invokes step with panic recovery, so one node's panic surfaces as
-// that node's error instead of tearing down the whole process.
-func runStep(step StepFunc, nd *Node, round int, inbox Inbox) (done bool, err error) {
+// runStep invokes step with the same panic recovery a blocking node program
+// gets: the crash becomes that node's error and the run's root-cause failure,
+// instead of tearing down the whole process. Injected faults fire here, at
+// the node's (node, round) coordinate, so an injected crash is a panic like
+// any other: the node departs and the round is never delivered.
+func (nw *Network) runStep(step StepFunc, nd *Node, round int, inbox Inbox) (done bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			done, err = true, fmt.Errorf("clique: node %d panicked in round %d: %v", nd.id, round, r)
+			done, err = true, nodePanicError(nd.id, r)
+			nw.setFailure(err)
 		}
 	}()
+	if f := nw.faults.at(nd.id, round); f != nil {
+		switch f.Kind {
+		case FaultPanic:
+			panic(&injectedPanic{node: nd.id, round: round})
+		case FaultStall:
+			nw.stallNode(f.Stall)
+		}
+	}
 	return step(nd, round, inbox)
 }
 
@@ -1020,8 +916,12 @@ type Node struct {
 	stepMode bool
 	pending  []pendingPacket
 	reclaim  []pendingPacket
-	steps    int64
-	memory   int64
+	// view boxes the records of this node's blocking Exchange calls; it is
+	// the node's slot of the pooled netBuffers.views (nil in step mode,
+	// where the worker owns the view).
+	view   *inboxView
+	steps  int64
+	memory int64
 }
 
 var _ Exchanger = (*Node)(nil)
@@ -1152,63 +1052,46 @@ func (nd *Node) SharedComputeKeyed(key SharedKey, f func() interface{}) interfac
 	return v
 }
 
-// retire recycles the receive buffers handed out with this node's previous
-// inbox. The node owns its slots until it arrives at the barrier, so no
-// synchronisation is needed. Only the word arena about to be written this
-// round is resliced, which is what keeps recently received payloads valid
-// for PayloadGraceRounds barriers (same-round forwarding and the
-// constant-round re-send patterns of the primitives).
+// retire recycles the arena slot about to be written this round. The node
+// owns its slots until it arrives at the barrier, so no synchronisation is
+// needed. Only that one ring slot is resliced, which is what keeps recently
+// received payloads valid for PayloadGraceRounds barriers (same-round
+// forwarding and the constant-round re-send patterns of the primitives), and
+// an empty slot is how delivery recognises a receiver's first packet.
 func (nd *Node) retire() {
-	nw := nd.nw
-	if bb := nw.backbone[nd.id]; bb != nil {
-		for _, f := range nw.setFrom[nd.id] {
-			bb[f] = nil
-		}
-		nw.setFrom[nd.id] = nw.setFrom[nd.id][:0]
-	}
-	nw.hdrArena[nd.id] = nw.hdrArena[nd.id][:0]
 	p := nd.round % payloadRingDepth
-	nw.wordArena[p][nd.id] = nw.wordArena[p][nd.id][:0]
+	nd.nw.wordArena[p][nd.id] = nd.nw.wordArena[p][nd.id][:0]
 }
 
 // Exchange implements the synchronous round barrier (see the Network type
-// documentation for the two-phase design). The returned Inbox and the packets
-// inside it are engine-owned: they are valid until this node's next Exchange
-// call, at which point their buffers are recycled.
+// documentation for the two-phase design). The returned Inbox is the node's
+// own view over the round's records (nil when nothing was received): its
+// structure is valid until this node's next Exchange call, the payload words
+// for PayloadGraceRounds further barriers.
 func (nd *Node) Exchange() (Inbox, error) {
-	if err := nd.exchangeBarrier(false); err != nil {
+	flat, err := nd.ExchangeFlat()
+	if err != nil || len(flat) == 0 {
 		return nil, err
 	}
-	inbox := nd.nw.inboxes[nd.id]
-	nd.nw.inboxes[nd.id] = nil
-	return inbox, nil
+	return nd.view.build(nd.nw.n, flat, noTag), nil
 }
 
-// FlatInbox is the flat receive representation of one round: a sequence of
-// [from, len, payload...] records, one per physical packet, in ascending
-// sender order. The words are engine-owned views into the receive arena and
-// follow the same lifetime rules as Inbox packets (valid until the node's
-// next exchange, payloads for PayloadGraceRounds further barriers).
-type FlatInbox []Word
-
-// ExchangeFlat is Exchange for receivers that want the round's traffic as a
-// FlatInbox. Skipping the Inbox assembly (header arena, backbone, segment
-// tracking) makes delivery one append per packet; it is the receive path of
-// the flat-frame protocol layer, which decodes the records directly.
+// ExchangeFlat is Exchange returning the round's records as delivery wrote
+// them, without building the boxed view over them.
 func (nd *Node) ExchangeFlat() (FlatInbox, error) {
 	// The round the packets were delivered in is nd.round before
 	// exchangeBarrier increments it.
 	slot := nd.round % payloadRingDepth
-	if err := nd.exchangeBarrier(true); err != nil {
+	if err := nd.exchangeBarrier(); err != nil {
 		return nil, err
 	}
 	return FlatInbox(nd.nw.wordArena[slot][nd.id]), nil
 }
 
-// exchangeBarrier publishes the node's outbox and receive mode, arrives at
-// the round barrier (delivering the round if it is the last arrival), and
-// returns once the round has turned over.
-func (nd *Node) exchangeBarrier(flat bool) error {
+// exchangeBarrier publishes the node's outbox, arrives at the round barrier
+// (delivering the round if it is the last arrival), and returns once the
+// round has turned over.
+func (nd *Node) exchangeBarrier() error {
 	nw := nd.nw
 	if nd.stepMode {
 		return errors.New("clique: Exchange is driven by the engine in RunRounds mode")
@@ -1238,11 +1121,9 @@ func (nd *Node) exchangeBarrier(flat bool) error {
 
 	nd.retire()
 
-	// Publish the outbox and receive mode; the slots are not read until
-	// every node has arrived.
+	// Publish the outbox; the slot is not read until every node has arrived.
 	published := nd.pending
 	nw.outboxes[nd.id] = published
-	nw.flat[nd.id] = flat
 	nd.pending = nil
 
 	// The generation must be loaded before arriving: the round cannot turn
@@ -1287,12 +1168,14 @@ func (nw *Network) leave(nd *Node) {
 	// packet reference so pooled buffers never retain payload memory. By this
 	// point the array is no longer shared: a published outbox is consumed by
 	// delivery before the publishing Exchange returns, and after a failure
-	// nothing delivers again before the reset.
+	// nothing delivers again before the reset. The node's boxed view goes
+	// back clean the same way.
 	if b := nw.buffers; b != nil {
 		p := nd.pending[:cap(nd.pending)]
 		clear(p)
 		b.pending[nd.id] = p[:0]
 		nd.pending = nil
+		nd.view.reset()
 	}
 
 	if nd.departed {
@@ -1348,11 +1231,12 @@ func (nw *Network) deliver(g *generation) {
 	g.release()
 }
 
-// deliverRound swaps every published outbox into the destination inboxes and
+// deliverRound appends every published packet to its receiver's arena as one
+// [from, len, payload...] record — the only receive format there is — and
 // folds the round statistics into the metrics. Per-edge and per-node loads
-// are tracked in dense scratch slices — O(1) per packet, no hashing — and
-// payloads are copied into per-receiver arenas that are reused round over
-// round, so a steady-state round allocates nothing.
+// are tracked in dense scratch slices — O(1) per packet, no hashing — and the
+// arenas are reused round over round, so a steady-state round allocates
+// nothing.
 func (nw *Network) deliverRound() {
 	round := int(nw.round.Load())
 	arena := nw.wordArena[round%payloadRingDepth]
@@ -1368,13 +1252,10 @@ func (nw *Network) deliverRound() {
 	// keeping these in locals (written back at the end) saves a pointer chase
 	// per access.
 	departed := nw.departed
-	flat := nw.flat
-	recv := nw.recv
-	hdrArenas := nw.hdrArena
+	recvWords := nw.recvWords
 	destLoad := nw.destLoad
 	edgeTouch := nw.edgeTouch
 	recvTouch := nw.recvTouch
-	segMode := nw.segs != nil
 
 	for from := 0; from < nw.n; from++ {
 		out := nw.outboxes[from]
@@ -1397,83 +1278,32 @@ func (nw *Network) deliverRound() {
 			// frame bookkeeping).
 			w := int(pp.model)
 
-			// Copy the payload into the receiver's word arena and append the
-			// header to its header arena. Growth is append-only, so views
-			// created before a reallocation keep reading valid memory. A ring
-			// slot touched for the first time is presized from the previous
-			// round's volume, skipping the geometric growth re-runs in the
-			// first payloadRingDepth rounds.
+			// Every live receiver emptied this slot when it arrived (see
+			// retire), so an empty arena marks its first packet of the round.
+			// Growth is append-only, so views created before a reallocation
+			// keep reading valid memory. A ring slot touched for the first
+			// time is presized from the previous round's volume, skipping the
+			// geometric growth re-runs in the first payloadRingDepth rounds.
 			wa := arena[to]
-			if wa == nil && prevArena != nil {
-				if prev := len(prevArena[to]); prev > 0 {
-					wa = make([]Word, 0, prev+prev/4)
-				}
-			}
-
-			rs := &recv[to]
-			if flat[to] {
-				// Flat receiver: one [from, len, payload...] record appended
-				// to the word arena is the entire delivery — no header arena,
-				// no backbone, no segments.
-				wa = append(wa, Word(from), Word(len(pp.data)))
-				wa = append(wa, pp.data...)
-				arena[to] = wa
-				if rs.lastFrom == -1 {
-					recvTouch = append(recvTouch, int32(to))
-					rs.lastFrom = -2 // touched, but no open segment
-				}
-				if destLoad[to] == 0 {
-					edgeTouch = append(edgeTouch, int32(to))
-				}
-				destLoad[to] += uint64(w)<<32 | uint64(uint32(pp.count))
-				rs.words += int32(w)
-				sentWords += w
-				stats.Messages += int(pp.count)
-				stats.Words += w
-				continue
-			}
-
-			pos := len(wa)
-			wa = append(wa, pp.data...)
-			arena[to] = wa
-			data := wa[pos:len(wa):len(wa)]
-			ha := hdrArenas[to]
-			// Senders are scanned in ascending order, so the packets of one
-			// sender form a contiguous segment of the receiver's header arena;
-			// a sender change closes the previous segment.
-			if rs.lastFrom != int32(from) {
-				if rs.lastFrom == -1 { // first packet for `to` this round
-					recvTouch = append(recvTouch, int32(to))
-					if !segMode {
-						if nw.backbone[to] == nil {
-							nw.backbone[to] = make(Inbox, nw.n)
-						}
-						nw.inboxes[to] = nw.backbone[to]
+			if len(wa) == 0 {
+				recvTouch = append(recvTouch, int32(to))
+				if wa == nil && prevArena != nil {
+					if prev := len(prevArena[to]); prev > 0 {
+						wa = make([]Word, 0, prev+prev/4)
 					}
-				} else if segMode {
-					nw.segs[to] = append(nw.segs[to], inboxSeg{from: rs.lastFrom, start: rs.segStart, end: int32(len(ha))})
-				} else {
-					nw.backbone[to][rs.lastFrom] = ha[rs.segStart:len(ha):len(ha)]
-					nw.setFrom[to] = append(nw.setFrom[to], rs.lastFrom)
 				}
-				rs.lastFrom = int32(from)
-				rs.segStart = int32(len(ha))
 			}
-			hdrArenas[to] = append(ha, data)
+			wa = append(wa, Word(from), Word(len(pp.data)))
+			arena[to] = append(wa, pp.data...)
 
 			if destLoad[to] == 0 {
 				edgeTouch = append(edgeTouch, int32(to))
 			}
 			destLoad[to] += uint64(w)<<32 | uint64(uint32(pp.count))
-			rs.words += int32(w)
+			recvWords[to] += int32(w)
 			sentWords += w
 			stats.Messages += int(pp.count)
 			stats.Words += w
-		}
-		if segMode {
-			// The step-mode node refills this array next round and hands it
-			// back to the buffer pool at the end of the run (see RunRounds).
-			clear(out)
 		}
 		if sentWords > stats.MaxNodeSentWords {
 			stats.MaxNodeSentWords = sentWords
@@ -1494,13 +1324,10 @@ func (nw *Network) deliverRound() {
 	nw.edgeTouch = edgeTouch
 
 	for _, t := range recvTouch {
-		nw.flushSegment(int(t))
-		rs := &recv[t]
-		rs.lastFrom = -1
-		if w := int(rs.words); w > stats.MaxNodeRecvWords {
+		if w := int(recvWords[t]); w > stats.MaxNodeRecvWords {
 			stats.MaxNodeRecvWords = w
 		}
-		rs.words = 0
+		recvWords[t] = 0
 	}
 	nw.recvTouch = recvTouch[:0]
 
@@ -1521,21 +1348,4 @@ func (nw *Network) deliverRound() {
 	nw.metricsMu.Unlock()
 
 	nw.round.Store(int64(round + 1))
-}
-
-// flushSegment closes the receiver's current header-arena segment, exposing
-// it as the inbox entry of the sender that produced it (directly in the
-// receiver's backbone, or as a segment record in worker-pool mode).
-func (nw *Network) flushSegment(to int) {
-	lf := nw.recv[to].lastFrom
-	if lf < 0 {
-		return
-	}
-	ha := nw.hdrArena[to]
-	if nw.segs != nil {
-		nw.segs[to] = append(nw.segs[to], inboxSeg{from: lf, start: nw.recv[to].segStart, end: int32(len(ha))})
-		return
-	}
-	nw.backbone[to][lf] = ha[nw.recv[to].segStart:len(ha):len(ha)]
-	nw.setFrom[to] = append(nw.setFrom[to], lf)
 }

@@ -73,8 +73,8 @@ func WithWorkers(k int) Option {
 	}
 }
 
-// WithRoundDeadline arms the round watchdog: if a round of a blocking run
-// (Run/RunContext) fails to turn over within d, the run fails with an error
+// WithRoundDeadline arms the round watchdog: if a round of a run (blocking
+// or engine-driven) fails to turn over within d, the run fails with an error
 // wrapping ErrRoundDeadline that names the nodes that had not arrived at the
 // barrier, instead of hanging forever on a stalled or wedged node. Parked
 // nodes and injected stalls are woken immediately; a node blocked inside its
@@ -84,7 +84,9 @@ func WithWorkers(k int) Option {
 // workload, or healthy slow rounds will be reported as failures. The
 // watchdog is a wall-clock mechanism: whether a run that straddles the
 // deadline fails is timing-dependent, unlike injected faults, which are
-// deterministic. RunRounds is engine-driven and does not use the watchdog.
+// deterministic. RunRounds arms the same watchdog over its round loop: a
+// fire fails the run and interrupts injected stalls, so the sweep finishes
+// and returns the deadline error.
 func WithRoundDeadline(d time.Duration) Option {
 	return func(c *config) error {
 		if d <= 0 {

@@ -13,9 +13,11 @@ type Word = int64
 //
 // Lifetimes: the engine copies sent payloads during delivery, so a sender may
 // reuse its buffer as soon as its next Exchange returns. Received packets are
-// engine-owned views into per-receiver arenas. The Inbox structure and the
-// packet headers stay valid until the receiver's next Exchange call; the
-// payload words stay valid for PayloadGraceRounds further barriers, so a
+// engine-owned views into the receiver's record arena (see FlatInbox). A
+// boxed Inbox — the sender table and the packet headers — is built by the
+// receiver over those records and stays valid until the receiver's next
+// exchange (in RunRounds: until the step call returns); the payload words,
+// boxed or flat, stay valid for PayloadGraceRounds further barriers, so a
 // received packet may be forwarded verbatim within that window (this covers
 // the paper's constant-round primitives, which re-send received words after
 // at most two intervening announcement rounds). Callers that retain packet
@@ -101,22 +103,80 @@ func (in Inbox) Single(s int) Packet {
 	return ps[0]
 }
 
-// Count returns the total number of packets in the inbox.
-func (in Inbox) Count() int {
-	total := 0
-	for _, ps := range in {
-		total += len(ps)
-	}
-	return total
+// FlatInbox is one round's traffic exactly as delivery wrote it: a sequence
+// of [from, len, payload...] records, one per physical packet, in ascending
+// sender order (a sender's packets in the order it sent them). It is the only
+// receive format of the engine; every other representation is a view built
+// over it by the receiver. The words are engine-owned and stay valid for
+// PayloadGraceRounds further barriers.
+type FlatInbox []Word
+
+// noTag is the inboxView.build filter of receivers whose records carry no
+// instance tag (Mux instance tags are non-negative).
+const noTag = Word(-1)
+
+// inboxView is the boxed Inbox a receiver materialises over one round's flat
+// records: an n-entry sender table whose entries slice into one header
+// scratch, plus the list of senders touched so the table is cleared in
+// O(traffic). It has three owners — a Node (for its blocking Exchange), a
+// RunRounds worker (for the node currently stepping) and a VNode — and each
+// is the only goroutine that ever touches its view. Capacity carries over
+// from round to round, so a steady-state build allocates nothing.
+type inboxView struct {
+	table   Inbox
+	hdr     []Packet
+	touched []int32
 }
 
-// Words returns the total number of words in the inbox.
-func (in Inbox) Words() int {
-	total := 0
-	for _, ps := range in {
-		for _, p := range ps {
-			total += len(p)
-		}
+// build boxes the records of flat into the view, replacing what it held, and
+// returns the n-entry Inbox. With tag != noTag the records are those of a
+// node shared by several Mux instances: only records whose first payload word
+// is tag are kept, and the tag is stripped.
+func (v *inboxView) build(n int, flat FlatInbox, tag Word) Inbox {
+	v.reset()
+	if len(v.table) < n {
+		v.table = make(Inbox, n)
 	}
-	return total
+	// Records arrive in ascending sender order, so one sender's headers are
+	// contiguous in hdr; a sender change closes the previous run. hdr grows
+	// by append only: a run closed before a reallocation keeps reading the
+	// (identical) headers of the old array.
+	hdr := v.hdr
+	last, start := -1, 0
+	for i := 0; i < len(flat); {
+		from, l := int(flat[i]), int(flat[i+1])
+		p := Packet(flat[i+2 : i+2+l : i+2+l])
+		i += 2 + l
+		if tag != noTag {
+			if l == 0 || p[0] != tag {
+				continue
+			}
+			p = p[1:]
+		}
+		if from != last {
+			if last >= 0 {
+				v.table[last] = hdr[start:len(hdr):len(hdr)]
+			}
+			v.touched = append(v.touched, int32(from))
+			last, start = from, len(hdr)
+		}
+		hdr = append(hdr, p)
+	}
+	if last >= 0 {
+		v.table[last] = hdr[start:len(hdr):len(hdr)]
+	}
+	v.hdr = hdr
+	return v.table[:n]
+}
+
+// reset empties the view through its touched list and drops every packet
+// header, so a view at rest (pooled with its Network's buffers) references no
+// arena memory.
+func (v *inboxView) reset() {
+	for _, f := range v.touched {
+		v.table[f] = nil
+	}
+	v.touched = v.touched[:0]
+	clear(v.hdr)
+	v.hdr = v.hdr[:0]
 }

@@ -130,8 +130,8 @@ func TestMixedRunModesReuse(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if inbox.Count() != n {
-			return fmt.Errorf("node %d received %d packets, want %d", nd.ID(), inbox.Count(), n)
+		if countPackets(inbox) != n {
+			return fmt.Errorf("node %d received %d packets, want %d", nd.ID(), countPackets(inbox), n)
 		}
 		return nil
 	}
@@ -140,8 +140,8 @@ func TestMixedRunModesReuse(t *testing.T) {
 			nd.Broadcast(Packet{Word(nd.ID()), Word(7)})
 			return false, nil
 		}
-		if inbox.Count() != n {
-			return true, fmt.Errorf("node %d received %d packets, want %d", nd.ID(), inbox.Count(), n)
+		if countPackets(inbox) != n {
+			return true, fmt.Errorf("node %d received %d packets, want %d", nd.ID(), countPackets(inbox), n)
 		}
 		return true, nil
 	}

@@ -23,21 +23,21 @@ import (
 // Allocation behaviour: instances queue their sends locally (no lock per
 // send). When the Mux runs directly on the engine ("passthrough" mode), the
 // instances are FrameTaggers: senders that build the tag into their frames
-// (SendTagged) are forwarded without any copy, and flat receivers share the
-// engine's raw FlatInbox, filtering records by tag themselves — the round's
+// (SendTagged) are forwarded without any copy, and receivers share the
+// engine's raw FlatInbox, filtering records by tag themselves (ExchangeFlat
+// callers in their decoder, Exchange in the view builder) — the round's
 // traffic is never copied inside the Mux at all. Sends through the plain
 // Send/SendFramed path are tagged by copying into a per-instance buffer that
-// is truncated (and kept) once the engine has copied the round's payloads;
-// boxed receivers get recycled Inbox structures. A Mux stacked on another
-// Mux's virtual node cannot share inboxes this way (records then carry the
-// outer tag), so it falls back to copy-tagging and demultiplexing into
-// per-instance ring buffers.
+// is truncated (and kept) once the engine has copied the round's payloads. A
+// Mux stacked on another Mux's virtual node cannot share inboxes this way
+// (records then carry the outer tag), so it falls back to copy-tagging and
+// demultiplexing into per-instance ring buffers of untagged records.
 type Mux struct {
 	nd Exchanger
 
-	// passthrough is true when nd supports the flat path and is not itself
-	// tagged: tagged frames and the shared flat inbox travel through the Mux
-	// untouched. Fixed at construction.
+	// passthrough is true when nd is not itself tagged: tagged frames and the
+	// shared flat inbox travel through the Mux untouched. Fixed at
+	// construction.
 	passthrough bool
 	// ndTag is the tag of the underlying exchanger when it is itself a tagged
 	// virtual node (a stacked Mux): received records must be filtered by it
@@ -52,8 +52,8 @@ type Mux struct {
 	round   int
 	failed  error
 	// rawFlat is the engine's flat inbox of the round that just completed,
-	// shared by all flat instances in passthrough mode. Views stay valid under
-	// the engine's payload grace window, so overwriting it each round is safe.
+	// shared by all instances in passthrough mode. Views stay valid under the
+	// engine's payload grace window, so overwriting it each round is safe.
 	rawFlat FlatInbox
 	// pending holds tagged packets handed over by instances that closed with
 	// sends still queued; they are delivered at the next physical round.
@@ -61,9 +61,6 @@ type Mux struct {
 	// retired holds the tagged-payload buffers backing pending: they must
 	// survive until the engine has copied the packets at the next barrier.
 	retired []*[]Word
-	// inboxes[instance] is the demultiplexed boxed inbox of the round that
-	// just completed (flat instances receive through their own ring instead).
-	inboxes map[int]Inbox
 	vnodes  map[int]*VNode
 	// order lists the registered virtual nodes in ascending instance order:
 	// queued sends are forwarded to the physical node in this (deterministic)
@@ -72,26 +69,16 @@ type Mux struct {
 	// byID is the dense instance-id -> virtual-node table used by the demux
 	// hot loop (instance identifiers are small in every use).
 	byID []*VNode
-	// boxFree recycles instance inboxes retired by VNode.Exchange.
-	boxFree []Inbox
 }
 
 // NewMux wraps a physical (or itself virtual) node. Instances are registered
 // with Instance before any of them starts exchanging.
 func NewMux(nd Exchanger) *Mux {
-	m := &Mux{
-		nd:      nd,
-		inboxes: make(map[int]Inbox),
-		vnodes:  make(map[int]*VNode),
+	m := &Mux{nd: nd, vnodes: make(map[int]*VNode)}
+	if ft, ok := nd.(FrameTagger); ok {
+		m.ndTag, m.ndTagged = ft.FrameTag()
 	}
-	if _, ok := nd.(FlatExchanger); ok {
-		if ft, okT := nd.(FrameTagger); okT {
-			if tag, on := ft.FrameTag(); on {
-				m.ndTag, m.ndTagged = tag, true
-			}
-		}
-		m.passthrough = !m.ndTagged
-	}
+	m.passthrough = !m.ndTagged
 	m.cond = sync.NewCond(&m.mu)
 	return m
 }
@@ -218,9 +205,9 @@ func (m *Mux) Run(programs map[int]func(Exchanger) error) error {
 }
 
 // VNode is the virtual node handed to one logical instance. It implements
-// Exchanger (and FlatExchanger) by delegating identity, instrumentation and
-// shared computation to the underlying physical node and by funnelling
-// communication through the Mux barrier.
+// Exchanger by delegating identity, instrumentation and shared computation to
+// the underlying physical node and by funnelling communication through the
+// Mux barrier.
 type VNode struct {
 	mux      *Mux
 	instance int
@@ -239,16 +226,13 @@ type VNode struct {
 	// acquired tagBuf can be sized in one step instead of re-running the
 	// geometric growth every round.
 	tagHint int
-	// prevBox is the boxed inbox handed out last round, recycled at the next
-	// exchange.
-	prevBox Inbox
-	// wantFlat is the receive mode the instance requested for the round being
-	// delivered (set at every barrier arrival).
-	wantFlat bool
-	// flatRing cycles the per-round flat record buffers handed out by
-	// ExchangeFlat, mirroring the engine's payload ring so received payload
-	// views stay valid for PayloadGraceRounds further exchanges. The buffers
-	// are pooled: acquired on first use, returned when the instance closes.
+	// view boxes this instance's records for Exchange, rebuilt every call.
+	view inboxView
+	// flatRing cycles the per-round record buffers a stacked Mux
+	// demultiplexes this instance's traffic into, mirroring the engine's
+	// payload ring so received payload views stay valid for
+	// PayloadGraceRounds further exchanges. The buffers are pooled: acquired
+	// on first use, returned when the instance closes.
 	flatRing [payloadRingDepth]*[]Word
 	flatSlot int
 	// flatHint remembers the flat volume of a recent round so a freshly
@@ -258,9 +242,8 @@ type VNode struct {
 }
 
 var (
-	_ Exchanger     = (*VNode)(nil)
-	_ FlatExchanger = (*VNode)(nil)
-	_ FrameTagger   = (*VNode)(nil)
+	_ Exchanger   = (*VNode)(nil)
+	_ FrameTagger = (*VNode)(nil)
 )
 
 // FrameTag implements FrameTagger: in passthrough mode the instance
@@ -355,27 +338,20 @@ func (v *VNode) SendFramed(to int, data Packet, count, modelWords int) {
 
 // Exchange advances this instance by one round. It blocks until every other
 // active instance on the same physical node has also reached its barrier;
-// the last instance to arrive performs the physical exchange and
-// demultiplexes the received packets by instance tag. The returned Inbox is
-// engine-owned and valid until this instance's next Exchange call.
+// the last instance to arrive performs the physical exchange. The returned
+// Inbox is this instance's own view over its records of the round (on a
+// passthrough Mux: the shared raw inbox filtered by the instance tag) and is
+// valid until the instance's next exchange.
 func (v *VNode) Exchange() (Inbox, error) {
-	m := v.mux
-	// Deferred so a panic inside the physical exchange (an injected fault, a
-	// delivery panic) does not leave the Mux lock held: Run's recovery must be
-	// able to take it to broadcast the failure.
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := v.barrierLocked(false); err != nil {
+	flat, err := v.ExchangeFlat()
+	if err != nil {
 		return nil, err
 	}
-	inbox := m.inboxes[v.instance]
-	delete(m.inboxes, v.instance)
-	if inbox == nil {
-		inbox = m.getBoxLocked()
+	tag := noTag
+	if v.mux.passthrough {
+		tag = Word(v.instance)
 	}
-	v.round++
-	v.prevBox = inbox
-	return inbox, nil
+	return v.view.build(v.N(), flat, tag), nil
 }
 
 // ExchangeFlat is Exchange for the flat receive path. In passthrough mode it
@@ -388,27 +364,28 @@ func (v *VNode) Exchange() (Inbox, error) {
 // this instance.
 func (v *VNode) ExchangeFlat() (FlatInbox, error) {
 	m := v.mux
-	// Deferred for the same panic-safety reason as Exchange.
+	// Deferred so a panic inside the physical exchange (an injected fault, a
+	// delivery panic) does not leave the Mux lock held: Run's recovery must be
+	// able to take it to broadcast the failure.
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := v.barrierLocked(true); err != nil {
+	if err := v.barrierLocked(); err != nil {
 		return nil, err
 	}
-	var flat FlatInbox
-	if m.passthrough {
-		flat = m.rawFlat
-	} else if buf := v.flatRing[v.flatSlot]; buf != nil {
-		flat = FlatInbox(*buf)
-	}
 	v.round++
-	return flat, nil
+	if m.passthrough {
+		return m.rawFlat, nil
+	}
+	if buf := v.flatRing[v.flatSlot]; buf != nil {
+		return FlatInbox(*buf), nil
+	}
+	return nil, nil
 }
 
-// barrierLocked retires last round's receive buffers, publishes the receive
-// mode, arrives at the Mux barrier and waits for the round to turn over.
-// Callers must hold m.mu and check the returned error before reading any
-// per-round state.
-func (v *VNode) barrierLocked(flat bool) error {
+// barrierLocked retires the ring slot about to be rewritten, arrives at the
+// Mux barrier and waits for the round to turn over. Callers must hold m.mu
+// and check the returned error before reading any per-round state.
+func (v *VNode) barrierLocked() error {
 	m := v.mux
 	if v.closed {
 		return errors.New("clique: Exchange called on closed virtual node")
@@ -416,17 +393,10 @@ func (v *VNode) barrierLocked(flat bool) error {
 	if m.failed != nil {
 		return m.failed
 	}
-	// Retire last round's boxed inbox into the recycle list and rotate the
-	// flat ring: the slot about to be rewritten is the one filled
+	// Rotate the ring: the slot about to be rewritten is the one filled
 	// payloadRingDepth exchanges ago, which is exactly the engine's grace
 	// window.
-	if v.prevBox != nil {
-		clear(v.prevBox)
-		m.boxFree = append(m.boxFree, v.prevBox)
-		v.prevBox = nil
-	}
-	v.wantFlat = flat
-	if flat && !m.passthrough {
+	if !m.passthrough {
 		v.flatSlot = (v.flatSlot + 1) % payloadRingDepth
 		if buf := v.flatRing[v.flatSlot]; buf != nil {
 			if len(*buf) > v.flatHint {
@@ -501,18 +471,6 @@ func (v *VNode) Close() {
 	}
 }
 
-// getBoxLocked returns a cleared instance inbox, recycled if possible.
-// Callers must hold m.mu.
-func (m *Mux) getBoxLocked() Inbox {
-	if k := len(m.boxFree); k > 0 {
-		box := m.boxFree[k-1]
-		m.boxFree[k-1] = nil
-		m.boxFree = m.boxFree[:k-1]
-		return box
-	}
-	return make(Inbox, m.nd.N())
-}
-
 // deliverLocked performs one physical exchange on behalf of all active
 // instances and distributes the result. Callers must hold m.mu.
 //
@@ -536,21 +494,7 @@ func (m *Mux) deliverLocked() {
 	}
 	m.pending = m.pending[:0]
 
-	// Prefer the engine's flat receive path when the underlying node supports
-	// it: delivery is one append per packet and the demux below reads the
-	// records directly. The receive representation is invisible to the model
-	// accounting, so the choice cannot change any statistic.
-	var (
-		inbox Inbox
-		flat  FlatInbox
-		err   error
-	)
-	fe, useFlat := m.nd.(FlatExchanger)
-	if useFlat {
-		flat, err = fe.ExchangeFlat()
-	} else {
-		inbox, err = m.nd.Exchange()
-	}
+	flat, err := m.nd.ExchangeFlat()
 	// The engine has copied all payloads at the barrier, so the round's
 	// tagged-packet buffers can be truncated in place even on error. The
 	// buffer stays attached to its instance — per-round traffic is near
@@ -571,44 +515,20 @@ func (m *Mux) deliverLocked() {
 		return
 	}
 
-	if useFlat {
-		if m.passthrough {
-			// Flat instances read the shared raw inbox directly (filtering by
-			// their own tag), so the demux scan is only needed when some
-			// instance asked for a boxed round.
-			m.rawFlat = flat
-			boxed := false
-			for _, v := range m.order {
-				if !v.closed && !v.wantFlat {
-					boxed = true
-					break
-				}
-			}
-			if !boxed {
-				m.round++
-				m.arrived = 0
-				m.cond.Broadcast()
-				return
-			}
-		}
+	if m.passthrough {
+		// Every instance reads the shared raw inbox directly, filtering by
+		// its own tag: nothing to distribute.
+		m.rawFlat = flat
+	} else {
+		// Stacked Mux: records carry the underlying virtual node's tag;
+		// strip it and demultiplex by this Mux's own instance tags.
 		for i := 0; i < len(flat); {
 			from := int(flat[i])
 			l := int(flat[i+1])
 			p := Packet(flat[i+2 : i+2+l : i+2+l])
 			i += 2 + l
-			if m.ndTagged {
-				// Stacked Mux: records carry the underlying virtual node's tag.
-				if len(p) == 0 || p[0] != m.ndTag {
-					continue
-				}
-				p = p[1:]
-			}
-			m.demuxLocked(from, p)
-		}
-	} else {
-		for from, packets := range inbox {
-			for _, p := range packets {
-				m.demuxLocked(from, p)
+			if len(p) > 0 && p[0] == m.ndTag {
+				m.demuxLocked(from, p[1:])
 			}
 		}
 	}
@@ -618,9 +538,11 @@ func (m *Mux) deliverLocked() {
 	m.cond.Broadcast()
 }
 
-// demuxLocked routes one received tagged packet to its instance, in the
-// receive representation that instance asked for this round. Packets for
-// unknown or closed instances are dropped (nothing could ever read them).
+// demuxLocked appends one received packet of a stacked Mux to the ring buffer
+// of the instance its tag names, as an untagged [from, len, payload...]
+// record. Records are appended in physical delivery order, which is ascending
+// by sender (see FlatInbox). Packets for unknown or closed instances are
+// dropped (nothing could ever read them).
 func (m *Mux) demuxLocked(from int, p Packet) {
 	if len(p) == 0 {
 		return
@@ -633,32 +555,14 @@ func (m *Mux) demuxLocked(from int, p Packet) {
 	if v == nil || v.closed {
 		return
 	}
-	if v.wantFlat {
-		if m.passthrough {
-			// The instance reads the shared raw inbox; nothing to copy here.
-			return
+	bp := v.flatRing[v.flatSlot]
+	if bp == nil {
+		bp = acquireWords()
+		if cap(*bp) < v.flatHint {
+			*bp = make([]Word, 0, v.flatHint+v.flatHint/8)
 		}
-		// Stacked Mux: demultiplex into the instance's ring buffer. Flat
-		// records are appended in physical delivery order, which is ascending
-		// by sender (see FlatInbox); stripping the tag shortens the payload by
-		// one word.
-		bp := v.flatRing[v.flatSlot]
-		if bp == nil {
-			bp = acquireWords()
-			if cap(*bp) < v.flatHint {
-				*bp = make([]Word, 0, v.flatHint+v.flatHint/8)
-			}
-			v.flatRing[v.flatSlot] = bp
-		}
-		buf := append(*bp, Word(from), Word(len(p)-1))
-		buf = append(buf, p[1:]...)
-		*bp = buf
-		return
+		v.flatRing[v.flatSlot] = bp
 	}
-	box, ok := m.inboxes[instance]
-	if !ok {
-		box = m.getBoxLocked()
-		m.inboxes[instance] = box
-	}
-	box[from] = append(box[from], p[1:])
+	buf := append(*bp, Word(from), Word(len(p)-1))
+	*bp = append(buf, p[1:]...)
 }

@@ -43,10 +43,11 @@
 // algorithmic change — the stats_invariants tests in the root package pin
 // this against goldens captured from the per-parcel implementation.
 //
-// The receive side of a comm is the engine's flat inbox
-// (clique.FlatExchanger.ExchangeFlat, offered by physical nodes and by the
-// Mux's virtual nodes alike): delivery hands the round's traffic as raw
-// [from, len, payload...] records which comm.exchange decodes in one sweep.
+// The receive side of a comm is the engine's one receive format
+// (clique.Exchanger.ExchangeFlat, on physical nodes and the Mux's virtual
+// nodes alike): the round's traffic as the raw [from, len, payload...]
+// records delivery wrote, which comm.exchange decodes in one sweep. A comm
+// never asks for a boxed Inbox, so no view is ever built for it.
 //
 // # Arena ownership and lifetime rules
 //

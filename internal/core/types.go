@@ -173,10 +173,9 @@ const (
 // of it is recycled round over round, so a steady-state protocol round
 // performs no per-message allocation.
 type comm struct {
-	// ex receives flat (both the physical node and the Mux's virtual nodes
-	// do; newComm rejects an exchanger that does not): delivery hands this
-	// comm raw [from, len, payload...] records instead of assembling an Inbox.
-	ex      clique.FlatExchanger
+	// ex is only ever received from with ExchangeFlat: the comm decodes the
+	// raw [from, len, payload...] records delivery wrote, never a boxed Inbox.
+	ex      clique.Exchanger
 	members []int
 	me      int // local index of this node, or -1 if it is not a member
 	label   string
@@ -330,10 +329,6 @@ func newComm(ex clique.Exchanger, label string, members []int) (*comm, error) {
 			return nil, fmt.Errorf("core: instance %q members not sorted/distinct at index %d", label, i)
 		}
 	}
-	flatEx, ok := ex.(clique.FlatExchanger)
-	if !ok {
-		return nil, fmt.Errorf("core: instance %q: exchanger %T has no flat receive path", label, ex)
-	}
 	scratch := acquireScratch(len(members), ex.N())
 	for i, g := range members {
 		scratch.local[g] = int32(i)
@@ -348,7 +343,7 @@ func newComm(ex clique.Exchanger, label string, members []int) (*comm, error) {
 			st.tagEx, st.frameTag = ft, tag
 		}
 	}
-	return &comm{ex: flatEx, members: members, me: me, label: label, stager: st, commScratch: scratch}, nil
+	return &comm{ex: ex, members: members, me: me, label: label, stager: st, commScratch: scratch}, nil
 }
 
 // fullComm is the common case of an instance spanning the whole clique.
