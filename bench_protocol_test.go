@@ -366,6 +366,54 @@ func BenchmarkSparseSort(b *testing.B) {
 	}
 }
 
+// BenchmarkStepReceive times what a step program's receive side costs when
+// almost every node hears from a handful of senders: one op is the three
+// frontier shapes — sparse direct route, one-to-many broadcast route,
+// presorted sort (workload.Scale*) — on one reused AlgorithmAuto handle. All
+// work in such a run is proportional to the traffic, which grows with n, so
+// the reported ns/node must stay flat from n=1024 to n=4096; a receive loop
+// that sweeps the n-entry inbox table instead of Exchanger.InboxSenders makes
+// it grow with n (at n=4096 the sweep was ~3/4 of the op's CPU).
+func BenchmarkStepReceive(b *testing.B) {
+	ctx := context.Background()
+	for _, n := range []int{1024, 4096} {
+		sparse, err := workload.ScaleSparseRoute(n, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		bcast, err := workload.ScaleBroadcastRoute(n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		routes := [][][]Message{instanceMessages(sparse), instanceMessages(bcast)}
+		values := workload.ScalePresortedValues(n)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			cl, err := New(n, WithAlgorithm(AlgorithmAuto))
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer cl.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, msgs := range routes {
+					if _, err := cl.Route(ctx, msgs); err != nil {
+						b.Fatal(err)
+					}
+				}
+				res, err := cl.Sort(ctx, values)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Strategy != SortStrategyPresorted {
+					b.Fatalf("strategy %v, want presorted", res.Strategy)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/node")
+		})
+	}
+}
+
 // BenchmarkPresortedFull is the other end of the presorted step program's
 // range: the catalog's sort-presorted instance (n keys at every node) on one
 // reused handle. A blocking twin on the comms' dense staging used to serve

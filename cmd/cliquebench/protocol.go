@@ -47,6 +47,8 @@ func measureProtocol(name string, n, iters int, op func() (cc.Stats, error)) (ex
 	return experiments.ProtocolBench{
 		Name:        name,
 		N:           n,
+		Cores:       runtime.NumCPU(),
+		Gomaxprocs:  runtime.GOMAXPROCS(0),
 		Iterations:  iters,
 		NsPerOp:     m.NsPerOp,
 		AllocsPerOp: m.AllocsPerOp,

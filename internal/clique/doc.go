@@ -25,12 +25,22 @@
 // (live, arrived) counter; the arrival that equalises the two halves is
 // elected the round's deliverer and runs the delivery phase while every other
 // live node is parked on the current generation's channel — so delivery holds
-// no lock, and no lock is ever contended while nodes compute. Per-edge and
-// per-node loads are accounted in dense scratch slices (O(1) per packet, no
-// hashing), payloads are copied into per-receiver arenas reused round over
-// round, and sender-side buffers (for example the Mux's tagged packets) are
-// recycled through a sync.Pool, so a steady-state round allocates nothing
-// beyond the generation channel.
+// no lock, and no lock is ever contended while nodes compute. Delivery is a
+// fan-out over receiver ranges: the outboxes are read-only once everyone has
+// arrived and each receiver's arena and load counters belong to one range, so
+// the deliverer and up to min(workers, GOMAXPROCS, n)-1 helper goroutines
+// each run the same per-packet loop (deliverShard) over their own range and
+// are joined before the barrier turns over; their statistics merge
+// commutatively, and a round of fewer than shardMinPackets packets stays on
+// the deliverer's goroutine. A panic in any shard becomes the run's
+// "delivery panicked" failure under both schedulers: the barrier still turns
+// over and every parked node wakes to the error. Per-edge and per-node loads
+// are accounted in dense scratch slices (O(1) per packet, no hashing),
+// payloads are copied into per-receiver arenas reused round over round, and
+// sender-side buffers (for example the Mux's tagged packets) are recycled
+// through a sync.Pool, so a steady-state round allocates nothing beyond the
+// generation channel — helpers are started from a func value bound once per
+// pooled shard, not from a per-round closure.
 //
 // # One record format, three readers
 //
@@ -44,14 +54,19 @@
 // view, pooled with the Network's buffers), the RunRounds worker (one view
 // per worker, rebuilt for each stepping node) and VNode.Exchange (the
 // instance's view, built with a tag filter over the node's shared records on
-// a passthrough Mux, or over the instance's own ring on a stacked one).
+// a passthrough Mux, or over the instance's own ring on a stacked one). The
+// builder also lists the senders it met; Exchanger.InboxSenders hands that
+// list out, so a receiver that heard from a handful of nodes visits those
+// table entries and not all n.
 // Lifetimes: the Inbox structure is valid until the receiver's next exchange
 // (the end of the step call under RunRounds); the payload words, boxed or
 // flat, for PayloadGraceRounds further barriers.
 //
-// Executions are deterministic: delivery scans senders in ascending id order
-// and node programs see identical inboxes and metrics on every run of the
-// same workload, for every worker count.
+// Executions are deterministic: every delivery shard scans senders in
+// ascending id order, so node programs see identical inboxes and metrics on
+// every run of the same workload, for every worker and shard count, and a
+// strict-budget failure names the same edge (most words, then lowest sender,
+// then lowest receiver).
 //
 // # Sessions
 //

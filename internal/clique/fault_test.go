@@ -412,18 +412,28 @@ func TestFailurePathDoesNotPoisonPooledBuffers(t *testing.T) {
 		t.Fatalf("expected injected cancellation, got %v", err)
 	}
 
-	// Snapshot the published-but-undelivered outbox arrays and the buffer
-	// set, then Close (which pools the buffers): every outbox slot must be
-	// nilled and every backing array cleared of packet references.
-	b := nw.buffers
+	closeAndAuditBuffers(t, nw)
+}
+
+// closeAndAuditBuffers closes a Network whose last run failed with published
+// outboxes still undelivered and checks what Close hands back to the pool:
+// every outbox slot nilled, every outbox and pending backing array cleared of
+// packet references, every view at rest and no delivery shard still pointing
+// at the Network or holding a panic value.
+func closeAndAuditBuffers(t *testing.T, nw *Network) {
+	t.Helper()
+	n, b := nw.n, nw.buffers
 	var backing [][]pendingPacket
+	published := 0
 	for i := 0; i < n; i++ {
 		if out := nw.outboxes[i]; out != nil {
 			backing = append(backing, out[:cap(out)])
+			published++
 		}
+		backing = append(backing, b.pending[i][:cap(b.pending[i])])
 	}
-	if len(backing) == 0 {
-		t.Fatal("test setup: no published outboxes survived the cancelled run")
+	if published == 0 {
+		t.Fatal("test setup: no published outboxes survived the failed run")
 	}
 	if err := nw.Close(); err != nil {
 		t.Fatal(err)
@@ -441,6 +451,11 @@ func TestFailurePathDoesNotPoisonPooledBuffers(t *testing.T) {
 			if arr[pi].data != nil {
 				t.Fatalf("outbox array %d entry %d still references payload after Close", ai, pi)
 			}
+		}
+	}
+	for s, sh := range b.shards {
+		if sh.nw != nil || sh.panicked != nil {
+			t.Fatalf("pooled shard %d still references its Network or a panic value", s)
 		}
 	}
 }

@@ -25,6 +25,20 @@ type RoundStats struct {
 	Dropped int
 }
 
+// mergeShard folds the statistics of one delivery shard — the packets
+// addressed to one receiver range — into the round's: counts add up and the
+// per-receiver and per-message-count maxima are taken, so the result is the
+// same for any split of the receivers. MaxEdgeWords and MaxNodeSentWords are
+// set by the deliverer, which needs the worst edge's name and the senders'
+// totals across all ranges for them.
+func (rs *RoundStats) mergeShard(o RoundStats) {
+	rs.Messages += o.Messages
+	rs.Words += o.Words
+	rs.Dropped += o.Dropped
+	rs.MaxEdgeMessages = max(rs.MaxEdgeMessages, o.MaxEdgeMessages)
+	rs.MaxNodeRecvWords = max(rs.MaxNodeRecvWords, o.MaxNodeRecvWords)
+}
+
 // Metrics aggregates the observable cost of one protocol execution (one
 // Run/RunRounds call). These are exactly the quantities the paper's bounds
 // are stated in: rounds, per-edge bandwidth, and (self-reported) local

@@ -41,6 +41,13 @@ type Exchanger interface {
 	// Exchange blocks until every active node has reached the barrier, then
 	// returns everything this node received in the round, indexed by sender.
 	Exchange() (Inbox, error)
+	// InboxSenders lists, in ascending order, the senders present in the
+	// Inbox this exchanger handed out last — by its latest Exchange or, under
+	// RunRounds, to the step call in progress (empty when that inbox was
+	// nil). A receiver that got a handful of packets walks this list instead
+	// of sweeping the n-entry table. It is valid exactly as long as that
+	// Inbox, and ExchangeFlat leaves it untouched.
+	InboxSenders() []int32
 	// ExchangeFlat is Exchange returning the round's packets as the raw
 	// [from, len, payload...] records delivery wrote (see FlatInbox) instead
 	// of a boxed Inbox built over them. It is the receive path of the
@@ -144,10 +151,16 @@ func stateParts(s uint64) (active, arrived uint32) {
 // nodes (high 32 bits) and the number of arrived nodes (low 32 bits); the
 // arrival that makes the two halves equal elects that goroutine the round's
 // deliverer. Delivery therefore runs while every other live node is parked on
-// the current generation's channel, so it copies the outboxes into the
-// receivers' arenas and computes the round statistics without holding any
-// lock, and no lock is ever held, contended or otherwise, while a node
-// computes.
+// the current generation's channel: the outboxes are read-only, and the
+// deliverer splits the receivers into contiguous ranges (deliveryShard) that
+// it and up to min(workers, GOMAXPROCS, n)-1 helper goroutines (fewer when
+// other Networks of the process are running, see shardCount) fill
+// concurrently — each receiver's arena and load counters belong to exactly
+// one shard, so delivery holds no lock either, and no lock is ever held,
+// contended or otherwise, while a node computes. Every shard scans the
+// senders in ascending order, so a receiver's records are byte-identical for
+// any shard count; rounds below shardMinPackets are delivered by the
+// deliverer alone.
 //
 // Delivery writes one format only: every packet becomes a [from, len,
 // payload...] record appended to its receiver's word arena, cycled on a
@@ -193,15 +206,24 @@ type Network struct {
 	// append-only, so views created before a reallocation stay valid.
 	wordArena [payloadRingDepth][][]Word
 
-	// Deliverer scratch, indexed densely by node id. destLoad packs the
-	// per-edge (words, messages) load of the sender currently being scanned
-	// (reset via edgeTouch); recvWords is the model words each receiver got
-	// this round (reset via recvTouch) — the delivery loop's per-packet cost
-	// is dominated by these random accesses.
+	// Delivery scratch, indexed densely by receiver id (so each entry is
+	// written by the one shard owning that receiver). destLoad packs the
+	// per-edge (words, messages) load of the sender a shard is currently
+	// scanning; recvWords is the model words each receiver got this round.
+	// Both are re-zeroed through the shard's touch lists — the delivery
+	// loop's per-packet cost is dominated by these random accesses.
 	destLoad  []uint64
 	recvWords []int32
-	edgeTouch []int32
-	recvTouch []int32
+
+	// procs is GOMAXPROCS as of the start of the run and maxShards the run's
+	// widest delivery fan-out, min(workers, GOMAXPROCS, n) (see shardCount);
+	// forceShards, when positive, fixes the fan-out of every round instead
+	// (tests pin shard-count independence with it). shardWG joins a round's
+	// shards before the round is folded into the metrics.
+	procs       int
+	maxShards   int
+	forceShards int
+	shardWG     sync.WaitGroup
 
 	// sem, when non-nil, bounds the number of concurrently computing node
 	// goroutines in Run (see WithWorkers).
@@ -256,17 +278,19 @@ type netBuffers struct {
 	wordArena [payloadRingDepth][][]Word
 	recvWords []int32
 	destLoad  []uint64
-	edgeTouch []int32
-	recvTouch []int32
+	// shards is the per-shard delivery scratch (see deliveryShard), grown to
+	// the widest fan-out any Network holding this set has used.
+	shards []*deliveryShard
 	// nodes and pending recycle the per-run node state of both schedulers:
 	// the Node structs themselves and each node's outbox backing array
 	// (cleared of packet references when the node retires — leave under Run,
 	// the end of the run under RunRounds — so no payload memory is retained),
 	// so a run on a warm engine allocates neither. views recycles the boxed
 	// receive views: views[i] belongs to node i under Run and to worker i
-	// under RunRounds, is filled on its owner's first boxed receive (so
-	// flat-only engines never carry one) and is reset by the owner before it
-	// lets go, so a pooled view pins nothing.
+	// under RunRounds (whose nodes share it, one step at a time), is filled on
+	// its owner's first boxed receive (so flat-only engines never carry one)
+	// and is reset by the owner before it lets go, so a pooled view pins
+	// nothing.
 	nodes   []Node
 	pending [][]pendingPacket
 	views   []inboxView
@@ -324,8 +348,9 @@ func (nw *Network) releaseBuffers() {
 			b.wordArena[p][t] = b.wordArena[p][t][:0]
 		}
 	}
-	b.edgeTouch = nw.edgeTouch[:0]
-	b.recvTouch = nw.recvTouch[:0]
+	for _, sh := range b.shards {
+		sh.nw = nil // a pooled shard must not pin its last Network
+	}
 	netBufPool.Put(b)
 }
 
@@ -352,8 +377,6 @@ func New(n int, opts ...Option) (*Network, error) {
 		wordArena: b.wordArena,
 		recvWords: b.recvWords,
 		destLoad:  b.destLoad,
-		edgeTouch: b.edgeTouch,
-		recvTouch: b.recvTouch,
 		sharedK:   make(map[SharedKey]interface{}),
 		steps:     make(map[int]int64),
 		memory:    make(map[int]int64),
@@ -380,6 +403,9 @@ func (nw *Network) beginRun() error {
 		nw.resetRun()
 	}
 	nw.runs++
+	nw.procs = runtime.GOMAXPROCS(0)
+	nw.maxShards = min(nw.workerCount(), nw.procs)
+	runningNetworks.Add(1)
 	// Consume the armed fault plan (if any): it applies to this run only.
 	// The failure-broadcast channel is allocated only when the plan stalls a
 	// node, keeping the fault-free path allocation-free.
@@ -414,6 +440,7 @@ func (nw *Network) endRun(completed bool) {
 		nw.cum.accumulate(m)
 		nw.metricsMu.Unlock()
 	}
+	runningNetworks.Add(-1)
 	nw.running.Store(false)
 }
 
@@ -438,8 +465,6 @@ func (nw *Network) resetRun() {
 		b.destLoad[t] = 0
 		b.outboxes[t] = nil
 	}
-	nw.edgeTouch = nw.edgeTouch[:0]
-	nw.recvTouch = nw.recvTouch[:0]
 	nw.sem = nil
 	nw.round.Store(0)
 	nw.fail.Store(nil)
@@ -681,6 +706,16 @@ func (nw *Network) firstError(errs []error) error {
 	return root
 }
 
+// workerCount resolves WithWorkers for this Network: the configured bound,
+// GOMAXPROCS when unset, never more than n.
+func (nw *Network) workerCount() int {
+	k := nw.cfg.workers
+	if k <= 0 {
+		k = runtime.GOMAXPROCS(0)
+	}
+	return min(k, nw.n)
+}
+
 // StepFunc is one node's program in the engine-driven scheduling mode of
 // RunRounds. It is invoked once per round; inbox holds what the node received
 // at the end of the previous round (nil in round 0) and is only valid for the
@@ -728,22 +763,21 @@ func (nw *Network) RunRoundsContext(ctx context.Context, step StepFunc) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("clique: run cancelled: %w", err)
 	}
-	k := nw.cfg.workers
-	if k <= 0 {
-		k = runtime.GOMAXPROCS(0)
-	}
-	if k > nw.n {
-		k = nw.n
-	}
+	k := nw.workerCount()
 
 	// Node structs and outbox backing arrays are recycled across runs
 	// exactly as RunContext recycles them (see netBuffers.nodes): at ~n keys
 	// per node they are the bulk of what a step-mode run would otherwise
-	// re-grow from nil every time.
+	// re-grow from nil every time. An inbox is only alive during one step
+	// call, so the nodes of worker w share views[w], which boxes the records
+	// of whichever of them is stepping and is reset right after:
+	// O(traffic + workers·n) memory.
 	b := nw.buffers
 	nodes := b.nodes[:nw.n]
-	for i := range nodes {
-		nodes[i] = Node{nw: nw, id: i, stepMode: true, pending: b.pending[i]}
+	for w := 0; w < k; w++ {
+		for i := w * nw.n / k; i < (w+1)*nw.n/k; i++ {
+			nodes[i] = Node{nw: nw, id: i, stepMode: true, pending: b.pending[i], view: &b.views[w]}
+		}
 	}
 	// Hand the outbox arrays back on every exit with no packet reference
 	// left in them, so the pooled buffers never pin payload memory (the
@@ -778,11 +812,8 @@ func (nw *Network) RunRoundsContext(ctx context.Context, step StepFunc) error {
 		starts[w] = make(chan int, 1)
 		lo, hi := w*nw.n/k, (w+1)*nw.n/k
 		workers.Add(1)
-		go func(startCh chan int, view *inboxView, lo, hi int) {
+		go func(startCh chan int, lo, hi int) {
 			defer workers.Done()
-			// An inbox is only alive during one step call, so one view per
-			// worker boxes the records of whichever node is stepping and is
-			// reset right after: O(traffic + workers·n) memory.
 			for round := range startCh {
 				var a ack
 				for id := lo; id < hi; id++ {
@@ -793,7 +824,7 @@ func (nw *Network) RunRoundsContext(ctx context.Context, step StepFunc) error {
 					var inbox Inbox
 					if round > 0 {
 						if flat := nw.wordArena[(round-1)%payloadRingDepth][id]; len(flat) > 0 {
-							inbox = view.build(nw.n, flat, noTag)
+							inbox = nd.view.build(nw.n, flat, noTag)
 						}
 					}
 					if nd.reclaim != nil {
@@ -804,7 +835,7 @@ func (nw *Network) RunRoundsContext(ctx context.Context, step StepFunc) error {
 						nd.reclaim = nil
 					}
 					done, err := nw.runStep(step, nd, round, inbox)
-					view.reset()
+					nd.view.reset()
 					nd.retire()
 					nd.reclaim = nd.pending
 					nw.outboxes[id] = nd.pending
@@ -826,7 +857,7 @@ func (nw *Network) RunRoundsContext(ctx context.Context, step StepFunc) error {
 				}
 				acks <- a
 			}
-		}(starts[w], &b.views[w], lo, hi)
+		}(starts[w], lo, hi)
 	}
 
 	remaining := nw.n
@@ -916,9 +947,9 @@ type Node struct {
 	stepMode bool
 	pending  []pendingPacket
 	reclaim  []pendingPacket
-	// view boxes the records of this node's blocking Exchange calls; it is
-	// the node's slot of the pooled netBuffers.views (nil in step mode,
-	// where the worker owns the view).
+	// view boxes the records of this node's Exchange calls and step inboxes;
+	// it is a slot of the pooled netBuffers.views — the node's own under Run,
+	// its worker's (shared with the worker's other nodes) in step mode.
 	view   *inboxView
 	steps  int64
 	memory int64
@@ -1070,11 +1101,18 @@ func (nd *Node) retire() {
 // for PayloadGraceRounds further barriers.
 func (nd *Node) Exchange() (Inbox, error) {
 	flat, err := nd.ExchangeFlat()
-	if err != nil || len(flat) == 0 {
+	if err != nil {
 		return nil, err
+	}
+	if len(flat) == 0 {
+		nd.view.reset() // InboxSenders must not name last round's senders
+		return nil, nil
 	}
 	return nd.view.build(nd.nw.n, flat, noTag), nil
 }
+
+// InboxSenders implements Exchanger over the node's view.
+func (nd *Node) InboxSenders() []int32 { return nd.view.touched }
 
 // ExchangeFlat is Exchange returning the round's records as delivery wrote
 // them, without building the boxed view over them.
@@ -1198,75 +1236,242 @@ func (nw *Network) leave(nd *Node) {
 
 // deliver completes the current round and advances the barrier: delivery,
 // arrival reset, generation swap, wake-up. It runs on exactly one goroutine
-// per round while every other live node is parked, so plain loads and stores
-// are safe; the closing of g.done publishes everything written here.
+// per round while every other live node is parked, and deliverRound has
+// joined its helper shards by the time it returns, so plain loads and stores
+// are safe; the closing of g.done publishes everything written here. A
+// delivery panic comes back from deliverRound as the run's failure, so the
+// barrier still turns over and the woken nodes observe it.
 func (nw *Network) deliver(g *generation) {
-	// A delivery panic must not strand the nodes parked on this generation:
-	// convert it to an engine failure, turn the barrier over and wake
-	// everyone (they will observe the failure), then re-panic so the
-	// deliverer's own node reports the error through the usual recovery.
-	defer func() {
-		if r := recover(); r != nil {
-			nw.setFailure(fmt.Errorf("clique: delivery panicked: %v", r))
-			nw.state.Store(nw.state.Load() >> 32 << 32)
-			nw.gen.Store(&generation{done: make(chan struct{})})
-			g.release()
-			panic(r)
-		}
-	}()
 	// An injected cancellation fails the run at this exact turn-over: the
 	// barrier is released without delivering the round, the deterministic
 	// analogue of a context cancellation landing between the last arrival
 	// and delivery.
 	if round := int(nw.round.Load()); nw.faults.cancelAt(round) {
 		nw.setFailure(fmt.Errorf("clique: run cancelled at round %d turn-over: %w", round, ErrFaultInjected))
-		nw.state.Store(nw.state.Load() >> 32 << 32)
-		nw.gen.Store(&generation{done: make(chan struct{})})
-		g.release()
-		return
+	} else {
+		nw.deliverRound()
 	}
-	nw.deliverRound()
 	nw.state.Store(nw.state.Load() >> 32 << 32)
 	nw.gen.Store(&generation{done: make(chan struct{})})
 	g.release()
 }
 
+// shardMinPackets is the number of published packets from which a round's
+// delivery is spread over the run's shards; a smaller round is delivered by
+// the deliverer alone. Starting and joining a helper costs a few µs, what
+// delivery spends on some fifty packets: on the 2-core reference host a step
+// round of 4-word all-to-all packets gained nothing from a second shard at
+// 256 packets, 3% at 576, 6% at 1024 and 18% at 16384, so below this mark a
+// second core would be woken for a gain inside the noise.
+const shardMinPackets = 1024
+
+// edgeLoad names one directed edge and the model words it carried in a round.
+type edgeLoad struct{ words, from, to int }
+
+// heavier reports whether e outranks o as the round's worst edge: most words,
+// then lowest sender, then lowest receiver — a total order, so the edge the
+// strict-budget error names does not depend on how the round was sharded.
+func (e edgeLoad) heavier(o edgeLoad) bool {
+	if e.words != o.words {
+		return e.words > o.words
+	}
+	if e.from != o.from {
+		return e.from < o.from
+	}
+	return e.to < o.to
+}
+
+// deliveryShard is one contiguous receiver range [lo, hi) of a round's
+// delivery together with everything its goroutine writes besides the
+// receivers' own arena, destLoad and recvWords slots: the range's statistics
+// and the touch lists that re-zero the dense scratch in O(traffic). Shards
+// are pooled with their netBuffers; helper, bound once to run, is what lets a
+// warm round start its helper goroutines without allocating a closure.
+type deliveryShard struct {
+	nw     *Network
+	lo, hi int
+
+	// stats covers the packets addressed into the range; MaxNodeSentWords is
+	// left to the merge, which sums sent — the model words each non-silent
+	// sender delivered into the range — across shards. worst is the range's
+	// heaviest edge.
+	stats RoundStats
+	worst edgeLoad
+	sent  []int32
+
+	edgeTouch []int32
+	recvTouch []int32
+
+	panicked interface{}
+	helper   func()
+}
+
+// runningNetworks counts the Networks of this process that are inside a run.
+// It only ever steers how many goroutines a round's delivery is spread over,
+// never what is delivered: results are identical for any shard count.
+var runningNetworks atomic.Int32
+
+// shardCount picks the fan-out of the round about to be delivered: the cores
+// this run may count on — GOMAXPROCS shared evenly among the Networks
+// currently running, since k pooled engines under load already keep k cores
+// busy and a helper would only queue behind another engine's nodes — bounded
+// by WithWorkers and n, and 1 for a round below shardMinPackets.
+func (nw *Network) shardCount() int {
+	if nw.forceShards > 0 {
+		return min(nw.forceShards, nw.n)
+	}
+	k := min(nw.maxShards, nw.procs/int(runningNetworks.Load()))
+	if k < 2 {
+		return 1
+	}
+	packets := 0
+	for _, out := range nw.outboxes[:nw.n] {
+		packets += len(out)
+	}
+	if packets < shardMinPackets {
+		return 1
+	}
+	return k
+}
+
+// deliveryShards returns the first k shards of the buffer set, created on
+// first need, with the receivers split evenly among them.
+func (nw *Network) deliveryShards(k int) []*deliveryShard {
+	b := nw.buffers
+	for len(b.shards) < k {
+		sh := new(deliveryShard)
+		sh.helper = sh.run
+		b.shards = append(b.shards, sh)
+	}
+	shards := b.shards[:k]
+	for s, sh := range shards {
+		sh.nw = nw
+		sh.lo, sh.hi = s*nw.n/k, (s+1)*nw.n/k
+		if len(sh.sent) < nw.n {
+			sh.sent = make([]int32, nw.n)
+		}
+	}
+	return shards
+}
+
+// run delivers the shard and reports to the round's join. A panic is kept
+// for the deliverer to turn into the run's failure: a helper has no caller to
+// unwind into, and the deliverer's own shard must not skip the join.
+func (sh *deliveryShard) run() {
+	defer func() {
+		sh.panicked = recover()
+		sh.nw.shardWG.Done()
+	}()
+	sh.nw.deliverShard(sh)
+}
+
 // deliverRound appends every published packet to its receiver's arena as one
 // [from, len, payload...] record — the only receive format there is — and
-// folds the round statistics into the metrics. Per-edge and per-node loads
-// are tracked in dense scratch slices — O(1) per packet, no hashing — and the
-// arenas are reused round over round, so a steady-state round allocates
-// nothing.
+// folds the round statistics into the metrics. The receivers are split into
+// shards delivered concurrently (one shard, on this goroutine, for a round
+// below shardMinPackets); all of them are joined before anything else
+// happens. A panic in any shard fails the run with a delivery-panic error
+// instead of folding the round.
 func (nw *Network) deliverRound() {
+	shards := nw.deliveryShards(nw.shardCount())
+	nw.shardWG.Add(len(shards))
+	for _, sh := range shards[1:] {
+		go sh.helper()
+	}
+	shards[0].run()
+	nw.shardWG.Wait()
+
+	var stats RoundStats
+	var worst edgeLoad
+	var panicked interface{}
+	for _, sh := range shards {
+		if panicked == nil {
+			panicked = sh.panicked
+		}
+		sh.panicked = nil
+		stats.mergeShard(sh.stats)
+		if sh.worst.heavier(worst) {
+			worst = sh.worst
+		}
+	}
+	if panicked != nil {
+		nw.setFailure(fmt.Errorf("clique: delivery panicked: %v", panicked))
+		return
+	}
+	stats.MaxEdgeWords = worst.words
+	// The outboxes are consumed: a node that departs never publishes again,
+	// and its last outbox must not be delivered twice.
+	for from, out := range nw.outboxes[:nw.n] {
+		if len(out) == 0 {
+			continue
+		}
+		nw.outboxes[from] = nil
+		sentWords := 0
+		for _, sh := range shards {
+			sentWords += int(sh.sent[from])
+		}
+		if sentWords > stats.MaxNodeSentWords {
+			stats.MaxNodeSentWords = sentWords
+		}
+	}
+
+	round := int(nw.round.Load())
+	if nw.cfg.maxWordsPerEdge > 0 && worst.words > nw.cfg.maxWordsPerEdge {
+		nw.setFailure(fmt.Errorf(
+			"clique: round %d: edge %d->%d carried %d words, budget %d: %w",
+			round, worst.from, worst.to, worst.words, nw.cfg.maxWordsPerEdge, ErrBandwidthExceeded))
+	}
+
+	nw.metricsMu.Lock()
+	if nw.cfg.recordPerRound {
+		nw.metrics.merge(stats)
+	} else {
+		saved := nw.metrics.PerRound
+		nw.metrics.merge(stats)
+		nw.metrics.PerRound = saved
+	}
+	nw.metricsMu.Unlock()
+
+	nw.round.Store(int64(round + 1))
+}
+
+// deliverShard is the engine's one per-packet loop: it scans every outbox in
+// ascending sender order and delivers the packets addressed into sh's
+// receiver range, whatever the number of shards the round was split into.
+// Per-edge and per-node loads are tracked in dense scratch slices — O(1) per
+// packet, no hashing — and the arenas are reused round over round, so a
+// steady-state round allocates nothing.
+func (nw *Network) deliverShard(sh *deliveryShard) {
 	round := int(nw.round.Load())
 	arena := nw.wordArena[round%payloadRingDepth]
 	var prevArena [][]Word
 	if round > 0 {
 		prevArena = nw.wordArena[(round-1)%payloadRingDepth]
 	}
+	lo, span := sh.lo, uint(sh.hi-sh.lo)
 	var stats RoundStats
-	var worstFrom, worstTo int
+	var worst edgeLoad
 
-	// Hoisted views of the dense scratch state: the per-packet loop below is
-	// the engine's hottest path and runs on a single goroutine per round, so
-	// keeping these in locals (written back at the end) saves a pointer chase
-	// per access.
+	// Hoisted views of the dense scratch state: this loop is the engine's
+	// hottest path, so keeping these in locals (written back at the end)
+	// saves a pointer chase per access.
 	departed := nw.departed
 	recvWords := nw.recvWords
 	destLoad := nw.destLoad
-	edgeTouch := nw.edgeTouch
-	recvTouch := nw.recvTouch
+	edgeTouch := sh.edgeTouch
+	recvTouch := sh.recvTouch
 
-	for from := 0; from < nw.n; from++ {
-		out := nw.outboxes[from]
+	for from, out := range nw.outboxes[:nw.n] {
 		if len(out) == 0 {
 			continue
 		}
-		nw.outboxes[from] = nil
 		sentWords := 0
 		for i := range out {
 			pp := &out[i]
 			to := pp.to
+			if uint(to-lo) >= span {
+				continue
+			}
 			if departed[to] {
 				stats.Dropped += int(pp.count)
 				continue
@@ -1305,14 +1510,11 @@ func (nw *Network) deliverRound() {
 			stats.Messages += int(pp.count)
 			stats.Words += w
 		}
-		if sentWords > stats.MaxNodeSentWords {
-			stats.MaxNodeSentWords = sentWords
-		}
+		sh.sent[from] = int32(sentWords)
 		for _, t := range edgeTouch {
 			load := destLoad[t]
-			if w := int(load >> 32); w > stats.MaxEdgeWords {
-				stats.MaxEdgeWords = w
-				worstFrom, worstTo = from, int(t)
+			if e := (edgeLoad{int(load >> 32), from, int(t)}); e.heavier(worst) {
+				worst = e
 			}
 			if c := int(uint32(load)); c > stats.MaxEdgeMessages {
 				stats.MaxEdgeMessages = c
@@ -1321,7 +1523,7 @@ func (nw *Network) deliverRound() {
 		}
 		edgeTouch = edgeTouch[:0]
 	}
-	nw.edgeTouch = edgeTouch
+	sh.edgeTouch = edgeTouch
 
 	for _, t := range recvTouch {
 		if w := int(recvWords[t]); w > stats.MaxNodeRecvWords {
@@ -1329,23 +1531,6 @@ func (nw *Network) deliverRound() {
 		}
 		recvWords[t] = 0
 	}
-	nw.recvTouch = recvTouch[:0]
-
-	if nw.cfg.maxWordsPerEdge > 0 && stats.MaxEdgeWords > nw.cfg.maxWordsPerEdge {
-		nw.setFailure(fmt.Errorf(
-			"clique: round %d: edge %d->%d carried %d words, budget %d: %w",
-			round, worstFrom, worstTo, stats.MaxEdgeWords, nw.cfg.maxWordsPerEdge, ErrBandwidthExceeded))
-	}
-
-	nw.metricsMu.Lock()
-	if nw.cfg.recordPerRound {
-		nw.metrics.merge(stats)
-	} else {
-		saved := nw.metrics.PerRound
-		nw.metrics.merge(stats)
-		nw.metrics.PerRound = saved
-	}
-	nw.metricsMu.Unlock()
-
-	nw.round.Store(int64(round + 1))
+	sh.recvTouch = recvTouch[:0]
+	sh.stats, sh.worst = stats, worst
 }

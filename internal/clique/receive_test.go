@@ -44,6 +44,22 @@ func unbox(inbox Inbox) []rxPacket {
 	return out
 }
 
+// sendersMatch checks InboxSenders against the inbox it describes: exactly
+// the senders with a table entry, ascending — none left over from an earlier
+// round when the inbox is nil.
+func sendersMatch(ex Exchanger, inbox Inbox) error {
+	want := []int32{}
+	for from, ps := range inbox {
+		if len(ps) > 0 {
+			want = append(want, int32(from))
+		}
+	}
+	if got := append([]int32{}, ex.InboxSenders()...); !reflect.DeepEqual(got, want) {
+		return fmt.Errorf("node %d: InboxSenders %v, the inbox holds senders %v", ex.ID(), got, want)
+	}
+	return nil
+}
+
 // receive performs one exchange on ex through the boxed or the flat receive
 // path and decodes the result in the order the path presents it. A flat
 // receiver on a passthrough Mux instance does what FrameTagger asks of it:
@@ -57,7 +73,7 @@ func receive(ex Exchanger, boxed bool) ([]rxPacket, error) {
 		if inbox != nil && len(inbox) != ex.N() {
 			return nil, fmt.Errorf("node %d: boxed inbox has %d entries, want %d", ex.ID(), len(inbox), ex.N())
 		}
-		return unbox(inbox), nil
+		return unbox(inbox), sendersMatch(ex, inbox)
 	}
 	flat, err := ex.ExchangeFlat()
 	if err != nil {
@@ -222,8 +238,8 @@ func TestReceiveViewsAgree(t *testing.T) {
 						if r > 0 {
 							got[0][nd.ID()][r-1] = canonical(unbox(inbox))
 						}
-						if r == life[nd.ID()] {
-							return true, nil
+						if err := sendersMatch(nd, inbox); err != nil || r == life[nd.ID()] {
+							return true, err
 						}
 						send(nd, r)
 						return false, nil

@@ -354,6 +354,9 @@ func (v *VNode) Exchange() (Inbox, error) {
 	return v.view.build(v.N(), flat, tag), nil
 }
 
+// InboxSenders implements Exchanger over the instance's view.
+func (v *VNode) InboxSenders() []int32 { return v.view.touched }
+
 // ExchangeFlat is Exchange for the flat receive path. In passthrough mode it
 // returns the engine's raw round inbox, shared by all instances: records keep
 // their leading tag word, and the caller filters by FrameTag (this is what

@@ -108,7 +108,7 @@ func (c *routeCensus) step(ex clique.Exchanger, plan *RoutePlan, row []Message, 
 		// R2: every node reports its aggregates to node 0. The row hash is
 		// the order-sensitive FNV fold over this node's destination sequence
 		// — the same function the host-side fingerprint uses per row.
-		for from := range inbox {
+		for _, from := range ex.InboxSenders() {
 			for _, p := range inbox[from] {
 				if len(p) < 1 {
 					return fmt.Errorf("core: census: malformed count message")
@@ -131,10 +131,11 @@ func (c *routeCensus) step(ex clique.Exchanger, plan *RoutePlan, row []Message, 
 		total, maxPair, activeSources := 0, 0, 0
 		h := uint64(fnvOffset64)
 		for from := 0; from < n; from++ {
-			if from >= len(inbox) || len(inbox[from]) != 1 || len(inbox[from][0]) != 4 {
+			ps := inbox.From(from)
+			if len(ps) != 1 || len(ps[0]) != 4 {
 				return fmt.Errorf("core: census: node 0 missing aggregate from node %d", from)
 			}
-			p := inbox[from][0]
+			p := ps[0]
 			sendTotal := int(p[0])
 			total += sendTotal
 			if sendTotal > 0 {
@@ -152,10 +153,11 @@ func (c *routeCensus) step(ex clique.Exchanger, plan *RoutePlan, row []Message, 
 			ex.Send(to, verdict)
 		}
 	case RouteCensusRounds:
-		if len(inbox) == 0 || len(inbox[0]) != 1 || len(inbox[0][0]) != 3 {
+		ps := inbox.From(0)
+		if len(ps) != 1 || len(ps[0]) != 3 {
 			return fmt.Errorf("core: census: node %d missing verdict broadcast", ex.ID())
 		}
-		verdict := inbox[0][0]
+		verdict := ps[0]
 		if RouteStrategy(verdict[0]) != plan.Strategy {
 			return fmt.Errorf("core: census: distributed verdict %v disagrees with plan %v at node %d",
 				RouteStrategy(verdict[0]), plan.Strategy, ex.ID())
@@ -188,10 +190,11 @@ func sortCensusStep(ex clique.Exchanger, plan *SortPlan, row []Key, round int, i
 		}
 		h := uint64(fnvOffset64)
 		for from := 0; from < n; from++ {
-			if from >= len(inbox) || len(inbox[from]) != 1 || len(inbox[from][0]) != 2 {
+			ps := inbox.From(from)
+			if len(ps) != 1 || len(ps[0]) != 2 {
 				return fmt.Errorf("core: sort census: node 0 missing aggregate from node %d", from)
 			}
-			p := inbox[from][0]
+			p := ps[0]
 			h = foldRows(h, int(p[0]), uint64(p[1]))
 		}
 		verdict := clique.Packet{clique.Word(plan.Strategy), clique.Word(h)}
@@ -199,10 +202,11 @@ func sortCensusStep(ex clique.Exchanger, plan *SortPlan, row []Key, round int, i
 			ex.Send(to, verdict)
 		}
 	case SortCensusRounds:
-		if len(inbox) == 0 || len(inbox[0]) != 1 || len(inbox[0][0]) != 2 {
+		ps := inbox.From(0)
+		if len(ps) != 1 || len(ps[0]) != 2 {
 			return fmt.Errorf("core: sort census: node %d missing verdict broadcast", ex.ID())
 		}
-		verdict := inbox[0][0]
+		verdict := ps[0]
 		if SortStrategy(verdict[0]) != plan.Strategy {
 			return fmt.Errorf("core: sort census: broadcast verdict %v disagrees with plan %v at node %d",
 				SortStrategy(verdict[0]), plan.Strategy, ex.ID())

@@ -2,7 +2,11 @@ package core_test
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"regexp"
+	"strings"
 	"testing"
 
 	"congestedclique/internal/clique"
@@ -145,6 +149,137 @@ func TestStepProgramsUnderBothDrivers(t *testing.T) {
 				if err := verify.Sorting(keys, stepped); err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
+			}
+		}
+	}
+}
+
+// TestStepReceiveVisitsOnlySenders runs the direct, broadcast and presorted
+// step programs, each behind its charged census, at n=4096 on instances where
+// every node hears from a handful of senders, and checks the outputs with
+// internal/verify. A receive that walks Exchanger.InboxSenders costs such a
+// node a handful of table entries; the sweep of all n it replaced cost 16.8M
+// slice-header loads per round here, so the source scan below keeps any loop
+// over the whole inbox table out of the package (BenchmarkStepReceive in the
+// root package times the same shapes).
+func TestStepReceiveVisitsOnlySenders(t *testing.T) {
+	t.Parallel()
+	const (
+		n          = 4096
+		maxSenders = 8
+	)
+	// few wraps a step function with the test's premise: outside node 0's
+	// census gather nobody hears from more than maxSenders nodes, and the
+	// sender list names exactly the non-empty table entries it claims to.
+	few := func(step clique.StepFunc) clique.StepFunc {
+		return func(nd *clique.Node, round int, inbox clique.Inbox) (bool, error) {
+			senders := nd.InboxSenders()
+			if nd.ID() != 0 && len(senders) > maxSenders {
+				return true, fmt.Errorf("node %d heard from %d senders in round %d, the instance promises <= %d",
+					nd.ID(), len(senders), round, maxSenders)
+			}
+			packets := 0
+			for _, from := range senders {
+				if len(inbox[from]) == 0 {
+					return true, fmt.Errorf("node %d round %d: listed sender %d sent nothing", nd.ID(), round, from)
+				}
+				packets += len(inbox[from])
+			}
+			if nd.ID()%512 == 1 { // the O(n) cross-check, on a sample of nodes
+				total := 0
+				for _, ps := range inbox {
+					total += len(ps)
+				}
+				if total != packets {
+					return true, fmt.Errorf("node %d round %d: senders cover %d of %d packets", nd.ID(), round, packets, total)
+				}
+			}
+			return step(nd, round, inbox)
+		}
+	}
+
+	direct := make([][]core.Message, n)
+	for i := range direct {
+		for seq, hop := range []int{1, 7, 100} {
+			direct[i] = append(direct[i], core.Message{Src: i, Dst: (i + hop) % n, Seq: seq, Payload: clique.Word(i*8 + seq)})
+		}
+	}
+	broadcast := make([][]core.Message, n)
+	for src := 0; src < 3; src++ {
+		for k := 0; k < 2*(core.DirectMaxMultiplicity+1); k++ {
+			broadcast[src] = append(broadcast[src], core.Message{Src: src, Dst: 9 + 1000*src + k%2, Seq: k, Payload: clique.Word(src*100 + k)})
+		}
+	}
+	for name, msgs := range map[string][][]core.Message{"direct": direct, "broadcast": broadcast} {
+		plan := core.PlanRoute(n, msgs)
+		if plan.Strategy.String() != name {
+			t.Fatalf("%s instance planned as %v", name, plan.Strategy)
+		}
+		plan.Census, plan.CensusHasFP, plan.CensusFP = true, true, core.RouteFingerprint(n, msgs).Hash
+		sd, err := core.NewSparseDemand(n, msgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		delivered := make([][]core.Message, n)
+		onNetwork(t, n, func(nw *clique.Network) error {
+			run, err := core.NewSparseRouteRun(sd, plan)
+			if err != nil {
+				return err
+			}
+			if err := nw.RunRounds(few(run.Step)); err != nil {
+				return err
+			}
+			for i := range delivered {
+				delivered[i] = run.Output(i)
+			}
+			return nil
+		})
+		if err := verify.Routing(msgs, delivered); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+
+	keys := core.PresortedKeysInstance(n)
+	plan := core.PlanSort(n, keys)
+	if plan.Strategy != core.SortStrategyPresorted {
+		t.Fatalf("presorted instance planned as %v", plan.Strategy)
+	}
+	fp, _ := core.SortFingerprint(n, keys)
+	plan.Census, plan.CensusHasFP, plan.CensusFP = true, true, fp.Hash
+	results := make([]*core.SortResult, n)
+	onNetwork(t, n, func(nw *clique.Network) error {
+		run, err := core.NewSparseSortRun(n, keys, plan)
+		if err != nil {
+			return err
+		}
+		if err := nw.RunRounds(few(run.Step)); err != nil {
+			return err
+		}
+		for i := range results {
+			results[i] = run.Result(i)
+		}
+		return nil
+	})
+	if err := verify.Sorting(keys, results); err != nil {
+		t.Fatalf("presorted: %v", err)
+	}
+
+	sweep := regexp.MustCompile(`range inbox\s*\{|len\(inbox\)`)
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(src), "\n") {
+			if sweep.MatchString(line) {
+				t.Errorf("%s:%d sweeps the whole inbox table: %s", file, i+1, strings.TrimSpace(line))
 			}
 		}
 	}

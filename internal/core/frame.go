@@ -291,12 +291,13 @@ type rxBuf struct {
 	start []int32 // msgs[start[s]:start[s+1]] are the messages of sender s
 }
 
-// decodeInbox refills the buffer from a step-mode inbox of frames: their
-// logical messages in ascending sender order, what comm.exchange's decode
-// hands a blocking protocol. The per-sender index is not built.
-func (r *rxBuf) decodeInbox(inbox clique.Inbox) ([][]clique.Word, error) {
+// decodeInbox refills the buffer from a step-mode inbox of frames and the
+// list of its senders (Exchanger.InboxSenders): their logical messages in
+// ascending sender order, what comm.exchange's decode hands a blocking
+// protocol. The per-sender index is not built.
+func (r *rxBuf) decodeInbox(senders []int32, inbox clique.Inbox) ([][]clique.Word, error) {
 	r.msgs = r.msgs[:0]
-	for from := 0; from < len(inbox); from++ {
+	for _, from := range senders {
 		for _, frame := range inbox[from] {
 			var err error
 			if r.msgs, err = appendFrameMessages(r.msgs, frame); err != nil {

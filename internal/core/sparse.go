@@ -12,8 +12,10 @@ import (
 // and both charged censuses (census.go) — is written once, as a per-node step
 // program: a function of the node's own row, a clique.Exchanger, the round
 // number and the inbox of the previous round, returning done once the node
-// has its output. A program never calls Exchange, so either scheduler can
-// drive it:
+// has its output. A program reads that inbox through the exchanger's
+// InboxSenders list — the senders that sent — never by ranging over its n
+// entries, so a receive costs O(traffic) at any n. A program never calls
+// Exchange, so either scheduler can drive it:
 //
 //   - the engine-driven worker pool (Network.RunRounds): SparseRouteRun.Step
 //     and SparseSortRun.Step adapt the programs to clique.StepFunc, one

@@ -94,14 +94,26 @@ func (p *routeProgram) directStep(ex clique.Exchanger, row []Message, round int,
 		}
 		return false, nil
 	}
-	var received []Message
-	for from := range inbox {
+	// Only the senders that sent are visited (a node of a sparse instance
+	// hears from a handful of the n), once to size the output exactly and
+	// once to fill it.
+	senders, count := ex.InboxSenders(), 0
+	for _, from := range senders {
 		for _, pk := range inbox[from] {
 			if len(pk)%directWordsPerMessage != 0 {
 				return true, fmt.Errorf("core: malformed direct frame with %d words", len(pk))
 			}
+			count += len(pk) / directWordsPerMessage
+		}
+	}
+	if count == 0 {
+		return true, nil
+	}
+	received := make([]Message, 0, count)
+	for _, from := range senders {
+		for _, pk := range inbox[from] {
 			for i := 0; i < len(pk); i += directWordsPerMessage {
-				received = append(received, Message{Src: from, Dst: id, Seq: int(pk[i]), Payload: pk[i+1]})
+				received = append(received, Message{Src: int(from), Dst: id, Seq: int(pk[i]), Payload: pk[i+1]})
 			}
 		}
 	}
@@ -137,7 +149,7 @@ func (p *routeProgram) broadcastStep(ex clique.Exchanger, row []Message, relayRo
 		// Assemble the held groups from the scatter round: stably sorted by
 		// destination, so each group keeps ascending sender order and the
 		// packet order within a sender.
-		for from := range inbox {
+		for _, from := range ex.InboxSenders() {
 			for _, pk := range inbox[from] {
 				if len(pk) < relayWordsPerMessage {
 					return true, fmt.Errorf("core: malformed scattered message with %d words", len(pk))
@@ -146,7 +158,7 @@ func (p *routeProgram) broadcastStep(ex clique.Exchanger, row []Message, relayRo
 				if dst < 0 || dst >= n {
 					return true, fmt.Errorf("core: scattered destination %d out of range", dst)
 				}
-				p.held = append(p.held, Message{Src: from, Dst: dst, Seq: int(pk[1]), Payload: pk[2]})
+				p.held = append(p.held, Message{Src: int(from), Dst: dst, Seq: int(pk[1]), Payload: pk[2]})
 			}
 		}
 		slices.SortStableFunc(p.held, func(a, b Message) int { return a.Dst - b.Dst })
@@ -171,7 +183,7 @@ func (p *routeProgram) broadcastStep(ex clique.Exchanger, row []Message, relayRo
 		return false, nil
 	default:
 		r := round - 2 // the relay round whose traffic this inbox carries
-		for from := range inbox {
+		for _, from := range ex.InboxSenders() {
 			for _, pk := range inbox[from] {
 				if len(pk) < relayWordsPerMessage {
 					return true, fmt.Errorf("core: malformed relayed message with %d words", len(pk))

@@ -85,7 +85,7 @@ func (p *sortProgram) presortedStep(ex clique.Exchanger, plan *SortPlan, myKeys 
 		p.staged = pooledStager()
 		stageRankedBundles(p.staged, id, n, ranked)
 	case 1:
-		bundles, err := scratch.rx.decodeInbox(inbox)
+		bundles, err := scratch.rx.decodeInbox(ex.InboxSenders(), inbox)
 		if err != nil {
 			return true, fmt.Errorf("%s deal: %w", context, err)
 		}
@@ -99,7 +99,7 @@ func (p *sortProgram) presortedStep(ex clique.Exchanger, plan *SortPlan, myKeys 
 			return true, err
 		}
 	default:
-		records, err := scratch.rx.decodeInbox(inbox)
+		records, err := scratch.rx.decodeInbox(ex.InboxSenders(), inbox)
 		if err != nil {
 			return true, fmt.Errorf("%s deliver: %w", context, err)
 		}

@@ -18,10 +18,14 @@ import (
 // ReadProtocolDoc).
 
 // ProtocolBench is one end-to-end protocol measurement: a full Route or Sort
-// execution per op, allocations included.
+// execution per op, allocations included. Cores and Gomaxprocs record the
+// host the row was measured on — since delivery fans out over cores, ns/op
+// is only comparable between rows that agree on them.
 type ProtocolBench struct {
 	Name        string  `json:"name"`
 	N           int     `json:"n"`
+	Cores       int     `json:"cores,omitempty"`
+	Gomaxprocs  int     `json:"gomaxprocs,omitempty"`
 	Iterations  int     `json:"iterations,omitempty"`
 	NsPerOp     int64   `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
