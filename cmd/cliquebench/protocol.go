@@ -197,8 +197,8 @@ func runConcurrencySweep(ctx context.Context, maxN int) (*experiments.Concurrenc
 		Gomaxprocs: runtime.GOMAXPROCS(0),
 		Note: "aggregate throughput of k concurrent streams on ONE pooled handle (WithMaxConcurrency(k), " +
 			"internal/loadgen, same harness as cmd/cliqueload); results are verified bit-identical to serial execution " +
-			"in a separate pass, so the timed window carries no comparison overhead; in-process engines already run one " +
-			"goroutine per node, so speedup_vs_k1 is bounded by cores — read it against the recorded cores/gomaxprocs",
+			"in a separate pass, so the timed window carries no comparison overhead; one in-process engine already keeps " +
+			"GOMAXPROCS sweep workers busy, so speedup_vs_k1 is bounded by cores — read it against the recorded cores/gomaxprocs",
 	}
 	for _, sweep := range []struct {
 		n        string

@@ -158,7 +158,7 @@ func runScalingBench(path string, maxN int) error {
 	sec.Tool = "cliquebench -scaling-json"
 	sec.Schema = "congestedclique/bench-scaling/v1"
 	sec.Note = fmt.Sprintf("full AlgorithmAuto protocol runs of sparse demand (one-shot handles; the planner's fast "+
-		"strategies run as step programs on the worker-pool scheduler) per point; peak_rss_bytes is the process "+
+		"strategies run as step programs) per point; peak_rss_bytes is the process "+
 		"VmHWM sampled after the point and is monotone across one invocation (sizes run ascending, so it reads as "+
 		"peak RSS after completing size n); verified means the output passed internal/verify (Routing: every "+
 		"message exactly once at its destination; Sorting: sorted, contiguous, balanced batches), checked at every "+

@@ -24,7 +24,7 @@
 // BENCH_protocol.json.
 //
 // In-process engines share the machine's memory bandwidth and one run
-// already spawns one goroutine per node, so scaling with k is bounded by
+// already keeps GOMAXPROCS sweep workers busy, so scaling with k is bounded by
 // cores (the report records cores and GOMAXPROCS alongside every number —
 // compare like with like).
 package main

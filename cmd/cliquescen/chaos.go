@@ -64,7 +64,7 @@ func runChaos(n int, names string, markdown bool) (string, error) {
 	}
 
 	// Sparse scenarios run on the O(n) scale-out instance, which AlgorithmAuto
-	// serves with a step program on the engine-driven scheduler; their golden
+	// serves with a step program (RunRounds); their golden
 	// is the same run fault-free.
 	ri, err := workload.ScaleSparseRoute(n, 1)
 	if err != nil {

@@ -42,8 +42,9 @@
 // serialize on a single engine; New(n, WithMaxConcurrency(k)) lets up to k
 // independent operations run in parallel on one handle, each on its own
 // engine checked out of a lazily-grown pool, with results bit-identical to
-// serial execution. Each operation runs the per-node protocol with one
-// goroutine per node, verifies nothing exceeds the bandwidth model, and
+// serial execution. Each operation runs the per-node protocol for all n
+// nodes on the engine's sweep workers (WithWorkers; a node's blocking program
+// is a coroutine of its worker), verifies nothing exceeds the bandwidth model, and
 // returns both the protocol output and the execution statistics (rounds,
 // per-edge words, traffic) that the paper's bounds are stated in;
 // CumulativeStats aggregates them across the handle's lifetime, merged over
@@ -306,7 +307,8 @@ var ErrTransient = errors.New("congestedclique: transient failure")
 
 // ErrRoundDeadline is wrapped by errors reporting that a round failed to
 // turn over within the WithRoundDeadline budget; the message names the nodes
-// that had not arrived at the barrier. It is part of the ErrTransient family.
+// that were being executed and held the round up. It is part of the
+// ErrTransient family.
 var ErrRoundDeadline = clique.ErrRoundDeadline
 
 // ErrFaultInjected is wrapped by errors produced by the fault-injection
@@ -523,8 +525,9 @@ func WithSharedScheduleCache(enabled bool) Option {
 	}
 }
 
-// WithWorkers bounds how many of the n node goroutines compute concurrently
-// (0, the default, means unbounded; see the engine's scheduling notes).
+// WithWorkers sets the number of sweep workers each engine executes its n
+// logical nodes on, whatever the shape of the protocol's node programs (0,
+// the default, means GOMAXPROCS; see the engine's scheduling notes).
 // Executions are deterministic for every worker count. Handle-scoped: pass
 // it to New.
 func WithWorkers(k int) Option {
@@ -544,9 +547,10 @@ func WithWorkers(k int) Option {
 // Results are bit-identical to serial execution for every k; each engine
 // costs roughly what a k=1 handle costs (delivery arenas, staging buffers —
 // O(n²) words under full load), so memory grows linearly in the concurrency
-// actually used. Within one engine a run already spawns one goroutine per
-// node, so aggregate throughput saturates near k × n runnable goroutines —
-// keep k at or below GOMAXPROCS/streams of genuinely overlapping callers.
+// actually used. Within one engine a run already keeps WithWorkers
+// goroutines (GOMAXPROCS by default) busy, so aggregate throughput is bounded
+// by the cores — keep k at or below the number of genuinely overlapping
+// callers the cores can serve.
 // Handle-scoped: pass it to New.
 func WithMaxConcurrency(k int) Option {
 	return func(c *config) error {
@@ -615,10 +619,10 @@ func WithChargedCensus() Option {
 
 // WithSparsePath does nothing.
 //
-// Deprecated: AlgorithmAuto picks the scheduler from the plan. The fast
-// strategies (empty, direct and broadcast Route; empty and, below the
-// full-load threshold, presorted Sort) always run as step programs on the
-// engine-driven worker pool — what this option used to switch on — and take
+// Deprecated: AlgorithmAuto picks the program shape from the plan. The fast
+// strategies (empty, direct and broadcast Route; empty and presorted Sort)
+// always run as step programs, which keep no stack per node — what this
+// option used to switch on — and take
 // Route and Sort to n in the tens of thousands on sparse instances (see
 // docs/PERFORMANCE.md, "Scaling curve"). The option remains so that existing
 // callers keep compiling.
@@ -638,8 +642,8 @@ const (
 // WithRoundDeadline arms a round watchdog on every engine of the handle: if
 // any round of an operation fails to turn over within d, the operation fails
 // with an error wrapping ErrRoundDeadline (part of the ErrTransient family)
-// that names the unarrived nodes, instead of hanging the round barrier
-// forever on a stalled node. d must comfortably exceed the longest
+// that names the nodes holding the round up, instead of hanging forever on a
+// stalled node. d must comfortably exceed the longest
 // legitimate round of the workload — the watchdog is a wall-clock safety
 // net, so whether a run straddling the deadline fails is timing-dependent.
 // It adds no allocations to fault-free operations. Handle-scoped: pass it to
@@ -682,8 +686,8 @@ func WithRetry(n int, backoff time.Duration) Option {
 }
 
 // WithInjectedPanic schedules a deterministic chaos fault: the chosen node
-// panics when it reaches the barrier of the chosen round (its sends for that
-// round are lost, exactly like a real crash), and the operation fails with
+// panics at the end of its compute phase of the chosen round (its sends for
+// that round are lost, exactly like a real crash), and the operation fails with
 // an error wrapping ErrFaultInjected naming the node and round. The fault
 // applies to the operation's first attempt only — a WithRetry re-run
 // executes fault-free. May be passed to a call or, for chaos soaks, to New;
@@ -700,7 +704,7 @@ func WithInjectedPanic(node, round int) Option {
 }
 
 // WithInjectedStall schedules a deterministic chaos fault: the chosen node
-// is delayed by d before arriving at the barrier of the chosen round. A
+// is delayed by d at the end of its compute phase of the chosen round. A
 // stall by itself only slows the operation down (results stay bit-identical
 // to a fault-free run); combined with WithRoundDeadline, a stall longer than
 // the deadline is converted into an ErrRoundDeadline failure, and the
@@ -721,10 +725,10 @@ func WithInjectedStall(node, round int, d time.Duration) Option {
 
 // WithInjectedCancel schedules a deterministic chaos fault: the operation is
 // cancelled at the exact turn-over of the chosen round — after every node
-// has arrived at the barrier, instead of delivering — failing with an error
+// has published its sends, instead of delivering — failing with an error
 // wrapping ErrFaultInjected. This is the deterministic analogue of a context
-// cancellation landing mid-operation, and exercises the same
-// barrier-release path. First attempt only, like WithInjectedPanic.
+// cancellation landing mid-operation, and takes the same failure path.
+// First attempt only, like WithInjectedPanic.
 func WithInjectedCancel(round int) Option {
 	return func(c *config) error {
 		if round < 0 {

@@ -16,6 +16,7 @@ func runBaselineRouting(t *testing.T, inst *workload.RoutingInstance, route func
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer nw.Close()
 	results := make([][]core.Message, inst.N)
 	err = nw.Run(func(nd *clique.Node) error {
 		out, rErr := route(nd, inst.Msgs[nd.ID()])
@@ -88,6 +89,7 @@ func TestRandomizedRouteRejectsOversizedInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer nw.Close()
 	err = nw.Run(func(nd *clique.Node) error {
 		var msgs []core.Message
 		if nd.ID() == 0 {
@@ -120,6 +122,7 @@ func TestRandomizedSampleSort(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer nw.Close()
 			results := make([]*core.SortResult, inst.N)
 			err = nw.Run(func(nd *clique.Node) error {
 				res, sErr := RandomizedSampleSort(nd, inst.Keys[nd.ID()], 99)

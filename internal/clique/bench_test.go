@@ -20,6 +20,7 @@ func BenchmarkRoundBarrier(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			defer nw.Close()
 			b.ReportAllocs()
 			b.ResetTimer()
 			err = nw.Run(func(nd *Node) error {
@@ -48,6 +49,7 @@ func BenchmarkAllToAll(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			defer nw.Close()
 			b.ReportAllocs()
 			b.ResetTimer()
 			err = nw.Run(func(nd *Node) error {
@@ -84,6 +86,7 @@ func BenchmarkAllToAllRunRounds(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			defer nw.Close()
 			rounds := b.N
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -117,6 +120,7 @@ func BenchmarkSparseExchange(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			defer nw.Close()
 			b.ReportAllocs()
 			b.ResetTimer()
 			err = nw.Run(func(nd *Node) error {

@@ -7,9 +7,10 @@
 // of O(log n) bits along each of its n-1 incident edges (nodes also "send to
 // themselves" for uniformity). The package simulates this model in-process:
 //
-//   - one goroutine per node executes the node program (Network.Run), or n
-//     logical nodes are multiplexed onto a bounded pool of k worker
-//     goroutines (Network.RunRounds with WithWorkers) for very large cliques,
+//   - a node program is either blocking code that calls Exchange to end its
+//     round (Network.Run) or a function the engine calls once per round
+//     (Network.RunRounds); either way k sweep workers (WithWorkers) execute
+//     the n logical nodes, so very large cliques need no goroutine per node,
 //   - Exchange() is the synchronous round barrier,
 //   - messages are slices of 64-bit words; the O(log n)-bit budget of the
 //     model corresponds to a small constant number of words per directed edge
@@ -19,28 +20,38 @@
 //
 // # Execution engine
 //
-// The engine is a sharded two-phase design built for scale. During the
-// compute phase each node appends to a private outbox with no synchronisation
-// at all. Arriving at the barrier is a single atomic add on a packed
-// (live, arrived) counter; the arrival that equalises the two halves is
-// elected the round's deliverer and runs the delivery phase while every other
-// live node is parked on the current generation's channel — so delivery holds
-// no lock, and no lock is ever contended while nodes compute. Delivery is a
-// fan-out over receiver ranges: the outboxes are read-only once everyone has
-// arrived and each receiver's arena and load counters belong to one range, so
-// the deliverer and up to min(workers, GOMAXPROCS, n)-1 helper goroutines
-// each run the same per-packet loop (deliverShard) over their own range and
-// are joined before the barrier turns over; their statistics merge
-// commutatively, and a round of fewer than shardMinPackets packets stays on
-// the deliverer's goroutine. A panic in any shard becomes the run's
-// "delivery panicked" failure under both schedulers: the barrier still turns
-// over and every parked node wakes to the error. Per-edge and per-node loads
-// are accounted in dense scratch slices (O(1) per packet, no hashing),
-// payloads are copied into per-receiver arenas reused round over round, and
-// sender-side buffers (for example the Mux's tagged packets) are recycled
-// through a sync.Pool, so a steady-state round allocates nothing beyond the
-// generation channel — helpers are started from a func value bound once per
-// pooled shard, not from a per-round closure.
+// The engine has one run loop, Network.run, behind both entry points. A run
+// is a sequence of rounds, and a round is a sweep followed by a delivery. In
+// the sweep the run's k workers — goroutines the loop starts for the run and
+// parks beside while they work — each walk a contiguous range of the nodes
+// and execute every live node's compute phase: under RunRounds one call of
+// the StepFunc with last round's inbox; under Run the resumption of the
+// node's program, a coroutine (iter.Pull) of its worker, from where its last
+// Exchange suspended it to its next Exchange or its return. The coroutines
+// belong to the Network: made on a node's first blocking run, parked between
+// runs where the program returned, ended by Close. A computing node appends
+// to a private outbox with no synchronisation at all; when its compute phase
+// ends the worker empties the node's arena slot for the round, publishes the
+// outbox and counts the node's round. When every worker has reported, the
+// loop checks that the run goes on — no failure recorded, somebody left to
+// receive, no cancellation injected at this turn-over — and delivers.
+// Delivery is a fan-out over receiver ranges: the outboxes are read-only by
+// now and each receiver's arena and load counters belong to one range, so
+// the loop and up to min(workers, GOMAXPROCS, n)-1 helper goroutines each run
+// the same per-packet loop (deliverShard) over their own range and are joined
+// before the next sweep starts; their statistics merge commutatively, and a
+// round of fewer than shardMinPackets packets stays on the loop's goroutine.
+// No lock is held while a node computes or a packet is delivered, and a
+// steady-state round allocates nothing: loads are accounted in dense scratch
+// slices, arenas are reused round over round, and sender-side buffers (the
+// Mux's tagged packets) are recycled through a sync.Pool.
+//
+// A run fails through one slot, which records the first of: a node's panic
+// (converted by the sweep's crash barrier), a panic in a delivery shard, a
+// strict budget violation, a cancelled context, the round watchdog, an
+// injected fault. A failed run delivers nothing more; blocking programs still
+// suspended are resumed once so that their Exchange hands them the failure,
+// and every coroutine is back at rest when the run returns.
 //
 // # One record format, three readers
 //
@@ -51,8 +62,8 @@
 // flat-frame protocol layer. A boxed Inbox is never delivered; it is a view
 // (sender table + packet headers) the receiver builds over the records on its
 // own goroutine, by one builder with three callers: Node.Exchange (the node's
-// view, pooled with the Network's buffers), the RunRounds worker (one view
-// per worker, rebuilt for each stepping node) and VNode.Exchange (the
+// view, pooled with the Network's buffers), the sweep of step programs (one
+// view per worker, rebuilt for each stepping node) and VNode.Exchange (the
 // instance's view, built with a tag filter over the node's shared records on
 // a passthrough Mux, or over the instance's own ring on a stacked one). The
 // builder also lists the senders it met; Exchanger.InboxSenders hands that
@@ -72,21 +83,20 @@
 //
 // One Network supports an unbounded sequence of (non-overlapping) runs —
 // the substrate of the public session API. Every run after the first starts
-// from a fully reset engine (barrier generation, round counter, metrics,
-// arenas, strict-budget accounting, step accounting, shared-computation
-// cache) while retaining the allocated capacity of every buffer, Node
-// struct and outbox array, so a run on a warm engine performs no
+// from a fully reset engine (failure slot, round counter, metrics, arenas,
+// strict-budget accounting, step accounting, shared-computation cache) while
+// retaining the allocated capacity of every buffer, Node struct and outbox
+// array, and the coroutines, so a run on a warm engine performs no
 // construction work. The shared cache is deliberately scoped per run: the
 // memoised values are colorings of the run's demand matrices, which depend
 // on the instance data, not only on n. Metrics is the per-run view and
-// CumulativeMetrics the across-run aggregate; Close releases the pooled
-// delivery buffers.
+// CumulativeMetrics the across-run aggregate; Close ends the coroutines and
+// releases the pooled delivery buffers, so every Network must be closed.
 //
-// RunContext and RunRoundsContext accept a context: a cancellation is
-// recorded as the engine failure and the next barrier turn-over wakes every
-// parked node with the error instead of delivering, exactly like a hardened
-// delivery panic — no goroutine is ever stranded, and the Network remains
-// usable for further runs.
+// RunContext and RunRoundsContext accept a context: the loop checks it before
+// every round, and a cancellation fails the run like any other failure — no
+// goroutine is ever stranded, and the Network remains usable for further
+// runs.
 //
 // # Engine-local vs shared state (concurrent Networks)
 //

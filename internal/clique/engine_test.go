@@ -1,12 +1,15 @@
 package clique
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 // pw is a deterministic per-(round, from, to, k) payload word.
@@ -25,6 +28,7 @@ func TestDeliveryExactness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer nw.Close()
 	// Node i sends, in round r, to destinations (i*j+r)%n for j=0..(i%5), a
 	// packet of length 1+(i+j+r)%4 with known words; duplicates per edge
 	// happen naturally.
@@ -85,6 +89,7 @@ func TestConcurrentStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer nw.Close()
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
 	readers.Add(1)
@@ -147,6 +152,7 @@ func TestPanicMidRoundRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer nw.Close()
 	program := func(nd *Node) error {
 		for r := 0; r < 3; r++ {
 			if nd.ID() == 3 && r == 1 {
@@ -206,6 +212,7 @@ func workloadDigest(t *testing.T, opts ...Option) (uint64, Metrics) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer nw.Close()
 	digests := make([]uint64, n)
 	err = nw.Run(func(nd *Node) error {
 		h := fnv.New64a()
@@ -268,6 +275,7 @@ func TestDeterministicErrorReporting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer nw.Close()
 	errOf := func(id int) error { return fmt.Errorf("node-%d-failed", id) }
 	err = nw.Run(func(nd *Node) error {
 		switch nd.ID() {
@@ -303,6 +311,7 @@ func TestSameRoundForwarding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer nw.Close()
 	err = nw.Run(func(nd *Node) error {
 		// Round 0: node i sends a tagged packet to i+1; round 1: the receiver
 		// forwards the received packet, un-cloned, another hop.
@@ -340,6 +349,7 @@ func TestRunRoundsAllToAll(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer nw.Close()
 		digests := make([]uint64, n)
 		err = nw.RunRounds(func(nd *Node, round int, inbox Inbox) (bool, error) {
 			h := fnv.New64a()
@@ -440,6 +450,7 @@ func TestRunRoundsStaggeredDeparture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer nw.Close()
 	got := make([]int, n)
 	err = nw.RunRounds(func(nd *Node, round int, inbox Inbox) (bool, error) {
 		got[nd.ID()] += countPackets(inbox)
@@ -486,6 +497,7 @@ func TestRunRoundsExchangeForbidden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer nw.Close()
 	err = nw.RunRounds(func(nd *Node, round int, inbox Inbox) (bool, error) {
 		_, err := nd.Exchange()
 		if err == nil {
@@ -515,6 +527,7 @@ func TestWithWorkersBlockingRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer nw.Close()
 	err = nw.Run(func(nd *Node) error {
 		for r := 0; r < 3; r++ {
 			nd.Broadcast(Packet{Word(nd.ID())})
@@ -545,6 +558,7 @@ func TestStrictBudgetWakesStragglers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer nw.Close()
 	err = nw.Run(func(nd *Node) error {
 		for r := 0; r < 4; r++ {
 			if nd.ID() == 0 && r == 1 {
@@ -561,4 +575,214 @@ func TestStrictBudgetWakesStragglers(t *testing.T) {
 	if !errors.Is(err, ErrBandwidthExceeded) {
 		t.Fatalf("want ErrBandwidthExceeded, got %v", err)
 	}
+}
+
+// TestFailedRunNeverDelivers: the round a run fails in is not delivered, even
+// though every surviving node has published its outbox by then. Each node's
+// round-1 sends point into a buffer its deferred cleanup overwrites once its
+// Exchange hands it the failure — a delivery after that point would copy the
+// poison, one before it would show up in Metrics and the arenas. The crash is
+// the last node's, so with any worker count the others are swept first and
+// sit suspended with published outboxes when it happens; under Run the node
+// program panics itself, through a Mux one of its instances does.
+func TestFailedRunNeverDelivers(t *testing.T) {
+	t.Parallel()
+	const n = 6
+	const poison = Word(-77)
+	program := func(ex Exchanger) error {
+		ex.Send((ex.ID()+1)%n, Packet{Word(ex.ID())})
+		if _, err := ex.ExchangeFlat(); err != nil {
+			return err
+		}
+		buf := make(Packet, 4)
+		defer func() {
+			for i := range buf {
+				buf[i] = poison
+			}
+		}()
+		for to := 0; to < n; to++ {
+			ex.Send(to, buf)
+		}
+		if ex.ID() == n-1 {
+			panic("crash with sends queued")
+		}
+		_, err := ex.ExchangeFlat()
+		return err
+	}
+	for name, run := range map[string]func(*Node) error{
+		"run": func(nd *Node) error { return program(nd) },
+		"mux": func(nd *Node) error { return NewMux(nd).Run(map[int]func(Exchanger) error{3: program}) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			for _, workers := range []int{1, 2, n} {
+				nw, err := New(n, WithWorkers(workers))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer nw.Close()
+				err = nw.Run(run)
+				if err == nil || !contains(err.Error(), "panicked") {
+					t.Fatalf("workers=%d: want the panic as the run's error, got %v", workers, err)
+				}
+				if m := nw.Metrics(); m.Rounds != 1 || m.TotalMessages != n {
+					t.Fatalf("workers=%d: %d rounds, %d messages delivered, want round 0's %d messages only", workers, m.Rounds, m.TotalMessages, n)
+				}
+				for id := 0; id < n; id++ {
+					if rec := nw.wordArena[1][id]; len(rec) != 0 {
+						t.Fatalf("workers=%d: node %d holds round-1 records %v of a round that must not be delivered", workers, id, rec)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestCoroutineLifecycle pins what a Network owes for running blocking
+// programs as coroutines: they are made once per node and reused (a warm run's
+// allocations do not grow with n), they are gone after Close whatever the last
+// run did, a panic costs exactly the coroutine it killed, and a program that
+// ignores a failed Exchange is never suspended again.
+func TestCoroutineLifecycle(t *testing.T) {
+	allToAll := func(payload []Packet) func(*Node) error {
+		return func(nd *Node) error {
+			for r := 0; r < 3; r++ {
+				nd.Broadcast(payload[nd.ID()])
+				if _, err := nd.ExchangeFlat(); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
+	payloads := func(n int) []Packet {
+		ps := make([]Packet, n)
+		for i := range ps {
+			ps[i] = Packet{Word(i)}
+		}
+		return ps
+	}
+
+	t.Run("warm run allocations", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		allocs := map[int]float64{}
+		for _, n := range []int{8, 64, 256} {
+			nw, err := New(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			program := allToAll(payloads(n))
+			allocs[n] = testing.AllocsPerRun(5, func() { // its warm-up call creates the coroutines
+				if err := nw.Run(program); err != nil {
+					t.Error(err)
+				}
+			})
+			if got := runtime.NumGoroutine(); got < base+n {
+				t.Fatalf("n=%d: %d goroutines after a blocking run, want the %d coroutines parked", n, got, n)
+			}
+			if err := nw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := settleGoroutines(base, 2*time.Second); err != nil {
+				t.Fatalf("n=%d after Close: %v", n, err)
+			}
+		}
+		if allocs[256] > allocs[8]+4 || allocs[64] > allocs[8]+4 {
+			t.Fatalf("allocations of a warm 3-round run grow with n: %v", allocs)
+		}
+	})
+
+	t.Run("panic", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		const n = 8
+		nw, err := New(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		program := allToAll(payloads(n))
+		if err := nw.Run(program); err != nil {
+			t.Fatal(err)
+		}
+		err = nw.Run(func(nd *Node) error {
+			if _, err := nd.Exchange(); err != nil {
+				return err
+			}
+			if nd.ID() == 2 {
+				panic("boom")
+			}
+			_, err := nd.Exchange()
+			return err
+		})
+		if err == nil || !contains(err.Error(), "node 2 panicked") {
+			t.Fatalf("want node 2's panic, got %v", err)
+		}
+		for i := range nw.coros {
+			if dead := nw.coros[i].next == nil; dead != (i == 2) {
+				t.Fatalf("after node 2's panic coroutine %d dead = %v", i, dead)
+			}
+		}
+		if err := settleGoroutines(base+n-1, 2*time.Second); err != nil {
+			t.Fatalf("after the panic: %v", err)
+		}
+		if err := nw.Run(program); err != nil {
+			t.Fatalf("run after the panic: %v", err)
+		}
+		// Exactly n again (once the run's workers are gone): only the dead
+		// coroutine was made anew.
+		if err := settleGoroutines(base+n, 2*time.Second); err != nil || runtime.NumGoroutine() != base+n {
+			t.Fatalf("%d goroutines after the run that followed the panic, want %d (%v)", runtime.NumGoroutine(), base+n, err)
+		}
+		// Close right after a panicked run: one coroutine is already gone.
+		if err := nw.Run(func(nd *Node) error { panic("again") }); err == nil {
+			t.Fatal("panicking run reported success")
+		}
+		if err := nw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := settleGoroutines(base, 2*time.Second); err != nil {
+			t.Fatalf("after Close: %v", err)
+		}
+	})
+
+	t.Run("cancel and ignored errors", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		const n = 8
+		nw, err := New(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		ignored := make([]int, n)
+		err = nw.RunContext(ctx, func(nd *Node) error {
+			for r := 0; ; r++ {
+				if nd.ID() == n/2 && r == 2 {
+					cancel() // mid-round: half the nodes are suspended already
+				}
+				if _, err := nd.Exchange(); err != nil {
+					// Ignore it a few times: each further Exchange must hand
+					// the failure back at once instead of suspending.
+					for i := 0; i < 3; i++ {
+						if _, again := nd.Exchange(); again != nil && again.Error() == err.Error() {
+							ignored[nd.ID()]++
+						}
+					}
+					return nil
+				}
+			}
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("run error = %v, want one wrapping context.Canceled", err)
+		}
+		for id, k := range ignored {
+			if k != 3 {
+				t.Fatalf("node %d got the failure from %d of 3 further exchanges", id, k)
+			}
+		}
+		if err := nw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := settleGoroutines(base, 2*time.Second); err != nil {
+			t.Fatalf("after Close of a cancelled run: %v", err)
+		}
+	})
 }

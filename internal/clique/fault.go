@@ -3,7 +3,6 @@ package clique
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -17,27 +16,27 @@ var ErrFaultInjected = errors.New("injected fault")
 
 // ErrRoundDeadline is wrapped by the error the round watchdog
 // (WithRoundDeadline) records when a round fails to turn over within the
-// configured deadline. The error names the nodes that had not arrived at the
-// barrier when the watchdog fired.
+// configured deadline. The error names the nodes whose compute phase was
+// being executed when the watchdog fired.
 var ErrRoundDeadline = errors.New("round deadline exceeded")
 
 // FaultKind selects the behaviour a Fault injects.
 type FaultKind uint8
 
 const (
-	// FaultPanic makes the chosen node panic when it reaches the barrier of
-	// the chosen round, exercising the engine's panic-recovery and
-	// complete-on-behalf paths exactly as a real node crash would.
+	// FaultPanic makes the chosen node panic in the chosen round — a blocking
+	// program inside that round's Exchange, a step program instead of running
+	// that round's step — exactly as a real node crash would.
 	FaultPanic FaultKind = iota + 1
-	// FaultStall delays the chosen node for Stall before it arrives at the
-	// barrier of the chosen round. The sleep is interruptible: if the run
-	// fails in the meantime (for example because the round watchdog fired),
-	// the stalled node wakes immediately and observes the failure.
+	// FaultStall delays the chosen node for Stall at the same coordinate. The
+	// sleep is interruptible: if the run fails in the meantime (for example
+	// because the round watchdog fired), the stalled node wakes immediately
+	// and observes the failure.
 	FaultStall
 	// FaultCancel fails the run at the exact turn-over of the chosen round:
-	// the last arrival releases the barrier with an injected-cancellation
-	// failure instead of delivering, the deterministic analogue of a context
-	// cancellation landing between arrival and delivery.
+	// once every node has published, the run loop records an injected
+	// cancellation instead of delivering, the deterministic analogue of a
+	// context cancellation landing between the last publication and delivery.
 	FaultCancel
 )
 
@@ -56,9 +55,9 @@ func (k FaultKind) String() string {
 }
 
 // Fault is one scheduled fault of a FaultPlan. Node is the targeted node id
-// (ignored by FaultCancel, which acts on the round's deliverer whoever that
-// is), Round is the barrier the fault triggers at (the node's Round() value
-// when it arrives), and Stall is the injected delay of a FaultStall.
+// (ignored by FaultCancel, which acts on the run loop), Round is the round the
+// fault triggers in (the node's Round() value at that moment), and Stall is
+// the injected delay of a FaultStall.
 type Fault struct {
 	Kind  FaultKind
 	Node  int
@@ -67,8 +66,8 @@ type Fault struct {
 }
 
 // FaultPlan is a per-run schedule of deterministic faults. A plan is armed on
-// a Network with SetFaultPlan and consumed by the next run — blocking
-// (Run/RunContext) or engine-driven (RunRounds/RunRoundsContext); it never
+// a Network with SetFaultPlan and consumed by the next run — of blocking
+// (Run/RunContext) or step (RunRounds/RunRoundsContext) programs; it never
 // carries over to later runs, which is what lets a session-level retry re-run
 // the same operation fault-free on the same engine. Because every fault fires
 // at an exact (node, round) coordinate of a deterministic execution, chaos
@@ -77,10 +76,10 @@ type Fault struct {
 // than the round deadline) produces results bit-identical to a fault-free
 // run.
 //
-// On the engine-driven scheduler the coordinates keep their meaning: a panic
-// fault departs the node before its step of the chosen round runs, a stall
-// delays the node's step, and a cancellation lands at the round's turn-over
-// before delivery.
+// Under RunRounds the coordinates keep their meaning: a panic fault departs
+// the node before its step of the chosen round runs, a stall delays the
+// node's step, and a cancellation lands at the round's turn-over before
+// delivery.
 type FaultPlan struct {
 	Faults []Fault
 }
@@ -159,8 +158,8 @@ func (p *FaultPlan) hasStall() bool {
 	return false
 }
 
-// SetFaultPlan arms plan for this Network's next run (blocking or
-// engine-driven). The plan is consumed by that run and cleared: later runs on
+// SetFaultPlan arms plan for this Network's next run (Run or RunRounds). The
+// plan is consumed by that run and cleared: later runs on
 // the same Network execute fault-free unless a new plan is armed. Passing nil
 // (or an empty plan) disarms. SetFaultPlan must be called by the same
 // goroutine that starts the run, between runs.
@@ -171,8 +170,8 @@ func (nw *Network) SetFaultPlan(p *FaultPlan) {
 	nw.pendingFaults = p
 }
 
-// injectedPanic is the value an injected FaultPanic panics with, so the run
-// scheduler's recovery can tell an injected crash from a genuine one and wrap
+// injectedPanic is the value an injected FaultPanic panics with, so the crash
+// barrier's recovery can tell an injected crash from a genuine one and wrap
 // ErrFaultInjected with the exact (node, round) coordinate.
 type injectedPanic struct {
 	node, round int
@@ -200,8 +199,8 @@ func (nw *Network) setFailure(err error) {
 }
 
 // stallNode sleeps for d or until the run fails, whichever comes first. It
-// runs on the stalled node's goroutine before the node arrives at the
-// barrier, so a stall shorter than any configured round deadline only delays
+// runs inside the stalled node's compute phase, holding up its worker's
+// sweep, so a stall shorter than any configured round deadline only delays
 // the round; a longer one is cut short the moment the watchdog records the
 // deadline failure.
 func (nw *Network) stallNode(d time.Duration) {
@@ -217,39 +216,18 @@ func (nw *Network) stallNode(d time.Duration) {
 	<-t.C
 }
 
-// departedArrival marks a node that has left the run in the arrival tracker,
-// so the watchdog never names a finished node as holding up a round.
-const departedArrival = int32(math.MaxInt32)
-
-// noteArrival records that node id reached the barrier of round r (or, with
-// departed, left the run) for the watchdog's diagnostics. It is a single
-// atomic store on the arrival path and only runs when a round deadline is
-// configured.
-func (nw *Network) noteArrival(id, r int, departed bool) {
-	if nw.arrivals == nil {
-		return
-	}
-	if departed {
-		nw.arrivals[id].Store(departedArrival)
-		return
-	}
-	nw.arrivals[id].Store(int32(r) + 1)
-}
-
-// startWatchdogRun prepares the round watchdog for one run: it
-// resets the arrival tracker and kicks the persistent watchdog goroutine
-// (started lazily on the first deadline-enabled run, reused for every later
-// one — a fault-free warm run allocates nothing for the watchdog). No-op
+// startWatchdogRun prepares the round watchdog for one run, after
+// prepareSweep has fixed the run's worker count: it sizes the workers'
+// "executing" slots (which sweep fills from then on, one atomic store per
+// compute phase) and kicks the persistent watchdog goroutine (started lazily
+// on the first deadline-enabled run, reused for every later one). No-op
 // unless WithRoundDeadline is configured.
 func (nw *Network) startWatchdogRun() bool {
 	if nw.cfg.roundDeadline <= 0 {
 		return false
 	}
-	if nw.arrivals == nil {
-		nw.arrivals = make([]atomic.Int32, nw.n)
-	}
-	for i := range nw.arrivals {
-		nw.arrivals[i].Store(0)
+	if len(nw.executing) < nw.sweepers {
+		nw.executing = make([]atomic.Int32, nw.sweepers)
 	}
 	if !nw.wdStarted {
 		nw.wdKick = make(chan struct{})
@@ -281,10 +259,10 @@ func (nw *Network) closeWatchdog() {
 // watchdogLoop is the persistent round watchdog. Between a kick and its halt
 // it polls the round counter on a reusable timer; when the counter stops
 // advancing for the configured deadline it records an ErrRoundDeadline
-// failure naming the unarrived nodes and releases the current barrier
-// generation, so parked nodes (and interruptible stalls) observe the failure
-// instead of hanging. Polling granularity is deadline/8, clamped below at
-// 50µs, so a fire lands within ~1.125× the deadline.
+// failure naming the nodes being executed, which interrupts injected stalls
+// and ends the run at the end of the sweep in progress. Polling granularity
+// is deadline/8, clamped below at 50µs, so a fire lands within ~1.125× the
+// deadline.
 func (nw *Network) watchdogLoop() {
 	d := nw.cfg.roundDeadline
 	tick := d / 8
@@ -325,22 +303,19 @@ func (nw *Network) watchdogLoop() {
 	}
 }
 
-// watchdogFire converts a missed round deadline into a run failure. If the
-// run is already failing it only re-releases the barrier (idempotent);
-// otherwise it records a diagnostic naming the unarrived nodes and releases
-// the current generation so every parked node wakes and observes the error.
+// watchdogFire converts a missed round deadline into a run failure (unless
+// the run is failing already: the first failure stays). The diagnostic names
+// what holds the round up: the node each worker is executing at this moment —
+// a worker that has finished its sweep, or the loop while it delivers, none.
 func (nw *Network) watchdogFire(round int, d time.Duration) {
-	if nw.fail.Load() == nil {
-		var waiting []int
-		for i := range nw.arrivals {
-			if a := nw.arrivals[i].Load(); a != int32(round)+1 && a != departedArrival {
-				waiting = append(waiting, i)
-			}
+	var waiting []int
+	for w := range nw.executing[:nw.sweepers] {
+		if id := nw.executing[w].Load(); id > 0 {
+			waiting = append(waiting, int(id)-1)
 		}
-		nw.setFailure(fmt.Errorf("clique: round %d did not turn over within %v: waiting on %d of %d nodes (%s): %w",
-			round, d, len(waiting), nw.n, fmtNodeList(waiting), ErrRoundDeadline))
 	}
-	nw.gen.Load().release()
+	nw.setFailure(fmt.Errorf("clique: round %d did not turn over within %v: waiting on %d of %d nodes (%s): %w",
+		round, d, len(waiting), nw.n, fmtNodeList(waiting), ErrRoundDeadline))
 }
 
 // fmtNodeList renders a node-id list for watchdog diagnostics, truncated

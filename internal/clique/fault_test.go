@@ -150,7 +150,7 @@ func TestWatchdogConvertsStallIntoDeadlineFailure(t *testing.T) {
 	if !errors.Is(err, ErrRoundDeadline) {
 		t.Fatalf("error does not wrap ErrRoundDeadline: %v", err)
 	}
-	for _, want := range []string{"round 1", "nodes 4"} {
+	for _, want := range []string{"round 1", "waiting on 1 of 6 nodes", "nodes 4"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("watchdog diagnostic %q does not name %q", err, want)
 		}
@@ -311,6 +311,11 @@ func TestRunRoundsWatchdogFailsLongStall(t *testing.T) {
 	}
 	if !errors.Is(err, ErrRoundDeadline) {
 		t.Fatalf("error does not wrap ErrRoundDeadline: %v", err)
+	}
+	for _, want := range []string{"round 1", "waiting on 1 of 6 nodes", "nodes 4"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("watchdog diagnostic %q does not name %q", err, want)
+		}
 	}
 	if elapsed > 5*time.Second {
 		t.Fatalf("stalled step run took %v; the watchdog fire did not interrupt the stall", elapsed)
@@ -484,16 +489,8 @@ func TestWatchdogNoGoroutineLeak(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		runtime.GC()
-		if runtime.NumGoroutine() <= before {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d before, %d after close", before, runtime.NumGoroutine())
-		}
-		time.Sleep(5 * time.Millisecond)
+	if err := settleGoroutines(before, 2*time.Second); err != nil {
+		t.Fatalf("after close: %v", err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"iter"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -99,31 +100,9 @@ type SharedKey struct {
 	Group int32
 }
 
-// generation is one epoch of the round barrier. Nodes that arrive before the
-// round is complete park on done; the round's deliverer closes it after
-// writing the round's records, which both wakes the waiters and publishes
-// (in the memory-model sense) everything the delivery phase wrote.
-type generation struct {
-	done     chan struct{}
-	released atomic.Bool
-}
-
-// release closes done exactly once. The barrier has two legitimate releasers
-// — the round's deliverer (or a failing node completing the round on a
-// straggler's behalf) and the round watchdog — and they may race, so every
-// close of a generation goes through this CAS.
-func (g *generation) release() {
-	if g.released.CompareAndSwap(false, true) {
-		close(g.done)
-	}
-}
-
 // failure boxes the first engine-level error so it can live in an
 // atomic.Pointer.
 type failure struct{ err error }
-
-// activeOne is the increment of the live-node half of Network.state.
-const activeOne = uint64(1) << 32
 
 // payloadRingDepth is the number of per-receiver payload arenas cycled
 // through by delivery. Words received in round r are only overwritten when
@@ -138,38 +117,22 @@ const payloadRingDepth = 4
 // packet's words are guaranteed to stay valid for (see payloadRingDepth).
 const PayloadGraceRounds = payloadRingDepth - 1
 
-func stateParts(s uint64) (active, arrived uint32) {
-	return uint32(s >> 32), uint32(s)
-}
-
-// Network is an in-process simulation of a congested clique of n nodes.
+// Network is an in-process simulation of a congested clique of n nodes (the
+// package documentation describes the engine at length).
 //
-// The execution engine is a sharded two-phase design. During the compute
-// phase every node appends to a private outbox with no synchronisation at
-// all. At the barrier a node publishes its outbox into its own slot and
-// arrives with a single atomic add on state, which packs the number of live
-// nodes (high 32 bits) and the number of arrived nodes (low 32 bits); the
-// arrival that makes the two halves equal elects that goroutine the round's
-// deliverer. Delivery therefore runs while every other live node is parked on
-// the current generation's channel: the outboxes are read-only, and the
-// deliverer splits the receivers into contiguous ranges (deliveryShard) that
-// it and up to min(workers, GOMAXPROCS, n)-1 helper goroutines (fewer when
-// other Networks of the process are running, see shardCount) fill
-// concurrently — each receiver's arena and load counters belong to exactly
-// one shard, so delivery holds no lock either, and no lock is ever held,
-// contended or otherwise, while a node computes. Every shard scans the
-// senders in ascending order, so a receiver's records are byte-identical for
-// any shard count; rounds below shardMinPackets are delivered by the
-// deliverer alone.
-//
-// Delivery writes one format only: every packet becomes a [from, len,
-// payload...] record appended to its receiver's word arena, cycled on a
-// payloadRingDepth-round ring (so received words stay valid for
-// PayloadGraceRounds further barriers and can be re-sent without cloning).
-// A boxed Inbox is a view the receiver builds over those records (see
-// inboxView). Per-edge load is tracked in dense per-node scratch slices:
-// O(1) per packet with no hashing and no per-round allocation in steady
-// state.
+// It has one run loop (see run). In each round k sweep workers walk contiguous
+// ranges of the nodes and execute every live node's compute phase — a StepFunc
+// call under RunRounds, the resumption of the node's blocking program, a
+// coroutine suspended inside Exchange, under Run — during which the node
+// appends to a private outbox with no synchronisation at all; the worker then
+// publishes the outbox. Once all workers have reported the loop delivers the
+// round, so delivery runs while no node computes: the outboxes are read-only,
+// each receiver's arena and load counters belong to exactly one of the
+// receiver ranges (deliveryShard) the loop and its helper goroutines fill, and
+// no lock is ever held while a node computes or a packet is delivered. Every
+// packet becomes a [from, len, payload...] record in its receiver's arena,
+// cycled on a payloadRingDepth-round ring; a boxed Inbox is a view the
+// receiver builds over those records (see inboxView).
 type Network struct {
 	n   int
 	cfg config
@@ -188,22 +151,36 @@ type Network struct {
 	// happens lazily at the start of every run after the first.
 	runs int
 
-	state atomic.Uint64
-	gen   atomic.Pointer[generation]
 	round atomic.Int64
 	fail  atomic.Pointer[failure]
 
-	// outboxes[i] is published by node i when it arrives at the barrier and
-	// consumed (and nilled) by the deliverer.
+	// The run in progress: its node program in one of its two shapes, its
+	// number of sweep workers, and what the loop and the workers talk through
+	// — errs[i] is node i's own error, starts[w] hands worker w the round to
+	// sweep, acks takes the workers' reports — sized on first use and kept.
+	step     StepFunc
+	program  func(*Node) error
+	sweepers int
+	errs     []error
+	starts   []chan int
+	acks     chan sweepAck
+	// coros[i] is the coroutine node i's blocking programs run on, nil until
+	// the first Run: an engine that only ever steps carries none.
+	coros []nodeCoro
+
+	// outboxes[i] is published by the worker that ran node i's compute phase
+	// and consumed (and nilled) by delivery. A departed node — its program
+	// returned, or its step said done — is swept no more, and delivery drops
+	// what is still addressed to it.
 	outboxes [][]pendingPacket
 	departed []bool
 
 	// wordArena[r%payloadRingDepth][t] holds the records delivered to node t
-	// in round r. The slot is resliced to empty (keeping capacity) by the
-	// owning node when it arrives at the barrier of round r, so after the
-	// turn-over it holds exactly that round's traffic; the ring keeps
-	// received words valid for PayloadGraceRounds further barriers. Growth is
-	// append-only, so views created before a reallocation stay valid.
+	// in round r. The slot is resliced to empty (keeping capacity) when node
+	// t's compute phase of round r ends, so after delivery it holds exactly
+	// that round's traffic; the ring keeps received words valid for
+	// PayloadGraceRounds further barriers. Growth is append-only, so views
+	// created before a reallocation stay valid.
 	wordArena [payloadRingDepth][][]Word
 
 	// Delivery scratch, indexed densely by receiver id (so each entry is
@@ -225,17 +202,14 @@ type Network struct {
 	forceShards int
 	shardWG     sync.WaitGroup
 
-	// sem, when non-nil, bounds the number of concurrently computing node
-	// goroutines in Run (see WithWorkers).
-	sem chan struct{}
-
 	// Fault injection and round watchdog (see fault.go). pendingFaults is
 	// armed by SetFaultPlan and consumed into faults by the next beginRun;
 	// failCh, allocated only for runs whose plan contains a stall, is closed
-	// by the first failure so injected stalls are interruptible. arrivals is
-	// the watchdog's per-node barrier-arrival tracker (allocated once, on the
-	// first deadline-enabled run); the wd* channels drive the persistent
-	// watchdog goroutine, which exists from the first such run until Close.
+	// by the first failure so injected stalls are interruptible. executing[w]
+	// is the node worker w is running right now, as id+1, or 0 — what the
+	// watchdog names when it fires (nil without a deadline); the wd* channels
+	// drive the persistent watchdog goroutine, which exists from the first
+	// deadline-enabled run until Close.
 	pendingFaults *FaultPlan
 	faults        *FaultPlan
 
@@ -246,7 +220,7 @@ type Network struct {
 	// applied once, for exactly the run it was armed for).
 	pendingSeed SharedSnapshot
 	failCh      chan struct{}
-	arrivals    []atomic.Int32
+	executing   []atomic.Int32
 	wdKick      chan struct{}
 	wdHalt      chan struct{}
 	wdAck       chan struct{}
@@ -259,9 +233,11 @@ type Network struct {
 	sharedMu sync.Mutex
 	sharedK  map[SharedKey]interface{}
 
+	// steps[i] and memory[i] are node i's self-reported accounting, copied
+	// out of the Node structs when a run ends.
 	stepsMu sync.Mutex
-	steps   map[int]int64
-	memory  map[int]int64
+	steps   []int64
+	memory  []int64
 }
 
 // netBuffers is the recyclable delivery state of a Network. The per-receiver
@@ -281,16 +257,14 @@ type netBuffers struct {
 	// shards is the per-shard delivery scratch (see deliveryShard), grown to
 	// the widest fan-out any Network holding this set has used.
 	shards []*deliveryShard
-	// nodes and pending recycle the per-run node state of both schedulers:
-	// the Node structs themselves and each node's outbox backing array
-	// (cleared of packet references when the node retires — leave under Run,
-	// the end of the run under RunRounds — so no payload memory is retained),
-	// so a run on a warm engine allocates neither. views recycles the boxed
-	// receive views: views[i] belongs to node i under Run and to worker i
+	// nodes and pending recycle the per-run node state — the Node structs and
+	// each node's outbox backing array (handed back by finishSweep pinning no
+	// payload memory) — so a run on a warm engine allocates neither. views
+	// recycles the boxed receive views: views[i] belongs to node i under Run
+	// (an Inbox stays valid until the node's next Exchange) and to worker i
 	// under RunRounds (whose nodes share it, one step at a time), is filled on
 	// its owner's first boxed receive (so flat-only engines never carry one)
-	// and is reset by the owner before it lets go, so a pooled view pins
-	// nothing.
+	// and is reset by the owner before it lets go.
 	nodes   []Node
 	pending [][]pendingPacket
 	views   []inboxView
@@ -378,10 +352,9 @@ func New(n int, opts ...Option) (*Network, error) {
 		recvWords: b.recvWords,
 		destLoad:  b.destLoad,
 		sharedK:   make(map[SharedKey]interface{}),
-		steps:     make(map[int]int64),
-		memory:    make(map[int]int64),
+		steps:     make([]int64, n),
+		memory:    make([]int64, n),
 	}
-	nw.gen.Store(&generation{done: make(chan struct{})})
 	return nw, nil
 }
 
@@ -444,16 +417,16 @@ func (nw *Network) endRun(completed bool) {
 	nw.running.Store(false)
 }
 
-// resetRun restores every piece of per-run state — barrier generation and
-// arrival counter, failure slot, round counter, metrics, delivery arenas,
-// shared-computation cache and step accounting — so the next run starts from
-// the same state a fresh Network would, while keeping the allocated capacity
-// of every buffer and map. The shared cache must not survive a run: the
-// memoised values are colorings of this run's demand matrices, which depend
-// on the instance data, not only on n. The one sanctioned way to carry
-// values across runs is ArmSharedSeed, which re-populates the cleared cache
-// for exactly one run — and only after the session's plan cache has verified
-// the new run executes the identical instance (validate-on-hit).
+// resetRun restores every piece of per-run state — failure slot, round
+// counter, metrics, delivery arenas, shared-computation cache and step
+// accounting — so the next run starts from the same state a fresh Network
+// would, while keeping the allocated capacity of every buffer and map. The
+// shared cache must not survive a run: the memoised values are colorings of
+// this run's demand matrices, which depend on the instance data, not only on
+// n. The one sanctioned way to carry values across runs is ArmSharedSeed,
+// which re-populates the cleared cache for exactly one run — and only after
+// the session's plan cache has verified the new run executes the identical
+// instance (validate-on-hit).
 func (nw *Network) resetRun() {
 	b := nw.buffers
 	for t := 0; t < nw.n; t++ {
@@ -465,10 +438,8 @@ func (nw *Network) resetRun() {
 		b.destLoad[t] = 0
 		b.outboxes[t] = nil
 	}
-	nw.sem = nil
 	nw.round.Store(0)
 	nw.fail.Store(nil)
-	nw.gen.Store(&generation{done: make(chan struct{})})
 
 	nw.sharedMu.Lock()
 	clear(nw.sharedK)
@@ -484,10 +455,12 @@ func (nw *Network) resetRun() {
 	nw.metricsMu.Unlock()
 }
 
-// Close releases the Network's pooled delivery buffers and marks it unusable.
-// It must not be called while a run is in progress. Close is idempotent; any
-// packet views handed out by previous runs expire at the latest here (a
-// future Network may recycle the buffers).
+// Close ends the Network's coroutines and watchdog, releases its pooled
+// delivery buffers and marks it unusable. After a blocking run a Network keeps
+// one parked goroutine per node until Close, so every Network must be closed
+// (never while a run is in progress). Close is idempotent; any packet views
+// handed out by previous runs expire at the latest here (a future Network may
+// recycle the buffers).
 func (nw *Network) Close() error {
 	if !nw.running.CompareAndSwap(false, true) {
 		return errors.New("clique: Close called while a run is in progress")
@@ -498,6 +471,14 @@ func (nw *Network) Close() error {
 	}
 	nw.closed.Store(true)
 	nw.closeWatchdog()
+	// Between runs every live coroutine is parked where its program returned;
+	// stop resumes it there and it exits.
+	for i := range nw.coros {
+		if stop := nw.coros[i].stop; stop != nil {
+			stop()
+		}
+	}
+	nw.coros = nil
 	nw.releaseBuffers()
 	return nil
 }
@@ -550,138 +531,39 @@ func (nw *Network) StepsPerNode() map[int]int64 {
 	return out
 }
 
-// Run executes program once per node, each in its own goroutine, and waits
-// for all of them to return. It is equivalent to RunContext with a background
-// context.
+// Run is RunContext with a background context.
 func (nw *Network) Run(program func(*Node) error) error {
 	return nw.RunContext(context.Background(), program)
 }
 
-// RunContext executes program once per node, each in its own goroutine, and
-// waits for all of them to return. A Network supports an unbounded sequence
-// of runs (this is what the public session API builds on): each run starts
-// from a fully reset engine while reusing the delivery arenas, the metric
-// buffers and the cache maps of the previous one. Two runs must not overlap;
-// a concurrent call fails immediately. Call Close when done with the Network
-// to return its buffers to the pool.
+// RunContext executes program once per node, as blocking code: nd.Exchange
+// ends the node's round and returns what the node received in it. Under the
+// engine's one run loop (see run) each program is a coroutine of the sweep
+// worker its node belongs to — resumed once per round, suspended by Exchange,
+// created on the node's first blocking run and kept, parked, until Close.
+// Runs on one Network may follow each other without limit (the session API
+// builds on this; each starts from a fully reset engine and reuses every
+// buffer of the last) but never overlap: a concurrent call fails at once.
 //
-// Cancelling ctx fails the run deterministically through the same path as a
-// hardened delivery failure: the cancellation is recorded as the engine
-// failure, the next barrier turn-over wakes every parked node instead of
-// delivering, and all node programs observe an error wrapping ctx.Err() from
-// their pending Exchange. No node is left stranded, and the Network remains
-// usable for further runs afterwards.
+// A run fails when ctx is cancelled (checked before every round; the error
+// wraps ctx.Err()), when WithRoundDeadline's watchdog sees a round take too
+// long (ErrRoundDeadline, naming the nodes being executed), by a fault armed
+// with SetFaultPlan, by a strict edge budget, or by a panicking node —
+// injected or real, a crash, recorded at once as the run's root cause. A
+// failed run delivers no further round, not even the one in progress; every
+// program suspended in Exchange is resumed once to be handed the failure (and
+// gets it again, without suspending, from every Exchange it still tries), and
+// the Network stays usable. A program that merely returns before its peers,
+// with or without an error, departs gracefully: the others keep running, and
+// sends it queued after its last Exchange are discarded.
 //
-// With WithRoundDeadline(d) a round watchdog additionally monitors barrier
-// progress: a round that fails to turn over within d fails the run through
-// the same release path with an error wrapping ErrRoundDeadline that names
-// the unarrived nodes, instead of hanging the barrier forever. A fault plan
-// armed with SetFaultPlan is consumed by this run (see FaultPlan).
-//
-// Error reporting is deterministic: if any node program returns an error (or
-// panics, which is converted to an error), the error of the lowest-numbered
-// failing node wins, regardless of the temporal order in which nodes failed.
-// An engine-level failure (such as a strict edge-budget violation or a
-// context cancellation) is returned only if no node program reported an
-// error itself — or when the winning node's error merely wraps that failure,
-// in which case the failure is returned bare (see firstError).
-//
-// A node panic — injected or real — fails the whole run fast: the crash is
-// recorded as the run's root-cause failure before the crashed node's barrier
-// slot is released, so every surviving node observes the "node X panicked"
-// error at its next Exchange instead of continuing rounds with a silently
-// missing member and failing later with a secondary protocol error. A node
-// program that returns normally before its peers, by contrast, is a graceful
-// departure: the others keep running.
-//
-// When WithWorkers(k) is set with 0 < k < n, at most k node goroutines
-// compute concurrently; nodes parked at the round barrier release their slot.
-// All n goroutines still exist (the blocking Exchange API requires a stack
-// per node); use RunRounds to run n logical nodes on k goroutines.
+// Error reporting is deterministic: the error of the lowest-numbered node
+// that returned one (or panicked) wins, whenever it happened; the run's
+// failure is returned if no program reported an error of its own, or when the
+// winning error merely wraps it (see firstError). What a program returns
+// after being handed the failure at the end of the run is not recorded.
 func (nw *Network) RunContext(ctx context.Context, program func(*Node) error) error {
-	if err := nw.beginRun(); err != nil {
-		return err
-	}
-	completed := false
-	defer func() { nw.endRun(completed) }()
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("clique: run cancelled: %w", err)
-	}
-	nw.state.Store(uint64(nw.n) << 32)
-	if k := nw.cfg.workers; k > 0 && k < nw.n {
-		nw.sem = make(chan struct{}, k)
-		for i := 0; i < k; i++ {
-			nw.sem <- struct{}{}
-		}
-	}
-
-	// The watcher is reaped synchronously before the run returns: a
-	// cancellation that races with run completion must either land in this
-	// run's failure slot or nowhere, never in a later run's. The round
-	// watchdog (when WithRoundDeadline is set) follows the same discipline
-	// via its halt handshake.
-	var stop chan struct{}
-	var watch sync.WaitGroup
-	if done := ctx.Done(); done != nil {
-		stop = make(chan struct{})
-		watch.Add(1)
-		go func() {
-			defer watch.Done()
-			select {
-			case <-done:
-				nw.setFailure(fmt.Errorf("clique: run cancelled: %w", ctx.Err()))
-			case <-stop:
-			}
-		}()
-	}
-	watching := nw.startWatchdogRun()
-
-	errs := make([]error, nw.n)
-	var wg sync.WaitGroup
-	for i := 0; i < nw.n; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			// Node structs and outbox backing arrays are recycled across
-			// runs (see netBuffers.nodes); leave clears the packet
-			// references when the node retires.
-			nd := &nw.buffers.nodes[id]
-			*nd = Node{nw: nw, id: id, pending: nw.buffers.pending[id], view: &nw.buffers.views[id]}
-			if nw.sem != nil {
-				<-nw.sem
-				// A node outside the barrier always holds its compute slot, so
-				// the unconditional release below is balanced.
-				defer func() { nw.sem <- struct{}{} }()
-			}
-			defer nw.leave(nd)
-			defer func() {
-				if r := recover(); r != nil {
-					errs[id] = nodePanicError(id, r)
-					// A panic is a crash, not a retirement: record it as the
-					// run's root-cause failure before leave releases the
-					// barrier, so peers observe "node X panicked" at their
-					// next Exchange instead of failing later with secondary
-					// protocol errors about the silently missing member.
-					nw.setFailure(errs[id])
-				}
-			}()
-			errs[id] = program(nd)
-		}(i)
-	}
-	wg.Wait()
-	if watching {
-		nw.stopWatchdogRun()
-	}
-	if stop != nil {
-		close(stop)
-		watch.Wait()
-	}
-	err := nw.firstError(errs)
-	completed = err == nil
-	return err
+	return nw.run(ctx, nil, program)
 }
 
 // firstError implements the documented deterministic error rule: lowest
@@ -716,148 +598,64 @@ func (nw *Network) workerCount() int {
 	return min(k, nw.n)
 }
 
-// StepFunc is one node's program in the engine-driven scheduling mode of
-// RunRounds. It is invoked once per round; inbox holds what the node received
-// at the end of the previous round (nil in round 0) and is only valid for the
-// duration of the call. Packets queued with nd.Send during the call are
-// delivered at the end of the round. Returning done = true retires the node:
-// its final sends are still delivered to nodes that remain active, but the
-// retired node itself can no longer receive — packets addressed to it in its
-// final round or later are dropped (and counted in DroppedToDeparted), since
-// there is no future step call to hand them to. If every remaining node
-// retires in the same round, that round's sends are discarded without
-// delivery or accounting (mirroring the blocking API, where packets queued
-// by a program that returns without exchanging are never published).
+// StepFunc is one node's program under RunRounds. It is invoked once per
+// round; inbox holds what the node received at the end of the previous round
+// (nil in round 0) and is only valid for the duration of the call. Packets
+// queued with nd.Send during the call are delivered at the end of the round.
+// Returning done = true retires the node: its final sends are still delivered
+// to nodes that remain active, but the retired node itself can no longer
+// receive — packets addressed to it in its final round or later are dropped
+// (and counted in DroppedToDeparted), since there is no future step call to
+// hand them to. If every remaining node retires in the same round, that
+// round's sends are discarded without delivery or accounting.
 type StepFunc func(nd *Node, round int, inbox Inbox) (done bool, err error)
 
-// RunRounds executes step for every node in synchronous rounds on a bounded
-// pool of k worker goroutines (WithWorkers; defaults to GOMAXPROCS), instead
-// of one goroutine per node as Run does. This is the scheduler to use for
-// very large cliques: n >= 10^4 logical nodes run on a handful of goroutines
-// with no parked stacks. Within a round each worker sweeps a contiguous shard
-// of nodes; delivery and metrics are identical to Run, and executions are
-// deterministic for any worker count. Like Run, it may be called repeatedly
-// on one Network (never concurrently).
-//
-// Error reporting follows the same rule as Run: the lowest failing node id
-// wins; an engine-level failure is returned only if no step failed. Node
-// methods other than Exchange work as usual inside step; Exchange returns an
-// error because the engine itself drives the barrier.
+// RunRounds is RunRoundsContext with a background context.
 func (nw *Network) RunRounds(step StepFunc) error {
 	return nw.RunRoundsContext(context.Background(), step)
 }
 
-// RunRoundsContext is RunRounds with cancellation: the engine-driven round
-// loop checks ctx between rounds and fails the run with an error wrapping
-// ctx.Err() as soon as a cancellation is observed (the current round's
-// compute phase finishes first; no worker is left stranded).
+// RunRoundsContext executes step for every node in synchronous rounds: the
+// run loop (see run) calls it once per live node per round. A step program
+// keeps no stack between rounds, so this is the shape for very large cliques:
+// n >= 10^4 logical nodes run on the k sweep workers alone. Delivery, metrics,
+// failures, cancellation and error reporting are those of RunContext, for any
+// worker count, with two differences: a step that returns an error ends the
+// run at that round, and Exchange returns an error — the engine ends the
+// round when step returns.
 func (nw *Network) RunRoundsContext(ctx context.Context, step StepFunc) error {
+	return nw.run(ctx, step, nil)
+}
+
+// sweepAck is one worker's report on a sweep: how many of its nodes departed,
+// and whether a step returned an error.
+type sweepAck struct {
+	left   int
+	failed bool
+}
+
+// run is the engine's one run loop, behind both entry points: exactly one of
+// step and program is set. Each round it has the run's k workers — goroutines
+// that live as long as the run — sweep their node ranges and then, unless the
+// run is over, delivers what they published. The loop itself sweeps nothing:
+// parking right after the kick is what lets every worker start at once (a
+// goroutine readied by one that keeps running waits to be stolen).
+func (nw *Network) run(ctx context.Context, step StepFunc, program func(*Node) error) (err error) {
 	if err := nw.beginRun(); err != nil {
 		return err
 	}
-	completed := false
-	defer func() { nw.endRun(completed) }()
+	defer func() { nw.endRun(err == nil) }()
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("clique: run cancelled: %w", err)
 	}
-	k := nw.workerCount()
-
-	// Node structs and outbox backing arrays are recycled across runs
-	// exactly as RunContext recycles them (see netBuffers.nodes): at ~n keys
-	// per node they are the bulk of what a step-mode run would otherwise
-	// re-grow from nil every time. An inbox is only alive during one step
-	// call, so the nodes of worker w share views[w], which boxes the records
-	// of whichever of them is stepping and is reset right after:
-	// O(traffic + workers·n) memory.
-	b := nw.buffers
-	nodes := b.nodes[:nw.n]
-	for w := 0; w < k; w++ {
-		for i := w * nw.n / k; i < (w+1)*nw.n/k; i++ {
-			nodes[i] = Node{nw: nw, id: i, stepMode: true, pending: b.pending[i], view: &b.views[w]}
-		}
-	}
-	// Hand the outbox arrays back on every exit with no packet reference
-	// left in them, so the pooled buffers never pin payload memory (the
-	// step-mode counterpart of leave). The workers have exited by then, and
-	// each array is in reclaim after a step or still in pending before one;
-	// every step cleared the sends it reclaimed, so only the final round's
-	// remain — a run that staged little sweeps little, whatever capacity an
-	// earlier dense run left behind.
-	defer func() {
-		for i := range nodes {
-			nd := &nodes[i]
-			out := nd.reclaim
-			if out == nil {
-				out = nd.pending
-			}
-			clear(out)
-			b.pending[i] = out[:0]
-			nd.pending, nd.reclaim = nil, nil
-		}
-	}()
-	errs := make([]error, nw.n)
+	nw.step, nw.program = step, program
+	nw.prepareSweep(nw.workerCount())
 	watching := nw.startWatchdogRun()
-
-	type ack struct {
-		left   int
-		failed bool
-	}
-	starts := make([]chan int, k)
-	acks := make(chan ack, k)
-	var workers sync.WaitGroup
-	for w := 0; w < k; w++ {
-		starts[w] = make(chan int, 1)
-		lo, hi := w*nw.n/k, (w+1)*nw.n/k
-		workers.Add(1)
-		go func(startCh chan int, lo, hi int) {
-			defer workers.Done()
-			for round := range startCh {
-				var a ack
-				for id := lo; id < hi; id++ {
-					nd := &nodes[id]
-					if nd.departed {
-						continue
-					}
-					var inbox Inbox
-					if round > 0 {
-						if flat := nw.wordArena[(round-1)%payloadRingDepth][id]; len(flat) > 0 {
-							inbox = nd.view.build(nw.n, flat, noTag)
-						}
-					}
-					if nd.reclaim != nil {
-						// Last round's outbox has been delivered: refill it,
-						// dropping the packet references it still holds.
-						clear(nd.reclaim)
-						nd.pending = nd.reclaim[:0]
-						nd.reclaim = nil
-					}
-					done, err := nw.runStep(step, nd, round, inbox)
-					nd.view.reset()
-					nd.retire()
-					nd.reclaim = nd.pending
-					nw.outboxes[id] = nd.pending
-					nd.pending = nil
-					nd.round++
-					if err != nil {
-						errs[id] = err
-						a.failed = true
-						done = true
-					}
-					if done {
-						nd.departed = true
-						nw.departed[id] = true
-						nw.noteArrival(id, 0, true)
-						a.left++
-					} else {
-						nw.noteArrival(id, round, false)
-					}
-				}
-				acks <- a
-			}
-		}(starts[w], lo, hi)
+	for w := 0; w < nw.sweepers; w++ {
+		go nw.work(w)
 	}
 
 	remaining := nw.n
@@ -866,26 +664,18 @@ func (nw *Network) RunRoundsContext(ctx context.Context, step StepFunc) error {
 			nw.setFailure(fmt.Errorf("clique: run cancelled: %w", err))
 			break
 		}
-		for _, ch := range starts {
-			ch <- round
-		}
-		anyFailed := false
-		for range starts {
-			a := <-acks
-			remaining -= a.left
-			anyFailed = anyFailed || a.failed
-		}
-		if anyFailed {
-			break
-		}
-		if remaining == 0 {
-			// The final sends have no live receivers left; there is nothing
-			// to deliver or account.
+		a := nw.sweepAll(round)
+		remaining -= a.left
+		// A failed run never delivers: a crashed program's published outbox
+		// may reference buffers it released while unwinding. And when the
+		// last nodes depart together their final sends have no live receiver:
+		// there is nothing to deliver or account.
+		if a.failed || remaining == 0 || nw.fail.Load() != nil {
 			break
 		}
 		if nw.faults.cancelAt(round) {
-			// The injected cancellation lands at the exact turn-over, before
-			// delivery — the same coordinate the blocking barrier uses.
+			// The injected cancellation lands at the exact turn-over, after
+			// the last node has published and before delivery.
 			nw.setFailure(fmt.Errorf("clique: run cancelled at round %d turn-over: %w", round, ErrFaultInjected))
 			break
 		}
@@ -894,32 +684,184 @@ func (nw *Network) RunRoundsContext(ctx context.Context, step StepFunc) error {
 			break
 		}
 	}
-	for _, ch := range starts {
-		close(ch)
-	}
-	workers.Wait()
+	nw.sweepAll(-1)
 	if watching {
 		nw.stopWatchdogRun()
 	}
-
-	nw.stepsMu.Lock()
-	for i := range nodes {
-		nw.steps[i] = nodes[i].steps
-		nw.memory[i] = nodes[i].memory
-	}
-	nw.stepsMu.Unlock()
-
-	err := nw.firstError(errs)
-	completed = err == nil
-	return err
+	nw.finishSweep()
+	return nw.firstError(nw.errs)
 }
 
-// runStep invokes step with the same panic recovery a blocking node program
-// gets: the crash becomes that node's error and the run's root-cause failure,
-// instead of tearing down the whole process. Injected faults fire here, at
-// the node's (node, round) coordinate, so an injected crash is a panic like
-// any other: the node departs and the round is never delivered.
-func (nw *Network) runStep(step StepFunc, nd *Node, round int, inbox Inbox) (done bool, err error) {
+// prepareSweep sets the run's nodes and scheduling scratch up for k workers.
+// A blocking program's node owns its view and coroutine slots; a step inbox is
+// only alive during one step call, so the step nodes of worker w share
+// views[w]: O(traffic + workers·n) memory.
+func (nw *Network) prepareSweep(k int) {
+	if nw.errs == nil {
+		nw.errs = make([]error, nw.n)
+	}
+	clear(nw.errs)
+	if len(nw.starts) < k { // first run, or GOMAXPROCS has grown since
+		nw.starts = make([]chan int, k)
+		for w := range nw.starts {
+			nw.starts[w] = make(chan int, 1)
+		}
+		nw.acks = make(chan sweepAck, k)
+	}
+	nw.sweepers = k
+	if nw.program != nil && nw.coros == nil {
+		nw.coros = make([]nodeCoro, nw.n)
+	}
+	b := nw.buffers
+	for w := 0; w < k; w++ {
+		for i := w * nw.n / k; i < (w+1)*nw.n/k; i++ {
+			nd := Node{nw: nw, id: i, pending: b.pending[i], view: &b.views[w]}
+			if nw.program != nil {
+				nd.view, nd.co = &b.views[i], &nw.coros[i]
+			}
+			b.nodes[i] = nd
+		}
+	}
+}
+
+// finishSweep is the end-of-run pass over the nodes: it copies the
+// self-reported accounting out and hands the outbox arrays back with no
+// packet reference left in them, so the pooled buffers never pin payload
+// memory. The references of delivered sends stay behind until here (clearing
+// every round costs a full-load run 40 bytes per packet); beyond sent, the
+// most the node queued in any round, the array is clear already — a run that
+// staged little sweeps little, whatever an earlier dense run left behind.
+func (nw *Network) finishSweep() {
+	b := nw.buffers
+	nw.stepsMu.Lock()
+	for i := range b.nodes[:nw.n] {
+		nd := &b.nodes[i]
+		clear(nd.pending[:max(nd.sent, len(nd.pending))])
+		b.pending[i] = nd.pending[:0]
+		nd.pending = nil
+		nw.steps[i], nw.memory[i] = nd.steps, nd.memory
+	}
+	nw.stepsMu.Unlock()
+	nw.step, nw.program = nil, nil
+}
+
+// sweepAll has every worker sweep its nodes for the given round and adds
+// their reports up. A negative round is the last sweep of the run (see
+// sweep); the workers exit after it.
+func (nw *Network) sweepAll(round int) sweepAck {
+	for _, ch := range nw.starts[:nw.sweepers] {
+		ch <- round
+	}
+	var a sweepAck
+	for range nw.starts[:nw.sweepers] {
+		b := <-nw.acks
+		a.left += b.left
+		a.failed = a.failed || b.failed
+	}
+	return a
+}
+
+// work is the body of a sweep worker.
+func (nw *Network) work(w int) {
+	for round := 0; round >= 0; {
+		round = <-nw.starts[w]
+		nw.acks <- nw.sweep(w, round)
+	}
+}
+
+// sweep runs one round's compute phase of worker w's nodes. The final sweep
+// (round < 0) only concerns blocking programs: a failed run leaves them
+// suspended in Exchange, and each is resumed once more — its Exchange, and
+// every later one, now returns the failure without suspending — so that the
+// program returns and its coroutine is parked for the next run.
+func (nw *Network) sweep(w, round int) (a sweepAck) {
+	lo, hi := w*nw.n/nw.sweepers, (w+1)*nw.n/nw.sweepers
+	var executing *atomic.Int32
+	if nw.executing != nil {
+		executing = &nw.executing[w]
+		defer executing.Store(0)
+	}
+	if nw.program != nil {
+		return nw.sweepPrograms(lo, hi, round < 0, executing)
+	}
+	if round < 0 {
+		return a
+	}
+	return nw.sweepSteps(lo, hi, round, &nw.buffers.views[w], executing)
+}
+
+// sweepSteps calls the run's StepFunc for the live nodes in [lo, hi).
+func (nw *Network) sweepSteps(lo, hi, round int, view *inboxView, executing *atomic.Int32) (a sweepAck) {
+	nodes := nw.buffers.nodes
+	for id := lo; id < hi; id++ {
+		if nw.departed[id] {
+			continue
+		}
+		nd := &nodes[id]
+		var inbox Inbox
+		if round > 0 {
+			if flat := nw.wordArena[(round-1)%payloadRingDepth][id]; len(flat) > 0 {
+				inbox = view.build(nw.n, flat, noTag)
+			}
+		}
+		nd.pending = nd.pending[:0] // last round's sends have been delivered
+		if executing != nil {
+			executing.Store(int32(id) + 1)
+		}
+		done, err := nw.runStep(nd, round, inbox)
+		view.reset()
+		nd.publish()
+		if err != nil {
+			nw.errs[id] = err
+			a.failed = true
+			done = true
+		}
+		if done {
+			nw.departed[id] = true
+			a.left++
+		}
+	}
+	return a
+}
+
+// sweepPrograms resumes the blocking programs of the live nodes in [lo, hi),
+// each up to its next Exchange or its return. The worker builds no inbox and
+// leaves the node's view alone: the program reads the round's records itself
+// when Exchange returns, and its Inbox must stay valid until its next one.
+// In the final sweep the programs are bystanders being told of the failure:
+// what they return is not an error of their own and is not recorded.
+func (nw *Network) sweepPrograms(lo, hi int, final bool, executing *atomic.Int32) (a sweepAck) {
+	nodes := nw.buffers.nodes
+	for id := lo; id < hi; id++ {
+		if nw.departed[id] {
+			continue
+		}
+		nd := &nodes[id]
+		nd.pending = nd.pending[:0] // last round's sends have been delivered
+		if executing != nil {
+			executing.Store(int32(id) + 1)
+		}
+		returned, err := nw.resume(nd)
+		if !returned {
+			nd.publish()
+			continue
+		}
+		// Sends queued after the last Exchange are never published;
+		// finishSweep drops them.
+		if !final {
+			nw.errs[id] = err
+		}
+		nd.view.reset()
+		nw.departed[id] = true
+		a.left++
+	}
+	return a
+}
+
+// runStep calls the run's StepFunc for nd behind a crash barrier: a panic
+// becomes that node's error and the run's root-cause failure. Injected faults
+// fire here, before the step, so an injected crash is a panic like any other.
+func (nw *Network) runStep(nd *Node, round int, inbox Inbox) (done bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			done, err = true, nodePanicError(nd.id, r)
@@ -934,23 +876,71 @@ func (nw *Network) runStep(step StepFunc, nd *Node, round int, inbox Inbox) (don
 			nw.stallNode(f.Stall)
 		}
 	}
-	return step(nd, round, inbox)
+	return nw.step(nd, round, inbox)
+}
+
+// nodeCoro is the coroutine a node's blocking programs run on: next resumes
+// it from the sweep, yield suspends it from inside Exchange, stop ends it. It
+// outlives the run — creating one costs ten times a resume — parked where a
+// program returned. next is nil before the node's first blocking run and
+// after a panic has killed the coroutine.
+type nodeCoro struct {
+	next  func() (suspension, bool)
+	stop  func()
+	yield func(suspension) bool
+}
+
+// suspension is what a coroutine hands the sweep when it yields: either the
+// node is inside Exchange (the zero value) or its program has returned err.
+type suspension struct {
+	returned bool
+	err      error
+}
+
+// resume runs nd's program on the node's coroutine — from the top on the
+// first resume of a run, else from the Exchange it is suspended in — until it
+// suspends again or returns. It is the blocking programs' crash barrier: a
+// panic unwinds the program, ends the coroutine and surfaces here, to be
+// treated exactly as in runStep.
+func (nw *Network) resume(nd *Node) (returned bool, err error) {
+	co := nd.co
+	defer func() {
+		if r := recover(); r != nil {
+			co.next, co.stop = nil, nil
+			returned, err = true, nodePanicError(nd.id, r)
+			nw.setFailure(err)
+		}
+	}()
+	if co.next == nil {
+		co.next, co.stop = iter.Pull(func(yield func(suspension) bool) {
+			co.yield = yield
+			for { // nd is the node's slot of the Network's buffers, run after run
+				err := nw.program(nd)
+				if !yield(suspension{returned: true, err: err}) {
+					return // Close
+				}
+			}
+		})
+	}
+	s, _ := co.next()
+	return s.returned, s.err
 }
 
 // Node is one physical node of the clique. A Node must only be used from the
 // goroutine running its program.
 type Node struct {
-	nw       *Network
-	id       int
-	round    int
-	departed bool
-	stepMode bool
-	pending  []pendingPacket
-	reclaim  []pendingPacket
+	nw      *Network
+	id      int
+	round   int
+	pending []pendingPacket
+	sent    int
 	// view boxes the records of this node's Exchange calls and step inboxes;
 	// it is a slot of the pooled netBuffers.views — the node's own under Run,
-	// its worker's (shared with the worker's other nodes) in step mode.
-	view   *inboxView
+	// its worker's (shared with the worker's other nodes) under RunRounds.
+	view *inboxView
+	// co is the coroutine the node's blocking program runs on; a node without
+	// one is being stepped.
+	co     *nodeCoro
 	steps  int64
 	memory int64
 }
@@ -1083,22 +1073,24 @@ func (nd *Node) SharedComputeKeyed(key SharedKey, f func() interface{}) interfac
 	return v
 }
 
-// retire recycles the arena slot about to be written this round. The node
-// owns its slots until it arrives at the barrier, so no synchronisation is
-// needed. Only that one ring slot is resliced, which is what keeps recently
-// received payloads valid for PayloadGraceRounds barriers (same-round
-// forwarding and the constant-round re-send patterns of the primitives), and
-// an empty slot is how delivery recognises a receiver's first packet.
-func (nd *Node) retire() {
+// publish ends the node's compute phase of the round, on the worker that ran
+// it: it empties the arena slot about to be written (only that one ring slot,
+// which is what keeps received payloads valid for PayloadGraceRounds barriers;
+// an empty slot is how delivery recognises a receiver's first packet),
+// publishes the outbox and counts the round.
+func (nd *Node) publish() {
+	nw := nd.nw
 	p := nd.round % payloadRingDepth
-	nd.nw.wordArena[p][nd.id] = nd.nw.wordArena[p][nd.id][:0]
+	nw.wordArena[p][nd.id] = nw.wordArena[p][nd.id][:0]
+	nw.outboxes[nd.id] = nd.pending
+	nd.sent = max(nd.sent, len(nd.pending))
+	nd.round++
 }
 
-// Exchange implements the synchronous round barrier (see the Network type
-// documentation for the two-phase design). The returned Inbox is the node's
-// own view over the round's records (nil when nothing was received): its
-// structure is valid until this node's next Exchange call, the payload words
-// for PayloadGraceRounds further barriers.
+// Exchange ends the node's round and returns what the node received in it.
+// The returned Inbox is the node's own view over the round's records (nil
+// when nothing was received): its structure is valid until this node's next
+// Exchange call, the payload words for PayloadGraceRounds further barriers.
 func (nd *Node) Exchange() (Inbox, error) {
 	flat, err := nd.ExchangeFlat()
 	if err != nil {
@@ -1117,34 +1109,34 @@ func (nd *Node) InboxSenders() []int32 { return nd.view.touched }
 // ExchangeFlat is Exchange returning the round's records as delivery wrote
 // them, without building the boxed view over them.
 func (nd *Node) ExchangeFlat() (FlatInbox, error) {
-	// The round the packets were delivered in is nd.round before
-	// exchangeBarrier increments it.
+	// The round the packets are delivered in is nd.round as of now; the
+	// worker counts the round while the program is suspended.
 	slot := nd.round % payloadRingDepth
-	if err := nd.exchangeBarrier(); err != nil {
+	if err := nd.suspend(); err != nil {
 		return nil, err
 	}
 	return FlatInbox(nd.nw.wordArena[slot][nd.id]), nil
 }
 
-// exchangeBarrier publishes the node's outbox, arrives at the round barrier
-// (delivering the round if it is the last arrival), and returns once the
-// round has turned over.
-func (nd *Node) exchangeBarrier() error {
+// suspend is the blocking programs' round barrier: it yields the node's
+// coroutine to the sweep worker, which publishes the node's outbox and moves
+// on, and returns when the worker resumes the program — after the round has
+// been delivered, or because the run has failed.
+func (nd *Node) suspend() error {
 	nw := nd.nw
-	if nd.stepMode {
+	if nd.co == nil {
 		return errors.New("clique: Exchange is driven by the engine in RunRounds mode")
 	}
 	if f := nw.fail.Load(); f != nil {
 		return f.err
 	}
-	if nd.departed {
+	if nw.departed[nd.id] {
 		return errors.New("clique: Exchange called after node program returned")
 	}
 
-	// Injected faults fire here, at the exact (node, round) coordinate of
-	// the node's barrier arrival: a panic crashes the node before it
-	// publishes (its queued sends are lost, like a real crash), a stall
-	// delays the arrival.
+	// Injected faults fire here, at the end of the node's compute phase: a
+	// panic crashes the node before it publishes (its queued sends are lost,
+	// like a real crash), a stall delays the publication.
 	if f := nw.faults.at(nd.id, nd.round); f != nil {
 		switch f.Kind {
 		case FaultPanic:
@@ -1157,103 +1149,11 @@ func (nd *Node) exchangeBarrier() error {
 		}
 	}
 
-	nd.retire()
-
-	// Publish the outbox; the slot is not read until every node has arrived.
-	published := nd.pending
-	nw.outboxes[nd.id] = published
-	nd.pending = nil
-
-	// The generation must be loaded before arriving: the round cannot turn
-	// over before our arrival is counted, so g is this round's epoch.
-	g := nw.gen.Load()
-	if nw.sem != nil {
-		nw.sem <- struct{}{} // release the compute slot while parked
-	}
-	nw.noteArrival(nd.id, nd.round, false)
-	active, arrived := stateParts(nw.state.Add(1))
-	if arrived == active {
-		if nw.fail.Load() == nil {
-			nw.deliver(g)
-		} else {
-			g.release() // free stragglers; the run is already failed
-		}
-	} else {
-		<-g.done
-	}
-	if nw.sem != nil {
-		<-nw.sem
-	}
-
+	nd.co.yield(suspension{})
 	if f := nw.fail.Load(); f != nil {
 		return f.err
 	}
-	nd.pending = published[:0]
-	nd.round++
 	return nil
-}
-
-// leave removes a node from the barrier once its program has returned. If the
-// node was the last one every other live node was waiting on, the round is
-// completed (or, after a failure, the barrier released) on its behalf.
-func (nw *Network) leave(nd *Node) {
-	nw.stepsMu.Lock()
-	nw.steps[nd.id] = nd.steps
-	nw.memory[nd.id] = nd.memory
-	nw.stepsMu.Unlock()
-
-	// Hand the outbox backing array back for the next run, dropping every
-	// packet reference so pooled buffers never retain payload memory. By this
-	// point the array is no longer shared: a published outbox is consumed by
-	// delivery before the publishing Exchange returns, and after a failure
-	// nothing delivers again before the reset. The node's boxed view goes
-	// back clean the same way.
-	if b := nw.buffers; b != nil {
-		p := nd.pending[:cap(nd.pending)]
-		clear(p)
-		b.pending[nd.id] = p[:0]
-		nd.pending = nil
-		nd.view.reset()
-	}
-
-	if nd.departed {
-		return
-	}
-	nd.departed = true
-	nw.departed[nd.id] = true
-
-	g := nw.gen.Load()
-	nw.noteArrival(nd.id, 0, true)
-	active, arrived := stateParts(nw.state.Add(^activeOne + 1))
-	if active > 0 && arrived == active {
-		if nw.fail.Load() == nil {
-			nw.deliver(g)
-		} else {
-			g.release()
-		}
-	}
-}
-
-// deliver completes the current round and advances the barrier: delivery,
-// arrival reset, generation swap, wake-up. It runs on exactly one goroutine
-// per round while every other live node is parked, and deliverRound has
-// joined its helper shards by the time it returns, so plain loads and stores
-// are safe; the closing of g.done publishes everything written here. A
-// delivery panic comes back from deliverRound as the run's failure, so the
-// barrier still turns over and the woken nodes observe it.
-func (nw *Network) deliver(g *generation) {
-	// An injected cancellation fails the run at this exact turn-over: the
-	// barrier is released without delivering the round, the deterministic
-	// analogue of a context cancellation landing between the last arrival
-	// and delivery.
-	if round := int(nw.round.Load()); nw.faults.cancelAt(round) {
-		nw.setFailure(fmt.Errorf("clique: run cancelled at round %d turn-over: %w", round, ErrFaultInjected))
-	} else {
-		nw.deliverRound()
-	}
-	nw.state.Store(nw.state.Load() >> 32 << 32)
-	nw.gen.Store(&generation{done: make(chan struct{})})
-	g.release()
 }
 
 // shardMinPackets is the number of published packets from which a round's

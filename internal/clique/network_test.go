@@ -30,6 +30,7 @@ func TestSingleRoundAllToAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer nw.Close()
 	err = nw.Run(func(nd *Node) error {
 		for to := 0; to < n; to++ {
 			nd.Send(to, Packet{Word(nd.ID()*100 + to)})
@@ -72,6 +73,7 @@ func TestMultiRoundRelay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer nw.Close()
 	// Round 1: node i sends its id to node (i+1) mod n.
 	// Round 2: forward what was received to (i+2) mod n of the original sender.
 	err = nw.Run(func(nd *Node) error {
@@ -124,6 +126,7 @@ func TestStrictEdgeBudgetViolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer nw.Close()
 	err = nw.Run(func(nd *Node) error {
 		if nd.ID() == 0 {
 			nd.Send(1, Packet{1, 2, 3}) // three words on one edge, budget two
@@ -142,6 +145,7 @@ func TestStrictEdgeBudgetCountsMultiplePackets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer nw.Close()
 	err = nw.Run(func(nd *Node) error {
 		if nd.ID() == 0 {
 			nd.Send(1, Packet{1, 2})
@@ -162,6 +166,7 @@ func TestNodesFinishingAtDifferentRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer nw.Close()
 	var lastRoundTraffic atomic.Int64
 	err = nw.Run(func(nd *Node) error {
 		// Node i runs i+1 rounds; in each round it pings node 0 unless node 0
@@ -198,6 +203,7 @@ func TestNodeErrorPropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer nw.Close()
 	err = nw.Run(func(nd *Node) error {
 		if nd.ID() == 3 {
 			return sentinel
@@ -216,6 +222,7 @@ func TestNodePanicIsConvertedToError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer nw.Close()
 	err = nw.Run(func(nd *Node) error {
 		if nd.ID() == 2 {
 			panic("unexpected")
@@ -279,6 +286,7 @@ func TestBroadcast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer nw.Close()
 	err = nw.Run(func(nd *Node) error {
 		nd.Broadcast(Packet{Word(nd.ID())})
 		inbox, err := nd.Exchange()
@@ -306,6 +314,7 @@ func TestStepAndMemoryAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer nw.Close()
 	err = nw.Run(func(nd *Node) error {
 		nd.CountSteps(10 * (nd.ID() + 1))
 		nd.CountSteps(-5) // ignored
@@ -337,6 +346,7 @@ func TestSharedComputeCaching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer nw.Close()
 	var calls atomic.Int64
 	err = nw.Run(func(nd *Node) error {
 		v := nd.SharedComputeKeyed(SharedKey{Label: "answer"}, func() interface{} {
@@ -362,6 +372,7 @@ func TestSharedComputeCaching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer nw2.Close()
 	var calls2 atomic.Int64
 	err = nw2.Run(func(nd *Node) error {
 		nd.SharedComputeKeyed(SharedKey{Label: "answer"}, func() interface{} {
@@ -385,6 +396,7 @@ func TestMetricsPerRoundStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer nw.Close()
 	err = nw.Run(func(nd *Node) error {
 		// Round 1: everyone sends 2 words to node 0.
 		nd.Send(0, Packet{1, 2})
@@ -425,6 +437,7 @@ func TestSendToInvalidDestinationPanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer nw.Close()
 	err = nw.Run(func(nd *Node) error {
 		if nd.ID() == 0 {
 			nd.Send(7, Packet{1})

@@ -20,15 +20,14 @@ type config struct {
 	// recordPerRound controls whether Metrics.PerRound is populated. Disabling
 	// it saves memory for very long executions.
 	recordPerRound bool
-	// workers bounds scheduling concurrency. For Network.RunRounds it is the
-	// size of the worker pool that n logical nodes are multiplexed onto
-	// (0 = GOMAXPROCS). For Network.Run it bounds, when 0 < workers < n, how
-	// many node goroutines compute concurrently.
+	// workers is the number of sweep workers a run executes its n logical
+	// nodes on (0 = GOMAXPROCS, never more than n), and the widest fan-out of
+	// a round's delivery.
 	workers int
-	// roundDeadline, when positive, arms the round watchdog of the blocking
-	// Run path: a round that fails to turn over within this duration fails
-	// the run with an error wrapping ErrRoundDeadline naming the unarrived
-	// nodes. Zero disables the watchdog.
+	// roundDeadline, when positive, arms the round watchdog: a round that
+	// fails to turn over within this duration fails the run with an error
+	// wrapping ErrRoundDeadline naming the nodes being executed. Zero
+	// disables the watchdog.
 	roundDeadline time.Duration
 }
 
@@ -57,12 +56,11 @@ func WithStrictEdgeBudget(words int) Option {
 	}
 }
 
-// WithWorkers bounds scheduling concurrency to k goroutines. With RunRounds,
-// the n logical nodes are multiplexed onto a pool of k workers (k = 0 picks
-// GOMAXPROCS), so very large cliques run without one parked goroutine per
-// node. With the blocking Run API, 0 < k < n additionally bounds how many of
-// the n node goroutines compute at once; nodes parked at the round barrier
-// do not count. Executions are deterministic for every choice of k.
+// WithWorkers sets the number of sweep workers: a run — of blocking programs
+// (Run) or of step programs (RunRounds) alike — executes its n logical nodes
+// on k goroutines, each responsible for a contiguous range of the nodes, and
+// spreads a round's delivery over at most k. k = 0 picks GOMAXPROCS; more
+// than n is n. Executions are deterministic for every choice of k.
 func WithWorkers(k int) Option {
 	return func(c *config) error {
 		if k < 0 {
@@ -73,20 +71,18 @@ func WithWorkers(k int) Option {
 	}
 }
 
-// WithRoundDeadline arms the round watchdog: if a round of a run (blocking
-// or engine-driven) fails to turn over within d, the run fails with an error
-// wrapping ErrRoundDeadline that names the nodes that had not arrived at the
-// barrier, instead of hanging forever on a stalled or wedged node. Parked
-// nodes and injected stalls are woken immediately; a node blocked inside its
-// own compute phase cannot be reaped (goroutines are not killable) but the
-// run's error reporting no longer waits on it reaching the barrier. d must
-// exceed the longest legitimate round (compute plus delivery) of the
+// WithRoundDeadline arms the round watchdog: if a round of a run (Run or
+// RunRounds) fails to turn over within d, the run fails with an error
+// wrapping ErrRoundDeadline that names the nodes whose compute phase was
+// being executed at that moment — the ones holding the round up. The fire
+// interrupts injected stalls at once, and the run ends when the sweep in
+// progress does; a node wedged inside its own compute phase cannot be reaped
+// (goroutines are not killable), and the run returns only once it lets go.
+// d must exceed the longest legitimate round (compute plus delivery) of the
 // workload, or healthy slow rounds will be reported as failures. The
 // watchdog is a wall-clock mechanism: whether a run that straddles the
 // deadline fails is timing-dependent, unlike injected faults, which are
-// deterministic. RunRounds arms the same watchdog over its round loop: a
-// fire fails the run and interrupts injected stalls, so the sweep finishes
-// and returns the deadline error.
+// deterministic.
 func WithRoundDeadline(d time.Duration) Option {
 	return func(c *config) error {
 		if d <= 0 {

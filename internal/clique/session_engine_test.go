@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync/atomic"
 	"testing"
 )
@@ -112,56 +113,94 @@ func TestRunRoundsContextCancel(t *testing.T) {
 	}
 }
 
-// TestMixedRunModesReuse alternates blocking Run and engine-driven RunRounds
-// on one Network: the segment-mode delivery state of RunRounds must not leak
-// into the following blocking run, and metrics must match a fresh Network's.
-func TestMixedRunModesReuse(t *testing.T) {
+// TestRunAndRunRoundsInterleave alternates the two program shapes on one
+// Network — blocking, step, blocking — at n 8, 64 and 8 again (so the pooled
+// buffers change size under it too): nothing of a run, not the coroutines'
+// views nor the workers', not an outbox, a ring slot or a counter, may leak
+// into the next. Every run must receive the same records and report the same
+// Metrics (PerRound included) and StepsPerNode as that program on a fresh
+// engine.
+func TestRunAndRunRoundsInterleave(t *testing.T) {
 	t.Parallel()
-	const n = 12
-	nw, err := New(n)
-	if err != nil {
-		t.Fatal(err)
+	const rounds = 3
+	type outcome struct {
+		records [][][]Word // [node][round] canonical records
+		metrics Metrics
+		steps   map[int]int64
 	}
-	defer nw.Close()
-
-	blocking := func(nd *Node) error {
-		nd.Broadcast(Packet{Word(nd.ID()), Word(7)})
-		inbox, err := nd.Exchange()
+	// One workload in both shapes: in round r node i sends to its r-th
+	// successor and to node 0, and reports steps and memory.
+	compute := func(nd *Node, r int) {
+		n := nd.N()
+		nd.Send((nd.ID()+r+1)%n, Packet{Word(nd.ID()), Word(r)})
+		nd.Send(0, Packet{Word(r)})
+		nd.CountSteps(nd.ID() + r + 1)
+		nd.ReportMemory(10*nd.ID() + r)
+	}
+	run := func(nw *Network, stepped bool) (outcome, error) {
+		n := nw.N()
+		out := outcome{records: make([][][]Word, n)}
+		for i := range out.records {
+			out.records[i] = make([][]Word, rounds)
+		}
+		var err error
+		if stepped {
+			err = nw.RunRounds(func(nd *Node, r int, inbox Inbox) (bool, error) {
+				if r > 0 {
+					out.records[nd.ID()][r-1] = canonical(unbox(inbox))
+				}
+				if r == rounds {
+					return true, nil
+				}
+				compute(nd, r)
+				return false, nil
+			})
+		} else {
+			err = nw.Run(func(nd *Node) error {
+				for r := 0; r < rounds; r++ {
+					compute(nd, r)
+					ps, err := receive(nd, (nd.ID()+r)%2 == 0)
+					if err != nil {
+						return err
+					}
+					out.records[nd.ID()][r] = canonical(ps)
+				}
+				return nil
+			})
+		}
+		out.metrics, out.steps = nw.Metrics(), nw.StepsPerNode()
+		return out, err
+	}
+	for _, n := range []int{8, 64, 8} {
+		fresh := map[bool]outcome{}
+		for _, stepped := range []bool{false, true} {
+			nw, err := New(n, WithWorkers(3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh[stepped], err = run(nw, stepped)
+			nw.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		nw, err := New(n, WithWorkers(3))
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
-		if countPackets(inbox) != n {
-			return fmt.Errorf("node %d received %d packets, want %d", nd.ID(), countPackets(inbox), n)
+		defer nw.Close()
+		for i, stepped := range []bool{false, true, false} {
+			got, err := run(nw, stepped)
+			if err != nil {
+				t.Fatalf("n=%d run %d (stepped=%v): %v", n, i, stepped, err)
+			}
+			if want := fresh[stepped]; !reflect.DeepEqual(got, want) {
+				t.Fatalf("n=%d run %d (stepped=%v) on a used engine:\n%+v\nfresh engine:\n%+v", n, i, stepped, got, want)
+			}
 		}
-		return nil
-	}
-	stepped := func(nd *Node, round int, inbox Inbox) (bool, error) {
-		if round == 0 {
-			nd.Broadcast(Packet{Word(nd.ID()), Word(7)})
-			return false, nil
+		if cum := nw.CumulativeMetrics(); cum.Runs != 3 {
+			t.Fatalf("cumulative runs = %d, want 3", cum.Runs)
 		}
-		if countPackets(inbox) != n {
-			return true, fmt.Errorf("node %d received %d packets, want %d", nd.ID(), countPackets(inbox), n)
-		}
-		return true, nil
-	}
-
-	if err := nw.Run(blocking); err != nil {
-		t.Fatal(err)
-	}
-	blockingMetrics := nw.Metrics()
-	if err := nw.RunRounds(stepped); err != nil {
-		t.Fatal(err)
-	}
-	if err := nw.Run(blocking); err != nil {
-		t.Fatal(err)
-	}
-	again := nw.Metrics()
-	if blockingMetrics.TotalWords != again.TotalWords || blockingMetrics.MaxEdgeWords != again.MaxEdgeWords {
-		t.Fatalf("blocking run after RunRounds produced different metrics: %+v vs %+v", blockingMetrics, again)
-	}
-	if cum := nw.CumulativeMetrics(); cum.Runs != 3 {
-		t.Fatalf("cumulative runs = %d, want 3", cum.Runs)
 	}
 }
 

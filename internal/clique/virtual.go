@@ -45,12 +45,17 @@ type Mux struct {
 	ndTag    Word
 	ndTagged bool
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	active  int
-	arrived int
-	round   int
-	failed  error
+	// mu guards the barrier state below. Instances wait on turned for the
+	// round to turn over; Run's caller — the barrier's leader, the only
+	// goroutine that may use nd's exchange — waits on arrivals for every
+	// other active instance to have arrived.
+	mu       sync.Mutex
+	turned   sync.Cond
+	arrivals sync.Cond
+	active   int
+	arrived  int
+	round    int
+	failed   error
 	// rawFlat is the engine's flat inbox of the round that just completed,
 	// shared by all instances in passthrough mode. Views stay valid under the
 	// engine's payload grace window, so overwriting it each round is safe.
@@ -61,7 +66,6 @@ type Mux struct {
 	// retired holds the tagged-payload buffers backing pending: they must
 	// survive until the engine has copied the packets at the next barrier.
 	retired []*[]Word
-	vnodes  map[int]*VNode
 	// order lists the registered virtual nodes in ascending instance order:
 	// queued sends are forwarded to the physical node in this (deterministic)
 	// order at every barrier.
@@ -72,28 +76,29 @@ type Mux struct {
 }
 
 // NewMux wraps a physical (or itself virtual) node. Instances are registered
-// with Instance before any of them starts exchanging.
+// with Instance before any of them starts exchanging, and exchange only while
+// Run is serving their barrier.
 func NewMux(nd Exchanger) *Mux {
-	m := &Mux{nd: nd, vnodes: make(map[int]*VNode)}
+	m := &Mux{nd: nd}
 	if ft, ok := nd.(FrameTagger); ok {
 		m.ndTag, m.ndTagged = ft.FrameTag()
 	}
 	m.passthrough = !m.ndTagged
-	m.cond = sync.NewCond(&m.mu)
+	m.turned.L, m.arrivals.L = &m.mu, &m.mu
 	return m
 }
 
 // runFailer is implemented by exchangers that can record a root-cause
 // failure for their whole run: *Node forwards to Network.setFailure, *VNode
-// recurses down its own Mux. Mux.fail uses it to propagate an instance
-// panic to the physical network, so peer nodes parked at the engine barrier
-// fail fast instead of deadlocking on the crashed node's missing arrival.
+// recurses down its own Mux. Mux.fail uses it to propagate a panic to the
+// physical network, so the run fails fast, with the crash as its root cause,
+// instead of carrying on without the crashed instance.
 type runFailer interface {
 	failRun(err error)
 }
 
 // failRun implements runFailer: the panic becomes the run's engine failure,
-// waking parked peers with the root cause at their next exchange.
+// which peers are handed as the root cause by their next exchange.
 func (nd *Node) failRun(err error) {
 	nd.nw.setFailure(err)
 }
@@ -104,20 +109,26 @@ func (v *VNode) failRun(err error) {
 	v.mux.fail(err)
 }
 
-// fail records err as the Mux's failure (first writer wins), wakes every
-// instance parked at the Mux barrier, and propagates the failure to the
-// underlying exchanger so the physical run fails as a whole. Callers must
-// NOT hold m.mu.
+// fail is failLocked for callers that do not hold m.mu.
 func (m *Mux) fail(err error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.failLocked(err)
+}
+
+// failLocked records err as the Mux's failure (first writer wins), wakes the
+// leader and every parked instance, and propagates the failure to the
+// underlying exchanger so the physical run fails as a whole (locks nest from
+// a stacked Mux down to the one it stands on, never up).
+func (m *Mux) failLocked(err error) {
 	if f, ok := m.nd.(runFailer); ok {
 		f.failRun(err)
 	}
-	m.mu.Lock()
 	if m.failed == nil {
 		m.failed = err
 	}
-	m.cond.Broadcast()
-	m.mu.Unlock()
+	m.turned.Broadcast()
+	m.arrivals.Signal()
 }
 
 // Instance registers a new virtual node for the logical instance with the
@@ -130,11 +141,10 @@ func (m *Mux) Instance(id int) (*VNode, error) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.vnodes[id]; ok {
+	if id < len(m.byID) && m.byID[id] != nil {
 		return nil, fmt.Errorf("clique: instance %d registered twice", id)
 	}
 	vn := &VNode{mux: m, instance: id}
-	m.vnodes[id] = vn
 	m.order = append(m.order, vn)
 	sort.Slice(m.order, func(a, b int) bool { return m.order[a].instance < m.order[b].instance })
 	for id >= len(m.byID) {
@@ -145,13 +155,14 @@ func (m *Mux) Instance(id int) (*VNode, error) {
 	return vn, nil
 }
 
-// Run is a convenience helper: it registers one instance per program (with
-// instance identifiers equal to the map keys), runs each program in its own
-// goroutine on its virtual node, and waits for all of them. It returns the
-// error of the lowest-numbered failing slot, mirroring Network.Run's
-// deterministic error rule.
+// Run registers one instance per program (instance identifiers are the map
+// keys), runs each program on its virtual node — the lowest instance on the
+// calling goroutine, the others in goroutines of their own — and waits for
+// all of them. The caller, which must be the goroutine nd's program runs on,
+// leads the instances' barrier (see leadLocked): from inside the lowest
+// instance's exchanges while that one runs, on its own afterwards. It returns
+// the error of the lowest-numbered failing slot, as Network.Run does.
 func (m *Mux) Run(programs map[int]func(Exchanger) error) error {
-	vnodes := make(map[int]*VNode, len(programs))
 	ids := make([]int, 0, len(programs))
 	for id := range programs {
 		ids = append(ids, id)
@@ -160,39 +171,39 @@ func (m *Mux) Run(programs map[int]func(Exchanger) error) error {
 	// instance id, independent of map iteration order.
 	sort.Ints(ids)
 	for _, id := range ids {
-		vn, err := m.Instance(id)
-		if err != nil {
+		if _, err := m.Instance(id); err != nil {
 			return err
 		}
-		vnodes[id] = vn
 	}
 	errs := make([]error, len(ids))
-	var wg sync.WaitGroup
-	for i, id := range ids {
-		wg.Add(1)
-		go func(slot, id int) {
-			defer wg.Done()
-			vn := vnodes[id]
-			defer vn.Close()
-			defer func() {
-				if r := recover(); r != nil {
-					if _, injected := r.(*injectedPanic); injected {
-						errs[slot] = nodePanicError(vn.ID(), r)
-					} else {
-						errs[slot] = fmt.Errorf("clique: instance %d panicked: %v", id, r)
-					}
-					// Same fail-fast rule as Network.RunContext: a panic is a
-					// crash of the whole run, not of one instance. Without the
-					// broadcast the physical barrier would wait forever for
-					// this node's exchange (the panic may have fired inside
-					// deliverLocked, before the physical arrival), deadlocking
-					// every other physical node.
-					m.fail(errs[slot])
-				}
-			}()
-			errs[slot] = programs[id](vn)
-		}(i, id)
+	run := func(slot int) {
+		id := ids[slot]
+		defer m.byID[id].Close()
+		defer func() {
+			if r := recover(); r != nil {
+				errs[slot] = fmt.Errorf("clique: instance %d panicked: %v", id, r)
+				// Same fail-fast rule as Network.RunContext: a panic is a
+				// crash of the whole run, not of one instance.
+				m.fail(errs[slot])
+			}
+		}()
+		errs[slot] = programs[id](m.byID[id])
 	}
+	var wg sync.WaitGroup
+	for slot := 1; slot < len(ids); slot++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run(slot)
+		}()
+	}
+	if len(ids) > 0 {
+		m.byID[ids[0]].leads = true
+		run(0)
+	}
+	m.mu.Lock()
+	m.leadLocked(-1)
+	m.mu.Unlock()
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
@@ -204,6 +215,23 @@ func (m *Mux) Run(programs map[int]func(Exchanger) error) error {
 	return m.failed
 }
 
+// leadLocked is the Mux barrier's leader loop, run by Run's caller holding
+// m.mu: whenever every active instance has arrived it performs the physical
+// exchange — which only the goroutine the underlying exchanger belongs to may
+// do: a Node's Exchange suspends the very coroutine that calls it — and turns
+// the barrier over. It serves until round turn is over (the leading
+// instance's own exchange) or, with turn < 0, until no instance is left, and
+// never longer than the Mux is sound.
+func (m *Mux) leadLocked(turn int) {
+	for m.failed == nil && (m.round == turn || turn < 0 && m.active > 0) {
+		if m.arrived < m.active {
+			m.arrivals.Wait()
+			continue
+		}
+		m.exchangeLocked()
+	}
+}
+
 // VNode is the virtual node handed to one logical instance. It implements
 // Exchanger by delegating identity, instrumentation and shared computation to
 // the underlying physical node and by funnelling communication through the
@@ -213,6 +241,9 @@ type VNode struct {
 	instance int
 	round    int
 	closed   bool
+	// leads marks the instance that runs on Mux.Run's calling goroutine: its
+	// exchanges lead the barrier instead of waiting for a leader.
+	leads bool
 	// pending queues this instance's sends between barriers. It is written by
 	// the instance goroutine without holding the Mux lock: the writes are
 	// published to the delivering goroutine by the mutex acquisition when the
@@ -337,8 +368,8 @@ func (v *VNode) SendFramed(to int, data Packet, count, modelWords int) {
 }
 
 // Exchange advances this instance by one round. It blocks until every other
-// active instance on the same physical node has also reached its barrier;
-// the last instance to arrive performs the physical exchange. The returned
+// active instance on the same physical node has also reached its barrier and
+// the leader (see Mux.leadLocked) has performed the physical exchange. The returned
 // Inbox is this instance's own view over its records of the round (on a
 // passthrough Mux: the shared raw inbox filtered by the instance tag) and is
 // valid until the instance's next exchange.
@@ -367,9 +398,6 @@ func (v *VNode) InboxSenders() []int32 { return v.view.touched }
 // this instance.
 func (v *VNode) ExchangeFlat() (FlatInbox, error) {
 	m := v.mux
-	// Deferred so a panic inside the physical exchange (an injected fault, a
-	// delivery panic) does not leave the Mux lock held: Run's recovery must be
-	// able to take it to broadcast the failure.
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if err := v.barrierLocked(); err != nil {
@@ -408,22 +436,25 @@ func (v *VNode) barrierLocked() error {
 			*buf = (*buf)[:0]
 		}
 	}
-	generation := m.round
+	turn := m.round
 	m.arrived++
+	if v.leads {
+		m.leadLocked(turn)
+		return m.failed
+	}
 	if m.arrived == m.active {
-		m.deliverLocked()
-	} else {
-		for m.round == generation && m.failed == nil {
-			m.cond.Wait()
-		}
+		m.arrivals.Signal()
+	}
+	for m.round == turn && m.failed == nil {
+		m.turned.Wait()
 	}
 	return m.failed
 }
 
 // Close removes the instance from the Mux barrier. It must be called exactly
 // once when the instance's program has finished (Mux.Run does this
-// automatically). Closing may complete a round on behalf of the remaining
-// instances.
+// automatically). After it the remaining instances may all have arrived, or
+// none may remain: either way the leader is told.
 func (v *VNode) Close() {
 	m := v.mux
 	m.mu.Lock()
@@ -466,22 +497,27 @@ func (v *VNode) Close() {
 			v.flatRing[i] = nil
 		}
 	}
-	if m.active > 0 && m.arrived == m.active && m.failed == nil {
-		m.deliverLocked()
-	}
-	if m.active == 0 {
-		m.cond.Broadcast()
+	if m.arrived == m.active {
+		m.arrivals.Signal()
 	}
 }
 
-// deliverLocked performs one physical exchange on behalf of all active
-// instances and distributes the result. Callers must hold m.mu.
+// exchangeLocked performs one physical exchange on behalf of all active
+// instances, distributes the result and turns the Mux barrier over. The
+// leader calls it holding m.mu.
 //
-// The physical Exchange blocks on the network-wide barrier; holding m.mu
-// while blocked is safe because every other goroutine that could need the
+// The physical exchange blocks until the network-wide round is over; holding
+// m.mu meanwhile is safe because every other goroutine that could need the
 // lock is an instance of this same Mux, and all of them are already parked at
-// the Mux barrier (m.arrived == m.active) or closed.
-func (m *Mux) deliverLocked() {
+// the Mux barrier (m.arrived == m.active) or closed. A panic out of the
+// exchange (an injected fault) is this node's crash: it becomes the Mux's and
+// the run's failure here, like an instance's, and the instances drain.
+func (m *Mux) exchangeLocked() {
+	defer func() {
+		if r := recover(); r != nil {
+			m.failLocked(nodePanicError(m.nd.ID(), r))
+		}
+	}()
 	// Forward the queued sends in ascending instance order. Each instance's
 	// internal send order is preserved; the interleaving between instances is
 	// not observable (each instance only ever reads its own records, and the
@@ -514,7 +550,7 @@ func (m *Mux) deliverLocked() {
 	m.retired = m.retired[:0]
 	if err != nil {
 		m.failed = err
-		m.cond.Broadcast()
+		m.turned.Broadcast()
 		return
 	}
 
@@ -538,7 +574,7 @@ func (m *Mux) deliverLocked() {
 
 	m.round++
 	m.arrived = 0
-	m.cond.Broadcast()
+	m.turned.Broadcast()
 }
 
 // demuxLocked appends one received packet of a stacked Mux to the ring buffer

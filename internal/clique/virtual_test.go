@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -22,6 +23,7 @@ func TestMuxTwoInstancesLockstep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer nw.Close()
 
 	allToAll := func(rounds int, tagBase Word) func(Exchanger) error {
 		return func(ex Exchanger) error {
@@ -79,6 +81,7 @@ func TestMuxSubsetInstance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer nw.Close()
 
 	globalProgram := func(ex Exchanger) error {
 		for r := 0; r < 3; r++ {
@@ -143,6 +146,7 @@ func TestMuxInstanceValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer nw.Close()
 	err = nw.Run(func(nd *Node) error {
 		mux := NewMux(nd)
 		if _, err := mux.Instance(-1); err == nil {
@@ -167,6 +171,7 @@ func TestMuxPropagatesInstanceError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer nw.Close()
 	err = nw.Run(func(nd *Node) error {
 		mux := NewMux(nd)
 		return mux.Run(map[int]func(Exchanger) error{
@@ -195,6 +200,7 @@ func TestMuxPanicFailsRunFast(t *testing.T) {
 	t.Parallel()
 	const n, rounds = 4, 4
 
+	var sumsMu sync.Mutex
 	muxProgram := func(sums []int64, boom func(ex Exchanger, r int)) func(*Node) error {
 		relay := func(base Word) func(Exchanger) error {
 			return func(ex Exchanger) error {
@@ -215,7 +221,10 @@ func TestMuxPanicFailsRunFast(t *testing.T) {
 					}
 				}
 				if sums != nil {
+					// Both instances of a node add into its slot.
+					sumsMu.Lock()
 					sums[ex.ID()] += acc
+					sumsMu.Unlock()
 				}
 				return nil
 			}
@@ -294,6 +303,7 @@ func TestVNodeDelegation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer nw.Close()
 	err = nw.Run(func(nd *Node) error {
 		mux := NewMux(nd)
 		return mux.Run(map[int]func(Exchanger) error{

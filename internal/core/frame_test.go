@@ -101,6 +101,7 @@ func TestFrameStagingMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer nw.Close()
 	want := [][]clique.Word{{7}, {1, 2, 3}, {}, {42, 43}}
 	got := make([][][]clique.Word, 2)
 	runErr := nw.Run(func(nd *clique.Node) error {

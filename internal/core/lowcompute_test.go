@@ -15,6 +15,7 @@ func runLowComputeRouting(t *testing.T, msgs [][]Message, opts ...clique.Option)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer nw.Close()
 	results := make([][]Message, n)
 	err = nw.Run(func(nd *clique.Node) error {
 		out, rErr := LowComputeRoute(nd, msgs[nd.ID()])
@@ -108,6 +109,7 @@ func TestLowComputeStepsScaleNearLinearly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer nw.Close()
 		msgs := buildRoutingInstance(n, n, int64(n))
 		err = nw.Run(func(nd *clique.Node) error {
 			_, rErr := LowComputeRoute(nd, msgs[nd.ID()])

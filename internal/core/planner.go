@@ -335,8 +335,8 @@ func routeStrategyFromCensus(n, total, activeSources int, maxPairMult, scatterRo
 		mult, relayRounds, BroadcastMaxRounds)
 }
 
-// AutoRoute executes one node's part of a planned routing instance on the
-// blocking scheduler. Every node must pass the same plan (PlanRoute of the
+// AutoRoute executes one node's part of a planned routing instance as
+// blocking code. Every node must pass the same plan (PlanRoute of the
 // same instance) and its own message row; the plan fixes the communication
 // schedule, so no agreement rounds are needed. The output contract matches
 // Route: the messages addressed to this node, sorted by (Src, Dst, Seq). The

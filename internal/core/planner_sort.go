@@ -273,8 +273,8 @@ func PlanSort(n int, keys [][]Key) SortPlan {
 	return plan
 }
 
-// AutoSort executes one node's part of a planned sorting instance on the
-// blocking scheduler. Every node must pass the same plan (PlanSort of the
+// AutoSort executes one node's part of a planned sorting instance as
+// blocking code. Every node must pass the same plan (PlanSort of the
 // same instance) and its own key row; the plan fixes the communication
 // schedule, so no agreement rounds are needed. The output contract matches
 // Sort exactly: node i's batch of the globally sorted sequence, identical to

@@ -35,6 +35,7 @@ func runAutoSort(t *testing.T, keys [][]Key) ([]*SortResult, clique.Metrics) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer nw.Close()
 	results := make([]*SortResult, n)
 	err = nw.Run(func(nd *clique.Node) error {
 		res, sErr := AutoSort(nd, keys[nd.ID()], plan)
@@ -58,6 +59,7 @@ func runPipelineSort(t *testing.T, keys [][]Key) []*SortResult {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer nw.Close()
 	results := make([]*SortResult, n)
 	err = nw.Run(func(nd *clique.Node) error {
 		res, sErr := Sort(nd, keys[nd.ID()])
@@ -326,6 +328,7 @@ func TestAutoSortPlanMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer nw.Close()
 	// Shrink every row after planning: the presorted arm must notice the
 	// StartRanks mismatch (before any communication, so no node blocks on a
 	// barrier its peers never reach).
@@ -345,6 +348,7 @@ func TestAutoSortPlanMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer nw2.Close()
 	err = nw2.Run(func(nd *clique.Node) error {
 		if _, sErr := AutoSort(nd, keys[nd.ID()], wrong); sErr == nil {
 			return fmt.Errorf("plan for n=8 accepted on n=16")

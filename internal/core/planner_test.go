@@ -148,6 +148,7 @@ func runPlanned(t *testing.T, msgs [][]Message) (clique.Metrics, RoutePlan) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer nw.Close()
 	results := make([][]Message, n)
 	err = nw.Run(func(nd *clique.Node) error {
 		out, rErr := AutoRoute(nd, msgs[nd.ID()], plan)
@@ -263,6 +264,7 @@ func TestAutoRoutePlanMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer nw.Close()
 	err = nw.Run(func(nd *clique.Node) error {
 		_, rErr := AutoRoute(nd, msgs[nd.ID()], plan)
 		return rErr

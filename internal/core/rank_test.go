@@ -47,6 +47,7 @@ func TestRankMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer nw.Close()
 			results := make([]*RankResult, tc.n)
 			err = nw.Run(func(nd *clique.Node) error {
 				res, rErr := Rank(nd, keys[nd.ID()])
@@ -99,6 +100,7 @@ func TestSelectAndMedian(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer nw.Close()
 			got := make([]Key, n)
 			err = nw.Run(func(nd *clique.Node) error {
 				res, sErr := Select(nd, keys[nd.ID()], k)
@@ -125,6 +127,7 @@ func TestSelectAndMedian(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer nw.Close()
 		want := all[(len(all)-1)/2]
 		err = nw.Run(func(nd *clique.Node) error {
 			res, mErr := Median(nd, keys[nd.ID()])
@@ -147,6 +150,7 @@ func TestSelectAndMedian(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer nw.Close()
 		small := buildKeys(4, 2, "uniform", 9)
 		err = nw.Run(func(nd *clique.Node) error {
 			_, sErr := Select(nd, small[nd.ID()], 100)
@@ -191,6 +195,7 @@ func TestModeMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer nw.Close()
 			err = nw.Run(func(nd *clique.Node) error {
 				res, mErr := Mode(nd, keys[nd.ID()])
 				if mErr != nil {
@@ -227,6 +232,7 @@ func TestModeRunSpanningManyNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer nw.Close()
 	err = nw.Run(func(nd *clique.Node) error {
 		res, mErr := Mode(nd, keys[nd.ID()])
 		if mErr != nil {

@@ -67,6 +67,7 @@ func runRouting(t *testing.T, msgs [][]Message, opts ...clique.Option) clique.Me
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer nw.Close()
 	results := make([][]Message, n)
 	err = nw.Run(func(nd *clique.Node) error {
 		out, rErr := Route(nd, msgs[nd.ID()])
@@ -227,6 +228,7 @@ func TestRouteRejectsForeignSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer nw.Close()
 	err = nw.Run(func(nd *clique.Node) error {
 		var mine []Message
 		if nd.ID() == 0 {
@@ -252,6 +254,7 @@ func TestRouteRejectsInvalidDestination(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer nw.Close()
 	err = nw.Run(func(nd *clique.Node) error {
 		var mine []Message
 		if nd.ID() == 0 {

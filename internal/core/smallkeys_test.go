@@ -14,6 +14,7 @@ func runSmallKeyCount(t *testing.T, n, domain int, values [][]int) (*SmallKeyRes
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer nw.Close()
 	results := make([]*SmallKeyResult, n)
 	err = nw.Run(func(nd *clique.Node) error {
 		res, sErr := SmallKeyCount(nd, values[nd.ID()], domain)
@@ -110,6 +111,7 @@ func TestSmallKeyCountRejectsBadInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer nw.Close()
 	err = nw.Run(func(nd *clique.Node) error {
 		// Domain too large for n=16 (needs K*log^2 <= n).
 		if _, sErr := SmallKeyCount(nd, nil, 10); sErr == nil {
@@ -125,6 +127,7 @@ func TestSmallKeyCountRejectsBadInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer nw2.Close()
 	err = nw2.Run(func(nd *clique.Node) error {
 		if _, sErr := SmallKeyCount(nd, nil, 0); sErr == nil {
 			return fmt.Errorf("zero domain accepted")

@@ -46,6 +46,7 @@ func runSorting(t *testing.T, keys [][]Key, opts ...clique.Option) clique.Metric
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer nw.Close()
 	results := make([]*SortResult, n)
 	err = nw.Run(func(nd *clique.Node) error {
 		res, sErr := Sort(nd, keys[nd.ID()])
@@ -210,6 +211,7 @@ func TestSortRejectsTooManyKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer nw.Close()
 	err = nw.Run(func(nd *clique.Node) error {
 		var ks []Key
 		if nd.ID() == 0 {
@@ -234,6 +236,7 @@ func TestSortRejectsForeignOrigin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer nw.Close()
 	err = nw.Run(func(nd *clique.Node) error {
 		var ks []Key
 		if nd.ID() == 0 {

@@ -15,14 +15,15 @@ import (
 // has its output. A program reads that inbox through the exchanger's
 // InboxSenders list — the senders that sent — never by ranging over its n
 // entries, so a receive costs O(traffic) at any n. A program never calls
-// Exchange, so either scheduler can drive it:
+// Exchange, so the engine's one run loop can execute it in either of its two
+// program shapes:
 //
-//   - the engine-driven worker pool (Network.RunRounds): SparseRouteRun.Step
-//     and SparseSortRun.Step adapt the programs to clique.StepFunc, one
-//     program value per node in a single flat array. No goroutine stack or
-//     length-n buffer exists per node — every program's state is proportional
-//     to its own traffic — which is what carries Route and Sort to n=16384.
-//   - the blocking scheduler (Network.Run): driveBlocking below alternates
+//   - as a step program (Network.RunRounds): SparseRouteRun.Step and
+//     SparseSortRun.Step adapt the programs to clique.StepFunc, one program
+//     value per node in a single flat array. No stack or length-n buffer
+//     exists per node — every program's state is proportional to its own
+//     traffic — which is what carries Route and Sort to n=16384.
+//   - inside a blocking program (Network.Run): driveBlocking below alternates
 //     step and Exchange. AutoRoute and AutoSort use it, so a caller holding
 //     one row and one Exchanger (a Mux virtual node, a test, the pipeline
 //     arms' census prelude) runs the identical program.
@@ -31,7 +32,7 @@ import (
 // property of the program, not of the driver, so results and Stats are the
 // same under both by construction.
 
-// driveBlocking runs one node's step program on the blocking scheduler: step,
+// driveBlocking runs one node's step program as blocking code: step,
 // Exchange, step, ... until the program reports done or fails. The sends of
 // the final step are never published, exactly as under RunRounds.
 func driveBlocking(ex clique.Exchanger, step func(round int, inbox clique.Inbox) (bool, error)) error {
@@ -96,7 +97,7 @@ func PlanRouteSparse(sd *SparseDemand) RoutePlan { return PlanRoute(sd.n, sd.row
 
 // SparseStepCapable reports whether a route strategy is written as a step
 // program. The pipeline is excluded: its balancing machinery is the full-load
-// design point, already measured on the blocking scheduler, and full load is
+// design point, already measured as a blocking program, and full load is
 // inherently O(n²) data.
 func SparseStepCapable(s RouteStrategy) bool {
 	switch s {
@@ -109,7 +110,7 @@ func SparseStepCapable(s RouteStrategy) bool {
 
 // SparseSortStepCapable is SparseStepCapable for sorting strategies: the
 // empty and presorted arms run as step programs; the small-domain and
-// pipeline arms keep the blocking scheduler.
+// pipeline arms stay blocking programs.
 func SparseSortStepCapable(s SortStrategy) bool {
 	switch s {
 	case SortStrategyEmpty, SortStrategyPresorted:

@@ -9,8 +9,8 @@ import (
 
 // This file implements Route's fast arms — empty, direct and broadcast — as
 // the per-node step program routeProgram, and SparseRouteRun, its adapter to
-// the engine-driven scheduler (AutoRoute in planner.go is the blocking one;
-// see sparse.go for the two drivers). Every node's state is proportional to
+// RunRounds (AutoRoute in planner.go is the blocking one; see sparse.go for
+// the two drivers). Every node's state is proportional to
 // its own traffic: no length-n per-node slice exists anywhere in a run.
 //
 // Round mapping of the strategies (with the census armed, SparseRouteRun
@@ -219,8 +219,8 @@ func (p *routeProgram) relaySends(ex clique.Exchanger, r int) {
 	p.relayBuf = buf
 }
 
-// SparseRouteRun drives one routeProgram per node on the engine's step
-// scheduler (RunRounds): with the census armed, step rounds 0..2 carry its
+// SparseRouteRun drives one routeProgram per node as a step program
+// (RunRounds): with the census armed, step rounds 0..2 carry its
 // three exchanges and the strategy starts in the round that verifies it.
 type SparseRouteRun struct {
 	plan  RoutePlan

@@ -8,8 +8,8 @@ import (
 )
 
 // This file implements Sort's empty and presorted arms as the per-node step
-// program sortProgram, and SparseSortRun, its adapter to the engine-driven
-// scheduler (see sparse.go for the two drivers).
+// program sortProgram, and SparseSortRun, its adapter to RunRounds (see
+// sparse.go for the two drivers).
 //
 // The presorted arm is Step 8 of Algorithm 4 run alone: the three pieces of
 // the rank redistribution in sorting.go, driven from the step inbox where
@@ -112,8 +112,8 @@ func (p *sortProgram) presortedStep(ex clique.Exchanger, plan *SortPlan, myKeys 
 	return false, nil
 }
 
-// SparseSortRun drives one sortProgram per node on the engine's step
-// scheduler (RunRounds): with the census armed, step rounds 0..1 carry its
+// SparseSortRun drives one sortProgram per node as a step program
+// (RunRounds): with the census armed, step rounds 0..1 carry its
 // two exchanges and the strategy starts in the round that verifies it.
 type SparseSortRun struct {
 	plan  SortPlan

@@ -56,7 +56,7 @@ type ConcurrencyBench struct {
 
 // ConcurrencySection is the concurrency block of BENCH_protocol.json. The
 // in-process engine shares one machine's memory bandwidth and every run
-// already spawns one goroutine per node, so scaling with k is bounded by
+// already keeps GOMAXPROCS sweep workers busy, so scaling with k is bounded by
 // Cores/Gomaxprocs — the numbers are recorded as measured on this machine,
 // not extrapolated.
 type ConcurrencySection struct {

@@ -36,7 +36,7 @@ type ChaosScenario struct {
 	// Sparse runs the operation on the sparse scale-out instance
 	// (ScaleSparseRoute) under AlgorithmAuto instead of the uniform
 	// full-load workload, so the catalog also exercises the fault paths of
-	// the engine-driven step scheduler the planner's fast strategies run on.
+	// step programs, the shape the planner's fast strategies run in.
 	Sparse bool
 	// Deadline, when positive, arms the round watchdog (WithRoundDeadline)
 	// for every attempt of the run.

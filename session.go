@@ -501,14 +501,14 @@ func (u *execUnit) route(ctx context.Context, cfg config, msgs [][]Message, pc *
 		}
 	}
 
-	// The scheduler follows from the plan: a strategy written as a step
+	// The program shape follows from the plan: a strategy written as a step
 	// program (empty, direct, broadcast — fresh verdict or cache hit alike)
-	// runs on the engine-driven worker pool, with no goroutine or length-n
-	// buffer per node; everything else — the pipeline arm, and the other
-	// algorithms, whose plan is the zero value — is a blocking program with
-	// a goroutine per node. The step
-	// run's view of the instance is built only here, after the verdict, so
-	// pipeline-bound instances never pay for it.
+	// runs under RunRounds, with no stack or length-n buffer per node;
+	// everything else — the pipeline arm, and the other algorithms, whose
+	// plan is the zero value — is a blocking program, a coroutine per node
+	// under Run. The same sweep workers execute both. The step run's view of
+	// the instance is built only here, after the verdict, so pipeline-bound
+	// instances never pay for it.
 	outputs := u.msgOut
 	var runErr error
 	if core.SparseStepCapable(plan.Strategy) {
@@ -721,8 +721,8 @@ func (u *execUnit) sortStaged(ctx context.Context, cfg config, inputs [][]core.K
 		}
 	}
 
-	// The scheduler follows from the plan, as in route (the zero plan of the
-	// other algorithms is not step-capable).
+	// The program shape follows from the plan, as in route (the zero plan of
+	// the other algorithms is not step-capable).
 	var runErr error
 	if core.SparseSortStepCapable(plan.Strategy) {
 		run, buildErr := core.NewSparseSortRun(u.n, inputs, plan)
