@@ -9,6 +9,9 @@
 //	cliqued -addr :9024 -n 64 -concurrency 4 -queue 16
 //	cliqued -addr 127.0.0.1:0 -n 64 -batch 4 -batch-wait 200us
 //
+// -alg forces deterministic, low-compute or auto; the randomized and naive
+// comparison baselines are measured offline by cliquebench (experiment E5).
+//
 // On SIGTERM or SIGINT the daemon stops accepting, finishes every admitted
 // request, then exits; a second signal — or -drain-timeout expiring — forces
 // the remaining work to abort.
@@ -42,11 +45,10 @@ func main() {
 		retries       = flag.Int("retries", 0, "default transient-failure retry budget per request")
 		retryBackoff  = flag.Duration("retry-backoff", 0, "base backoff between retry attempts")
 		roundDeadline = flag.Duration("round-deadline", 0, "per-round watchdog on the engine (0 = off)")
-		alg           = flag.String("alg", "", "force an algorithm: deterministic | low-compute | randomized | naive-direct | auto (empty = session default)")
+		alg           = flag.String("alg", "", "force an algorithm: deterministic | low-compute | auto (empty = session default)")
 		allowFaults   = flag.Bool("allow-fault-injection", false, "let requests inject deterministic cancellations (chaos/load testing only)")
 		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "how long a drain may run before in-flight work is aborted")
-		planCache     = flag.Int("plan-cache", 0, "cross-run plan cache capacity for AlgorithmAuto requests (0 = off; implies the charged census)")
-		census        = flag.Bool("census", false, "charge the planner census on the wire for AlgorithmAuto requests (implied by -plan-cache)")
+		planCache     = flag.Int("plan-cache", 0, "cross-run plan cache capacity for AlgorithmAuto requests (0 = off; charges the planner census on the wire)")
 	)
 	flag.Parse()
 
@@ -62,7 +64,6 @@ func main() {
 		RoundDeadline:       *roundDeadline,
 		AllowFaultInjection: *allowFaults,
 		PlanCacheCapacity:   *planCache,
-		ChargedCensus:       *census,
 	}
 	if *alg != "" {
 		a, err := parseAlgorithm(*alg)
@@ -84,8 +85,6 @@ func main() {
 	cacheNote := ""
 	if *planCache > 0 {
 		cacheNote = fmt.Sprintf(" plan-cache=%d", *planCache)
-	} else if *census {
-		cacheNote = " census=on"
 	}
 	log.Printf("cliqued: serving n=%d concurrency=%d queue=%d batch=%d%s on %s",
 		st.N, st.MaxConcurrency, st.QueueDepth, st.BatchMaxOps, cacheNote, ln.Addr())
@@ -125,10 +124,6 @@ func parseAlgorithm(name string) (cc.Algorithm, error) {
 		return cc.Deterministic, nil
 	case "low-compute":
 		return cc.LowCompute, nil
-	case "randomized":
-		return cc.Randomized, nil
-	case "naive-direct":
-		return cc.NaiveDirect, nil
 	case "auto":
 		return cc.AlgorithmAuto, nil
 	default:

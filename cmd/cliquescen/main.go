@@ -271,14 +271,14 @@ func runScenario(cl *cc.Clique, sc workload.Scenario, n int, seed int64, iters i
 		// The randomized Valiant-style two-hop baseline on the identical
 		// instance: what the planner's deterministic verdict is buying
 		// relative to the classic randomized solution.
-		rnd, err := cl.Route(ctx, msgs, cc.WithAlgorithm(cc.Randomized), cc.WithSeed(seed))
+		_, rnd, err := experiments.RunRoute(n, ri.Msgs, "randomized", seed)
 		if err != nil {
 			return experiments.ScenarioBench{}, err
 		}
-		row.RandomizedTotalWords = rnd.Stats.TotalWords
-		row.RandomizedRounds = rnd.Stats.Rounds
+		row.RandomizedTotalWords = rnd.TotalWords
+		row.RandomizedRounds = rnd.Rounds
 		if row.TotalWords > 0 {
-			row.WordsVsRandomized = float64(rnd.Stats.TotalWords) / float64(row.TotalWords)
+			row.WordsVsRandomized = float64(rnd.TotalWords) / float64(row.TotalWords)
 		}
 		if verify {
 			if err := sameDelivery(auto, det); err != nil {

@@ -9,9 +9,12 @@
 // Examples:
 //
 //	cliquesim -op route -n 256 -pattern uniform -alg deterministic
-//	cliquesim -op route -n 256 -pattern skewed  -alg naive-direct
+//	cliquesim -op route -n 256 -pattern skewed  -alg low-compute
 //	cliquesim -op sort  -n 144 -dist duplicate-heavy -repeat 8
 //	cliquesim -op smallkeys -n 1024 -domain 8
+//
+// The randomized and naive comparison baselines are measured by cliquebench
+// (experiment E5), not here.
 package main
 
 import (
@@ -45,9 +48,9 @@ func run() error {
 		per     = flag.Int("per", -1, "messages/keys per node (default n)")
 		pattern = flag.String("pattern", "uniform", "routing pattern: uniform | skewed | set-adversarial | random-partial | self-heavy")
 		dist    = flag.String("dist", "uniform", "key distribution: uniform | duplicate-heavy | pre-sorted | reverse-sorted | clustered | constant")
-		alg     = flag.String("alg", "deterministic", "algorithm: deterministic | low-compute | randomized | naive-direct | auto (demand-aware planner, routing only)")
+		alg     = flag.String("alg", "deterministic", "algorithm: deterministic | low-compute | auto (demand-aware planner)")
 		domain  = flag.Int("domain", 4, "key domain size for -op smallkeys")
-		seed    = flag.Int64("seed", 1, "workload and randomized-algorithm seed")
+		seed    = flag.Int64("seed", 1, "workload seed")
 		strict  = flag.Int("strict", 0, "fail if any edge carries more than this many words per round (0 = record only)")
 		repeat  = flag.Int("repeat", 1, "run the workload this many times on one session handle")
 	)
@@ -63,7 +66,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	opts := []cc.Option{cc.WithAlgorithm(algorithm), cc.WithSeed(*seed)}
+	opts := []cc.Option{cc.WithAlgorithm(algorithm)}
 	if *strict > 0 {
 		opts = append(opts, cc.WithStrictBandwidth(*strict))
 	}
@@ -105,10 +108,6 @@ func parseAlgorithm(name string) (cc.Algorithm, error) {
 		return cc.Deterministic, nil
 	case "low-compute":
 		return cc.LowCompute, nil
-	case "randomized":
-		return cc.Randomized, nil
-	case "naive-direct":
-		return cc.NaiveDirect, nil
 	case "auto":
 		return cc.AlgorithmAuto, nil
 	default:

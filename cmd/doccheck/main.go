@@ -13,6 +13,10 @@
 //     must carry a doc comment. Internal packages have no surface file, so
 //     the source itself is the authority: exporting a symbol there is a
 //     promise to the rest of the repository and must be documented.
+//  4. Named options and errors exist: every unqualified backticked `With…`
+//     or `Err…` name in README.md, ARCHITECTURE.md and docs/*.md must be
+//     declared in the root package or an -internal package. The history
+//     files (CHANGES.md, ROADMAP.md) are not scanned.
 //
 // Usage:
 //
@@ -27,6 +31,7 @@ import (
 	"go/token"
 	"io/fs"
 	"log"
+	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -39,7 +44,7 @@ func main() {
 	var (
 		dir      = flag.String("dir", ".", "repository root")
 		surface  = flag.String("surface", "API_SURFACE.txt", "API surface file (relative to -dir)")
-		internal = flag.String("internal", "internal/core,internal/clique,internal/workload",
+		internal = flag.String("internal", "internal/core,internal/clique,internal/workload,internal/service",
 			"comma-separated internal package dirs (relative to -dir) whose exported symbols must all be documented; empty disables the check")
 	)
 	flag.Parse()
@@ -51,23 +56,35 @@ func main() {
 	}
 	problems = append(problems, linkProblems...)
 
-	docProblems, err := checkDocCoverage(*dir, filepath.Join(*dir, *surface))
+	rootSymbols, err := documentedSymbols(*dir)
+	if err != nil {
+		log.Fatal(err)
+	}
+	docProblems, err := checkDocCoverage(rootSymbols, filepath.Join(*dir, *surface))
 	if err != nil {
 		log.Fatal(err)
 	}
 	problems = append(problems, docProblems...)
 
+	declared := maps.Clone(rootSymbols)
 	for _, pkg := range strings.Split(*internal, ",") {
 		pkg = strings.TrimSpace(pkg)
 		if pkg == "" {
 			continue
 		}
-		internalProblems, err := checkInternalDocCoverage(*dir, pkg)
+		symbols, err := documentedSymbols(filepath.Join(*dir, filepath.FromSlash(pkg)))
 		if err != nil {
 			log.Fatal(err)
 		}
-		problems = append(problems, internalProblems...)
+		problems = append(problems, checkInternalDocCoverage(symbols, pkg)...)
+		maps.Copy(declared, symbols)
 	}
+
+	nameProblems, err := checkDocNames(*dir, declared)
+	if err != nil {
+		log.Fatal(err)
+	}
+	problems = append(problems, nameProblems...)
 
 	if len(problems) > 0 {
 		for _, p := range problems {
@@ -75,7 +92,7 @@ func main() {
 		}
 		log.Fatalf("doccheck: %d problem(s)", len(problems))
 	}
-	fmt.Println("doccheck: markdown links, public-symbol and internal-package doc coverage OK")
+	fmt.Println("doccheck: markdown links, public-symbol and internal-package doc coverage, documented option and error names OK")
 }
 
 // linkPattern matches markdown link and image targets: [text](target) and
@@ -173,13 +190,9 @@ func surfaceSymbol(line string) (string, bool) {
 	}
 }
 
-// checkDocCoverage parses the root package and verifies every symbol listed
-// in the surface file has a doc comment.
-func checkDocCoverage(dir, surfacePath string) ([]string, error) {
-	documented, err := documentedSymbols(dir)
-	if err != nil {
-		return nil, err
-	}
+// checkDocCoverage verifies every symbol listed in the surface file has a doc
+// comment in the root package (documented, see documentedSymbols).
+func checkDocCoverage(documented map[string]bool, surfacePath string) ([]string, error) {
 	data, err := os.ReadFile(surfacePath)
 	if err != nil {
 		return nil, err
@@ -202,14 +215,11 @@ func checkDocCoverage(dir, surfacePath string) ([]string, error) {
 	return problems, nil
 }
 
-// checkInternalDocCoverage parses one internal package and reports every
-// exported symbol that lacks a doc comment. Unlike the root package there is
-// no surface file to drive the check: the parsed source is the authority.
-func checkInternalDocCoverage(root, pkg string) ([]string, error) {
-	documented, err := documentedSymbols(filepath.Join(root, filepath.FromSlash(pkg)))
-	if err != nil {
-		return nil, err
-	}
+// checkInternalDocCoverage reports every exported symbol of internal package
+// pkg (documented, see documentedSymbols) that lacks a doc comment. Unlike
+// the root package there is no surface file to drive the check: the parsed
+// source is the authority.
+func checkInternalDocCoverage(documented map[string]bool, pkg string) []string {
 	undocumented := make([]string, 0, len(documented))
 	for sym, ok := range documented {
 		if !ok {
@@ -220,6 +230,45 @@ func checkInternalDocCoverage(root, pkg string) ([]string, error) {
 	problems := make([]string, len(undocumented))
 	for i, sym := range undocumented {
 		problems[i] = fmt.Sprintf("exported symbol %q of %s has no doc comment", sym, pkg)
+	}
+	return problems
+}
+
+// codeSpanPattern matches an inline code span; docNamePattern matches an
+// option or error name at its start, so a qualified span
+// (`clique.WithSharedCache`) does not count.
+var (
+	codeSpanPattern = regexp.MustCompile("`([^`\n]+)`")
+	docNamePattern  = regexp.MustCompile(`^(?:With|Err)[A-Z][A-Za-z0-9_]*`)
+)
+
+// checkDocNames reports every unqualified backticked With…/Err… name in
+// README.md, ARCHITECTURE.md and docs/*.md that declared does not contain.
+// Fenced code blocks are skipped.
+func checkDocNames(root string, declared map[string]bool) ([]string, error) {
+	docs, _ := filepath.Glob(filepath.Join(root, "docs", "*.md")) // a fixed, well-formed pattern
+	docs = append([]string{filepath.Join(root, "README.md"), filepath.Join(root, "ARCHITECTURE.md")}, docs...)
+	var problems []string
+	for _, path := range docs {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return nil, err
+		}
+		fenced := false
+		for i, line := range strings.Split(string(data), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				fenced = !fenced
+				continue
+			}
+			if fenced {
+				continue
+			}
+			for _, span := range codeSpanPattern.FindAllStringSubmatch(line, -1) {
+				if name := docNamePattern.FindString(span[1]); name != "" && !declared[name] {
+					problems = append(problems, fmt.Sprintf("%s:%d: `%s` is not declared in the root package or the -internal packages (removed or renamed?)", path, i+1, name))
+				}
+			}
+		}
 	}
 	return problems, nil
 }

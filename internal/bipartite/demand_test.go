@@ -40,66 +40,18 @@ func randomBoundedDemand(s, d int, seed int64) [][]int {
 
 func TestRowColSums(t *testing.T) {
 	t.Parallel()
-	d := [][]int{{1, 2}, {3, 4}}
-	rows, cols := RowColSums(d)
-	if rows[0] != 3 || rows[1] != 7 || cols[0] != 4 || cols[1] != 6 {
-		t.Fatalf("sums wrong: rows=%v cols=%v", rows, cols)
-	}
-	if MaxRowColSum(d) != 7 {
-		t.Fatalf("max sum = %d, want 7", MaxRowColSum(d))
-	}
-	r, c := RowColSums(nil)
-	if r != nil || c != nil {
-		t.Fatal("nil matrix should give nil sums")
-	}
-}
-
-func TestPadToRegular(t *testing.T) {
-	t.Parallel()
-	d := [][]int{
-		{2, 0, 1},
-		{0, 1, 0},
-		{1, 1, 1},
-	}
-	padded, err := PadToRegular(d, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, cols := RowColSums(padded)
-	for i, v := range rows {
-		if v != 5 {
-			t.Fatalf("row %d sum %d, want 5", i, v)
+	for _, tc := range []struct {
+		demand [][]int
+		want   int
+	}{
+		{[][]int{{1, 2}, {3, 4}}, 7}, // rows 3, 7; columns 4, 6
+		{[][]int{{4, 0}, {0, 1}}, 4}, // a row and a column tie
+		{[][]int{{3, 0}, {3, 0}}, 6}, // the column maximum wins
+		{nil, 0},
+	} {
+		if got := MaxRowColSum(tc.demand); got != tc.want {
+			t.Fatalf("MaxRowColSum(%v) = %d, want %d", tc.demand, got, tc.want)
 		}
-	}
-	for j, v := range cols {
-		if v != 5 {
-			t.Fatalf("col %d sum %d, want 5", j, v)
-		}
-	}
-	// Padding never removes demand.
-	for i := range d {
-		for j := range d[i] {
-			if padded[i][j] < d[i][j] {
-				t.Fatalf("padding reduced cell (%d,%d)", i, j)
-			}
-		}
-	}
-	// Original is untouched.
-	if d[0][0] != 2 {
-		t.Fatal("PadToRegular mutated its input")
-	}
-}
-
-func TestPadToRegularErrors(t *testing.T) {
-	t.Parallel()
-	if _, err := PadToRegular(nil, 3); err == nil {
-		t.Fatal("empty matrix accepted")
-	}
-	if _, err := PadToRegular([][]int{{4}}, 3); err == nil {
-		t.Fatal("row sum above target accepted")
-	}
-	if _, err := PadToRegular([][]int{{0, 0}, {4, 0}}, 3); err == nil {
-		t.Fatal("column sum above target accepted")
 	}
 }
 
@@ -190,9 +142,7 @@ func TestExpandDemandMatchesColoring(t *testing.T) {
 	if len(g.Edges) != 6*9 {
 		t.Fatalf("expanded edges = %d, want %d", len(g.Edges), 6*9)
 	}
-	if !g.IsRegular(9) {
-		t.Fatal("expanded graph should be 9-regular")
-	}
+	checkRegular(t, g, 9)
 	// Cross-check: the expanded graph colored by ColorExact and the demand
 	// matrix colored by ColorDemandMatrix both use exactly 9 colors.
 	ce, err := ColorExact(g)

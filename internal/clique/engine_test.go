@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"congestedclique/internal/leakcheck"
 )
 
 // pw is a deterministic per-(round, from, to, k) payload word.
@@ -682,7 +684,7 @@ func TestCoroutineLifecycle(t *testing.T) {
 			if err := nw.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if err := settleGoroutines(base, 2*time.Second); err != nil {
+			if err := leakcheck.Settle(base, 2*time.Second); err != nil {
 				t.Fatalf("n=%d after Close: %v", n, err)
 			}
 		}
@@ -720,7 +722,7 @@ func TestCoroutineLifecycle(t *testing.T) {
 				t.Fatalf("after node 2's panic coroutine %d dead = %v", i, dead)
 			}
 		}
-		if err := settleGoroutines(base+n-1, 2*time.Second); err != nil {
+		if err := leakcheck.Settle(base+n-1, 2*time.Second); err != nil {
 			t.Fatalf("after the panic: %v", err)
 		}
 		if err := nw.Run(program); err != nil {
@@ -728,7 +730,7 @@ func TestCoroutineLifecycle(t *testing.T) {
 		}
 		// Exactly n again (once the run's workers are gone): only the dead
 		// coroutine was made anew.
-		if err := settleGoroutines(base+n, 2*time.Second); err != nil || runtime.NumGoroutine() != base+n {
+		if err := leakcheck.Settle(base+n, 2*time.Second); err != nil || runtime.NumGoroutine() != base+n {
 			t.Fatalf("%d goroutines after the run that followed the panic, want %d (%v)", runtime.NumGoroutine(), base+n, err)
 		}
 		// Close right after a panicked run: one coroutine is already gone.
@@ -738,7 +740,7 @@ func TestCoroutineLifecycle(t *testing.T) {
 		if err := nw.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if err := settleGoroutines(base, 2*time.Second); err != nil {
+		if err := leakcheck.Settle(base, 2*time.Second); err != nil {
 			t.Fatalf("after Close: %v", err)
 		}
 	})
@@ -781,7 +783,7 @@ func TestCoroutineLifecycle(t *testing.T) {
 		if err := nw.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if err := settleGoroutines(base, 2*time.Second); err != nil {
+		if err := leakcheck.Settle(base, 2*time.Second); err != nil {
 			t.Fatalf("after Close of a cancelled run: %v", err)
 		}
 	})

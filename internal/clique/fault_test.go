@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"congestedclique/internal/leakcheck"
 )
 
 // chaosProgram is a small deterministic multi-round workload: every node
@@ -489,7 +491,7 @@ func TestWatchdogNoGoroutineLeak(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := settleGoroutines(before, 2*time.Second); err != nil {
+	if err := leakcheck.Settle(before, 2*time.Second); err != nil {
 		t.Fatalf("after close: %v", err)
 	}
 }

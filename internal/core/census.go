@@ -11,11 +11,10 @@ import (
 // O(1)-round aggregation that, in a genuine congested clique, every
 // AlgorithmAuto operation would spend before dispatching on a plan. By
 // default the simulator computes the plan centrally and charges nothing
-// (the goldens stay bit-identical); with WithChargedCensus — or implicitly
-// with WithPlanCache, whose hit-rate claims must be net of planning cost —
-// the census runs on the wire, its words and rounds land in the operation's
-// Stats, and every node verifies the distributed verdict against the plan it
-// was handed.
+// (the goldens stay bit-identical); on a handle with WithPlanCache, whose
+// hit-rate claims must be net of planning cost, the census runs on the wire,
+// its words and rounds land in the operation's Stats, and every node
+// verifies the distributed verdict against the plan it was handed.
 //
 // Route census (3 rounds):
 //

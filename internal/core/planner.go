@@ -40,11 +40,11 @@ import (
 // simulator already holds. In a real congested clique the same census is an
 // O(1)-round aggregation; by default the simulator does not charge those
 // words, exactly as it does not charge the deterministic schedule
-// computations all nodes perform locally. Since PR 9 the census exists as a
-// real charged protocol (census.go, armed by WithChargedCensus or implied by
-// WithPlanCache): three rounds on the wire that recompute the strategy
-// verdict distributedly and verify it against the plan, so planner and cache
-// wins can be reported net of planning cost. The plan remains a pure
+// computations all nodes perform locally. The census also exists as a real
+// charged protocol (census.go, armed by WithPlanCache): three rounds on the
+// wire that recompute the strategy verdict distributedly and verify it
+// against the plan, so planner and cache wins can be reported net of
+// planning cost. The plan remains a pure
 // function of the instance, so every node dispatching on it agrees on the
 // strategy and the round count.
 

@@ -39,12 +39,12 @@ import (
 // the regime in which Section 6.3 itself assumes the domain is globally
 // known. By default the simulator does not charge those words, exactly as it
 // does not charge the deterministic schedule computations all nodes perform
-// locally. Since PR 9 a charged sort census exists (census.go, armed by
-// WithChargedCensus or implied by WithPlanCache): two rounds of fingerprint
-// agreement plus a verdict broadcast. Unlike the route census it does not
-// re-derive the verdict distributedly — the sorting verdict depends on value
-// distribution properties with no O(1)-word per-node summary — so its charge
-// is honest for agreement, while the verdict itself is echoed from the plan.
+// locally. A charged sort census also exists (census.go, armed by
+// WithPlanCache): two rounds of fingerprint agreement plus a verdict
+// broadcast. Unlike the route census it does not re-derive the verdict
+// distributedly — the sorting verdict depends on value distribution
+// properties with no O(1)-word per-node summary — so its charge is honest
+// for agreement, while the verdict itself is echoed from the plan.
 // The plan is a pure function of the instance, so every node dispatching on
 // it agrees on the strategy.
 

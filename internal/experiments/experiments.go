@@ -30,95 +30,104 @@ type Measurement struct {
 	MemoryPerNode   int64
 }
 
-// RoutingAlgorithms lists the algorithm names accepted by MeasureRouting.
+// RoutingAlgorithms lists the algorithm names accepted by RunRoute and
+// MeasureRouting.
 func RoutingAlgorithms() []string {
 	return []string{"deterministic", "low-compute", "randomized", "naive-direct"}
 }
 
-// MeasureRouting runs one routing workload under the chosen algorithm,
-// verifies the delivery and reports the cost.
+// RunRoute runs one routing algorithm on a fresh n-node network, inputs[i]
+// (one row per node) being node i's messages: a paper router ("deterministic", "low-compute")
+// or a comparison baseline ("randomized", drawing from seed, and
+// "naive-direct"), which nothing else runs. It returns what every node
+// received and the run's metrics, unverified.
+func RunRoute(n int, inputs [][]core.Message, algorithm string, seed int64) ([][]core.Message, clique.Metrics, error) {
+	out := make([][]core.Message, n)
+	m, err := runNodes(n, func(nd *clique.Node) (err error) {
+		in := inputs[nd.ID()]
+		switch algorithm {
+		case "deterministic":
+			out[nd.ID()], err = core.Route(nd, in)
+		case "low-compute":
+			out[nd.ID()], err = core.LowComputeRoute(nd, in)
+		case "randomized":
+			out[nd.ID()], err = baseline.RandomizedRoute(nd, in, seed)
+		case "naive-direct":
+			out[nd.ID()], err = baseline.NaiveDirectRoute(nd, in)
+		default:
+			err = fmt.Errorf("experiments: unknown routing algorithm %q", algorithm)
+		}
+		return err
+	})
+	return out, m, err
+}
+
+// RunSort runs one sorting algorithm — deterministic Algorithm 4
+// ("deterministic") or the randomized sample-sort baseline ("randomized",
+// drawing from seed) — on a fresh n-node network, inputs[i] (one row per
+// node) being node i's keys. It returns every node's batch and the run's metrics, unverified.
+func RunSort(n int, inputs [][]core.Key, algorithm string, seed int64) ([]*core.SortResult, clique.Metrics, error) {
+	out := make([]*core.SortResult, n)
+	m, err := runNodes(n, func(nd *clique.Node) (err error) {
+		in := inputs[nd.ID()]
+		switch algorithm {
+		case "deterministic":
+			out[nd.ID()], err = core.Sort(nd, in)
+		case "randomized":
+			out[nd.ID()], err = baseline.RandomizedSampleSort(nd, in, seed)
+		default:
+			err = fmt.Errorf("experiments: unknown sorting algorithm %q", algorithm)
+		}
+		return err
+	})
+	return out, m, err
+}
+
+// runNodes runs program on a fresh n-node network and returns its metrics.
+func runNodes(n int, program func(*clique.Node) error) (clique.Metrics, error) {
+	nw, err := clique.New(n)
+	if err != nil {
+		return clique.Metrics{}, err
+	}
+	defer nw.Close()
+	if err := nw.Run(program); err != nil {
+		return clique.Metrics{}, err
+	}
+	return nw.Metrics(), nil
+}
+
+// MeasureRouting runs one routing workload under the chosen algorithm (see
+// RunRoute), verifies the delivery and reports the cost.
 func MeasureRouting(n, per int, pattern workload.RoutingPattern, algorithm string, seed int64) (*Measurement, error) {
 	inst, err := workload.NewRoutingInstance(n, per, pattern, seed)
 	if err != nil {
 		return nil, err
 	}
-	nw, err := clique.New(n)
-	if err != nil {
-		return nil, err
-	}
-	defer nw.Close()
-	results := make([][]core.Message, n)
-	err = nw.Run(func(nd *clique.Node) error {
-		var (
-			out  []core.Message
-			rErr error
-		)
-		switch algorithm {
-		case "deterministic":
-			out, rErr = core.Route(nd, inst.Msgs[nd.ID()])
-		case "low-compute":
-			out, rErr = core.LowComputeRoute(nd, inst.Msgs[nd.ID()])
-		case "randomized":
-			out, rErr = baseline.RandomizedRoute(nd, inst.Msgs[nd.ID()], seed)
-		case "naive-direct":
-			out, rErr = baseline.NaiveDirectRoute(nd, inst.Msgs[nd.ID()])
-		default:
-			rErr = fmt.Errorf("experiments: unknown routing algorithm %q", algorithm)
-		}
-		if rErr != nil {
-			return rErr
-		}
-		results[nd.ID()] = out
-		return nil
-	})
+	results, m, err := RunRoute(n, inst.Msgs, algorithm, seed)
 	if err != nil {
 		return nil, err
 	}
 	if err := verify.Routing(inst.Msgs, results); err != nil {
 		return nil, fmt.Errorf("experiments: routing output invalid: %w", err)
 	}
-	return fromMetrics(n, per, string(pattern), algorithm, nw.Metrics()), nil
+	return fromMetrics(n, per, string(pattern), algorithm, m), nil
 }
 
-// MeasureSorting runs one sorting workload (deterministic Algorithm 4 or the
-// randomized sample-sort baseline), verifies the output and reports the cost.
+// MeasureSorting runs one sorting workload under the chosen algorithm (see
+// RunSort), verifies the output and reports the cost.
 func MeasureSorting(n, per int, dist workload.KeyDistribution, algorithm string, seed int64) (*Measurement, error) {
 	inst, err := workload.NewSortingInstance(n, per, dist, seed)
 	if err != nil {
 		return nil, err
 	}
-	nw, err := clique.New(n)
-	if err != nil {
-		return nil, err
-	}
-	defer nw.Close()
-	results := make([]*core.SortResult, n)
-	err = nw.Run(func(nd *clique.Node) error {
-		var (
-			res  *core.SortResult
-			sErr error
-		)
-		switch algorithm {
-		case "deterministic":
-			res, sErr = core.Sort(nd, inst.Keys[nd.ID()])
-		case "randomized":
-			res, sErr = baseline.RandomizedSampleSort(nd, inst.Keys[nd.ID()], seed)
-		default:
-			sErr = fmt.Errorf("experiments: unknown sorting algorithm %q", algorithm)
-		}
-		if sErr != nil {
-			return sErr
-		}
-		results[nd.ID()] = res
-		return nil
-	})
+	results, m, err := RunSort(n, inst.Keys, algorithm, seed)
 	if err != nil {
 		return nil, err
 	}
 	if err := verify.Sorting(inst.Keys, results); err != nil {
 		return nil, fmt.Errorf("experiments: sorting output invalid: %w", err)
 	}
-	return fromMetrics(n, per, string(dist), algorithm, nw.Metrics()), nil
+	return fromMetrics(n, per, string(dist), algorithm, m), nil
 }
 
 // MeasureRank runs the Corollary 4.6 rank computation and verifies it.
@@ -127,19 +136,10 @@ func MeasureRank(n, per int, dist workload.KeyDistribution, seed int64) (*Measur
 	if err != nil {
 		return nil, err
 	}
-	nw, err := clique.New(n)
-	if err != nil {
-		return nil, err
-	}
-	defer nw.Close()
 	results := make([]*core.RankResult, n)
-	err = nw.Run(func(nd *clique.Node) error {
-		res, rErr := core.Rank(nd, inst.Keys[nd.ID()])
-		if rErr != nil {
-			return rErr
-		}
-		results[nd.ID()] = res
-		return nil
+	m, err := runNodes(n, func(nd *clique.Node) (err error) {
+		results[nd.ID()], err = core.Rank(nd, inst.Keys[nd.ID()])
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -147,7 +147,7 @@ func MeasureRank(n, per int, dist workload.KeyDistribution, seed int64) (*Measur
 	if err := verify.Ranks(inst.Keys, results); err != nil {
 		return nil, fmt.Errorf("experiments: rank output invalid: %w", err)
 	}
-	return fromMetrics(n, per, string(dist), "rank", nw.Metrics()), nil
+	return fromMetrics(n, per, string(dist), "rank", m), nil
 }
 
 // MeasureSelect runs the selection corollary (median).
@@ -156,19 +156,14 @@ func MeasureSelect(n, per int, dist workload.KeyDistribution, seed int64) (*Meas
 	if err != nil {
 		return nil, err
 	}
-	nw, err := clique.New(n)
-	if err != nil {
-		return nil, err
-	}
-	defer nw.Close()
-	err = nw.Run(func(nd *clique.Node) error {
-		_, mErr := core.Median(nd, inst.Keys[nd.ID()])
-		return mErr
+	m, err := runNodes(n, func(nd *clique.Node) error {
+		_, err := core.Median(nd, inst.Keys[nd.ID()])
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	return fromMetrics(n, per, string(dist), "select-median", nw.Metrics()), nil
+	return fromMetrics(n, per, string(dist), "select-median", m), nil
 }
 
 // MeasureMode runs the mode corollary.
@@ -177,19 +172,14 @@ func MeasureMode(n, per int, dist workload.KeyDistribution, seed int64) (*Measur
 	if err != nil {
 		return nil, err
 	}
-	nw, err := clique.New(n)
-	if err != nil {
-		return nil, err
-	}
-	defer nw.Close()
-	err = nw.Run(func(nd *clique.Node) error {
-		_, mErr := core.Mode(nd, inst.Keys[nd.ID()])
-		return mErr
+	m, err := runNodes(n, func(nd *clique.Node) error {
+		_, err := core.Mode(nd, inst.Keys[nd.ID()])
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	return fromMetrics(n, per, string(dist), "mode", nw.Metrics()), nil
+	return fromMetrics(n, per, string(dist), "mode", m), nil
 }
 
 // MeasureSmallKeys runs the Section 6.3 counting protocol and verifies it.
@@ -198,19 +188,10 @@ func MeasureSmallKeys(n, per, domain int, seed int64) (*Measurement, error) {
 	if err != nil {
 		return nil, err
 	}
-	nw, err := clique.New(n)
-	if err != nil {
-		return nil, err
-	}
-	defer nw.Close()
 	results := make([]*core.SmallKeyResult, n)
-	err = nw.Run(func(nd *clique.Node) error {
-		res, cErr := core.SmallKeyCount(nd, values[nd.ID()], domain)
-		if cErr != nil {
-			return cErr
-		}
-		results[nd.ID()] = res
-		return nil
+	m, err := runNodes(n, func(nd *clique.Node) (err error) {
+		results[nd.ID()], err = core.SmallKeyCount(nd, values[nd.ID()], domain)
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -218,7 +199,7 @@ func MeasureSmallKeys(n, per, domain int, seed int64) (*Measurement, error) {
 	if err := verify.Histogram(values, results[0]); err != nil {
 		return nil, fmt.Errorf("experiments: histogram invalid: %w", err)
 	}
-	return fromMetrics(n, per, fmt.Sprintf("domain=%d", domain), "small-keys", nw.Metrics()), nil
+	return fromMetrics(n, per, fmt.Sprintf("domain=%d", domain), "small-keys", m), nil
 }
 
 func fromMetrics(n, per int, wl, algorithm string, m clique.Metrics) *Measurement {

@@ -38,6 +38,9 @@ func TestMeasureSortingAndCorollaries(t *testing.T) {
 	if m.Rounds > 37 {
 		t.Fatalf("sorting took %d rounds", m.Rounds)
 	}
+	if m, err := MeasureSorting(16, 16, workload.KeysUniform, "randomized", 2); err != nil || m.Rounds == 0 {
+		t.Fatalf("randomized sample sort: %+v, %v", m, err)
+	}
 	if _, err := MeasureSorting(16, 16, workload.KeysUniform, "bogus", 1); err == nil {
 		t.Fatal("unknown sorting algorithm accepted")
 	}

@@ -55,9 +55,6 @@ type Config struct {
 	// demand the server has seen before reuse the validated plan, with the
 	// census charged on the wire. 0 disables (the default).
 	PlanCacheCapacity int
-	// ChargedCensus arms the charged planner census (WithChargedCensus)
-	// without the cache; implied by PlanCacheCapacity > 0.
-	ChargedCensus bool
 }
 
 // Server is the network front-end: it accepts wire-protocol connections,
@@ -144,8 +141,6 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	if cfg.PlanCacheCapacity > 0 {
 		opts = append(opts, cc.WithPlanCache(cfg.PlanCacheCapacity))
-	} else if cfg.ChargedCensus {
-		opts = append(opts, cc.WithChargedCensus())
 	}
 	cl, err := cc.New(cfg.N, opts...)
 	if err != nil {
@@ -416,8 +411,6 @@ func errResponse(id uint64, err error) *Response {
 		st = StatusDeadlineExceeded
 	case errors.Is(err, cc.ErrInvalidInstance):
 		st = StatusInvalid
-	case errors.Is(err, cc.ErrUnsupportedAlgorithm):
-		st = StatusUnsupported
 	case errors.Is(err, cc.ErrClosed):
 		st = StatusDraining
 	}

@@ -1,7 +1,7 @@
 package congestedclique
 
 // Tests for the cross-run plan and schedule cache (WithPlanCache) and the
-// charged census (WithChargedCensus). The safety claim under test: a cached
+// charged census it arms. The safety claim under test: a cached
 // hit can never change a result — every hit is validated against the exact
 // instance, the seeded schedule replays only on the run that matched, and a
 // drifted or colliding instance always re-plans. The perf claim: a pipeline
@@ -231,9 +231,10 @@ func TestPlanCacheSortKeysBypass(t *testing.T) {
 	}
 }
 
-// TestChargedCensusRounds pins WithChargedCensus without a cache: Auto
-// operations pay exactly the documented census rounds on the wire and stay
-// bit-identical; non-Auto algorithms are untouched.
+// TestChargedCensusRounds pins the cost of a plan-cache miss: the first Auto
+// Route and Sort on a WithPlanCache handle pay exactly the documented census
+// rounds on top of plain Auto and stay bit-identical; non-Auto algorithms on
+// the same handle are untouched.
 func TestChargedCensusRounds(t *testing.T) {
 	t.Parallel()
 	const n = 64
@@ -246,7 +247,7 @@ func TestChargedCensusRounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer base.Close()
-	cen, err := New(n, WithAlgorithm(AlgorithmAuto), WithChargedCensus())
+	cen, err := New(n, WithAlgorithm(AlgorithmAuto), WithPlanCache(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,8 +282,11 @@ func TestChargedCensusRounds(t *testing.T) {
 	if s1.Stats.Rounds != s0.Stats.Rounds+SortCensusRounds {
 		t.Fatalf("census sort rounds = %d, want %d + %d", s1.Stats.Rounds, s0.Stats.Rounds, SortCensusRounds)
 	}
+	if cs := cen.CumulativeStats(); cs.PlanCacheHits != 0 || cs.PlanCacheMisses != 2 {
+		t.Fatalf("cache ledger %d hits / %d misses, want 0 / 2", cs.PlanCacheHits, cs.PlanCacheMisses)
+	}
 
-	// Deterministic (non-Auto) calls on a census handle pay nothing extra.
+	// Deterministic (non-Auto) calls on a cache handle pay nothing extra.
 	d0, err := base.Route(ctx, msgs, WithAlgorithm(Deterministic))
 	if err != nil {
 		t.Fatal(err)
@@ -292,7 +296,7 @@ func TestChargedCensusRounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	if d1.Stats.Rounds != d0.Stats.Rounds {
-		t.Fatalf("census handle charged a Deterministic call: %d vs %d rounds", d1.Stats.Rounds, d0.Stats.Rounds)
+		t.Fatalf("cache handle charged a Deterministic call: %d vs %d rounds", d1.Stats.Rounds, d0.Stats.Rounds)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"congestedclique/internal/baseline"
 	"congestedclique/internal/clique"
 	"congestedclique/internal/core"
 )
@@ -103,13 +102,13 @@ func newExecUnit(n int, cfg config) (*execUnit, error) {
 }
 
 // New builds a session handle for a congested clique of n >= 1 nodes.
-// Handle-scoped options (WithStrictBandwidth, WithSharedScheduleCache,
-// WithWorkers, WithMaxConcurrency) shape the engine pool; call-scoped
-// options (WithAlgorithm, WithSeed) passed here become the handle's
-// defaults, overridable per call. The first engine is built eagerly (so
-// construction errors surface here); engines beyond the first are built
-// lazily, only when operations actually overlap. Close the handle when done
-// to release the engines' pooled buffers.
+// Handle-scoped options (WithStrictBandwidth, WithWorkers,
+// WithMaxConcurrency, WithRoundDeadline, WithPlanCache) shape the engine
+// pool; call-scoped options (WithAlgorithm, WithRetry, fault injection)
+// passed here become the handle's defaults, overridable per call. The first
+// engine is built eagerly (so construction errors surface here); engines
+// beyond the first are built lazily, only when operations actually overlap.
+// Close the handle when done to release the engines' pooled buffers.
 func New(n int, opts ...Option) (*Clique, error) {
 	if err := validateNodeCount(n); err != nil {
 		return nil, err
@@ -360,29 +359,12 @@ func validateFaultCfg(n int, cfg config) error {
 	return nil
 }
 
-// callConfig layers per-call options over the handle defaults.
+// callConfig layers per-call options over the handle defaults. The
+// sorting-based corollary operations (Rank, SelectKth, Median, Mode,
+// CountSmallKeys) use it too: they only have deterministic implementations,
+// which every algorithm runs (the planner covers Route, Sort and SortKeys).
 func (c *Clique) callConfig(opts []Option) (config, error) {
 	return applyCallOptions(c.cfg, opts)
-}
-
-// sortBasedConfig is callConfig for the sorting-based corollary operations
-// (Rank, SelectKth, Median, Mode, CountSmallKeys), which only have
-// deterministic implementations. LowCompute and AlgorithmAuto fall back to
-// the deterministic path (the planner covers Route, Sort and SortKeys;
-// the corollary protocols always run their pinned deterministic schedules);
-// Randomized and NaiveDirect are rejected rather than silently running a
-// different algorithm than the caller asked to measure.
-func (c *Clique) sortBasedConfig(op string, opts []Option) (config, error) {
-	cfg, err := applyCallOptions(c.cfg, opts)
-	if err != nil {
-		return cfg, err
-	}
-	switch cfg.algorithm {
-	case Deterministic, LowCompute, AlgorithmAuto:
-		return cfg, nil
-	default:
-		return cfg, fmt.Errorf("%w: %s only has the deterministic implementation (got %v)", ErrUnsupportedAlgorithm, op, cfg.algorithm)
-	}
 }
 
 // routeValidatorPool recycles the validation scratch across calls and
@@ -404,7 +386,7 @@ func validateRoute(n int, msgs [][]Message) error {
 // node in [0, n)), and the result lists what every node received. The
 // default algorithm is the paper's deterministic 16-round solution
 // (Theorem 3.7); see WithAlgorithm for the 12-round low-computation variant
-// (Theorem 5.4) and the comparison baselines.
+// (Theorem 5.4) and the demand-aware planner.
 func (c *Clique) Route(ctx context.Context, msgs [][]Message, opts ...Option) (*RouteResult, error) {
 	cfg, err := c.callConfig(opts)
 	if err != nil {
@@ -492,12 +474,10 @@ func (u *execUnit) route(ctx context.Context, cfg config, msgs [][]Message, pc *
 				plan.Capture = core.NewRouteScheduleCapture(u.n)
 			}
 		}
-		if pc != nil || cfg.census {
+		if pc != nil {
 			plan.Census = true
-			if pc != nil {
-				plan.CensusHasFP = true
-				plan.CensusFP = fp.Hash
-			}
+			plan.CensusHasFP = true
+			plan.CensusFP = fp.Hash
 		}
 	}
 
@@ -537,10 +517,6 @@ func (u *execUnit) route(ctx context.Context, cfg config, msgs [][]Message, pc *
 				out, rErr = core.Route(nd, inputs[nd.ID()])
 			case LowCompute:
 				out, rErr = core.LowComputeRoute(nd, inputs[nd.ID()])
-			case Randomized:
-				out, rErr = baseline.RandomizedRoute(nd, inputs[nd.ID()], cfg.seed)
-			case NaiveDirect:
-				out, rErr = baseline.NaiveDirectRoute(nd, inputs[nd.ID()])
 			case AlgorithmAuto:
 				out, rErr = core.AutoRoute(nd, inputs[nd.ID()], plan)
 			default:
@@ -583,19 +559,14 @@ func (u *execUnit) route(ctx context.Context, cfg config, msgs [][]Message, pc *
 // Algorithm 4 (Theorem 4.5); WithAlgorithm(AlgorithmAuto) consults the
 // demand-aware sorting planner, which diverts pre-sorted and small-domain
 // instances to cheaper schedules with identical output
-// (SortResult.Strategy reports the choice); WithAlgorithm(Randomized)
-// selects the sample-sort baseline, LowCompute falls back to Deterministic
-// (documented on the constant), and NaiveDirect is rejected with
-// ErrUnsupportedAlgorithm.
+// (SortResult.Strategy reports the choice), and LowCompute falls back to
+// Deterministic (documented on the constant).
 func (c *Clique) Sort(ctx context.Context, values [][]int64, opts ...Option) (*SortResult, error) {
 	cfg, err := c.callConfig(opts)
 	if err != nil {
 		return nil, err
 	}
 	if err := validateValues(c.n, values); err != nil {
-		return nil, err
-	}
-	if err := rejectNaiveDirectSort(cfg); err != nil {
 		return nil, err
 	}
 	if err := validateFaultCfg(c.n, cfg); err != nil {
@@ -616,9 +587,6 @@ func (c *Clique) SortKeys(ctx context.Context, keys [][]Key, opts ...Option) (*S
 	if err := validateSortingInstance(c.n, keys); err != nil {
 		return nil, err
 	}
-	if err := rejectNaiveDirectSort(cfg); err != nil {
-		return nil, err
-	}
 	if err := validateFaultCfg(c.n, cfg); err != nil {
 		return nil, err
 	}
@@ -630,24 +598,12 @@ func (c *Clique) SortKeys(ctx context.Context, keys [][]Key, opts ...Option) (*S
 // sortKeysValidated is SortKeys minus the validation scan, for the one-shot
 // shim which has already validated (see routeValidated).
 func (c *Clique) sortKeysValidated(ctx context.Context, keys [][]Key) (*SortResult, error) {
-	if err := rejectNaiveDirectSort(c.cfg); err != nil {
-		return nil, err
-	}
 	if err := validateFaultCfg(c.n, c.cfg); err != nil {
 		return nil, err
 	}
 	return runOp(c, ctx, c.cfg, func(u *execUnit) (*SortResult, error) {
 		return u.sortKeys(ctx, c.cfg, keys, c.planCache)
 	})
-}
-
-// rejectNaiveDirectSort is the pre-checkout guard shared by the sorting
-// entry points: naive-direct has no sorting counterpart.
-func rejectNaiveDirectSort(cfg config) error {
-	if cfg.algorithm == NaiveDirect {
-		return fmt.Errorf("%w: naive-direct delivers messages, it has no sorting counterpart (use Deterministic or Randomized)", ErrUnsupportedAlgorithm)
-	}
-	return nil
 }
 
 // sortKeys is the key-sorting pipeline body; the caller owns the unit and
@@ -712,9 +668,9 @@ func (u *execUnit) sortStaged(ctx context.Context, cfg config, inputs [][]core.K
 		if !cacheHit {
 			plan = core.PlanSort(u.n, inputs)
 		}
-		if pc != nil || cfg.census {
+		if pc != nil {
 			plan.Census = true
-			if pc != nil && cacheable {
+			if cacheable {
 				plan.CensusHasFP = true
 				plan.CensusFP = fp.Hash
 			}
@@ -746,8 +702,6 @@ func (u *execUnit) sortStaged(ctx context.Context, cfg config, inputs [][]core.K
 				res, sErr = core.Sort(nd, inputs[nd.ID()])
 			case AlgorithmAuto:
 				res, sErr = core.AutoSort(nd, inputs[nd.ID()], plan)
-			case Randomized:
-				res, sErr = baseline.RandomizedSampleSort(nd, inputs[nd.ID()], cfg.seed)
 			default:
 				sErr = fmt.Errorf("congestedclique: unsupported algorithm %v", cfg.algorithm)
 			}
@@ -791,7 +745,7 @@ func (u *execUnit) sortStaged(ctx context.Context, cfg config, inputs [][]core.K
 // distinct values present in the system; duplicate values share an index
 // (Corollary 4.6).
 func (c *Clique) Rank(ctx context.Context, values [][]int64, opts ...Option) (*RankResult, error) {
-	cfg, err := c.sortBasedConfig("Rank", opts)
+	cfg, err := c.callConfig(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -841,14 +795,14 @@ func (u *execUnit) rank(ctx context.Context, values [][]int64) (*RankResult, err
 // SelectKth returns the key of global rank k (0-based) among all input
 // values, together with the execution statistics.
 func (c *Clique) SelectKth(ctx context.Context, values [][]int64, k int, opts ...Option) (Key, Stats, error) {
-	return c.selectWith(ctx, "SelectKth", values, opts, func(ex clique.Exchanger, in []core.Key) (core.Key, error) {
+	return c.selectWith(ctx, values, opts, func(ex clique.Exchanger, in []core.Key) (core.Key, error) {
 		return core.Select(ex, in, k)
 	})
 }
 
 // Median returns the lower median of all input values.
 func (c *Clique) Median(ctx context.Context, values [][]int64, opts ...Option) (Key, Stats, error) {
-	return c.selectWith(ctx, "Median", values, opts, core.Median)
+	return c.selectWith(ctx, values, opts, core.Median)
 }
 
 // keyStats pairs a selection result with its execution statistics so the
@@ -859,8 +813,8 @@ type keyStats struct {
 }
 
 // selectWith runs one single-key selection protocol (SelectKth, Median).
-func (c *Clique) selectWith(ctx context.Context, op string, values [][]int64, opts []Option, pick func(clique.Exchanger, []core.Key) (core.Key, error)) (Key, Stats, error) {
-	cfg, err := c.sortBasedConfig(op, opts)
+func (c *Clique) selectWith(ctx context.Context, values [][]int64, opts []Option, pick func(clique.Exchanger, []core.Key) (core.Key, error)) (Key, Stats, error) {
+	cfg, err := c.callConfig(opts)
 	if err != nil {
 		return Key{}, Stats{}, err
 	}
@@ -898,7 +852,7 @@ func (c *Clique) selectWith(ctx context.Context, op string, values [][]int64, op
 // Mode returns the most frequent value among all inputs (smallest value wins
 // ties), computed by sorting plus one summary round.
 func (c *Clique) Mode(ctx context.Context, values [][]int64, opts ...Option) (*ModeResult, error) {
-	cfg, err := c.sortBasedConfig("Mode", opts)
+	cfg, err := c.callConfig(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -932,7 +886,7 @@ func (c *Clique) Mode(ctx context.Context, values [][]int64, opts ...Option) (*M
 // rounds of single-word messages (Section 6.3). The domain must satisfy
 // domain * ceil(log2(n+1))^2 <= n.
 func (c *Clique) CountSmallKeys(ctx context.Context, values [][]int, domain int, opts ...Option) (*HistogramResult, error) {
-	cfg, err := c.sortBasedConfig("CountSmallKeys", opts)
+	cfg, err := c.callConfig(opts)
 	if err != nil {
 		return nil, err
 	}

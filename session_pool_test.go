@@ -493,8 +493,8 @@ func TestPoolValidationBeforeCheckout(t *testing.T) {
 		if _, _, err := cl.Median(ctx, badRow); !errors.Is(err, ErrInvalidInstance) {
 			t.Errorf("Median(oversized row) = %v, want ErrInvalidInstance", err)
 		}
-		if _, err := cl.Mode(ctx, nil, WithAlgorithm(Randomized)); !errors.Is(err, ErrUnsupportedAlgorithm) {
-			t.Errorf("Mode(Randomized) = %v, want ErrUnsupportedAlgorithm", err)
+		if _, err := cl.Mode(ctx, nil, WithAlgorithm(Algorithm(3))); err == nil {
+			t.Error("Mode(Algorithm(3)) accepted a retired algorithm value")
 		}
 		if _, err := cl.CountSmallKeys(ctx, make([][]int, n+1), 1); !errors.Is(err, ErrInvalidInstance) {
 			t.Errorf("CountSmallKeys(too many rows) = %v, want ErrInvalidInstance", err)
@@ -508,8 +508,8 @@ func TestPoolValidationBeforeCheckout(t *testing.T) {
 		if _, err := cl.CountSmallKeys(ctx, [][]int{{-1}}, 1); !errors.Is(err, ErrInvalidInstance) {
 			t.Errorf("CountSmallKeys(value out of domain) = %v, want ErrInvalidInstance", err)
 		}
-		if _, err := cl.Sort(ctx, nil, WithAlgorithm(NaiveDirect)); !errors.Is(err, ErrUnsupportedAlgorithm) {
-			t.Errorf("Sort(NaiveDirect) = %v, want ErrUnsupportedAlgorithm", err)
+		if _, err := cl.Sort(ctx, nil, WithAlgorithm(Algorithm(4))); err == nil {
+			t.Error("Sort(Algorithm(4)) accepted a retired algorithm value")
 		}
 	}()
 	select {

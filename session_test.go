@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -313,30 +314,39 @@ func TestSessionUseAfterClose(t *testing.T) {
 	}
 }
 
-// TestHandleScopedOptionRejectedPerCall: engine-shaping options are accepted
-// by New but rejected by individual calls.
+// TestHandleScopedOptionRejectedPerCall: every handle-scoped option is
+// accepted by New but rejected, by name, by individual calls.
 func TestHandleScopedOptionRejectedPerCall(t *testing.T) {
 	t.Parallel()
 	ctx := context.Background()
-	cl, err := New(8, WithStrictBandwidth(64), WithWorkers(2), WithSharedScheduleCache(true))
+	cl, err := New(8, WithStrictBandwidth(64), WithWorkers(2), WithMaxConcurrency(2),
+		WithRoundDeadline(time.Minute), WithPlanCache(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	for _, opt := range []Option{WithStrictBandwidth(16), WithSharedScheduleCache(false), WithWorkers(4)} {
-		if _, err := cl.Route(ctx, nil, opt); err == nil {
-			t.Fatal("handle-scoped option accepted by a call")
+	for name, opt := range map[string]Option{
+		"WithStrictBandwidth": WithStrictBandwidth(16),
+		"WithWorkers":         WithWorkers(4),
+		"WithMaxConcurrency":  WithMaxConcurrency(3),
+		"WithRoundDeadline":   WithRoundDeadline(time.Second),
+		"WithPlanCache":       WithPlanCache(8),
+	} {
+		if _, err := cl.Route(ctx, nil, opt); err == nil || !strings.Contains(err.Error(), name) {
+			t.Fatalf("%s per call: got %v, want a handle-scoped rejection naming it", name, err)
 		}
 	}
 	// Call-scoped options work per call and override handle defaults.
-	if _, err := cl.Route(ctx, nil, WithAlgorithm(LowCompute), WithSeed(7)); err != nil {
+	if _, err := cl.Route(ctx, nil, WithAlgorithm(LowCompute), WithRetry(1, 0)); err != nil {
 		t.Fatalf("call-scoped options rejected: %v", err)
 	}
 }
 
-// TestSortAlgorithmFallbackAndRejection pins the documented Sort behaviour:
-// LowCompute falls back to the deterministic sorter bit for bit, NaiveDirect
-// is rejected with ErrUnsupportedAlgorithm through both API styles.
+// TestSortAlgorithmFallbackAndRejection pins the documented fallbacks —
+// LowCompute sorting runs the deterministic sorter bit for bit, and the
+// sorting-based corollaries run their deterministic implementations under
+// LowCompute and AlgorithmAuto — and that the one-shot sorting shims reject
+// a retired algorithm value instead of sorting under another algorithm.
 func TestSortAlgorithmFallbackAndRejection(t *testing.T) {
 	t.Parallel()
 	const n = 16
@@ -353,39 +363,33 @@ func TestSortAlgorithmFallbackAndRejection(t *testing.T) {
 	if lc.Stats != det.Stats {
 		t.Fatalf("LowCompute fallback stats %+v differ from deterministic %+v", lc.Stats, det.Stats)
 	}
+	if _, err := Sort(n, values, WithAlgorithm(Algorithm(4))); err == nil {
+		t.Fatal("Sort accepted the retired algorithm value 4")
+	}
+	if _, err := SortKeys(n, nil, WithAlgorithm(Algorithm(3))); err == nil {
+		t.Fatal("SortKeys accepted the retired algorithm value 3")
+	}
 
-	if _, err := Sort(n, values, WithAlgorithm(NaiveDirect)); !errors.Is(err, ErrUnsupportedAlgorithm) {
-		t.Fatalf("NaiveDirect Sort returned %v, want ErrUnsupportedAlgorithm", err)
-	}
-	if _, err := SortKeys(n, nil, WithAlgorithm(NaiveDirect)); !errors.Is(err, ErrUnsupportedAlgorithm) {
-		t.Fatalf("NaiveDirect SortKeys returned %v, want ErrUnsupportedAlgorithm", err)
-	}
+	// The corollaries fall back to their deterministic implementations,
+	// statistics included.
 	cl, err := New(n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
 	ctx := context.Background()
-	if _, err := cl.Sort(ctx, values, WithAlgorithm(NaiveDirect)); !errors.Is(err, ErrUnsupportedAlgorithm) {
-		t.Fatalf("session NaiveDirect Sort returned %v, want ErrUnsupportedAlgorithm", err)
+	_, want, err := cl.Median(ctx, values)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// The sorting-based corollaries follow the same rule: no silent
-	// fallback for algorithms that have no implementation there.
-	for _, alg := range []Algorithm{Randomized, NaiveDirect} {
-		if _, err := cl.Rank(ctx, values, WithAlgorithm(alg)); !errors.Is(err, ErrUnsupportedAlgorithm) {
-			t.Fatalf("Rank with %v returned %v, want ErrUnsupportedAlgorithm", alg, err)
+	for _, alg := range []Algorithm{LowCompute, AlgorithmAuto} {
+		_, got, err := cl.Median(ctx, values, WithAlgorithm(alg))
+		if err != nil {
+			t.Fatalf("Median under %v fallback: %v", alg, err)
 		}
-		if _, _, err := cl.Median(ctx, values, WithAlgorithm(alg)); !errors.Is(err, ErrUnsupportedAlgorithm) {
-			t.Fatalf("Median with %v returned %v, want ErrUnsupportedAlgorithm", alg, err)
+		if got != want {
+			t.Fatalf("Median under %v: stats %+v differ from deterministic %+v", alg, got, want)
 		}
-		if _, err := cl.Mode(ctx, values, WithAlgorithm(alg)); !errors.Is(err, ErrUnsupportedAlgorithm) {
-			t.Fatalf("Mode with %v returned %v, want ErrUnsupportedAlgorithm", alg, err)
-		}
-	}
-	// LowCompute falls back to deterministic for the corollaries, like Sort.
-	if _, _, err := cl.Median(ctx, values, WithAlgorithm(LowCompute)); err != nil {
-		t.Fatalf("Median under LowCompute fallback: %v", err)
 	}
 }
 

@@ -27,9 +27,7 @@ type SortResult struct {
 // (see Route for the one-shot contract). The default algorithm is the
 // paper's 37-round deterministic Algorithm 4 (Theorem 4.5);
 // WithAlgorithm(AlgorithmAuto) consults the demand-aware sorting planner,
-// WithAlgorithm(Randomized) selects the sample-sort baseline, LowCompute
-// falls back to the deterministic sorter, and NaiveDirect is rejected with
-// ErrUnsupportedAlgorithm.
+// and LowCompute falls back to the deterministic sorter.
 func Sort(n int, values [][]int64, opts ...Option) (*SortResult, error) {
 	if err := validateValueShims(n, values); err != nil {
 		return nil, err

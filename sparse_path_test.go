@@ -52,7 +52,9 @@ func TestSparsePathSortBitIdentical(t *testing.T) {
 				wantRounds := 2
 				var handleOpts []Option
 				if census {
-					handleOpts = append(handleOpts, WithChargedCensus())
+					// A plan cache arms the charged census; one run on a
+					// fresh handle is a miss.
+					handleOpts = append(handleOpts, WithPlanCache(4))
 					wantRounds += SortCensusRounds
 				}
 				cl, err := New(n, handleOpts...)
@@ -105,14 +107,14 @@ func TestSparsePathSortBitIdentical(t *testing.T) {
 // with the step programs: the second run of the same instance hits the cache
 // (whose plans always arm the census with a pinned fingerprint), the step
 // run is built from the cached verdict, its census verify accepts it, and
-// both runs match a cache-off charged-census handle bit for bit.
+// both runs match the one-shot miss of a fresh cache handle bit for bit.
 func TestSparsePathPlanCacheHit(t *testing.T) {
 	t.Parallel()
 	const n = 64
 	ctx := context.Background()
 	msgs := scenarioMessages(t, "sparse", n, 1)
 
-	want, err := Route(n, msgs, WithAlgorithm(AlgorithmAuto), WithChargedCensus())
+	want, err := Route(n, msgs, WithAlgorithm(AlgorithmAuto), WithPlanCache(8))
 	if err != nil {
 		t.Fatal(err)
 	}
