@@ -2,6 +2,7 @@ package clique
 
 import (
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -139,5 +140,75 @@ func BenchmarkSparseExchange(b *testing.B) {
 				b.Fatal(err)
 			}
 		})
+	}
+}
+
+// BenchmarkDeliverReplay measures delivery per packet and per word apart: an
+// n=256 clique replays one round shape b.N times, every shape moving 8n words
+// per sender on average (Thm 3.7's full load moves about 5n), while the packet
+// size (1, 5 or 16 words) and the fan-out vary — dense (every node sends to
+// every node), senders=n/8 (an eighth of the nodes send, each to every node,
+// eight times as much) and sparse (every node sends everything to its
+// successor). Each shape runs on both delivery loops: receiver-major (every
+// outbox here is large enough to be sorted at publish) and sender-major over
+// outboxes publish left unsorted.
+// Receivers read the flat records, so one op is one round of sends, publish
+// and delivery; ns/packet and ns/word divide it by the round's traffic.
+func BenchmarkDeliverReplay(b *testing.B) {
+	const n = 256
+	fanouts := []struct {
+		name    string
+		senders int // the senders are the nodes id%(n/senders) == 0
+		spread  int // a sender's packets cycle over this many successors
+	}{
+		{"dense", n, n},
+		{"senders=n/8", n / 8, n},
+		{"sparse", n, 1},
+	}
+	for _, fo := range fanouts {
+		for _, words := range []int{1, 5, 16} {
+			for _, loop := range []string{"receiver", "sender"} {
+				name := fmt.Sprintf("fanout=%s/words=%d/loop=%s", fo.name, words, loop)
+				b.Run(name, func(b *testing.B) {
+					packets := 8 * n * (n / fo.senders) / words // per sender
+					payload := make(Packet, words)
+					nw, err := New(n, WithPerRoundStats(false))
+					if err != nil {
+						b.Fatal(err)
+					}
+					defer nw.Close()
+					if loop == "sender" {
+						nw.sortMin = math.MaxInt // no outbox sorted, as in a sparse round
+					}
+					b.ReportAllocs()
+					b.ResetTimer()
+					err = nw.Run(func(nd *Node) error {
+						sends := nd.ID()%(n/fo.senders) == 0
+						for r := 0; r < b.N; r++ {
+							if sends {
+								for k := 0; k < packets; k++ {
+									nd.Send((nd.ID()+1+k%fo.spread)%n, payload)
+								}
+							}
+							if _, err := nd.ExchangeFlat(); err != nil {
+								return err
+							}
+						}
+						return nil
+					})
+					b.StopTimer()
+					if err != nil {
+						b.Fatal(err)
+					}
+					if nw.receiverMajor != (loop == "receiver") {
+						b.Fatalf("the round was delivered receiver-major=%v", nw.receiverMajor)
+					}
+					perRound := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+					total := packets * fo.senders
+					b.ReportMetric(perRound/float64(total), "ns/packet")
+					b.ReportMetric(perRound/float64(total*words), "ns/word")
+				})
+			}
+		}
 	}
 }

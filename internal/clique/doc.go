@@ -32,19 +32,25 @@
 // runs where the program returned, ended by Close. A computing node appends
 // to a private outbox with no synchronisation at all; when its compute phase
 // ends the worker empties the node's arena slot for the round, publishes the
-// outbox and counts the node's round. When every worker has reported, the
-// loop checks that the run goes on — no failure recorded, somebody left to
-// receive, no cancellation injected at this turn-over — and delivers.
-// Delivery is a fan-out over receiver ranges: the outboxes are read-only by
-// now and each receiver's arena and load counters belong to one range, so
-// the loop and up to min(workers, GOMAXPROCS, n)-1 helper goroutines each run
-// the same per-packet loop (deliverShard) over their own range and are joined
-// before the next sweep starts; their statistics merge commutatively, and a
-// round of fewer than shardMinPackets packets stays on the loop's goroutine.
-// No lock is held while a node computes or a packet is delivered, and a
-// steady-state round allocates nothing: loads are accounted in dense scratch
-// slices, arenas are reused round over round, and sender-side buffers (the
-// Mux's tagged packets) are recycled through a sync.Pool.
+// outbox — counting-sorted by receiver first when it holds at least
+// n/sortMinShare packets — and counts the node's round. When every worker has
+// reported, the loop checks that the run goes on — no failure recorded,
+// somebody left to receive, no cancellation injected at this turn-over — and
+// delivers. Delivery is a fan-out over receiver ranges: the outboxes are
+// read-only by now and each receiver's arena and load counters belong to one
+// range, so the loop and up to min(workers, GOMAXPROCS, n)-1 helper
+// goroutines each deliver their own range and are joined before the next
+// sweep starts; their statistics merge commutatively, and a round of fewer
+// than shardMinPackets packets stays on the loop's goroutine. A round whose
+// outboxes were all sorted is delivered receiver-major (deliverReceivers):
+// each receiver's records are written as one stream, each sender's segment
+// for it read through the outbox's receiver index. Any other round is
+// delivered sender-major (deliverSenders): every shard scans every outbox and
+// keeps the packets addressed into its range. No lock is held while a node
+// computes or a packet is delivered, and a steady-state round allocates
+// nothing: loads are accounted per segment or in dense scratch slices, arenas
+// and both outbox arrays are reused round over round, and sender-side buffers
+// (the Mux's tagged packets) are recycled through a sync.Pool.
 //
 // A run fails through one slot, which records the first of: a node's panic
 // (converted by the sweep's crash barrier), a panic in a delivery shard, a
@@ -73,11 +79,11 @@
 // (the end of the step call under RunRounds); the payload words, boxed or
 // flat, for PayloadGraceRounds further barriers.
 //
-// Executions are deterministic: every delivery shard scans senders in
-// ascending id order, so node programs see identical inboxes and metrics on
-// every run of the same workload, for every worker and shard count, and a
-// strict-budget failure names the same edge (most words, then lowest sender,
-// then lowest receiver).
+// Executions are deterministic: both delivery loops write a receiver's records
+// in ascending sender order (the sort at publish is stable), so node programs
+// see identical inboxes and metrics on every run of the same workload, for
+// every worker and shard count and either loop, and a strict-budget failure
+// names the same edge (most words, then lowest sender, then lowest receiver).
 //
 // # Sessions
 //

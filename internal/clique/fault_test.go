@@ -424,9 +424,9 @@ func TestFailurePathDoesNotPoisonPooledBuffers(t *testing.T) {
 
 // closeAndAuditBuffers closes a Network whose last run failed with published
 // outboxes still undelivered and checks what Close hands back to the pool:
-// every outbox slot nilled, every outbox and pending backing array cleared of
-// packet references, every view at rest and no delivery shard still pointing
-// at the Network or holding a panic value.
+// every outbox slot nilled, every outbox and both outbox backing arrays of
+// every node cleared of packet references, every view at rest and no
+// delivery shard still pointing at the Network or holding a panic value.
 func closeAndAuditBuffers(t *testing.T, nw *Network) {
 	t.Helper()
 	n, b := nw.n, nw.buffers
@@ -437,7 +437,7 @@ func closeAndAuditBuffers(t *testing.T, nw *Network) {
 			backing = append(backing, out[:cap(out)])
 			published++
 		}
-		backing = append(backing, b.pending[i][:cap(b.pending[i])])
+		backing = append(backing, b.pending[i][:cap(b.pending[i])], b.spare[i][:cap(b.spare[i])])
 	}
 	if published == 0 {
 		t.Fatal("test setup: no published outboxes survived the failed run")
@@ -446,7 +446,7 @@ func closeAndAuditBuffers(t *testing.T, nw *Network) {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		if b.outboxes[i] != nil {
+		if b.outboxes[i] != nil || b.outOffs[i] != nil {
 			t.Fatalf("pooled netBuffers.outboxes[%d] still set after Close", i)
 		}
 		if err := viewAtRest(&b.views[i]); err != nil {

@@ -171,9 +171,16 @@ type Network struct {
 	// outboxes[i] is published by the worker that ran node i's compute phase
 	// and consumed (and nilled) by delivery. A departed node — its program
 	// returned, or its step said done — is swept no more, and delivery drops
-	// what is still addressed to it.
+	// what is still addressed to it. An outbox of at least sortMin packets is
+	// published sorted by receiver, with its receiver index in outOffs[i]
+	// (nil otherwise): receiver t's packets are
+	// outboxes[i][outOffs[i][t]:outOffs[i][t+1]]. The two are apart so that
+	// a sparse round at large n touches no more than an outbox header per
+	// node.
 	outboxes [][]pendingPacket
+	outOffs  [][]int32
 	departed []bool
+	sortMin  int
 
 	// wordArena[r%payloadRingDepth][t] holds the records delivered to node t
 	// in round r. The slot is resliced to empty (keeping capacity) when node
@@ -183,24 +190,28 @@ type Network struct {
 	// created before a reallocation stay valid.
 	wordArena [payloadRingDepth][][]Word
 
-	// Delivery scratch, indexed densely by receiver id (so each entry is
-	// written by the one shard owning that receiver). destLoad packs the
-	// per-edge (words, messages) load of the sender a shard is currently
-	// scanning; recvWords is the model words each receiver got this round.
-	// Both are re-zeroed through the shard's touch lists — the delivery
-	// loop's per-packet cost is dominated by these random accesses.
-	destLoad  []uint64
-	recvWords []int32
+	// loads is the sender-major loop's scratch, indexed densely by receiver
+	// id (so each entry is written by the one shard owning that receiver) and
+	// re-zeroed through the shard's recvTouch list.
+	loads []recvLoad
+
+	// The round being delivered: receiverMajor says all of its non-empty
+	// outboxes were sorted, and then sources lists them in ascending sender
+	// order (see deliverRound).
+	sources       []source
+	receiverMajor bool
 
 	// procs is GOMAXPROCS as of the start of the run and maxShards the run's
 	// widest delivery fan-out, min(workers, GOMAXPROCS, n) (see shardCount);
-	// forceShards, when positive, fixes the fan-out of every round instead
-	// (tests pin shard-count independence with it). shardWG joins a round's
-	// shards before the round is folded into the metrics.
-	procs       int
-	maxShards   int
-	forceShards int
-	shardWG     sync.WaitGroup
+	// forceShards, when positive, fixes the fan-out of every round instead,
+	// and forceSenderMajor keeps every round on the sender-major loop (tests
+	// pin the independence of both with them). shardWG joins a round's shards
+	// before the round is folded into the metrics.
+	procs            int
+	maxShards        int
+	forceShards      int
+	forceSenderMajor bool
+	shardWG          sync.WaitGroup
 
 	// Fault injection and round watchdog (see fault.go). pendingFaults is
 	// armed by SetFaultPlan and consumed into faults by the next beginRun;
@@ -250,23 +261,28 @@ type Network struct {
 type netBuffers struct {
 	n         int
 	outboxes  [][]pendingPacket
+	outOffs   [][]int32
 	departed  []bool
 	wordArena [payloadRingDepth][][]Word
-	recvWords []int32
-	destLoad  []uint64
+	loads     []recvLoad
 	// shards is the per-shard delivery scratch (see deliveryShard), grown to
 	// the widest fan-out any Network holding this set has used.
 	shards []*deliveryShard
-	// nodes and pending recycle the per-run node state — the Node structs and
-	// each node's outbox backing array (handed back by finishSweep pinning no
-	// payload memory) — so a run on a warm engine allocates neither. views
-	// recycles the boxed receive views: views[i] belongs to node i under Run
-	// (an Inbox stays valid until the node's next Exchange) and to worker i
-	// under RunRounds (whose nodes share it, one step at a time), is filled on
-	// its owner's first boxed receive (so flat-only engines never carry one)
-	// and is reset by the owner before it lets go.
+	// nodes, pending, spare and offs recycle the per-run node state — the
+	// Node structs, each node's two outbox backing arrays (handed back by
+	// finishSweep pinning no payload memory) and its receiver index (see
+	// Node.sortOutbox; the Node keeps only its current outbox, since a node
+	// that never sorts never needs the other two) — so a run on a warm engine
+	// allocates none. views recycles the boxed receive views: views[i]
+	// belongs to node i under Run (an Inbox stays valid until the node's next
+	// Exchange) and to worker i under RunRounds (whose nodes share it, one
+	// step at a time), is filled on its owner's first boxed receive (so
+	// flat-only engines never carry one) and is reset by the owner before it
+	// lets go.
 	nodes   []Node
 	pending [][]pendingPacket
+	spare   [][]pendingPacket
+	offs    [][]int32
 	views   []inboxView
 }
 
@@ -278,22 +294,24 @@ func acquireNetBuffers(n int) *netBuffers {
 	b := netBufPool.Get().(*netBuffers)
 	if b.n < n {
 		b.outboxes = make([][]pendingPacket, n)
+		b.outOffs = make([][]int32, n)
 		b.departed = make([]bool, n)
 		for p := range b.wordArena {
 			b.wordArena[p] = make([][]Word, n)
 		}
-		b.recvWords = make([]int32, n)
-		b.destLoad = make([]uint64, n)
+		b.loads = make([]recvLoad, n)
 		b.nodes = make([]Node, n)
 		b.pending = make([][]pendingPacket, n)
+		b.spare = make([][]pendingPacket, n)
+		b.offs = make([][]int32, n)
 		b.views = make([]inboxView, n)
 		b.n = n
 	}
 	for i := 0; i < n; i++ {
-		b.recvWords[i] = 0
+		b.loads[i] = recvLoad{}
 		b.departed[i] = false
-		b.destLoad[i] = 0
 		b.outboxes[i] = nil
+		b.outOffs[i] = nil
 	}
 	return b
 }
@@ -318,6 +336,7 @@ func (nw *Network) releaseBuffers() {
 			clear(out[:cap(out)])
 			b.outboxes[t] = nil
 		}
+		b.outOffs[t] = nil
 		for p := range b.wordArena {
 			b.wordArena[p][t] = b.wordArena[p][t][:0]
 		}
@@ -347,10 +366,11 @@ func New(n int, opts ...Option) (*Network, error) {
 		cfg:       cfg,
 		buffers:   b,
 		outboxes:  b.outboxes,
+		outOffs:   b.outOffs,
 		departed:  b.departed,
+		sortMin:   max(1, n/sortMinShare),
 		wordArena: b.wordArena,
-		recvWords: b.recvWords,
-		destLoad:  b.destLoad,
+		loads:     b.loads,
 		sharedK:   make(map[SharedKey]interface{}),
 		steps:     make([]int64, n),
 		memory:    make([]int64, n),
@@ -433,10 +453,10 @@ func (nw *Network) resetRun() {
 		for p := range b.wordArena {
 			b.wordArena[p][t] = b.wordArena[p][t][:0]
 		}
-		b.recvWords[t] = 0
+		b.loads[t] = recvLoad{}
 		b.departed[t] = false
-		b.destLoad[t] = 0
 		b.outboxes[t] = nil
+		b.outOffs[t] = nil
 	}
 	nw.round.Store(0)
 	nw.fail.Store(nil)
@@ -725,19 +745,21 @@ func (nw *Network) prepareSweep(k int) {
 }
 
 // finishSweep is the end-of-run pass over the nodes: it copies the
-// self-reported accounting out and hands the outbox arrays back with no
+// self-reported accounting out and hands both outbox arrays back with no
 // packet reference left in them, so the pooled buffers never pin payload
 // memory. The references of delivered sends stay behind until here (clearing
-// every round costs a full-load run 40 bytes per packet); beyond sent, the
-// most the node queued in any round, the array is clear already — a run that
-// staged little sweeps little, whatever an earlier dense run left behind.
+// every round costs a full-load run 24 bytes per packet); beyond sent, the
+// most the node published in any round, and the sends it queued after its
+// last publish, an array is clear already — a run that staged little sweeps
+// little, whatever an earlier dense run left behind.
 func (nw *Network) finishSweep() {
 	b := nw.buffers
 	nw.stepsMu.Lock()
 	for i := range b.nodes[:nw.n] {
 		nd := &b.nodes[i]
 		clear(nd.pending[:max(nd.sent, len(nd.pending))])
-		b.pending[i] = nd.pending[:0]
+		clear(b.spare[i][:min(nd.sent, cap(b.spare[i]))])
+		b.pending[i], b.spare[i] = nd.pending[:0], b.spare[i][:0]
 		nd.pending = nil
 		nw.steps[i], nw.memory[i] = nd.steps, nd.memory
 	}
@@ -964,7 +986,7 @@ func (nd *Node) Send(to int, data Packet) {
 	if to < 0 || to >= nd.nw.n {
 		panic(fmt.Sprintf("clique: node %d sent to invalid destination %d (n=%d)", nd.id, to, nd.nw.n))
 	}
-	nd.pending = append(nd.pending, pendingPacket{to: to, data: data, count: 1, model: int32(len(data))})
+	nd.pending = append(nd.pending, queued(to, data, 1, len(data)))
 }
 
 // SendFramed queues one physical packet carrying count logical messages with
@@ -979,7 +1001,7 @@ func (nd *Node) SendFramed(to int, data Packet, count, modelWords int) {
 	if count < 1 || modelWords < 0 {
 		panic(fmt.Sprintf("clique: node %d framed send with count %d, model %d", nd.id, count, modelWords))
 	}
-	nd.pending = append(nd.pending, pendingPacket{to: to, data: data, count: int32(count), model: int32(modelWords)})
+	nd.pending = append(nd.pending, queued(to, data, count, modelWords))
 }
 
 // Broadcast queues the same packet for every node, including the sender.
@@ -1077,14 +1099,69 @@ func (nd *Node) SharedComputeKeyed(key SharedKey, f func() interface{}) interfac
 // it: it empties the arena slot about to be written (only that one ring slot,
 // which is what keeps received payloads valid for PayloadGraceRounds barriers;
 // an empty slot is how delivery recognises a receiver's first packet),
-// publishes the outbox and counts the round.
+// publishes the outbox — sorted by receiver when it holds at least sortMin
+// packets — and counts the round.
 func (nd *Node) publish() {
 	nw := nd.nw
 	p := nd.round % payloadRingDepth
 	nw.wordArena[p][nd.id] = nw.wordArena[p][nd.id][:0]
+	if len(nd.pending) >= nw.sortMin {
+		nw.outOffs[nd.id] = nd.sortOutbox()
+	}
 	nw.outboxes[nd.id] = nd.pending
 	nd.sent = max(nd.sent, len(nd.pending))
 	nd.round++
+}
+
+// sortMinShare sets the outbox size from which publish sorts an outbox by
+// receiver: n/sortMinShare packets. The receiver-major loop visits every
+// (receiver, sender) pair of the round, so it only pays off once a sender's
+// packets cover most receivers. On the 2-core reference host (n=256, one
+// packet of 1, 5 or 16 words per edge) receiver-major delivery, sort
+// included, took 45-56 ns per packet against sender-major's 33-55 at n/4
+// packets per sender, 35-40 against 30-38 at n/2 and 26-37 against 25-80 at
+// n. The full-load protocols publish at least 0.8n packets per sender in
+// almost every round of Thm 3.7 and Algorithm 4 and under 0.46n in the rest,
+// so any cut in between sends the same rounds down each loop.
+const sortMinShare = 2
+
+// sortOutbox sorts the node's outbox stably by receiver, counting sort into
+// the node's spare array, which becomes pending while the unsorted array
+// becomes the spare, and returns the receiver index: receiver t's packets are
+// pending[offs[t]:offs[t+1]]. It runs on the sweep worker that has just run
+// the node, while the outbox is still in its cache.
+func (nd *Node) sortOutbox() []int32 {
+	n, b := nd.nw.n, nd.nw.buffers
+	offs := b.offs[nd.id]
+	if cap(offs) < n+1 {
+		offs = make([]int32, n+1)
+	}
+	offs = offs[:n+1]
+	b.offs[nd.id] = offs
+	clear(offs)
+	out := nd.pending
+	for i := range out {
+		offs[out[i].to+1]++
+	}
+	for t := 1; t <= n; t++ {
+		offs[t] += offs[t-1]
+	}
+	// offs[t] is now where receiver t's packets start; the scatter advances
+	// it to where they end, which is where t+1's start.
+	sorted := b.spare[nd.id]
+	if cap(sorted) < len(out) {
+		sorted = make([]pendingPacket, len(out), cap(out))
+	}
+	sorted = sorted[:len(out)]
+	for i := range out {
+		t := out[i].to
+		sorted[offs[t]] = out[i]
+		offs[t]++
+	}
+	copy(offs[1:], offs[:n])
+	offs[0] = 0
+	nd.pending, b.spare[nd.id] = sorted, out
+	return offs
 }
 
 // Exchange ends the node's round and returns what the node received in it.
@@ -1170,7 +1247,8 @@ type edgeLoad struct{ words, from, to int }
 
 // heavier reports whether e outranks o as the round's worst edge: most words,
 // then lowest sender, then lowest receiver — a total order, so the edge the
-// strict-budget error names does not depend on how the round was sharded.
+// strict-budget error names does not depend on how the round was sharded or
+// which loop delivered it.
 func (e edgeLoad) heavier(o edgeLoad) bool {
 	if e.words != o.words {
 		return e.words > o.words
@@ -1181,25 +1259,41 @@ func (e edgeLoad) heavier(o edgeLoad) bool {
 	return e.to < o.to
 }
 
+// source is one non-empty outbox of the round being delivered: its sender,
+// its packets and, when publish sorted it, its receiver index (see
+// Network.outboxes).
+type source struct {
+	from int32
+	out  []pendingPacket
+	offs []int32
+}
+
+// recvLoad is what the sender-major loop keeps per receiver while a round is
+// delivered: the edge it is summing — the sender, as from+1, and that edge's
+// model words and messages so far — and the receiver's model words in total.
+// A stamp naming another sender means the edge starts at zero.
+type recvLoad struct {
+	from, words, msgs, total int32
+}
+
 // deliveryShard is one contiguous receiver range [lo, hi) of a round's
 // delivery together with everything its goroutine writes besides the
-// receivers' own arena, destLoad and recvWords slots: the range's statistics
-// and the touch lists that re-zero the dense scratch in O(traffic). Shards
-// are pooled with their netBuffers; helper, bound once to run, is what lets a
-// warm round start its helper goroutines without allocating a closure.
+// receivers' own arena and loads slots: the range's statistics and the touch
+// list that re-zeroes the loads in O(traffic). Shards are pooled with their
+// netBuffers; helper, bound once to run, is what lets a warm round start its
+// helper goroutines without allocating a closure.
 type deliveryShard struct {
 	nw     *Network
 	lo, hi int
 
 	// stats covers the packets addressed into the range; MaxNodeSentWords is
-	// left to the merge, which sums sent — the model words each non-silent
-	// sender delivered into the range — across shards. worst is the range's
-	// heaviest edge.
+	// left to the merge, which sums sent — the model words each active sender
+	// delivered into the range — across shards. worst is the range's heaviest
+	// edge.
 	stats RoundStats
 	worst edgeLoad
 	sent  []int32
 
-	edgeTouch []int32
 	recvTouch []int32
 
 	panicked interface{}
@@ -1211,24 +1305,17 @@ type deliveryShard struct {
 // never what is delivered: results are identical for any shard count.
 var runningNetworks atomic.Int32
 
-// shardCount picks the fan-out of the round about to be delivered: the cores
-// this run may count on — GOMAXPROCS shared evenly among the Networks
+// shardCount picks the fan-out of a round of the given number of packets: the
+// cores this run may count on — GOMAXPROCS shared evenly among the Networks
 // currently running, since k pooled engines under load already keep k cores
 // busy and a helper would only queue behind another engine's nodes — bounded
 // by WithWorkers and n, and 1 for a round below shardMinPackets.
-func (nw *Network) shardCount() int {
+func (nw *Network) shardCount(packets int) int {
 	if nw.forceShards > 0 {
 		return min(nw.forceShards, nw.n)
 	}
 	k := min(nw.maxShards, nw.procs/int(runningNetworks.Load()))
-	if k < 2 {
-		return 1
-	}
-	packets := 0
-	for _, out := range nw.outboxes[:nw.n] {
-		packets += len(out)
-	}
-	if packets < shardMinPackets {
+	if k < 2 || packets < shardMinPackets {
 		return 1
 	}
 	return k
@@ -1262,24 +1349,45 @@ func (sh *deliveryShard) run() {
 		sh.panicked = recover()
 		sh.nw.shardWG.Done()
 	}()
-	sh.nw.deliverShard(sh)
+	if sh.nw.receiverMajor {
+		sh.nw.deliverReceivers(sh)
+	} else {
+		sh.nw.deliverSenders(sh)
+	}
 }
 
 // deliverRound appends every published packet to its receiver's arena as one
 // [from, len, payload...] record — the only receive format there is — and
-// folds the round statistics into the metrics. The receivers are split into
-// shards delivered concurrently (one shard, on this goroutine, for a round
-// below shardMinPackets); all of them are joined before anything else
-// happens. A panic in any shard fails the run with a delivery-panic error
-// instead of folding the round.
+// folds the round statistics into the metrics. One pass over the outboxes
+// counts the packets and, as long as every outbox met is sorted, lists them;
+// the round is delivered receiver-major when all of them were sorted at
+// publish, sender-major otherwise, and the two loops write identical records
+// and statistics. The receivers are split into shards delivered concurrently
+// (one shard, on this goroutine, for a round below shardMinPackets); all of
+// them are joined before anything else happens. A panic in any shard fails
+// the run with a delivery-panic error instead of folding the round.
 func (nw *Network) deliverRound() {
-	shards := nw.deliveryShards(nw.shardCount())
+	sources, packets, sorted := nw.sources[:0], 0, true
+	for from, out := range nw.outboxes[:nw.n] {
+		if len(out) == 0 {
+			continue
+		}
+		packets += len(out)
+		if sorted = sorted && nw.outOffs[from] != nil; sorted {
+			sources = append(sources, source{int32(from), out, nw.outOffs[from]})
+		}
+	}
+	nw.sources = sources
+	nw.receiverMajor = sorted && packets > 0 && !nw.forceSenderMajor
+
+	shards := nw.deliveryShards(nw.shardCount(packets))
 	nw.shardWG.Add(len(shards))
 	for _, sh := range shards[1:] {
 		go sh.helper()
 	}
 	shards[0].run()
 	nw.shardWG.Wait()
+	clear(sources) // pins no outbox between rounds
 
 	var stats RoundStats
 	var worst edgeLoad
@@ -1305,14 +1413,12 @@ func (nw *Network) deliverRound() {
 		if len(out) == 0 {
 			continue
 		}
-		nw.outboxes[from] = nil
+		nw.outboxes[from], nw.outOffs[from] = nil, nil
 		sentWords := 0
 		for _, sh := range shards {
 			sentWords += int(sh.sent[from])
 		}
-		if sentWords > stats.MaxNodeSentWords {
-			stats.MaxNodeSentWords = sentWords
-		}
+		stats.MaxNodeSentWords = max(stats.MaxNodeSentWords, sentWords)
 	}
 
 	round := int(nw.round.Load())
@@ -1335,40 +1441,116 @@ func (nw *Network) deliverRound() {
 	nw.round.Store(int64(round + 1))
 }
 
-// deliverShard is the engine's one per-packet loop: it scans every outbox in
-// ascending sender order and delivers the packets addressed into sh's
-// receiver range, whatever the number of shards the round was split into.
-// Per-edge and per-node loads are tracked in dense scratch slices — O(1) per
-// packet, no hashing — and the arenas are reused round over round, so a
-// steady-state round allocates nothing.
-func (nw *Network) deliverShard(sh *deliveryShard) {
+// roundArenas returns the arena ring slot the current round is delivered into
+// and the previous round's, nil in round 0, which presizes a slot the first
+// time it is written.
+func (nw *Network) roundArenas() (arena, prev [][]Word) {
 	round := int(nw.round.Load())
-	arena := nw.wordArena[round%payloadRingDepth]
-	var prevArena [][]Word
 	if round > 0 {
-		prevArena = nw.wordArena[(round-1)%payloadRingDepth]
+		prev = nw.wordArena[(round-1)%payloadRingDepth]
 	}
+	return nw.wordArena[round%payloadRingDepth], prev
+}
+
+// presize gives receiver t's ring slot wa, when it is written for the first
+// time, the capacity of the previous round's volume, skipping the geometric
+// growth re-runs in the first payloadRingDepth rounds.
+func presize(wa []Word, prevArena [][]Word, t int) []Word {
+	if wa != nil || prevArena == nil {
+		return wa
+	}
+	if prev := len(prevArena[t]); prev > 0 {
+		return make([]Word, 0, prev+prev/4)
+	}
+	return wa
+}
+
+// deliverReceivers is the receiver-major loop, for a round whose outboxes are
+// all sorted by receiver: for each receiver t of sh's range it appends, in
+// ascending sender order, every active sender's segment for t, so each
+// receiver's records are written as one sequential stream. A segment is one
+// edge, so the per-edge statistics are summed per segment and need no scratch
+// state.
+func (nw *Network) deliverReceivers(sh *deliveryShard) {
+	arena, prevArena := nw.roundArenas()
+	departed, sources := nw.departed, nw.sources
+	var stats RoundStats
+	var worst edgeLoad
+	sent := sh.sent
+	for i := range sources {
+		sent[sources[i].from] = 0
+	}
+	for t := sh.lo; t < sh.hi; t++ {
+		if departed[t] {
+			for i := range sources {
+				src := &sources[i]
+				for _, pp := range src.out[src.offs[t]:src.offs[t+1]] {
+					stats.Dropped += int(pp.count)
+				}
+			}
+			continue
+		}
+		wa := arena[t]
+		recv := 0
+		for i := range sources {
+			src := &sources[i]
+			a, b := src.offs[t], src.offs[t+1]
+			if a == b {
+				continue
+			}
+			seg, from := src.out[a:b], src.from
+			wa = presize(wa, prevArena, t)
+			words, msgs := 0, 0
+			for i := range seg {
+				pp := &seg[i]
+				wa = append(wa, Word(from), Word(pp.len))
+				wa = append(wa, pp.payload()...)
+				words += int(pp.model)
+				msgs += int(pp.count)
+			}
+			if e := (edgeLoad{words, int(from), t}); e.heavier(worst) {
+				worst = e
+			}
+			stats.MaxEdgeMessages = max(stats.MaxEdgeMessages, msgs)
+			stats.Messages += msgs
+			sent[from] += int32(words)
+			recv += words
+		}
+		arena[t] = wa
+		stats.Words += recv
+		stats.MaxNodeRecvWords = max(stats.MaxNodeRecvWords, recv)
+	}
+	sh.stats, sh.worst = stats, worst
+}
+
+// deliverSenders is the sender-major loop: it scans every outbox in
+// ascending sender order and delivers the packets addressed into sh's
+// receiver range. Per-edge and per-receiver loads are tracked in the dense
+// loads scratch — O(1) per packet, no hashing — and the worst edge is folded
+// in packet by packet (an edge's load only grows within the round, so its
+// last packet leaves the same result as its total would).
+func (nw *Network) deliverSenders(sh *deliveryShard) {
+	arena, prevArena := nw.roundArenas()
 	lo, span := sh.lo, uint(sh.hi-sh.lo)
 	var stats RoundStats
 	var worst edgeLoad
 
 	// Hoisted views of the dense scratch state: this loop is the engine's
-	// hottest path, so keeping these in locals (written back at the end)
-	// saves a pointer chase per access.
+	// hottest path on sparse rounds, so keeping these in locals (written back
+	// at the end) saves a pointer chase per access.
 	departed := nw.departed
-	recvWords := nw.recvWords
-	destLoad := nw.destLoad
-	edgeTouch := sh.edgeTouch
+	loads := nw.loads
 	recvTouch := sh.recvTouch
 
 	for from, out := range nw.outboxes[:nw.n] {
 		if len(out) == 0 {
 			continue
 		}
+		stamp := int32(from) + 1
 		sentWords := 0
 		for i := range out {
 			pp := &out[i]
-			to := pp.to
+			to := int(pp.to)
 			if uint(to-lo) >= span {
 				continue
 			}
@@ -1379,57 +1561,43 @@ func (nw *Network) deliverShard(sh *deliveryShard) {
 			// All statistics are kept in model currency: a framed packet counts
 			// as pp.count logical messages of pp.model total words, so batching
 			// logical messages into frames never changes the reported per-edge
-			// load (only the physically copied len(pp.data) words include the
-			// frame bookkeeping).
-			w := int(pp.model)
+			// load (only the physically copied pp.len words include the frame
+			// bookkeeping).
+			w := pp.model
 
 			// Every live receiver emptied this slot when it arrived (see
-			// retire), so an empty arena marks its first packet of the round.
+			// publish), so an empty arena marks its first packet of the round.
 			// Growth is append-only, so views created before a reallocation
-			// keep reading valid memory. A ring slot touched for the first
-			// time is presized from the previous round's volume, skipping the
-			// geometric growth re-runs in the first payloadRingDepth rounds.
+			// keep reading valid memory.
 			wa := arena[to]
 			if len(wa) == 0 {
 				recvTouch = append(recvTouch, int32(to))
-				if wa == nil && prevArena != nil {
-					if prev := len(prevArena[to]); prev > 0 {
-						wa = make([]Word, 0, prev+prev/4)
-					}
-				}
+				wa = presize(wa, prevArena, to)
 			}
-			wa = append(wa, Word(from), Word(len(pp.data)))
-			arena[to] = append(wa, pp.data...)
+			wa = append(wa, Word(from), Word(pp.len))
+			arena[to] = append(wa, pp.payload()...)
 
-			if destLoad[to] == 0 {
-				edgeTouch = append(edgeTouch, int32(to))
+			ld := &loads[to]
+			if ld.from != stamp {
+				ld.from, ld.words, ld.msgs = stamp, 0, 0
 			}
-			destLoad[to] += uint64(w)<<32 | uint64(uint32(pp.count))
-			recvWords[to] += int32(w)
-			sentWords += w
-			stats.Messages += int(pp.count)
-			stats.Words += w
-		}
-		sh.sent[from] = int32(sentWords)
-		for _, t := range edgeTouch {
-			load := destLoad[t]
-			if e := (edgeLoad{int(load >> 32), from, int(t)}); e.heavier(worst) {
+			ld.words += w
+			ld.msgs += pp.count
+			ld.total += w
+			if e := (edgeLoad{int(ld.words), int(from), to}); e.heavier(worst) {
 				worst = e
 			}
-			if c := int(uint32(load)); c > stats.MaxEdgeMessages {
-				stats.MaxEdgeMessages = c
-			}
-			destLoad[t] = 0
+			stats.MaxEdgeMessages = max(stats.MaxEdgeMessages, int(ld.msgs))
+			sentWords += int(w)
+			stats.Messages += int(pp.count)
+			stats.Words += int(w)
 		}
-		edgeTouch = edgeTouch[:0]
+		sh.sent[from] = int32(sentWords)
 	}
-	sh.edgeTouch = edgeTouch
 
 	for _, t := range recvTouch {
-		if w := int(recvWords[t]); w > stats.MaxNodeRecvWords {
-			stats.MaxNodeRecvWords = w
-		}
-		recvWords[t] = 0
+		stats.MaxNodeRecvWords = max(stats.MaxNodeRecvWords, int(loads[t].total))
+		loads[t] = recvLoad{}
 	}
 	sh.recvTouch = recvTouch[:0]
 	sh.stats, sh.worst = stats, worst

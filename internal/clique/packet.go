@@ -1,6 +1,9 @@
 package clique
 
-import "sync"
+import (
+	"sync"
+	"unsafe"
+)
 
 // Word is the unit of message payload. The congested-clique model allows a
 // constant number of integers that are polynomially bounded in n per message;
@@ -44,12 +47,26 @@ func (p Packet) Clone() Packet {
 // barrier. count and model carry the frame accounting (see Node.SendFramed):
 // a plain Send queues one logical message whose model cost is its length,
 // while a framed send coalesces count logical messages whose model cost
-// excludes the frame's bookkeeping words.
+// excludes the frame's bookkeeping words. The payload is a pointer and a
+// length rather than a slice header, which keeps the descriptor at 24 bytes:
+// a full-load round queues n² of them, sorts them at publish and reads them
+// at delivery.
 type pendingPacket struct {
-	to    int
-	data  Packet
+	data  *Word
+	len   int32
+	to    int32
 	count int32
 	model int32
+}
+
+// queued returns the descriptor of data queued for node to.
+func queued(to int, data Packet, count, model int) pendingPacket {
+	return pendingPacket{data: unsafe.SliceData(data), len: int32(len(data)), to: int32(to), count: int32(count), model: int32(model)}
+}
+
+// payload returns the queued packet's words.
+func (pp *pendingPacket) payload() Packet {
+	return unsafe.Slice(pp.data, pp.len)
 }
 
 // wordBufPool recycles word buffers used to build packet payloads whose

@@ -99,25 +99,56 @@ func receive(ex Exchanger, boxed bool) ([]rxPacket, error) {
 	return out, nil
 }
 
+// sendSpec is one packet of a test traffic pattern.
+type sendSpec struct {
+	to   int
+	data Packet
+}
+
 // viewTraffic is the seeded traffic pattern of TestReceiveViewsAgree: what
-// node from sends in round r. A quarter of the (node, round) slots are
-// silent; every other sender opens with a zero-length packet and a second
-// packet on the same edge (a multi-packet edge), then scatters up to 2n
-// packets of 0..3 words over random destinations.
-func viewTraffic(seed int64, n, r, from int) []pendingPacket {
+// node from sends in round r. Every sender opens with a zero-length packet
+// and a second packet on the same edge (a multi-packet edge), then sends
+// packets of 0..3 words, and the rounds cycle through the shapes delivery
+// tells apart (see Node.publish):
+//   - r%3 == 0, dense: nobody is silent and everybody sends one packet to
+//     every node plus up to n more, so every outbox is sorted by receiver;
+//   - r%3 == 1, mixed: a quarter of the senders are silent, node 0 (never
+//     silent) sends only its opener and the others at least n/2 packets, so
+//     from n = 6 on one unsorted outbox sends the round down the sender-major
+//     loop;
+//   - r%3 == 2, sparse: a quarter silent, the others at most two packets
+//     beyond the opener, so from n = 10 on no outbox is sorted.
+func viewTraffic(seed int64, n, r, from int) []sendSpec {
 	rng := rand.New(rand.NewSource(seed + int64(r)*1_000_003 + int64(from)*7919))
-	if rng.Intn(4) == 0 {
+	if r%3 != 0 && rng.Intn(4) == 0 && (r%3 != 1 || from != 0) {
 		return nil
 	}
 	word := func(k int) Word { return Word(r)<<40 | Word(from)<<20 | Word(k) }
 	next := (from + 1) % n
-	sends := []pendingPacket{{to: next, data: Packet{}}, {to: next, data: Packet{word(0)}}}
-	for k, extra := 1, rng.Intn(2*n+1); k <= extra; k++ {
+	sends := []sendSpec{{next, Packet{}}, {next, Packet{word(0)}}}
+	packet := func(k int) Packet {
 		data := make(Packet, rng.Intn(4))
 		for j := range data {
 			data[j] = word(k*4 + j)
 		}
-		sends = append(sends, pendingPacket{to: rng.Intn(n), data: data})
+		return data
+	}
+	extra := 0
+	switch r % 3 {
+	case 0:
+		for to := 0; to < n; to++ {
+			sends = append(sends, sendSpec{to, packet(to + 1)})
+		}
+		extra = rng.Intn(n + 1)
+	case 1:
+		if from != 0 {
+			extra = n/2 + rng.Intn(n+1)
+		}
+	default:
+		extra = rng.Intn(3)
+	}
+	for k := 1; k <= extra; k++ {
+		sends = append(sends, sendSpec{rng.Intn(n), packet(n + k)})
 	}
 	return sends
 }
@@ -125,12 +156,14 @@ func viewTraffic(seed int64, n, r, from int) []pendingPacket {
 // viewCase is one way of receiving the pattern. transport groups the cases
 // whose Metrics must be identical (a Mux adds one tag word per message per
 // layer); boxed picks the receive path per (node, instance, round), so a
-// mixed case has flat and boxed receivers in the same round.
+// mixed case has flat and boxed receivers in the same round; senderMajor
+// keeps every round on the sender-major delivery loop.
 type viewCase struct {
-	name      string
-	transport string
-	step      bool
-	boxed     func(id, instance, r int) bool
+	name        string
+	transport   string
+	step        bool
+	boxed       func(id, instance, r int) bool
+	senderMajor bool
 }
 
 func viewCases() []viewCase {
@@ -140,11 +173,14 @@ func viewCases() []viewCase {
 	var cases []viewCase
 	for _, transport := range []string{"node", "mux", "stacked"} {
 		cases = append(cases,
-			viewCase{transport + "/flat", transport, false, flat},
-			viewCase{transport + "/boxed", transport, false, boxed},
-			viewCase{transport + "/mixed", transport, false, mixed})
+			viewCase{transport + "/flat", transport, false, flat, false},
+			viewCase{transport + "/boxed", transport, false, boxed, false},
+			viewCase{transport + "/mixed", transport, false, mixed, false},
+			viewCase{transport + "/mixed/sender-major", transport, false, mixed, true})
 	}
-	return append(cases, viewCase{"node/step", "node", true, boxed})
+	return append(cases,
+		viewCase{"node/step", "node", true, boxed, false},
+		viewCase{"node/step/sender-major", "node", true, boxed, true})
 }
 
 // onTransport runs prog for physical node nd on the case's transport: the
@@ -172,10 +208,12 @@ func onTransport(transport string, nd *Node, prog func(ex Exchanger, instance in
 // it: Node.ExchangeFlat, Node.Exchange, the RunRounds step inbox and
 // VNode.Exchange/ExchangeFlat on a passthrough and on a stacked Mux, with
 // flat and boxed receivers mixed in one round, must all decode one seeded
-// traffic pattern (multi-packet edges, zero-length packets, silent senders, a
-// receiver that departs mid-run) to the sequence computed from the pattern
-// itself — ascending sender, send order within a sender — with identical
-// Metrics per transport, and keep payload views readable for the grace window.
+// traffic pattern (dense, mixed and sparse rounds, multi-packet edges,
+// zero-length packets, silent senders, a receiver that departs mid-run, just
+// before a dense round) to the sequence computed from the pattern itself —
+// ascending sender, send order within a sender — whichever delivery loop ran,
+// with identical Metrics per transport, and keep payload views readable for
+// the grace window.
 func TestReceiveViewsAgree(t *testing.T) {
 	t.Parallel()
 	testGraceWindow(t)
@@ -220,6 +258,7 @@ func TestReceiveViewsAgree(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer nw.Close()
+				nw.forceSenderMajor = tc.senderMajor
 				// got[instance][receiver][round]; instances write disjoint slots.
 				got := map[int][][][]Word{}
 				for _, inst := range []int{0, 1, 4} {
@@ -332,6 +371,7 @@ func testGraceWindow(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer nw.Close()
+			nw.forceSenderMajor = tc.senderMajor
 			if tc.step {
 				kept := make([][]rxPacket, n)
 				err = nw.RunRounds(func(nd *Node, r int, inbox Inbox) (bool, error) {
@@ -482,6 +522,20 @@ func TestPooledBuffersAcrossSizes(t *testing.T) {
 			for i := range b.views {
 				if err := viewAtRest(&b.views[i]); err != nil {
 					t.Fatalf("n=%d: pooled view %d after Close: %v", n, i, err)
+				}
+			}
+			// Every round here is dense, so both outbox arrays of every
+			// node have held packets; neither may pin one after Close.
+			for i := 0; i < n; i++ {
+				for _, arr := range [][]pendingPacket{b.pending[i], b.spare[i]} {
+					if cap(arr) == 0 {
+						t.Fatalf("n=%d: node %d's outbox arrays were not both used", n, i)
+					}
+					for k, pp := range arr[:cap(arr)] {
+						if pp != (pendingPacket{}) {
+							t.Fatalf("n=%d: node %d's pooled outbox array pins packet %d after Close", n, i, k)
+						}
+					}
 				}
 			}
 			carried = b

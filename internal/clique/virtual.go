@@ -305,7 +305,7 @@ func (v *VNode) SendTagged(to int, data Packet, count, modelWords int) {
 	if len(data) == 0 || data[0] != Word(v.instance) {
 		panic(fmt.Sprintf("clique: instance %d on node %d tagged send without its tag", v.instance, v.ID()))
 	}
-	v.pending = append(v.pending, pendingPacket{to: to, data: data, count: int32(count), model: int32(modelWords + count)})
+	v.pending = append(v.pending, queued(to, data, count, modelWords+count))
 }
 
 // ID returns the physical node identifier.
@@ -364,7 +364,7 @@ func (v *VNode) SendFramed(to int, data Packet, count, modelWords int) {
 	buf = append(buf, data...)
 	*v.tagBuf = buf
 	tagged := buf[pos:len(buf):len(buf)]
-	v.pending = append(v.pending, pendingPacket{to: to, data: tagged, count: int32(count), model: int32(modelWords + count)})
+	v.pending = append(v.pending, queued(to, tagged, count, modelWords+count))
 }
 
 // Exchange advances this instance by one round. It blocks until every other
@@ -472,13 +472,14 @@ func (v *VNode) Close() {
 	// next physical exchange.
 	if len(v.pending) > 0 {
 		buf := acquireWords()
-		for _, pp := range v.pending {
-			*buf = append(*buf, pp.data...)
+		for i := range v.pending {
+			*buf = append(*buf, v.pending[i].payload()...)
 		}
 		off := 0
 		for i := range v.pending {
-			l := len(v.pending[i].data)
-			v.pending[i].data = (*buf)[off : off+l : off+l]
+			pp := &v.pending[i]
+			l := int(pp.len)
+			*pp = queued(int(pp.to), (*buf)[off:off+l:off+l], int(pp.count), int(pp.model))
 			off += l
 		}
 		m.retired = append(m.retired, buf)
@@ -523,13 +524,15 @@ func (m *Mux) exchangeLocked() {
 	// not observable (each instance only ever reads its own records, and the
 	// per-round edge accounting is order-independent).
 	for _, v := range m.order {
-		for _, pp := range v.pending {
-			m.nd.SendFramed(pp.to, pp.data, int(pp.count), int(pp.model))
+		for i := range v.pending {
+			pp := &v.pending[i]
+			m.nd.SendFramed(int(pp.to), pp.payload(), int(pp.count), int(pp.model))
 		}
 		v.pending = v.pending[:0]
 	}
-	for _, pp := range m.pending {
-		m.nd.SendFramed(pp.to, pp.data, int(pp.count), int(pp.model))
+	for i := range m.pending {
+		pp := &m.pending[i]
+		m.nd.SendFramed(int(pp.to), pp.payload(), int(pp.count), int(pp.model))
 	}
 	m.pending = m.pending[:0]
 
