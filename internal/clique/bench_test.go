@@ -143,6 +143,59 @@ func BenchmarkSparseExchange(b *testing.B) {
 	}
 }
 
+// BenchmarkMuxRun measures what multiplexing costs a run: on an n=196 clique
+// (sort_full's size) every node runs two instances of 16 rounds on a Mux, each
+// instance sending one 2-word packet per round, next to the same traffic sent
+// by the node itself ("plain"). One op is one Network.Run on a reused Network.
+func BenchmarkMuxRun(b *testing.B) {
+	const n, rounds = 196, 16
+	relay := func(ex Exchanger, base Word) error {
+		for r := 0; r < rounds; r++ {
+			ex.Send((ex.ID()+r+1)%n, Packet{base, Word(r)})
+			if _, err := ex.ExchangeFlat(); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	programs := []struct {
+		name    string
+		program func(*Node) error
+	}{
+		{"plain", func(nd *Node) error {
+			for r := 0; r < rounds; r++ {
+				nd.Send((nd.ID()+r+1)%n, Packet{1, Word(r)})
+				nd.Send((nd.ID()+r+1)%n, Packet{2, Word(r)})
+				if _, err := nd.ExchangeFlat(); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"mux", func(nd *Node) error {
+			return NewMux(nd).Run([]func(Exchanger) error{
+				func(ex Exchanger) error { return relay(ex, 1) },
+				func(ex Exchanger) error { return relay(ex, 2) },
+			})
+		}},
+	}
+	for _, p := range programs {
+		b.Run(p.name, func(b *testing.B) {
+			nw, err := New(n)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer nw.Close()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := nw.Run(p.program); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkDeliverReplay measures delivery per packet and per word apart: an
 // n=256 clique replays one round shape b.N times, every shape moving 8n words
 // per sender on average (Thm 3.7's full load moves about 5n), while the packet

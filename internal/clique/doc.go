@@ -129,5 +129,10 @@
 // algorithm code can run either directly on a physical Node or on a virtual
 // node provided by a Mux, which multiplexes several logical protocol
 // instances onto one physical node in lockstep rounds (used by the
-// non-square-n construction of Theorem 3.7 and by the sorting pipeline).
+// non-square-n construction of Theorem 3.7 and by Step 6 of Algorithm 4).
+// The Mux adds no scheduler of its own: each instance is a coroutine nested
+// in its node's — one of the node's pooled coroutines, kept like the node's
+// own until Close — and Mux.Run is a small run loop of the engine's shape,
+// resuming the instances up to their exchanges and then exchanging once for
+// all of them. A panic in an instance is a panic of the node's program.
 package clique

@@ -613,7 +613,7 @@ func TestFailedRunNeverDelivers(t *testing.T) {
 	}
 	for name, run := range map[string]func(*Node) error{
 		"run": func(nd *Node) error { return program(nd) },
-		"mux": func(nd *Node) error { return NewMux(nd).Run(map[int]func(Exchanger) error{3: program}) },
+		"mux": func(nd *Node) error { return NewMux(nd).Run([]func(Exchanger) error{3: program}) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			for _, workers := range []int{1, 2, n} {

@@ -165,8 +165,11 @@ type Network struct {
 	starts   []chan int
 	acks     chan sweepAck
 	// coros[i] is the coroutine node i's blocking programs run on, nil until
-	// the first Run: an engine that only ever steps carries none.
+	// the first Run: an engine that only ever steps carries none. idle[i]
+	// pools node i's parked coroutines for the instances of its Muxes (see
+	// Mux.Run); like coros they live until Close.
 	coros []nodeCoro
+	idle  [][]*nodeCoro
 
 	// outboxes[i] is published by the worker that ran node i's compute phase
 	// and consumed (and nilled) by delivery. A departed node — its program
@@ -498,7 +501,12 @@ func (nw *Network) Close() error {
 			stop()
 		}
 	}
-	nw.coros = nil
+	for _, idle := range nw.idle {
+		for _, co := range idle {
+			co.stop()
+		}
+	}
+	nw.coros, nw.idle = nil, nil
 	nw.releaseBuffers()
 	return nil
 }
@@ -731,6 +739,7 @@ func (nw *Network) prepareSweep(k int) {
 	nw.sweepers = k
 	if nw.program != nil && nw.coros == nil {
 		nw.coros = make([]nodeCoro, nw.n)
+		nw.idle = make([][]*nodeCoro, nw.n)
 	}
 	b := nw.buffers
 	for w := 0; w < k; w++ {
@@ -901,15 +910,33 @@ func (nw *Network) runStep(nd *Node, round int, inbox Inbox) (done bool, err err
 	return nw.step(nd, round, inbox)
 }
 
-// nodeCoro is the coroutine a node's blocking programs run on: next resumes
-// it from the sweep, yield suspends it from inside Exchange, stop ends it. It
-// outlives the run — creating one costs ten times a resume — parked where a
-// program returned. next is nil before the node's first blocking run and
-// after a panic has killed the coroutine.
+// nodeCoro is a coroutine blocking programs run on: a node's own, resumed by
+// the sweep, or one of the node's pooled coroutines, nested in it and resumed
+// by Mux.Run for a Mux instance. next resumes it, yield suspends it from
+// inside an exchange, stop ends it. It outlives the program — creating one
+// costs ten times a resume — parked where the program returned, and runs
+// prog(ex) from the top when it is next resumed. A node's next is nil before
+// its first blocking run and after a panic has killed the coroutine.
 type nodeCoro struct {
 	next  func() (suspension, bool)
 	stop  func()
 	yield func(suspension) bool
+	prog  func(Exchanger) error
+	ex    Exchanger
+}
+
+// start makes co a coroutine that runs prog(ex) whenever it is resumed at
+// rest.
+func (co *nodeCoro) start() {
+	co.next, co.stop = iter.Pull(func(yield func(suspension) bool) {
+		co.yield = yield
+		for {
+			err := co.prog(co.ex)
+			if !yield(suspension{returned: true, err: err}) {
+				return // stopped
+			}
+		}
+	})
 }
 
 // suspension is what a coroutine hands the sweep when it yields: either the
@@ -921,9 +948,9 @@ type suspension struct {
 
 // resume runs nd's program on the node's coroutine — from the top on the
 // first resume of a run, else from the Exchange it is suspended in — until it
-// suspends again or returns. It is the blocking programs' crash barrier: a
-// panic unwinds the program, ends the coroutine and surfaces here, to be
-// treated exactly as in runStep.
+// suspends again or returns. It is the blocking programs' crash barrier, Mux
+// instances included: a panic unwinds the program, ends the coroutine and
+// surfaces here, to be treated exactly as in runStep.
 func (nw *Network) resume(nd *Node) (returned bool, err error) {
 	co := nd.co
 	defer func() {
@@ -934,15 +961,9 @@ func (nw *Network) resume(nd *Node) (returned bool, err error) {
 		}
 	}()
 	if co.next == nil {
-		co.next, co.stop = iter.Pull(func(yield func(suspension) bool) {
-			co.yield = yield
-			for { // nd is the node's slot of the Network's buffers, run after run
-				err := nw.program(nd)
-				if !yield(suspension{returned: true, err: err}) {
-					return // Close
-				}
-			}
-		})
+		// nd is the node's slot of the Network's buffers, run after run.
+		co.prog, co.ex = func(Exchanger) error { return nw.program(nd) }, nd
+		co.start()
 	}
 	s, _ := co.next()
 	return s.returned, s.err

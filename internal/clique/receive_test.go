@@ -189,7 +189,7 @@ func viewCases() []viewCase {
 // program on its own, independent traffic.
 func onTransport(transport string, nd *Node, prog func(ex Exchanger, instance int) error) error {
 	instances := func(ex Exchanger) error {
-		return NewMux(ex).Run(map[int]func(Exchanger) error{
+		return NewMux(ex).Run([]func(Exchanger) error{
 			1: func(ex Exchanger) error { return prog(ex, 1) },
 			4: func(ex Exchanger) error { return prog(ex, 4) },
 		})
@@ -200,7 +200,7 @@ func onTransport(transport string, nd *Node, prog func(ex Exchanger, instance in
 	case "mux":
 		return instances(nd)
 	default:
-		return NewMux(nd).Run(map[int]func(Exchanger) error{2: instances})
+		return NewMux(nd).Run([]func(Exchanger) error{2: instances})
 	}
 }
 

@@ -3,12 +3,10 @@ package clique
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
 )
 
 // Mux multiplexes several logical protocol instances onto one physical node.
-// All active instances advance in lockstep: one virtual round of every active
+// All live instances advance in lockstep: one virtual round of every live
 // instance corresponds to exactly one physical round of the underlying node.
 // Packets are tagged with their instance identifier (one extra word) so that
 // the receiving Mux can demultiplex them; this is the implementation of the
@@ -17,23 +15,33 @@ import (
 //
 // The Mux is used by the non-square-n routing construction of Theorem 3.7
 // (two square sub-instances plus the 6-round boundary procedure run in
-// parallel) and by the sorting pipeline (piggybacking the bucket-size
-// aggregation on the Step-6 routing rounds).
+// parallel) and by Step 6 of Algorithm 4 (the 2-round bucket-size aggregation
+// rides on the 16-round route).
 //
-// Allocation behaviour: instances queue their sends locally (no lock per
-// send). When the Mux runs directly on the engine ("passthrough" mode), the
-// instances are FrameTaggers: senders that build the tag into their frames
-// (SendTagged) are forwarded without any copy, and receivers share the
-// engine's raw FlatInbox, filtering records by tag themselves (ExchangeFlat
-// callers in their decoder, Exchange in the view builder) — the round's
-// traffic is never copied inside the Mux at all. Sends through the plain
-// Send/SendFramed path are tagged by copying into a per-instance buffer that
-// is truncated (and kept) once the engine has copied the round's payloads. A
-// Mux stacked on another Mux's virtual node cannot share inboxes this way
-// (records then carry the outer tag), so it falls back to copy-tagging and
-// demultiplexing into per-instance ring buffers of untagged records.
+// Scheduling: Run is a run loop of the engine's shape, on the node's own
+// coroutine. Every instance runs on a coroutine nested in it, one of the
+// node's pooled coroutines; each round Run resumes the live instances in
+// ascending instance order, each up to its next exchange or its return, and
+// then performs the one physical exchange for all of them. Nothing runs
+// concurrently with anything else on a node, so the Mux holds no lock.
+//
+// Allocation behaviour: instances queue their sends locally. When the Mux
+// runs directly on the engine ("passthrough" mode), the instances are
+// FrameTaggers: senders that build the tag into their frames (SendTagged) are
+// forwarded without any copy, and receivers share the engine's raw FlatInbox,
+// filtering records by tag themselves (ExchangeFlat callers in their decoder,
+// Exchange in the view builder) — the round's traffic is never copied inside
+// the Mux at all. Sends through the plain Send/SendFramed path are tagged by
+// copying into a per-instance buffer that is truncated (and kept) once the
+// engine has copied the round's payloads. A Mux stacked on another Mux's
+// virtual node cannot share inboxes this way (records then carry the outer
+// tag), so it falls back to copy-tagging and demultiplexing into per-instance
+// ring buffers of untagged records.
 type Mux struct {
 	nd Exchanger
+	// node is the physical node beneath nd, whose Network keeps the node's
+	// pooled coroutines; nil when nd is not one of a Network's nodes.
+	node *Node
 
 	// passthrough is true when nd is not itself tagged: tagged frames and the
 	// shared flat inbox travel through the Mux untouched. Fixed at
@@ -45,17 +53,13 @@ type Mux struct {
 	ndTag    Word
 	ndTagged bool
 
-	// mu guards the barrier state below. Instances wait on turned for the
-	// round to turn over; Run's caller — the barrier's leader, the only
-	// goroutine that may use nd's exchange — waits on arrivals for every
-	// other active instance to have arrived.
-	mu       sync.Mutex
-	turned   sync.Cond
-	arrivals sync.Cond
-	active   int
-	arrived  int
-	round    int
-	failed   error
+	// vnodes[id] is the virtual node of instance id, in the dense table Run
+	// sets up: it also fixes the (ascending, deterministic) order in which
+	// queued sends are forwarded to the physical node.
+	vnodes []VNode
+	// failed is the error of the physical exchange that failed, handed to
+	// every instance by its next exchange.
+	failed error
 	// rawFlat is the engine's flat inbox of the round that just completed,
 	// shared by all instances in passthrough mode. Views stay valid under the
 	// engine's payload grace window, so overwriting it each round is safe.
@@ -66,197 +70,128 @@ type Mux struct {
 	// retired holds the tagged-payload buffers backing pending: they must
 	// survive until the engine has copied the packets at the next barrier.
 	retired []*[]Word
-	// order lists the registered virtual nodes in ascending instance order:
-	// queued sends are forwarded to the physical node in this (deterministic)
-	// order at every barrier.
-	order []*VNode
-	// byID is the dense instance-id -> virtual-node table used by the demux
-	// hot loop (instance identifiers are small in every use).
-	byID []*VNode
 }
 
-// NewMux wraps a physical (or itself virtual) node. Instances are registered
-// with Instance before any of them starts exchanging, and exchange only while
-// Run is serving their barrier.
+// NewMux wraps a physical (or itself virtual) node; Run runs the instances.
 func NewMux(nd Exchanger) *Mux {
 	m := &Mux{nd: nd}
-	if ft, ok := nd.(FrameTagger); ok {
-		m.ndTag, m.ndTagged = ft.FrameTag()
+	switch x := nd.(type) {
+	case *Node:
+		m.node = x
+	case *VNode:
+		m.node = x.mux.node
+		m.ndTag, m.ndTagged = x.FrameTag()
 	}
 	m.passthrough = !m.ndTagged
-	m.turned.L, m.arrivals.L = &m.mu, &m.mu
 	return m
 }
 
-// runFailer is implemented by exchangers that can record a root-cause
-// failure for their whole run: *Node forwards to Network.setFailure, *VNode
-// recurses down its own Mux. Mux.fail uses it to propagate a panic to the
-// physical network, so the run fails fast, with the crash as its root cause,
-// instead of carrying on without the crashed instance.
-type runFailer interface {
-	failRun(err error)
-}
-
-// failRun implements runFailer: the panic becomes the run's engine failure,
-// which peers are handed as the root cause by their next exchange.
-func (nd *Node) failRun(err error) {
-	nd.nw.setFailure(err)
-}
-
-// failRun implements runFailer for stacked Muxes by cascading the failure
-// down to the underlying exchanger.
-func (v *VNode) failRun(err error) {
-	v.mux.fail(err)
-}
-
-// fail is failLocked for callers that do not hold m.mu.
-func (m *Mux) fail(err error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.failLocked(err)
-}
-
-// failLocked records err as the Mux's failure (first writer wins), wakes the
-// leader and every parked instance, and propagates the failure to the
-// underlying exchanger so the physical run fails as a whole (locks nest from
-// a stacked Mux down to the one it stands on, never up).
-func (m *Mux) failLocked(err error) {
-	if f, ok := m.nd.(runFailer); ok {
-		f.failRun(err)
+// Run runs programs[id], for every non-nil entry, as instance id on a virtual
+// node of its own and returns when all of them have returned; a nil entry is
+// an instance this node takes no part in. Every physical node taking part in
+// a logical instance must run it under the same identifier. Run must be called
+// from the program of nd's node, once per Mux.
+//
+// Each round Run resumes the live instances in ascending instance order, each
+// up to its next exchange or its return, and then performs the physical
+// exchange for all of them. When that exchange fails, each instance still
+// suspended is resumed once more: its exchange, and every later one, returns
+// the failure without suspending, so the program runs to its return. A panic
+// in an instance or out of the physical exchange is a crash of the node: it
+// leaves Run, which only stops the instances still suspended on the way, and
+// reaches the engine's crash barrier, which fails the whole run with it.
+//
+// Run returns the error of the lowest-numbered instance that returned one
+// before the physical exchange failed, or else that failure, as Network.Run
+// does.
+func (m *Mux) Run(programs []func(Exchanger) error) (err error) {
+	nd := m.node
+	if nd == nil || nd.co == nil {
+		return errors.New("clique: Mux.Run outside a blocking node program (Network.Run)")
 	}
-	if m.failed == nil {
-		m.failed = err
+	if m.vnodes != nil {
+		return errors.New("clique: Mux.Run called twice")
 	}
-	m.turned.Broadcast()
-	m.arrivals.Signal()
-}
-
-// Instance registers a new virtual node for the logical instance with the
-// given identifier. Identifiers must be non-negative and unique per Mux, and
-// identical across all physical nodes participating in the same logical
-// instance.
-func (m *Mux) Instance(id int) (*VNode, error) {
-	if id < 0 {
-		return nil, fmt.Errorf("clique: instance id must be non-negative, got %d", id)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if id < len(m.byID) && m.byID[id] != nil {
-		return nil, fmt.Errorf("clique: instance %d registered twice", id)
-	}
-	vn := &VNode{mux: m, instance: id}
-	m.order = append(m.order, vn)
-	sort.Slice(m.order, func(a, b int) bool { return m.order[a].instance < m.order[b].instance })
-	for id >= len(m.byID) {
-		m.byID = append(m.byID, nil)
-	}
-	m.byID[id] = vn
-	m.active++
-	return vn, nil
-}
-
-// Run registers one instance per program (instance identifiers are the map
-// keys), runs each program on its virtual node — the lowest instance on the
-// calling goroutine, the others in goroutines of their own — and waits for
-// all of them. The caller, which must be the goroutine nd's program runs on,
-// leads the instances' barrier (see leadLocked): from inside the lowest
-// instance's exchanges while that one runs, on its own afterwards. It returns
-// the error of the lowest-numbered failing slot, as Network.Run does.
-func (m *Mux) Run(programs map[int]func(Exchanger) error) error {
-	ids := make([]int, 0, len(programs))
-	for id := range programs {
-		ids = append(ids, id)
-	}
-	// Sorted so that the first-failing-slot scan below is the lowest failing
-	// instance id, independent of map iteration order.
-	sort.Ints(ids)
-	for _, id := range ids {
-		if _, err := m.Instance(id); err != nil {
-			return err
+	m.vnodes = make([]VNode, len(programs))
+	for id, prog := range programs {
+		if prog != nil {
+			v := &m.vnodes[id]
+			v.mux, v.instance = m, id
+			v.co = nd.nw.takeCoro(nd.id)
+			v.co.prog, v.co.ex = prog, v
 		}
 	}
-	errs := make([]error, len(ids))
-	run := func(slot int) {
-		id := ids[slot]
-		defer m.byID[id].Close()
-		defer func() {
-			if r := recover(); r != nil {
-				errs[slot] = fmt.Errorf("clique: instance %d panicked: %v", id, r)
-				// Same fail-fast rule as Network.RunContext: a panic is a
-				// crash of the whole run, not of one instance.
-				m.fail(errs[slot])
+	// Only a panic leaves Run with instances suspended, and none may outlive
+	// it: stop ends each, its exchange returning an error to the program.
+	defer func() {
+		for id := range m.vnodes {
+			if co := m.vnodes[id].co; co != nil {
+				co.stop()
 			}
-		}()
-		errs[slot] = programs[id](m.byID[id])
-	}
-	var wg sync.WaitGroup
-	for slot := 1; slot < len(ids); slot++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			run(slot)
-		}()
-	}
-	if len(ids) > 0 {
-		m.byID[ids[0]].leads = true
-		run(0)
-	}
-	m.mu.Lock()
-	m.leadLocked(-1)
-	m.mu.Unlock()
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
 		}
+	}()
+
+	errID := -1
+	for {
+		final, live := m.failed != nil, false
+		for id := range m.vnodes {
+			v := &m.vnodes[id]
+			if v.co == nil {
+				continue
+			}
+			s, _ := v.co.next()
+			if !s.returned {
+				live = true
+				continue
+			}
+			if s.err != nil && !final && (errID < 0 || id < errID) {
+				err, errID = s.err, id
+			}
+			v.close()
+		}
+		if !live {
+			break
+		}
+		m.exchange()
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.failed
+	if err == nil {
+		err = m.failed
+	}
+	return err
 }
 
-// leadLocked is the Mux barrier's leader loop, run by Run's caller holding
-// m.mu: whenever every active instance has arrived it performs the physical
-// exchange — which only the goroutine the underlying exchanger belongs to may
-// do: a Node's Exchange suspends the very coroutine that calls it — and turns
-// the barrier over. It serves until round turn is over (the leading
-// instance's own exchange) or, with turn < 0, until no instance is left, and
-// never longer than the Mux is sound.
-func (m *Mux) leadLocked(turn int) {
-	for m.failed == nil && (m.round == turn || turn < 0 && m.active > 0) {
-		if m.arrived < m.active {
-			m.arrivals.Wait()
-			continue
-		}
-		m.exchangeLocked()
+// takeCoro hands out one of node id's pooled coroutines, or a new one.
+func (nw *Network) takeCoro(id int) *nodeCoro {
+	idle := nw.idle[id]
+	if k := len(idle) - 1; k >= 0 {
+		co := idle[k]
+		idle[k] = nil
+		nw.idle[id] = idle[:k]
+		return co
 	}
+	co := new(nodeCoro)
+	co.start()
+	return co
 }
 
 // VNode is the virtual node handed to one logical instance. It implements
 // Exchanger by delegating identity, instrumentation and shared computation to
 // the underlying physical node and by funnelling communication through the
-// Mux barrier.
+// Mux's physical exchange.
 type VNode struct {
 	mux      *Mux
 	instance int
 	round    int
-	closed   bool
-	// leads marks the instance that runs on Mux.Run's calling goroutine: its
-	// exchanges lead the barrier instead of waiting for a leader.
-	leads bool
-	// pending queues this instance's sends between barriers. It is written by
-	// the instance goroutine without holding the Mux lock: the writes are
-	// published to the delivering goroutine by the mutex acquisition when the
-	// instance arrives at the barrier.
+	// co is the coroutine the instance's program runs on, nil once the
+	// program has returned (or, in a slot Run left empty, ever).
+	co *nodeCoro
+	// pending queues this instance's sends until the Mux forwards them at
+	// the physical exchange.
 	pending []pendingPacket
 	// tagBuf is the pooled buffer this instance's tagged payloads are carved
 	// from. Growth is append-only, so earlier carved views stay valid when
 	// the backing array is reallocated.
 	tagBuf *[]Word
-	// tagHint remembers the previous round's tagged volume so a freshly
-	// acquired tagBuf can be sized in one step instead of re-running the
-	// geometric growth every round.
-	tagHint int
 	// view boxes this instance's records for Exchange, rebuilt every call.
 	view inboxView
 	// flatRing cycles the per-round record buffers a stacked Mux
@@ -340,9 +275,8 @@ func (v *VNode) Send(to int, data Packet) {
 // Exchanger). The instance tag the Mux adds is per-message overhead in the
 // unbatched model, so the accounted cost forwarded to the physical node is
 // modelWords plus one tag word per logical message — exactly what count
-// individually tagged packets would have cost. The packet is queued locally
-// (no Mux lock) and handed to the physical node at this instance's next
-// barrier arrival.
+// individually tagged packets would have cost. The packet is handed to the
+// physical node at the Mux's next physical exchange.
 func (v *VNode) SendFramed(to int, data Packet, count, modelWords int) {
 	if to < 0 || to >= v.N() {
 		panic(fmt.Sprintf("clique: instance %d on node %d sent to invalid destination %d (n=%d)",
@@ -354,9 +288,6 @@ func (v *VNode) SendFramed(to int, data Packet, count, modelWords int) {
 	}
 	if v.tagBuf == nil {
 		v.tagBuf = acquireWords()
-		if cap(*v.tagBuf) < v.tagHint {
-			*v.tagBuf = make([]Word, 0, v.tagHint+v.tagHint/4)
-		}
 	}
 	buf := *v.tagBuf
 	pos := len(buf)
@@ -367,12 +298,12 @@ func (v *VNode) SendFramed(to int, data Packet, count, modelWords int) {
 	v.pending = append(v.pending, queued(to, tagged, count, modelWords+count))
 }
 
-// Exchange advances this instance by one round. It blocks until every other
-// active instance on the same physical node has also reached its barrier and
-// the leader (see Mux.leadLocked) has performed the physical exchange. The returned
-// Inbox is this instance's own view over its records of the round (on a
-// passthrough Mux: the shared raw inbox filtered by the instance tag) and is
-// valid until the instance's next exchange.
+// Exchange advances this instance by one round: it suspends the instance
+// until Mux.Run has resumed every other live instance of the node up to its
+// exchange and performed the physical exchange. The returned Inbox is this
+// instance's own view over its records of the round (on a passthrough Mux: the
+// shared raw inbox filtered by the instance tag) and is valid until the
+// instance's next exchange.
 func (v *VNode) Exchange() (Inbox, error) {
 	flat, err := v.ExchangeFlat()
 	if err != nil {
@@ -397,32 +328,12 @@ func (v *VNode) InboxSenders() []int32 { return v.view.touched }
 // and payload views stay valid for PayloadGraceRounds further exchanges of
 // this instance.
 func (v *VNode) ExchangeFlat() (FlatInbox, error) {
+	if v.co == nil {
+		return nil, errors.New("clique: Exchange called on closed virtual node")
+	}
 	m := v.mux
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := v.barrierLocked(); err != nil {
-		return nil, err
-	}
-	v.round++
-	if m.passthrough {
-		return m.rawFlat, nil
-	}
-	if buf := v.flatRing[v.flatSlot]; buf != nil {
-		return FlatInbox(*buf), nil
-	}
-	return nil, nil
-}
-
-// barrierLocked retires the ring slot about to be rewritten, arrives at the
-// Mux barrier and waits for the round to turn over. Callers must hold m.mu
-// and check the returned error before reading any per-round state.
-func (v *VNode) barrierLocked() error {
-	m := v.mux
-	if v.closed {
-		return errors.New("clique: Exchange called on closed virtual node")
-	}
 	if m.failed != nil {
-		return m.failed
+		return nil, m.failed
 	}
 	// Rotate the ring: the slot about to be rewritten is the one filled
 	// payloadRingDepth exchanges ago, which is exactly the engine's grace
@@ -436,38 +347,33 @@ func (v *VNode) barrierLocked() error {
 			*buf = (*buf)[:0]
 		}
 	}
-	turn := m.round
-	m.arrived++
-	if v.leads {
-		m.leadLocked(turn)
-		return m.failed
+	if !v.co.yield(suspension{}) {
+		return nil, errors.New("clique: instance stopped by a crash of its node")
 	}
-	if m.arrived == m.active {
-		m.arrivals.Signal()
+	if m.failed != nil {
+		return nil, m.failed
 	}
-	for m.round == turn && m.failed == nil {
-		m.turned.Wait()
+	v.round++
+	if m.passthrough {
+		return m.rawFlat, nil
 	}
-	return m.failed
+	if buf := v.flatRing[v.flatSlot]; buf != nil {
+		return FlatInbox(*buf), nil
+	}
+	return nil, nil
 }
 
-// Close removes the instance from the Mux barrier. It must be called exactly
-// once when the instance's program has finished (Mux.Run does this
-// automatically). After it the remaining instances may all have arrived, or
-// none may remain: either way the leader is told.
-func (v *VNode) Close() {
-	m := v.mux
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if v.closed {
-		return
-	}
-	v.closed = true
-	m.active--
-	// Hand over sends queued since the last barrier (normally none): they are
-	// delivered at the next physical round, so their payloads must survive
-	// until the engine has copied them. The instance's own buffers (tag
-	// buffer, or the sender's frame storage for SendTagged) die with the
+// close ends the instance once its program has returned: the coroutine goes
+// back to the node's pool, the buffers to theirs.
+func (v *VNode) close() {
+	m, nd, co := v.mux, v.mux.node, v.co
+	co.prog, co.ex = nil, nil // a pooled coroutine pins no Mux
+	nd.nw.idle[nd.id] = append(nd.nw.idle[nd.id], co)
+	v.co = nil
+	// Hand over sends queued since the last exchange (normally none): they
+	// are delivered at the next physical round, so their payloads must
+	// survive until the engine has copied them. The instance's own buffers
+	// (tag buffer, or the sender's frame storage for SendTagged) die with the
 	// program, so the payloads are copied into a buffer retired after the
 	// next physical exchange.
 	if len(v.pending) > 0 {
@@ -490,40 +396,26 @@ func (v *VNode) Close() {
 		releaseWords(v.tagBuf)
 		v.tagBuf = nil
 	}
-	// The program has returned, so nothing can read this instance's flat ring
-	// anymore; the buffers go back to the pool for the next Mux.
+	// Nothing can read this instance's flat ring anymore; the buffers go back
+	// to the pool for the next Mux.
 	for i, bp := range v.flatRing {
 		if bp != nil {
 			releaseWords(bp)
 			v.flatRing[i] = nil
 		}
 	}
-	if m.arrived == m.active {
-		m.arrivals.Signal()
-	}
 }
 
-// exchangeLocked performs one physical exchange on behalf of all active
-// instances, distributes the result and turns the Mux barrier over. The
-// leader calls it holding m.mu.
-//
-// The physical exchange blocks until the network-wide round is over; holding
-// m.mu meanwhile is safe because every other goroutine that could need the
-// lock is an instance of this same Mux, and all of them are already parked at
-// the Mux barrier (m.arrived == m.active) or closed. A panic out of the
-// exchange (an injected fault) is this node's crash: it becomes the Mux's and
-// the run's failure here, like an instance's, and the instances drain.
-func (m *Mux) exchangeLocked() {
-	defer func() {
-		if r := recover(); r != nil {
-			m.failLocked(nodePanicError(m.nd.ID(), r))
-		}
-	}()
+// exchange performs one physical exchange on behalf of all live instances,
+// every one of them suspended in its own exchange, and distributes the
+// result; a failure is recorded in m.failed.
+func (m *Mux) exchange() {
 	// Forward the queued sends in ascending instance order. Each instance's
 	// internal send order is preserved; the interleaving between instances is
 	// not observable (each instance only ever reads its own records, and the
 	// per-round edge accounting is order-independent).
-	for _, v := range m.order {
+	for id := range m.vnodes {
+		v := &m.vnodes[id]
 		for i := range v.pending {
 			pp := &v.pending[i]
 			m.nd.SendFramed(int(pp.to), pp.payload(), int(pp.count), int(pp.model))
@@ -541,9 +433,9 @@ func (m *Mux) exchangeLocked() {
 	// tagged-packet buffers can be truncated in place even on error. The
 	// buffer stays attached to its instance — per-round traffic is near
 	// constant, so after the first round no tagging allocation happens at all.
-	for _, v := range m.order {
-		if v.tagBuf != nil {
-			*v.tagBuf = (*v.tagBuf)[:0]
+	for id := range m.vnodes {
+		if b := m.vnodes[id].tagBuf; b != nil {
+			*b = (*b)[:0]
 		}
 	}
 	for i, b := range m.retired {
@@ -553,7 +445,6 @@ func (m *Mux) exchangeLocked() {
 	m.retired = m.retired[:0]
 	if err != nil {
 		m.failed = err
-		m.turned.Broadcast()
 		return
 	}
 
@@ -561,42 +452,35 @@ func (m *Mux) exchangeLocked() {
 		// Every instance reads the shared raw inbox directly, filtering by
 		// its own tag: nothing to distribute.
 		m.rawFlat = flat
-	} else {
-		// Stacked Mux: records carry the underlying virtual node's tag;
-		// strip it and demultiplex by this Mux's own instance tags.
-		for i := 0; i < len(flat); {
-			from := int(flat[i])
-			l := int(flat[i+1])
-			p := Packet(flat[i+2 : i+2+l : i+2+l])
-			i += 2 + l
-			if len(p) > 0 && p[0] == m.ndTag {
-				m.demuxLocked(from, p[1:])
-			}
+		return
+	}
+	// Stacked Mux: records carry the underlying virtual node's tag; strip it
+	// and demultiplex by this Mux's own instance tags.
+	for i := 0; i < len(flat); {
+		from := int(flat[i])
+		l := int(flat[i+1])
+		p := Packet(flat[i+2 : i+2+l : i+2+l])
+		i += 2 + l
+		if len(p) > 0 && p[0] == m.ndTag {
+			m.demux(from, p[1:])
 		}
 	}
-
-	m.round++
-	m.arrived = 0
-	m.turned.Broadcast()
 }
 
-// demuxLocked appends one received packet of a stacked Mux to the ring buffer
-// of the instance its tag names, as an untagged [from, len, payload...]
-// record. Records are appended in physical delivery order, which is ascending
-// by sender (see FlatInbox). Packets for unknown or closed instances are
-// dropped (nothing could ever read them).
-func (m *Mux) demuxLocked(from int, p Packet) {
+// demux appends one received packet of a stacked Mux to the ring buffer of
+// the instance its tag names, as an untagged [from, len, payload...] record.
+// Records are appended in physical delivery order, which is ascending by
+// sender (see FlatInbox). Packets for instances this node does not run, or no
+// longer runs, are dropped (nothing could ever read them).
+func (m *Mux) demux(from int, p Packet) {
 	if len(p) == 0 {
 		return
 	}
 	instance := int(p[0])
-	var v *VNode
-	if instance >= 0 && instance < len(m.byID) {
-		v = m.byID[instance]
-	}
-	if v == nil || v.closed {
+	if instance < 0 || instance >= len(m.vnodes) || m.vnodes[instance].co == nil {
 		return
 	}
+	v := &m.vnodes[instance]
 	bp := v.flatRing[v.flatSlot]
 	if bp == nil {
 		bp = acquireWords()

@@ -3,10 +3,17 @@ package clique
 import (
 	"errors"
 	"fmt"
-	"strings"
-	"sync"
+	"runtime"
 	"testing"
+	"time"
+
+	"congestedclique/internal/leakcheck"
 )
+
+// muxAllocsPerNode bounds what a warm two-instance Mux run allocates per node
+// beyond the traffic it carries (TestMuxCoroutineLifecycle): 12 on go1.24,
+// well below the 22 that making the two instances' coroutines anew would add.
+const muxAllocsPerNode = 16
 
 // TestMuxTwoInstancesLockstep runs two logical all-to-all protocols of
 // different lengths on the same physical clique and checks that both see only
@@ -53,7 +60,7 @@ func TestMuxTwoInstancesLockstep(t *testing.T) {
 
 	err = nw.Run(func(nd *Node) error {
 		mux := NewMux(nd)
-		return mux.Run(map[int]func(Exchanger) error{
+		return mux.Run([]func(Exchanger) error{
 			0: allToAll(shortRound, 1000),
 			1: allToAll(longRound, 2000),
 		})
@@ -124,12 +131,11 @@ func TestMuxSubsetInstance(t *testing.T) {
 	}
 
 	err = nw.Run(func(nd *Node) error {
-		mux := NewMux(nd)
-		programs := map[int]func(Exchanger) error{0: globalProgram}
+		programs := []func(Exchanger) error{globalProgram, nil}
 		if nd.ID() < 4 {
 			programs[1] = subsetProgram
 		}
-		return mux.Run(programs)
+		return NewMux(nd).Run(programs)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -140,6 +146,11 @@ func TestMuxSubsetInstance(t *testing.T) {
 	}
 }
 
+// TestMuxInstanceValidation pins what Run checks of its instances. An
+// identifier is an index into Run's slice, so a negative or a duplicate one
+// cannot be expressed; what is left is that nil entries run nothing — a node
+// running no instance at all spends no round — and that a Mux runs one set of
+// instances only.
 func TestMuxInstanceValidation(t *testing.T) {
 	t.Parallel()
 	nw, err := New(2)
@@ -149,19 +160,19 @@ func TestMuxInstanceValidation(t *testing.T) {
 	defer nw.Close()
 	err = nw.Run(func(nd *Node) error {
 		mux := NewMux(nd)
-		if _, err := mux.Instance(-1); err == nil {
-			return fmt.Errorf("negative instance id accepted")
-		}
-		if _, err := mux.Instance(1); err != nil {
+		if err := mux.Run(make([]func(Exchanger) error, 3)); err != nil {
 			return err
 		}
-		if _, err := mux.Instance(1); err == nil {
-			return fmt.Errorf("duplicate instance id accepted")
+		if err := mux.Run(nil); err == nil {
+			return fmt.Errorf("node %d: a second Run on one Mux was accepted", nd.ID())
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := nw.Rounds(); got != 0 {
+		t.Fatalf("a Mux without instances took %d rounds", got)
 	}
 }
 
@@ -174,7 +185,7 @@ func TestMuxPropagatesInstanceError(t *testing.T) {
 	defer nw.Close()
 	err = nw.Run(func(nd *Node) error {
 		mux := NewMux(nd)
-		return mux.Run(map[int]func(Exchanger) error{
+		return mux.Run([]func(Exchanger) error{
 			0: func(ex Exchanger) error {
 				if ex.ID() == 1 {
 					return fmt.Errorf("instance failure on node %d", ex.ID())
@@ -188,113 +199,323 @@ func TestMuxPropagatesInstanceError(t *testing.T) {
 	}
 }
 
-// TestMuxPanicFailsRunFast pins the fail-fast rule on the multiplexed path:
-// a panic inside a Mux instance — whether injected by the engine's fault
-// plan mid physical exchange, or raised by the instance program itself —
-// must fail the whole run with the panic as root cause. Before the fix, the
-// Mux's recovery downgraded the panic to a graceful instance error without
-// broadcasting a failure, so peer nodes deadlocked at the physical barrier
-// waiting for the crashed node's exchange (the bug only reproduces on the
-// Mux path, which square-n routing never takes).
-func TestMuxPanicFailsRunFast(t *testing.T) {
-	t.Parallel()
-	const n, rounds = 4, 4
-
-	var sumsMu sync.Mutex
-	muxProgram := func(sums []int64, boom func(ex Exchanger, r int)) func(*Node) error {
-		relay := func(base Word) func(Exchanger) error {
-			return func(ex Exchanger) error {
-				acc := int64(base) * int64(ex.ID()+1)
-				for r := 0; r < rounds; r++ {
-					if boom != nil {
-						boom(ex, r)
-					}
-					ex.Send((ex.ID()+r+1)%ex.N(), Packet{base, Word(ex.ID())})
-					inbox, err := ex.Exchange()
-					if err != nil {
+// muxProgram is the node program of the Mux failure tests: two relay
+// instances on a Mux of the node or, stacked, on a Mux of an instance that
+// runs beside a third relay. A relay sends one packet per round and folds what
+// it receives into sums[node] (nil: nothing is kept); boom, when set, runs at
+// the top of every round and may panic or stop the relay with an error.
+func muxProgram(stacked bool, sums []int64, boom func(ex Exchanger, base Word, r int) error) func(*Node) error {
+	const rounds = 4
+	relay := func(base Word) func(Exchanger) error {
+		return func(ex Exchanger) error {
+			acc := int64(base) * int64(ex.ID()+1)
+			for r := 0; r < rounds; r++ {
+				if boom != nil {
+					if err := boom(ex, base, r); err != nil {
 						return err
 					}
-					for from := 0; from < ex.N(); from++ {
-						for _, p := range inbox.From(from) {
-							acc += int64(p[0]) * int64(p[1]+1)
-						}
+				}
+				ex.Send((ex.ID()+r+1)%ex.N(), Packet{base, Word(ex.ID())})
+				inbox, err := ex.Exchange()
+				if err != nil {
+					return err
+				}
+				for from := 0; from < ex.N(); from++ {
+					for _, p := range inbox.From(from) {
+						acc += int64(p[0]) * int64(p[1]+1)
 					}
 				}
-				if sums != nil {
-					// Both instances of a node add into its slot.
-					sumsMu.Lock()
-					sums[ex.ID()] += acc
-					sumsMu.Unlock()
-				}
-				return nil
 			}
-		}
-		return func(nd *Node) error {
-			mux := NewMux(nd)
-			return mux.Run(map[int]func(Exchanger) error{
-				0: relay(1000),
-				1: relay(2000),
-			})
+			if sums != nil {
+				// All instances of a node add into its slot, one at a time.
+				sums[ex.ID()] += acc
+			}
+			return nil
 		}
 	}
+	pair := func(ex Exchanger) error {
+		return NewMux(ex).Run([]func(Exchanger) error{relay(1000), relay(2000)})
+	}
+	return func(nd *Node) error {
+		if stacked {
+			return NewMux(nd).Run([]func(Exchanger) error{0: relay(3000), 2: pair})
+		}
+		return pair(nd)
+	}
+}
 
-	for name, tc := range map[string]struct {
-		arm  func(nw *Network)
-		boom func(ex Exchanger, r int)
-		want string
-	}{
-		"injected-mid-exchange": {
-			arm: func(nw *Network) {
-				nw.SetFaultPlan(&FaultPlan{Faults: []Fault{{Kind: FaultPanic, Node: 2, Round: 1}}})
-			},
-			want: "node 2 panicked in round 1",
-		},
-		"instance-program-panic": {
-			boom: func(ex Exchanger, r int) {
-				if ex.ID() == 2 && r == 1 {
-					panic("instance bug")
-				}
-			},
-			want: "panicked",
-		},
-	} {
-		t.Run(name, func(t *testing.T) {
+// muxFailure is one way a node's Mux fails, on a Mux of the node or on one
+// stacked on an instance of it: an armed fault plan, or what boom does.
+type muxFailure struct {
+	name    string
+	stacked bool
+	plan    *FaultPlan
+	boom    func(ex Exchanger, base Word, r int) error
+	want    string
+}
+
+// muxFailures lists the failure cases: node 2 crashes in round 1 — inside the
+// physical exchange (an injected panic, which on a stacked Mux fires while the
+// inner Mux exchanges) or in the first instance's program — or that instance
+// returns an error while its siblings are suspended.
+func muxFailures() []muxFailure {
+	injected := func() *FaultPlan {
+		return &FaultPlan{Faults: []Fault{{Kind: FaultPanic, Node: 2, Round: 1}}}
+	}
+	bug := func(ex Exchanger, base Word, r int) error {
+		if ex.ID() == 2 && r == 1 && base == 1000 {
+			panic("instance bug")
+		}
+		return nil
+	}
+	fails := func(ex Exchanger, base Word, r int) error {
+		if ex.ID() == 2 && r == 1 && base == 1000 {
+			return fmt.Errorf("instance %d failed on node %d", base, ex.ID())
+		}
+		return nil
+	}
+	return []muxFailure{
+		{"injected-mid-exchange", false, injected(), nil, "clique: node 2 panicked in round 1: injected fault"},
+		{"instance-program-panic", false, nil, bug, "clique: node 2 panicked: instance bug"},
+		{"stacked/injected-mid-exchange", true, injected(), nil, "clique: node 2 panicked in round 1: injected fault"},
+		{"stacked/instance-program-panic", true, nil, bug, "clique: node 2 panicked: instance bug"},
+		{"stacked/instance-error", true, nil, fails, "instance 1000 failed on node 2"},
+	}
+}
+
+// TestMuxPanicFailsRunFast pins the fail-fast rule on the multiplexed path:
+// a panic inside a Mux instance — whether injected by the engine's fault
+// plan mid physical exchange, or raised by the instance program itself, on a
+// Mux of the node or on a stacked one — must fail the whole run with the panic
+// as root cause, where an instance that returns an error only departs. Either
+// way the peers must not be left waiting at the physical barrier for the
+// crashed node's exchange, and the engine must run cleanly afterwards.
+func TestMuxPanicFailsRunFast(t *testing.T) {
+	t.Parallel()
+	const n = 4
+	for _, tc := range muxFailures() {
+		t.Run(tc.name, func(t *testing.T) {
 			nw, err := New(n)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer nw.Close()
 			golden := make([]int64, n)
-			if err := nw.Run(muxProgram(golden, nil)); err != nil {
+			if err := nw.Run(muxProgram(tc.stacked, golden, nil)); err != nil {
 				t.Fatalf("fault-free run failed: %v", err)
 			}
 
-			if tc.arm != nil {
-				tc.arm(nw)
+			nw.SetFaultPlan(tc.plan)
+			err = nw.Run(muxProgram(tc.stacked, nil, tc.boom))
+			if err == nil || err.Error() != tc.want {
+				t.Fatalf("run error %v, want %q", err, tc.want)
 			}
-			err = nw.Run(muxProgram(nil, tc.boom))
-			if err == nil {
-				t.Fatal("panicked run reported success")
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("error %q does not name the panic root cause %q", err, tc.want)
-			}
-			if tc.arm != nil && !errors.Is(err, ErrFaultInjected) {
+			if tc.plan != nil && !errors.Is(err, ErrFaultInjected) {
 				t.Fatalf("injected panic lost its ErrFaultInjected identity: %v", err)
 			}
 
 			// A failed multiplexed run must not poison the engine.
 			again := make([]int64, n)
-			if err := nw.Run(muxProgram(again, nil)); err != nil {
-				t.Fatalf("clean run after mux panic failed: %v", err)
+			if err := nw.Run(muxProgram(tc.stacked, again, nil)); err != nil {
+				t.Fatalf("clean run after the failed one failed: %v", err)
 			}
 			for i := range golden {
 				if golden[i] != again[i] {
-					t.Fatalf("node %d: post-panic run diverged: %d != %d", i, again[i], golden[i])
+					t.Fatalf("node %d: run after the failure diverged: %d != %d", i, again[i], golden[i])
 				}
 			}
 		})
 	}
+}
+
+// TestMuxCoroutineLifecycle pins what the Mux's instances owe the Network
+// whose pooled coroutines they run on: a Mux takes one per instance and gives
+// it back when the instance returns, so later Muxes of the node — within the
+// run, nested or in later runs — create none; a failed run costs at most the
+// coroutines it stopped; Close ends them all; and a warm Mux run allocates
+// little beyond the traffic it carries.
+func TestMuxCoroutineLifecycle(t *testing.T) {
+	const n = 8
+	start := runtime.NumGoroutine()
+	// settle bounds the goroutines from above only: a run's sweep workers
+	// exit just after it returns, possibly after the caller counted its base.
+	settle := func(t *testing.T, want int) {
+		t.Helper()
+		if err := leakcheck.Settle(want, 2*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pooled := func(nw *Network, want int) error {
+		for i, idle := range nw.idle {
+			if len(idle) != want {
+				return fmt.Errorf("node %d pools %d coroutines, want %d", i, len(idle), want)
+			}
+		}
+		return nil
+	}
+
+	t.Run("pooled across Muxes, nesting and runs", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		nw, err := New(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		twice := func(nd *Node) error {
+			for k := 0; k < 2; k++ {
+				if err := muxProgram(false, nil, nil)(nd); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		for run := 0; run < 3; run++ {
+			if err := nw.Run(twice); err != nil {
+				t.Fatal(err)
+			}
+			if err := pooled(nw, 2); err != nil {
+				t.Fatalf("run %d: %v", run, err)
+			}
+			settle(t, base+3*n) // the node's own coroutine and its two pooled ones
+		}
+		// The stacked program needs four per node: two more than the pool
+		// holds on its first run, none on later ones.
+		for run := 0; run < 3; run++ {
+			if err := nw.Run(muxProgram(true, nil, nil)); err != nil {
+				t.Fatal(err)
+			}
+			if err := pooled(nw, 4); err != nil {
+				t.Fatalf("stacked run %d: %v", run, err)
+			}
+			settle(t, base+5*n)
+		}
+		if err := nw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		settle(t, base)
+	})
+
+	t.Run("failed runs", func(t *testing.T) {
+		for _, tc := range muxFailures() {
+			t.Run(tc.name, func(t *testing.T) {
+				base := runtime.NumGoroutine()
+				nw, err := New(n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				clean := muxProgram(tc.stacked, nil, nil)
+				perNode := 3
+				if tc.stacked {
+					perNode = 5
+				}
+				for cycle := 0; cycle < 2; cycle++ {
+					nw.SetFaultPlan(tc.plan)
+					if err := nw.Run(muxProgram(tc.stacked, nil, tc.boom)); err == nil {
+						t.Fatal("failing run reported success")
+					}
+					// What the failure stopped is made anew, and only that.
+					if err := nw.Run(clean); err != nil {
+						t.Fatal(err)
+					}
+					if err := pooled(nw, perNode-1); err != nil {
+						t.Fatalf("cycle %d: %v", cycle, err)
+					}
+					settle(t, base+perNode*n)
+				}
+				// Close right after a failed run, too.
+				nw.SetFaultPlan(tc.plan)
+				if err := nw.Run(muxProgram(tc.stacked, nil, tc.boom)); err == nil {
+					t.Fatal("failing run reported success")
+				}
+				if err := nw.Close(); err != nil {
+					t.Fatal(err)
+				}
+				settle(t, base)
+			})
+		}
+	})
+
+	t.Run("warm run allocations", func(t *testing.T) {
+		// The same traffic, two relays' worth per node, with and without a
+		// Mux: what a warm Mux run allocates beyond the plain run is the Mux,
+		// its virtual nodes and their views — never a coroutine.
+		sendAll := func(ex Exchanger, base Word) error {
+			for r := 0; r < 4; r++ {
+				ex.Send((ex.ID()+r+1)%ex.N(), Packet{base, Word(ex.ID())})
+				if _, err := ex.Exchange(); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		plain := func(nd *Node) error {
+			for r := 0; r < 4; r++ {
+				nd.Send((nd.ID()+r+1)%n, Packet{1000, Word(nd.ID())})
+				nd.Send((nd.ID()+r+1)%n, Packet{2000, Word(nd.ID())})
+				if _, err := nd.Exchange(); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		muxed := func(nd *Node) error {
+			return NewMux(nd).Run([]func(Exchanger) error{
+				func(ex Exchanger) error { return sendAll(ex, 1000) },
+				func(ex Exchanger) error { return sendAll(ex, 2000) },
+			})
+		}
+		measure := func(program func(*Node) error, runs int) float64 {
+			nw, err := New(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer nw.Close()
+			return testing.AllocsPerRun(runs, func() {
+				if err := nw.Run(program); err != nil {
+					t.Error(err)
+				}
+			})
+		}
+		base := measure(plain, 20)
+		early, late := measure(muxed, 5), measure(muxed, 40)
+		t.Logf("warm run allocations: %v without a Mux, %v with (over 5 runs), %v (over 40)", base, early, late)
+		// Slack of two per node: under -race sync.Pool drops a share of the
+		// buffers put back on purpose.
+		if late > early+2*n {
+			t.Fatalf("a warm Mux run's allocations grow across runs: %v over 5 runs, %v over 40", early, late)
+		}
+		// A fresh coroutine costs eleven allocations, so a Mux that made its
+		// instances' anew would cost over 22 per node.
+		if perNode := (late - base) / n; perNode > muxAllocsPerNode {
+			t.Fatalf("a warm Mux run allocates %.1f per node beyond its traffic, want at most %d", perNode, muxAllocsPerNode)
+		}
+	})
+
+	t.Run("under RunRounds", func(t *testing.T) {
+		nw, err := New(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nw.Close()
+		done := make(chan error, 1)
+		go func() {
+			done <- nw.RunRounds(func(nd *Node, r int, inbox Inbox) (bool, error) {
+				return true, NewMux(nd).Run([]func(Exchanger) error{
+					func(ex Exchanger) error { _, err := ex.Exchange(); return err },
+				})
+			})
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Fatal("a Mux under RunRounds reported success")
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("a Mux under RunRounds hung")
+		}
+	})
+
+	// Leave no exiting goroutine behind for the next test's count.
+	settle(t, start)
 }
 
 func TestVNodeDelegation(t *testing.T) {
@@ -306,7 +527,7 @@ func TestVNodeDelegation(t *testing.T) {
 	defer nw.Close()
 	err = nw.Run(func(nd *Node) error {
 		mux := NewMux(nd)
-		return mux.Run(map[int]func(Exchanger) error{
+		return mux.Run([]func(Exchanger) error{
 			7: func(ex Exchanger) error {
 				if ex.ID() != nd.ID() || ex.N() != nd.N() {
 					return fmt.Errorf("identity not delegated")

@@ -58,16 +58,14 @@ func routeGeneral(c *comm, parcels []parcel, st step) ([]parcel, error) {
 	)
 
 	var out1, out2, outCorner []parcel
-	mux := clique.NewMux(c.ex)
-	programs := map[int]func(clique.Exchanger) error{
-		instCorner: func(ex clique.Exchanger) error {
-			res, err := routeCorner(ex, c, r, square, corner, st.sub("corner", kcCorner))
-			if err != nil {
-				return err
-			}
-			outCorner = res
-			return nil
-		},
+	programs := make([]func(clique.Exchanger) error, instCorner+1)
+	programs[instCorner] = func(ex clique.Exchanger) error {
+		res, err := routeCorner(ex, c, r, square, corner, st.sub("corner", kcCorner))
+		if err != nil {
+			return err
+		}
+		outCorner = res
+		return nil
 	}
 	if c.me < square {
 		programs[instV1] = func(ex clique.Exchanger) error {
@@ -97,7 +95,7 @@ func routeGeneral(c *comm, parcels []parcel, st step) ([]parcel, error) {
 			return nil
 		}
 	}
-	if err := mux.Run(programs); err != nil {
+	if err := clique.NewMux(c.ex).Run(programs); err != nil {
 		return nil, fmt.Errorf("%s: %w", st.name, err)
 	}
 

@@ -207,8 +207,7 @@ func sortLarge(c *comm, myKeys []Key, label string) (*SortResult, error) {
 	// global bucket sizes (2 rounds) on the multiplexer.
 	var routedKeys []Key
 	bucketSizes := make([]int64, numGroups)
-	mux := clique.NewMux(c.ex)
-	err = mux.Run(map[int]func(clique.Exchanger) error{
+	err = clique.NewMux(c.ex).Run([]func(clique.Exchanger) error{
 		1: func(ex clique.Exchanger) error {
 			sub := fullCommOn(ex, c, label+"/s6")
 			// routedKeys are value copies, so the sub-instance's buffers can

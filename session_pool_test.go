@@ -656,10 +656,10 @@ func TestPoolChaosHammer(t *testing.T) {
 
 // TestInjectedPanicNonSquareN pins fault injection on the multiplexed
 // routing path: non-square n runs Theorem 3.7's V1/V2 decomposition through
-// the Mux, where an injected panic fires inside the physical exchange driven
-// by a Mux instance goroutine. Before the Mux fail-fast fix this deadlocked
-// the whole run (the panic was downgraded to a graceful instance error and
-// peers waited forever at the engine barrier); it must instead fail fast as
+// the Mux, where an injected panic fires inside the physical exchange that
+// Mux.Run performs for its instances. A panic there once deadlocked the
+// whole run (it was downgraded to a graceful instance error and peers waited
+// forever at the engine barrier); it must instead fail fast as
 // a transient ErrFaultInjected, recover under WithRetry bit-identical to the
 // golden, and leave the handle usable.
 func TestInjectedPanicNonSquareN(t *testing.T) {
