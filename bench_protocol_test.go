@@ -1,9 +1,10 @@
 package congestedclique
 
 // Protocol-layer end-to-end benchmarks: one full Route respectively Sort
-// execution per iteration, with allocations reported. These are the numbers
-// tracked by BENCH_protocol.json (cmd/cliquebench -protocol-json) and guarded
-// against regression by cmd/benchguard in CI.
+// execution per iteration, with allocations reported. The one-shot rows of
+// BENCH_protocol.json (cliquebench record) measure the same instances; the
+// benchmark judge in bench/ gates allocations at n=196 and 256, and
+// allocs_test.go asserts the watchdog and cache-hit claims.
 
 import (
 	"context"
@@ -20,7 +21,7 @@ var benchProtocolSizes = []int{64, 256, 1024}
 
 // benchRouteWorkload is the deterministic all-to-all instance: every node
 // sends one message to every node (the paper's full-load Problem 3.1). The
-// definition is shared with cliquebench -protocol-json so the recorded
+// definition is shared with cliquebench record so the recorded
 // before/after numbers always measure the same workload.
 func benchRouteWorkload(n int) [][]Message {
 	msgs, err := NewUniformMessages(workload.ProtocolBenchRoute(n))
@@ -31,7 +32,7 @@ func benchRouteWorkload(n int) [][]Message {
 }
 
 // benchSortWorkload is the deterministic full-load sorting instance (shared
-// with cliquebench -protocol-json, see benchRouteWorkload).
+// with cliquebench record, see benchRouteWorkload).
 func benchSortWorkload(n int) [][]int64 {
 	return workload.ProtocolBenchSortValues(n)
 }
@@ -75,8 +76,8 @@ func BenchmarkSort(b *testing.B) {
 // BenchmarkRouteReuse measures the session path: the same full-load routing
 // instance issued repeatedly on one long-lived Clique handle. Comparing with
 // BenchmarkRoute (a fresh one-shot handle per op) isolates the amortization
-// the session API provides; cmd/benchguard holds both to their committed
-// allocs/op baselines.
+// the session API provides (the judge's setup_s measures the same
+// amortization).
 func BenchmarkRouteReuse(b *testing.B) {
 	ctx := context.Background()
 	for _, n := range benchProtocolSizes {
@@ -107,7 +108,7 @@ func BenchmarkRouteReuse(b *testing.B) {
 // with WithMaxConcurrency(GOMAXPROCS). Compare ns/op with
 // BenchmarkRouteReuse to see the aggregate speedup concurrency buys on this
 // machine (bounded by cores — the engine already runs one goroutine per
-// node); allocs/op are guarded by cmd/benchguard like the serial entries.
+// node).
 func BenchmarkRouteParallel(b *testing.B) {
 	ctx := context.Background()
 	for _, n := range []int{64, 256} {
@@ -200,8 +201,7 @@ func BenchmarkSortReuse(b *testing.B) {
 // so it never fires; the benchmark exists to guard the watchdog's fault-free
 // overhead — it must add zero allocs/op to a warm Route (the watchdog
 // goroutine, its timer and the arrival markers are allocated once per handle
-// and reused across runs), and cmd/benchguard holds it to the same baseline
-// discipline as the unwatched entries.
+// and reused across runs); TestWarmAllocsWatchdogAndCacheHit asserts it.
 func BenchmarkRouteWatchdog(b *testing.B) {
 	ctx := context.Background()
 	for _, n := range []int{64, 256} {
@@ -235,9 +235,9 @@ func BenchmarkRouteWatchdog(b *testing.B) {
 // itself with the announcement rounds elided where the cached schedule
 // applies. No round-count assertion here: the charged census adds wire
 // rounds by design, so Theorem 3.7's 16-round bound is not the contract on
-// this path (see docs/PERFORMANCE.md, "Temporal caching"). cmd/benchguard
-// holds allocs/op at or below the warm BenchmarkRouteReuse numbers — a hit
-// must never allocate more than the uncached warm path it replaces.
+// this path (see docs/PERFORMANCE.md, "Temporal caching"). A hit must never
+// allocate more than the uncached warm path it replaces
+// (TestWarmAllocsWatchdogAndCacheHit asserts it).
 func BenchmarkRouteCachedHit(b *testing.B) {
 	ctx := context.Background()
 	for _, n := range []int{64, 256} {
@@ -306,10 +306,9 @@ func BenchmarkSortCachedHit(b *testing.B) {
 // BenchmarkSparseRoute measures the direct step program end to end: the
 // O(n)-message frontier instance (workload.ScaleSparseRoute) issued
 // repeatedly on one long-lived handle, planned by AlgorithmAuto and run on
-// the step scheduler. cmd/benchguard holds allocs/op to the committed
-// baseline, so a dense O(n²) structure creeping back into the step programs
-// is caught at small n long before the frontier guard would see it at
-// n=16384.
+// the step scheduler. Its allocs/op are O(n): a dense O(n²) structure
+// creeping back into the step programs shows here at small n, and the
+// judge's sparse_scale gates it at n=4096.
 func BenchmarkSparseRoute(b *testing.B) {
 	ctx := context.Background()
 	for _, n := range []int{64, 256} {
@@ -417,8 +416,8 @@ func BenchmarkStepReceive(b *testing.B) {
 // BenchmarkPresortedFull is the other end of the presorted step program's
 // range: the catalog's sort-presorted instance (n keys at every node) on one
 // reused handle. A blocking twin on the comms' dense staging used to serve
-// this density; the benchguard entry holds the step program to what that
-// twin cost, so per-node buffers that stop being recycled show up here.
+// this density; per-node buffers that stop being recycled show up here
+// (the judge's auto_mix runs this arm at n=256).
 func BenchmarkPresortedFull(b *testing.B) {
 	ctx := context.Background()
 	sc, _ := workload.SortScenarioByName("sort-presorted")

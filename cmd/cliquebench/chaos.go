@@ -1,10 +1,16 @@
 package main
 
+// The chaos subcommand: every scenario of the chaos catalog injects a
+// deterministic fault plan (node panic, straggler stall, cancellation at a
+// barrier turn-over) through the public option set, runs twice to confirm
+// the replay is deterministic, and cross-checks every surviving run bit for
+// bit against a fault-free golden on the identical instance.
+
 import (
 	"context"
 	"errors"
+	"flag"
 	"fmt"
-	"strings"
 
 	cc "congestedclique"
 
@@ -26,41 +32,50 @@ type chaosRow struct {
 	Detail       string
 }
 
+func chaosCmd(fs *flag.FlagSet) func([]string) error {
+	n := fs.Int("n", 256, "number of clique nodes")
+	names := scenarioFlag(fs)
+	return func([]string) error {
+		t, err := runChaos(*n, *names)
+		if err != nil {
+			return err
+		}
+		emit(t)
+		return nil
+	}
+}
+
 // runChaos executes the chaos catalog against a fresh session handle and
-// renders the chaos table. Every scenario runs twice: once to classify the
-// outcome and once to confirm the replay is deterministic (recovered runs
-// must match the fault-free golden bit for bit; failed runs must reproduce
-// the identical error string). The handle is created here rather than shared
-// with the bench catalog so retry counters start at zero.
-func runChaos(n int, names string, markdown bool) (string, error) {
-	scenarios, err := selectChaosScenarios(names)
+// tabulates it. Every scenario runs twice: once to classify the outcome and
+// once to confirm the replay is deterministic (recovered runs must match the
+// fault-free golden bit for bit; failed runs must reproduce the identical
+// error string).
+func runChaos(n int, names string) (*tables.Table, error) {
+	scenarios, err := selectNamed(names, workload.ChaosScenarios(),
+		func(s workload.ChaosScenario) (string, string) { return s.Name, s.Description })
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	cl, err := cc.New(n)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	defer cl.Close()
 
 	ctx := context.Background()
-	dsts, payloads := workload.ProtocolBenchRoute(n)
-	msgs := make([][]cc.Message, n)
-	for i := range dsts {
-		msgs[i] = make([]cc.Message, len(dsts[i]))
-		for j := range dsts[i] {
-			msgs[i][j] = cc.Message{Src: i, Dst: dsts[i][j], Seq: j, Payload: payloads[i][j]}
-		}
+	msgs, err := protocolRoute(n)
+	if err != nil {
+		return nil, err
 	}
 	values := workload.ProtocolBenchSortValues(n)
 
 	goldenRoute, err := cl.Route(ctx, msgs)
 	if err != nil {
-		return "", fmt.Errorf("fault-free route golden: %w", err)
+		return nil, fmt.Errorf("fault-free route golden: %w", err)
 	}
 	goldenSort, err := cl.Sort(ctx, values)
 	if err != nil {
-		return "", fmt.Errorf("fault-free sort golden: %w", err)
+		return nil, fmt.Errorf("fault-free sort golden: %w", err)
 	}
 
 	// Sparse scenarios run on the O(n) scale-out instance, which AlgorithmAuto
@@ -68,24 +83,18 @@ func runChaos(n int, names string, markdown bool) (string, error) {
 	// is the same run fault-free.
 	ri, err := workload.ScaleSparseRoute(n, 1)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	sparseMsgs := make([][]cc.Message, n)
-	for i, row := range ri.Msgs {
-		sparseMsgs[i] = make([]cc.Message, len(row))
-		for j, m := range row {
-			sparseMsgs[i][j] = cc.Message{Src: m.Src, Dst: m.Dst, Seq: m.Seq, Payload: int64(m.Payload)}
-		}
-	}
+	sparseMsgs := instanceMessages(ri)
 	goldenSparse, err := cl.Route(ctx, sparseMsgs, cc.WithAlgorithm(cc.AlgorithmAuto))
 	if err != nil {
-		return "", fmt.Errorf("fault-free sparse route golden: %w", err)
+		return nil, fmt.Errorf("fault-free sparse route golden: %w", err)
 	}
 
 	var rows []chaosRow
 	for _, sc := range scenarios {
 		if err := workload.ValidateChaosScenario(sc, n); err != nil {
-			return "", err
+			return nil, err
 		}
 		scMsgs, scGoldenRoute := msgs, goldenRoute
 		if sc.Sparse {
@@ -93,7 +102,7 @@ func runChaos(n int, names string, markdown bool) (string, error) {
 		}
 		row, err := runChaosScenario(ctx, cl, sc, n, scMsgs, values, scGoldenRoute, goldenSort)
 		if err != nil {
-			return "", fmt.Errorf("chaos scenario %s: %w", sc.Name, err)
+			return nil, fmt.Errorf("chaos scenario %s: %w", sc.Name, err)
 		}
 		rows = append(rows, row)
 	}
@@ -105,27 +114,7 @@ func runChaos(n int, names string, markdown bool) (string, error) {
 	for _, r := range rows {
 		t.AddRow(r.Scenario, r.Op, r.Faults, r.Outcome, r.Retries, r.BitIdentical, r.Detail)
 	}
-	if markdown {
-		return t.Markdown(), nil
-	}
-	return t.String(), nil
-}
-
-// selectChaosScenarios resolves -scenarios against the chaos catalog.
-func selectChaosScenarios(names string) ([]workload.ChaosScenario, error) {
-	if names == "all" || names == "" {
-		return workload.ChaosScenarios(), nil
-	}
-	var out []workload.ChaosScenario
-	for _, name := range strings.Split(names, ",") {
-		name = strings.TrimSpace(name)
-		sc, ok := workload.ChaosScenarioByName(name)
-		if !ok {
-			return nil, fmt.Errorf("unknown chaos scenario %q (known: %v)", name, workload.ChaosScenarioNames())
-		}
-		out = append(out, sc)
-	}
-	return out, nil
+	return t, nil
 }
 
 // chaosOptions translates a scenario's abstract schedule into the public

@@ -1,13 +1,20 @@
-// Command cliquebench regenerates every experiment table recorded in
-// EXPERIMENTS.md (E1-E8): for each claim of the paper it runs the verified
-// protocol on the simulated congested clique and prints the measured rounds,
-// per-edge bandwidth and (where applicable) local computation next to the
-// paper's claimed bound.
+// Command cliquebench measures the protocols on the simulated congested
+// clique. Every subcommand verifies what it measures before it reports, and
+// prints its results as tables:
 //
-// The default sizes finish in well under a minute; -max-n raises the largest
-// clique size, -markdown switches the output to markdown tables, and
-// -json FILE additionally writes every table to FILE as a JSON document (the
-// format CI uploads as its benchmark artifact).
+//	cliquebench [tables] [-max-n N]   E1-E8: each claim of the paper next to the measured rounds and per-edge bandwidth
+//	cliquebench scen [-n N]           the scenario catalog through AlgorithmAuto vs the deterministic pipeline and the randomized baseline
+//	cliquebench temporal [-n N]       bursty instance sequences through WithPlanCache vs a cache-off handle
+//	cliquebench chaos [-n N]          deterministic fault injection, each scenario replayed twice
+//	cliquebench scaling [-max-n N]    the sparse scale-out frontier up to n=16384, every point checked by internal/verify
+//	cliquebench load -addr HOST:PORT  closed- or open-loop load against a running cliqued
+//	cliquebench record [-max-n N] FILE
+//	                                  regenerate the whole of BENCH_protocol.json
+//
+// Every subcommand takes -markdown (render markdown tables) and -out FILE
+// (also write the tables to FILE; a JSON document when FILE ends in .json,
+// the format of CI's BENCH_ci.json artifact). -h after a subcommand lists
+// its flags.
 package main
 
 import (
@@ -15,325 +22,191 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 
-	"congestedclique/internal/experiments"
+	cc "congestedclique"
+
 	"congestedclique/internal/tables"
 	"congestedclique/internal/workload"
 )
 
-var (
-	markdown  bool
-	collected []*tables.Table
-)
+// subcommands maps each subcommand to its setup: setup registers the
+// subcommand's flags and returns the body, which runs on the positional
+// arguments once the flags are parsed.
+var subcommands = map[string]func(fs *flag.FlagSet) func(args []string) error{
+	"tables":   tablesCmd,
+	"scen":     scenCmd,
+	"temporal": temporalCmd,
+	"chaos":    chaosCmd,
+	"scaling":  scalingCmd,
+	"load":     loadCmd,
+	"record":   recordCmd,
+}
 
 func main() {
 	log.SetFlags(0)
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		log.Print(err)
 		os.Exit(1)
 	}
 }
 
+func run(args []string) error {
+	name := "tables"
+	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
+		name, args = args[0], args[1:]
+	}
+	setup, ok := subcommands[name]
+	if !ok {
+		return fmt.Errorf("unknown subcommand %q (tables, scen, temporal, chaos, scaling, load, record)", name)
+	}
+	fs := flag.NewFlagSet("cliquebench "+name, flag.ExitOnError)
+	fs.BoolVar(&markdown, "markdown", false, "render tables as markdown")
+	fs.StringVar(&outPath, "out", "", "also write the tables to this file (a JSON document when it ends in .json)")
+	body := setup(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := body(fs.Args()); err != nil {
+		return err
+	}
+	return writeOut(fs)
+}
+
+// The emitter every subcommand reports through: emit prints a table to
+// stdout and keeps it for -out.
+var (
+	markdown  bool
+	outPath   string
+	collected []*tables.Table
+)
+
+func render(t *tables.Table) string {
+	if markdown {
+		return t.Markdown()
+	}
+	return t.String()
+}
+
 func emit(t *tables.Table) {
 	collected = append(collected, t)
-	if markdown {
-		fmt.Println(t.Markdown())
-		return
-	}
-	fmt.Println(t.String())
+	fmt.Println(render(t))
 }
 
-func run() error {
-	var (
-		maxN         = flag.Int("max-n", 256, "largest clique size to measure")
-		seed         = flag.Int64("seed", 1, "workload seed")
-		jsonPath     = flag.String("json", "", "also write all tables to this file as JSON")
-		protocolJSON = flag.String("protocol-json", "", "run the end-to-end Route/Sort protocol benchmarks and write them to this file (skips the experiment tables)")
-		protocolMaxN = flag.Int("protocol-max-n", 1024, "largest clique size for -protocol-json")
-		scalingJSON  = flag.String("scaling-json", "", "run the sparse scale-out frontier curve and merge its scaling section into this file (skips the experiment tables)")
-		scalingMaxN  = flag.Int("scaling-max-n", 16384, "largest clique size for -scaling-json")
-	)
-	flag.BoolVar(&markdown, "markdown", false, "emit markdown tables")
-	flag.Parse()
-
-	if *protocolJSON != "" {
-		return runProtocolBench(*protocolJSON, *protocolMaxN)
+// writeOut writes the emitted tables to -out: as a tables.Document carrying
+// the subcommand's flag values when the file ends in .json, else as
+// rendered.
+func writeOut(fs *flag.FlagSet) error {
+	if outPath == "" {
+		return nil
 	}
-	if *scalingJSON != "" {
-		return runScalingBench(*scalingJSON, *scalingMaxN)
-	}
-
-	sizes := []int{16, 25, 49, 64, 100, 144, 196, 256, 324, 400, 529, 625, 784, 1024}
-	nonSquares := []int{12, 20, 40, 90, 150, 200, 300, 500}
-	var squares, others []int
-	for _, n := range sizes {
-		if n <= *maxN {
-			squares = append(squares, n)
-		}
-	}
-	for _, n := range nonSquares {
-		if n <= *maxN {
-			others = append(others, n)
-		}
-	}
-
-	if err := e1Routing(squares, others, *seed); err != nil {
-		return fmt.Errorf("E1: %w", err)
-	}
-	if err := e2Sorting(squares, others, *seed); err != nil {
-		return fmt.Errorf("E2: %w", err)
-	}
-	if err := e3LowCompute(squares, *seed); err != nil {
-		return fmt.Errorf("E3: %w", err)
-	}
-	if err := e4RankSelectMode(squares, *seed); err != nil {
-		return fmt.Errorf("E4: %w", err)
-	}
-	if err := e5Comparison(squares, *seed); err != nil {
-		return fmt.Errorf("E5: %w", err)
-	}
-	if err := e6SmallKeys(squares, *seed); err != nil {
-		return fmt.Errorf("E6: %w", err)
-	}
-	if err := e7Bandwidth(squares, *seed); err != nil {
-		return fmt.Errorf("E7: %w", err)
-	}
-	if err := e8Coloring(*seed); err != nil {
-		return fmt.Errorf("E8: %w", err)
-	}
-	if *jsonPath != "" {
-		doc := &tables.Document{
-			Tool: "cliquebench",
-			Args: map[string]string{
-				"max-n": fmt.Sprint(*maxN),
-				"seed":  fmt.Sprint(*seed),
-			},
-			Tables: collected,
-		}
-		data, err := doc.JSON()
-		if err != nil {
+	var data []byte
+	if strings.HasSuffix(outPath, ".json") {
+		doc := &tables.Document{Tool: fs.Name(), Args: map[string]string{}, Tables: collected}
+		fs.VisitAll(func(f *flag.Flag) { doc.Args[f.Name] = f.Value.String() })
+		var err error
+		if data, err = doc.JSON(); err != nil {
 			return fmt.Errorf("render json: %w", err)
 		}
-		if err := os.WriteFile(*jsonPath, data, 0o644); err != nil {
-			return fmt.Errorf("write %s: %w", *jsonPath, err)
+	} else {
+		for _, t := range collected {
+			data = append(data, render(t)+"\n"...)
+		}
+	}
+	if err := os.WriteFile(outPath, data, 0o644); err != nil {
+		return fmt.Errorf("write %s: %w", outPath, err)
+	}
+	return nil
+}
+
+// scenarioFlag registers the -scenarios selector of a catalog subcommand.
+func scenarioFlag(fs *flag.FlagSet) *string {
+	return fs.String("scenarios", "all", "comma-separated scenario names, or all; an unknown name (say, help) lists the catalog")
+}
+
+// selectNamed resolves a -scenarios list against a catalog whose entries
+// describe returns as (name, one-line description): "all" keeps every
+// entry, otherwise the named entries are kept in catalog order, and an
+// unknown name is an error that lists the catalog.
+func selectNamed[S any](list string, catalog []S, describe func(S) (string, string)) ([]S, error) {
+	if list == "all" || list == "" {
+		return catalog, nil
+	}
+	want := make(map[string]bool)
+	for _, s := range strings.Split(list, ",") {
+		want[strings.TrimSpace(s)] = true
+	}
+	var out []S
+	var known strings.Builder
+	for _, s := range catalog {
+		name, desc := describe(s)
+		fmt.Fprintf(&known, "\n  %-26s %s", name, desc)
+		if want[name] {
+			out = append(out, s)
+			delete(want, name)
+		}
+	}
+	for s := range want {
+		return nil, fmt.Errorf("unknown scenario %q; the catalog:%s", s, known.String())
+	}
+	return out, nil
+}
+
+// protocolRoute is the deterministic full-load routing instance of the
+// protocol benchmarks and the stats-invariant goldens
+// (workload.ProtocolBenchRoute).
+func protocolRoute(n int) ([][]cc.Message, error) {
+	return cc.NewUniformMessages(workload.ProtocolBenchRoute(n))
+}
+
+// instanceMessages converts a workload routing instance to the public
+// message type.
+func instanceMessages(ri *workload.RoutingInstance) [][]cc.Message {
+	msgs := make([][]cc.Message, ri.N)
+	for i, row := range ri.Msgs {
+		msgs[i] = make([]cc.Message, len(row))
+		for j, m := range row {
+			msgs[i][j] = cc.Message{Src: m.Src, Dst: m.Dst, Seq: m.Seq, Payload: int64(m.Payload)}
+		}
+	}
+	return msgs
+}
+
+// sameDelivery compares two route results message by message (both are
+// sorted by (Src, Dst, Seq), so equality is positional).
+func sameDelivery(a, b *cc.RouteResult) error {
+	if len(a.Delivered) != len(b.Delivered) {
+		return fmt.Errorf("delivered to %d vs %d nodes", len(a.Delivered), len(b.Delivered))
+	}
+	for i := range a.Delivered {
+		if len(a.Delivered[i]) != len(b.Delivered[i]) {
+			return fmt.Errorf("node %d received %d vs %d messages", i, len(a.Delivered[i]), len(b.Delivered[i]))
+		}
+		for j := range a.Delivered[i] {
+			if a.Delivered[i][j] != b.Delivered[i][j] {
+				return fmt.Errorf("node %d message %d: %+v vs %+v", i, j, a.Delivered[i][j], b.Delivered[i][j])
+			}
 		}
 	}
 	return nil
 }
 
-func pick(ns []int, count int) []int {
-	if len(ns) <= count {
-		return ns
+// sameBatches compares two sort results batch by batch.
+func sameBatches(a, b *cc.SortResult) error {
+	if a.Total != b.Total || len(a.Batches) != len(b.Batches) {
+		return fmt.Errorf("total %d over %d batches vs total %d over %d batches",
+			a.Total, len(a.Batches), b.Total, len(b.Batches))
 	}
-	out := make([]int, 0, count)
-	step := float64(len(ns)-1) / float64(count-1)
-	for i := 0; i < count; i++ {
-		out = append(out, ns[int(float64(i)*step+0.5)])
-	}
-	return out
-}
-
-func e1Routing(squares, others []int, seed int64) error {
-	t := tables.New("E1 — Theorem 3.7: deterministic routing (claim: <= 16 rounds, O(log n) bits per edge per round)",
-		"n", "workload", "rounds", "claim", "max words/edge/round", "max packets/edge/round")
-	patterns := []workload.RoutingPattern{workload.RoutingUniform, workload.RoutingSkewed, workload.RoutingSetAdversarial}
-	for _, n := range squares {
-		for _, p := range patterns {
-			m, err := experiments.MeasureRouting(n, n, p, "deterministic", seed)
-			if err != nil {
-				return err
-			}
-			t.AddRow(n, string(p), m.Rounds, "<= 16", m.MaxEdgeWords, m.MaxEdgeMessages)
+	for i := range a.Batches {
+		if a.Starts[i] != b.Starts[i] || len(a.Batches[i]) != len(b.Batches[i]) {
+			return fmt.Errorf("node %d batch start %d len %d vs start %d len %d",
+				i, a.Starts[i], len(a.Batches[i]), b.Starts[i], len(b.Batches[i]))
 		}
-	}
-	for _, n := range pick(others, 4) {
-		m, err := experiments.MeasureRouting(n, n, workload.RoutingUniform, "deterministic", seed)
-		if err != nil {
-			return err
-		}
-		t.AddRow(n, "uniform (non-square n)", m.Rounds, "<= 16", m.MaxEdgeWords, m.MaxEdgeMessages)
-	}
-	emit(t)
-	return nil
-}
-
-func e2Sorting(squares, others []int, seed int64) error {
-	t := tables.New("E2 — Theorem 4.5: deterministic sorting (claim: <= 37 rounds)",
-		"n", "keys", "distribution", "rounds", "claim", "max words/edge/round")
-	dists := []workload.KeyDistribution{workload.KeysUniform, workload.KeysDuplicateHeavy, workload.KeysPreSorted}
-	for _, n := range squares {
-		for _, d := range dists {
-			m, err := experiments.MeasureSorting(n, n, d, "deterministic", seed)
-			if err != nil {
-				return err
-			}
-			t.AddRow(n, n*n, string(d), m.Rounds, "<= 37", m.MaxEdgeWords)
-		}
-	}
-	for _, n := range pick(others, 3) {
-		m, err := experiments.MeasureSorting(n, n, workload.KeysUniform, "deterministic", seed)
-		if err != nil {
-			return err
-		}
-		t.AddRow(n, n*n, "uniform (non-square n)", m.Rounds, "<= 37", m.MaxEdgeWords)
-	}
-	emit(t)
-	return nil
-}
-
-func e3LowCompute(squares []int, seed int64) error {
-	t := tables.New("E3 — Theorem 5.4: low-computation routing (claim: <= 12 rounds, O(n log n) steps and memory per node)",
-		"n", "rounds", "claim", "steps/node", "steps/(n)", "memory words/node", "max words/edge/round")
-	for _, n := range squares {
-		m, err := experiments.MeasureRouting(n, n, workload.RoutingUniform, "low-compute", seed)
-		if err != nil {
-			return err
-		}
-		ratio := "-"
-		if n > 0 && m.StepsPerNode > 0 {
-			ratio = fmt.Sprintf("%.1f", float64(m.StepsPerNode)/float64(n))
-		}
-		t.AddRow(n, m.Rounds, "<= 12", m.StepsPerNode, ratio, m.MemoryPerNode, m.MaxEdgeWords)
-	}
-	emit(t)
-	return nil
-}
-
-func e4RankSelectMode(squares []int, seed int64) error {
-	t := tables.New("E4 — Corollary 4.6: rank-in-union, selection and mode (claim: O(1) rounds)",
-		"n", "operation", "distribution", "rounds", "claim")
-	ns := pick(squares, 4)
-	for _, n := range ns {
-		for _, d := range []workload.KeyDistribution{workload.KeysDuplicateHeavy, workload.KeysUniform} {
-			m, err := experiments.MeasureRank(n, n, d, seed)
-			if err != nil {
-				return err
-			}
-			t.AddRow(n, "rank-in-union", string(d), m.Rounds, "O(1) (37+1+16)")
-		}
-		sel, err := experiments.MeasureSelect(n, n, workload.KeysUniform, seed)
-		if err != nil {
-			return err
-		}
-		t.AddRow(n, "selection (median)", "uniform", sel.Rounds, "O(1) (37+1)")
-		mod, err := experiments.MeasureMode(n, n, workload.KeysDuplicateHeavy, seed)
-		if err != nil {
-			return err
-		}
-		t.AddRow(n, "mode", "duplicate-heavy", mod.Rounds, "O(1) (37+1)")
-	}
-	emit(t)
-	return nil
-}
-
-func e5Comparison(squares []int, seed int64) error {
-	t := tables.New("E5 — deterministic vs randomized vs naive (introduction: randomized prior work is ~2x faster; naive direct delivery degenerates)",
-		"n", "workload", "algorithm", "rounds", "max words/edge/round")
-	ns := pick(squares, 3)
-	for _, n := range ns {
-		for _, p := range []workload.RoutingPattern{workload.RoutingUniform, workload.RoutingSkewed} {
-			for _, alg := range []string{"deterministic", "low-compute", "randomized", "naive-direct"} {
-				m, err := experiments.MeasureRouting(n, n, p, alg, seed)
-				if err != nil {
-					return err
-				}
-				t.AddRow(n, string(p), alg, m.Rounds, m.MaxEdgeWords)
+		for j := range a.Batches[i] {
+			if a.Batches[i][j] != b.Batches[i][j] {
+				return fmt.Errorf("node %d key %d: %+v vs %+v", i, j, a.Batches[i][j], b.Batches[i][j])
 			}
 		}
 	}
-	emit(t)
-
-	ts := tables.New("E5b — deterministic vs randomized sorting",
-		"n", "keys", "algorithm", "rounds")
-	for _, n := range ns {
-		for _, alg := range []string{"deterministic", "randomized"} {
-			m, err := experiments.MeasureSorting(n, n, workload.KeysUniform, alg, seed)
-			if err != nil {
-				return err
-			}
-			ts.AddRow(n, n*n, alg, m.Rounds)
-		}
-	}
-	emit(ts)
-	return nil
-}
-
-func e6SmallKeys(squares []int, seed int64) error {
-	t := tables.New("E6 — Section 6.3: counting keys of o(log n) bits (claim: 2 rounds, 1-2 bit messages)",
-		"n", "domain K", "keys", "rounds", "claim", "max words/edge/round")
-	for _, n := range squares {
-		if n < 64 {
-			continue
-		}
-		bits := 1
-		for (1 << bits) <= n {
-			bits++
-		}
-		domain := n / (bits * bits)
-		if domain < 1 {
-			continue
-		}
-		if domain > 8 {
-			domain = 8
-		}
-		m, err := experiments.MeasureSmallKeys(n, n, domain, seed)
-		if err != nil {
-			return err
-		}
-		t.AddRow(n, domain, n*n, m.Rounds, "2", m.MaxEdgeWords)
-	}
-	emit(t)
-	return nil
-}
-
-func e7Bandwidth(squares []int, seed int64) error {
-	t := tables.New("E7 — model compliance: maximum per-edge load per round stays a constant number of O(log n)-bit words for every algorithm",
-		"algorithm", "n", "rounds", "max words/edge/round", "max packets/edge/round")
-	ns := pick(squares, 3)
-	for _, n := range ns {
-		for _, alg := range []string{"deterministic", "low-compute"} {
-			m, err := experiments.MeasureRouting(n, n, workload.RoutingSetAdversarial, alg, seed)
-			if err != nil {
-				return err
-			}
-			t.AddRow("routing/"+alg, n, m.Rounds, m.MaxEdgeWords, m.MaxEdgeMessages)
-		}
-		m, err := experiments.MeasureSorting(n, n, workload.KeysDuplicateHeavy, "deterministic", seed)
-		if err != nil {
-			return err
-		}
-		t.AddRow("sorting/deterministic", n, m.Rounds, m.MaxEdgeWords, m.MaxEdgeMessages)
-	}
-	emit(t)
-	return nil
-}
-
-func e8Coloring(seed int64) error {
-	t := tables.New("E8 — ablation (footnote 3 / Section 5): exact König coloring vs greedy 2Δ-1 coloring of the routing schedules",
-		"matrix", "degree", "method", "colors", "time")
-	cases := []struct{ size, degree int }{{16, 256}, {32, 1024}, {32, 4096}}
-	for _, c := range cases {
-		for _, method := range []string{"exact", "greedy", "exact-expanded"} {
-			m, err := experiments.MeasureColoring(c.size, c.degree, method, seed)
-			if err != nil {
-				return err
-			}
-			t.AddRow(fmt.Sprintf("%dx%d", c.size, c.size), c.degree, method, m.Colors, m.Duration.Round(1000).String())
-		}
-	}
-	emit(t)
-
-	t2 := tables.New("E8b — end-to-end effect: 16-round exact-coloring router vs 12-round Section 5 router",
-		"n", "algorithm", "rounds", "max words/edge/round")
-	for _, n := range []int{64, 256} {
-		for _, alg := range []string{"deterministic", "low-compute"} {
-			m, err := experiments.MeasureRouting(n, n, workload.RoutingUniform, alg, seed)
-			if err != nil {
-				return err
-			}
-			t2.AddRow(n, alg, m.Rounds, m.MaxEdgeWords)
-		}
-	}
-	emit(t2)
 	return nil
 }

@@ -1,42 +1,40 @@
 package main
 
-// The scale-out frontier curve (cliquebench -scaling-json): full Route and
-// Sort protocol runs of sparse demand under AlgorithmAuto at n up to 16384,
+// The scaling subcommand, the scale-out frontier curve: full Route and Sort
+// protocol runs of sparse demand under AlgorithmAuto at n up to 16384,
 // recording wall time, allocation figures, process peak RSS and the model
 // cost (rounds, total words) per point. Every point's output is checked with
 // internal/verify against the paper's correctness conditions, so the curve
-// doubles as a correctness pin. Results merge into the scaling section of
-// BENCH_protocol.json by (op, n), preserving every other section of the
-// document.
+// doubles as a correctness pin.
 
 import (
+	"flag"
 	"fmt"
-	"runtime"
 
 	cc "congestedclique"
 
 	"congestedclique/internal/core"
 	"congestedclique/internal/experiments"
+	"congestedclique/internal/tables"
 	"congestedclique/internal/verify"
 	"congestedclique/internal/workload"
 )
 
-// scalingSizes is the frontier's n axis; points above -scaling-max-n are
-// skipped. Sizes run ascending so the recorded VmHWM reads as "peak RSS
-// after completing size n".
+// scalingSizes is the frontier's n axis; points above -max-n are skipped.
+// Sizes run ascending so the recorded VmHWM reads as "peak RSS after
+// completing size n".
 var scalingSizes = []int{256, 1024, 4096, 16384}
 
-// scalingMessages converts a workload routing instance to the public message
-// type.
-func scalingMessages(ri *workload.RoutingInstance) [][]cc.Message {
-	msgs := make([][]cc.Message, ri.N)
-	for i, row := range ri.Msgs {
-		msgs[i] = make([]cc.Message, len(row))
-		for j, m := range row {
-			msgs[i][j] = cc.Message{Src: m.Src, Dst: m.Dst, Seq: m.Seq, Payload: int64(m.Payload)}
+func scalingCmd(fs *flag.FlagSet) func([]string) error {
+	maxN := fs.Int("max-n", 16384, "largest clique size")
+	return func([]string) error {
+		section, err := runScaling(*maxN)
+		if err != nil {
+			return err
 		}
+		emit(scalingTable(section))
+		return nil
 	}
-	return msgs
 }
 
 // scalingOp is one measured operation of the curve: a routing demand or a
@@ -61,8 +59,8 @@ func scalingOps(n int) ([]scalingOp, error) {
 		return nil, err
 	}
 	return []scalingOp{
-		{op: "route-sparse", sent: ri.Msgs, route: scalingMessages(ri)},
-		{op: "route-broadcast", sent: bi.Msgs, route: scalingMessages(bi)},
+		{op: "route-sparse", sent: ri.Msgs, route: instanceMessages(ri)},
+		{op: "route-broadcast", sent: bi.Msgs, route: instanceMessages(bi)},
 		{op: "sort-presorted", values: workload.ScalePresortedValues(n)},
 	}, nil
 }
@@ -139,39 +137,22 @@ func measureScaling(n, iters int, o scalingOp) (experiments.ScalingBench, error)
 	}, nil
 }
 
-// runScalingBench measures the scale-out frontier at every size up to maxN
-// and merges the resulting curve into the scaling section of the document at
-// path, leaving the other sections untouched.
-func runScalingBench(path string, maxN int) error {
-	prev, err := experiments.ReadProtocolDoc(path)
-	if err != nil {
-		return err
+// runScaling measures the scale-out frontier at every size up to maxN.
+func runScaling(maxN int) (*experiments.ScalingSection, error) {
+	sec := &experiments.ScalingSection{
+		Note: "full AlgorithmAuto protocol runs of sparse demand (one-shot handles; the planner's fast " +
+			"strategies run as step programs) per point; peak_rss_bytes is the process VmHWM sampled after the " +
+			"point and is monotone across one invocation (sizes run ascending, so it reads as peak RSS after " +
+			"completing size n); verified means the output passed internal/verify (Routing: every message exactly " +
+			"once at its destination; Sorting: sorted, contiguous, balanced batches), checked at every n",
 	}
-	if prev.Tool == "" { // fresh document (standalone artifact runs)
-		prev.Tool = "cliquebench -scaling-json"
-		prev.Schema = "congestedclique/bench-protocol/v1"
-	}
-	sec := prev.Scaling
-	if sec == nil {
-		sec = &experiments.ScalingSection{}
-	}
-	sec.Tool = "cliquebench -scaling-json"
-	sec.Schema = "congestedclique/bench-scaling/v1"
-	sec.Note = fmt.Sprintf("full AlgorithmAuto protocol runs of sparse demand (one-shot handles; the planner's fast "+
-		"strategies run as step programs) per point; peak_rss_bytes is the process "+
-		"VmHWM sampled after the point and is monotone across one invocation (sizes run ascending, so it reads as "+
-		"peak RSS after completing size n); verified means the output passed internal/verify (Routing: every "+
-		"message exactly once at its destination; Sorting: sorted, contiguous, balanced batches), checked at every "+
-		"n; GOMAXPROCS=%d, so wall times show the simulation's cost on this host, not protocol parallelism",
-		runtime.GOMAXPROCS(0))
-
 	for _, n := range scalingSizes {
 		if n > maxN {
 			continue
 		}
 		ops, err := scalingOps(n)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		iters := 3
 		if n >= 4096 {
@@ -180,14 +161,20 @@ func runScalingBench(path string, maxN int) error {
 		for _, o := range ops {
 			run, err := measureScaling(n, iters, o)
 			if err != nil {
-				return fmt.Errorf("%s n=%d: %w", o.op, n, err)
+				return nil, fmt.Errorf("%s n=%d: %w", o.op, n, err)
 			}
-			sec.MergeScalingRun(run)
-			fmt.Printf("scaling %-16s n=%-6d %-10s rounds=%-2d words=%-8d %12d ns/op %10d B/op %8d allocs/op rss=%d MiB verified=%v\n",
-				run.Op, run.N, run.Strategy, run.Rounds, run.TotalWords,
-				run.NsPerOp, run.BytesPerOp, run.AllocsPerOp, run.PeakRSSBytes>>20, run.Verified)
+			sec.Entries = append(sec.Entries, run)
 		}
 	}
-	prev.Scaling = sec
-	return experiments.WriteProtocolDoc(path, prev)
+	return sec, nil
+}
+
+func scalingTable(sec *experiments.ScalingSection) *tables.Table {
+	t := tables.New("Scale-out frontier (AlgorithmAuto, sparse demand, every point verified by internal/verify)",
+		"op", "n", "strategy", "rounds", "words", "ms/op", "allocs/op", "KiB/op", "peak RSS MiB")
+	for _, e := range sec.Entries {
+		t.AddRow(e.Op, e.N, e.Strategy, e.Rounds, e.TotalWords, fmt.Sprintf("%.2f", float64(e.NsPerOp)/1e6),
+			e.AllocsPerOp, e.BytesPerOp>>10, e.PeakRSSBytes>>20)
+	}
+	return t
 }

@@ -1,19 +1,17 @@
 package main
 
-// The -temporal mode: execute each temporal trace step by step on a
+// The temporal subcommand: execute each temporal trace step by step on a
 // plan-cached handle (census charged) and on a plain AlgorithmAuto handle,
 // deep-compare every step between the two, and record hit rate and net
-// speedup. The comparison is deliberately asymmetric in the cache side's
-// favor never being assumed: the cached handle pays the census on every step
-// and the schedule capture on every miss, while the plain handle pays
-// neither, so NetSpeedup is the end-to-end figure a caller with bursty
-// demand would actually see.
+// speedup. The comparison never assumes the cache side's favour: the cached
+// handle pays the census on every step and the schedule capture on every
+// miss, while the plain handle pays neither, so NetSpeedup is the end-to-end
+// figure a caller with bursty demand would actually see.
 
 import (
 	"context"
+	"flag"
 	"fmt"
-	"os"
-	"strings"
 	"time"
 
 	cc "congestedclique"
@@ -23,75 +21,39 @@ import (
 	"congestedclique/internal/workload"
 )
 
-func runTemporalCatalog(n int, seed int64, names string, cacheCap int, jsonPath, outPath string, markdown bool) error {
-	scenarios, err := selectTemporalScenarios(names)
+func temporalCmd(fs *flag.FlagSet) func([]string) error {
+	n := fs.Int("n", 256, "number of clique nodes")
+	seed := fs.Int64("seed", 1, "workload seed")
+	names := scenarioFlag(fs)
+	cacheCap := fs.Int("plan-cache", 8, "plan-cache capacity of the cached handle")
+	return func([]string) error {
+		section, err := runTemporal(*n, *seed, *names, *cacheCap)
+		if err != nil {
+			return err
+		}
+		emit(temporalTable(section, *n))
+		return nil
+	}
+}
+
+func runTemporal(n int, seed int64, names string, cacheCap int) (*experiments.TemporalSection, error) {
+	scenarios, err := selectNamed(names, workload.TemporalScenarios(),
+		func(s workload.TemporalScenario) (string, string) { return s.Name, s.Description })
 	if err != nil {
-		return err
+		return nil, err
 	}
 	section := &experiments.TemporalSection{
-		Tool:   "cliquescen",
-		Schema: "congestedclique/bench-temporal/v1",
-		Seed:   seed,
-		Note:   "net speedup: the cached handle pays the charged census every step and the schedule capture on every miss; every step verified bit-identical to the cache-off handle",
+		Seed: seed,
+		Note: "net speedup: the cached handle pays the charged census every step and the schedule capture on every miss; every step verified bit-identical to the cache-off handle",
 	}
 	for _, sc := range scenarios {
 		row, err := runTemporalScenario(sc, n, seed, cacheCap)
 		if err != nil {
-			return fmt.Errorf("temporal scenario %s: %w", sc.Name, err)
+			return nil, fmt.Errorf("temporal scenario %s: %w", sc.Name, err)
 		}
-		section.MergeTemporalRun(row)
+		section.Entries = append(section.Entries, row)
 	}
-
-	rendered := renderTemporalTable(section, n, markdown)
-	fmt.Println(rendered)
-	if outPath != "" {
-		if err := os.WriteFile(outPath, []byte(rendered+"\n"), 0o644); err != nil {
-			return err
-		}
-	}
-	if jsonPath != "" {
-		doc, err := experiments.ReadProtocolDoc(jsonPath)
-		if err != nil {
-			return err
-		}
-		if doc.Temporal != nil {
-			// Preserve rows of other (scenario, n) keys from earlier runs.
-			for _, row := range section.Entries {
-				doc.Temporal.MergeTemporalRun(row)
-			}
-			doc.Temporal.Tool = section.Tool
-			doc.Temporal.Schema = section.Schema
-			doc.Temporal.Seed = section.Seed
-			doc.Temporal.Note = section.Note
-		} else {
-			doc.Temporal = section
-		}
-		if doc.Tool == "" {
-			doc.Tool = "cliquescen"
-			doc.Schema = "congestedclique/bench-protocol/v1"
-		}
-		if err := experiments.WriteProtocolDoc(jsonPath, doc); err != nil {
-			return err
-		}
-		fmt.Printf("temporal section written to %s\n", jsonPath)
-	}
-	return nil
-}
-
-func selectTemporalScenarios(names string) ([]workload.TemporalScenario, error) {
-	if names == "all" || names == "" {
-		return workload.TemporalScenarios(), nil
-	}
-	var out []workload.TemporalScenario
-	for _, name := range strings.Split(names, ",") {
-		name = strings.TrimSpace(name)
-		sc, ok := workload.TemporalScenarioByName(name)
-		if !ok {
-			return nil, fmt.Errorf("unknown temporal scenario %q (known: %s)", name, strings.Join(workload.TemporalScenarioNames(), ", "))
-		}
-		out = append(out, sc)
-	}
-	return out, nil
+	return section, nil
 }
 
 // runTemporalScenario executes one trace on both handles. Both engines are
@@ -107,13 +69,7 @@ func runTemporalScenario(sc workload.TemporalScenario, n int, seed int64, cacheC
 	}
 	instances := make([][][]cc.Message, len(tr.Distinct))
 	for v, ri := range tr.Distinct {
-		msgs := make([][]cc.Message, n)
-		for i, row := range ri.Msgs {
-			for _, m := range row {
-				msgs[i] = append(msgs[i], cc.Message{Src: m.Src, Dst: m.Dst, Seq: m.Seq, Payload: int64(m.Payload)})
-			}
-		}
-		instances[v] = msgs
+		instances[v] = instanceMessages(ri)
 	}
 
 	ctx := context.Background()
@@ -187,7 +143,7 @@ func runTemporalScenario(sc workload.TemporalScenario, n int, seed int64, cacheC
 	return row, nil
 }
 
-func renderTemporalTable(section *experiments.TemporalSection, n int, markdown bool) string {
+func temporalTable(section *experiments.TemporalSection, n int) *tables.Table {
 	t := tables.New(
 		fmt.Sprintf("Temporal catalog, n=%d seed=%d (plan cache + charged census vs plain AlgorithmAuto)", n, section.Seed),
 		"scenario", "strategy", "steps", "distinct", "hits", "misses", "hit rate", "rounds off/miss/hit", "words off", "words on", "ms/op off", "ms/op on", "net speedup",
@@ -201,8 +157,5 @@ func renderTemporalTable(section *experiments.TemporalSection, n int, markdown b
 			fmt.Sprintf("%.2f", float64(e.CacheOnNsPerOp)/1e6),
 			fmt.Sprintf("%.2fx", e.NetSpeedup))
 	}
-	if markdown {
-		return t.Markdown()
-	}
-	return t.String()
+	return t
 }

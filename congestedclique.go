@@ -169,7 +169,7 @@ const (
 	StrategyEmpty
 )
 
-// String returns the strategy name as printed by cmd/cliquescen.
+// String returns the strategy name as printed by cliquebench scen.
 func (s RouteStrategy) String() string {
 	switch s {
 	case StrategyPipeline:
@@ -228,7 +228,7 @@ const (
 	SortStrategyEmpty
 )
 
-// String returns the strategy name as printed by cmd/cliquescen.
+// String returns the strategy name as printed by cliquebench scen.
 func (s SortStrategy) String() string {
 	switch s {
 	case SortStrategyPipeline:

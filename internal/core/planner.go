@@ -131,7 +131,7 @@ type RoutePlan struct {
 	// Strategy is the selected delivery strategy.
 	Strategy RouteStrategy
 	// Reason is a human-readable one-liner explaining the dispatch (surfaced
-	// by cmd/cliquescen).
+	// by cliquebench scen).
 	Reason string
 
 	// TotalMessages is the number of messages in the instance.

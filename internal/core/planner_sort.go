@@ -101,7 +101,7 @@ type SortPlan struct {
 	// Strategy is the selected sorting strategy.
 	Strategy SortStrategy
 	// Reason is a human-readable one-liner explaining the dispatch (surfaced
-	// by cmd/cliquescen).
+	// by cliquebench scen).
 	Reason string
 
 	// TotalKeys is the number of keys in the instance.

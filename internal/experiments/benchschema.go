@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 	"runtime"
 	"strconv"
@@ -10,65 +9,45 @@ import (
 	"time"
 )
 
-// This file is the single definition of the BENCH_protocol.json schema
-// (congestedclique/bench-protocol/v1). Two tools write into the same file —
-// cmd/cliquebench -protocol-json owns the protocol and concurrency sections,
-// cmd/cliquescen owns the scenarios section — so the schema lives here and
-// each tool preserves the other's sections when regenerating its own (see
-// ReadProtocolDoc).
+// This file is the schema of BENCH_protocol.json
+// (congestedclique/bench-protocol/v2). `cliquebench record` is its only
+// writer and regenerates the whole document in one invocation, so every
+// section was measured on the Host recorded once at the top.
+
+// Host is the machine a document was measured on. Delivery fans out over
+// cores, so wall times only compare between documents that agree on it.
+type Host struct {
+	Cores      int    `json:"cores"`
+	Gomaxprocs int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+	Platform   string `json:"platform"`
+}
+
+// CurrentHost describes the running process's machine.
+func CurrentHost() Host {
+	return Host{
+		Cores:      runtime.NumCPU(),
+		Gomaxprocs: runtime.GOMAXPROCS(0),
+		GoVersion:  runtime.Version(),
+		Platform:   runtime.GOOS + "/" + runtime.GOARCH,
+	}
+}
 
 // ProtocolBench is one end-to-end protocol measurement: a full Route or Sort
-// execution per op, allocations included. Cores and Gomaxprocs record the
-// host the row was measured on — since delivery fans out over cores, ns/op
-// is only comparable between rows that agree on them.
+// execution per op on a fresh one-shot handle, allocations included.
 type ProtocolBench struct {
-	Name        string  `json:"name"`
-	N           int     `json:"n"`
-	Cores       int     `json:"cores,omitempty"`
-	Gomaxprocs  int     `json:"gomaxprocs,omitempty"`
-	Iterations  int     `json:"iterations,omitempty"`
-	NsPerOp     int64   `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	Rounds      int     `json:"rounds,omitempty"`
-	MaxEdgeW    int     `json:"max_edge_words,omitempty"`
-	SpeedupVs   float64 `json:"speedup_vs_baseline,omitempty"`
-	AllocRatio  float64 `json:"alloc_reduction_vs_baseline,omitempty"`
-}
-
-// ConcurrencyBench is one measured point of the engine-pool throughput
-// sweep: k concurrent streams on one handle with a pool of k engines,
-// measured by the shared internal/loadgen harness (the same measurement
-// cmd/cliqueload performs interactively). Every operation's result is
-// verified bit-identical to serial execution before it counts.
-type ConcurrencyBench struct {
-	Name        string  `json:"name"`
-	N           int     `json:"n"`
-	K           int     `json:"k"`
-	Streams     int     `json:"streams"`
-	TotalOps    int     `json:"total_ops"`
-	OpsPerSec   float64 `json:"ops_per_sec"`
-	P50Ms       float64 `json:"latency_p50_ms"`
-	P99Ms       float64 `json:"latency_p99_ms"`
-	SpeedupVsK1 float64 `json:"speedup_vs_k1,omitempty"`
-	VerifiedOps int     `json:"verified_ops"`
-}
-
-// ConcurrencySection is the concurrency block of BENCH_protocol.json. The
-// in-process engine shares one machine's memory bandwidth and every run
-// already keeps GOMAXPROCS sweep workers busy, so scaling with k is bounded by
-// Cores/Gomaxprocs — the numbers are recorded as measured on this machine,
-// not extrapolated.
-type ConcurrencySection struct {
-	Cores      int                `json:"cores"`
-	Gomaxprocs int                `json:"gomaxprocs"`
-	Note       string             `json:"note"`
-	Route      []ConcurrencyBench `json:"route"`
-	Sort       []ConcurrencyBench `json:"sort"`
+	Name        string `json:"name"`
+	N           int    `json:"n"`
+	Iterations  int    `json:"iterations"`
+	NsPerOp     int64  `json:"ns_per_op"`
+	AllocsPerOp int64  `json:"allocs_per_op"`
+	BytesPerOp  int64  `json:"bytes_per_op"`
+	Rounds      int    `json:"rounds"`
+	MaxEdgeW    int    `json:"max_edge_words"`
 }
 
 // ScenarioBench is one row of the scenario catalog sweep: the demand-aware
-// planner (AlgorithmAuto) run once on the named workload scenario, compared
+// planner (AlgorithmAuto) run on the named workload scenario, compared
 // against the full deterministic pipeline on the same instance.
 type ScenarioBench struct {
 	Scenario string `json:"scenario"`
@@ -105,23 +84,19 @@ type ScenarioBench struct {
 	Verified bool `json:"verified"`
 }
 
-// ScenarioSection is the scenarios block of BENCH_protocol.json, written by
-// cmd/cliquescen.
+// ScenarioSection is the scenarios block of BENCH_protocol.json.
 type ScenarioSection struct {
-	Tool    string          `json:"tool"`
-	Schema  string          `json:"schema"`
 	N       int             `json:"n"`
 	Seed    int64           `json:"seed"`
 	Entries []ScenarioBench `json:"entries"`
 }
 
-// ServiceBench is one measured load run against a cliqued server over the
-// wire protocol, produced by cmd/cliqueload -addr -protocol-json. Closed-loop
-// rows ("closed") measure latency at a fixed client-concurrency level;
-// open-loop rows ("open") hold an offered rate through saturation, where
-// SheddedOps counts bounded-queue rejections (named errors, not failures —
-// FailedOps stays the hard-failure count and must be zero for the shedding
-// claim to hold).
+// ServiceBench is one measured load run against a service.Server over the
+// wire protocol. Closed-loop rows ("closed") measure latency at a fixed
+// client-concurrency level; open-loop rows ("open") hold an offered rate
+// through saturation, where SheddedOps counts bounded-queue rejections
+// (named errors, not failures — FailedOps stays the hard-failure count and
+// must be zero for the shedding claim to hold).
 type ServiceBench struct {
 	Mode         string  `json:"mode"`
 	Workload     string  `json:"workload"`
@@ -133,7 +108,7 @@ type ServiceBench struct {
 	FailedOps    int     `json:"failed_ops"`
 	Retries      int64   `json:"retries"`
 	// PlanCacheHits/PlanCacheMisses are the server-side plan-cache counter
-	// deltas over the run (zero unless cliqued runs with -plan-cache).
+	// deltas over the run (zero unless the server runs a plan cache).
 	PlanCacheHits   int64   `json:"plan_cache_hits,omitempty"`
 	PlanCacheMisses int64   `json:"plan_cache_misses,omitempty"`
 	VerifiedOps     int     `json:"verified_ops"`
@@ -145,32 +120,17 @@ type ServiceBench struct {
 }
 
 // ServiceSection is the service block of BENCH_protocol.json: the network
-// front-end's throughput/latency profile as measured end to end by
-// cmd/cliqueload -addr against a running cliqued. The server-side pool and
-// queue configuration is recorded alongside so the rows are interpretable;
-// runs merge by (mode, streams, rate) so the section can be regenerated one
-// invocation at a time without losing the other rows.
+// front-end's throughput/latency profile measured end to end against an
+// in-process service.Server on loopback, with the server's pool, queue and
+// batching configuration recorded so the rows are interpretable.
 type ServiceSection struct {
-	Tool              string         `json:"tool"`
-	Schema            string         `json:"schema"`
 	N                 int            `json:"n"`
 	ServerConcurrency int            `json:"server_concurrency"`
 	QueueDepth        int            `json:"queue_depth"`
 	BatchMaxOps       int            `json:"batch_max_ops"`
+	PlanCache         int            `json:"plan_cache"`
 	Note              string         `json:"note"`
 	Runs              []ServiceBench `json:"runs"`
-}
-
-// MergeServiceRun replaces the section row with the same (mode, streams,
-// rate) key or appends a new one, keeping regeneration idempotent.
-func (s *ServiceSection) MergeServiceRun(run ServiceBench) {
-	for i, r := range s.Runs {
-		if r.Mode == run.Mode && r.Streams == run.Streams && r.Rate == run.Rate {
-			s.Runs[i] = run
-			return
-		}
-	}
-	s.Runs = append(s.Runs, run)
 }
 
 // TemporalBench is one measured temporal-scenario trace: a sequence of
@@ -208,27 +168,11 @@ type TemporalBench struct {
 	Verified bool `json:"verified"`
 }
 
-// TemporalSection is the temporal block of BENCH_protocol.json, written by
-// cmd/cliquescen -temporal. Rows merge by (scenario, n) so the section can
-// be regenerated one trace at a time.
+// TemporalSection is the temporal block of BENCH_protocol.json.
 type TemporalSection struct {
-	Tool    string          `json:"tool"`
-	Schema  string          `json:"schema"`
 	Seed    int64           `json:"seed"`
 	Note    string          `json:"note,omitempty"`
 	Entries []TemporalBench `json:"entries"`
-}
-
-// MergeTemporalRun replaces the row with the same (scenario, n) key or
-// appends a new one, keeping regeneration idempotent.
-func (s *TemporalSection) MergeTemporalRun(run TemporalBench) {
-	for i, r := range s.Entries {
-		if r.Scenario == run.Scenario && r.N == run.N {
-			s.Entries[i] = run
-			return
-		}
-	}
-	s.Entries = append(s.Entries, run)
 }
 
 // ScalingBench is one point of the scale-out frontier curve: a full
@@ -251,35 +195,18 @@ type ScalingBench struct {
 	BytesPerOp    int64  `json:"bytes_per_op"`
 	// PeakRSSBytes is the process high-water resident set (VmHWM) sampled
 	// right after this point's runs. It is monotone across the whole
-	// invocation, so with sizes measured in ascending order it reads as
-	// "peak RSS after completing size n".
+	// invocation, so with sizes measured in ascending order, before any
+	// other section, it reads as "peak RSS after completing size n".
 	PeakRSSBytes int64 `json:"peak_rss_bytes,omitempty"`
 	// Verified reports that the point's output passed the internal/verify
-	// oracle (Routing respectively Sorting), which cliquebench runs at every
-	// n; documents written before that check existed carry false at n >= 4096.
+	// oracle (Routing respectively Sorting).
 	Verified bool `json:"verified"`
 }
 
-// ScalingSection is the scaling block of BENCH_protocol.json, written by
-// cmd/cliquebench -scaling-json. Rows merge by (op, n) so the curve can be
-// extended one size at a time.
+// ScalingSection is the scaling block of BENCH_protocol.json.
 type ScalingSection struct {
-	Tool    string         `json:"tool"`
-	Schema  string         `json:"schema"`
 	Note    string         `json:"note"`
 	Entries []ScalingBench `json:"entries"`
-}
-
-// MergeScalingRun replaces the row with the same (op, n) key or appends a
-// new one, keeping regeneration idempotent.
-func (s *ScalingSection) MergeScalingRun(run ScalingBench) {
-	for i, r := range s.Entries {
-		if r.Op == run.Op && r.N == run.N {
-			s.Entries[i] = run
-			return
-		}
-	}
-	s.Entries = append(s.Entries, run)
 }
 
 // PeakRSSBytes returns the process's peak resident set size (VmHWM) in
@@ -308,34 +235,26 @@ func PeakRSSBytes() int64 {
 
 // ProtocolDoc is the schema of BENCH_protocol.json.
 type ProtocolDoc struct {
-	Tool     string          `json:"tool"`
-	Schema   string          `json:"schema"`
-	MaxN     int             `json:"max_n"`
-	Measured []ProtocolBench `json:"measured"`
-	// SessionReuse measures the same workloads issued repeatedly on one
-	// long-lived Clique handle (the session API): amortized ns/op and
-	// allocs/op of the warm-engine path, comparable entry by entry with the
-	// fresh-handle numbers in Measured.
-	SessionReuse []ProtocolBench `json:"session_reuse,omitempty"`
-	// Concurrency records the engine-pool throughput sweep (see
-	// ConcurrencySection).
-	Concurrency *ConcurrencySection `json:"concurrency,omitempty"`
-	// Scenarios records the demand-aware planner's scenario catalog sweep
-	// (see ScenarioSection); owned by cmd/cliquescen and preserved by
-	// cmd/cliquebench.
+	Tool   string `json:"tool"`
+	Schema string `json:"schema"`
+	MaxN   int    `json:"max_n"`
+	Host   Host   `json:"host"`
+	// Measured holds the one-shot Route and Sort rows at n = 64, 256 and
+	// 1024 (up to MaxN).
+	Measured  []ProtocolBench  `json:"measured"`
 	Scenarios *ScenarioSection `json:"scenarios,omitempty"`
-	// Service records the network front-end's measured profile (see
-	// ServiceSection); owned by cmd/cliqueload -addr -protocol-json and
-	// preserved by the other writers.
-	Service *ServiceSection `json:"service,omitempty"`
-	// Temporal records the cross-run plan-cache profile on bursty instance
-	// sequences (see TemporalSection); owned by cmd/cliquescen -temporal and
-	// preserved by the other writers.
-	Temporal *TemporalSection `json:"temporal,omitempty"`
-	// Scaling records the sparse scale-out frontier curve (see
-	// ScalingSection); owned by cmd/cliquebench -scaling-json and preserved
-	// by the other writers.
-	Scaling *ScalingSection `json:"scaling,omitempty"`
+	Service   *ServiceSection  `json:"service,omitempty"`
+	Temporal  *TemporalSection `json:"temporal,omitempty"`
+	Scaling   *ScalingSection  `json:"scaling,omitempty"`
+}
+
+// WriteFile writes the document to path with stable indentation.
+func (d *ProtocolDoc) WriteFile(path string) error {
+	data, err := json.MarshalIndent(d, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // OpMeasurement is one wall-clock/allocation measurement produced by
@@ -346,11 +265,10 @@ type OpMeasurement struct {
 	BytesPerOp  int64
 }
 
-// MeasureOp is the shared measurement discipline of cliquebench and
-// cliquescen: run op iters times after a GC flush and report wall time and
+// MeasureOp is the measurement discipline of every BENCH_protocol.json
+// section: run op iters times after a GC flush and report wall time and
 // allocation figures per op. The caller is responsible for warming the op
-// (pools, engine construction) before measuring; both BENCH_protocol.json
-// producers use this one helper so their sections stay comparable.
+// (pools, engine construction) before measuring.
 func MeasureOp(iters int, op func() error) (OpMeasurement, error) {
 	runtime.GC()
 	var before, after runtime.MemStats
@@ -368,33 +286,4 @@ func MeasureOp(iters int, op func() error) (OpMeasurement, error) {
 		AllocsPerOp: int64(after.Mallocs-before.Mallocs) / int64(iters),
 		BytesPerOp:  int64(after.TotalAlloc-before.TotalAlloc) / int64(iters),
 	}, nil
-}
-
-// ReadProtocolDoc loads an existing BENCH_protocol.json so a tool can
-// regenerate its own sections while preserving the others. A missing file
-// returns an empty doc; a malformed one returns an error (overwriting a file
-// that fails to parse would silently destroy the other tool's sections).
-func ReadProtocolDoc(path string) (ProtocolDoc, error) {
-	var doc ProtocolDoc
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return doc, nil
-	}
-	if err != nil {
-		return doc, err
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return doc, fmt.Errorf("experiments: %s exists but does not parse as bench-protocol JSON: %w", path, err)
-	}
-	return doc, nil
-}
-
-// WriteProtocolDoc writes the doc back with stable indentation.
-func WriteProtocolDoc(path string, doc ProtocolDoc) error {
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	return os.WriteFile(path, data, 0o644)
 }

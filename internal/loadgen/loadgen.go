@@ -1,139 +1,167 @@
-// Package loadgen drives concurrent operation streams against one pooled
-// congestedclique session handle and reports aggregate throughput and
-// latency percentiles. It is the measurement core shared by cmd/cliqueload
-// (the interactive load generator) and cmd/cliquebench (which records the
-// concurrency section of BENCH_protocol.json), so the committed numbers and
-// the ad-hoc tool always measure the same workload the same way.
+// Package loadgen drives concurrent Route/Sort streams against a cliqued
+// server over the service wire protocol and reports aggregate throughput,
+// latency percentiles, sheds and failures, every response optionally
+// cross-checked bit for bit against an in-process serial golden. It is the
+// measurement core of cliquebench's load and record subcommands.
 package loadgen
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"runtime"
+	"reflect"
 	"slices"
 	"sync"
 	"time"
 
 	cc "congestedclique"
 
+	"congestedclique/internal/service"
 	"congestedclique/internal/workload"
 )
 
 // Config describes one load run.
 type Config struct {
+	// Addr is the server address ("host:port"). The server's clique size
+	// (learned in the handshake) must match N.
+	Addr string
 	// N is the clique size.
 	N int
-	// Concurrency is the handle's engine-pool size (WithMaxConcurrency).
-	Concurrency int
-	// Streams is the number of concurrent caller goroutines; each issues
-	// OpsPerStream operations back to back.
+	// Streams is the number of connections. In closed loop each carries one
+	// caller issuing OpsPerStream operations back to back; in open loop
+	// (Rate > 0) they are the pool the offered operations round-robin over.
 	Streams      int
 	OpsPerStream int
 	// Workload selects the operation mix: "route", "sort", or "mixed"
 	// (alternating route/sort per operation).
 	Workload string
-	// Verify cross-checks results bit for bit against a serial golden run.
-	// Verification happens in a separate pass over the same stream/op count
-	// BEFORE the measured pass, so the reported throughput and latencies
-	// never include comparison time — verified numbers stay honest.
+	// Verify cross-checks responses bit for bit against the in-process serial
+	// golden in a closed verification pass BEFORE the measured pass, so the
+	// closed-loop throughput and latencies never include comparison time.
+	// The open loop additionally verifies every in-window success.
 	Verify bool
 	// FaultEvery, when positive, issues every FaultEvery-th operation of each
 	// stream with an injected cancellation at round 1 (a deterministic
-	// transient fault). Without retries those operations fail and are counted
-	// per stream; with Retries > 0 they recover and must still verify against
-	// the golden.
+	// transient fault; the server must allow fault injection). Without
+	// retries those operations fail and are counted per stream; with
+	// Retries > 0 they recover and must still verify against the golden.
 	FaultEvery int
-	// Retries and RetryBackoff configure WithRetry on the injected-fault
-	// operations (fault-free operations run without a retry budget, keeping
-	// the common path identical to a plain load run).
+	// Retries and RetryBackoff are the server-side retry budget of the
+	// injected-fault operations (fault-free operations carry none).
 	Retries      int
 	RetryBackoff time.Duration
+	// Rate, when positive, switches the measured pass to open loop: Rate
+	// operations per second are offered for Duration (default 5s)
+	// regardless of completions — the only honest way to measure a server
+	// past saturation, where a closed loop would self-throttle.
+	Rate     float64
+	Duration time.Duration
+	// OpDeadline, when positive, attaches a per-request deadline to every
+	// operation.
+	OpDeadline time.Duration
 }
 
 // Result is the outcome of one load run.
 type Result struct {
 	Config
-	// Cores and Gomaxprocs snapshot the machine the run executed on —
-	// in-process engine scaling is bounded by both, so throughput numbers
-	// are meaningless without them.
-	Cores      int
-	Gomaxprocs int
-	TotalOps   int
-	Wall       time.Duration
-	// OpsPerSec is aggregate completed operations per second of wall time.
+	// TotalOps is the number of operations of the measured pass (offered
+	// ones, in open loop).
+	TotalOps int
+	Wall     time.Duration
+	// OpsPerSec is successful operations per second of wall time.
 	OpsPerSec float64
 	// P50, P90, P99 and P999 are latency percentiles over all successful
-	// operations.
+	// operations, from the client's send to its decode.
 	P50, P90, P99, P999 time.Duration
-	// Verified is the number of operations whose results were cross-checked
-	// against the serial golden (0 when Config.Verify is off): those of the
-	// verification pass — the measured pass runs the same operation count
-	// again without comparisons — plus, in network open-loop mode, every
-	// success of the measured window, which that mode always checks.
+	// Verified is the number of responses cross-checked against the golden
+	// (0 when Config.Verify is off): those of the verification pass plus,
+	// in open loop, every success of the measured window.
 	Verified int
-	// SucceededOps and FailedOps split TotalOps for the measured pass: an
-	// operation error no longer aborts the measured window — it is counted
-	// against its stream and the stream keeps issuing operations. OpsPerSec
-	// and the latency percentiles cover successful operations only.
+	// SucceededOps, FailedOps and SheddedOps split TotalOps. An operation
+	// error never aborts the measured window: it is counted against its
+	// stream and the stream moves on. SheddedOps are the server's
+	// bounded-queue rejections (ErrOverloaded) — the overload policy working
+	// as designed, not failures.
 	SucceededOps int
 	FailedOps    int
+	SheddedOps   int
 	// StreamErrors is the per-stream failed-operation count of the measured
-	// pass (always Streams entries).
+	// pass (always Streams entries); FirstError is the first failure in
+	// stream order, "" when every operation succeeded or was shed.
 	StreamErrors []int
-	// FirstError is the first operation error observed in the measured pass
-	// (stream order, then op order), "" when every operation succeeded.
-	FirstError string
-	// Retries is the number of transparent re-runs WithRetry performed during
-	// the measured pass (from the handle's CumulativeStats; in network mode,
-	// from the server's stats counters).
-	Retries int64
-	// SheddedOps counts operations rejected by the server's bounded
-	// admission queue (ErrOverloaded) in the measured pass. Always 0 for
-	// in-process runs, which have no admission queue. Shed operations are
-	// not FailedOps: shedding is the overload policy working as designed.
-	SheddedOps int
-	// PlanCacheHits and PlanCacheMisses are the server-side plan-cache
-	// counter deltas over the measured pass (network mode only, and only
-	// nonzero when the server runs with -plan-cache).
+	FirstError   string
+	// Retries, PlanCacheHits and PlanCacheMisses are the server's counter
+	// deltas over the measured pass.
+	Retries         int64
 	PlanCacheHits   int64
 	PlanCacheMisses int64
 }
 
-// golden holds the serial reference results of the run's workloads.
+// golden holds the serial in-process reference results in the wire
+// protocol's canonical form.
 type golden struct {
-	route  *cc.RouteResult
-	sorted *cc.SortResult
+	route [][]cc.Message
+	sort  *cc.SortResult
 }
 
-// RouteWorkload returns the deterministic full-load routing instance used by
-// every load run at size n (the same instance the protocol benchmarks and
-// the stats-invariant goldens measure).
-func RouteWorkload(n int) [][]cc.Message {
-	msgs, err := cc.NewUniformMessages(workload.ProtocolBenchRoute(n))
-	if err != nil {
-		panic(err)
+func (g *golden) checkRoute(rep *service.RouteReply) error {
+	if len(rep.Delivered) != len(g.route) {
+		return fmt.Errorf("delivered to %d nodes, golden %d", len(rep.Delivered), len(g.route))
 	}
-	return msgs
+	for i := range rep.Delivered {
+		if len(rep.Delivered[i]) == 0 && len(g.route[i]) == 0 {
+			continue
+		}
+		if !reflect.DeepEqual(rep.Delivered[i], g.route[i]) {
+			return fmt.Errorf("delivery diverged from in-process golden at node %d", i)
+		}
+	}
+	return nil
 }
 
-// SortWorkload returns the deterministic full-load sorting instance at size n.
-func SortWorkload(n int) [][]int64 {
-	return workload.ProtocolBenchSortValues(n)
+func (g *golden) checkSort(rep *service.SortReply) error {
+	if rep.Total != g.sort.Total {
+		return fmt.Errorf("sorted total %d, golden %d", rep.Total, g.sort.Total)
+	}
+	if !reflect.DeepEqual(rep.Starts, g.sort.Starts) {
+		return errors.New("sorted starts diverged from in-process golden")
+	}
+	for i := range rep.Batches {
+		if len(rep.Batches[i]) == 0 && len(g.sort.Batches[i]) == 0 {
+			continue
+		}
+		if !reflect.DeepEqual(rep.Batches[i], g.sort.Batches[i]) {
+			return fmt.Errorf("sorted batch %d diverged from in-process golden", i)
+		}
+	}
+	return nil
 }
 
-// Run executes the configured load against a fresh pooled handle and reports
-// the aggregate. The context cancels in-flight operations.
+// errMismatch marks a verification failure: a successful response whose
+// content diverged from the in-process golden. No error budget excuses it,
+// so it always aborts the run.
+var errMismatch = errors.New("loadgen: response diverged from in-process golden")
+
+// Run executes the configured load against the server at cfg.Addr and
+// reports the aggregate. A closed verification pass precedes the
+// measurement; in open loop — where the point is overload, so sheds are
+// expected — every successful in-window response is verified too, pinning
+// "bounded-queue shedding with zero incorrect results".
 func Run(ctx context.Context, cfg Config) (Result, error) {
-	if cfg.N < 1 {
-		return Result{}, fmt.Errorf("loadgen: clique size must be positive, got %d", cfg.N)
+	if cfg.Addr == "" {
+		return Result{}, errors.New("loadgen: run needs a server address")
 	}
-	if cfg.Concurrency < 1 || cfg.Streams < 1 || cfg.OpsPerStream < 1 {
-		return Result{}, fmt.Errorf("loadgen: concurrency, streams and ops must be positive (got k=%d, streams=%d, ops=%d)",
-			cfg.Concurrency, cfg.Streams, cfg.OpsPerStream)
+	if cfg.N < 1 || cfg.Streams < 1 {
+		return Result{}, fmt.Errorf("loadgen: clique size and streams must be positive (got n=%d, streams=%d)", cfg.N, cfg.Streams)
 	}
-	if cfg.FaultEvery < 0 || cfg.Retries < 0 {
-		return Result{}, fmt.Errorf("loadgen: fault interval and retries must be non-negative (got every=%d, retries=%d)",
-			cfg.FaultEvery, cfg.Retries)
+	if cfg.Rate == 0 && cfg.OpsPerStream < 1 {
+		return Result{}, fmt.Errorf("loadgen: closed-loop run needs positive ops per stream, got %d", cfg.OpsPerStream)
+	}
+	if cfg.Rate < 0 || cfg.Duration < 0 || cfg.FaultEvery < 0 || cfg.Retries < 0 {
+		return Result{}, errors.New("loadgen: negative rate, duration, fault interval or retries")
+	}
+	if cfg.Rate > 0 && cfg.Duration == 0 {
+		cfg.Duration = 5 * time.Second
 	}
 	wantRoute := cfg.Workload == "route" || cfg.Workload == "mixed"
 	wantSort := cfg.Workload == "sort" || cfg.Workload == "mixed"
@@ -141,248 +169,327 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 		return Result{}, fmt.Errorf("loadgen: unknown workload %q (route, sort, mixed)", cfg.Workload)
 	}
 
+	// The deterministic full-load instances the protocol benchmarks and the
+	// stats-invariant goldens measure.
 	var msgs [][]cc.Message
 	var values [][]int64
-	var g golden
-	serial, err := cc.New(cfg.N)
-	if err != nil {
-		return Result{}, err
-	}
-	// The serial handle establishes the golden results every concurrent
-	// result is compared against (and warms the process-wide buffer pools,
-	// so the measured run starts from the steady state a service sees).
 	if wantRoute {
-		msgs = RouteWorkload(cfg.N)
-		if g.route, err = serial.Route(ctx, msgs); err != nil {
-			serial.Close()
-			return Result{}, fmt.Errorf("loadgen: serial route golden: %w", err)
-		}
-	}
-	if wantSort {
-		values = SortWorkload(cfg.N)
-		if g.sorted, err = serial.Sort(ctx, values); err != nil {
-			serial.Close()
-			return Result{}, fmt.Errorf("loadgen: serial sort golden: %w", err)
-		}
-	}
-	if err := serial.Close(); err != nil {
-		return Result{}, err
-	}
-
-	cl, err := cc.New(cfg.N, cc.WithMaxConcurrency(cfg.Concurrency))
-	if err != nil {
-		return Result{}, err
-	}
-	defer cl.Close()
-
-	totalOps := cfg.Streams * cfg.OpsPerStream
-
-	// Injected-fault operations carry their own option set: a deterministic
-	// cancellation at round 1, plus the configured retry budget.
-	var faultOpts []cc.Option
-	if cfg.FaultEvery > 0 {
-		faultOpts = append(faultOpts, cc.WithInjectedCancel(1))
-		if cfg.Retries > 0 {
-			faultOpts = append(faultOpts, cc.WithRetry(cfg.Retries, cfg.RetryBackoff))
-		}
-	}
-
-	// pass drives Streams concurrent goroutines of OpsPerStream operations
-	// each against the pooled handle. An operation error is counted against
-	// its stream and the stream moves on — the window is never aborted — but
-	// a verification MISMATCH (verify set, result diverging from the serial
-	// golden) fails the whole run: it means a successful operation returned
-	// wrong data, which no error budget excuses. With latencies non-nil the
-	// per-op durations of successful operations are recorded.
-	pass := func(latencies []time.Duration, ok []bool, verify bool) (time.Duration, []int, int, string, error) {
-		streamErrs := make([]int, cfg.Streams)
-		firstErrs := make([]string, cfg.Streams)
-		mismatches := make([]error, cfg.Streams)
-		verifiedBy := make([]int, cfg.Streams)
-		var wg sync.WaitGroup
-		start := time.Now()
-		for s := 0; s < cfg.Streams; s++ {
-			wg.Add(1)
-			go func(s int) {
-				defer wg.Done()
-				for op := 0; op < cfg.OpsPerStream; op++ {
-					doRoute := wantRoute && (!wantSort || (s+op)%2 == 0)
-					var opts []cc.Option
-					if cfg.FaultEvery > 0 && (op+1)%cfg.FaultEvery == 0 {
-						opts = faultOpts
-					}
-					opStart := time.Now()
-					var routed *cc.RouteResult
-					var sorted *cc.SortResult
-					var err error
-					if doRoute {
-						routed, err = cl.Route(ctx, msgs, opts...)
-					} else {
-						sorted, err = cl.Sort(ctx, values, opts...)
-					}
-					if err != nil {
-						streamErrs[s]++
-						if firstErrs[s] == "" {
-							firstErrs[s] = fmt.Sprintf("stream %d op %d: %v", s, op, err)
-						}
-						continue
-					}
-					if latencies != nil {
-						latencies[s*cfg.OpsPerStream+op] = time.Since(opStart)
-						ok[s*cfg.OpsPerStream+op] = true
-					}
-					if verify {
-						var vErr error
-						if doRoute {
-							vErr = g.checkRoute(routed)
-						} else {
-							vErr = g.checkSort(sorted)
-						}
-						if vErr != nil {
-							mismatches[s] = fmt.Errorf("stream %d op %d: %w", s, op, vErr)
-							return
-						}
-						verifiedBy[s]++
-					}
-				}
-			}(s)
-		}
-		wg.Wait()
-		wall := time.Since(start)
-		for _, err := range mismatches {
-			if err != nil {
-				return wall, nil, 0, "", err
-			}
-		}
-		verified := 0
-		firstErr := ""
-		for s := 0; s < cfg.Streams; s++ {
-			verified += verifiedBy[s]
-			if firstErr == "" && firstErrs[s] != "" {
-				firstErr = firstErrs[s]
-			}
-		}
-		return wall, streamErrs, verified, firstErr, nil
-	}
-
-	// Verification pass first (results checked, nothing measured), then the
-	// measured pass with no comparison work inside the timed window.
-	verified := 0
-	if cfg.Verify {
 		var err error
-		if _, _, verified, _, err = pass(nil, nil, true); err != nil {
+		if msgs, err = cc.NewUniformMessages(workload.ProtocolBenchRoute(cfg.N)); err != nil {
 			return Result{}, err
 		}
 	}
-	retryBase := cl.CumulativeStats().Retries
-	latencies := make([]time.Duration, totalOps)
-	okOps := make([]bool, totalOps)
-	wall, streamErrs, _, firstErr, err := pass(latencies, okOps, false)
+	if wantSort {
+		values = workload.ProtocolBenchSortValues(cfg.N)
+	}
+	g, err := serialGolden(ctx, cfg.N, msgs, values)
+	if err != nil {
+		return Result{}, fmt.Errorf("loadgen: serial golden: %w", err)
+	}
+
+	clients := make([]*service.Client, 0, cfg.Streams)
+	defer func() {
+		for _, c := range clients {
+			c.Close()
+		}
+	}()
+	for range cfg.Streams {
+		cl, err := service.Dial(cfg.Addr)
+		if err != nil {
+			return Result{}, fmt.Errorf("loadgen: dial %s: %w", cfg.Addr, err)
+		}
+		clients = append(clients, cl)
+		if cl.N() != cfg.N {
+			return Result{}, fmt.Errorf("loadgen: server at %s serves n=%d, run configured for n=%d", cfg.Addr, cl.N(), cfg.N)
+		}
+	}
+
+	// issue runs operation op of a stream and verifies it when asked. It
+	// reports (success, shed, error).
+	issue := func(cl *service.Client, op, stream int, verify bool) (bool, bool, error) {
+		opts := &service.CallOpts{Deadline: cfg.OpDeadline}
+		if cfg.FaultEvery > 0 && (op+1)%cfg.FaultEvery == 0 {
+			opts.InjectCancel = true
+			opts.FaultCancelRound = 1
+			opts.Retries = cfg.Retries
+			opts.RetryBackoff = cfg.RetryBackoff
+		}
+		var vErr error
+		if wantRoute && (!wantSort || (stream+op)%2 == 0) {
+			rep, err := cl.Route(msgs, opts)
+			if err != nil {
+				return false, errors.Is(err, service.ErrOverloaded), err
+			}
+			if verify {
+				vErr = g.checkRoute(rep)
+			}
+		} else {
+			rep, err := cl.Sort(values, opts)
+			if err != nil {
+				return false, errors.Is(err, service.ErrOverloaded), err
+			}
+			if verify {
+				vErr = g.checkSort(rep)
+			}
+		}
+		if vErr != nil {
+			return false, false, fmt.Errorf("%w: %v", errMismatch, vErr)
+		}
+		return true, false, nil
+	}
+
+	// Verification pass: closed loop, every response compared. A shed here
+	// only happens if someone else already overloads the server; it is
+	// skipped, a mismatch aborts.
+	verified := 0
+	if cfg.Verify {
+		ops := max(cfg.OpsPerStream, 1)
+		var wg sync.WaitGroup
+		verifiedBy := make([]int, cfg.Streams)
+		mismatches := make([]error, cfg.Streams)
+		for s := range cfg.Streams {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for op := range ops {
+					ok, _, err := issue(clients[s], op, s, true)
+					if errors.Is(err, errMismatch) {
+						mismatches[s] = fmt.Errorf("stream %d op %d: %w", s, op, err)
+						return
+					}
+					if ok {
+						verifiedBy[s]++
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if err := errors.Join(mismatches...); err != nil {
+			return Result{}, err
+		}
+		for _, v := range verifiedBy {
+			verified += v
+		}
+	}
+
+	before, err := clients[0].ServerStats()
+	if err != nil {
+		return Result{}, fmt.Errorf("loadgen: server stats: %w", err)
+	}
+	var res Result
+	if cfg.Rate > 0 {
+		res, err = runOpenLoop(cfg, clients, issue)
+	} else {
+		res = runClosedLoop(cfg, clients, issue)
+	}
 	if err != nil {
 		return Result{}, err
 	}
-	retries := cl.CumulativeStats().Retries - retryBase
-
-	// Percentiles and throughput speak for successful operations only.
-	succeeded := latencies[:0]
-	for i, d := range latencies {
-		if okOps[i] {
-			succeeded = append(succeeded, d)
-		}
+	after, err := clients[0].ServerStats()
+	if err != nil {
+		return Result{}, fmt.Errorf("loadgen: server stats: %w", err)
 	}
-	failed := 0
-	for _, c := range streamErrs {
-		failed += c
-	}
-	slices.Sort(succeeded)
-	res := Result{
-		Config:       cfg,
-		Cores:        runtime.NumCPU(),
-		Gomaxprocs:   runtime.GOMAXPROCS(0),
-		TotalOps:     totalOps,
-		Wall:         wall,
-		OpsPerSec:    float64(len(succeeded)) / wall.Seconds(),
-		P50:          percentile(succeeded, 50),
-		P90:          percentile(succeeded, 90),
-		P99:          percentile(succeeded, 99),
-		P999:         permille(succeeded, 999),
-		Verified:     verified,
-		SucceededOps: len(succeeded),
-		FailedOps:    failed,
-		StreamErrors: streamErrs,
-		FirstError:   firstErr,
-		Retries:      retries,
+	res.Retries = after.Retries - before.Retries
+	res.PlanCacheHits = after.PlanCacheHits - before.PlanCacheHits
+	res.PlanCacheMisses = after.PlanCacheMisses - before.PlanCacheMisses
+	res.Verified = verified
+	if cfg.Verify && cfg.Rate > 0 {
+		res.Verified += res.SucceededOps
 	}
 	return res, nil
 }
 
+// serialGolden runs the instances once on a fresh in-process handle.
+func serialGolden(ctx context.Context, n int, msgs [][]cc.Message, values [][]int64) (*golden, error) {
+	cl, err := cc.New(n)
+	if err != nil {
+		return nil, err
+	}
+	defer cl.Close()
+	g := &golden{}
+	if msgs != nil {
+		res, err := cl.Route(ctx, msgs)
+		if err != nil {
+			return nil, err
+		}
+		g.route = canonicalRoute(res.Delivered)
+	}
+	if values != nil {
+		if g.sort, err = cl.Sort(ctx, values); err != nil {
+			return nil, err
+		}
+	}
+	return g, nil
+}
+
+// canonicalRoute deep-copies a delivery and sorts every row by (Src, Seq) —
+// the wire protocol's canonical response order.
+func canonicalRoute(delivered [][]cc.Message) [][]cc.Message {
+	rows := make([][]cc.Message, len(delivered))
+	for i, row := range delivered {
+		if len(row) == 0 {
+			continue
+		}
+		r := slices.Clone(row)
+		slices.SortFunc(r, func(a, b cc.Message) int {
+			if a.Src != b.Src {
+				return a.Src - b.Src
+			}
+			return a.Seq - b.Seq
+		})
+		rows[i] = r
+	}
+	return rows
+}
+
+type issueFunc func(cl *service.Client, op, stream int, verify bool) (bool, bool, error)
+
+// tally collects the per-stream outcomes of a measured pass.
+type tally struct {
+	latencies  []time.Duration
+	streamErrs []int
+	firstErrs  []string
+	shedBy     []int
+}
+
+func newTally(streams int) *tally {
+	return &tally{streamErrs: make([]int, streams), firstErrs: make([]string, streams), shedBy: make([]int, streams)}
+}
+
+// record files one operation's outcome under its stream.
+func (t *tally) record(s int, ok, shed bool, took time.Duration, err error, what string) {
+	switch {
+	case ok:
+		t.latencies = append(t.latencies, took)
+	case shed:
+		t.shedBy[s]++
+	default:
+		t.streamErrs[s]++
+		if t.firstErrs[s] == "" {
+			t.firstErrs[s] = fmt.Sprintf("%s: %v", what, err)
+		}
+	}
+}
+
+// result folds the tally into a Result.
+func (t *tally) result(cfg Config, wall time.Duration, totalOps int) Result {
+	slices.Sort(t.latencies)
+	res := Result{
+		Config:       cfg,
+		TotalOps:     totalOps,
+		Wall:         wall,
+		OpsPerSec:    float64(len(t.latencies)) / wall.Seconds(),
+		P50:          percentile(t.latencies, 50),
+		P90:          percentile(t.latencies, 90),
+		P99:          percentile(t.latencies, 99),
+		P999:         permille(t.latencies, 999),
+		SucceededOps: len(t.latencies),
+		StreamErrors: t.streamErrs,
+	}
+	for s := range t.streamErrs {
+		res.FailedOps += t.streamErrs[s]
+		res.SheddedOps += t.shedBy[s]
+		if res.FirstError == "" {
+			res.FirstError = t.firstErrs[s]
+		}
+	}
+	return res
+}
+
+// runClosedLoop runs Streams goroutines, one connection each, of
+// OpsPerStream back-to-back operations. Responses are not verified inside
+// the timed window (the verification pass already ran).
+func runClosedLoop(cfg Config, clients []*service.Client, issue issueFunc) Result {
+	var mu sync.Mutex
+	t := newTally(cfg.Streams)
+	var wg sync.WaitGroup
+	start := time.Now()
+	for s := range cfg.Streams {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for op := range cfg.OpsPerStream {
+				opStart := time.Now()
+				ok, shed, err := issue(clients[s], op, s, false)
+				took := time.Since(opStart)
+				mu.Lock()
+				t.record(s, ok, shed, took, err, fmt.Sprintf("stream %d op %d", s, op))
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	return t.result(cfg, time.Since(start), cfg.Streams*cfg.OpsPerStream)
+}
+
+// runOpenLoop offers cfg.Rate operations per second for cfg.Duration,
+// dispatching each in its own goroutine round-robin across the connection
+// pool — completions never gate arrivals, so the offered load holds through
+// saturation. Every successful response is verified when cfg.Verify is set.
+func runOpenLoop(cfg Config, clients []*service.Client, issue issueFunc) (Result, error) {
+	interval := time.Duration(float64(time.Second) / cfg.Rate)
+	if interval <= 0 {
+		return Result{}, fmt.Errorf("loadgen: rate %.0f/s too high to schedule", cfg.Rate)
+	}
+	var mu sync.Mutex
+	t := newTally(cfg.Streams)
+	var mismatch error
+	var wg sync.WaitGroup
+
+	ticker := time.NewTicker(interval)
+	defer ticker.Stop()
+	stop := time.NewTimer(cfg.Duration)
+	defer stop.Stop()
+	start := time.Now()
+	offered := 0
+loop:
+	for {
+		select {
+		case <-stop.C:
+			break loop
+		case <-ticker.C:
+			op, s := offered, offered%cfg.Streams
+			offered++
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				opStart := time.Now()
+				ok, shed, err := issue(clients[s], op, 0, cfg.Verify)
+				took := time.Since(opStart)
+				mu.Lock()
+				defer mu.Unlock()
+				if errors.Is(err, errMismatch) {
+					if mismatch == nil {
+						mismatch = fmt.Errorf("open-loop op %d: %w", op, err)
+					}
+					return
+				}
+				t.record(s, ok, shed, took, err, fmt.Sprintf("op %d (conn %d)", op, s))
+			}()
+		}
+	}
+	wg.Wait()
+	if mismatch != nil {
+		return Result{}, mismatch
+	}
+	return t.result(cfg, time.Since(start), offered), nil
+}
+
 // percentile returns the p-th percentile of sorted latencies (nearest-rank).
 func percentile(sorted []time.Duration, p int) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := (p*len(sorted) + 99) / 100
-	if idx < 1 {
-		idx = 1
-	}
-	if idx > len(sorted) {
-		idx = len(sorted)
-	}
-	return sorted[idx-1]
+	return nearestRank(sorted, p, 100)
 }
 
 // permille returns the p-th permille (p999 = 99.9th percentile) of sorted
 // latencies, nearest-rank like percentile.
 func permille(sorted []time.Duration, p int) time.Duration {
+	return nearestRank(sorted, p, 1000)
+}
+
+func nearestRank(sorted []time.Duration, p, of int) time.Duration {
 	if len(sorted) == 0 {
 		return 0
 	}
-	idx := (p*len(sorted) + 999) / 1000
-	if idx < 1 {
-		idx = 1
-	}
-	if idx > len(sorted) {
-		idx = len(sorted)
-	}
+	idx := min(max((p*len(sorted)+of-1)/of, 1), len(sorted))
 	return sorted[idx-1]
-}
-
-// checkRoute deep-compares a concurrent Route result against the serial
-// golden: stats and every delivered message must match bit for bit.
-func (g *golden) checkRoute(res *cc.RouteResult) error {
-	if res.Stats != g.route.Stats {
-		return fmt.Errorf("route stats %+v diverge from serial %+v", res.Stats, g.route.Stats)
-	}
-	if len(res.Delivered) != len(g.route.Delivered) {
-		return fmt.Errorf("delivered to %d nodes, serial %d", len(res.Delivered), len(g.route.Delivered))
-	}
-	for i := range res.Delivered {
-		if len(res.Delivered[i]) != len(g.route.Delivered[i]) {
-			return fmt.Errorf("node %d received %d messages, serial %d", i, len(res.Delivered[i]), len(g.route.Delivered[i]))
-		}
-		for j := range res.Delivered[i] {
-			if res.Delivered[i][j] != g.route.Delivered[i][j] {
-				return fmt.Errorf("delivery diverged from serial at node %d message %d", i, j)
-			}
-		}
-	}
-	return nil
-}
-
-// checkSort deep-compares a concurrent Sort result against the serial golden.
-func (g *golden) checkSort(res *cc.SortResult) error {
-	if res.Stats != g.sorted.Stats || res.Total != g.sorted.Total {
-		return fmt.Errorf("sort stats %+v/total %d diverge from serial %+v/%d", res.Stats, res.Total, g.sorted.Stats, g.sorted.Total)
-	}
-	for i := range res.Batches {
-		if res.Starts[i] != g.sorted.Starts[i] || len(res.Batches[i]) != len(g.sorted.Batches[i]) {
-			return fmt.Errorf("batch %d shape diverged from serial", i)
-		}
-		for j := range res.Batches[i] {
-			if res.Batches[i][j] != g.sorted.Batches[i][j] {
-				return fmt.Errorf("sorted key diverged from serial at batch %d index %d", i, j)
-			}
-		}
-	}
-	return nil
 }

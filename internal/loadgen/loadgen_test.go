@@ -4,34 +4,18 @@ import (
 	"context"
 	"testing"
 	"time"
-)
 
-// TestRunMixedVerified drives a small verified mixed load end to end: every
-// operation must succeed, verify against the serial golden, and be counted.
-func TestRunMixedVerified(t *testing.T) {
-	cfg := Config{N: 16, Concurrency: 2, Streams: 4, OpsPerStream: 2, Workload: "mixed", Verify: true}
-	res, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TotalOps != 8 || res.Verified != 8 {
-		t.Fatalf("TotalOps=%d Verified=%d, want 8/8", res.TotalOps, res.Verified)
-	}
-	if res.OpsPerSec <= 0 || res.Wall <= 0 {
-		t.Fatalf("throughput not measured: %+v", res)
-	}
-	if res.P50 <= 0 || res.P99 < res.P50 {
-		t.Fatalf("latency percentiles inconsistent: p50=%v p99=%v", res.P50, res.P99)
-	}
-}
+	"congestedclique/internal/service"
+)
 
 // TestRunRecordsStreamErrors injects a deterministic fault into every 2nd op
 // of each stream with no retry budget: the measured window must complete with
 // the failures counted per stream instead of aborting, and the percentiles
 // must speak for the successful operations only.
 func TestRunRecordsStreamErrors(t *testing.T) {
-	cfg := Config{N: 16, Concurrency: 2, Streams: 2, OpsPerStream: 4, Workload: "route", FaultEvery: 2}
-	res, err := Run(context.Background(), cfg)
+	const n = 16
+	addr := startServiceServer(t, service.Config{N: n, MaxConcurrency: 2, QueueDepth: 32, AllowFaultInjection: true})
+	res, err := Run(context.Background(), Config{Addr: addr, N: n, Streams: 2, OpsPerStream: 4, Workload: "route", FaultEvery: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,35 +33,18 @@ func TestRunRecordsStreamErrors(t *testing.T) {
 	}
 }
 
-// TestRunRetriesRecoverInjectedFaults gives the injected-fault operations a
-// retry budget: every operation must recover (the fault plan is consumed by
-// the first attempt), verify bit-identical to the serial golden, and the
-// retry count must surface in the result.
-func TestRunRetriesRecoverInjectedFaults(t *testing.T) {
-	cfg := Config{N: 16, Concurrency: 2, Streams: 2, OpsPerStream: 4, Workload: "mixed", Verify: true, FaultEvery: 2, Retries: 1}
-	res, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FailedOps != 0 || res.SucceededOps != 8 {
-		t.Fatalf("FailedOps=%d SucceededOps=%d, want 0/8", res.FailedOps, res.SucceededOps)
-	}
-	if res.Verified != 8 {
-		t.Fatalf("Verified=%d, want 8", res.Verified)
-	}
-	// 2 faulted ops per stream in the measured pass, one retry each.
-	if res.Retries != 4 {
-		t.Fatalf("Retries=%d, want 4", res.Retries)
-	}
-}
-
+// TestRunRejectsBadConfig pins the validation that runs before any dial.
 func TestRunRejectsBadConfig(t *testing.T) {
+	const addr = "127.0.0.1:1"
 	for _, cfg := range []Config{
-		{N: 0, Concurrency: 1, Streams: 1, OpsPerStream: 1, Workload: "route"},
-		{N: 8, Concurrency: 0, Streams: 1, OpsPerStream: 1, Workload: "route"},
-		{N: 8, Concurrency: 1, Streams: 1, OpsPerStream: 1, Workload: "nope"},
-		{N: 8, Concurrency: 1, Streams: 1, OpsPerStream: 1, Workload: "route", FaultEvery: -1},
-		{N: 8, Concurrency: 1, Streams: 1, OpsPerStream: 1, Workload: "route", Retries: -1},
+		{N: 8, Streams: 1, OpsPerStream: 1, Workload: "route"},
+		{Addr: addr, N: 0, Streams: 1, OpsPerStream: 1, Workload: "route"},
+		{Addr: addr, N: 8, Streams: 0, OpsPerStream: 1, Workload: "route"},
+		{Addr: addr, N: 8, Streams: 1, OpsPerStream: 0, Workload: "route"},
+		{Addr: addr, N: 8, Streams: 1, OpsPerStream: 1, Workload: "nope"},
+		{Addr: addr, N: 8, Streams: 1, OpsPerStream: 1, Workload: "route", FaultEvery: -1},
+		{Addr: addr, N: 8, Streams: 1, OpsPerStream: 1, Workload: "route", Retries: -1},
+		{Addr: addr, N: 8, Streams: 1, Workload: "route", Rate: -1},
 	} {
 		if _, err := Run(context.Background(), cfg); err == nil {
 			t.Fatalf("config %+v accepted, want error", cfg)

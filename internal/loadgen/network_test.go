@@ -39,12 +39,9 @@ func startServiceServer(t *testing.T, cfg service.Config) string {
 func TestRunNetworkClosedLoopVerified(t *testing.T) {
 	const n = 16
 	addr := startServiceServer(t, service.Config{N: n, MaxConcurrency: 2, QueueDepth: 32})
-	res, err := RunNetwork(context.Background(), NetworkConfig{
-		Config: Config{N: n, Concurrency: 2, Streams: 3, OpsPerStream: 4, Workload: "mixed", Verify: true},
-		Addr:   addr,
-	})
+	res, err := Run(context.Background(), Config{Addr: addr, N: n, Streams: 3, OpsPerStream: 4, Workload: "mixed", Verify: true})
 	if err != nil {
-		t.Fatalf("RunNetwork: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if res.Verified != 3*4 {
 		t.Errorf("verified %d ops, want %d", res.Verified, 12)
@@ -57,23 +54,25 @@ func TestRunNetworkClosedLoopVerified(t *testing.T) {
 	}
 }
 
+// TestRunNetworkFaultedRetries gives the injected-fault operations of a
+// mixed load a server-side retry budget: every operation must recover (the
+// fault plan is consumed by the first attempt), verify bit-identical to the
+// serial golden, and the retries must surface in the result.
 func TestRunNetworkFaultedRetries(t *testing.T) {
 	const n = 16
 	addr := startServiceServer(t, service.Config{N: n, MaxConcurrency: 2, QueueDepth: 32,
 		AllowFaultInjection: true})
-	res, err := RunNetwork(context.Background(), NetworkConfig{
-		Config: Config{N: n, Concurrency: 2, Streams: 2, OpsPerStream: 4, Workload: "route",
-			Verify: true, FaultEvery: 2, Retries: 1},
-		Addr: addr,
-	})
+	res, err := Run(context.Background(), Config{Addr: addr, N: n, Streams: 2, OpsPerStream: 4, Workload: "mixed",
+		Verify: true, FaultEvery: 2, Retries: 1})
 	if err != nil {
-		t.Fatalf("RunNetwork: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
-	if res.FailedOps != 0 {
-		t.Errorf("faulted ops failed despite retry budget: %d (first: %s)", res.FailedOps, res.FirstError)
+	if res.FailedOps != 0 || res.SucceededOps != 8 || res.Verified != 8 {
+		t.Errorf("failed/ok/verified = %d/%d/%d, want 0/8/8 (first: %s)", res.FailedOps, res.SucceededOps, res.Verified, res.FirstError)
 	}
-	if res.Retries == 0 {
-		t.Error("server-side retry counter did not move")
+	// 2 faulted ops per stream in the measured pass, one retry each.
+	if res.Retries != 4 {
+		t.Errorf("server-side retries = %d, want 4", res.Retries)
 	}
 }
 
@@ -82,18 +81,14 @@ func TestRunNetworkOpenLoopOverload(t *testing.T) {
 	// A deliberately tiny server: one engine and a queue just deep enough
 	// that the closed-loop verification pass (4 streams) cannot shed, so an
 	// offered rate far above capacity must — with every accepted result
-	// still verifying against the golden (issue() verifies in open-loop
-	// mode) and counted as verified.
+	// still verifying against the golden (the open loop verifies in-window)
+	// and counted as verified.
 	const streams, prePassOps = 4, 2
 	addr := startServiceServer(t, service.Config{N: n, MaxConcurrency: 1, QueueDepth: streams})
-	res, err := RunNetwork(context.Background(), NetworkConfig{
-		Config:   Config{N: n, Concurrency: 1, Streams: streams, OpsPerStream: prePassOps, Workload: "route", Verify: true},
-		Addr:     addr,
-		Rate:     2000,
-		Duration: 500 * time.Millisecond,
-	})
+	res, err := Run(context.Background(), Config{Addr: addr, N: n, Streams: streams, OpsPerStream: prePassOps,
+		Workload: "route", Verify: true, Rate: 2000, Duration: 500 * time.Millisecond})
 	if err != nil {
-		t.Fatalf("RunNetwork: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if want := streams*prePassOps + res.SucceededOps; res.Verified != want {
 		t.Errorf("verified %d ops, want %d (the pre-pass's %d plus %d in-window successes)",
@@ -114,11 +109,7 @@ func TestRunNetworkOpenLoopOverload(t *testing.T) {
 
 func TestRunNetworkRejectsMismatchedN(t *testing.T) {
 	addr := startServiceServer(t, service.Config{N: 8})
-	_, err := RunNetwork(context.Background(), NetworkConfig{
-		Config: Config{N: 16, Concurrency: 1, Streams: 1, OpsPerStream: 1, Workload: "route"},
-		Addr:   addr,
-	})
-	if err == nil {
+	if _, err := Run(context.Background(), Config{Addr: addr, N: 16, Streams: 1, OpsPerStream: 1, Workload: "route"}); err == nil {
 		t.Fatal("n mismatch between run and server not rejected")
 	}
 }

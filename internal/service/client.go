@@ -17,7 +17,7 @@ import (
 // Client is a wire-protocol client over one TCP connection. It is safe for
 // concurrent use: calls in flight are multiplexed by request ID and demuxed
 // by a single reader goroutine, so many goroutines can share one connection
-// — the shape cmd/cliqueload's network mode relies on.
+// — the shape the internal/loadgen driver relies on.
 type Client struct {
 	conn net.Conn
 	n    int
@@ -340,7 +340,8 @@ func (cl *Client) Ping() (int, error) {
 
 // ServerStats fetches the server's counter snapshot. It is answered inline
 // by the connection reader, so it works even while the admission queue is
-// full — cmd/cliqueload uses it to report server-side shed/retry counts.
+// full — internal/loadgen uses it to report server-side retry and
+// plan-cache counts.
 func (cl *Client) ServerStats() (*StatsReply, error) {
 	resp, err := cl.call(newRequest(OpServerStats, nil))
 	if err != nil {

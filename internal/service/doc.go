@@ -1,7 +1,8 @@
 // Package service is the network front-end of the congested-clique library:
 // a long-running server (cmd/cliqued) exposing Route, Sort, SortKeys and the
 // corollary operations over a length-prefixed binary wire protocol, and the
-// matching client used by cmd/cliqueload's network mode and the tests.
+// matching client used by cliquebench's load and record subcommands and
+// the tests.
 //
 // The wire protocol reuses the flat [count, len, msg...] frame encoding of
 // internal/core (see core.AppendFrame / core.DecodeFrame): every request and

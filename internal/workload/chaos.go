@@ -9,7 +9,7 @@ import (
 
 // ChaosOp names the session operation a chaos scenario drives. The catalog
 // describes faults abstractly (engine-level clique.Fault values plus session
-// retry/deadline knobs); cmd/cliquescen translates each scenario into the
+// retry/deadline knobs); cliquebench chaos translates each scenario into the
 // public option set and executes it, so this package stays importable from
 // the root package's own tests without an import cycle.
 type ChaosOp string
@@ -29,7 +29,7 @@ const (
 type ChaosScenario struct {
 	// Name is the registry key printed in the chaos table.
 	Name string
-	// Description is a one-line summary printed by cmd/cliquescen -list.
+	// Description is a one-line summary listed by cliquebench chaos.
 	Description string
 	// Op selects the session operation under test.
 	Op ChaosOp

@@ -5,7 +5,7 @@ package workload
 // scenarios would allocate O(n²) messages just to describe the instance.
 // Every builder is a pure function of its parameters, so frontier runs are
 // reproducible; they are shared by the scaling benchmarks (cliquebench
-// -scaling-json), the property harness and the frontier guard tests.
+// scaling), the property harness and the frontier guard tests.
 
 import (
 	"fmt"

@@ -13,12 +13,12 @@ import (
 // distinguishes: full balanced load (the paper's design point), sparse and
 // degenerate demand (fast paths), and skewed/adversarial load (pipeline
 // stress). Build is a pure function of (n, seed), so every scenario is
-// reproducible; cmd/cliquescen runs the whole catalog and records one table
-// row per scenario.
+// reproducible; cliquebench scen runs the whole catalog and records one
+// table row per scenario.
 type Scenario struct {
 	// Name is the registry key (also used as the instance's Pattern).
 	Name string
-	// Description is a one-line summary printed by cmd/cliquescen.
+	// Description is a one-line summary listed by cliquebench scen.
 	Description string
 	// FullLoad marks scenarios in the full-load regime, where the planner
 	// deliberately stays on the Theorem 3.7 pipeline.

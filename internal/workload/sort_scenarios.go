@@ -14,12 +14,12 @@ import (
 // stats-invariant golden), pre-sorted and near-sorted input (the
 // skip-redistribution arm), and duplicate-heavy tiny domains (the Section
 // 6.3 counting arm). Build is a pure function of (n, seed), so every
-// scenario is reproducible; cmd/cliquescen runs the catalog and records one
-// table row per scenario.
+// scenario is reproducible; cliquebench scen runs the catalog and records
+// one table row per scenario.
 type SortScenario struct {
 	// Name is the registry key.
 	Name string
-	// Description is a one-line summary printed by cmd/cliquescen.
+	// Description is a one-line summary listed by cliquebench scen.
 	Description string
 	// FullLoad marks scenarios in the full-load regime, where the planner
 	// deliberately stays on the Theorem 4.5 pipeline.

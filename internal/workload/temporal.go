@@ -37,9 +37,9 @@ func (tr *TemporalTrace) IdealHitRate() float64 {
 // instance sequences where identical demand recurs in phases — the regime
 // where schedule reuse pays — plus a drifting control where it pays less.
 type TemporalScenario struct {
-	// Name is the registry key (rows in the temporal section merge by it).
+	// Name is the registry key.
 	Name string
-	// Description is a one-line summary printed by cmd/cliquescen.
+	// Description is a one-line summary listed by cliquebench temporal.
 	Description string
 	// Build constructs the trace for a clique of n nodes; pure in (n, seed).
 	Build func(n int, seed int64) (*TemporalTrace, error)
@@ -179,8 +179,8 @@ func buildDriftShuffle(n int, seed int64) (*TemporalTrace, error) {
 }
 
 // ValidateTrace checks a trace's internal consistency (sequence indices in
-// range, at least one step) — used by tests and cmd/cliquescen before
-// execution.
+// range, at least one step) — used by tests and cliquebench temporal
+// before execution.
 func ValidateTrace(tr *TemporalTrace) error {
 	if tr.Steps() == 0 {
 		return fmt.Errorf("workload: temporal trace %q has no steps", tr.Name)

@@ -230,8 +230,8 @@ func NewSmallKeyInstance(n, per, domain int, seed int64) ([][]int, error) {
 }
 
 // ProtocolBenchRoute returns the deterministic full-load routing instance of
-// the protocol benchmarks (BenchmarkRoute, cliquebench -protocol-json and
-// the stats-invariant goldens): every node sends one message to every node,
+// the protocol benchmarks (BenchmarkRoute, cliquebench record and the
+// stats-invariant goldens): every node sends one message to every node,
 // dsts[i][j] = j with payload i*n+j. Both consumers must measure the same
 // workload for the recorded before/after numbers to stay comparable, so
 // this is the single definition.

@@ -701,7 +701,8 @@ func TestInjectedPanicNonSquareN(t *testing.T) {
 }
 
 // TestInjectedPanicErrorReplaysIdentically pins the canonical form of a
-// failed run's error (cliquescen -chaos compares the strings of two replays).
+// failed run's error (cliquebench chaos compares the strings of two
+// replays).
 // At n=48 the route is multiplexed, so the lowest-id bystander learns of node
 // 12's crash in whichever Mux sub-step it has reached — step2.1 or step2.3,
 // by goroutine scheduling — and its wrapper used to be the run's error. The
