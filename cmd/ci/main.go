@@ -9,18 +9,18 @@
 //     deliberate one regenerates the file with -write-surface and shows up
 //     in review.
 //  2. Doc coverage: every exported symbol (and exported method on an
-//     exported receiver) of the root package and of the -internal packages
+//     exported receiver) of the root package and of internalPackages
 //     carries a doc comment.
 //  3. Markdown links: every relative link target in every *.md file exists
 //     (external http(s)/mailto links and in-page anchors are not followed).
 //  4. Named options and errors exist: every unqualified backticked `With…`
 //     or `Err…` name in README.md, ARCHITECTURE.md and docs/*.md is declared
-//     in the root package or an -internal package. The history files
+//     in the root package or one of internalPackages. The history files
 //     (CHANGES.md, ROADMAP.md) are not scanned.
 //
 // Usage:
 //
-//	go run ./cmd/ci [-dir .] [-internal internal/core,...]
+//	go run ./cmd/ci [-dir .]
 //	go run ./cmd/ci -write-surface
 package main
 
@@ -46,23 +46,20 @@ import (
 // surfaceFile is the committed API surface of the root package.
 const surfaceFile = "API_SURFACE.txt"
 
+// internalPackages are the internal package dirs, relative to the
+// repository root, whose exported symbols must all be documented and whose
+// options and errors the docs may name.
+var internalPackages = []string{"internal/core", "internal/clique", "internal/workload", "internal/service"}
+
 func main() {
 	log.SetFlags(0)
 	var (
-		dir      = flag.String("dir", ".", "repository root")
-		internal = flag.String("internal", "internal/core,internal/clique,internal/workload,internal/service",
-			"comma-separated internal package dirs (relative to -dir) whose exported symbols must all be documented")
+		dir   = flag.String("dir", ".", "repository root")
 		write = flag.Bool("write-surface", false, "regenerate "+surfaceFile+" from the root package instead of checking it")
 	)
 	flag.Parse()
 
-	var pkgs []string
-	for _, p := range strings.Split(*internal, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			pkgs = append(pkgs, p)
-		}
-	}
-	problems, err := check(*dir, pkgs, *write)
+	problems, err := check(*dir, internalPackages, *write)
 	if err != nil {
 		log.Fatalf("ci: %v", err)
 	}
@@ -442,7 +439,7 @@ func checkDocNames(root string, declared map[string]bool) ([]string, error) {
 			}
 			for _, span := range codeSpanPattern.FindAllStringSubmatch(line, -1) {
 				if name := docNamePattern.FindString(span[1]); name != "" && !declared[name] {
-					problems = append(problems, fmt.Sprintf("%s:%d: `%s` is not declared in the root package or the -internal packages (removed or renamed?)", path, i+1, name))
+					problems = append(problems, fmt.Sprintf("%s:%d: `%s` is not declared in the root package or the internal packages (removed or renamed?)", path, i+1, name))
 				}
 			}
 		}
