@@ -8,6 +8,8 @@ import (
 	"runtime/debug"
 	"testing"
 	"time"
+
+	"congestedclique/internal/workload"
 )
 
 // TestWarmAllocsWatchdogAndCacheHit pins two allocation claims the benchmark
@@ -72,6 +74,48 @@ func TestWarmAllocsWatchdogAndCacheHit(t *testing.T) {
 		}
 		if cs := cached.CumulativeStats(); cs.PlanCacheMisses != 1 || cs.PlanCacheHits != runs+1 {
 			t.Errorf("%s: %d misses / %d hits, want 1 / %d", op.name, cs.PlanCacheMisses, cs.PlanCacheHits, runs+1)
+		}
+	}
+}
+
+// TestWarmAllocsLowComputeRoute pins that Theorem 5.4, the router
+// AlgorithmAuto's pipeline arm runs, allocates no more per warm op than
+// Theorem 3.7 at n=64 and n=256. The instance is the drift-shuffle trace's
+// first full load: its Step 5 demands are not uniform, so every group runs
+// the greedy coloring (bipartite.ColorDemandGreedy), whose per-cell and
+// per-removal slices once made a Theorem 5.4 op allocate five times as much.
+func TestWarmAllocsLowComputeRoute(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	ctx := context.Background()
+	sc, ok := workload.TemporalScenarioByName("drift-shuffle")
+	if !ok {
+		t.Fatal("temporal scenario drift-shuffle missing from the catalog")
+	}
+	for _, n := range []int{64, 256} {
+		tr, err := sc.Build(n, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msgs := instanceMessages(tr.Distinct[0])
+		warm := func(alg Algorithm) float64 {
+			cl, err := New(n, WithAlgorithm(alg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			route := func() {
+				if _, err := cl.Route(ctx, msgs); err != nil {
+					t.Fatal(err)
+				}
+			}
+			route()
+			runtime.GC()
+			return testing.AllocsPerRun(5, route)
+		}
+		det, low := warm(Deterministic), warm(LowCompute)
+		t.Logf("n=%d allocs/op: Theorem 3.7 %.0f, Theorem 5.4 %.0f", n, det, low)
+		if low > det {
+			t.Errorf("n=%d: a warm Theorem 5.4 op allocates %.0f, more than Theorem 3.7's %.0f", n, low, det)
 		}
 	}
 }

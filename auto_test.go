@@ -13,6 +13,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"congestedclique/internal/core"
+	"congestedclique/internal/verify"
 	"congestedclique/internal/workload"
 )
 
@@ -81,7 +83,8 @@ func TestAutoEmptyInstance(t *testing.T) {
 // TestAutoDirectBoundary pins the planner's direct-send boundary through the
 // public API: a single hot sink fed at exactly the boundary multiplicity
 // goes direct; one past the boundary (with many sources) falls back to the
-// pipeline. Both deliver exactly what the deterministic router delivers.
+// pipeline, which is LowCompute's Theorem 5.4 router stat for stat. Both
+// deliver exactly what the deterministic router delivers.
 func TestAutoDirectBoundary(t *testing.T) {
 	t.Parallel()
 	const n = 64
@@ -131,15 +134,20 @@ func TestAutoDirectBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	routeDeliveredEqual(t, "over-boundary", resOver, detOver)
-	if resOver.Stats != detOver.Stats {
-		t.Fatalf("pipeline fallback stats %+v diverge from Deterministic %+v", resOver.Stats, detOver.Stats)
+	lcOver, err := cl.Route(ctx, over, WithAlgorithm(LowCompute))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resOver.Stats != lcOver.Stats {
+		t.Fatalf("pipeline fallback stats %+v diverge from LowCompute %+v", resOver.Stats, lcOver.Stats)
 	}
 }
 
 // TestAutoUniformFullLoadBitIdentical is the acceptance pin: on the uniform
-// full-load golden workload the planner selects the pipeline and reproduces
-// the deterministic goldens bit for bit (same numbers
-// TestRouteStatsInvariants holds Deterministic to).
+// full-load golden workload the planner selects the pipeline, which is
+// Theorem 5.4: it reproduces the LowCompute goldens (the same lcRounds and
+// lcMEW TestLowComputeStatsInvariants holds LowCompute to) and LowCompute's
+// stats bit for bit, and delivers exactly what Deterministic delivers.
 func TestAutoUniformFullLoadBitIdentical(t *testing.T) {
 	for _, g := range statsGoldens {
 		g := g
@@ -148,19 +156,25 @@ func TestAutoUniformFullLoadBitIdentical(t *testing.T) {
 		}
 		t.Run(fmt.Sprintf("n=%d", g.n), func(t *testing.T) {
 			t.Parallel()
-			res, err := Route(g.n, benchRouteWorkload(g.n), WithAlgorithm(AlgorithmAuto))
+			msgs := benchRouteWorkload(g.n)
+			res, err := Route(g.n, msgs, WithAlgorithm(AlgorithmAuto))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if res.Strategy != StrategyPipeline {
 				t.Fatalf("strategy = %v, want pipeline on full load", res.Strategy)
 			}
-			s := res.Stats
-			if s.Rounds != g.routeRounds || s.MaxEdgeWords != g.routeMEW || s.MaxEdgeMessages != g.routeMEM ||
-				s.TotalMessages != g.routeMsgs || s.TotalWords != g.routeWords {
-				t.Errorf("AlgorithmAuto stats %+v diverge from deterministic goldens %+v", s, g)
+			if s := res.Stats; s.Rounds != g.lcRounds || s.MaxEdgeWords != g.lcMEW {
+				t.Errorf("AlgorithmAuto stats %+v diverge from LowCompute goldens %+v", s, g)
 			}
-			det, err := Route(g.n, benchRouteWorkload(g.n))
+			lc, err := Route(g.n, msgs, WithAlgorithm(LowCompute))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Stats != lc.Stats {
+				t.Errorf("AlgorithmAuto stats %+v diverge from LowCompute %+v", res.Stats, lc.Stats)
+			}
+			det, err := Route(g.n, msgs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -273,7 +287,10 @@ func TestAutoSortPipelineArmBitIdentical(t *testing.T) {
 
 // FuzzAutoMatchesDeterministic generates random (mostly sparse, sometimes
 // skewed) instances and checks that AlgorithmAuto delivers exactly what the
-// deterministic router delivers, whatever strategy the planner picked.
+// deterministic router delivers, whatever strategy the planner picked. A
+// pipeline verdict runs Theorem 5.4, not the deterministic router, so its
+// result is also checked by the internal/verify oracle and held to 12
+// rounds.
 func FuzzAutoMatchesDeterministic(f *testing.F) {
 	f.Add(int64(1), uint8(16), uint8(4), false)
 	f.Add(int64(2), uint8(9), uint8(0), false)
@@ -307,6 +324,25 @@ func FuzzAutoMatchesDeterministic(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		routeDeliveredEqual(t, fmt.Sprintf("n=%d strategy=%v", n, auto.Strategy), auto, det)
+		label := fmt.Sprintf("n=%d strategy=%v", n, auto.Strategy)
+		routeDeliveredEqual(t, label, auto, det)
+		if auto.Strategy == StrategyPipeline {
+			sent := make([][]core.Message, n)
+			delivered := make([][]core.Message, n)
+			for i := 0; i < n; i++ {
+				for _, m := range msgs[i] {
+					sent[i] = append(sent[i], toCoreMessage(m))
+				}
+				for _, m := range auto.Delivered[i] {
+					delivered[i] = append(delivered[i], toCoreMessage(m))
+				}
+			}
+			if err := verify.Routing(sent, delivered); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if auto.Stats.Rounds > 12 {
+				t.Fatalf("%s: %d rounds, Theorem 5.4 allows 12", label, auto.Stats.Rounds)
+			}
+		}
 	})
 }

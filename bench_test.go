@@ -1,9 +1,9 @@
 package congestedclique
 
-// This file regenerates, as Go benchmarks, every experiment table recorded in
-// EXPERIMENTS.md (the paper has no empirical tables or figures of its own —
-// see DESIGN.md §1 — so the "tables" are the paper's claimed round, bandwidth
-// and computation bounds). Each benchmark reports the quantities the paper's
+// This file regenerates, as Go benchmarks, the experiment tables E1–E8 that
+// `cliquebench tables` prints (the paper has no empirical tables or figures
+// of its own, so the "tables" are the paper's claimed round, bandwidth and
+// computation bounds, listed in ARCHITECTURE.md's paper-to-code table). Each benchmark reports the quantities the paper's
 // bounds are stated in as custom metrics:
 //
 //	rounds/op          synchronous communication rounds of one execution

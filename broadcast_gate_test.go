@@ -4,8 +4,8 @@ package congestedclique
 // planner's BroadcastMaxRounds gate (workload.BroadcastGateRoute). Just under
 // the gate the planner takes the broadcast fast path at exactly the round
 // cap; one message per source past it the fast path is rejected and the
-// Theorem 3.7 pipeline handles the skew — same deliveries, rounds within the
-// theorem bound and per-edge words a small constant.
+// Theorem 5.4 pipeline handles the skew — same deliveries, exactly its 12
+// rounds and per-edge words a small constant.
 
 import (
 	"fmt"
@@ -51,13 +51,17 @@ func TestBroadcastGate(t *testing.T) {
 			if auto.Strategy != StrategyPipeline {
 				t.Fatalf("one past the gate: strategy %v, want pipeline", auto.Strategy)
 			}
-			if auto.Stats != det.Stats {
-				t.Fatalf("pipeline fallback stats %+v diverge from deterministic %+v", auto.Stats, det.Stats)
+			lc, err := Route(n, msgs, WithAlgorithm(LowCompute))
+			if err != nil {
+				t.Fatalf("over=%v: low-compute: %v", over, err)
 			}
-			// Theorem 3.7: the pipeline finishes within 16 rounds with
-			// constant per-edge bandwidth.
-			if auto.Stats.Rounds > 16 {
-				t.Fatalf("pipeline used %d rounds, Theorem 3.7 allows 16", auto.Stats.Rounds)
+			if auto.Stats != lc.Stats {
+				t.Fatalf("pipeline fallback stats %+v diverge from LowCompute %+v", auto.Stats, lc.Stats)
+			}
+			// Theorem 5.4: the pipeline finishes in 12 rounds with constant
+			// per-edge bandwidth.
+			if auto.Stats.Rounds != 12 {
+				t.Fatalf("pipeline used %d rounds, Theorem 5.4's schedule is 12", auto.Stats.Rounds)
 			}
 			if auto.Stats.MaxEdgeWords > 64 {
 				t.Fatalf("pipeline per-edge load %d words is not a small constant", auto.Stats.MaxEdgeWords)

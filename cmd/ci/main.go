@@ -17,6 +17,9 @@
 //     or `Err…` name in README.md, ARCHITECTURE.md and docs/*.md is declared
 //     in the root package or one of internalPackages. The history files
 //     (CHANGES.md, ROADMAP.md) are not scanned.
+//  5. Go comments name existing docs: every *.md path a comment in a Go
+//     file (tests included) names exists, relative to the repository root
+//     or to the file's directory.
 //
 // Usage:
 //
@@ -69,7 +72,7 @@ func main() {
 		}
 		log.Fatalf("ci: %d problem(s)", len(problems))
 	}
-	fmt.Println("ci: API surface, doc coverage, markdown links and documented option and error names OK")
+	fmt.Println("ci: API surface, doc coverage, markdown links, documented option and error names and doc paths in comments OK")
 }
 
 // check runs every rule on the repository at root and returns the problems
@@ -117,7 +120,12 @@ func check(root string, internal []string, writeSurface bool) ([]string, error) 
 	if err != nil {
 		return nil, err
 	}
-	return append(problems, nameProblems...), nil
+	problems = append(problems, nameProblems...)
+	pathProblems, err := checkCommentDocPaths(root)
+	if err != nil {
+		return nil, err
+	}
+	return append(problems, pathProblems...), nil
 }
 
 // parsePackage parses, with comments, every non-test file of the library
@@ -445,4 +453,53 @@ func checkDocNames(root string, declared map[string]bool) ([]string, error) {
 		}
 	}
 	return problems, nil
+}
+
+// commentDocPattern matches a *.md path in a comment, starting at a word
+// boundary that is not inside a URL or a longer path.
+var commentDocPattern = regexp.MustCompile("(?:^|[\\s(`\"'])([A-Za-z0-9_][A-Za-z0-9_./-]*\\.md)\\b")
+
+// checkCommentDocPaths walks the tree for Go files (skipping hidden
+// directories such as the benchmark's build cache, and testdata) and
+// reports every *.md path named in a comment that exists neither relative
+// to root nor relative to the file's directory.
+func checkCommentDocPaths(root string) ([]string, error) {
+	var problems []string
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != root && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(d.Name(), ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, group := range f.Comments {
+			for _, c := range group.List {
+				for _, m := range commentDocPattern.FindAllStringSubmatch(c.Text, -1) {
+					rel := filepath.FromSlash(m[1])
+					if exists(filepath.Join(root, rel)) || exists(filepath.Join(filepath.Dir(path), rel)) {
+						continue
+					}
+					problems = append(problems, fmt.Sprintf("%s: comment names %s, which is not in the tree", fset.Position(c.Pos()), m[1]))
+				}
+			}
+		}
+		return nil
+	})
+	return problems, err
+}
+
+func exists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
 }

@@ -103,3 +103,21 @@ func TestCheckFlagsUndocumentedRootSymbol(t *testing.T) {
 		t.Fatalf("undocumented root symbol not reported:\n%s", got)
 	}
 }
+
+// TestCheckFlagsMissingDocPathInComment pins rule 5: a Go comment (in a
+// library or a test file) naming a *.md path that is not in the tree fails
+// the check, while paths that exist relative to the root or to the file's
+// directory, and URLs, pass.
+func TestCheckFlagsMissingDocPathInComment(t *testing.T) {
+	lib := seededRepo["lib.go"] + "\n// gone cites DESIGN.md; docs/X.md and https://example.com/GONE.md are fine.\nvar gone int\n"
+	got := checkSeeded(t, map[string]string{
+		"lib.go":          lib,
+		"sub/sub_test.go": "package sub\n\n// See README.md, sub/NOTES.md and NOTES.md but not docs/Y.md.\n",
+		"sub/NOTES.md":    "\n",
+	})
+	joined := strings.Join(got, "\n")
+	if len(got) != 2 || !strings.Contains(joined, "lib.go:12:1: comment names DESIGN.md") ||
+		!strings.Contains(joined, "sub_test.go:3:1: comment names docs/Y.md") {
+		t.Fatalf("problems:\n%s\nwant exactly DESIGN.md in lib.go and docs/Y.md in sub/sub_test.go", joined)
+	}
+}

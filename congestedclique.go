@@ -19,8 +19,8 @@
 //     bits (Section 6.3),
 //   - a demand-aware routing planner (AlgorithmAuto): Route calls classify
 //     their instance and dispatch sparse, one-to-many and empty demand to
-//     fast paths instead of the full pipeline, reporting the choice in
-//     RouteResult.Strategy.
+//     fast paths, everything else to the 12-round Theorem 5.4 pipeline,
+//     reporting the choice in RouteResult.Strategy.
 //
 // # Session API
 //
@@ -108,7 +108,12 @@ const (
 	// (Theorem 3.7) and 37-round sorting (Theorem 4.5).
 	Deterministic Algorithm = iota + 1
 	// LowCompute is the Section 5 routing variant: 12 rounds with O(n log n)
-	// local computation and memory (Theorem 5.4). The paper gives no
+	// local computation and memory (Theorem 5.4), at every n ≥ 9 (non-square
+	// n through Theorem 3.7's V1/V2/corner decomposition; smaller cliques are
+	// one 4-round Corollary 3.4 group, as under Deterministic). It also
+	// moves fewer words than Theorem 3.7 (3.42M against 4.73M for a full
+	// load at n=256), which is why AlgorithmAuto's pipeline arm runs it. The
+	// paper gives no
 	// low-computation sorting algorithm, so Sort and SortKeys under
 	// LowCompute run the deterministic 37-round sorter — a documented
 	// fallback, not an error, because the output and statistics are exactly
@@ -123,8 +128,9 @@ const (
 	// distinct-value census) divert to a two-round rank redistribution when
 	// the rows already partition the global order, or to the Section 6.3
 	// counting protocol when the distinct values fit its feasibility bound.
-	// Everything else runs the full deterministic pipeline, with statistics
-	// bit-identical to Deterministic. RouteResult.Strategy and
+	// Everything else runs the full pipeline: Theorem 5.4 for Route, with
+	// statistics bit-identical to LowCompute (12 rounds), and Algorithm 4 for
+	// Sort, bit-identical to Deterministic. RouteResult.Strategy and
 	// SortResult.Strategy report the choice; see ARCHITECTURE.md for the
 	// dispatch rules. The sorting-based corollary operations (Rank,
 	// SelectKth, Median, Mode, CountSmallKeys) under AlgorithmAuto run the
@@ -153,9 +159,10 @@ func (a Algorithm) String() string {
 type RouteStrategy int
 
 const (
-	// StrategyPipeline is the paper's full Theorem 3.7 balancing pipeline,
-	// selected for full-load and heavily skewed instances. When the planner
-	// picks it, statistics are bit-identical to Deterministic.
+	// StrategyPipeline is the paper's full balancing pipeline in its
+	// 12-round Theorem 5.4 form, selected for full-load and heavily skewed
+	// instances. When the planner picks it, statistics are bit-identical to
+	// LowCompute.
 	StrategyPipeline RouteStrategy = iota + 1
 	// StrategyDirect delivers every message over its own source-destination
 	// edge; the planner picks it when the largest per-(source,destination)
@@ -530,9 +537,11 @@ func WithMaxConcurrency(k int) Option {
 // compared word for word before anything cached is reused
 // (validate-on-hit), so a drifted instance or a hash collision is counted
 // as an invalidation and replanned — a wrong schedule can never be
-// executed. Validated pipeline hits skip the planner, the colorings and all
-// four announcement exchanges (16 rounds become 8); sorting hits skip the
-// planner and the colorings. SortKeys instances carrying caller-assigned
+// executed. Validated pipeline hits skip the planner, the colorings and the
+// two exchanges the Theorem 5.4 schedule records — the set totals and the
+// Step 5 count announcement (12 rounds become 8; at non-square n there is
+// no schedule to record and hits run all 12); sorting hits skip the planner
+// and the colorings. SortKeys instances carrying caller-assigned
 // Origin/Seq labels bypass the cache (the canonical representation stores
 // values only).
 //

@@ -14,7 +14,8 @@
 //
 // These are stand-ins that reproduce the *shape* of the prior randomized
 // results (constant rounds, roughly half the deterministic constants), not
-// line-by-line reimplementations of those papers; see DESIGN.md.
+// line-by-line reimplementations of those papers; see README.md ("Choosing
+// an algorithm") for where they are run.
 package baseline
 
 import (

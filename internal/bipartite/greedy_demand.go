@@ -1,6 +1,9 @@
 package bipartite
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // uniformDemandColoring recognises the common special case of a constant
 // demand matrix (every cell holds exactly u units, as in the announcement
@@ -66,31 +69,46 @@ func ColorDemandGreedy(demand [][]int) (*DemandColoring, error) {
 	}
 	numColors := 2*delta - 1
 
-	rowFree := make([]*freeSet, r)
-	colFree := make([]*freeSet, c)
-	for i := range rowFree {
-		rowFree[i] = newFreeSet(numColors)
+	// Every cell with demand takes at least one run; the backing grows past
+	// this estimate only for fragmented cells.
+	nonzero := 0
+	for _, row := range demand {
+		for _, d := range row {
+			if d > 0 {
+				nonzero++
+			}
+		}
 	}
-	for j := range colFree {
-		colFree[j] = newFreeSet(numColors)
-	}
-
-	runs := make([][][]ColorRun, r)
-	for i := range runs {
-		runs[i] = make([][]ColorRun, c)
-	}
+	free := newFreeSets(r+c, numColors) // rows 0..r-1, columns r..r+c-1
+	backing := make([]ColorRun, 0, nonzero+nonzero/2)
+	cells := make([][]ColorRun, r*c)
 	for i := 0; i < r; i++ {
 		for j := 0; j < c; j++ {
 			need := demand[i][j]
 			if need == 0 {
 				continue
 			}
-			assigned, err := takeCommon(rowFree[i], colFree[j], need)
+			from := len(backing)
+			var err error
+			backing, err = takeCommon(&free[i], &free[r+j], need, backing)
 			if err != nil {
 				return nil, fmt.Errorf("bipartite: greedy coloring cell (%d,%d): %w", i, j, err)
 			}
-			runs[i][j] = assigned
+			cells[i*c+j] = backing[from:]
 		}
+	}
+	// backing may have moved while growing: re-slice every cell's runs from
+	// its final array (cells only kept their lengths valid).
+	off := 0
+	for k, cell := range cells {
+		if len(cell) > 0 {
+			cells[k] = backing[off : off+len(cell) : off+len(cell)]
+			off += len(cell)
+		}
+	}
+	runs := make([][][]ColorRun, r)
+	for i := range runs {
+		runs[i] = cells[i*c : (i+1)*c : (i+1)*c]
 	}
 	return &DemandColoring{NumColors: numColors, Runs: runs}, nil
 }
@@ -103,23 +121,46 @@ func emptyRuns(r, c int) [][][]ColorRun {
 	return runs
 }
 
-// freeSet is an ordered list of disjoint free color intervals.
+// freeSetCap is the interval capacity a free set starts with; a set that
+// fragments further moves to a window twice as large at the pool's end.
+const freeSetCap = 4
+
+// freeSet is an ordered list of disjoint free color intervals: a window
+// pool[off : off+n] (capacity size) of the interval pool all free sets of
+// one coloring share, so a coloring allocates its free lists once instead
+// of once per row, column and removal.
 type freeSet struct {
-	intervals []ColorRun
+	pool         *[]ColorRun
+	off, n, size int
 }
 
-func newFreeSet(numColors int) *freeSet {
-	return &freeSet{intervals: []ColorRun{{Start: 0, Len: numColors}}}
+// newFreeSets returns count free sets, each holding the single interval
+// [0, numColors), carved from one pool.
+func newFreeSets(count, numColors int) []freeSet {
+	pool := make([]ColorRun, count*freeSetCap, 2*count*freeSetCap)
+	shared := &pool
+	sets := make([]freeSet, count)
+	for i := range sets {
+		pool[i*freeSetCap] = ColorRun{Start: 0, Len: numColors}
+		sets[i] = freeSet{pool: shared, off: i * freeSetCap, n: 1, size: freeSetCap}
+	}
+	return sets
 }
 
-// takeCommon removes `need` colors present in both free sets and returns them
-// as runs. The greedy bound guarantees enough common colors exist as long as
-// both sets stem from a matrix with degree at most Δ and 2Δ-1 colors.
-func takeCommon(a, b *freeSet, need int) ([]ColorRun, error) {
-	var taken []ColorRun
+// intervals is the set's current interval list, valid until its next
+// remove.
+func (f *freeSet) intervals() []ColorRun {
+	return (*f.pool)[f.off : f.off+f.n]
+}
+
+// takeCommon removes `need` colors present in both free sets, appends them
+// as runs to out and returns it. The greedy bound guarantees enough common
+// colors exist as long as both sets stem from a matrix with degree at most
+// Δ and 2Δ-1 colors.
+func takeCommon(a, b *freeSet, need int, out []ColorRun) ([]ColorRun, error) {
 	ai, bi := 0, 0
-	for need > 0 && ai < len(a.intervals) && bi < len(b.intervals) {
-		ra, rb := a.intervals[ai], b.intervals[bi]
+	for need > 0 && ai < a.n && bi < b.n {
+		ra, rb := a.intervals()[ai], b.intervals()[bi]
 		lo := ra.Start
 		if rb.Start > lo {
 			lo = rb.Start
@@ -142,7 +183,7 @@ func takeCommon(a, b *freeSet, need int) ([]ColorRun, error) {
 		if take > need {
 			take = need
 		}
-		taken = append(taken, ColorRun{Start: lo, Len: take})
+		out = append(out, ColorRun{Start: lo, Len: take})
 		need -= take
 		a.remove(lo, take)
 		b.remove(lo, take)
@@ -152,27 +193,53 @@ func takeCommon(a, b *freeSet, need int) ([]ColorRun, error) {
 		ai, bi = 0, 0
 	}
 	if need > 0 {
-		return nil, fmt.Errorf("ran out of common free colors (still need %d)", need)
+		return out, fmt.Errorf("ran out of common free colors (still need %d)", need)
 	}
-	return taken, nil
+	return out, nil
 }
 
-// remove deletes the color range [start, start+length) from the free set.
+// remove deletes the color range [start, start+length) from the free set,
+// in place: every interval yields at most one remainder, except the one
+// interval that strictly contains the range, which splits in two.
 func (f *freeSet) remove(start, length int) {
 	end := start + length
-	var out []ColorRun
-	for _, iv := range f.intervals {
-		ivEnd := iv.Start + iv.Len
-		if ivEnd <= start || iv.Start >= end {
-			out = append(out, iv)
-			continue
-		}
-		if iv.Start < start {
-			out = append(out, ColorRun{Start: iv.Start, Len: start - iv.Start})
-		}
-		if ivEnd > end {
-			out = append(out, ColorRun{Start: end, Len: ivEnd - end})
+	iv := f.intervals()
+	w := 0
+	for r, cur := range iv {
+		curEnd := cur.Start + cur.Len
+		switch {
+		case curEnd <= start || cur.Start >= end:
+			iv[w] = cur
+			w++
+		case cur.Start < start && curEnd > end:
+			// No other interval meets the range, so w == r here.
+			iv[r].Len = start - cur.Start
+			f.insert(r+1, ColorRun{Start: end, Len: curEnd - end})
+			return
+		case cur.Start < start:
+			iv[w] = ColorRun{Start: cur.Start, Len: start - cur.Start}
+			w++
+		case curEnd > end:
+			iv[w] = ColorRun{Start: end, Len: curEnd - end}
+			w++
 		}
 	}
-	f.intervals = out
+	f.n = w
+}
+
+// insert puts run at interval index at, moving the set to a window twice as
+// large at the end of the pool when its own is full.
+func (f *freeSet) insert(at int, run ColorRun) {
+	if f.n == f.size {
+		pool := *f.pool
+		off := len(pool)
+		pool = slices.Grow(pool, 2*f.size)[:off+2*f.size]
+		copy(pool[off:], pool[f.off:f.off+f.n])
+		*f.pool = pool
+		f.off, f.size = off, 2*f.size
+	}
+	iv := (*f.pool)[f.off : f.off+f.n+1]
+	copy(iv[at+1:], iv[at:f.n])
+	iv[at] = run
+	f.n++
 }

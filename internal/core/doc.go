@@ -15,7 +15,7 @@
 //   - the demand-aware routing planner (planner.go, not part of the paper):
 //     PlanRoute classifies an instance and AutoRoute dispatches it to a
 //     direct-send, scatter/broadcast or zero-round fast path when demand is
-//     sparse or one-to-many, and to the unchanged Theorem 3.7 pipeline
+//     sparse or one-to-many, and to the 12-round Theorem 5.4 pipeline
 //     otherwise. The dispatch rule is specified in ARCHITECTURE.md.
 //
 // The building blocks mirror the paper's structure: Corollary 3.3 (two-round

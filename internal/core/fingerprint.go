@@ -35,7 +35,7 @@ import (
 //
 // The cache lives on the session handle (one instance shared by every engine
 // of the pool), guarded by a mutex; entries are bounded by capacity with LRU
-// eviction. What an entry stores — the planner verdict, the routeSquare
+// eviction. What an entry stores — the planner verdict, the Theorem 5.4
 // announcement schedule (RouteSchedule) and the engine's shared-computation
 // snapshot (colorings) — is immutable after Store, so concurrent hits share
 // it without copying.

@@ -88,12 +88,17 @@ func TestLowComputeRoutePartialLoad(t *testing.T) {
 	}
 }
 
-func TestLowComputeRouteFallbackNonSquare(t *testing.T) {
+// TestLowComputeRouteNonSquareExactRounds pins Theorem 5.4 at non-square n:
+// the V1/V2/corner decomposition runs the 12-round square router on V1 and
+// V2 beside the 6-round corner procedure, so a full load takes exactly 12
+// rounds within the strict 64-words-per-edge budget.
+func TestLowComputeRouteNonSquareExactRounds(t *testing.T) {
 	t.Parallel()
-	// Non-square clique sizes fall back to the Theorem 3.7 router (16 rounds).
-	m := runLowComputeRouting(t, buildRoutingInstance(20, 20, 21))
-	if m.Rounds > 16 {
-		t.Errorf("non-square fallback: %d rounds", m.Rounds)
+	for _, n := range []int{20, 90} {
+		m := runLowComputeRouting(t, buildRoutingInstance(n, n, int64(n)+1), clique.WithStrictEdgeBudget(64))
+		if m.Rounds != 12 {
+			t.Errorf("n=%d: %d rounds, Theorem 5.4 schedule says 12", n, m.Rounds)
+		}
 	}
 }
 

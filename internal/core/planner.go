@@ -9,12 +9,12 @@ import (
 )
 
 // This file implements the demand-aware routing planner. The paper's
-// pipeline (Theorem 3.7) is engineered for the full-load regime — every node
-// sending and receiving up to n messages — and pays a fixed 16-round
-// schedule plus announcement traffic regardless of how much demand there
-// actually is. The planner classifies a routing instance before committing
-// to that pipeline and dispatches to the cheapest strategy that is still
-// correct for the instance's shape:
+// pipelines (Theorems 3.7 and 5.4) are engineered for the full-load regime —
+// every node sending and receiving up to n messages — and pay a fixed
+// schedule of 16 or 12 rounds plus announcement traffic regardless of how
+// much demand there actually is. The planner classifies a routing instance
+// before committing to a pipeline and dispatches to the cheapest strategy
+// that is still correct for the instance's shape:
 //
 //   - StrategyEmpty: no messages at all — zero rounds, zero words.
 //   - StrategyDirect: every (source, destination) pair's load fits one
@@ -26,9 +26,13 @@ import (
 //     source deals its messages round-robin across all n nodes in one
 //     scatter round, then every relay forwards what it holds to the final
 //     destinations; the plan pre-computes the number of delivery rounds.
-//   - StrategyPipeline: everything else runs the paper's deterministic
-//     pipeline unchanged — stats are bit-identical to calling Route
-//     directly, which the stats-invariant goldens pin.
+//   - StrategyPipeline: everything else runs Theorem 5.4, the paper's
+//     12-round low-computation pipeline, on every n (non-square n through
+//     Theorem 3.7's V1/V2/corner decomposition) — stats are bit-identical
+//     to calling LowComputeRoute directly, which the LowCompute goldens
+//     pin. It beats the 16-round Theorem 3.7 pipeline in both currencies:
+//     4 fewer rounds and, at n=256, 3.42M words against 4.73M (see
+//     docs/PERFORMANCE.md). Deterministic keeps Theorem 3.7.
 //
 // The fast paths are gated on the sub-full-load regime (see
 // FastPathMaxTotal): at full balanced load the pipeline is the paper's
@@ -53,7 +57,8 @@ import (
 type RouteStrategy int
 
 const (
-	// StrategyPipeline is the paper's full Theorem 3.7 balancing pipeline.
+	// StrategyPipeline is the paper's full balancing pipeline, in its
+	// 12-round Theorem 5.4 form.
 	StrategyPipeline RouteStrategy = iota + 1
 	// StrategyDirect delivers every message over its own source-destination
 	// edge, one frame per busy edge, in a single round.
@@ -107,9 +112,8 @@ const (
 )
 
 // FastPathMaxTotal is the demand-volume gate of the planner: instances with
-// more than n²/4 total messages are the full-load regime the Theorem 3.7
-// pipeline is designed (and measured) for, and are never diverted to a fast
-// path.
+// more than n²/4 total messages are the full-load regime the pipeline is
+// designed (and measured) for, and are never diverted to a fast path.
 func FastPathMaxTotal(n int) int { return n * n / 4 }
 
 // BroadcastSourceCap is the one-to-many gate: the broadcast path is
@@ -170,8 +174,8 @@ type RoutePlan struct {
 	CensusFP    uint64
 
 	// Sched is a validated cached announcement schedule to execute instead
-	// of the pipeline's announcement exchanges; Capture is an empty schedule
-	// to record them into. At most one is set, only for pipeline dispatch,
+	// of the pipeline's set-total and Step 5 announcement exchanges; Capture
+	// is an empty schedule to record them into. At most one is set, only for pipeline dispatch,
 	// and only by the session's plan-cache layer.
 	Sched   *RouteSchedule
 	Capture *RouteSchedule
@@ -315,7 +319,7 @@ func routeStrategyFromCensus(n, total, activeSources int, maxPairMult, scatterRo
 		return StrategyEmpty, "no messages"
 	}
 	if total > FastPathMaxTotal(n) {
-		return StrategyPipeline, fmt.Sprintf("full-load regime: %d messages > n²/4 = %d", total, FastPathMaxTotal(n))
+		return StrategyPipeline, fmt.Sprintf("full-load regime: %d messages > n²/4 = %d, %s", total, FastPathMaxTotal(n), pipelineReason)
 	}
 	mult := maxPairMult()
 	if mult <= DirectMaxMultiplicity {
@@ -323,17 +327,21 @@ func routeStrategyFromCensus(n, total, activeSources int, maxPairMult, scatterRo
 			mult, DirectMaxMultiplicity)
 	}
 	if activeSources > BroadcastSourceCap(n) {
-		return StrategyPipeline, fmt.Sprintf("skewed demand: max pair multiplicity %d exceeds the direct budget and %d sources exceed the broadcast cap %d",
-			mult, activeSources, BroadcastSourceCap(n))
+		return StrategyPipeline, fmt.Sprintf("skewed demand: max pair multiplicity %d exceeds the direct budget and %d sources exceed the broadcast cap %d, %s",
+			mult, activeSources, BroadcastSourceCap(n), pipelineReason)
 	}
 	relayRounds := scatterRounds()
 	if 1+relayRounds <= BroadcastMaxRounds {
 		return StrategyBroadcast, fmt.Sprintf("one-to-many demand: %d source(s), scatter + %d delivery round(s)",
 			activeSources, relayRounds)
 	}
-	return StrategyPipeline, fmt.Sprintf("skewed demand: max pair multiplicity %d exceeds the direct budget and scatter would need 1+%d rounds (cap %d)",
-		mult, relayRounds, BroadcastMaxRounds)
+	return StrategyPipeline, fmt.Sprintf("skewed demand: max pair multiplicity %d exceeds the direct budget and scatter would need 1+%d rounds (cap %d), %s",
+		mult, relayRounds, BroadcastMaxRounds, pipelineReason)
 }
+
+// pipelineReason ends every pipeline verdict's Reason: the theorem the arm
+// runs and its rounds.
+const pipelineReason = "Theorem 5.4 pipeline in 12 rounds"
 
 // AutoRoute executes one node's part of a planned routing instance as
 // blocking code. Every node must pass the same plan (PlanRoute of the
@@ -342,7 +350,7 @@ func routeStrategyFromCensus(n, total, activeSources int, maxPairMult, scatterRo
 // Route: the messages addressed to this node, sorted by (Src, Dst, Seq). The
 // charged census and the empty, direct and broadcast arms are the step
 // programs of census.go and sparse_route.go under driveBlocking; the pipeline
-// arm is the Theorem 3.7 executor.
+// arm is the Theorem 5.4 executor, LowComputeRoute with the plan's schedule.
 func AutoRoute(ex clique.Exchanger, msgs []Message, plan RoutePlan) ([]Message, error) {
 	if plan.N != ex.N() {
 		return nil, fmt.Errorf("core: plan computed for n=%d executed on n=%d", plan.N, ex.N())
@@ -357,7 +365,7 @@ func AutoRoute(ex clique.Exchanger, msgs []Message, plan RoutePlan) ([]Message, 
 		}
 	}
 	if plan.Strategy == StrategyPipeline {
-		return routeWithSchedule(ex, msgs, plan.Sched, plan.Capture)
+		return lowComputeRoute(ex, msgs, plan.Sched, plan.Capture)
 	}
 	err := driveBlocking(ex, func(round int, inbox clique.Inbox) (bool, error) {
 		return p.step(ex, &plan, msgs, round, inbox)

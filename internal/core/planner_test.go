@@ -233,22 +233,24 @@ func TestEmptyPlanZeroRounds(t *testing.T) {
 	}
 }
 
-// TestAutoRoutePipelineMatchesRoute pins that the pipeline fallback is the
-// very same code path as Route: identical outputs and identical metrics on a
-// full-load instance.
-func TestAutoRoutePipelineMatchesRoute(t *testing.T) {
+// TestAutoRoutePipelineMatchesLowComputeRoute pins that the pipeline arm is
+// the very same code path as LowComputeRoute (Theorem 5.4): identical
+// outputs and identical metrics on a full-load instance, at a square and a
+// non-square n.
+func TestAutoRoutePipelineMatchesLowComputeRoute(t *testing.T) {
 	t.Parallel()
-	const n = 25
-	msgs := buildRoutingInstance(n, n, 99)
-	mAuto, plan := runPlanned(t, msgs)
-	if plan.Strategy != StrategyPipeline {
-		t.Fatalf("strategy %v, want pipeline", plan.Strategy)
-	}
-	mDet := runRouting(t, msgs)
-	if mAuto.Rounds != mDet.Rounds || mAuto.MaxEdgeWords != mDet.MaxEdgeWords ||
-		mAuto.MaxEdgeMessages != mDet.MaxEdgeMessages || mAuto.TotalMessages != mDet.TotalMessages ||
-		mAuto.TotalWords != mDet.TotalWords {
-		t.Fatalf("pipeline fallback metrics %+v diverge from Route %+v", mAuto, mDet)
+	for _, n := range []int{25, 30} {
+		msgs := buildRoutingInstance(n, n, 99)
+		mAuto, plan := runPlanned(t, msgs)
+		if plan.Strategy != StrategyPipeline {
+			t.Fatalf("n=%d: strategy %v, want pipeline", n, plan.Strategy)
+		}
+		mLow := runLowComputeRouting(t, msgs)
+		if mAuto.Rounds != 12 || mAuto.Rounds != mLow.Rounds || mAuto.MaxEdgeWords != mLow.MaxEdgeWords ||
+			mAuto.MaxEdgeMessages != mLow.MaxEdgeMessages || mAuto.TotalMessages != mLow.TotalMessages ||
+			mAuto.TotalWords != mLow.TotalWords {
+			t.Fatalf("n=%d: pipeline arm metrics %+v diverge from LowComputeRoute %+v", n, mAuto, mLow)
+		}
 	}
 }
 

@@ -106,7 +106,7 @@ func Rank(ex clique.Exchanger, myKeys []Key) (*RankResult, error) {
 			Words: rc.arenaAppend(clique.Word(k.Seq), clique.Word(rank)),
 		})
 	}
-	received, err := routeParcels(rc, parcels, rootStep("cor4.6"))
+	received, err := routeParcels(rc, parcels, rootStep("cor4.6"), routeSquare)
 	if err != nil {
 		return nil, fmt.Errorf("core: rank routing: %w", err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
 	"congestedclique/internal/bipartite"
 	"congestedclique/internal/clique"
@@ -35,20 +36,21 @@ type parcel struct {
 //     the virtual multiplexer, so the total stays 16 rounds at the cost of a
 //     constant-factor increase in message size.
 func Route(ex clique.Exchanger, msgs []Message) ([]Message, error) {
-	return routeWithSchedule(ex, msgs, nil, nil)
+	return routeMessages(ex, msgs, "route@r", rootStep("thm3.7"), routeSquare)
 }
 
-// routeWithSchedule is Route with an optional cached announcement schedule
-// (executed instead of the announcement exchanges) or an optional capture
-// target (filled during the announcement exchanges). See RouteSchedule.
-func routeWithSchedule(ex clique.Exchanger, msgs []Message, sched, capture *RouteSchedule) ([]Message, error) {
-	c := fullComm(ex, fmt.Sprintf("route@r%d", ex.Round()))
+// routeMessages is the Message-level shell shared by Route and
+// LowComputeRoute: it encodes msgs as parcels on a comm spanning the clique
+// (labelled label + round), routes them with routeParcels and square, and
+// decodes what arrived, sorted by (Src, Dst, Seq).
+func routeMessages(ex clique.Exchanger, msgs []Message, label string, st step, square squareRouter) ([]Message, error) {
+	c := fullComm(ex, label+strconv.Itoa(ex.Round()))
 	defer c.release()
 	parcels := make([]parcel, 0, len(msgs))
 	for _, m := range msgs {
 		parcels = append(parcels, parcel{Src: m.Src, Dst: m.Dst, Words: c.arenaAppend(clique.Word(m.Seq), m.Payload)})
 	}
-	received, err := routeParcelsSched(c, parcels, rootStep("thm3.7"), sched, capture)
+	received, err := routeParcels(c, parcels, st, square)
 	if err != nil {
 		return nil, err
 	}
@@ -68,18 +70,15 @@ func routeWithSchedule(ex clique.Exchanger, msgs []Message, sched, capture *Rout
 // Corollary 3.4 group instead.
 const routeTrivialThreshold = 9
 
-// routeParcels dispatches between the perfect-square algorithm, the
-// tiny-clique fallback and the general decomposition. Every member of the
-// comm must call it in the same round.
-func routeParcels(c *comm, parcels []parcel, st step) ([]parcel, error) {
-	return routeParcelsSched(c, parcels, st, nil, nil)
-}
+// squareRouter routes parcels on a comm whose member count is a perfect
+// square: routeSquare (Algorithm 1, Theorem 3.7) or lowComputeSquare
+// (Theorem 5.4).
+type squareRouter func(c *comm, parcels []parcel, st step) ([]parcel, error)
 
-// routeParcelsSched is routeParcels with an optional cached or to-be-captured
-// announcement schedule. Schedules only exist for the perfect-square
-// algorithm (NewRouteScheduleCapture refuses other sizes); the other branches
-// ignore them.
-func routeParcelsSched(c *comm, parcels []parcel, st step, sched, capture *RouteSchedule) ([]parcel, error) {
+// routeParcels dispatches between the perfect-square algorithm, the
+// tiny-clique fallback and the general decomposition, which runs square on
+// V1 and V2. Every member of the comm must call it in the same round.
+func routeParcels(c *comm, parcels []parcel, st step, square squareRouter) ([]parcel, error) {
 	if err := validateParcels(c, parcels); err != nil {
 		return nil, err
 	}
@@ -90,9 +89,9 @@ func routeParcelsSched(c *comm, parcels []parcel, st step, sched, capture *Route
 	case m < routeTrivialThreshold:
 		return routeTiny(c, parcels, st.sub("tiny", kcTiny))
 	case isPerfectSquare(m):
-		return routeSquare(c, parcels, st.sub("square", kcSquare), sched, capture)
+		return square(c, parcels, st.sub("square", kcSquare))
 	default:
-		return routeGeneral(c, parcels, st.sub("general", kcGeneral))
+		return routeGeneral(c, parcels, st.sub("general", kcGeneral), square)
 	}
 }
 
@@ -184,91 +183,6 @@ func heldItemsToParcels(c *comm, items []item, context string) ([]parcel, error)
 	return out, nil
 }
 
-// RouteSchedule is the announcement state of one routeSquare execution: the
-// set-level demand matrix of Algorithm 2 Step 1 and the three per-group
-// count matrices the pipeline otherwise establishes by announcement
-// exchanges (Algorithm 2 Step 3, Step 3 of Algorithm 1, and the Corollary
-// 3.4 count announcement of Step 5). Everything else the pipeline computes —
-// colorings, balance plans, per-parcel targets — is a deterministic local
-// function of these matrices and the submission-order parcel sequence.
-//
-// A schedule captured from one execution can therefore drive a later
-// execution of the *same* instance (same ordered per-source destination
-// sequence — the plan cache's validate-on-hit guarantees this) with all four
-// announcement exchanges skipped: 8 of the pipeline's 16 rounds. Order
-// matters, not just the demand matrix: intermediate sets are assigned by
-// submission-order unit index, so a reordered instance executes a different
-// schedule — which is why the cache key hashes the ordered sequence.
-//
-// A seeded run still cross-checks the schedule against the instance at every
-// step it uses it: each node compares its locally computed count row with
-// the cached matrix row before sending a word, and relayRoute independently
-// verifies items against demand, so a schedule that does not match the
-// instance yields an error, never a misrouted parcel.
-type RouteSchedule struct {
-	// S is the group count/size (√m) the schedule was captured for.
-	S int
-	// SetDemand[a][b] is the Algorithm 2 Step 1 result: parcels held by set
-	// a with destination in set b.
-	SetDemand [][]int
-	// A2Counts[g][a][b], S3Counts[g][a][b], S5Counts[g][a][b] are the
-	// announcement results of group g: parcels held by group member a for
-	// destination set b (A2, S3) respectively destination member b (S5).
-	A2Counts [][][]int
-	S3Counts [][][]int
-	S5Counts [][][]int
-}
-
-// NewRouteScheduleCapture returns an empty schedule ready to be filled by a
-// routeSquare execution on a clique of n nodes, or nil when n does not run
-// the perfect-square algorithm (too small, or not a square — those paths
-// have no capturable announcement schedule).
-func NewRouteScheduleCapture(n int) *RouteSchedule {
-	if n < routeTrivialThreshold {
-		return nil
-	}
-	s := isqrt(n)
-	if s*s != n {
-		return nil
-	}
-	return &RouteSchedule{
-		S:        s,
-		A2Counts: make([][][]int, s),
-		S3Counts: make([][][]int, s),
-		S5Counts: make([][][]int, s),
-	}
-}
-
-// complete reports whether every slot of the capture was filled (an errored
-// or fast-pathed run leaves gaps; such captures are discarded, not stored).
-func (rs *RouteSchedule) complete() bool {
-	if rs == nil || rs.SetDemand == nil {
-		return false
-	}
-	for g := 0; g < rs.S; g++ {
-		if rs.A2Counts[g] == nil || rs.S3Counts[g] == nil || rs.S5Counts[g] == nil {
-			return false
-		}
-	}
-	return true
-}
-
-// checkScheduleRow verifies that this node's locally computed count vector
-// matches its row of the cached announcement matrix — the validate-on-use
-// backstop of a seeded run.
-func checkScheduleRow(all [][]int, myIdx int, local []int, phase string) error {
-	if myIdx >= len(all) || len(all[myIdx]) != len(local) {
-		return fmt.Errorf("core: cached schedule shape mismatch at %s", phase)
-	}
-	for b, v := range local {
-		if all[myIdx][b] != v {
-			return fmt.Errorf("core: cached schedule does not match the instance at %s (position %d: have %d, schedule says %d)",
-				phase, b, v, all[myIdx][b])
-		}
-	}
-	return nil
-}
-
 // routeSquare is Algorithm 1 for a member count that is a perfect square.
 // The step structure and round budget follow the paper exactly:
 //
@@ -277,13 +191,7 @@ func checkScheduleRow(all [][]int, myIdx int, local []int, phase string) error {
 //	Step 4                1 round    move parcels to their destination sets
 //	Step 5                4 rounds   deliver inside each destination set (Cor. 3.4)
 //	                     -- total 16 rounds (Theorem 3.7)
-//
-// With a cached schedule (sched != nil) the four announcement exchanges are
-// replaced by the cached matrices — 8 rounds total. With a capture target
-// the announcement results are recorded into it: node 0 stores the global
-// set-demand matrix and each group's member 0 stores that group's matrices,
-// so the capture slots are written race-free and exactly once.
-func routeSquare(c *comm, parcels []parcel, st step, sched, capture *RouteSchedule) ([]parcel, error) {
+func routeSquare(c *comm, parcels []parcel, st step) ([]parcel, error) {
 	m := c.size()
 	s := isqrt(m)
 	if s*s != m {
@@ -299,9 +207,6 @@ func routeSquare(c *comm, parcels []parcel, st step, sched, capture *RouteSchedu
 		groupMembers[i] = grp.member(myGroup, i)
 	}
 	myIdxInGroup := grp.indexInGroup(c.me)
-	if sched != nil && sched.S != s {
-		return nil, fmt.Errorf("%s: cached schedule for group size %d used on group size %d", st.name, sched.S, s)
-	}
 
 	loadSlot := c.heldSlot()
 	load := *loadSlot
@@ -321,28 +226,18 @@ func routeSquare(c *comm, parcels []parcel, st step, sched, capture *RouteSchedu
 	for _, h := range load {
 		cntSet[grp.groupOf(h.dstLocal)]++
 	}
-	var setDemand [][]int
-	if sched != nil {
-		// Seeded: the set-level demand is cached; the per-member cross-check
-		// happens against A2Counts below (cntSet is exactly this node's row).
-		setDemand = sched.SetDemand
-	} else {
-		contributions := make([]int64, s)
-		for b, v := range cntSet {
-			contributions[b] = int64(v)
-		}
-		tFlat, aggErr := aggregateAndBroadcast(c, myGroup*s, contributions, s*s)
-		if aggErr != nil {
-			return nil, fmt.Errorf("%s step2.1: %w", st.name, aggErr)
-		}
-		setDemand = makeIntMatrix(s, s)
-		for a := 0; a < s; a++ {
-			for b := 0; b < s; b++ {
-				setDemand[a][b] = int(tFlat[a*s+b])
-			}
-		}
-		if capture != nil && c.me == 0 {
-			capture.SetDemand = setDemand
+	contributions := make([]int64, s)
+	for b, v := range cntSet {
+		contributions[b] = int64(v)
+	}
+	tFlat, err := aggregateAndBroadcast(c, myGroup*s, contributions, s*s)
+	if err != nil {
+		return nil, fmt.Errorf("%s step2.1: %w", st.name, err)
+	}
+	setDemand := makeIntMatrix(s, s)
+	for a := 0; a < s; a++ {
+		for b := 0; b < s; b++ {
+			setDemand[a][b] = int(tFlat[a*s+b])
 		}
 	}
 
@@ -369,20 +264,9 @@ func routeSquare(c *comm, parcels []parcel, st step, sched, capture *RouteSchedu
 	// Algorithm 2, Step 3 (2 rounds): inside every set, members announce how
 	// many parcels they hold per destination set, which pins down every
 	// parcel's position in the set-level order and hence its color.
-	var perMemberCnt [][]int
-	if sched != nil {
-		if err := checkScheduleRow(sched.A2Counts[myGroup], myIdxInGroup, cntSet, "step2.3"); err != nil {
-			return nil, fmt.Errorf("%s: %w", st.name, err)
-		}
-		perMemberCnt = sched.A2Counts[myGroup]
-	} else {
-		perMemberCnt, err = announceIntVector(c, groupMembers, cntSet, st.sub("a2.announce", kcA2Announce))
-		if err != nil {
-			return nil, fmt.Errorf("%s step2.3: %w", st.name, err)
-		}
-		if capture != nil && myIdxInGroup == 0 {
-			capture.A2Counts[myGroup] = perMemberCnt
-		}
+	perMemberCnt, err := announceIntVector(c, groupMembers, cntSet, st.sub("a2.announce", kcA2Announce))
+	if err != nil {
+		return nil, fmt.Errorf("%s step2.3: %w", st.name, err)
 	}
 
 	// Algorithm 2, Step 4 (local): derive each parcel's intermediate set and
@@ -488,20 +372,9 @@ func routeSquare(c *comm, parcels []parcel, st step, sched, capture *RouteSchedu
 	for _, h := range load {
 		cnt3[grp.groupOf(h.dstLocal)]++
 	}
-	var all3 [][]int
-	if sched != nil {
-		if err = checkScheduleRow(sched.S3Counts[myGroup], myIdxInGroup, cnt3, "step3"); err != nil {
-			return nil, fmt.Errorf("%s: %w", st.name, err)
-		}
-		all3 = sched.S3Counts[myGroup]
-	} else {
-		all3, err = announceIntVector(c, groupMembers, cnt3, st.sub("s3.announce", kcS3Announce))
-		if err != nil {
-			return nil, fmt.Errorf("%s step3: %w", st.name, err)
-		}
-		if capture != nil && myIdxInGroup == 0 {
-			capture.S3Counts[myGroup] = all3
-		}
+	all3, err := announceIntVector(c, groupMembers, cnt3, st.sub("s3.announce", kcS3Announce))
+	if err != nil {
+		return nil, fmt.Errorf("%s step3: %w", st.name, err)
 	}
 	plan3, err := newBalancePlan(c, all3, s, st.sub("s3.plan", kcS3Plan), int32(myGroup))
 	if err != nil {
@@ -564,36 +437,7 @@ func routeSquare(c *comm, parcels []parcel, st step, sched, capture *RouteSchedu
 		items5 = append(items5, item{dst: h.dstLocal, words: c.arenaHeld(h)})
 	}
 	*items5Slot = items5
-	st5 := st.sub("s5", kcS5)
-	var received5 []item
-	if sched == nil && capture == nil {
-		received5, err = groupRouteUnknown(c, groupMembers, items5, st5)
-	} else {
-		// Open-coded groupRouteUnknown (Corollary 3.4) so the count
-		// announcement can be served from (or recorded into) the schedule;
-		// the step keys match groupRouteUnknown's exactly, so shared
-		// colorings are interchangeable between captured and seeded runs.
-		vec5 := make([]int, s)
-		for _, it := range items5 {
-			vec5[grp.indexInGroup(it.dst)]++
-		}
-		var counts5 [][]int
-		if sched != nil {
-			if err = checkScheduleRow(sched.S5Counts[myGroup], myIdxInGroup, vec5, "step5"); err != nil {
-				return nil, fmt.Errorf("%s: %w", st.name, err)
-			}
-			counts5 = sched.S5Counts[myGroup]
-		} else {
-			counts5, err = announceIntVector(c, groupMembers, vec5, st5.sub("announce", kcAnnounce))
-			if err != nil {
-				return nil, fmt.Errorf("%s step5: %w", st.name, err)
-			}
-			if myIdxInGroup == 0 {
-				capture.S5Counts[myGroup] = counts5
-			}
-		}
-		received5, err = relayRouteColored(c, groupMembers, counts5, items5, st5.sub("deliver", kcDeliver), false)
-	}
+	received5, err := groupRouteUnknown(c, groupMembers, items5, st.sub("s5", kcS5))
 	if err != nil {
 		return nil, fmt.Errorf("%s step5: %w", st.name, err)
 	}

@@ -6,7 +6,9 @@ import (
 	"congestedclique/internal/clique"
 )
 
-// routeGeneral implements the non-perfect-square case of Theorem 3.7. With
+// routeGeneral implements the non-perfect-square case of Theorem 3.7 for
+// either square router (Theorem 3.7's routeSquare or Theorem 5.4's
+// lowComputeSquare). With
 // s = floor(sqrt(m)) it considers
 //
 //	V1 = the first s^2 members,
@@ -18,9 +20,10 @@ import (
 // (one endpoint among the first m-s^2 members, the other among the last
 // m-s^2) are routed by the paper's 6-round boundary procedure. The three
 // instances run concurrently on the virtual multiplexer, so the total round
-// count stays 16 while the per-edge load grows by a constant factor only —
-// exactly the trade-off stated in the proof of Theorem 3.7.
-func routeGeneral(c *comm, parcels []parcel, st step) ([]parcel, error) {
+// count stays the square router's (16, respectively 12) while the per-edge
+// load grows by a constant factor only — exactly the trade-off stated in the
+// proof of Theorem 3.7.
+func routeGeneral(c *comm, parcels []parcel, st step, router squareRouter) ([]parcel, error) {
 	m := c.size()
 	s := isqrt(m)
 	square := s * s
@@ -73,7 +76,7 @@ func routeGeneral(c *comm, parcels []parcel, st step) ([]parcel, error) {
 			if err != nil {
 				return err
 			}
-			res, err := routeSquare(sub, parcels1, st.sub("v1", kcV1), nil, nil)
+			res, err := router(sub, parcels1, st.sub("v1", kcV1))
 			if err != nil {
 				return err
 			}
@@ -87,7 +90,7 @@ func routeGeneral(c *comm, parcels []parcel, st step) ([]parcel, error) {
 			if err != nil {
 				return err
 			}
-			res, err := routeSquare(sub, parcels2, st.sub("v2", kcV2), nil, nil)
+			res, err := router(sub, parcels2, st.sub("v2", kcV2))
 			if err != nil {
 				return err
 			}

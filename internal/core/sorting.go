@@ -214,7 +214,7 @@ func sortLarge(c *comm, myKeys []Key, label string) (*SortResult, error) {
 			// go back to the pool as soon as the program ends.
 			defer sub.release()
 			parcels := buildBucketParcels(sub, input, bstart, s, numGroups)
-			received, rErr := routeParcels(sub, parcels, st.sub("s6.route", kcSortS6))
+			received, rErr := routeParcels(sub, parcels, st.sub("s6.route", kcSortS6), routeSquare)
 			if rErr != nil {
 				return rErr
 			}

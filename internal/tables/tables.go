@@ -1,5 +1,5 @@
 // Package tables renders the experiment results as aligned text tables, the
-// format recorded in EXPERIMENTS.md and printed by cmd/cliquebench, with
+// format cmd/cliquebench prints, with
 // optional markdown and JSON renderings (the latter feeds the CI benchmark
 // artifact).
 package tables

@@ -1,7 +1,8 @@
 // Package verify checks the outputs of routing and sorting executions
 // against their instances. The benchmark harness refuses to report a
-// measurement whose output fails verification, so every number in
-// EXPERIMENTS.md corresponds to a correct execution.
+// measurement whose output fails verification, so every number in the
+// experiment tables and BENCH_protocol.json corresponds to a correct
+// execution.
 package verify
 
 import (

@@ -55,7 +55,7 @@ func ScaleBroadcastRoute(n int) (*RoutingInstance, error) {
 // With over=false each source sends 7 messages (scatter + 7 delivery rounds,
 // exactly at the cap: StrategyBroadcast); with over=true each sends 8
 // (1+8 rounds, one past the cap: the planner must reject the fast path and
-// keep the Theorem 3.7 pipeline). Requires n >= 64 so 8 sources stay within
+// keep the pipeline). Requires n >= 64 so 8 sources stay within
 // the broadcast source cap n/8.
 func BroadcastGateRoute(n int, over bool) (*RoutingInstance, error) {
 	if n < 64 {

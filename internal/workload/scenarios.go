@@ -21,7 +21,7 @@ type Scenario struct {
 	// Description is a one-line summary listed by cliquebench scen.
 	Description string
 	// FullLoad marks scenarios in the full-load regime, where the planner
-	// deliberately stays on the Theorem 3.7 pipeline.
+	// deliberately stays on the full pipeline (Theorem 5.4).
 	FullLoad bool
 	// Build constructs the instance for a clique of n nodes. Scenarios
 	// require n >= 8 (the catalog's shapes degenerate below that).

@@ -102,7 +102,7 @@ func phasedTrace(n int, name string, distinct []*RoutingInstance, stepsPer int) 
 // shuffleVariant is a full-load Latin-square shuffle with a per-variant
 // rotation: message j of node i goes to node (i + j + rot) mod n. Every
 // variant is full load (n^2 messages, past the planner's volume gate), so
-// the whole family runs the Theorem 3.7 pipeline and repeats exercise the
+// the whole family runs the Theorem 5.4 pipeline and repeats exercise the
 // cached announcement schedule.
 func shuffleVariant(n, rot int, rng *rand.Rand, name string) *RoutingInstance {
 	b := newInstanceBuilder(n)

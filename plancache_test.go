@@ -5,8 +5,8 @@ package congestedclique
 // hit can never change a result — every hit is validated against the exact
 // instance, the seeded schedule replays only on the run that matched, and a
 // drifted or colliding instance always re-plans. The perf claim: a pipeline
-// hit skips the schedule-establishment rounds (16 -> 8, plus the 3-round
-// census either way).
+// hit skips the set-total aggregation and the Step 5 count announcement of
+// Theorem 5.4 (12 -> 8, plus the 3-round census either way).
 
 import (
 	"context"
@@ -43,8 +43,8 @@ func cacheSortInstance(n, salt int) [][]int64 {
 
 // TestPlanCacheRouteHitBitIdentical pins the whole contract on the route
 // side at once: the miss and every subsequent hit deliver bit-identically to
-// a cache-off handle, the hit skips the four announcement exchanges
-// (16 -> 8 protocol rounds) while the census adds its 3 rounds to both, and
+// a cache-off handle, the hit skips the two schedule exchanges
+// (12 -> 8 protocol rounds) while the census adds its 3 rounds to both, and
 // the handle counters account for every lookup.
 func TestPlanCacheRouteHitBitIdentical(t *testing.T) {
 	t.Parallel()
@@ -93,13 +93,14 @@ func TestPlanCacheRouteHitBitIdentical(t *testing.T) {
 		if hit.Strategy != golden.Strategy {
 			t.Fatalf("hit strategy %v, golden %v", hit.Strategy, golden.Strategy)
 		}
-		// Hit cost: census (3) + the 8 payload rounds; the 8 announcement
-		// rounds are replayed from the cached schedule.
+		// Hit cost: census (3) + the 8 payload rounds; the 4 rounds of the
+		// set totals and the Step 5 announcement are replayed from the cached
+		// schedule.
 		if hit.Stats.Rounds >= miss.Stats.Rounds {
 			t.Fatalf("hit rounds = %d, no cheaper than the miss's %d", hit.Stats.Rounds, miss.Stats.Rounds)
 		}
-		if want := RouteCensusRounds + golden.Stats.Rounds/2; hit.Stats.Rounds != want {
-			t.Fatalf("hit rounds = %d, want %d (census %d + payload %d)", hit.Stats.Rounds, want, RouteCensusRounds, golden.Stats.Rounds/2)
+		if want := RouteCensusRounds + golden.Stats.Rounds - 4; hit.Stats.Rounds != want {
+			t.Fatalf("hit rounds = %d, want %d (census %d + payload %d)", hit.Stats.Rounds, want, RouteCensusRounds, golden.Stats.Rounds-4)
 		}
 		if hit.Stats.TotalWords >= miss.Stats.TotalWords {
 			t.Fatalf("hit words = %d, no cheaper than the miss's %d", hit.Stats.TotalWords, miss.Stats.TotalWords)
@@ -109,6 +110,54 @@ func TestPlanCacheRouteHitBitIdentical(t *testing.T) {
 	cs := cl.CumulativeStats()
 	if cs.PlanCacheHits != 3 || cs.PlanCacheMisses != 1 || cs.PlanCacheInvalidations != 0 {
 		t.Fatalf("cache counters = (%d,%d,%d), want (3,1,0)", cs.PlanCacheHits, cs.PlanCacheMisses, cs.PlanCacheInvalidations)
+	}
+}
+
+// TestPlanCacheRouteExactRounds pins the round schedule of a plan-cache
+// handle on full loads: a miss is the census plus Theorem 5.4 (3 + 12), a
+// hit at perfect-square n replays the cached schedule (3 + 8), and at
+// non-square n, where the V1/V2 decomposition has no capturable schedule, a
+// hit costs what the miss did. Hits deliver exactly what the miss did.
+func TestPlanCacheRouteExactRounds(t *testing.T) {
+	t.Parallel()
+	ctx := context.Background()
+	for _, tc := range []struct{ n, miss, hit int }{
+		{64, 15, 11},
+		{256, 15, 11},
+		{90, 15, 15},
+	} {
+		tc := tc
+		t.Run(fmt.Sprintf("n=%d", tc.n), func(t *testing.T) {
+			t.Parallel()
+			cl, err := New(tc.n, WithAlgorithm(AlgorithmAuto), WithPlanCache(8))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			msgs := cachePipelineInstance(tc.n, 2)
+			miss, err := cl.Route(ctx, msgs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if miss.Strategy != StrategyPipeline || miss.Stats.Rounds != tc.miss {
+				t.Fatalf("miss: strategy %v, %d rounds, want pipeline in %d", miss.Strategy, miss.Stats.Rounds, tc.miss)
+			}
+			for rep := 0; rep < 2; rep++ {
+				hit, err := cl.Route(ctx, msgs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if hit.Stats.Rounds != tc.hit {
+					t.Fatalf("hit %d: %d rounds, want %d", rep, hit.Stats.Rounds, tc.hit)
+				}
+				if !reflect.DeepEqual(hit.Delivered, miss.Delivered) {
+					t.Fatalf("hit %d diverged from the miss", rep)
+				}
+			}
+			if cs := cl.CumulativeStats(); cs.PlanCacheHits != 2 || cs.PlanCacheMisses != 1 {
+				t.Fatalf("cache counters = (%d,%d), want (2,1)", cs.PlanCacheHits, cs.PlanCacheMisses)
+			}
+		})
 	}
 }
 

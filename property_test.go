@@ -116,9 +116,10 @@ func checkRouteInvariants(t *testing.T, label string, n int, msgs [][]Message) {
 	if err := verify.Routing(sent, delivered); err != nil {
 		t.Fatalf("%s (strategy %v): %v", label, res.Strategy, err)
 	}
-	// Theorem 3.7 round bound and the constant per-edge bandwidth.
-	if res.Stats.Rounds > 16 {
-		t.Errorf("%s: %d rounds exceed the Theorem 3.7 bound of 16 (strategy %v)", label, res.Stats.Rounds, res.Strategy)
+	// The pipeline arm's Theorem 5.4 round bound (every fast path is below
+	// it) and the constant per-edge bandwidth.
+	if res.Stats.Rounds > 12 {
+		t.Errorf("%s: %d rounds exceed the Theorem 5.4 bound of 12 (strategy %v)", label, res.Stats.Rounds, res.Strategy)
 	}
 	if res.Stats.MaxEdgeWords > 64 {
 		t.Errorf("%s: per-edge load %d words is not a small constant (strategy %v)", label, res.Stats.MaxEdgeWords, res.Strategy)
