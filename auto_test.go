@@ -260,13 +260,18 @@ func TestAutoRouteKeepsWideSeq(t *testing.T) {
 
 // TestAutoSortPipelineArmBitIdentical pins the sorting planner's general
 // arm: a full-load instance with a wide value domain is classified
-// SortStrategyPipeline and runs Algorithm 4 with stats bit-identical to
-// Deterministic (see auto_sort_test.go for the fast arms).
+// SortStrategyPipeline and runs Algorithm 4 with Theorem 5.4 as Step 6's
+// router — stats bit-identical to LowCompute, 33 rounds, and batches
+// bit-identical to Deterministic (see auto_sort_test.go for the fast arms).
 func TestAutoSortPipelineArmBitIdentical(t *testing.T) {
 	t.Parallel()
 	const n = 16
 	values := benchSortWorkload(n)
 	auto, err := Sort(n, values, WithAlgorithm(AlgorithmAuto))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lc, err := Sort(n, values, WithAlgorithm(LowCompute))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,12 +282,13 @@ func TestAutoSortPipelineArmBitIdentical(t *testing.T) {
 	if auto.Strategy != SortStrategyPipeline {
 		t.Fatalf("strategy = %v, want pipeline", auto.Strategy)
 	}
-	if auto.Stats != det.Stats {
-		t.Fatalf("auto sort stats %+v diverge from deterministic %+v", auto.Stats, det.Stats)
+	if auto.Stats != lc.Stats {
+		t.Fatalf("auto sort stats %+v diverge from LowCompute %+v", auto.Stats, lc.Stats)
 	}
-	if auto.Total != det.Total {
-		t.Fatalf("auto sort total %d vs %d", auto.Total, det.Total)
+	if auto.Stats.Rounds != 33 {
+		t.Fatalf("auto sort took %d rounds, want 33", auto.Stats.Rounds)
 	}
+	sortBatchesEqual(t, "auto pipeline vs deterministic", auto, det)
 }
 
 // FuzzAutoMatchesDeterministic generates random (mostly sparse, sometimes

@@ -63,10 +63,11 @@ func recordCmd(fs *flag.FlagSet) func([]string) error {
 	}
 }
 
-// runMeasured measures one-shot Route (Deterministic and AlgorithmAuto
-// without a plan cache, whose full-load verdict runs Theorem 5.4) and Sort
-// of the protocol-benchmark instances at every size up to maxN: one warm-up
-// op primes the engine and protocol buffer pools, then iters timed ops.
+// runMeasured measures one-shot Route and Sort of the protocol-benchmark
+// instances, each under Deterministic and under AlgorithmAuto without a plan
+// cache (whose full-load verdicts run Theorem 5.4, as the router and as
+// Algorithm 4's Step 6), at every size up to maxN: one warm-up op primes the
+// engine and protocol buffer pools, then iters timed ops.
 func runMeasured(maxN int) ([]experiments.ProtocolBench, error) {
 	var rows []experiments.ProtocolBench
 	for _, n := range []int{64, 256, 1024} {
@@ -107,6 +108,13 @@ func runMeasured(maxN int) ([]experiments.ProtocolBench, error) {
 				}
 				return res.Stats, nil
 			}},
+			{"SortAuto", func() (cc.Stats, error) {
+				res, err := cc.Sort(n, values, cc.WithAlgorithm(cc.AlgorithmAuto))
+				if err != nil {
+					return cc.Stats{}, err
+				}
+				return res.Stats, nil
+			}},
 		} {
 			stats, err := op.run()
 			if err != nil {
@@ -135,7 +143,7 @@ func runMeasured(maxN int) ([]experiments.ProtocolBench, error) {
 }
 
 func measuredTable(rows []experiments.ProtocolBench) *tables.Table {
-	t := tables.New("One-shot Route (Thm 3.7), RouteAuto (Thm 5.4) and Sort (Thm 4.5) of the protocol-benchmark instances",
+	t := tables.New("One-shot Route (Thm 3.7), RouteAuto (Thm 5.4), Sort (Thm 4.5) and SortAuto (Alg 4 with Thm 5.4) of the protocol-benchmark instances",
 		"benchmark", "rounds", "max edge words", "ms/op", "allocs/op", "MiB/op")
 	for _, r := range rows {
 		t.AddRow(r.Name, r.Rounds, r.MaxEdgeW, fmt.Sprintf("%.1f", float64(r.NsPerOp)/1e6), r.AllocsPerOp, r.BytesPerOp>>20)

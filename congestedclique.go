@@ -12,7 +12,8 @@
 //     up to n messages) in at most 16 rounds (Theorem 3.7), or in 12 rounds
 //     with near-linear local computation (Theorem 5.4),
 //   - Sort: sorting n keys per node so that node i learns the i-th batch of
-//     the global order, in 37 rounds (Theorem 4.5),
+//     the global order, in 37 rounds (Theorem 4.5), or in 33 with the
+//     Theorem 5.4 router at Algorithm 4's Step 6,
 //   - Rank, SelectKth, Median, Mode: the rank-in-union variant and its
 //     corollaries (Corollary 4.6),
 //   - CountSmallKeys: the two-round counting protocol for keys of o(log n)
@@ -112,12 +113,12 @@ const (
 	// n through Theorem 3.7's V1/V2/corner decomposition; smaller cliques are
 	// one 4-round Corollary 3.4 group, as under Deterministic). It also
 	// moves fewer words than Theorem 3.7 (3.42M against 4.73M for a full
-	// load at n=256), which is why AlgorithmAuto's pipeline arm runs it. The
-	// paper gives no
-	// low-computation sorting algorithm, so Sort and SortKeys under
-	// LowCompute run the deterministic 37-round sorter — a documented
-	// fallback, not an error, because the output and statistics are exactly
-	// the Deterministic ones.
+	// load at n=256), which is why AlgorithmAuto's pipeline arm runs it.
+	// Sort and SortKeys under LowCompute run Algorithm 4 with this router as
+	// Step 6 (Algorithm 4 uses its router as a black box): 33 rounds instead
+	// of 37, with batches identical to Deterministic's. The sorting-based
+	// corollaries (Rank, SelectKth, Median, Mode) run the deterministic
+	// implementations.
 	LowCompute
 	// AlgorithmAuto is the demand-aware planner: each Route, Sort or
 	// SortKeys call classifies its instance and dispatches to the cheapest
@@ -129,8 +130,10 @@ const (
 	// the rows already partition the global order, or to the Section 6.3
 	// counting protocol when the distinct values fit its feasibility bound.
 	// Everything else runs the full pipeline: Theorem 5.4 for Route, with
-	// statistics bit-identical to LowCompute (12 rounds), and Algorithm 4 for
-	// Sort, bit-identical to Deterministic. RouteResult.Strategy and
+	// statistics bit-identical to LowCompute (12 rounds), and Algorithm 4
+	// with Theorem 5.4 as Step 6's router for Sort, with statistics
+	// bit-identical to LowCompute (33 rounds) and batches identical to
+	// Deterministic's. RouteResult.Strategy and
 	// SortResult.Strategy report the choice; see ARCHITECTURE.md for the
 	// dispatch rules. The sorting-based corollary operations (Rank,
 	// SelectKth, Median, Mode, CountSmallKeys) under AlgorithmAuto run the
@@ -217,9 +220,10 @@ func strategyFromCore(s core.RouteStrategy) RouteStrategy {
 type SortStrategy int
 
 const (
-	// SortStrategyPipeline is the paper's full 37-round Algorithm 4
-	// (Theorem 4.5), selected for general instances. When the planner picks
-	// it, statistics are bit-identical to Deterministic.
+	// SortStrategyPipeline is the paper's full Algorithm 4 with Theorem 5.4
+	// as Step 6's router (33 rounds), selected for general instances. When
+	// the planner picks it, statistics are bit-identical to LowCompute and
+	// batches to Deterministic.
 	SortStrategyPipeline SortStrategy = iota + 1
 	// SortStrategyPresorted skips the pipeline when the input rows already
 	// partition the global order (node i's keys all precede node i+1's,
@@ -343,11 +347,12 @@ type Stats struct {
 	// TotalMessages and TotalWords aggregate all traffic of the execution.
 	TotalMessages int64
 	TotalWords    int64
-	// MaxStepsPerNode is the largest self-reported local computation count
-	// (only populated by the LowCompute algorithm).
+	// MaxStepsPerNode is the largest self-reported local computation count.
+	// Only Theorem 5.4 reports it: LowCompute Routes and Sorts, and
+	// AlgorithmAuto Routes and Sorts that run the pipeline arm.
 	MaxStepsPerNode int64
 	// MaxMemoryWordsPerNode is the largest self-reported resident memory in
-	// words (only populated by the LowCompute algorithm).
+	// words, populated by the same executions as MaxStepsPerNode.
 	MaxMemoryWordsPerNode int64
 }
 

@@ -9,7 +9,8 @@
 //     construction,
 //   - the low-computation 12-round variant of Section 5 (Theorem 5.4),
 //   - the sorting algorithm of Problem 4.1 solved by Algorithms 3 and 4 in 37
-//     rounds (Theorem 4.5),
+//     rounds (Theorem 4.5), and in 33 with Theorem 5.4 as Step 6's router
+//     (LowComputeSort),
 //   - the rank-in-union variant, selection and mode (Corollary 4.6),
 //   - the small-key counting protocol of Section 6.3,
 //   - the demand-aware routing planner (planner.go, not part of the paper):

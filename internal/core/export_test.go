@@ -6,4 +6,5 @@ package core
 var (
 	SparseTestInstances   = sparseTestInstances
 	PresortedKeysInstance = presortedKeysInstance
+	BuildKeys             = buildKeys
 )

@@ -9,7 +9,8 @@ import (
 
 // This file implements the demand-aware sorting planner, the sorting
 // counterpart of PlanRoute (planner.go). The paper's Algorithm 4 pays a fixed
-// 37-round schedule regardless of the instance's shape; PlanSort runs a
+// schedule (37 rounds, 33 with Theorem 5.4 as its router) regardless of the
+// instance's shape; PlanSort runs a
 // central census of the staged keys and dispatches AlgorithmAuto sorts to
 // the cheapest strategy that still produces exactly the Problem 4.1 output
 // (the same batches as Sort, bit for bit):
@@ -26,9 +27,10 @@ import (
 //     yields the exact global histogram in two rounds; a per-origin prefix
 //     piggybacked on its second round turns the histogram into exact global
 //     ranks, and two dealByRank-style rounds deliver the batches — 4 rounds
-//     total against the pipeline's 37.
-//   - SortStrategyPipeline: everything else runs Algorithm 4 unchanged —
-//     stats are bit-identical to calling Sort directly, which the
+//     total against the pipeline's 33.
+//   - SortStrategyPipeline: everything else runs Algorithm 4 with
+//     Theorem 5.4 as Step 6's router (LowComputeSort, 33 rounds) — stats
+//     are bit-identical to calling LowComputeSort directly, which the
 //     stats-invariant goldens pin.
 //
 // Honesty note on the model: PlanSort runs centrally, over the instance the
@@ -53,7 +55,8 @@ import (
 type SortStrategy int
 
 const (
-	// SortStrategyPipeline is the paper's full Algorithm 4 (Theorem 4.5).
+	// SortStrategyPipeline is the paper's full Algorithm 4, run with
+	// Theorem 5.4 as Step 6's router (LowComputeSort, 33 rounds).
 	SortStrategyPipeline SortStrategy = iota + 1
 	// SortStrategyPresorted skips the pipeline when the rows already
 	// partition the global order: two rank-balanced redistribution rounds.
@@ -301,7 +304,7 @@ func AutoSort(ex clique.Exchanger, myKeys []Key, plan SortPlan) (*SortResult, er
 	case SortStrategySmallDomain:
 		return smallDomainSort(ex, myKeys, plan)
 	case SortStrategyPipeline:
-		return Sort(ex, myKeys)
+		return LowComputeSort(ex, myKeys)
 	default:
 		// The empty and presorted arms — and the unknown-strategy error — are
 		// the step program's.

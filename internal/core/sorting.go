@@ -39,6 +39,26 @@ const keysPerBundle = 2
 //	Step 7   8 rounds   Algorithm 3 inside every group concurrently
 //	Step 8   2 rounds   redistribute by global rank
 func Sort(ex clique.Exchanger, myKeys []Key) (*SortResult, error) {
+	return sortWith(ex, myKeys, routeSquare)
+}
+
+// LowComputeSort is Algorithm 4 with Theorem 5.4 as Step 6's router: Step 6
+// only needs a router that takes and delivers at most n parcels per node, so
+// the 12-round low-computation router replaces Theorem 3.7's 16 and the
+// schedule takes 1+8+2+12+8+2 = 33 rounds. The batches are Sort's, bit for
+// bit: either router delivers every node the same keys at Step 6, and the
+// steps after it do not depend on their arrival order. Non-square n runs
+// Theorem 5.4 on routeGeneral's V1/V2 instances, as LowComputeRoute does.
+func LowComputeSort(ex clique.Exchanger, myKeys []Key) (*SortResult, error) {
+	return sortWith(ex, myKeys, func(c *comm, parcels []parcel, st step) ([]parcel, error) {
+		return lowComputeSquare(c, parcels, st, nil, nil)
+	})
+}
+
+// sortWith is the body shared by Sort and LowComputeSort: input validation,
+// the single-node and tiny-clique shortcuts, and Algorithm 4 with square as
+// Step 6's router.
+func sortWith(ex clique.Exchanger, myKeys []Key, square squareRouter) (*SortResult, error) {
 	label := fmt.Sprintf("sort@r%d", ex.Round())
 	c := fullComm(ex, label)
 	defer c.release()
@@ -60,7 +80,7 @@ func Sort(ex clique.Exchanger, myKeys []Key) (*SortResult, error) {
 		// matters asymptotically).
 		return sortTiny(c, myKeys)
 	}
-	return sortLarge(c, myKeys, label)
+	return sortLarge(c, myKeys, label, square)
 }
 
 // sortAlone is the single-node clique's sort: no communication at all.
@@ -92,8 +112,8 @@ func sortTiny(c *comm, myKeys []Key) (*SortResult, error) {
 	return dealByRank(c, res.myBucket, myOffset, total, "tiny.rank")
 }
 
-// sortLarge is Algorithm 4 proper.
-func sortLarge(c *comm, myKeys []Key, label string) (*SortResult, error) {
+// sortLarge is Algorithm 4 proper, with square as Step 6's router.
+func sortLarge(c *comm, myKeys []Key, label string, square squareRouter) (*SortResult, error) {
 	st := rootStep("alg4")
 	n := c.size()
 	s := isqrt(n) // group size (floor of sqrt(n))
@@ -202,9 +222,10 @@ func sortLarge(c *comm, myKeys []Key, label string) (*SortResult, error) {
 	}
 	bstart[numGroups] = len(input)
 
-	// Step 6 (16 rounds): route every key to its bucket's group, spreading
-	// each bucket evenly over the group members; concurrently aggregate the
-	// global bucket sizes (2 rounds) on the multiplexer.
+	// Step 6 (16 rounds under Theorem 3.7, 12 under Theorem 5.4): route
+	// every key to its bucket's group, spreading each bucket evenly over the
+	// group members; concurrently aggregate the global bucket sizes
+	// (2 rounds) on the multiplexer.
 	var routedKeys []Key
 	bucketSizes := make([]int64, numGroups)
 	err = clique.NewMux(c.ex).Run([]func(clique.Exchanger) error{
@@ -214,7 +235,7 @@ func sortLarge(c *comm, myKeys []Key, label string) (*SortResult, error) {
 			// go back to the pool as soon as the program ends.
 			defer sub.release()
 			parcels := buildBucketParcels(sub, input, bstart, s, numGroups)
-			received, rErr := routeParcels(sub, parcels, st.sub("s6.route", kcSortS6), routeSquare)
+			received, rErr := routeParcels(sub, parcels, st.sub("s6.route", kcSortS6), square)
 			if rErr != nil {
 				return rErr
 			}

@@ -14,6 +14,8 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"congestedclique/internal/core"
 )
 
 // cachePipelineInstance is a full-load pipeline-shaped demand (total n^2
@@ -207,7 +209,10 @@ func TestPlanCacheRouteDrift(t *testing.T) {
 
 // TestPlanCacheSortHitBitIdentical: the sort side caches the plan verdict
 // and shared colorings (no round skip — see the sort census honesty note),
-// so hits must match cache-off output exactly and count correctly.
+// so the miss and every hit cost the census plus the pipeline's 33 rounds,
+// match cache-off output exactly, return the miss's Stats, and count
+// correctly; the stored entry carries the shared-compute snapshot (Step 6's
+// Theorem 5.4 and Algorithm 3's colorings) that a hit arms.
 func TestPlanCacheSortHitBitIdentical(t *testing.T) {
 	t.Parallel()
 	const n = 64
@@ -223,12 +228,16 @@ func TestPlanCacheSortHitBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if golden.Strategy != SortStrategyPipeline || golden.Stats.Rounds != 33 {
+		t.Fatalf("cache-off sort: strategy %v, %d rounds, want pipeline in 33", golden.Strategy, golden.Stats.Rounds)
+	}
 
 	cl, err := New(n, WithAlgorithm(AlgorithmAuto), WithPlanCache(8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
+	var miss Stats
 	for rep := 0; rep < 3; rep++ {
 		got, err := cl.Sort(ctx, vals)
 		if err != nil {
@@ -243,10 +252,25 @@ func TestPlanCacheSortHitBitIdentical(t *testing.T) {
 		if want := golden.Stats.Rounds + SortCensusRounds; got.Stats.Rounds != want {
 			t.Fatalf("sort run %d rounds = %d, want %d", rep, got.Stats.Rounds, want)
 		}
+		if rep == 0 {
+			miss = got.Stats
+		} else if got.Stats != miss {
+			t.Fatalf("hit %d stats %+v differ from the miss's %+v", rep, got.Stats, miss)
+		}
 	}
 	cs := cl.CumulativeStats()
 	if cs.PlanCacheHits != 2 || cs.PlanCacheMisses != 1 {
 		t.Fatalf("cache counters = (%d,%d), want (2,1)", cs.PlanCacheHits, cs.PlanCacheMisses)
+	}
+
+	keys := make([][]core.Key, n)
+	for i, row := range vals {
+		for j, v := range row {
+			keys[i] = append(keys[i], core.Key{Value: v, Origin: i, Seq: j})
+		}
+	}
+	if _, entry, _ := cl.planCache.LookupSort(n, keys); entry == nil || entry.Shared.Len() == 0 {
+		t.Fatal("the cached sort entry carries no shared-compute seed for a hit to arm")
 	}
 }
 

@@ -556,11 +556,12 @@ func (u *execUnit) route(ctx context.Context, cfg config, msgs [][]Message, pc *
 // Sort sorts the values of the clique: values[i] are node i's keys (at most
 // n per node). Node i's batch of the globally sorted sequence is returned in
 // Batches[i]. The default algorithm is the paper's 37-round deterministic
-// Algorithm 4 (Theorem 4.5); WithAlgorithm(AlgorithmAuto) consults the
-// demand-aware sorting planner, which diverts pre-sorted and small-domain
-// instances to cheaper schedules with identical output
-// (SortResult.Strategy reports the choice), and LowCompute falls back to
-// Deterministic (documented on the constant).
+// Algorithm 4 (Theorem 4.5). LowCompute runs Algorithm 4 with Theorem 5.4
+// as its Step 6 router: 33 rounds, the same batches.
+// WithAlgorithm(AlgorithmAuto) consults the demand-aware sorting planner,
+// which diverts pre-sorted and small-domain instances to cheaper schedules
+// with identical output and runs everything else as LowCompute does
+// (SortResult.Strategy reports the choice).
 func (c *Clique) Sort(ctx context.Context, values [][]int64, opts ...Option) (*SortResult, error) {
 	cfg, err := c.callConfig(opts)
 	if err != nil {
@@ -698,8 +699,10 @@ func (u *execUnit) sortStaged(ctx context.Context, cfg config, inputs [][]core.K
 				sErr error
 			)
 			switch cfg.algorithm {
-			case Deterministic, LowCompute:
+			case Deterministic:
 				res, sErr = core.Sort(nd, inputs[nd.ID()])
+			case LowCompute:
+				res, sErr = core.LowComputeSort(nd, inputs[nd.ID()])
 			case AlgorithmAuto:
 				res, sErr = core.AutoSort(nd, inputs[nd.ID()], plan)
 			default:

@@ -342,11 +342,13 @@ func TestHandleScopedOptionRejectedPerCall(t *testing.T) {
 	}
 }
 
-// TestSortAlgorithmFallbackAndRejection pins the documented fallbacks —
-// LowCompute sorting runs the deterministic sorter bit for bit, and the
-// sorting-based corollaries run their deterministic implementations under
-// LowCompute and AlgorithmAuto — and that the one-shot sorting shims reject
-// a retired algorithm value instead of sorting under another algorithm.
+// TestSortAlgorithmFallbackAndRejection pins how the algorithms share
+// sorters — LowCompute sorting is AlgorithmAuto's pipeline arm (Algorithm 4
+// with Theorem 5.4 at Step 6, 33 rounds) with Deterministic's batches, and
+// the sorting-based corollaries run their deterministic implementations
+// under LowCompute and AlgorithmAuto — and that the one-shot sorting shims
+// reject a retired algorithm value instead of sorting under another
+// algorithm.
 func TestSortAlgorithmFallbackAndRejection(t *testing.T) {
 	t.Parallel()
 	const n = 16
@@ -356,13 +358,21 @@ func TestSortAlgorithmFallbackAndRejection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	auto, err := Sort(n, values, WithAlgorithm(AlgorithmAuto))
+	if err != nil {
+		t.Fatal(err)
+	}
 	lc, err := Sort(n, values, WithAlgorithm(LowCompute))
 	if err != nil {
-		t.Fatalf("LowCompute sorting must fall back to deterministic: %v", err)
+		t.Fatalf("LowCompute sorting: %v", err)
 	}
-	if lc.Stats != det.Stats {
-		t.Fatalf("LowCompute fallback stats %+v differ from deterministic %+v", lc.Stats, det.Stats)
+	if auto.Strategy != SortStrategyPipeline || lc.Stats != auto.Stats {
+		t.Fatalf("LowCompute sort stats %+v differ from the Auto pipeline's %+v (strategy %v)", lc.Stats, auto.Stats, auto.Strategy)
 	}
+	if lc.Stats.Rounds != 33 {
+		t.Fatalf("LowCompute sort took %d rounds, want 33", lc.Stats.Rounds)
+	}
+	sortBatchesEqual(t, "LowCompute vs deterministic", lc, det)
 	if _, err := Sort(n, values, WithAlgorithm(Algorithm(4))); err == nil {
 		t.Fatal("Sort accepted the retired algorithm value 4")
 	}

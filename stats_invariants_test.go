@@ -27,22 +27,38 @@ type statsGolden struct {
 	sortWords   int64
 	lcRounds    int // LowCompute routing rounds (Theorem 5.4)
 	lcMEW       int
+	// LowCompute sorting: Algorithm 4 with Theorem 5.4 as Step 6's router,
+	// also AlgorithmAuto's sorting pipeline arm.
+	lcSortRounds int
+	lcSortMEW    int
+	lcSortMsgs   int64
+	lcSortWords  int64
 }
 
 // statsGoldens: deterministic full-load workloads (benchRouteWorkload and
 // benchSortWorkload) measured on the pre-frame implementation. The
 // non-square lcRounds/lcMEW (n=90, 200) were re-measured when Theorem 5.4
 // gained the V1/V2/corner decomposition instead of falling back to
-// Theorem 3.7 (16/14 → 12/14 and 12/21).
+// Theorem 3.7 (16/14 → 12/14 and 12/21). The lcSort* columns were measured
+// when LowCompute and AlgorithmAuto sorting moved Step 6 to Theorem 5.4
+// (n=4 sorts with one Algorithm 3 call and keeps the sort* numbers).
 var statsGoldens = []statsGolden{
-	{n: 4, routeRounds: 4, routeMEW: 16, routeMEM: 4, routeMsgs: 160, routeWords: 704, sortRounds: 10, sortMEW: 18, sortMsgs: 336, sortWords: 1494, lcRounds: 4, lcMEW: 16},
-	{n: 16, routeRounds: 16, routeMEW: 6, routeMEM: 1, routeMsgs: 3904, routeWords: 18560, sortRounds: 37, sortMEW: 18, sortMsgs: 6422, sortWords: 38925, lcRounds: 12, lcMEW: 6},
-	{n: 25, routeRounds: 16, routeMEW: 6, routeMEM: 1, routeMsgs: 9500, routeWords: 45250, sortRounds: 37, sortMEW: 24, sortMsgs: 15375, sortWords: 93804, lcRounds: 12, lcMEW: 6},
-	{n: 64, routeRounds: 16, routeMEW: 6, routeMEM: 1, routeMsgs: 61952, routeWords: 295936, sortRounds: 37, sortMEW: 32, sortMsgs: 97501, sortWords: 601804, lcRounds: 12, lcMEW: 6},
-	{n: 90, routeRounds: 16, routeMEW: 14, routeMEM: 2, routeMsgs: 160380, routeWords: 884844, sortRounds: 37, sortMEW: 32, sortMsgs: 224799, sortWords: 1491182, lcRounds: 12, lcMEW: 14},
-	{n: 144, routeRounds: 16, routeMEW: 6, routeMEM: 1, routeMsgs: 312768, routeWords: 1496448, sortRounds: 37, sortMEW: 40, sortMsgs: 487214, sortWords: 3025743, lcRounds: 12, lcMEW: 6},
-	{n: 200, routeRounds: 16, routeMEW: 14, routeMEM: 2, routeMsgs: 863440, routeWords: 4712304, sortRounds: 37, sortMEW: 40, sortMsgs: 1197845, sortWords: 7893109, lcRounds: 12, lcMEW: 21},
-	{n: 256, routeRounds: 16, routeMEW: 6, routeMEM: 1, routeMsgs: 987136, routeWords: 4726784, sortRounds: 37, sortMEW: 44, sortMsgs: 1531185, sortWords: 9538402, lcRounds: 12, lcMEW: 6},
+	{n: 4, routeRounds: 4, routeMEW: 16, routeMEM: 4, routeMsgs: 160, routeWords: 704, sortRounds: 10, sortMEW: 18, sortMsgs: 336, sortWords: 1494, lcRounds: 4, lcMEW: 16,
+		lcSortRounds: 10, lcSortMEW: 18, lcSortMsgs: 336, lcSortWords: 1494},
+	{n: 16, routeRounds: 16, routeMEW: 6, routeMEM: 1, routeMsgs: 3904, routeWords: 18560, sortRounds: 37, sortMEW: 18, sortMsgs: 6422, sortWords: 38925, lcRounds: 12, lcMEW: 6,
+		lcSortRounds: 33, lcSortMEW: 24, lcSortMsgs: 5398, lcSortWords: 32969},
+	{n: 25, routeRounds: 16, routeMEW: 6, routeMEM: 1, routeMsgs: 9500, routeWords: 45250, sortRounds: 37, sortMEW: 24, sortMsgs: 15375, sortWords: 93804, lcRounds: 12, lcMEW: 6,
+		lcSortRounds: 33, lcSortMEW: 24, lcSortMsgs: 12875, lcSortWords: 79232},
+	{n: 64, routeRounds: 16, routeMEW: 6, routeMEM: 1, routeMsgs: 61952, routeWords: 295936, sortRounds: 37, sortMEW: 32, sortMsgs: 97501, sortWords: 601804, lcRounds: 12, lcMEW: 6,
+		lcSortRounds: 33, lcSortMEW: 32, lcSortMsgs: 81117, lcSortWords: 506040},
+	{n: 90, routeRounds: 16, routeMEW: 14, routeMEM: 2, routeMsgs: 160380, routeWords: 884844, sortRounds: 37, sortMEW: 32, sortMsgs: 224799, sortWords: 1491182, lcRounds: 12, lcMEW: 14,
+		lcSortRounds: 33, lcSortMEW: 36, lcSortMsgs: 172311, lcSortWords: 1149562},
+	{n: 144, routeRounds: 16, routeMEW: 6, routeMEM: 1, routeMsgs: 312768, routeWords: 1496448, sortRounds: 37, sortMEW: 40, sortMsgs: 487214, sortWords: 3025743, lcRounds: 12, lcMEW: 6,
+		lcSortRounds: 33, lcSortMEW: 40, lcSortMsgs: 404270, lcSortWords: 2538843},
+	{n: 200, routeRounds: 16, routeMEW: 14, routeMEM: 2, routeMsgs: 863440, routeWords: 4712304, sortRounds: 37, sortMEW: 40, sortMsgs: 1197845, sortWords: 7893109, lcRounds: 12, lcMEW: 21,
+		lcSortRounds: 33, lcSortMEW: 49, lcSortMsgs: 890517, lcSortWords: 5907129},
+	{n: 256, routeRounds: 16, routeMEW: 6, routeMEM: 1, routeMsgs: 987136, routeWords: 4726784, sortRounds: 37, sortMEW: 44, sortMsgs: 1531185, sortWords: 9538402, lcRounds: 12, lcMEW: 6,
+		lcSortRounds: 33, lcSortMEW: 44, lcSortMsgs: 1269041, lcSortWords: 7995470},
 }
 
 func TestRouteStatsInvariants(t *testing.T) {
@@ -164,6 +180,41 @@ func TestLowComputeStatsInvariants(t *testing.T) {
 			}
 			if res.Stats.MaxEdgeWords != g.lcMEW {
 				t.Errorf("MaxEdgeWords = %d, golden %d", res.Stats.MaxEdgeWords, g.lcMEW)
+			}
+		})
+	}
+}
+
+// TestLowComputeSortStatsInvariants pins the Theorem 5.4 sorter at the
+// public API: LowCompute and AlgorithmAuto (whose planner sends these
+// uniform full loads to its pipeline arm) both match the lcSort* goldens,
+// 33 rounds from n=16 on, within a strict 64-words-per-edge budget, and
+// their batches are Deterministic's.
+func TestLowComputeSortStatsInvariants(t *testing.T) {
+	for _, g := range statsGoldens {
+		g := g
+		t.Run(fmt.Sprintf("n=%d", g.n), func(t *testing.T) {
+			t.Parallel()
+			values := benchSortWorkload(g.n)
+			det, err := Sort(g.n, values)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, alg := range []Algorithm{LowCompute, AlgorithmAuto} {
+				res, err := Sort(g.n, values, WithAlgorithm(alg), WithStrictBandwidth(64))
+				if err != nil {
+					t.Fatalf("%v: %v", alg, err)
+				}
+				if alg == AlgorithmAuto && res.Strategy != SortStrategyPipeline {
+					t.Fatalf("auto: strategy %v, want pipeline", res.Strategy)
+				}
+				s := res.Stats
+				if s.Rounds != g.lcSortRounds || s.MaxEdgeWords != g.lcSortMEW ||
+					s.TotalMessages != g.lcSortMsgs || s.TotalWords != g.lcSortWords {
+					t.Errorf("%v: stats %+v diverge from goldens (%d rounds, %d max edge words, %d messages, %d words)",
+						alg, s, g.lcSortRounds, g.lcSortMEW, g.lcSortMsgs, g.lcSortWords)
+				}
+				sortBatchesEqual(t, alg.String(), res, det)
 			}
 		})
 	}
