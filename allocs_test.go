@@ -96,7 +96,7 @@ func TestWarmAllocsLowComputeRoute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		msgs := instanceMessages(tr.Distinct[0])
+		msgs := tr.Distinct[0].Msgs
 		warm := func(alg Algorithm) float64 {
 			cl, err := New(n, WithAlgorithm(alg))
 			if err != nil {

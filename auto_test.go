@@ -13,7 +13,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"congestedclique/internal/core"
 	"congestedclique/internal/verify"
 	"congestedclique/internal/workload"
 )
@@ -36,8 +35,7 @@ func routeDeliveredEqual(t *testing.T, label string, got, want *RouteResult) {
 	}
 }
 
-// scenarioMessages converts a workload scenario instance to the public
-// message type.
+// scenarioMessages builds a workload scenario's routing instance.
 func scenarioMessages(t *testing.T, name string, n int, seed int64) [][]Message {
 	t.Helper()
 	sc, ok := workload.ScenarioByName(name)
@@ -48,13 +46,7 @@ func scenarioMessages(t *testing.T, name string, n int, seed int64) [][]Message 
 	if err != nil {
 		t.Fatal(err)
 	}
-	msgs := make([][]Message, n)
-	for i, row := range ri.Msgs {
-		for _, m := range row {
-			msgs[i] = append(msgs[i], Message{Src: m.Src, Dst: m.Dst, Seq: m.Seq, Payload: int64(m.Payload)})
-		}
-	}
-	return msgs
+	return ri.Msgs
 }
 
 // TestAutoEmptyInstance pins the degenerate edge: an instance with no
@@ -333,17 +325,7 @@ func FuzzAutoMatchesDeterministic(f *testing.F) {
 		label := fmt.Sprintf("n=%d strategy=%v", n, auto.Strategy)
 		routeDeliveredEqual(t, label, auto, det)
 		if auto.Strategy == StrategyPipeline {
-			sent := make([][]core.Message, n)
-			delivered := make([][]core.Message, n)
-			for i := 0; i < n; i++ {
-				for _, m := range msgs[i] {
-					sent[i] = append(sent[i], toCoreMessage(m))
-				}
-				for _, m := range auto.Delivered[i] {
-					delivered[i] = append(delivered[i], toCoreMessage(m))
-				}
-			}
-			if err := verify.Routing(sent, delivered); err != nil {
+			if err := verify.Routing(msgs, auto.Delivered); err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
 			if auto.Stats.Rounds > 12 {

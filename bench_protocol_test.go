@@ -316,7 +316,7 @@ func BenchmarkSparseRoute(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		msgs := instanceMessages(ri)
+		msgs := ri.Msgs
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			cl, err := New(n)
 			if err != nil {
@@ -384,7 +384,7 @@ func BenchmarkStepReceive(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		routes := [][][]Message{instanceMessages(sparse), instanceMessages(bcast)}
+		routes := [][][]Message{sparse.Msgs, bcast.Msgs}
 		values := workload.ScalePresortedValues(n)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			cl, err := New(n, WithAlgorithm(AlgorithmAuto))
@@ -426,12 +426,7 @@ func BenchmarkPresortedFull(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		keys := make([][]Key, n)
-		for i, row := range si.Keys {
-			for _, k := range row {
-				keys[i] = append(keys[i], fromCoreKey(k))
-			}
-		}
+		keys := si.Keys
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			cl, err := New(n)
 			if err != nil {

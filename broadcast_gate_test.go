@@ -14,19 +14,6 @@ import (
 	"congestedclique/internal/workload"
 )
 
-// instanceMessages converts a workload routing instance to the public
-// message type.
-func instanceMessages(ri *workload.RoutingInstance) [][]Message {
-	msgs := make([][]Message, ri.N)
-	for i, row := range ri.Msgs {
-		msgs[i] = make([]Message, len(row))
-		for j, m := range row {
-			msgs[i][j] = Message{Src: m.Src, Dst: m.Dst, Seq: m.Seq, Payload: int64(m.Payload)}
-		}
-	}
-	return msgs
-}
-
 func TestBroadcastGate(t *testing.T) {
 	t.Parallel()
 	const n = 64
@@ -35,7 +22,7 @@ func TestBroadcastGate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		msgs := instanceMessages(ri)
+		msgs := ri.Msgs
 
 		auto, err := Route(n, msgs, WithAlgorithm(AlgorithmAuto))
 		if err != nil {

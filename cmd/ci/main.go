@@ -4,7 +4,10 @@
 //  1. API surface: the root package's exported declarations — functions,
 //     methods on exported receivers, types with their exported fields,
 //     constants and variables — rendered one canonical line each, must
-//     equal API_SURFACE.txt. An unintended breaking change (a removed
+//     equal API_SURFACE.txt. An exported alias of a type declared in another
+//     package of the module is rendered as that type's declaration and its
+//     exported methods, so a field added behind the alias changes the
+//     surface too. An unintended breaking change (a removed
 //     function, a changed signature, a renamed field) fails the build; a
 //     deliberate one regenerates the file with -write-surface and shows up
 //     in review.
@@ -43,6 +46,7 @@ import (
 	"regexp"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -85,7 +89,11 @@ func check(root string, internal []string, writeSurface bool) ([]string, error) 
 		return nil, err
 	}
 	var problems []string
-	surface := strings.Join(packageSurface(fset, files), "\n") + "\n"
+	entries, err := packageSurface(fset, root, files)
+	if err != nil {
+		return nil, err
+	}
+	surface := strings.Join(entries, "\n") + "\n"
 	surfacePath := filepath.Join(root, surfaceFile)
 	if writeSurface {
 		if err := os.WriteFile(surfacePath, []byte(surface), 0o644); err != nil {
@@ -171,30 +179,33 @@ func diffSurface(want, got string) []string {
 	return problems
 }
 
-// packageSurface returns the exported declarations of files as sorted,
-// canonicalised one-per-entry strings.
-func packageSurface(fset *token.FileSet, files []*ast.File) []string {
+// packageSurface returns the exported declarations of files, the package
+// at the repository root root, as sorted, canonicalised one-per-entry
+// strings.
+func packageSurface(fset *token.FileSet, root string, files []*ast.File) ([]string, error) {
 	var entries []string
 	for _, file := range files {
 		for _, decl := range file.Decls {
-			entries = append(entries, declSurface(fset, decl)...)
+			lines, err := declSurface(fset, root, file, decl)
+			if err != nil {
+				return nil, err
+			}
+			entries = append(entries, lines...)
 		}
 	}
 	sort.Strings(entries)
-	return entries
+	return entries, nil
 }
 
-// declSurface renders the exported parts of one top-level declaration.
-func declSurface(fset *token.FileSet, decl ast.Decl) []string {
+// declSurface renders the exported parts of one top-level declaration of
+// file.
+func declSurface(fset *token.FileSet, root string, file *ast.File, decl ast.Decl) ([]string, error) {
 	switch d := decl.(type) {
 	case *ast.FuncDecl:
 		if !d.Name.IsExported() || (d.Recv != nil && !ast.IsExported(receiverTypeName(d.Recv.List[0].Type))) {
-			return nil
+			return nil, nil
 		}
-		fn := *d
-		fn.Body = nil
-		fn.Doc = nil
-		return []string{render(fset, &fn)}
+		return []string{funcLine(fset, d)}, nil
 	case *ast.GenDecl:
 		var out []string
 		for _, spec := range d.Specs {
@@ -203,11 +214,14 @@ func declSurface(fset *token.FileSet, decl ast.Decl) []string {
 				if !s.Name.IsExported() {
 					continue
 				}
-				ts := *s
-				ts.Doc, ts.Comment = nil, nil
-				ts.Type = filterType(s.Type)
-				one := &ast.GenDecl{Tok: token.TYPE, Specs: []ast.Spec{&ts}}
-				out = append(out, render(fset, one))
+				lines, err := aliasSurface(fset, root, file, s)
+				if err != nil {
+					return nil, err
+				}
+				if lines == nil {
+					lines = []string{typeLine(fset, s)}
+				}
+				out = append(out, lines...)
 			case *ast.ValueSpec:
 				for i, name := range s.Names {
 					if !name.IsExported() {
@@ -223,9 +237,95 @@ func declSurface(fset *token.FileSet, decl ast.Decl) []string {
 				}
 			}
 		}
-		return out
+		return out, nil
 	}
-	return nil
+	return nil, nil
+}
+
+// modulePattern finds the module path in a go.mod file.
+var modulePattern = regexp.MustCompile(`(?m)^module\s+"?([^"\s]+)`)
+
+// aliasSurface expands ts when it is an alias T = pkg.U of a type that
+// another package of the module declares: it returns U's declaration under
+// the name T and U's exported methods (rendered as pkg declares them),
+// which is what the alias exposes. It returns nil for every other type spec,
+// which renders as written.
+func aliasSurface(fset *token.FileSet, root string, file *ast.File, ts *ast.TypeSpec) ([]string, error) {
+	sel, ok := ts.Type.(*ast.SelectorExpr)
+	if !ts.Assign.IsValid() || !ok {
+		return nil, nil
+	}
+	var path string
+	for _, imp := range file.Imports {
+		p, _ := strconv.Unquote(imp.Path.Value)
+		name := p[strings.LastIndex(p, "/")+1:]
+		if imp.Name != nil {
+			name = imp.Name.Name
+		}
+		if name == fmt.Sprint(sel.X) {
+			path = p
+		}
+	}
+	if path == "" {
+		return nil, nil
+	}
+	gomod, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err != nil {
+		return nil, err
+	}
+	m := modulePattern.FindSubmatch(gomod)
+	if m == nil {
+		return nil, fmt.Errorf("%s: no module line", filepath.Join(root, "go.mod"))
+	}
+	rel, inModule := strings.CutPrefix(path, string(m[1])+"/")
+	if !inModule {
+		return nil, nil
+	}
+	files, err := parsePackage(fset, filepath.Join(root, filepath.FromSlash(rel)))
+	if err != nil {
+		return nil, err
+	}
+	var out []string
+	found := false
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv != nil && d.Name.IsExported() && receiverTypeName(d.Recv.List[0].Type) == sel.Sel.Name {
+					out = append(out, funcLine(fset, d))
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					if target, ok := spec.(*ast.TypeSpec); ok && target.Name.Name == sel.Sel.Name {
+						renamed := *target
+						renamed.Name = ts.Name
+						out = append(out, typeLine(fset, &renamed))
+						found = true
+					}
+				}
+			}
+		}
+	}
+	if !found {
+		return nil, fmt.Errorf("alias %s: %s declares no type %s", ts.Name.Name, path, sel.Sel.Name)
+	}
+	return out, nil
+}
+
+// funcLine renders a function or method declaration without its body.
+func funcLine(fset *token.FileSet, d *ast.FuncDecl) string {
+	fn := *d
+	fn.Body = nil
+	fn.Doc = nil
+	return render(fset, &fn)
+}
+
+// typeLine renders a type declaration with its unexported members stripped.
+func typeLine(fset *token.FileSet, s *ast.TypeSpec) string {
+	ts := *s
+	ts.Doc, ts.Comment = nil, nil
+	ts.Type = filterType(s.Type)
+	return render(fset, &ast.GenDecl{Tok: token.TYPE, Specs: []ast.Spec{&ts}})
 }
 
 // filterType strips unexported members from struct and interface types so

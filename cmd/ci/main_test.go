@@ -2,6 +2,7 @@ package main
 
 import (
 	"go/token"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -65,8 +66,14 @@ var seededRepo = map[string]string{
 // new content) and runs every rule.
 func checkSeeded(t *testing.T, edit map[string]string) []string {
 	t.Helper()
+	return checkSeededFrom(t, seededRepo, edit)
+}
+
+// checkSeededFrom is checkSeeded on the repository base.
+func checkSeededFrom(t *testing.T, base, edit map[string]string) []string {
+	t.Helper()
 	root := t.TempDir()
-	writeTree(t, root, seededRepo)
+	writeTree(t, root, base)
 	if problems, err := check(root, nil, true); err != nil || len(problems) != 0 {
 		t.Fatalf("seeded repository: %v %q", err, problems)
 	}
@@ -119,5 +126,44 @@ func TestCheckFlagsMissingDocPathInComment(t *testing.T) {
 	if len(got) != 2 || !strings.Contains(joined, "lib.go:12:1: comment names DESIGN.md") ||
 		!strings.Contains(joined, "sub_test.go:3:1: comment names docs/Y.md") {
 		t.Fatalf("problems:\n%s\nwant exactly DESIGN.md in lib.go and docs/Y.md in sub/sub_test.go", joined)
+	}
+}
+
+// TestCheckSeesThroughModuleAlias pins rule 1 on aliases: an exported alias
+// of a type declared in another package of the module is listed as that
+// type's declaration and its exported methods, so a field added behind the
+// alias fails the check as a changed root type would.
+func TestCheckSeesThroughModuleAlias(t *testing.T) {
+	const target = "package wire\n\n// Msg is a message.\ntype Msg struct{ Src int; hop int }\n\n" +
+		"// Less orders messages.\nfunc (m Msg) Less(o Msg) bool { return m.Src < o.Src }\n\nfunc (m Msg) hidden() {}\n"
+	base := maps.Clone(seededRepo)
+	maps.Copy(base, map[string]string{
+		"go.mod":                "module example.com/lib\n",
+		"alias.go":              "package lib\n\nimport \"example.com/lib/internal/wire\"\n\n// Msg is the protocol's message.\ntype Msg = wire.Msg\n",
+		"internal/wire/wire.go": target,
+	})
+
+	root := t.TempDir()
+	writeTree(t, root, base)
+	fset := token.NewFileSet()
+	files, err := parsePackage(fset, root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := packageSurface(fset, root, files)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := strings.Join(entries, "\n")
+	if !strings.Contains(got, "type Msg struct { Src int }") || !strings.Contains(got, "func (m Msg) Less(o Msg) bool") ||
+		strings.Contains(got, "wire.Msg") || strings.Contains(got, "hidden") {
+		t.Fatalf("alias surface:\n%s\nwant Msg's exported field and method, not the alias itself", got)
+	}
+
+	grown := strings.Replace(target, "Src int; hop int", "Src int; Dst int; hop int", 1)
+	problems := strings.Join(checkSeededFrom(t, base, map[string]string{"internal/wire/wire.go": grown}), "\n")
+	if !strings.Contains(problems, "removed from the package: type Msg struct { Src int }") ||
+		!strings.Contains(problems, "not listed: type Msg struct { Src int Dst int }") {
+		t.Fatalf("field added behind the alias not reported:\n%s", problems)
 	}
 }

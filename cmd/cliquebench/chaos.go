@@ -81,12 +81,11 @@ func runChaos(n int, names string) (*tables.Table, error) {
 	// Sparse scenarios run on the O(n) scale-out instance, which AlgorithmAuto
 	// serves with a step program (RunRounds); their golden
 	// is the same run fault-free.
-	ri, err := workload.ScaleSparseRoute(n, 1)
+	sparse, err := workload.ScaleSparseRoute(n, 1)
 	if err != nil {
 		return nil, err
 	}
-	sparseMsgs := instanceMessages(ri)
-	goldenSparse, err := cl.Route(ctx, sparseMsgs, cc.WithAlgorithm(cc.AlgorithmAuto))
+	goldenSparse, err := cl.Route(ctx, sparse.Msgs, cc.WithAlgorithm(cc.AlgorithmAuto))
 	if err != nil {
 		return nil, fmt.Errorf("fault-free sparse route golden: %w", err)
 	}
@@ -98,7 +97,7 @@ func runChaos(n int, names string) (*tables.Table, error) {
 		}
 		scMsgs, scGoldenRoute := msgs, goldenRoute
 		if sc.Sparse {
-			scMsgs, scGoldenRoute = sparseMsgs, goldenSparse
+			scMsgs, scGoldenRoute = sparse.Msgs, goldenSparse
 		}
 		row, err := runChaosScenario(ctx, cl, sc, n, scMsgs, values, scGoldenRoute, goldenSort)
 		if err != nil {

@@ -159,19 +159,6 @@ func protocolRoute(n int) ([][]cc.Message, error) {
 	return cc.NewUniformMessages(workload.ProtocolBenchRoute(n))
 }
 
-// instanceMessages converts a workload routing instance to the public
-// message type.
-func instanceMessages(ri *workload.RoutingInstance) [][]cc.Message {
-	msgs := make([][]cc.Message, ri.N)
-	for i, row := range ri.Msgs {
-		msgs[i] = make([]cc.Message, len(row))
-		for j, m := range row {
-			msgs[i][j] = cc.Message{Src: m.Src, Dst: m.Dst, Seq: m.Seq, Payload: int64(m.Payload)}
-		}
-	}
-	return msgs
-}
-
 // sameDelivery compares two route results message by message (both are
 // sorted by (Src, Dst, Seq), so equality is positional).
 func sameDelivery(a, b *cc.RouteResult) error {

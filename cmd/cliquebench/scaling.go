@@ -41,7 +41,6 @@ func scalingCmd(fs *flag.FlagSet) func([]string) error {
 // sorting input at one size.
 type scalingOp struct {
 	op     string
-	sent   [][]core.Message // the routing instance as the oracle reads it
 	route  [][]cc.Message
 	values [][]int64
 }
@@ -59,8 +58,8 @@ func scalingOps(n int) ([]scalingOp, error) {
 		return nil, err
 	}
 	return []scalingOp{
-		{op: "route-sparse", sent: ri.Msgs, route: instanceMessages(ri)},
-		{op: "route-broadcast", sent: bi.Msgs, route: instanceMessages(bi)},
+		{op: "route-sparse", route: ri.Msgs},
+		{op: "route-broadcast", route: bi.Msgs},
 		{op: "sort-presorted", values: workload.ScalePresortedValues(n)},
 	}, nil
 }
@@ -79,13 +78,7 @@ func measureScaling(n, iters int, o scalingOp) (experiments.ScalingBench, error)
 			return experiments.ScalingBench{}, err
 		}
 		strategy, stats = res.Strategy.String(), res.Stats
-		delivered := make([][]core.Message, n)
-		for i, row := range res.Delivered {
-			for _, m := range row {
-				delivered[i] = append(delivered[i], core.Message(m))
-			}
-		}
-		if err := verify.Routing(o.sent, delivered); err != nil {
+		if err := verify.Routing(o.route, res.Delivered); err != nil {
 			return experiments.ScalingBench{}, err
 		}
 	} else {
@@ -94,16 +87,13 @@ func measureScaling(n, iters int, o scalingOp) (experiments.ScalingBench, error)
 			return experiments.ScalingBench{}, err
 		}
 		strategy, stats = res.Strategy.String(), res.Stats
-		input := make([][]core.Key, n)
+		input := make([][]cc.Key, n)
 		results := make([]*core.SortResult, n)
 		for i := 0; i < n; i++ {
 			for j, v := range o.values[i] {
-				input[i] = append(input[i], core.Key{Value: v, Origin: i, Seq: j})
+				input[i] = append(input[i], cc.Key{Value: v, Origin: i, Seq: j})
 			}
-			results[i] = &core.SortResult{Start: res.Starts[i], Total: res.Total}
-			for _, k := range res.Batches[i] {
-				results[i].Batch = append(results[i].Batch, core.Key(k))
-			}
+			results[i] = &core.SortResult{Batch: res.Batches[i], Start: res.Starts[i], Total: res.Total}
 		}
 		if err := verify.Sorting(input, results); err != nil {
 			return experiments.ScalingBench{}, err

@@ -90,17 +90,16 @@ func runScenario(cl *cc.Clique, sc workload.Scenario, n int, seed int64, iters i
 	if err != nil {
 		return experiments.ScenarioBench{}, err
 	}
-	msgs := instanceMessages(ri)
 	ctx := context.Background()
 	// One warm-up op primes the engine and protocol buffer pools before the
 	// measured window.
-	auto, err := cl.Route(ctx, msgs, cc.WithAlgorithm(cc.AlgorithmAuto))
+	auto, err := cl.Route(ctx, ri.Msgs, cc.WithAlgorithm(cc.AlgorithmAuto))
 	if err != nil {
 		return experiments.ScenarioBench{}, err
 	}
 	m, err := experiments.MeasureOp(iters, func() error {
 		var opErr error
-		auto, opErr = cl.Route(ctx, msgs, cc.WithAlgorithm(cc.AlgorithmAuto))
+		auto, opErr = cl.Route(ctx, ri.Msgs, cc.WithAlgorithm(cc.AlgorithmAuto))
 		return opErr
 	})
 	if err != nil {
@@ -110,7 +109,7 @@ func runScenario(cl *cc.Clique, sc workload.Scenario, n int, seed int64, iters i
 	// Re-derive the plan for its human-readable reason (the public API
 	// reports only the chosen strategy) and cross-check the two agree.
 	plan := core.PlanRoute(n, ri.Msgs)
-	if plan.Strategy.String() != auto.Strategy.String() {
+	if plan.Strategy != auto.Strategy {
 		return experiments.ScenarioBench{}, fmt.Errorf("planner verdict %v disagrees with executed strategy %v", plan.Strategy, auto.Strategy)
 	}
 
@@ -127,7 +126,7 @@ func runScenario(cl *cc.Clique, sc workload.Scenario, n int, seed int64, iters i
 		AllocsPerOp:   m.AllocsPerOp,
 	}
 
-	det, err := cl.Route(ctx, msgs)
+	det, err := cl.Route(ctx, ri.Msgs)
 	if err != nil {
 		return experiments.ScenarioBench{}, err
 	}
@@ -183,7 +182,7 @@ func runSortScenario(cl *cc.Clique, sc workload.SortScenario, n int, seed int64,
 	// Re-derive the plan for its human-readable reason (the public API
 	// reports only the chosen strategy) and cross-check the two agree.
 	plan := core.PlanSort(n, si.Keys)
-	if plan.Strategy.String() != auto.Strategy.String() {
+	if plan.Strategy != auto.Strategy {
 		return experiments.ScenarioBench{}, fmt.Errorf("planner verdict %v disagrees with executed strategy %v", plan.Strategy, auto.Strategy)
 	}
 

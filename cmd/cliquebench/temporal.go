@@ -67,10 +67,6 @@ func runTemporalScenario(sc workload.TemporalScenario, n int, seed int64, cacheC
 	if err := workload.ValidateTrace(tr); err != nil {
 		return experiments.TemporalBench{}, err
 	}
-	instances := make([][][]cc.Message, len(tr.Distinct))
-	for v, ri := range tr.Distinct {
-		instances[v] = instanceMessages(ri)
-	}
 
 	ctx := context.Background()
 	off, err := cc.New(n, cc.WithAlgorithm(cc.AlgorithmAuto))
@@ -84,7 +80,7 @@ func runTemporalScenario(sc workload.TemporalScenario, n int, seed int64, cacheC
 	}
 	defer on.Close()
 	for _, cl := range []*cc.Clique{off, on} {
-		if _, err := cl.Route(ctx, instances[0], cc.WithAlgorithm(cc.Deterministic)); err != nil {
+		if _, err := cl.Route(ctx, tr.Distinct[0].Msgs, cc.WithAlgorithm(cc.Deterministic)); err != nil {
 			return experiments.TemporalBench{}, err
 		}
 	}
@@ -98,7 +94,7 @@ func runTemporalScenario(sc workload.TemporalScenario, n int, seed int64, cacheC
 	var offNs, onNs int64
 	seen := make([]bool, len(tr.Distinct))
 	for t, k := range tr.Sequence {
-		msgs := instances[k]
+		msgs := tr.Distinct[k].Msgs
 		start := time.Now()
 		want, err := off.Route(ctx, msgs)
 		if err != nil {

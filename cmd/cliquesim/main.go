@@ -26,7 +26,6 @@ import (
 
 	cc "congestedclique"
 
-	"congestedclique/internal/clique"
 	"congestedclique/internal/core"
 	"congestedclique/internal/tables"
 	"congestedclique/internal/verify"
@@ -141,54 +140,16 @@ func printCumulative(c cc.CumulativeStats) {
 	fmt.Println(t.String())
 }
 
-// toPublicMessages converts a workload instance's core messages to the
-// public type, and toCoreDelivered converts results back for verification.
-func toPublicMessages(msgs [][]core.Message) [][]cc.Message {
-	out := make([][]cc.Message, len(msgs))
-	for i, ms := range msgs {
-		row := make([]cc.Message, len(ms))
-		for j, m := range ms {
-			row[j] = cc.Message{Src: m.Src, Dst: m.Dst, Seq: m.Seq, Payload: int64(m.Payload)}
-		}
-		out[i] = row
-	}
-	return out
-}
-
-func toCoreDelivered(delivered [][]cc.Message) [][]core.Message {
-	out := make([][]core.Message, len(delivered))
-	for i, ms := range delivered {
-		row := make([]core.Message, len(ms))
-		for j, m := range ms {
-			row[j] = core.Message{Src: m.Src, Dst: m.Dst, Seq: m.Seq, Payload: clique.Word(m.Payload)}
-		}
-		out[i] = row
-	}
-	return out
-}
-
-func toPublicKeys(keys [][]core.Key) [][]cc.Key {
-	out := make([][]cc.Key, len(keys))
-	for i, ks := range keys {
-		row := make([]cc.Key, len(ks))
-		for j, k := range ks {
-			row[j] = cc.Key{Value: k.Value, Origin: k.Origin, Seq: k.Seq}
-		}
-		out[i] = row
-	}
-	return out
-}
-
 func runRouting(cl *cc.Clique, n, per int, pattern, alg string, seed int64, report bool) error {
 	inst, err := workload.NewRoutingInstance(n, per, workload.RoutingPattern(pattern), seed)
 	if err != nil {
 		return err
 	}
-	res, err := cl.Route(context.Background(), toPublicMessages(inst.Msgs))
+	res, err := cl.Route(context.Background(), inst.Msgs)
 	if err != nil {
 		return err
 	}
-	if err := verify.Routing(inst.Msgs, toCoreDelivered(res.Delivered)); err != nil {
+	if err := verify.Routing(inst.Msgs, res.Delivered); err != nil {
 		return err
 	}
 	if report {
@@ -208,17 +169,13 @@ func runSorting(cl *cc.Clique, n, per int, dist, alg string, seed int64, report 
 	if err != nil {
 		return err
 	}
-	res, err := cl.SortKeys(context.Background(), toPublicKeys(inst.Keys))
+	res, err := cl.SortKeys(context.Background(), inst.Keys)
 	if err != nil {
 		return err
 	}
 	results := make([]*core.SortResult, n)
 	for i := 0; i < n; i++ {
-		batch := make([]core.Key, len(res.Batches[i]))
-		for j, k := range res.Batches[i] {
-			batch[j] = core.Key{Value: k.Value, Origin: k.Origin, Seq: k.Seq}
-		}
-		results[i] = &core.SortResult{Batch: batch, Start: res.Starts[i], Total: res.Total}
+		results[i] = &core.SortResult{Batch: res.Batches[i], Start: res.Starts[i], Total: res.Total}
 	}
 	if err := verify.Sorting(inst.Keys, results); err != nil {
 		return err

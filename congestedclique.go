@@ -58,9 +58,13 @@
 // introduction are not algorithms of this package; cmd/cliquebench
 // (experiment E5) measures them.
 //
-// All returned results (delivered messages, sorted batches, statistics) are
-// plain values owned by the caller; no result aliases engine memory, so
-// results stay valid across later calls on the same handle and after Close.
+// Message and Key are the protocol's own types: a Route or SortKeys reads the
+// caller's rows in place, for the duration of the call only, and never
+// writes to them. All returned results (delivered messages, sorted batches,
+// statistics) are plain values owned by the caller — fresh slices allocated
+// for that call; no result aliases engine memory or another call's result,
+// so results stay valid across later calls on the same handle and after
+// Close.
 // (This differs from the internal engine layer, where received packet views
 // expire when the run they were delivered in ends.)
 //
@@ -80,24 +84,20 @@ import (
 	"congestedclique/internal/core"
 )
 
-// Message is one unit of the Information Distribution Task: Payload must
-// travel from node Src to node Dst. Seq distinguishes messages with the same
-// endpoints; (Src, Dst, Seq) must be unique per message.
-type Message struct {
-	Src     int
-	Dst     int
-	Seq     int
-	Payload int64
-}
+// Message is one unit of the Information Distribution Task (Problem 3.1):
+// Payload must travel from node Src to node Dst. Seq distinguishes messages
+// with the same endpoints; (Src, Dst, Seq) must be unique per message, and
+// deliveries are sorted by it. It is the protocol's own message type, so a
+// Route hands the caller's rows to the nodes without copying them.
+type Message = core.Message
 
-// Key is one key of the sorting problem. Origin and Seq identify the key's
-// position in the input (they are assigned by the library when sorting plain
-// values) and break ties between equal values.
-type Key struct {
-	Value  int64
-	Origin int
-	Seq    int
-}
+// Key is one key of the sorting problem (Problem 4.1). Origin and Seq
+// identify the key's position in the input (they are assigned by the library
+// when sorting plain values) and break ties between equal values: keys are
+// ordered by (Value, Origin, Seq), which is what Less reports. It is the
+// protocol's own key type, so SortKeys hands the caller's rows to the nodes
+// without copying them.
+type Key = core.Key
 
 // Algorithm selects which routing/sorting algorithm an operation uses.
 type Algorithm int
@@ -158,121 +158,54 @@ func (a Algorithm) String() string {
 // RouteStrategy identifies the delivery strategy the demand-aware planner
 // (AlgorithmAuto) selected for one Route execution. The zero value means the
 // planner was not consulted — the operation ran under an explicitly chosen
-// algorithm.
-type RouteStrategy int
+// algorithm — and prints as "unplanned"; the other values print as the
+// names cliquebench scen shows.
+type RouteStrategy = core.RouteStrategy
 
 const (
 	// StrategyPipeline is the paper's full balancing pipeline in its
 	// 12-round Theorem 5.4 form, selected for full-load and heavily skewed
 	// instances. When the planner picks it, statistics are bit-identical to
 	// LowCompute.
-	StrategyPipeline RouteStrategy = iota + 1
+	StrategyPipeline RouteStrategy = core.StrategyPipeline
 	// StrategyDirect delivers every message over its own source-destination
 	// edge; the planner picks it when the largest per-(source,destination)
 	// load fits one frame and total demand is below the full-load regime.
-	StrategyDirect
+	StrategyDirect RouteStrategy = core.StrategyDirect
 	// StrategyBroadcast scatters the messages of few sources across all
 	// nodes in one round and delivers from the relays; the planner picks it
 	// for one-to-many (broadcast/multicast) demand.
-	StrategyBroadcast
+	StrategyBroadcast RouteStrategy = core.StrategyBroadcast
 	// StrategyEmpty is the degenerate no-traffic instance: zero rounds.
-	StrategyEmpty
+	StrategyEmpty RouteStrategy = core.StrategyEmpty
 )
-
-// String returns the strategy name as printed by cliquebench scen.
-func (s RouteStrategy) String() string {
-	switch s {
-	case StrategyPipeline:
-		return "pipeline"
-	case StrategyDirect:
-		return "direct"
-	case StrategyBroadcast:
-		return "broadcast"
-	case StrategyEmpty:
-		return "empty"
-	case 0:
-		return "unplanned"
-	default:
-		return fmt.Sprintf("strategy(%d)", int(s))
-	}
-}
-
-// strategyFromCore maps the planner's internal verdict to the public enum.
-func strategyFromCore(s core.RouteStrategy) RouteStrategy {
-	switch s {
-	case core.StrategyPipeline:
-		return StrategyPipeline
-	case core.StrategyDirect:
-		return StrategyDirect
-	case core.StrategyBroadcast:
-		return StrategyBroadcast
-	case core.StrategyEmpty:
-		return StrategyEmpty
-	default:
-		return 0
-	}
-}
 
 // SortStrategy identifies the strategy the demand-aware sorting planner
 // (AlgorithmAuto) selected for one Sort or SortKeys execution. The zero
 // value means the planner was not consulted — the operation ran under an
-// explicitly chosen algorithm.
-type SortStrategy int
+// explicitly chosen algorithm — and prints as "unplanned"; the other values
+// print as the names cliquebench scen shows.
+type SortStrategy = core.SortStrategy
 
 const (
 	// SortStrategyPipeline is the paper's full Algorithm 4 with Theorem 5.4
 	// as Step 6's router (33 rounds), selected for general instances. When
 	// the planner picks it, statistics are bit-identical to LowCompute and
 	// batches to Deterministic.
-	SortStrategyPipeline SortStrategy = iota + 1
+	SortStrategyPipeline SortStrategy = core.SortStrategyPipeline
 	// SortStrategyPresorted skips the pipeline when the input rows already
 	// partition the global order (node i's keys all precede node i+1's,
 	// possibly after a free local sort): two rank-balanced redistribution
 	// rounds produce the contractual batches.
-	SortStrategyPresorted
+	SortStrategyPresorted SortStrategy = core.SortStrategyPresorted
 	// SortStrategySmallDomain handles duplicate-heavy instances whose
 	// distinct values fit the Section 6.3 feasibility bound: the two-round
 	// counting protocol plus a per-origin prefix pins every key's exact
 	// global rank, and two delivery rounds finish — four rounds total.
-	SortStrategySmallDomain
+	SortStrategySmallDomain SortStrategy = core.SortStrategySmallDomain
 	// SortStrategyEmpty is the degenerate no-key instance: zero rounds.
-	SortStrategyEmpty
+	SortStrategyEmpty SortStrategy = core.SortStrategyEmpty
 )
-
-// String returns the strategy name as printed by cliquebench scen.
-func (s SortStrategy) String() string {
-	switch s {
-	case SortStrategyPipeline:
-		return "pipeline"
-	case SortStrategyPresorted:
-		return "presorted"
-	case SortStrategySmallDomain:
-		return "small-domain"
-	case SortStrategyEmpty:
-		return "empty"
-	case 0:
-		return "unplanned"
-	default:
-		return fmt.Sprintf("sort-strategy(%d)", int(s))
-	}
-}
-
-// sortStrategyFromCore maps the sorting planner's internal verdict to the
-// public enum.
-func sortStrategyFromCore(s core.SortStrategy) SortStrategy {
-	switch s {
-	case core.SortStrategyPipeline:
-		return SortStrategyPipeline
-	case core.SortStrategyPresorted:
-		return SortStrategyPresorted
-	case core.SortStrategySmallDomain:
-		return SortStrategySmallDomain
-	case core.SortStrategyEmpty:
-		return SortStrategyEmpty
-	default:
-		return 0
-	}
-}
 
 // ErrInvalidInstance is wrapped by errors reporting malformed problem
 // instances (out-of-range destinations, too many messages per node, ...).
@@ -733,20 +666,4 @@ func applyCallOptions(base config, opts []Option) (config, error) {
 		}
 	}
 	return cfg, nil
-}
-
-func toCoreMessage(m Message) core.Message {
-	return core.Message{Src: m.Src, Dst: m.Dst, Seq: m.Seq, Payload: clique.Word(m.Payload)}
-}
-
-func fromCoreMessage(m core.Message) Message {
-	return Message{Src: m.Src, Dst: m.Dst, Seq: m.Seq, Payload: int64(m.Payload)}
-}
-
-func toCoreKey(k Key) core.Key {
-	return core.Key{Value: k.Value, Origin: k.Origin, Seq: k.Seq}
-}
-
-func fromCoreKey(k core.Key) Key {
-	return Key{Value: k.Value, Origin: k.Origin, Seq: k.Seq}
 }

@@ -81,6 +81,8 @@ func (s RouteStrategy) String() string {
 		return "broadcast"
 	case StrategyEmpty:
 		return "empty"
+	case 0:
+		return "unplanned"
 	default:
 		return fmt.Sprintf("strategy(%d)", int(s))
 	}

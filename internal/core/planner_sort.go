@@ -79,6 +79,8 @@ func (s SortStrategy) String() string {
 		return "small-domain"
 	case SortStrategyEmpty:
 		return "empty"
+	case 0:
+		return "unplanned"
 	default:
 		return fmt.Sprintf("sort-strategy(%d)", int(s))
 	}
@@ -338,9 +340,6 @@ func smallDomainSort(ex clique.Exchanger, myKeys []Key, plan SortPlan) (*SortRes
 		return nil, fmt.Errorf("core: small-domain sort: %w", err)
 	}
 	bits := smallKeyBits(n)
-	helper := func(value, countBit, aggBit int) int {
-		return value*bits*bits + countBit*bits + aggBit
-	}
 
 	// Local histogram over dense indices (positions in the Domain table).
 	local := make([]int64, k)
@@ -352,16 +351,8 @@ func smallDomainSort(ex clique.Exchanger, myKeys []Key, plan SortPlan) (*SortRes
 		local[v]++
 	}
 
-	// Round 1: send the i-th bit of my count of value v to every helper of
-	// (v, i) — identical to SmallKeyCount's first round.
-	for v := 0; v < k; v++ {
-		for i := 0; i < bits; i++ {
-			bit := (local[v] >> uint(i)) & 1
-			for j := 0; j < bits; j++ {
-				c.send(helper(v, i, j), clique.Word(bit))
-			}
-		}
-	}
+	// Round 1: SmallKeyCount's.
+	sendCountBits(c, local, bits)
 	rx, err := c.exchange()
 	if err != nil {
 		return nil, fmt.Errorf("core: small-domain sort round 1: %w", err)
@@ -394,24 +385,8 @@ func smallDomainSort(ex clique.Exchanger, myKeys []Key, plan SortPlan) (*SortRes
 	// Reconstruct the global histogram and my per-value origin prefixes.
 	counts := make([]int64, k)
 	prefix := make([]int64, k)
-	for v := 0; v < k; v++ {
-		for i := 0; i < bits; i++ {
-			var ones, pref int64
-			for j := 0; j < bits; j++ {
-				p := rx.single(helper(v, i, j))
-				if len(p) < 2 {
-					return nil, fmt.Errorf("core: small-domain sort round 2: missing bits from helper of (%d,%d,%d)", v, i, j)
-				}
-				if p[0] == 1 {
-					ones |= 1 << uint(j)
-				}
-				if p[1] == 1 {
-					pref |= 1 << uint(j)
-				}
-			}
-			counts[v] += ones << uint(i)
-			prefix[v] += pref << uint(i)
-		}
+	if err := readCountBits(rx, bits, "small-domain sort round 2", counts, prefix); err != nil {
+		return nil, err
 	}
 	base := make([]int64, k+1)
 	for v := 0; v < k; v++ {

@@ -127,45 +127,38 @@ func Rank(ex clique.Exchanger, myKeys []Key) (*RankResult, error) {
 // all keys, at every node, using the sorting algorithm plus one broadcast
 // round (the selection corollary of Section 4).
 func Select(ex clique.Exchanger, myKeys []Key, k int) (Key, error) {
-	res, err := Sort(ex, myKeys)
-	if err != nil {
-		return Key{}, err
-	}
-	if k < 0 || k >= res.Total {
-		return Key{}, fmt.Errorf("core: selection rank %d out of range [0,%d)", k, res.Total)
-	}
-	c := fullComm(ex, fmt.Sprintf("select@r%d", ex.Round()))
-	defer c.release()
-	if k >= res.Start && k < res.Start+len(res.Batch) {
-		key := res.Batch[k-res.Start]
-		for to := 0; to < c.size(); to++ {
-			c.send(to, key.Value, clique.Word(key.Origin), clique.Word(key.Seq))
+	return selectRank(ex, myKeys, "select", func(total int) (int, error) {
+		if k < 0 || k >= total {
+			return 0, fmt.Errorf("core: selection rank %d out of range [0,%d)", k, total)
 		}
-	}
-	rx, err := c.exchange()
-	if err != nil {
-		return Key{}, fmt.Errorf("core: select broadcast: %w", err)
-	}
-	for _, p := range rx.all() {
-		return decodeKey(p)
-	}
-	return Key{}, fmt.Errorf("core: select: no node held rank %d", k)
+		return k, nil
+	})
 }
 
 // Median returns the lower median key (rank floor((total-1)/2)).
 func Median(ex clique.Exchanger, myKeys []Key) (Key, error) {
-	// The total is not known before sorting, so Median runs Sort through
-	// Select with a sentinel rank resolved after sorting. To keep every node
-	// on the same schedule the rank is derived from the sort result itself.
+	return selectRank(ex, myKeys, "median", func(total int) (int, error) {
+		if total == 0 {
+			return 0, fmt.Errorf("core: median of empty input")
+		}
+		return (total - 1) / 2, nil
+	})
+}
+
+// selectRank is the body of Select and Median: it sorts, resolves the rank
+// from the global total the sort reports (identical at every node, so every
+// node stays on the same schedule), and has the node holding that rank
+// broadcast the key in one round. name labels the broadcast and its errors.
+func selectRank(ex clique.Exchanger, myKeys []Key, name string, rank func(total int) (int, error)) (Key, error) {
 	res, err := Sort(ex, myKeys)
 	if err != nil {
 		return Key{}, err
 	}
-	if res.Total == 0 {
-		return Key{}, fmt.Errorf("core: median of empty input")
+	k, err := rank(res.Total)
+	if err != nil {
+		return Key{}, err
 	}
-	k := (res.Total - 1) / 2
-	c := fullComm(ex, fmt.Sprintf("median@r%d", ex.Round()))
+	c := fullComm(ex, fmt.Sprintf("%s@r%d", name, ex.Round()))
 	defer c.release()
 	if k >= res.Start && k < res.Start+len(res.Batch) {
 		key := res.Batch[k-res.Start]
@@ -175,12 +168,12 @@ func Median(ex clique.Exchanger, myKeys []Key) (Key, error) {
 	}
 	rx, err := c.exchange()
 	if err != nil {
-		return Key{}, fmt.Errorf("core: median broadcast: %w", err)
+		return Key{}, fmt.Errorf("core: %s broadcast: %w", name, err)
 	}
 	for _, p := range rx.all() {
 		return decodeKey(p)
 	}
-	return Key{}, fmt.Errorf("core: median: no node held rank %d", k)
+	return Key{}, fmt.Errorf("core: %s: no node held rank %d", name, k)
 }
 
 // ModeResult is the outcome of the mode computation: the most frequent key

@@ -131,34 +131,17 @@ func SmallKeyCount(ex clique.Exchanger, myValues []int, domain int) (*SmallKeyRe
 		local[v]++
 	}
 
-	helper := func(value, countBit, aggBit int) int {
-		return value*bits*bits + countBit*bits + aggBit
-	}
-
-	// Round 1: send the i-th bit of my count of value v to every helper of
-	// (v, i). Messages carry a single word holding the bit.
-	for v := 0; v < domain; v++ {
-		for i := 0; i < bits; i++ {
-			bit := (local[v] >> uint(i)) & 1
-			for j := 0; j < bits; j++ {
-				c.send(helper(v, i, j), clique.Word(bit))
-			}
-		}
-	}
+	// Round 1: every node sends the bits of its local counts to the helpers.
+	sendCountBits(c, local, bits)
 	rx, err := c.exchange()
 	if err != nil {
 		return nil, fmt.Errorf("core: small-key round 1: %w", err)
 	}
 
-	// If I am the helper of (v, i, j), count the set bits I received and
-	// broadcast the j-th bit of that count.
-	myValue, myCountBit, myAggBit := -1, -1, -1
+	// Round 2: the helper of (v, i, j) counts the set bits it received and
+	// broadcasts the j-th bit of that count.
 	if c.me < domain*bits*bits {
-		myValue = c.me / (bits * bits)
-		myCountBit = (c.me / bits) % bits
-		myAggBit = c.me % bits
-	}
-	if myValue >= 0 {
+		myAggBit := c.me % bits
 		var ones int64
 		for _, p := range rx.all() {
 			if len(p) > 0 && p[0] == 1 {
@@ -175,25 +158,55 @@ func SmallKeyCount(ex clique.Exchanger, myValues []int, domain int) (*SmallKeyRe
 		return nil, fmt.Errorf("core: small-key round 2: %w", err)
 	}
 
-	// Reconstruct: for every (v, i), the helpers of (v, i) collectively
-	// broadcast the binary representation of "how many nodes had bit i set in
-	// their count of v"; the global count of v is the weighted sum.
 	counts := make([]int64, domain)
-	for v := 0; v < domain; v++ {
+	if err := readCountBits(rx, bits, "small-key round 2", counts); err != nil {
+		return nil, err
+	}
+	return &SmallKeyResult{Counts: counts, Domain: domain}, nil
+}
+
+// smallKeyHelper is the Section 6.3 helper node of (value, countBit,
+// aggBit): one node per value, bit of a per-node count and bit of the
+// aggregated count, for counts of bits = smallKeyBits(n) bits.
+func smallKeyHelper(bits, value, countBit, aggBit int) int {
+	return value*bits*bits + countBit*bits + aggBit
+}
+
+// sendCountBits stages round 1 of the Section 6.3 protocol: bit i of my
+// count local[v] goes to every helper of (v, i), one single-word message
+// each.
+func sendCountBits(c *comm, local []int64, bits int) {
+	for v := range local {
 		for i := 0; i < bits; i++ {
-			var ones int64
+			bit := (local[v] >> uint(i)) & 1
 			for j := 0; j < bits; j++ {
-				p := rx.single(helper(v, i, j))
-				if len(p) < 1 {
-					return nil, fmt.Errorf("core: small-key round 2: missing bit from helper of (%d,%d,%d)", v, i, j)
-				}
-				if p[0] == 1 {
-					ones |= 1 << uint(j)
-				}
+				c.send(smallKeyHelper(bits, v, i, j), clique.Word(bit))
 			}
-			counts[v] += ones << uint(i)
 		}
 	}
-	_ = myCountBit
-	return &SmallKeyResult{Counts: counts, Domain: domain}, nil
+}
+
+// readCountBits reconstructs counts from round 2 of the Section 6.3
+// protocol. Word w of the packet from the helper of (v, i, j) is bit j of
+// a count over the nodes whose count of v has bit i set; sums[w][v] becomes
+// the sum over i of that count shifted left by i — for word 0, the number of
+// keys of value v in the whole system. context labels the error for a
+// missing packet.
+func readCountBits(rx *rxBuf, bits int, context string, sums ...[]int64) error {
+	for v := range sums[0] {
+		for i := 0; i < bits; i++ {
+			for j := 0; j < bits; j++ {
+				p := rx.single(smallKeyHelper(bits, v, i, j))
+				if len(p) < len(sums) {
+					return fmt.Errorf("core: %s: missing bits from helper of (%d,%d,%d)", context, v, i, j)
+				}
+				for w, s := range sums {
+					if p[w] == 1 {
+						s[v] += 1 << uint(i+j)
+					}
+				}
+			}
+		}
+	}
+	return nil
 }

@@ -16,22 +16,11 @@ type Message struct {
 	Src     int
 	Dst     int
 	Seq     int
-	Payload clique.Word
+	Payload int64
 }
 
-// Less orders messages lexicographically by (Src, Dst, Seq), the global order
-// used by Problem 3.1.
-func (m Message) Less(o Message) bool {
-	if m.Src != o.Src {
-		return m.Src < o.Src
-	}
-	if m.Dst != o.Dst {
-		return m.Dst < o.Dst
-	}
-	return m.Seq < o.Seq
-}
-
-// compareMessages is the three-way form of Message.Less used for sorting.
+// compareMessages orders messages lexicographically by (Src, Dst, Seq), the
+// global order used by Problem 3.1.
 func compareMessages(a, b Message) int {
 	if a.Src != b.Src {
 		return a.Src - b.Src

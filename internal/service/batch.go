@@ -159,18 +159,16 @@ func (s *Server) runBatch(batch []*pending) {
 	n := s.cfg.N
 	merged := make([][]cc.Message, n)
 	refs := make([][]seqRef, n)
-	planIn := make([][]core.Message, n)
 	for k, p := range batch {
 		for i, row := range p.req.Msgs {
 			for _, m := range row {
 				seq := len(refs[i])
 				refs[i] = append(refs[i], seqRef{k: k, seq: m.Seq})
 				merged[i] = append(merged[i], cc.Message{Src: i, Dst: m.Dst, Seq: seq, Payload: m.Payload})
-				planIn[i] = append(planIn[i], core.Message{Src: i, Dst: m.Dst, Seq: seq, Payload: m.Payload})
 			}
 		}
 	}
-	if plan := core.PlanRoute(n, planIn); plan.Strategy == core.StrategyPipeline {
+	if plan := core.PlanRoute(n, merged); plan.Strategy == core.StrategyPipeline {
 		for _, p := range batch {
 			s.finish(p, s.execute(p))
 		}

@@ -101,19 +101,9 @@ func checkRouteInvariants(t *testing.T, label string, n int, msgs [][]Message) {
 		t.Fatalf("%s: %v", label, err)
 	}
 	// Exactly-once delivery: the multiset of deliveries equals the demand.
-	sent := make([][]core.Message, n)
-	delivered := make([][]core.Message, n)
-	for i := 0; i < n; i++ {
-		if i < len(msgs) {
-			for _, m := range msgs[i] {
-				sent[i] = append(sent[i], core.Message{Src: m.Src, Dst: m.Dst, Seq: m.Seq, Payload: m.Payload})
-			}
-		}
-		for _, m := range res.Delivered[i] {
-			delivered[i] = append(delivered[i], core.Message{Src: m.Src, Dst: m.Dst, Seq: m.Seq, Payload: m.Payload})
-		}
-	}
-	if err := verify.Routing(sent, delivered); err != nil {
+	sent := make([][]Message, n)
+	copy(sent, msgs)
+	if err := verify.Routing(sent, res.Delivered); err != nil {
 		t.Fatalf("%s (strategy %v): %v", label, res.Strategy, err)
 	}
 	// The pipeline arm's Theorem 5.4 round bound (every fast path is below
@@ -219,19 +209,15 @@ var sortShapes = []struct {
 // verifySortOutput checks a public sort result of values against Problem
 // 4.1's output contract (internal/verify's oracle).
 func verifySortOutput(n int, values [][]int64, res *SortResult) error {
-	input := make([][]core.Key, n)
+	input := make([][]Key, n)
 	results := make([]*core.SortResult, n)
 	for i := 0; i < n; i++ {
 		if i < len(values) {
 			for j, v := range values[i] {
-				input[i] = append(input[i], core.Key{Value: v, Origin: i, Seq: j})
+				input[i] = append(input[i], Key{Value: v, Origin: i, Seq: j})
 			}
 		}
-		sr := &core.SortResult{Start: res.Starts[i], Total: res.Total}
-		for _, k := range res.Batches[i] {
-			sr.Batch = append(sr.Batch, core.Key{Value: k.Value, Origin: k.Origin, Seq: k.Seq})
-		}
-		results[i] = sr
+		results[i] = &core.SortResult{Batch: res.Batches[i], Start: res.Starts[i], Total: res.Total}
 	}
 	return verify.Sorting(input, results)
 }

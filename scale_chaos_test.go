@@ -19,7 +19,7 @@ func TestSparsePathChaosAtScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	msgs := instanceMessages(ri)
+	msgs := ri.Msgs
 	ctx := context.Background()
 
 	golden, err := Route(n, msgs, WithAlgorithm(AlgorithmAuto))

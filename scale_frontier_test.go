@@ -15,7 +15,6 @@ import (
 	"strings"
 	"testing"
 
-	"congestedclique/internal/core"
 	"congestedclique/internal/verify"
 	"congestedclique/internal/workload"
 )
@@ -59,7 +58,7 @@ func TestScaleFrontier16k(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	msgs := instanceMessages(ri)
+	msgs := ri.Msgs
 	values := workload.ScalePresortedValues(n)
 
 	runtime.GC()
@@ -95,17 +94,7 @@ func TestScaleFrontier16k(t *testing.T) {
 	}
 
 	// Full paper-invariant verification of both outputs.
-	sent := make([][]core.Message, n)
-	delivered := make([][]core.Message, n)
-	for i := 0; i < n; i++ {
-		for _, m := range msgs[i] {
-			sent[i] = append(sent[i], core.Message{Src: m.Src, Dst: m.Dst, Seq: m.Seq, Payload: int64(m.Payload)})
-		}
-		for _, m := range routeRes.Delivered[i] {
-			delivered[i] = append(delivered[i], core.Message{Src: m.Src, Dst: m.Dst, Seq: m.Seq, Payload: int64(m.Payload)})
-		}
-	}
-	if err := verify.Routing(sent, delivered); err != nil {
+	if err := verify.Routing(msgs, routeRes.Delivered); err != nil {
 		t.Errorf("route output: %v", err)
 	}
 	if err := verifySortOutput(n, values, sortRes); err != nil {

@@ -15,7 +15,7 @@ import (
 
 // Clique is a long-lived session handle over a simulated congested clique of
 // n nodes. It amortizes engine construction — delivery arenas, metric
-// buffers, schedule-cache maps, input staging buffers — across an unbounded
+// buffers, schedule-cache maps, input row headers — across an unbounded
 // stream of operations: the per-operation cost of a handle is the protocol
 // itself, not rebuilding the simulator.
 //
@@ -24,19 +24,21 @@ import (
 // execute in parallel on one handle; engines are built lazily, so a handle
 // that never sees concurrent calls only ever pays for one. The default is
 // k = 1, which preserves the serialized behaviour of earlier versions
-// exactly. Every operation checks an engine (plus its private staging
-// buffers) out of the pool, runs, and returns it; input validation and
-// option resolution happen before checkout, so malformed calls never occupy
-// an engine. Results are bit-identical to serial execution regardless of k —
+// exactly. Every operation checks an engine (plus its private input headers
+// and result scratch) out of the pool, runs, and returns it; input
+// validation and option resolution happen before checkout, so malformed
+// calls never occupy an engine. Results are bit-identical to serial execution regardless of k —
 // each engine run is deterministic and fully isolated.
 //
 // Lifetime: a handle owns its engines until Close; afterwards every method
 // fails with an error wrapping ErrClosed. Close waits for in-flight
 // operations to drain before releasing the engines.
 //
-// Every result is a plain value owned by the caller; nothing a method
-// returns aliases engine memory, so results remain valid across later calls
-// and after Close.
+// Every result is a plain value owned by the caller: its rows are fresh
+// slices allocated for that call, and nothing a method returns aliases
+// engine memory or another call's result, so results remain valid across
+// later calls and after Close. Input rows are only read, and only for the
+// duration of the call.
 type Clique struct {
 	n   int
 	cfg config
@@ -69,7 +71,7 @@ type Clique struct {
 	planCache *core.PlanCache
 }
 
-// execUnit is one poolable executor: an engine plus the input staging and
+// execUnit is one poolable executor: an engine plus the input headers and
 // result-gathering scratch its runs read while in flight. Exactly one
 // operation owns a unit between checkout and release, so nothing here needs
 // locking.
@@ -77,13 +79,18 @@ type execUnit struct {
 	n  int
 	nw *clique.Network
 
-	msgIn   [][]core.Message
-	keyIn   [][]core.Key
+	// msgIn, keyIn and intIn are n row headers that borrow the caller's
+	// rows for one operation (see borrowRows); each operation clears its
+	// headers before returning, so a long-lived handle never pins a past
+	// caller's memory. valKeys holds the unit's own keys, labelled from
+	// plain values by stageValues.
+	msgIn   [][]Message
+	keyIn   [][]Key
 	intIn   [][]int
-	msgOut  [][]core.Message
+	valKeys [][]Key
 	sortOut []*core.SortResult
 	rankOut []*core.RankResult
-	keyOut  []core.Key
+	keyOut  []Key
 }
 
 func newExecUnit(n int, cfg config) (*execUnit, error) {
@@ -92,13 +99,22 @@ func newExecUnit(n int, cfg config) (*execUnit, error) {
 		return nil, err
 	}
 	return &execUnit{
-		n:      n,
-		nw:     nw,
-		msgIn:  make([][]core.Message, n),
-		keyIn:  make([][]core.Key, n),
-		intIn:  make([][]int, n),
-		msgOut: make([][]core.Message, n),
+		n:       n,
+		nw:      nw,
+		msgIn:   make([][]Message, n),
+		keyIn:   make([][]Key, n),
+		intIn:   make([][]int, n),
+		valKeys: make([][]Key, n),
 	}, nil
+}
+
+// borrowRows points the n row headers hdr at the caller's rows, nil past
+// len(rows) (validation has bounded len(rows) by n), and returns hdr. The
+// protocol only reads its input rows, so nothing is copied; the caller
+// clears hdr when the operation ends.
+func borrowRows[T any](hdr, rows [][]T) [][]T {
+	clear(hdr[copy(hdr, rows):])
+	return hdr
 }
 
 // New builds a session handle for a congested clique of n >= 1 nodes.
@@ -418,27 +434,12 @@ func (c *Clique) routeValidated(ctx context.Context, msgs [][]Message) (*RouteRe
 // route is the routing pipeline body; the caller owns the unit and has
 // validated msgs.
 func (u *execUnit) route(ctx context.Context, cfg config, msgs [][]Message, pc *core.PlanCache) (*RouteResult, error) {
-	inputs := u.msgIn
-	for i := 0; i < u.n; i++ {
-		if i < len(msgs) && len(msgs[i]) > 0 {
-			s := inputs[i]
-			if cap(s) < len(msgs[i]) {
-				s = make([]core.Message, len(msgs[i]))
-			} else {
-				s = s[:len(msgs[i])]
-			}
-			for j, m := range msgs[i] {
-				s[j] = toCoreMessage(m)
-			}
-			inputs[i] = s
-		} else {
-			inputs[i] = inputs[i][:0]
-		}
-	}
+	inputs := borrowRows(u.msgIn, msgs)
+	defer clear(inputs)
 
-	// Under AlgorithmAuto the demand-aware planner classifies the staged
-	// instance once, centrally (the plan is a pure function of the instance,
-	// so every node dispatching on it agrees on the schedule — see
+	// Under AlgorithmAuto the demand-aware planner classifies the instance
+	// once, centrally (the plan is a pure function of the instance, so every
+	// node dispatching on it agrees on the schedule — see
 	// internal/core/planner.go for the model-honesty note). With a plan cache
 	// the fingerprint lookup replaces re-planning: a validated hit (exact
 	// instance compare, never fingerprint trust alone) reuses the cached
@@ -488,8 +489,9 @@ func (u *execUnit) route(ctx context.Context, cfg config, msgs [][]Message, pc *
 	// plan is the zero value — is a blocking program, a coroutine per node
 	// under Run. The same sweep workers execute both. The step run's view of
 	// the instance is built only here, after the verdict, so pipeline-bound
-	// instances never pay for it.
-	outputs := u.msgOut
+	// instances never pay for it. Every node's deliveries are a slice core
+	// allocated for this run, so they become the result rows as they are.
+	outputs := make([][]Message, u.n)
 	var runErr error
 	if core.SparseStepCapable(plan.Strategy) {
 		sd, buildErr := core.NewSparseDemand(u.n, inputs)
@@ -509,7 +511,7 @@ func (u *execUnit) route(ctx context.Context, cfg config, msgs [][]Message, pc *
 	} else {
 		runErr = u.nw.RunContext(ctx, func(nd *clique.Node) error {
 			var (
-				out  []core.Message
+				out  []Message
 				rErr error
 			)
 			switch cfg.algorithm {
@@ -539,18 +541,12 @@ func (u *execUnit) route(ctx context.Context, cfg config, msgs [][]Message, pc *
 		pc.StoreRoute(fp, u.n, inputs, plan, plan.Capture, u.nw.CaptureShared())
 	}
 
-	res := &RouteResult{Delivered: make([][]Message, u.n), Strategy: strategyFromCore(plan.Strategy), Stats: statsFromMetrics(u.nw.Metrics())}
-	for i := range outputs {
-		if out := outputs[i]; len(out) > 0 {
-			d := make([]Message, len(out))
-			for j, m := range out {
-				d[j] = fromCoreMessage(m)
-			}
-			res.Delivered[i] = d
+	for i, out := range outputs {
+		if len(out) == 0 {
+			outputs[i] = nil
 		}
-		outputs[i] = nil
 	}
-	return res, nil
+	return &RouteResult{Delivered: outputs, Strategy: plan.Strategy, Stats: statsFromMetrics(u.nw.Metrics())}, nil
 }
 
 // Sort sorts the values of the clique: values[i] are node i's keys (at most
@@ -610,36 +606,20 @@ func (c *Clique) sortKeysValidated(ctx context.Context, keys [][]Key) (*SortResu
 // sortKeys is the key-sorting pipeline body; the caller owns the unit and
 // has validated keys.
 func (u *execUnit) sortKeys(ctx context.Context, cfg config, keys [][]Key, pc *core.PlanCache) (*SortResult, error) {
-	inputs := u.keyIn
-	for i := 0; i < u.n; i++ {
-		if i < len(keys) && len(keys[i]) > 0 {
-			s := inputs[i]
-			if cap(s) < len(keys[i]) {
-				s = make([]core.Key, len(keys[i]))
-			} else {
-				s = s[:len(keys[i])]
-			}
-			for j, k := range keys[i] {
-				s[j] = toCoreKey(k)
-			}
-			inputs[i] = s
-		} else {
-			inputs[i] = inputs[i][:0]
-		}
-	}
-	return u.sortStaged(ctx, cfg, inputs, pc)
+	defer clear(u.keyIn)
+	return u.sortStaged(ctx, cfg, borrowRows(u.keyIn, keys), pc)
 }
 
-// sortStaged runs the sorting pipeline on inputs already staged as core keys
-// (the caller owns the unit).
-func (u *execUnit) sortStaged(ctx context.Context, cfg config, inputs [][]core.Key, pc *core.PlanCache) (*SortResult, error) {
+// sortStaged runs the sorting pipeline on n input rows (the caller owns the
+// unit).
+func (u *execUnit) sortStaged(ctx context.Context, cfg config, inputs [][]Key, pc *core.PlanCache) (*SortResult, error) {
 	if u.sortOut == nil {
 		u.sortOut = make([]*core.SortResult, u.n)
 	}
 	results := u.sortOut
 
-	// Under AlgorithmAuto the sorting planner classifies the staged instance
-	// once, centrally (the plan is a pure function of the instance, so every
+	// Under AlgorithmAuto the sorting planner classifies the instance once,
+	// centrally (the plan is a pure function of the instance, so every
 	// node dispatching on it agrees on the schedule — see
 	// internal/core/planner_sort.go for the model-honesty note). The plan
 	// cache stores the verdict plus the shared-compute snapshot; instances
@@ -722,25 +702,22 @@ func (u *execUnit) sortStaged(ctx context.Context, cfg config, inputs [][]core.K
 		pc.StoreSort(fp, u.n, inputs, plan, u.nw.CaptureShared())
 	}
 
+	// Every batch is a slice core allocated for this run, so it becomes the
+	// result row as it is.
 	out := &SortResult{
 		Batches:  make([][]Key, u.n),
 		Starts:   make([]int, u.n),
-		Strategy: sortStrategyFromCore(plan.Strategy),
+		Strategy: plan.Strategy,
 		Stats:    statsFromMetrics(u.nw.Metrics()),
 	}
-	for i := range results {
-		res := results[i]
+	for i, res := range results {
 		out.Total = res.Total
 		out.Starts[i] = res.Start
 		if len(res.Batch) > 0 {
-			b := make([]Key, len(res.Batch))
-			for j, k := range res.Batch {
-				b[j] = fromCoreKey(k)
-			}
-			out.Batches[i] = b
+			out.Batches[i] = res.Batch
 		}
-		results[i] = nil
 	}
+	clear(results)
 	return out, nil
 }
 
@@ -798,7 +775,7 @@ func (u *execUnit) rank(ctx context.Context, values [][]int64) (*RankResult, err
 // SelectKth returns the key of global rank k (0-based) among all input
 // values, together with the execution statistics.
 func (c *Clique) SelectKth(ctx context.Context, values [][]int64, k int, opts ...Option) (Key, Stats, error) {
-	return c.selectWith(ctx, values, opts, func(ex clique.Exchanger, in []core.Key) (core.Key, error) {
+	return c.selectWith(ctx, values, opts, func(ex clique.Exchanger, in []Key) (Key, error) {
 		return core.Select(ex, in, k)
 	})
 }
@@ -816,7 +793,7 @@ type keyStats struct {
 }
 
 // selectWith runs one single-key selection protocol (SelectKth, Median).
-func (c *Clique) selectWith(ctx context.Context, values [][]int64, opts []Option, pick func(clique.Exchanger, []core.Key) (core.Key, error)) (Key, Stats, error) {
+func (c *Clique) selectWith(ctx context.Context, values [][]int64, opts []Option, pick func(clique.Exchanger, []Key) (Key, error)) (Key, Stats, error) {
 	cfg, err := c.callConfig(opts)
 	if err != nil {
 		return Key{}, Stats{}, err
@@ -830,7 +807,7 @@ func (c *Clique) selectWith(ctx context.Context, values [][]int64, opts []Option
 	res, err := runOp(c, ctx, cfg, func(u *execUnit) (keyStats, error) {
 		inputs := u.stageValues(values)
 		if u.keyOut == nil {
-			u.keyOut = make([]core.Key, u.n)
+			u.keyOut = make([]Key, u.n)
 		}
 		picked := u.keyOut
 		runErr := u.nw.RunContext(ctx, func(nd *clique.Node) error {
@@ -844,7 +821,7 @@ func (c *Clique) selectWith(ctx context.Context, values [][]int64, opts []Option
 		if runErr != nil {
 			return keyStats{}, runErr
 		}
-		return keyStats{key: fromCoreKey(picked[0]), stats: statsFromMetrics(u.nw.Metrics())}, nil
+		return keyStats{key: picked[0], stats: statsFromMetrics(u.nw.Metrics())}, nil
 	})
 	if err != nil {
 		return Key{}, Stats{}, err
@@ -900,14 +877,7 @@ func (c *Clique) CountSmallKeys(ctx context.Context, values [][]int, domain int,
 		return nil, err
 	}
 	return runOp(c, ctx, cfg, func(u *execUnit) (*HistogramResult, error) {
-		inputs := u.intIn
-		for i := 0; i < u.n; i++ {
-			if i < len(values) {
-				inputs[i] = values[i]
-			} else {
-				inputs[i] = nil
-			}
-		}
+		inputs := borrowRows(u.intIn, values)
 		var counts []int64
 		runErr := u.nw.RunContext(ctx, func(nd *clique.Node) error {
 			res, cErr := core.SmallKeyCount(nd, inputs[nd.ID()], domain)
@@ -919,10 +889,7 @@ func (c *Clique) CountSmallKeys(ctx context.Context, values [][]int, domain int,
 			}
 			return nil
 		})
-		// intIn aliases the caller's rows (unlike msgIn/keyIn, which hold
-		// unit-owned copies); drop the references so a long-lived handle never
-		// pins a past caller's memory.
-		clear(u.intIn)
+		clear(inputs)
 		if runErr != nil {
 			return nil, runErr
 		}
@@ -930,21 +897,20 @@ func (c *Clique) CountSmallKeys(ctx context.Context, values [][]int, domain int,
 	})
 }
 
-// stageValues converts plain values into the unit's core-key staging
-// buffers, attaching Origin/Seq labels (the caller owns the unit and has
-// validated the shape).
-func (u *execUnit) stageValues(values [][]int64) [][]core.Key {
-	inputs := u.keyIn
+// stageValues labels plain values into the unit's own keys, attaching
+// Origin/Seq labels (the caller owns the unit and has validated the shape).
+func (u *execUnit) stageValues(values [][]int64) [][]Key {
+	inputs := u.valKeys
 	for i := 0; i < u.n; i++ {
 		if i < len(values) && len(values[i]) > 0 {
 			s := inputs[i]
 			if cap(s) < len(values[i]) {
-				s = make([]core.Key, len(values[i]))
+				s = make([]Key, len(values[i]))
 			} else {
 				s = s[:len(values[i])]
 			}
 			for j, v := range values[i] {
-				s[j] = core.Key{Value: v, Origin: i, Seq: j}
+				s[j] = Key{Value: v, Origin: i, Seq: j}
 			}
 			inputs[i] = s
 		} else {

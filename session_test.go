@@ -9,6 +9,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -441,5 +443,155 @@ func TestRouteValidationSeqPaths(t *testing.T) {
 		if _, err := cl.Route(ctx, dup); !errors.Is(err, ErrInvalidInstance) {
 			t.Fatalf("iteration %d: duplicate accepted after scratch reuse: %v", i, err)
 		}
+	}
+}
+
+// TestCallerOwnership pins the ownership contract of the pass-through: the
+// protocol reads the caller's input rows in place, so every Route, Sort and
+// SortKeys must leave them byte-identical; every result row is a slice
+// allocated for its own call, so a later operation on the same handle must
+// not change an earlier result; and a node that received nothing gets a nil
+// row. It covers every algorithm, the dense (blocking) and step arms of
+// AlgorithmAuto, and a plan-cache miss followed by a hit.
+func TestCallerOwnership(t *testing.T) {
+	t.Parallel()
+	const n = 16
+	ctx := context.Background()
+	full := benchRouteWorkload(n)
+	few := [][]Message{{{Src: 0, Dst: 1, Seq: 0, Payload: 7}, {Src: 0, Dst: 2, Seq: 1, Payload: 8}}}
+	dense := benchSortWorkload(n)
+	presorted := [][]int64{{1, 2, 3}}
+	labelled := func(values [][]int64) [][]Key {
+		keys := make([][]Key, len(values))
+		for i, row := range values {
+			for j, v := range row {
+				keys[i] = append(keys[i], Key{Value: v, Origin: i, Seq: j})
+			}
+		}
+		return keys
+	}
+
+	for _, h := range []struct {
+		name   string
+		opts   []Option
+		cached bool
+	}{
+		{name: "deterministic", opts: []Option{WithAlgorithm(Deterministic)}},
+		{name: "low-compute", opts: []Option{WithAlgorithm(LowCompute)}},
+		{name: "auto", opts: []Option{WithAlgorithm(AlgorithmAuto)}},
+		{name: "auto+cache", opts: []Option{WithAlgorithm(AlgorithmAuto), WithPlanCache(8)}, cached: true},
+	} {
+		t.Run(h.name, func(t *testing.T) {
+			cl, err := New(n, h.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			auto := strings.HasPrefix(h.name, "auto")
+
+			// held lists every result returned so far with a deep copy taken
+			// when it was returned; each later operation must leave all of
+			// them as they were.
+			type heldResult struct {
+				label     string
+				got, want any
+			}
+			var held []heldResult
+			checkHeld := func(after string) {
+				t.Helper()
+				for _, r := range held {
+					if !reflect.DeepEqual(r.got, r.want) {
+						t.Fatalf("%s changed the result of %s", after, r.label)
+					}
+				}
+			}
+
+			for _, rc := range []struct {
+				name string
+				msgs [][]Message
+				want RouteStrategy
+			}{{"full", full, StrategyPipeline}, {"few", few, StrategyDirect}} {
+				for pass := 0; pass < 2; pass++ { // with a plan cache: miss, then hit
+					label := fmt.Sprintf("route %s pass %d", rc.name, pass)
+					before := cloneRows(rc.msgs)
+					res, err := cl.Route(ctx, rc.msgs)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if !reflect.DeepEqual(rc.msgs, before) {
+						t.Fatalf("%s wrote to the caller's input rows", label)
+					}
+					if auto && res.Strategy != rc.want {
+						t.Fatalf("%s: strategy %v, want %v", label, res.Strategy, rc.want)
+					}
+					checkNilWhenEmpty(t, label, res.Delivered, rc.name == "few")
+					checkHeld(label)
+					held = append(held, heldResult{label, res.Delivered, cloneRows(res.Delivered)})
+				}
+			}
+
+			for _, sc := range []struct {
+				name   string
+				values [][]int64
+				want   SortStrategy
+			}{{"dense", dense, SortStrategyPipeline}, {"presorted", presorted, SortStrategyPresorted}} {
+				keys := labelled(sc.values)
+				for pass := 0; pass < 2; pass++ {
+					for _, byKeys := range []bool{false, true} {
+						label := fmt.Sprintf("sort %s pass %d keys=%v", sc.name, pass, byKeys)
+						valuesBefore, keysBefore := cloneRows(sc.values), cloneRows(keys)
+						var res *SortResult
+						if byKeys {
+							res, err = cl.SortKeys(ctx, keys)
+						} else {
+							res, err = cl.Sort(ctx, sc.values)
+						}
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						if !reflect.DeepEqual(sc.values, valuesBefore) || !reflect.DeepEqual(keys, keysBefore) {
+							t.Fatalf("%s wrote to the caller's input rows", label)
+						}
+						if auto && res.Strategy != sc.want {
+							t.Fatalf("%s: strategy %v, want %v", label, res.Strategy, sc.want)
+						}
+						checkNilWhenEmpty(t, label, res.Batches, sc.name == "presorted")
+						checkHeld(label)
+						held = append(held, heldResult{label, res.Batches, cloneRows(res.Batches)})
+					}
+				}
+			}
+
+			if cs := cl.CumulativeStats(); h.cached && (cs.PlanCacheMisses == 0 || cs.PlanCacheHits == 0) {
+				t.Fatalf("plan cache saw %d misses and %d hits, want both", cs.PlanCacheMisses, cs.PlanCacheHits)
+			}
+		})
+	}
+}
+
+// cloneRows deep-copies rows, keeping nil rows nil.
+func cloneRows[T any](rows [][]T) [][]T {
+	out := make([][]T, len(rows))
+	for i, r := range rows {
+		out[i] = slices.Clone(r)
+	}
+	return out
+}
+
+// checkNilWhenEmpty fails if a result row is empty but not nil, and, when
+// someEmpty is set, if no row is empty.
+func checkNilWhenEmpty[T any](t *testing.T, label string, rows [][]T, someEmpty bool) {
+	t.Helper()
+	empty := 0
+	for i, r := range rows {
+		if len(r) == 0 {
+			if r != nil {
+				t.Fatalf("%s: node %d got an empty non-nil row", label, i)
+			}
+			empty++
+		}
+	}
+	if someEmpty && empty == 0 {
+		t.Fatalf("%s: every node received something; the instance should leave some empty", label)
 	}
 }
