@@ -4,7 +4,7 @@ package congestedclique
 // planner's BroadcastMaxRounds gate (workload.BroadcastGateRoute). Just under
 // the gate the planner takes the broadcast fast path at exactly the round
 // cap; one message per source past it the fast path is rejected and the
-// Theorem 5.4 pipeline handles the skew — same deliveries, exactly its 12
+// Theorem 5.4 pipeline handles the skew — same deliveries, exactly its 10
 // rounds and per-edge words a small constant.
 
 import (
@@ -45,10 +45,10 @@ func TestBroadcastGate(t *testing.T) {
 			if auto.Stats != lc.Stats {
 				t.Fatalf("pipeline fallback stats %+v diverge from LowCompute %+v", auto.Stats, lc.Stats)
 			}
-			// Theorem 5.4: the pipeline finishes in 12 rounds with constant
+			// Theorem 5.4: the pipeline finishes in 10 rounds with constant
 			// per-edge bandwidth.
-			if auto.Stats.Rounds != 12 {
-				t.Fatalf("pipeline used %d rounds, Theorem 5.4's schedule is 12", auto.Stats.Rounds)
+			if auto.Stats.Rounds != 10 {
+				t.Fatalf("pipeline used %d rounds, Theorem 5.4's schedule is 10", auto.Stats.Rounds)
 			}
 			if auto.Stats.MaxEdgeWords > 64 {
 				t.Fatalf("pipeline per-edge load %d words is not a small constant", auto.Stats.MaxEdgeWords)

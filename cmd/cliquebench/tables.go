@@ -109,8 +109,8 @@ func e2Sorting(squares, others []int, seed int64) error {
 }
 
 func e3LowCompute(squares []int, seed int64) error {
-	t := tables.New("E3 — Theorem 5.4: low-computation routing (claim: <= 12 rounds, O(n log n) steps and memory per node)",
-		"n", "rounds", "claim", "steps/node", "steps/(n)", "memory words/node", "max words/edge/round")
+	t := tables.New("E3 — Theorem 5.4: low-computation routing (claim: <= 12 rounds, the schedule takes 10; O(n log n) steps and memory per node)",
+		"n", "rounds", "schedule (claim)", "steps/node", "steps/(n)", "memory words/node", "max words/edge/round")
 	for _, n := range squares {
 		m, err := experiments.MeasureRouting(n, n, workload.RoutingUniform, "low-compute", seed)
 		if err != nil {
@@ -120,7 +120,7 @@ func e3LowCompute(squares []int, seed int64) error {
 		if n > 0 && m.StepsPerNode > 0 {
 			ratio = fmt.Sprintf("%.1f", float64(m.StepsPerNode)/float64(n))
 		}
-		t.AddRow(n, m.Rounds, "<= 12", m.StepsPerNode, ratio, m.MemoryPerNode, m.MaxEdgeWords)
+		t.AddRow(n, m.Rounds, "10 (<= 12)", m.StepsPerNode, ratio, m.MemoryPerNode, m.MaxEdgeWords)
 	}
 	emit(t)
 	return nil
@@ -250,7 +250,7 @@ func e8Coloring(seed int64) error {
 	}
 	emit(t)
 
-	t2 := tables.New("E8b — end-to-end effect: 16-round exact-coloring router vs 12-round Section 5 router",
+	t2 := tables.New("E8b — end-to-end effect: 16-round exact-coloring router vs 10-round Section 5 router (Theorem 5.4 bounds 12)",
 		"n", "algorithm", "rounds", "max words/edge/round")
 	for _, n := range []int{64, 256} {
 		for _, alg := range []string{"deterministic", "low-compute"} {

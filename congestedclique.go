@@ -9,10 +9,11 @@
 // provides the paper's deterministic constant-round algorithms on top of it:
 //
 //   - Route: the Information Distribution Task (every node sends and receives
-//     up to n messages) in at most 16 rounds (Theorem 3.7), or in 12 rounds
-//     with near-linear local computation (Theorem 5.4),
+//     up to n messages) in at most 16 rounds (Theorem 3.7), or in 10 rounds
+//     (the theorem bounds 12) with near-linear local computation
+//     (Theorem 5.4),
 //   - Sort: sorting n keys per node so that node i learns the i-th batch of
-//     the global order, in 37 rounds (Theorem 4.5), or in 33 with the
+//     the global order, in 37 rounds (Theorem 4.5), or in 31 with the
 //     Theorem 5.4 router at Algorithm 4's Step 6,
 //   - Rank, SelectKth, Median, Mode: the rank-in-union variant and its
 //     corollaries (Corollary 4.6),
@@ -20,7 +21,7 @@
 //     bits (Section 6.3),
 //   - a demand-aware routing planner (AlgorithmAuto): Route calls classify
 //     their instance and dispatch sparse, one-to-many and empty demand to
-//     fast paths, everything else to the 12-round Theorem 5.4 pipeline,
+//     fast paths, everything else to the 10-round Theorem 5.4 pipeline,
 //     reporting the choice in RouteResult.Strategy.
 //
 // # Session API
@@ -108,14 +109,15 @@ const (
 	// Deterministic is the paper's main contribution: 16-round routing
 	// (Theorem 3.7) and 37-round sorting (Theorem 4.5).
 	Deterministic Algorithm = iota + 1
-	// LowCompute is the Section 5 routing variant: 12 rounds with O(n log n)
-	// local computation and memory (Theorem 5.4), at every n ≥ 9 (non-square
-	// n through Theorem 3.7's V1/V2/corner decomposition; smaller cliques are
-	// one 4-round Corollary 3.4 group, as under Deterministic). It also
-	// moves fewer words than Theorem 3.7 (3.42M against 4.73M for a full
+	// LowCompute is the Section 5 routing variant: 10 rounds (the theorem
+	// bounds 12) with O(n log n) local computation and memory (Theorem 5.4),
+	// at every n ≥ 9 (non-square n through Theorem 3.7's V1/V2/corner
+	// decomposition; smaller cliques are one 4-round Corollary 3.4 group, as
+	// under Deterministic). It also
+	// moves fewer words than Theorem 3.7 (3.28M against 4.73M for a full
 	// load at n=256), which is why AlgorithmAuto's pipeline arm runs it.
 	// Sort and SortKeys under LowCompute run Algorithm 4 with this router as
-	// Step 6 (Algorithm 4 uses its router as a black box): 33 rounds instead
+	// Step 6 (Algorithm 4 uses its router as a black box): 31 rounds instead
 	// of 37, with batches identical to Deterministic's. The sorting-based
 	// corollaries (Rank, SelectKth, Median, Mode) run the deterministic
 	// implementations.
@@ -130,9 +132,9 @@ const (
 	// the rows already partition the global order, or to the Section 6.3
 	// counting protocol when the distinct values fit its feasibility bound.
 	// Everything else runs the full pipeline: Theorem 5.4 for Route, with
-	// statistics bit-identical to LowCompute (12 rounds), and Algorithm 4
+	// statistics bit-identical to LowCompute (10 rounds), and Algorithm 4
 	// with Theorem 5.4 as Step 6's router for Sort, with statistics
-	// bit-identical to LowCompute (33 rounds) and batches identical to
+	// bit-identical to LowCompute (31 rounds) and batches identical to
 	// Deterministic's. RouteResult.Strategy and
 	// SortResult.Strategy report the choice; see ARCHITECTURE.md for the
 	// dispatch rules. The sorting-based corollary operations (Rank,
@@ -164,7 +166,7 @@ type RouteStrategy = core.RouteStrategy
 
 const (
 	// StrategyPipeline is the paper's full balancing pipeline in its
-	// 12-round Theorem 5.4 form, selected for full-load and heavily skewed
+	// 10-round Theorem 5.4 form, selected for full-load and heavily skewed
 	// instances. When the planner picks it, statistics are bit-identical to
 	// LowCompute.
 	StrategyPipeline RouteStrategy = core.StrategyPipeline
@@ -189,7 +191,7 @@ type SortStrategy = core.SortStrategy
 
 const (
 	// SortStrategyPipeline is the paper's full Algorithm 4 with Theorem 5.4
-	// as Step 6's router (33 rounds), selected for general instances. When
+	// as Step 6's router (31 rounds), selected for general instances. When
 	// the planner picks it, statistics are bit-identical to LowCompute and
 	// batches to Deterministic.
 	SortStrategyPipeline SortStrategy = core.SortStrategyPipeline
@@ -476,9 +478,9 @@ func WithMaxConcurrency(k int) Option {
 // (validate-on-hit), so a drifted instance or a hash collision is counted
 // as an invalidation and replanned — a wrong schedule can never be
 // executed. Validated pipeline hits skip the planner, the colorings and the
-// two exchanges the Theorem 5.4 schedule records — the set totals and the
-// Step 5 count announcement (12 rounds become 8; at non-square n there is
-// no schedule to record and hits run all 12); sorting hits skip the planner
+// exchange the Theorem 5.4 schedule records — the Step 5 count
+// announcement (10 rounds become 8; at non-square n there is no schedule to
+// record and hits run all 10); sorting hits skip the planner
 // and the colorings. SortKeys instances carrying caller-assigned
 // Origin/Seq labels bypass the cache (the canonical representation stores
 // values only).

@@ -71,7 +71,7 @@ func TestRoutePublicAPIAllAlgorithms(t *testing.T) {
 					t.Errorf("%v routing took %d rounds", alg, res.Stats.Rounds)
 				}
 			case LowCompute:
-				if res.Stats.Rounds > 12 {
+				if res.Stats.Rounds > 10 {
 					t.Errorf("low-compute routing took %d rounds", res.Stats.Rounds)
 				}
 			}

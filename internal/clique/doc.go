@@ -120,7 +120,11 @@
 //     protocol layer's comm-scratch pool are process-wide sync.Pools. They
 //     exchange only quiescent buffers — a buffer is either owned by exactly
 //     one run or sitting in the pool — so concurrent Networks recycle
-//     through them without coordination beyond the Pool's own.
+//     through them without coordination beyond the Pool's own. New first
+//     tries the most recently released buffer set (a weak pointer beside
+//     netBufPool, so it never outlives the pool's hold on the set): a lone
+//     sync.Pool Put is only visible to Gets on its own processor, and the
+//     next Network would otherwise miss it about half the time.
 //
 // Nothing else is process-global; running k Networks costs k times the
 // engine-local state plus whatever the pools currently cache.

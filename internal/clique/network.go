@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"weak"
 )
 
 // ErrBandwidthExceeded is wrapped by the error returned when a strict edge
@@ -287,14 +288,48 @@ type netBuffers struct {
 	spare   [][]pendingPacket
 	offs    [][]int32
 	views   []inboxView
+	// idle is set while the set is released and cleared by the acquire that
+	// claims it: a set can be reachable through both netBufPool and
+	// lastReleased, and only one of them may hand it out.
+	idle atomic.Bool
 }
 
-var netBufPool = sync.Pool{New: func() interface{} { return new(netBuffers) }}
+// netBufPool holds released buffer sets until the garbage collector reclaims
+// them. A sync.Pool hands an object back to a Get on the processor whose Put
+// stored it, and a lone Put lands in that processor's private slot, which no
+// other processor can take from — so a Network built right after another one
+// closed missed the released set about every other time, allocating a fresh
+// one (tens of MB at n=256) while the old set sat in the pool. lastReleased
+// therefore points weakly at the most recently released set: it never keeps a
+// set alive, the pool still decides how long one stays, but while it does the
+// next acquire finds it whatever processor it runs on.
+var (
+	netBufPool = sync.Pool{New: func() interface{} {
+		b := new(netBuffers)
+		b.idle.Store(true)
+		return b
+	}}
+	lastReleased struct {
+		sync.Mutex
+		b weak.Pointer[netBuffers]
+	}
+)
 
-// acquireNetBuffers returns a buffer set for n nodes, reallocating the dense
-// arrays only when the pooled set is too small.
+// acquireNetBuffers returns a buffer set for n nodes — the most recently
+// released one if it is still alive — reallocating the dense arrays only
+// when that set is too small.
 func acquireNetBuffers(n int) *netBuffers {
-	b := netBufPool.Get().(*netBuffers)
+	lastReleased.Lock()
+	b := lastReleased.b.Value()
+	lastReleased.b = weak.Pointer[netBuffers]{}
+	lastReleased.Unlock()
+	// A set claimed through lastReleased leaves its pool entry behind (and a
+	// later release adds another), so the pool may hand out a set that is in
+	// use: such a stale entry is dropped — a pointer's worth, which the
+	// collector would clear anyway — and the pool's New ends the loop.
+	for b == nil || !b.idle.CompareAndSwap(true, false) {
+		b = netBufPool.Get().(*netBuffers)
+	}
 	if b.n < n {
 		b.outboxes = make([][]pendingPacket, n)
 		b.outOffs = make([][]int32, n)
@@ -347,7 +382,11 @@ func (nw *Network) releaseBuffers() {
 	for _, sh := range b.shards {
 		sh.nw = nil // a pooled shard must not pin its last Network
 	}
+	b.idle.Store(true)
 	netBufPool.Put(b)
+	lastReleased.Lock()
+	lastReleased.b = weak.Make(b)
+	lastReleased.Unlock()
 }
 
 // New creates a congested clique with n >= 1 nodes. The Network supports an

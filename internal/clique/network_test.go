@@ -3,6 +3,7 @@ package clique
 import (
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"sync/atomic"
 	"testing"
 )
@@ -479,5 +480,44 @@ func TestPacketClone(t *testing.T) {
 	q[0] = 99
 	if p[0] != 1 {
 		t.Fatal("clone shares storage")
+	}
+}
+
+// TestNewReusesReleasedBuffers pins that New takes the buffer set the last
+// Close released even when the two run on different processors: a lone
+// sync.Pool Put sits in its processor's private slot, which a Get elsewhere
+// cannot reach, so with the pool alone the next Network allocated a fresh set
+// about half the time. The Close runs on a goroutine the test spins beside,
+// which puts it on another processor whenever there is one. Not parallel: a
+// concurrent New could rightly take the set first. The GC is off so that it
+// cannot reclaim the pooled set in between.
+func TestNewReusesReleasedBuffers(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for i := 0; i < 20; i++ {
+		nw, err := New(16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := nw.buffers
+		var closed atomic.Bool
+		go func() {
+			if err := nw.Close(); err != nil {
+				t.Error(err)
+			}
+			closed.Store(true)
+		}()
+		for !closed.Load() {
+		}
+		next, err := New(16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reused := next.buffers == b
+		if err := next.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !reused {
+			t.Fatalf("iteration %d: New allocated a fresh buffer set although Close had just released one", i)
+		}
 	}
 }

@@ -16,15 +16,12 @@ import (
 // its words and rounds land in the operation's Stats, and every node
 // verifies the distributed verdict against the plan it was handed.
 //
-// Route census (3 rounds):
+// Route census (2 rounds):
 //
-//	R1  transpose      node i -> node j: i's message count for j (1 word,
-//	                   busy pairs only). Afterwards every node knows its
-//	                   receive total; its send total, per-pair row maximum
-//	                   and order-sensitive row hash are local.
-//	R2  aggregate      node i -> node 0: [sendTotal, recvTotal, rowPairMax,
-//	                   rowHash] (4 words).
-//	R3  decide+spread  node 0 -> all: [strategy, relayRounds, fingerprint]
+//	R1  aggregate      node i -> node 0: [sendTotal, rowPairMax, rowHash]
+//	                   (3 words), all three local to node i: its send total,
+//	                   per-pair row maximum and order-sensitive row hash.
+//	R2  decide+spread  node 0 -> all: [strategy, relayRounds, fingerprint]
 //	                   (3 words). Node 0 recomputes the dispatch from the
 //	                   aggregates via routeStrategyFromCensus — the very
 //	                   function PlanRoute dispatches with — and folds the row
@@ -53,76 +50,50 @@ import (
 const (
 	// RouteCensusRounds is the round cost the charged route census adds to
 	// every AlgorithmAuto Route call.
-	RouteCensusRounds = 3
+	RouteCensusRounds = 2
 	// SortCensusRounds is the round cost of the charged sort census.
 	SortCensusRounds = 2
 )
 
-// routeCensus is one node's part of the charged route census as a step
-// program: rounds 0..2 send R1..R3, round RouteCensusRounds verifies the
-// distributed verdict against the plan. Any disagreement — strategy, relay
-// rounds, or cache fingerprint — is an error: the plan does not match the
-// instance the nodes are actually holding. The two fields are all a node
-// carries between rounds.
-type routeCensus struct {
-	recvTotal  int
-	rowPairMax int
-}
-
-func (c *routeCensus) step(ex clique.Exchanger, plan *RoutePlan, row []Message, round int, inbox clique.Inbox) error {
+// routeCensusStep is one node's part of the charged route census as a step
+// program: rounds 0 and 1 send R1 and R2, round RouteCensusRounds verifies
+// the distributed verdict against the plan. Any disagreement — strategy,
+// relay rounds, or cache fingerprint — is an error: the plan does not match
+// the instance the nodes are actually holding. Every aggregate is local to
+// the node, so it carries no state between rounds.
+func routeCensusStep(ex clique.Exchanger, plan *RoutePlan, row []Message, round int, inbox clique.Inbox) error {
 	n := ex.N()
 	switch round {
 	case 0:
-		// R1: transpose the demand counts so every node learns its receive
-		// total. One buffer holds the sorted destinations and, compacted over
-		// their front, the per-destination counts the sends are views of (the
-		// write index never passes the read index, and the engine copies
-		// payloads at delivery) — the node's only allocation, sized by its own
-		// row rather than by n.
-		if len(row) == 0 {
-			return nil
-		}
-		buf := make([]clique.Word, len(row))
+		// R1: every node reports its aggregates to node 0. The per-pair row
+		// maximum comes from the sorted destinations — the node's only
+		// allocation, sized by its own row rather than by n. The row hash is
+		// the order-sensitive FNV fold over this node's destination sequence
+		// — the same function the host-side fingerprint uses per row.
+		dsts := make([]int, len(row))
 		for i, m := range row {
 			if m.Dst < 0 || m.Dst >= n {
 				return fmt.Errorf("core: census: destination %d out of range", m.Dst)
 			}
-			buf[i] = clique.Word(m.Dst)
+			dsts[i] = m.Dst
 		}
-		slices.Sort(buf)
-		w := 0
-		for i := 0; i < len(buf); w++ {
-			dst, j := buf[i], i
-			for j < len(buf) && buf[j] == dst {
+		slices.Sort(dsts)
+		rowPairMax := 0
+		for i := 0; i < len(dsts); {
+			j := i
+			for j < len(dsts) && dsts[j] == dsts[i] {
 				j++
 			}
-			if j-i > c.rowPairMax {
-				c.rowPairMax = j - i
-			}
-			buf[w] = clique.Word(j - i)
-			ex.Send(int(dst), clique.Packet(buf[w:w+1:w+1]))
+			rowPairMax = max(rowPairMax, j-i)
 			i = j
-		}
-	case 1:
-		// R2: every node reports its aggregates to node 0. The row hash is
-		// the order-sensitive FNV fold over this node's destination sequence
-		// — the same function the host-side fingerprint uses per row.
-		for _, from := range ex.InboxSenders() {
-			for _, p := range inbox[from] {
-				if len(p) < 1 {
-					return fmt.Errorf("core: census: malformed count message")
-				}
-				c.recvTotal += int(p[0])
-			}
 		}
 		ex.Send(0, clique.Packet{
 			clique.Word(len(row)),
-			clique.Word(c.recvTotal),
-			clique.Word(c.rowPairMax),
+			clique.Word(rowPairMax),
 			clique.Word(routeRowHash(row)),
 		})
-	case 2:
-		// R3: node 0 folds the fingerprint, recomputes the dispatch and
+	case 1:
+		// R2: node 0 folds the fingerprint, recomputes the dispatch and
 		// broadcasts the verdict.
 		if ex.ID() != 0 {
 			return nil
@@ -131,7 +102,7 @@ func (c *routeCensus) step(ex clique.Exchanger, plan *RoutePlan, row []Message, 
 		h := uint64(fnvOffset64)
 		for from := 0; from < n; from++ {
 			ps := inbox.From(from)
-			if len(ps) != 1 || len(ps[0]) != 4 {
+			if len(ps) != 1 || len(ps[0]) != 3 {
 				return fmt.Errorf("core: census: node 0 missing aggregate from node %d", from)
 			}
 			p := ps[0]
@@ -140,10 +111,8 @@ func (c *routeCensus) step(ex clique.Exchanger, plan *RoutePlan, row []Message, 
 			if sendTotal > 0 {
 				activeSources++
 			}
-			if int(p[2]) > maxPair {
-				maxPair = int(p[2])
-			}
-			h = foldRows(h, sendTotal, uint64(p[3]))
+			maxPair = max(maxPair, int(p[1]))
+			h = foldRows(h, sendTotal, uint64(p[2]))
 		}
 		strategy, _ := routeStrategyFromCensus(n, total, activeSources,
 			func() int { return maxPair }, func() int { return plan.relayRoundsCensus })

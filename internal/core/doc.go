@@ -7,16 +7,18 @@
 //   - the Information Distribution Task of Problem 3.1 solved by Algorithm 1
 //     and Algorithm 2 in 16 rounds (Theorem 3.7), including the non-square-n
 //     construction,
-//   - the low-computation 12-round variant of Section 5 (Theorem 5.4),
+//   - the low-computation variant of Section 5 (Theorem 5.4) in 10 rounds,
+//     two under the theorem's 12 (its proportional rule needs no set
+//     totals),
 //   - the sorting algorithm of Problem 4.1 solved by Algorithms 3 and 4 in 37
-//     rounds (Theorem 4.5), and in 33 with Theorem 5.4 as Step 6's router
+//     rounds (Theorem 4.5), and in 31 with Theorem 5.4 as Step 6's router
 //     (LowComputeSort),
 //   - the rank-in-union variant, selection and mode (Corollary 4.6),
 //   - the small-key counting protocol of Section 6.3,
 //   - the demand-aware routing planner (planner.go, not part of the paper):
 //     PlanRoute classifies an instance and AutoRoute dispatches it to a
 //     direct-send, scatter/broadcast or zero-round fast path when demand is
-//     sparse or one-to-many, and to the 12-round Theorem 5.4 pipeline
+//     sparse or one-to-many, and to the 10-round Theorem 5.4 pipeline
 //     otherwise. The dispatch rule is specified in ARCHITECTURE.md.
 //
 // The building blocks mirror the paper's structure: Corollary 3.3 (two-round

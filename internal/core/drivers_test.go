@@ -154,6 +154,80 @@ func TestStepProgramsUnderBothDrivers(t *testing.T) {
 	}
 }
 
+// TestCensusRejectsWrongFingerprint gives the charged censuses their teeth:
+// a plan whose cache fingerprint is off by one bit from the instance's must
+// fail every route and sort census, under both drivers (the pipeline arms,
+// not step programs, only under AutoRoute and AutoSort), with the
+// fingerprint error.
+func TestCensusRejectsWrongFingerprint(t *testing.T) {
+	t.Parallel()
+	const n = 48
+	const want = "disagrees with plan fingerprint"
+	expectRejected := func(label string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: census accepted a wrong fingerprint: %v", label, err)
+		}
+	}
+	run := func(body func(nw *clique.Network) error) error {
+		nw, err := clique.New(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nw.Close()
+		return body(nw)
+	}
+	for name, msgs := range core.SparseTestInstances(n) {
+		plan := core.PlanRoute(n, msgs)
+		plan.Census, plan.CensusHasFP, plan.CensusFP = true, true, core.RouteFingerprint(n, msgs).Hash^1
+		sd, err := core.NewSparseDemand(n, msgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("route/%s/%v", name, plan.Strategy)
+		expectRejected(label+"/AutoRoute", run(func(nw *clique.Network) error {
+			return nw.Run(func(nd *clique.Node) error {
+				_, err := core.AutoRoute(nd, sd.Row(nd.ID()), plan)
+				return err
+			})
+		}))
+		if core.SparseStepCapable(plan.Strategy) {
+			expectRejected(label+"/SparseRouteRun", run(func(nw *clique.Network) error {
+				stepRun, err := core.NewSparseRouteRun(sd, plan)
+				if err != nil {
+					return err
+				}
+				return nw.RunRounds(stepRun.Step)
+			}))
+		}
+	}
+	for name, keys := range map[string][][]core.Key{
+		"empty":     make([][]core.Key, n),
+		"presorted": core.PresortedKeysInstance(n),
+		"pipeline":  core.BuildKeys(n, n, "uniform", 7),
+	} {
+		plan := core.PlanSort(n, keys)
+		fp, _ := core.SortFingerprint(n, keys)
+		plan.Census, plan.CensusHasFP, plan.CensusFP = true, true, fp.Hash^1
+		label := fmt.Sprintf("sort/%s/%v", name, plan.Strategy)
+		expectRejected(label+"/AutoSort", run(func(nw *clique.Network) error {
+			return nw.Run(func(nd *clique.Node) error {
+				_, err := core.AutoSort(nd, keys[nd.ID()], plan)
+				return err
+			})
+		}))
+		if core.SparseSortStepCapable(plan.Strategy) {
+			expectRejected(label+"/SparseSortRun", run(func(nw *clique.Network) error {
+				stepRun, err := core.NewSparseSortRun(n, keys, plan)
+				if err != nil {
+					return err
+				}
+				return nw.RunRounds(stepRun.Step)
+			}))
+		}
+	}
+}
+
 // TestStepReceiveVisitsOnlySenders runs the direct, broadcast and presorted
 // step programs, each behind its charged census, at n=4096 on instances where
 // every node hears from a handful of senders, and checks the outputs with

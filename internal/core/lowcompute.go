@@ -8,9 +8,9 @@ import (
 )
 
 // LowComputeRoute is the per-node entry point for the Section 5 variant of
-// the Information Distribution Task (Theorem 5.4): 12 communication rounds
-// with O(n log n) local computation and memory per node. The savings over
-// Algorithm 1 come from
+// the Information Distribution Task (Theorem 5.4): 10 communication rounds
+// (the theorem bounds 12) with O(n log n) local computation and memory per
+// node. The savings over Algorithm 1 come from
 //
 //   - Lemma 5.1: the within-set balancing steps are replaced by an oblivious
 //     two-round round-robin redistribution whose forwarding pattern is fixed
@@ -24,12 +24,14 @@ import (
 //     proportional rule instead of the exact global coloring (the Theorem 5.4
 //     row of ARCHITECTURE.md's paper-to-code table discusses this
 //     substitution), which removes the need for the Step 3 announcement of
-//     Algorithm 2.
+//     Algorithm 2 and, since the rule reads no global quantity, for the
+//     set-total aggregation of Algorithm 2 Step 1 as well.
 //
 // Non-square n uses Theorem 3.7's V1/V2/corner decomposition with this
 // router on V1 and V2 (routeGeneral), so every n ≥ routeTrivialThreshold
-// takes 12 rounds; smaller cliques are a single Corollary 3.4 group
-// (4 rounds), as under Route.
+// takes 10 rounds (V1 and V2 run beside the 6-round corner procedure);
+// smaller cliques are a single Corollary 3.4 group (4 rounds), as under
+// Route.
 //
 // Local computation is self-reported through Exchanger.CountSteps so that
 // the O(n log n) claim can be checked experimentally (experiment E3).
@@ -50,20 +52,19 @@ func lowComputeRoute(ex clique.Exchanger, msgs []Message, sched, capture *RouteS
 }
 
 // RouteSchedule is the announcement state of one Theorem 5.4 execution at
-// a perfect-square n (lowComputeSquare): the set-level totals of its first
-// two rounds and, per group, the Corollary 3.4 count matrix its Step 5
-// announces. Everything else the schedule does — the proportional
-// intermediate-set rule, both Lemma 5.1 redistributions, the greedy
-// colorings — is a deterministic local function of these matrices and the
-// submission-order parcel sequence.
+// a perfect-square n (lowComputeSquare): per group, the Corollary 3.4 count
+// matrix its Step 5 announces. Everything else the schedule does — the
+// proportional intermediate-set rule, both Lemma 5.1 redistributions, the
+// greedy colorings — is a deterministic local function of these matrices
+// and the submission-order parcel sequence.
 //
 // A schedule captured from one execution can therefore drive a later
 // execution of the *same* instance (same ordered per-source destination
-// sequence — the plan cache's validate-on-hit guarantees this) with both
-// exchanges skipped: 8 of the 12 rounds. Order matters, not just the demand
-// matrix: the proportional rule numbers a node's parcels in submission
-// order, so a reordered instance executes a different schedule — which is
-// why the cache key hashes the ordered sequence.
+// sequence — the plan cache's validate-on-hit guarantees this) with the
+// announcement skipped: 8 of the 10 rounds. Order matters, not just the
+// demand matrix: the proportional rule numbers a node's parcels in
+// submission order, so a reordered instance executes a different schedule —
+// which is why the cache key hashes the ordered sequence.
 //
 // A seeded run still cross-checks the schedule against the instance: before
 // Step 5 sends a word each node compares its locally computed count row
@@ -71,9 +72,6 @@ func lowComputeRoute(ex clique.Exchanger, msgs []Message, sched, capture *RouteS
 // against demand, so a schedule that does not match the instance yields an
 // error, never a misrouted parcel.
 type RouteSchedule struct {
-	// SetDemand[a][b] is the set-total aggregation: parcels held by set a
-	// with destination in set b.
-	SetDemand [][]int
 	// S5Counts[g][a][b] is group g's Step 5 announcement: parcels group
 	// member a holds for group member b.
 	S5Counts [][][]int
@@ -93,7 +91,7 @@ func NewRouteScheduleCapture(n int) *RouteSchedule {
 // complete reports whether every slot of the capture was filled (an errored
 // or fast-pathed run leaves gaps; such captures are discarded, not stored).
 func (rs *RouteSchedule) complete() bool {
-	if rs == nil || rs.SetDemand == nil {
+	if rs == nil {
 		return false
 	}
 	for _, counts := range rs.S5Counts {
@@ -120,22 +118,21 @@ func checkScheduleRow(all [][]int, myIdx int, local []int) error {
 	return nil
 }
 
-// lowComputeSquare is the 12-round schedule of Theorem 5.4 on a
+// lowComputeSquare is the 10-round schedule of Theorem 5.4 on a
 // perfect-square comm:
 //
-//	set totals                  2 rounds  (Algorithm 2 Step 1; see below)
 //	Lemma 5.1 by inter. set     2 rounds
 //	inter-set exchange          1 round
 //	Lemma 5.1 by dest. set      2 rounds
 //	move to destination sets    1 round
 //	Step 5, Corollary 3.4       4 rounds  (greedy coloring, Lemma 5.3)
-//	                           -- total 12 rounds
+//	                           -- total 10 rounds
 //
-// The proportional rule never reads the set totals; they are still
-// aggregated so the round and word counts stay the ones Theorem 5.4's
-// schedule states (see ARCHITECTURE.md). With a capture target node 0
-// records the set totals and member 0 of every group that group's Step 5
-// count matrix; a cached schedule replaces both exchanges — 8 rounds.
+// The theorem's schedule opens with Algorithm 2 Step 1's 2-round set-total
+// aggregation; the proportional rule never reads those totals, so they are
+// not aggregated (see ARCHITECTURE.md). With a capture target member 0 of
+// every group records that group's Step 5 count matrix; a cached schedule
+// replaces the announcement — 8 rounds.
 func lowComputeSquare(c *comm, parcels []parcel, st step, sched, capture *RouteSchedule) ([]parcel, error) {
 	m := c.size()
 	s := isqrt(m)
@@ -160,28 +157,7 @@ func lowComputeSquare(c *comm, parcels []parcel, st step, sched, capture *RouteS
 	c.ex.CountSteps(len(load) + s*s)
 	c.ex.ReportMemory(len(load)*6 + s*s)
 
-	// --- Step 2 variant (Lemma 5.3), 5 rounds -------------------------------
-
-	// (2 rounds) Every node learns the set-level totals T[A][B]; O(s^2) work.
-	if sched == nil {
-		cntSet := make([]int64, s)
-		for _, h := range load {
-			cntSet[grp.groupOf(h.dstLocal)]++
-		}
-		tFlat, aggErr := aggregateAndBroadcast(c, myGroup*s, cntSet, s*s)
-		if aggErr != nil {
-			return nil, fmt.Errorf("%s totals: %w", st.name, aggErr)
-		}
-		if capture != nil && c.me == 0 {
-			capture.SetDemand = makeIntMatrix(s, s)
-			for a := 0; a < s; a++ {
-				for b := 0; b < s; b++ {
-					capture.SetDemand[a][b] = int(tFlat[a*s+b])
-				}
-			}
-		}
-		c.ex.CountSteps(len(load) + s*s)
-	}
+	// --- Step 2 variant (Lemma 5.3), 3 rounds -------------------------------
 
 	// (local) Assign every message an intermediate set with the proportional
 	// rotation rule: the j-th message a node holds for destination set B goes

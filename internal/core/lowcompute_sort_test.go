@@ -37,7 +37,7 @@ func sortOnNetwork(t *testing.T, keys [][]core.Key, sorter func(clique.Exchanger
 }
 
 // TestLowComputeSortExactRounds pins Algorithm 4 with Theorem 5.4 as Step 6's
-// router: a uniform full load sorts in exactly 1+8+2+12+8+2 = 33 rounds at
+// router: a uniform full load sorts in exactly 1+8+2+10+8+2 = 31 rounds at
 // square and non-square n within the strict edge budget, and AutoSort's
 // pipeline arm is that sorter, metrics included. Both produce Sort's
 // batches (verified here against the oracle; TestSortRoundsExactOnSquares
@@ -50,8 +50,8 @@ func TestLowComputeSortExactRounds(t *testing.T) {
 			t.Parallel()
 			keys := core.BuildKeys(n, n, "uniform", int64(n)*13)
 			lc, lcM := sortOnNetwork(t, keys, core.LowComputeSort)
-			if lcM.Rounds != 33 {
-				t.Errorf("LowComputeSort: %d rounds, the schedule says 33", lcM.Rounds)
+			if lcM.Rounds != 31 {
+				t.Errorf("LowComputeSort: %d rounds, the schedule says 31", lcM.Rounds)
 			}
 			plan := core.PlanSort(n, keys)
 			if plan.Strategy != core.SortStrategyPipeline {

@@ -39,8 +39,8 @@ func TestLowComputeRouteFullLoad(t *testing.T) {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			t.Parallel()
 			m := runLowComputeRouting(t, buildRoutingInstance(n, n, int64(n)*17))
-			if m.Rounds > 12 {
-				t.Errorf("n=%d: %d rounds, Theorem 5.4 claims at most 12", n, m.Rounds)
+			if m.Rounds > 10 {
+				t.Errorf("n=%d: %d rounds, the Theorem 5.4 schedule takes at most 10", n, m.Rounds)
 			}
 			if m.MaxEdgeWords > 40 {
 				t.Errorf("n=%d: max edge words %d, expected a small constant", n, m.MaxEdgeWords)
@@ -52,8 +52,8 @@ func TestLowComputeRouteFullLoad(t *testing.T) {
 func TestLowComputeRouteExactRounds(t *testing.T) {
 	t.Parallel()
 	m := runLowComputeRouting(t, buildRoutingInstance(49, 49, 3))
-	if m.Rounds != 12 {
-		t.Errorf("perfect-square full-load low-compute routing used %d rounds, schedule says 12", m.Rounds)
+	if m.Rounds != 10 {
+		t.Errorf("perfect-square full-load low-compute routing used %d rounds, schedule says 10", m.Rounds)
 	}
 }
 
@@ -64,14 +64,14 @@ func TestLowComputeRouteSkewedAndAdversarial(t *testing.T) {
 		t.Run(fmt.Sprintf("skewed_n=%d", n), func(t *testing.T) {
 			t.Parallel()
 			m := runLowComputeRouting(t, buildSkewedInstance(n, n))
-			if m.Rounds > 12 {
+			if m.Rounds > 10 {
 				t.Errorf("skewed n=%d: %d rounds", n, m.Rounds)
 			}
 		})
 		t.Run(fmt.Sprintf("setadv_n=%d", n), func(t *testing.T) {
 			t.Parallel()
 			m := runLowComputeRouting(t, buildSetAdversarialInstance(n, n))
-			if m.Rounds > 12 {
+			if m.Rounds > 10 {
 				t.Errorf("set-adversarial n=%d: %d rounds", n, m.Rounds)
 			}
 		})
@@ -82,22 +82,22 @@ func TestLowComputeRoutePartialLoad(t *testing.T) {
 	t.Parallel()
 	for _, per := range []int{0, 1, 7} {
 		m := runLowComputeRouting(t, buildRoutingInstance(25, per, int64(per)*29))
-		if m.Rounds > 12 {
+		if m.Rounds > 10 {
 			t.Errorf("per=%d: %d rounds", per, m.Rounds)
 		}
 	}
 }
 
 // TestLowComputeRouteNonSquareExactRounds pins Theorem 5.4 at non-square n:
-// the V1/V2/corner decomposition runs the 12-round square router on V1 and
-// V2 beside the 6-round corner procedure, so a full load takes exactly 12
+// the V1/V2/corner decomposition runs the 10-round square router on V1 and
+// V2 beside the 6-round corner procedure, so a full load takes exactly 10
 // rounds within the strict 64-words-per-edge budget.
 func TestLowComputeRouteNonSquareExactRounds(t *testing.T) {
 	t.Parallel()
 	for _, n := range []int{20, 90} {
 		m := runLowComputeRouting(t, buildRoutingInstance(n, n, int64(n)+1), clique.WithStrictEdgeBudget(64))
-		if m.Rounds != 12 {
-			t.Errorf("n=%d: %d rounds, Theorem 5.4 schedule says 12", n, m.Rounds)
+		if m.Rounds != 10 {
+			t.Errorf("n=%d: %d rounds, Theorem 5.4 schedule says 10", n, m.Rounds)
 		}
 	}
 }
@@ -136,7 +136,7 @@ func TestLowComputeStepsScaleNearLinearly(t *testing.T) {
 }
 
 // TestLowComputeVersusStandardTraffic confirms the Section 5 trade-off: the
-// 12-round variant never needs more rounds than the 16-round algorithm, and
+// 10-round variant never needs more rounds than the 16-round algorithm, and
 // both deliver identical message sets.
 func TestLowComputeVersusStandardTraffic(t *testing.T) {
 	t.Parallel()

@@ -11,7 +11,7 @@ import (
 // This file implements the demand-aware routing planner. The paper's
 // pipelines (Theorems 3.7 and 5.4) are engineered for the full-load regime —
 // every node sending and receiving up to n messages — and pay a fixed
-// schedule of 16 or 12 rounds plus announcement traffic regardless of how
+// schedule of 16 or 10 rounds plus announcement traffic regardless of how
 // much demand there actually is. The planner classifies a routing instance
 // before committing to a pipeline and dispatches to the cheapest strategy
 // that is still correct for the instance's shape:
@@ -27,11 +27,11 @@ import (
 //     scatter round, then every relay forwards what it holds to the final
 //     destinations; the plan pre-computes the number of delivery rounds.
 //   - StrategyPipeline: everything else runs Theorem 5.4, the paper's
-//     12-round low-computation pipeline, on every n (non-square n through
+//     low-computation pipeline, 10 rounds on every n (non-square n through
 //     Theorem 3.7's V1/V2/corner decomposition) — stats are bit-identical
 //     to calling LowComputeRoute directly, which the LowCompute goldens
 //     pin. It beats the 16-round Theorem 3.7 pipeline in both currencies:
-//     4 fewer rounds and, at n=256, 3.42M words against 4.73M (see
+//     6 fewer rounds and, at n=256, 3.28M words against 4.73M (see
 //     docs/PERFORMANCE.md). Deterministic keeps Theorem 3.7.
 //
 // The fast paths are gated on the sub-full-load regime (see
@@ -45,7 +45,7 @@ import (
 // O(1)-round aggregation; by default the simulator does not charge those
 // words, exactly as it does not charge the deterministic schedule
 // computations all nodes perform locally. The census also exists as a real
-// charged protocol (census.go, armed by WithPlanCache): three rounds on the
+// charged protocol (census.go, armed by WithPlanCache): two rounds on the
 // wire that recompute the strategy verdict distributedly and verify it
 // against the plan, so planner and cache wins can be reported net of
 // planning cost. The plan remains a pure
@@ -58,7 +58,7 @@ type RouteStrategy int
 
 const (
 	// StrategyPipeline is the paper's full balancing pipeline, in its
-	// 12-round Theorem 5.4 form.
+	// 10-round Theorem 5.4 form.
 	StrategyPipeline RouteStrategy = iota + 1
 	// StrategyDirect delivers every message over its own source-destination
 	// edge, one frame per busy edge, in a single round.
@@ -108,8 +108,8 @@ const (
 	// words fill the DirectFrameWords edge budget of the single round.
 	DirectMaxMultiplicity = DirectFrameWords / directWordsPerMessage
 	// BroadcastMaxRounds caps the broadcast path's total rounds (one scatter
-	// round plus the delivery rounds); beyond it the pipeline's fixed 16
-	// rounds win.
+	// round plus the delivery rounds) below the pipeline's fixed 10; beyond
+	// it the pipeline runs.
 	BroadcastMaxRounds = 8
 )
 
@@ -176,9 +176,9 @@ type RoutePlan struct {
 	CensusFP    uint64
 
 	// Sched is a validated cached announcement schedule to execute instead
-	// of the pipeline's set-total and Step 5 announcement exchanges; Capture
-	// is an empty schedule to record them into. At most one is set, only for pipeline dispatch,
-	// and only by the session's plan-cache layer.
+	// of the pipeline's Step 5 announcement exchange; Capture is an empty
+	// schedule to record it into. At most one is set, only for pipeline
+	// dispatch, and only by the session's plan-cache layer.
 	Sched   *RouteSchedule
 	Capture *RouteSchedule
 }
@@ -343,7 +343,7 @@ func routeStrategyFromCensus(n, total, activeSources int, maxPairMult, scatterRo
 
 // pipelineReason ends every pipeline verdict's Reason: the theorem the arm
 // runs and its rounds.
-const pipelineReason = "Theorem 5.4 pipeline in 12 rounds"
+const pipelineReason = "Theorem 5.4 pipeline in 10 rounds"
 
 // AutoRoute executes one node's part of a planned routing instance as
 // blocking code. Every node must pass the same plan (PlanRoute of the
@@ -360,7 +360,7 @@ func AutoRoute(ex clique.Exchanger, msgs []Message, plan RoutePlan) ([]Message, 
 	var p routeProgram
 	if plan.Census {
 		err := driveBlocking(ex, func(round int, inbox clique.Inbox) (bool, error) {
-			return round == RouteCensusRounds, p.census.step(ex, &plan, msgs, round, inbox)
+			return round == RouteCensusRounds, routeCensusStep(ex, &plan, msgs, round, inbox)
 		})
 		if err != nil {
 			return nil, err

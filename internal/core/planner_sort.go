@@ -27,9 +27,9 @@ import (
 //     yields the exact global histogram in two rounds; a per-origin prefix
 //     piggybacked on its second round turns the histogram into exact global
 //     ranks, and two dealByRank-style rounds deliver the batches — 4 rounds
-//     total against the pipeline's 33.
+//     total against the pipeline's 31.
 //   - SortStrategyPipeline: everything else runs Algorithm 4 with
-//     Theorem 5.4 as Step 6's router (LowComputeSort, 33 rounds) — stats
+//     Theorem 5.4 as Step 6's router (LowComputeSort, 31 rounds) — stats
 //     are bit-identical to calling LowComputeSort directly, which the
 //     stats-invariant goldens pin.
 //
@@ -56,7 +56,7 @@ type SortStrategy int
 
 const (
 	// SortStrategyPipeline is the paper's full Algorithm 4, run with
-	// Theorem 5.4 as Step 6's router (LowComputeSort, 33 rounds).
+	// Theorem 5.4 as Step 6's router (LowComputeSort, 31 rounds).
 	SortStrategyPipeline SortStrategy = iota + 1
 	// SortStrategyPresorted skips the pipeline when the rows already
 	// partition the global order: two rank-balanced redistribution rounds.

@@ -246,7 +246,7 @@ func TestAutoRoutePipelineMatchesLowComputeRoute(t *testing.T) {
 			t.Fatalf("n=%d: strategy %v, want pipeline", n, plan.Strategy)
 		}
 		mLow := runLowComputeRouting(t, msgs)
-		if mAuto.Rounds != 12 || mAuto.Rounds != mLow.Rounds || mAuto.MaxEdgeWords != mLow.MaxEdgeWords ||
+		if mAuto.Rounds != 10 || mAuto.Rounds != mLow.Rounds || mAuto.MaxEdgeWords != mLow.MaxEdgeWords ||
 			mAuto.MaxEdgeMessages != mLow.MaxEdgeMessages || mAuto.TotalMessages != mLow.TotalMessages ||
 			mAuto.TotalWords != mLow.TotalWords {
 			t.Fatalf("n=%d: pipeline arm metrics %+v diverge from LowComputeRoute %+v", n, mAuto, mLow)

@@ -44,8 +44,8 @@ func Sort(ex clique.Exchanger, myKeys []Key) (*SortResult, error) {
 
 // LowComputeSort is Algorithm 4 with Theorem 5.4 as Step 6's router: Step 6
 // only needs a router that takes and delivers at most n parcels per node, so
-// the 12-round low-computation router replaces Theorem 3.7's 16 and the
-// schedule takes 1+8+2+12+8+2 = 33 rounds. The batches are Sort's, bit for
+// the 10-round low-computation router replaces Theorem 3.7's 16 and the
+// schedule takes 1+8+2+10+8+2 = 31 rounds. The batches are Sort's, bit for
 // bit: either router delivers every node the same keys at Step 6, and the
 // steps after it do not depend on their arrival order. Non-square n runs
 // Theorem 5.4 on routeGeneral's V1/V2 instances, as LowComputeRoute does.

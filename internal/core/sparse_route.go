@@ -23,8 +23,6 @@ import (
 //	           round 1+RelayRounds: accumulate, done
 //	empty      round 0: done
 type routeProgram struct {
-	census routeCensus
-
 	held      []Message // broadcast: held messages, grouped by ascending dst
 	heldStart []int32   // group boundaries into held
 	received  []Message
@@ -220,8 +218,8 @@ func (p *routeProgram) relaySends(ex clique.Exchanger, r int) {
 }
 
 // SparseRouteRun drives one routeProgram per node as a step program
-// (RunRounds): with the census armed, step rounds 0..2 carry its
-// three exchanges and the strategy starts in the round that verifies it.
+// (RunRounds): with the census armed, step rounds 0..1 carry its
+// two exchanges and the strategy starts in the round that verifies it.
 type SparseRouteRun struct {
 	plan  RoutePlan
 	sd    *SparseDemand
@@ -251,7 +249,7 @@ func (run *SparseRouteRun) Step(nd *clique.Node, round int, inbox clique.Inbox) 
 	p, row := &run.progs[nd.ID()], run.sd.Row(nd.ID())
 	if run.plan.Census {
 		if round <= RouteCensusRounds {
-			if err := p.census.step(nd, &run.plan, row, round, inbox); err != nil || round < RouteCensusRounds {
+			if err := routeCensusStep(nd, &run.plan, row, round, inbox); err != nil || round < RouteCensusRounds {
 				return err != nil, err
 			}
 		}

@@ -5,8 +5,8 @@ package congestedclique
 // hit can never change a result — every hit is validated against the exact
 // instance, the seeded schedule replays only on the run that matched, and a
 // drifted or colliding instance always re-plans. The perf claim: a pipeline
-// hit skips the set-total aggregation and the Step 5 count announcement of
-// Theorem 5.4 (12 -> 8, plus the 3-round census either way).
+// hit skips the Step 5 count announcement of Theorem 5.4 (10 -> 8, plus the
+// 2-round census either way).
 
 import (
 	"context"
@@ -45,8 +45,8 @@ func cacheSortInstance(n, salt int) [][]int64 {
 
 // TestPlanCacheRouteHitBitIdentical pins the whole contract on the route
 // side at once: the miss and every subsequent hit deliver bit-identically to
-// a cache-off handle, the hit skips the two schedule exchanges
-// (12 -> 8 protocol rounds) while the census adds its 3 rounds to both, and
+// a cache-off handle, the hit skips the Step 5 announcement
+// (10 -> 8 protocol rounds) while the census adds its 2 rounds to both, and
 // the handle counters account for every lookup.
 func TestPlanCacheRouteHitBitIdentical(t *testing.T) {
 	t.Parallel()
@@ -95,14 +95,13 @@ func TestPlanCacheRouteHitBitIdentical(t *testing.T) {
 		if hit.Strategy != golden.Strategy {
 			t.Fatalf("hit strategy %v, golden %v", hit.Strategy, golden.Strategy)
 		}
-		// Hit cost: census (3) + the 8 payload rounds; the 4 rounds of the
-		// set totals and the Step 5 announcement are replayed from the cached
-		// schedule.
+		// Hit cost: census (2) + the 8 payload rounds; the 2 rounds of the
+		// Step 5 announcement are replayed from the cached schedule.
 		if hit.Stats.Rounds >= miss.Stats.Rounds {
 			t.Fatalf("hit rounds = %d, no cheaper than the miss's %d", hit.Stats.Rounds, miss.Stats.Rounds)
 		}
-		if want := RouteCensusRounds + golden.Stats.Rounds - 4; hit.Stats.Rounds != want {
-			t.Fatalf("hit rounds = %d, want %d (census %d + payload %d)", hit.Stats.Rounds, want, RouteCensusRounds, golden.Stats.Rounds-4)
+		if want := RouteCensusRounds + golden.Stats.Rounds - 2; hit.Stats.Rounds != want {
+			t.Fatalf("hit rounds = %d, want %d (census %d + payload %d)", hit.Stats.Rounds, want, RouteCensusRounds, golden.Stats.Rounds-2)
 		}
 		if hit.Stats.TotalWords >= miss.Stats.TotalWords {
 			t.Fatalf("hit words = %d, no cheaper than the miss's %d", hit.Stats.TotalWords, miss.Stats.TotalWords)
@@ -116,17 +115,17 @@ func TestPlanCacheRouteHitBitIdentical(t *testing.T) {
 }
 
 // TestPlanCacheRouteExactRounds pins the round schedule of a plan-cache
-// handle on full loads: a miss is the census plus Theorem 5.4 (3 + 12), a
-// hit at perfect-square n replays the cached schedule (3 + 8), and at
+// handle on full loads: a miss is the census plus Theorem 5.4 (2 + 10), a
+// hit at perfect-square n replays the cached schedule (2 + 8), and at
 // non-square n, where the V1/V2 decomposition has no capturable schedule, a
 // hit costs what the miss did. Hits deliver exactly what the miss did.
 func TestPlanCacheRouteExactRounds(t *testing.T) {
 	t.Parallel()
 	ctx := context.Background()
 	for _, tc := range []struct{ n, miss, hit int }{
-		{64, 15, 11},
-		{256, 15, 11},
-		{90, 15, 15},
+		{64, 12, 10},
+		{256, 12, 10},
+		{90, 12, 12},
 	} {
 		tc := tc
 		t.Run(fmt.Sprintf("n=%d", tc.n), func(t *testing.T) {
@@ -209,7 +208,7 @@ func TestPlanCacheRouteDrift(t *testing.T) {
 
 // TestPlanCacheSortHitBitIdentical: the sort side caches the plan verdict
 // and shared colorings (no round skip — see the sort census honesty note),
-// so the miss and every hit cost the census plus the pipeline's 33 rounds,
+// so the miss and every hit cost the census plus the pipeline's 31 rounds,
 // match cache-off output exactly, return the miss's Stats, and count
 // correctly; the stored entry carries the shared-compute snapshot (Step 6's
 // Theorem 5.4 and Algorithm 3's colorings) that a hit arms.
@@ -228,8 +227,8 @@ func TestPlanCacheSortHitBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if golden.Strategy != SortStrategyPipeline || golden.Stats.Rounds != 33 {
-		t.Fatalf("cache-off sort: strategy %v, %d rounds, want pipeline in 33", golden.Strategy, golden.Stats.Rounds)
+	if golden.Strategy != SortStrategyPipeline || golden.Stats.Rounds != 31 {
+		t.Fatalf("cache-off sort: strategy %v, %d rounds, want pipeline in 31", golden.Strategy, golden.Stats.Rounds)
 	}
 
 	cl, err := New(n, WithAlgorithm(AlgorithmAuto), WithPlanCache(8))
@@ -306,8 +305,10 @@ func TestPlanCacheSortKeysBypass(t *testing.T) {
 
 // TestChargedCensusRounds pins the cost of a plan-cache miss: the first Auto
 // Route and Sort on a WithPlanCache handle pay exactly the documented census
-// rounds on top of plain Auto and stay bit-identical; non-Auto algorithms on
-// the same handle are untouched.
+// rounds, words and packets on top of plain Auto — 2 rounds, 6n words in 2n
+// packets for Route ([sendTotal, rowPairMax, rowHash] in, the 3-word verdict
+// out) and 2 rounds, 4n words in 2n packets for Sort — and stay
+// bit-identical; non-Auto algorithms on the same handle are untouched.
 func TestChargedCensusRounds(t *testing.T) {
 	t.Parallel()
 	const n = 64
@@ -340,6 +341,9 @@ func TestChargedCensusRounds(t *testing.T) {
 	if r1.Stats.Rounds != r0.Stats.Rounds+RouteCensusRounds {
 		t.Fatalf("census route rounds = %d, want %d + %d", r1.Stats.Rounds, r0.Stats.Rounds, RouteCensusRounds)
 	}
+	if dw, dm := r1.Stats.TotalWords-r0.Stats.TotalWords, r1.Stats.TotalMessages-r0.Stats.TotalMessages; dw != 6*n || dm != 2*n {
+		t.Fatalf("census route cost %d words / %d packets, want %d / %d", dw, dm, 6*n, 2*n)
+	}
 
 	s0, err := base.Sort(ctx, vals)
 	if err != nil {
@@ -354,6 +358,9 @@ func TestChargedCensusRounds(t *testing.T) {
 	}
 	if s1.Stats.Rounds != s0.Stats.Rounds+SortCensusRounds {
 		t.Fatalf("census sort rounds = %d, want %d + %d", s1.Stats.Rounds, s0.Stats.Rounds, SortCensusRounds)
+	}
+	if dw, dm := s1.Stats.TotalWords-s0.Stats.TotalWords, s1.Stats.TotalMessages-s0.Stats.TotalMessages; dw != 4*n || dm != 2*n {
+		t.Fatalf("census sort cost %d words / %d packets, want %d / %d", dw, dm, 4*n, 2*n)
 	}
 	if cs := cen.CumulativeStats(); cs.PlanCacheHits != 0 || cs.PlanCacheMisses != 2 {
 		t.Fatalf("cache ledger %d hits / %d misses, want 0 / 2", cs.PlanCacheHits, cs.PlanCacheMisses)

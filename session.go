@@ -401,7 +401,7 @@ func validateRoute(n int, msgs [][]Message) error {
 // the messages originating at node i (at most n per node, each destined to a
 // node in [0, n)), and the result lists what every node received. The
 // default algorithm is the paper's deterministic 16-round solution
-// (Theorem 3.7); see WithAlgorithm for the 12-round low-computation variant
+// (Theorem 3.7); see WithAlgorithm for the 10-round low-computation variant
 // (Theorem 5.4) and the demand-aware planner.
 func (c *Clique) Route(ctx context.Context, msgs [][]Message, opts ...Option) (*RouteResult, error) {
 	cfg, err := c.callConfig(opts)
@@ -553,7 +553,7 @@ func (u *execUnit) route(ctx context.Context, cfg config, msgs [][]Message, pc *
 // n per node). Node i's batch of the globally sorted sequence is returned in
 // Batches[i]. The default algorithm is the paper's 37-round deterministic
 // Algorithm 4 (Theorem 4.5). LowCompute runs Algorithm 4 with Theorem 5.4
-// as its Step 6 router: 33 rounds, the same batches.
+// as its Step 6 router: 31 rounds, the same batches.
 // WithAlgorithm(AlgorithmAuto) consults the demand-aware sorting planner,
 // which diverts pre-sorted and small-domain instances to cheaper schedules
 // with identical output and runs everything else as LowCompute does

@@ -346,7 +346,7 @@ func TestHandleScopedOptionRejectedPerCall(t *testing.T) {
 
 // TestSortAlgorithmFallbackAndRejection pins how the algorithms share
 // sorters — LowCompute sorting is AlgorithmAuto's pipeline arm (Algorithm 4
-// with Theorem 5.4 at Step 6, 33 rounds) with Deterministic's batches, and
+// with Theorem 5.4 at Step 6, 31 rounds) with Deterministic's batches, and
 // the sorting-based corollaries run their deterministic implementations
 // under LowCompute and AlgorithmAuto — and that the one-shot sorting shims
 // reject a retired algorithm value instead of sorting under another
@@ -371,8 +371,8 @@ func TestSortAlgorithmFallbackAndRejection(t *testing.T) {
 	if auto.Strategy != SortStrategyPipeline || lc.Stats != auto.Stats {
 		t.Fatalf("LowCompute sort stats %+v differ from the Auto pipeline's %+v (strategy %v)", lc.Stats, auto.Stats, auto.Strategy)
 	}
-	if lc.Stats.Rounds != 33 {
-		t.Fatalf("LowCompute sort took %d rounds, want 33", lc.Stats.Rounds)
+	if lc.Stats.Rounds != 31 {
+		t.Fatalf("LowCompute sort took %d rounds, want 31", lc.Stats.Rounds)
 	}
 	sortBatchesEqual(t, "LowCompute vs deterministic", lc, det)
 	if _, err := Sort(n, values, WithAlgorithm(Algorithm(4))); err == nil {

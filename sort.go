@@ -26,7 +26,7 @@ type SortResult struct {
 // (at most n per node). It is the one-shot convenience form of Clique.Sort
 // (see Route for the one-shot contract). The default algorithm is the
 // paper's 37-round deterministic Algorithm 4 (Theorem 4.5); LowCompute runs
-// Algorithm 4 with Theorem 5.4 as its Step 6 router (33 rounds, same
+// Algorithm 4 with Theorem 5.4 as its Step 6 router (31 rounds, same
 // batches), and WithAlgorithm(AlgorithmAuto) consults the demand-aware
 // sorting planner, whose pipeline arm is the LowCompute sorter.
 func Sort(n int, values [][]int64, opts ...Option) (*SortResult, error) {
