@@ -480,8 +480,11 @@ func WithMaxConcurrency(k int) Option {
 // executed. Validated pipeline hits skip the planner, the colorings and the
 // exchange the Theorem 5.4 schedule records — the Step 5 count
 // announcement (10 rounds become 8; at non-square n there is no schedule to
-// record and hits run all 10); sorting hits skip the planner
-// and the colorings. SortKeys instances carrying caller-assigned
+// record and hits run all 10). Sorting hits skip the planner and the
+// colorings, and run Algorithm 4 from Step 5 with the delimiters, bucket
+// counts and Step 6 and Step 7 announcements the miss learned: no
+// sampling, no delimiter broadcast, no bucket-size aggregation, so 31
+// rounds become 14 (16 at non-square n). SortKeys instances carrying caller-assigned
 // Origin/Seq labels bypass the cache (the canonical representation stores
 // values only).
 //

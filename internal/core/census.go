@@ -44,7 +44,12 @@ import (
 // fingerprint and broadcasts it with the strategy echoed from the plan;
 // every node verifies both. The costs of a full distributed verdict would be
 // the §6.3 machinery itself — the honesty note in planner_sort.go spells
-// this out.
+// this out. The fingerprint agreement is also what licenses a sort
+// plan-cache hit to skip rounds: each node reuses only what it learned
+// itself when the miss ran (the Step 4 delimiters, its Step 5 bucket
+// counts, the Step 6 bucket sizes and count matrix, its group's Step 7
+// announcements — see SortSchedule), and
+// the agreed fingerprint tells it the instance is the same one.
 
 // Census round and word costs, referenced by tests and docs.
 const (

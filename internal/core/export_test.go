@@ -8,3 +8,8 @@ var (
 	PresortedKeysInstance = presortedKeysInstance
 	BuildKeys             = buildKeys
 )
+
+// SealSortSchedule re-derives a SortSchedule's bucket sizes from its count
+// rows, as PlanCache.StoreSort does, so a test can alter a cached schedule
+// consistently.
+func SealSortSchedule(ss *SortSchedule) bool { return ss.seal() }

@@ -36,9 +36,9 @@ import (
 // The cache lives on the session handle (one instance shared by every engine
 // of the pool), guarded by a mutex; entries are bounded by capacity with LRU
 // eviction. What an entry stores — the planner verdict, the Theorem 5.4
-// announcement schedule (RouteSchedule) and the engine's shared-computation
-// snapshot (colorings) — is immutable after Store, so concurrent hits share
-// it without copying.
+// announcement schedule (RouteSchedule) or the Algorithm 4 schedule
+// (SortSchedule), and the engine's shared-computation snapshot (colorings)
+// — is immutable after Store, so concurrent hits share it without copying.
 
 // FNV-1a parameters, folded over 64-bit words rather than bytes. The census
 // protocol exchanges whole words, so hashing word-wise keeps the distributed
@@ -146,6 +146,7 @@ type planCacheEntry struct {
 	routePlan RoutePlan
 	sortPlan  SortPlan
 	sched     *RouteSchedule
+	sortSched *SortSchedule
 	shared    clique.SharedSnapshot
 }
 
@@ -159,7 +160,8 @@ type RouteHit struct {
 	Shared clique.SharedSnapshot
 }
 
-// SortHit is RouteHit for the sorting planner.
+// SortHit is RouteHit for the sorting planner; the Algorithm 4 schedule
+// travels as Plan.Sched (nil for non-pipeline strategies).
 type SortHit struct {
 	Plan   SortPlan
 	Shared clique.SharedSnapshot
@@ -225,7 +227,9 @@ func (pc *PlanCache) LookupSort(n int, keys [][]Key) (fp Fingerprint, hit *SortH
 	if e == nil {
 		return fp, nil, true
 	}
-	return fp, &SortHit{Plan: e.sortPlan, Shared: e.shared}, true
+	plan := e.sortPlan
+	plan.Sched = e.sortSched
+	return fp, &SortHit{Plan: plan, Shared: e.shared}, true
 }
 
 // validatedEntry resolves fp to its entry if and only if the canonical
@@ -277,10 +281,14 @@ func (pc *PlanCache) StoreRoute(fp Fingerprint, n int, msgs [][]Message, plan Ro
 	pc.insert(fp, e)
 }
 
-// StoreSort is StoreRoute for sorting instances. The caller must only store
-// lookups LookupSort reported cacheable.
+// StoreSort is StoreRoute for sorting instances; the plan's Capture moves
+// into the entry when the run filled it completely. The caller must only
+// store lookups LookupSort reported cacheable.
 func (pc *PlanCache) StoreSort(fp Fingerprint, n int, keys [][]Key, plan SortPlan, shared clique.SharedSnapshot) {
 	e := &planCacheEntry{fp: fp, sortPlan: sanitizeSortPlan(plan), shared: shared}
+	if plan.Capture.seal() {
+		e.sortSched = plan.Capture
+	}
 	e.lens = make([]int32, n)
 	total := 0
 	for i := 0; i < n && i < len(keys); i++ {
@@ -390,5 +398,7 @@ func sanitizeSortPlan(p SortPlan) SortPlan {
 	p.Census = false
 	p.CensusHasFP = false
 	p.CensusFP = 0
+	p.Sched = nil
+	p.Capture = nil
 	return p
 }

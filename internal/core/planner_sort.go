@@ -9,7 +9,7 @@ import (
 
 // This file implements the demand-aware sorting planner, the sorting
 // counterpart of PlanRoute (planner.go). The paper's Algorithm 4 pays a fixed
-// schedule (37 rounds, 33 with Theorem 5.4 as its router) regardless of the
+// schedule (37 rounds, 31 with Theorem 5.4 as its router) regardless of the
 // instance's shape; PlanSort runs a
 // central census of the staged keys and dispatches AlgorithmAuto sorts to
 // the cheapest strategy that still produces exactly the Problem 4.1 output
@@ -31,7 +31,8 @@ import (
 //   - SortStrategyPipeline: everything else runs Algorithm 4 with
 //     Theorem 5.4 as Step 6's router (LowComputeSort, 31 rounds) — stats
 //     are bit-identical to calling LowComputeSort directly, which the
-//     stats-invariant goldens pin.
+//     stats-invariant goldens pin; a validated plan-cache hit replays the
+//     miss's SortSchedule from Step 5 (14 rounds, 16 at non-square n).
 //
 // Honesty note on the model: PlanSort runs centrally, over the instance the
 // simulator already holds, exactly like PlanRoute. In a real congested
@@ -49,6 +50,15 @@ import (
 // for agreement, while the verdict itself is echoed from the plan.
 // The plan is a pure function of the instance, so every node dispatching on
 // it agrees on the strategy.
+//
+// Why a plan-cache hit may skip rounds: the pipeline arm of a hit replays a
+// SortSchedule from Step 5 (14 rounds instead of 31 at square n). Each node
+// reuses only what it learned itself when the miss ran — the delimiters and
+// bucket sizes broadcast to it, its own bucket counts, the Step 6 and
+// Step 7 announcements its group made to it — and the census's fingerprint
+// agreement is what tells every node the instance is the one it learned
+// them on. The replay still checks the schedule against the keys each node
+// holds, so a mismatch is an error, never a misplaced key.
 
 // SortStrategy identifies the strategy the demand-aware sorting planner
 // selected for a sorting instance.
@@ -147,6 +157,14 @@ type SortPlan struct {
 	Census      bool
 	CensusHasFP bool
 	CensusFP    uint64
+
+	// Sched is a validated cached Algorithm 4 schedule for the pipeline arm
+	// to replay from Step 5 (PlanCache.LookupSort sets it); Capture is an
+	// empty one PlanSort hands every pipeline verdict, which the run fills
+	// only when Census is set and PlanCache.StoreSort moves into the cache.
+	// Per-run execution state, never part of a cached verdict.
+	Sched   *SortSchedule
+	Capture *SortSchedule
 }
 
 // Rounds returns the number of communication rounds the plan's strategy will
@@ -270,6 +288,7 @@ func PlanSort(n int, keys [][]Key) SortPlan {
 	}
 
 	plan.Strategy = SortStrategyPipeline
+	plan.Capture = newSortScheduleCapture(n)
 	if distinctCap >= 1 {
 		plan.Reason = fmt.Sprintf("general instance: more than %d distinct values and rows do not partition the global order", distinctCap)
 	} else {
@@ -306,7 +325,15 @@ func AutoSort(ex clique.Exchanger, myKeys []Key, plan SortPlan) (*SortResult, er
 	case SortStrategySmallDomain:
 		return smallDomainSort(ex, myKeys, plan)
 	case SortStrategyPipeline:
-		return LowComputeSort(ex, myKeys)
+		// Capture and replay both ride on the census: it is what tells every
+		// node that the instance is the one the schedule was learned on.
+		if !plan.Census {
+			return LowComputeSort(ex, myKeys)
+		}
+		if plan.Sched != nil && !plan.CensusHasFP {
+			return nil, fmt.Errorf("core: a cached sort schedule replays only after the census's fingerprint agreement")
+		}
+		return lowComputeSort(ex, myKeys, plan.Sched, plan.Capture)
 	default:
 		// The empty and presorted arms — and the unknown-strategy error — are
 		// the step program's.

@@ -39,7 +39,7 @@ const keysPerBundle = 2
 //	Step 7   8 rounds   Algorithm 3 inside every group concurrently
 //	Step 8   2 rounds   redistribute by global rank
 func Sort(ex clique.Exchanger, myKeys []Key) (*SortResult, error) {
-	return sortWith(ex, myKeys, routeSquare)
+	return sortWith(ex, myKeys, routeSquare, nil, nil)
 }
 
 // LowComputeSort is Algorithm 4 with Theorem 5.4 as Step 6's router: Step 6
@@ -50,15 +50,22 @@ func Sort(ex clique.Exchanger, myKeys []Key) (*SortResult, error) {
 // steps after it do not depend on their arrival order. Non-square n runs
 // Theorem 5.4 on routeGeneral's V1/V2 instances, as LowComputeRoute does.
 func LowComputeSort(ex clique.Exchanger, myKeys []Key) (*SortResult, error) {
+	return lowComputeSort(ex, myKeys, nil, nil)
+}
+
+// lowComputeSort is LowComputeSort with an optional cached schedule to
+// replay or an empty one to capture (see SortSchedule).
+func lowComputeSort(ex clique.Exchanger, myKeys []Key, sched, capture *SortSchedule) (*SortResult, error) {
 	return sortWith(ex, myKeys, func(c *comm, parcels []parcel, st step) ([]parcel, error) {
-		return lowComputeSquare(c, parcels, st, nil, nil)
-	})
+		return lowComputeSquare(c, parcels, st, sched.route(), capture.route())
+	}, sched, capture)
 }
 
 // sortWith is the body shared by Sort and LowComputeSort: input validation,
 // the single-node and tiny-clique shortcuts, and Algorithm 4 with square as
-// Step 6's router.
-func sortWith(ex clique.Exchanger, myKeys []Key, square squareRouter) (*SortResult, error) {
+// Step 6's router. sched and capture reach only Algorithm 4 proper: the
+// shortcuts have nothing to skip.
+func sortWith(ex clique.Exchanger, myKeys []Key, square squareRouter, sched, capture *SortSchedule) (*SortResult, error) {
 	label := fmt.Sprintf("sort@r%d", ex.Round())
 	c := fullComm(ex, label)
 	defer c.release()
@@ -80,7 +87,7 @@ func sortWith(ex clique.Exchanger, myKeys []Key, square squareRouter) (*SortResu
 		// matters asymptotically).
 		return sortTiny(c, myKeys)
 	}
-	return sortLarge(c, myKeys, label, square)
+	return sortLarge(c, myKeys, label, square, sched, capture)
 }
 
 // sortAlone is the single-node clique's sort: no communication at all.
@@ -97,7 +104,7 @@ func sortTiny(c *comm, myKeys []Key) (*SortResult, error) {
 	for i := range group {
 		group[i] = i
 	}
-	res, err := groupSort(c, group, myKeys, c.size(), rootStep("alg3.tiny").sub("tiny", kcSortTiny))
+	res, err := groupSort(c, group, myKeys, c.size(), rootStep("alg3.tiny").sub("tiny", kcSortTiny), nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -112,8 +119,104 @@ func sortTiny(c *comm, myKeys []Key) (*SortResult, error) {
 	return dealByRank(c, res.myBucket, myOffset, total, "tiny.rank")
 }
 
-// sortLarge is Algorithm 4 proper, with square as Step 6's router.
-func sortLarge(c *comm, myKeys []Key, label string, square squareRouter) (*SortResult, error) {
+// SortSchedule is what the nodes learned in one execution of Algorithm 4
+// from announcements about the keys they held: the Step 4 delimiters, each
+// node's Step 5 bucket counts, Step 6's Theorem 5.4 announcement schedule,
+// and every group's Step 7 Algorithm 3 delimiters and count matrix. A
+// schedule captured from one execution drives a later execution of the
+// *same* instance from Step 5 on: Steps 2–4 (11 rounds), Step 6's
+// bucket-size aggregation and its router's count announcement, and Step 7's
+// sample and count announcements disappear, so the replay takes 8+4+2 = 14
+// rounds at square n and 10+4+2 = 16 at non-square n, against the 31 of
+// LowComputeSort.
+//
+// The skip is honest in the model because each node reuses only what it
+// learned itself in the captured execution — the delimiters and bucket
+// sizes were broadcast to every node, its count row is its own, and its
+// group announced the S5 matrix, the Step 7 samples and the Step 7 count
+// matrix to it — and the charged census's fingerprint agreement tells it
+// the instance is the same. A replay still checks the schedule against the
+// instance: before Step 6 sends a word each node compares its bucket counts
+// with its cached row, Step 6's router checks its S5 row and Step 7 its
+// Algorithm 3 count row (checkScheduleRow), and after Step 7 the Algorithm 3
+// bucket sizes of every group must sum to the cached size of the group's
+// bucket. A schedule that does not match the instance yields an error,
+// never a misplaced key.
+type SortSchedule struct {
+	// Delims are the Step 4 delimiters (numGroups-1 keys).
+	Delims []Key
+	// Counts[i][j] is node i's Step 5 count: its keys in bucket j.
+	Counts [][]int
+	// Route is Step 6's Theorem 5.4 announcement schedule; nil at
+	// non-square n, whose V1/V2 routers have none to capture.
+	Route *RouteSchedule
+	// S7Delims[g] and S7Counts[g] are group g's Step 7 Algorithm 3
+	// delimiters and bucket-count matrix (S7Counts[g][a][j]: keys member a
+	// sent to member j).
+	S7Delims [][]Key
+	S7Counts [][][]int
+
+	// sizes[j] is the Step 6 aggregation's global size of bucket j, the
+	// column sums of Counts; seal derives it.
+	sizes []int
+}
+
+// newSortScheduleCapture returns an empty schedule ready to be filled by an
+// Algorithm 4 execution on a clique of n nodes, or nil when n takes the
+// tiny-clique shortcut, which has no Steps 2–4 to skip.
+func newSortScheduleCapture(n int) *SortSchedule {
+	if n < routeTrivialThreshold {
+		return nil
+	}
+	numGroups := ceilDiv(n, isqrt(n))
+	return &SortSchedule{
+		Counts:   make([][]int, n),
+		Route:    NewRouteScheduleCapture(n),
+		S7Delims: make([][]Key, numGroups),
+		S7Counts: make([][][]int, numGroups),
+	}
+}
+
+// seal reports whether every slot of a capture was filled (an errored run
+// leaves gaps; such captures are discarded, not stored) and derives the
+// bucket sizes a replay reads.
+func (ss *SortSchedule) seal() bool {
+	if ss == nil || ss.Delims == nil || (ss.Route != nil && !ss.Route.complete()) {
+		return false
+	}
+	numGroups := len(ss.Delims) + 1
+	if len(ss.S7Delims) != numGroups || len(ss.S7Counts) != numGroups {
+		return false
+	}
+	for _, counts := range ss.S7Counts {
+		if counts == nil {
+			return false
+		}
+	}
+	ss.sizes = make([]int, numGroups)
+	for _, row := range ss.Counts {
+		if len(row) != numGroups {
+			return false
+		}
+		for j, v := range row {
+			ss.sizes[j] += v
+		}
+	}
+	return true
+}
+
+// route returns the schedule's Step 6 router schedule (nil-safe).
+func (ss *SortSchedule) route() *RouteSchedule {
+	if ss == nil {
+		return nil
+	}
+	return ss.Route
+}
+
+// sortLarge is Algorithm 4 proper, with square as Step 6's router. With a
+// capture target the nodes record the announcements they learned; with a
+// cached schedule the run starts at Step 5 (see SortSchedule).
+func sortLarge(c *comm, myKeys []Key, label string, square squareRouter, sched, capture *SortSchedule) (*SortResult, error) {
 	st := rootStep("alg4")
 	n := c.size()
 	s := isqrt(n) // group size (floor of sqrt(n))
@@ -125,9 +228,143 @@ func sortLarge(c *comm, myKeys []Key, label string, square squareRouter) (*SortR
 		myGroupMembers[i] = lo + i
 	}
 
-	// Step 1 (local): sort the input and select every sigma1-th key.
+	// Step 1 (local): sort the input.
 	input := append([]Key(nil), myKeys...)
 	sortKeys(input)
+
+	var (
+		delims []Key
+		err    error
+	)
+	if sched != nil {
+		// seal tied every per-group table to len(sizes) groups.
+		if len(sched.sizes) != numGroups || len(sched.Counts) != n {
+			return nil, fmt.Errorf("alg4: cached sort schedule shape mismatch")
+		}
+		delims = sched.Delims
+	} else if delims, err = sortDelimiters(c, input, s, myGroup, myGroupMembers, numGroups, st); err != nil {
+		return nil, err
+	}
+
+	// Step 5 (local): split my input into buckets by the delimiters. Bucket j
+	// receives the keys in (delims[j-1], delims[j]]; the last bucket is
+	// unbounded above. The input is sorted and the delimiters are
+	// non-decreasing (quantiles of a sorted sample, with missing slots
+	// collapsing onto their predecessor), so bucket j is the contiguous range
+	// input[bstart[j]:bstart[j+1]] found by binary search.
+	bstart := make([]int, numGroups+1)
+	for j := 1; j < numGroups; j++ {
+		d := delims[j-1]
+		bstart[j] = sort.Search(len(input), func(i int) bool { return d.Less(input[i]) })
+	}
+	bstart[numGroups] = len(input)
+	counts := make([]int, numGroups)
+	for j := range counts {
+		counts[j] = bstart[j+1] - bstart[j]
+	}
+
+	// Step 6 (16 rounds under Theorem 3.7, 10 under Theorem 5.4): route
+	// every key to its bucket's group, spreading each bucket evenly over the
+	// group members; concurrently aggregate the global bucket sizes
+	// (2 rounds) on the multiplexer. A replay knows the sizes already and
+	// routes alone, with the router's announcement replayed as well.
+	var routedKeys []Key
+	bucketSizes := make([]int, numGroups)
+	route := func(ex clique.Exchanger) error {
+		var rErr error
+		routedKeys, rErr = routeBuckets(ex, c, label, input, bstart, s, numGroups, st, square)
+		return rErr
+	}
+	if sched != nil {
+		if err = checkScheduleRow(sched.Counts, c.me, counts); err != nil {
+			return nil, fmt.Errorf("alg4 step5: %w", err)
+		}
+		copy(bucketSizes, sched.sizes)
+		err = route(c.ex)
+	} else {
+		if capture != nil {
+			if c.me == 0 {
+				capture.Delims = delims
+			}
+			capture.Counts[c.me] = counts
+		}
+		err = clique.NewMux(c.ex).Run([]func(clique.Exchanger) error{
+			1: route,
+			2: func(ex clique.Exchanger) error {
+				sub := fullCommOn(ex, c, label+"/s6agg")
+				defer sub.release()
+				contributions := make([]int64, numGroups)
+				for j, cnt := range counts {
+					contributions[j] = int64(cnt)
+				}
+				sums, aErr := aggregateAndBroadcast(sub, 0, contributions, numGroups)
+				if aErr != nil {
+					return aErr
+				}
+				for j, sum := range sums {
+					bucketSizes[j] = int(sum)
+				}
+				return nil
+			},
+		})
+	}
+	if err != nil {
+		return nil, fmt.Errorf("alg4 step6: %w", err)
+	}
+
+	// Step 7 (8 rounds, 4 on a replay): Algorithm 3 inside every group
+	// concurrently sorts the keys of that group's bucket.
+	var (
+		s7Delims []Key
+		s7Counts [][]int
+	)
+	if sched != nil {
+		s7Delims, s7Counts = sched.S7Delims[myGroup], sched.S7Counts[myGroup]
+	}
+	bucketSort, err := groupSort(c, myGroupMembers, routedKeys, 4*n, st.sub("s7", kcSortS7), s7Delims, s7Counts)
+	if err != nil {
+		return nil, fmt.Errorf("alg4 step7: %w", err)
+	}
+	if capture != nil && c.me == lo {
+		capture.S7Delims[myGroup] = bucketSort.delimiters
+		capture.S7Counts[myGroup] = bucketSort.counts
+	}
+	if sched != nil {
+		got := 0
+		for _, sz := range bucketSort.bucketSizes {
+			got += sz
+		}
+		if got != bucketSizes[myGroup] {
+			return nil, fmt.Errorf("alg4 step7: group %d sorted %d keys, the cached schedule says %d", myGroup, got, bucketSizes[myGroup])
+		}
+	}
+
+	// Step 8 (2 rounds): every node knows the global rank of each key it
+	// holds (bucket offset + within-group offset + local position), so the
+	// keys can be dealt to relays and forwarded to their final nodes.
+	total := 0
+	myStartRank := 0
+	for j, sz := range bucketSizes {
+		if j < myGroup {
+			myStartRank += sz
+		}
+		total += sz
+	}
+	for i, sz := range bucketSort.bucketSizes {
+		if i < indexIn(myGroupMembers, c.me) {
+			myStartRank += sz
+		}
+	}
+	return dealByRank(c, bucketSort.myBucket, myStartRank, total, "alg4.s8")
+}
+
+// sortDelimiters is Algorithm 4's Steps 1–4 on the sorted input: sample
+// every sigma1-th key, sort the samples inside the first group and make the
+// numGroups-1 delimiters globally known (1+8+2 rounds).
+func sortDelimiters(c *comm, input []Key, s, myGroup int, myGroupMembers []int, numGroups int, st step) ([]Key, error) {
+	n := c.size()
+
+	// Step 1 (local): select every sigma1-th key of the sorted input.
 	sigma1 := ceilDiv(n, s)
 	selected := make([]Key, 0, len(input)/sigma1+1)
 	for i := sigma1 - 1; i < len(input); i += sigma1 {
@@ -158,7 +395,7 @@ func sortLarge(c *comm, myKeys []Key, label string, square squareRouter) (*SortR
 	if myGroup == 0 {
 		sampleGroup = myGroupMembers
 	}
-	sampleSort, err := groupSort(c, sampleGroup, samples, n, st.sub("s3", kcSortS3))
+	sampleSort, err := groupSort(c, sampleGroup, samples, n, st.sub("s3", kcSortS3), nil, nil)
 	if err != nil {
 		return nil, fmt.Errorf("alg4 step3: %w", err)
 	}
@@ -208,83 +445,24 @@ func sortLarge(c *comm, myKeys []Key, label string, square squareRouter) (*SortR
 		}
 		delims = append(delims, k)
 	}
+	return delims, nil
+}
 
-	// Step 5 (local): split my input into buckets by the delimiters. Bucket j
-	// receives the keys in (delims[j-1], delims[j]]; the last bucket is
-	// unbounded above. The input is sorted and the delimiters are
-	// non-decreasing (quantiles of a sorted sample, with missing slots
-	// collapsing onto their predecessor), so bucket j is the contiguous range
-	// input[bstart[j]:bstart[j+1]] found by binary search.
-	bstart := make([]int, numGroups+1)
-	for j := 1; j < numGroups; j++ {
-		d := delims[j-1]
-		bstart[j] = sort.Search(len(input), func(i int) bool { return d.Less(input[i]) })
-	}
-	bstart[numGroups] = len(input)
-
-	// Step 6 (16 rounds under Theorem 3.7, 12 under Theorem 5.4): route
-	// every key to its bucket's group, spreading each bucket evenly over the
-	// group members; concurrently aggregate the global bucket sizes
-	// (2 rounds) on the multiplexer.
-	var routedKeys []Key
-	bucketSizes := make([]int64, numGroups)
-	err = clique.NewMux(c.ex).Run([]func(clique.Exchanger) error{
-		1: func(ex clique.Exchanger) error {
-			sub := fullCommOn(ex, c, label+"/s6")
-			// routedKeys are value copies, so the sub-instance's buffers can
-			// go back to the pool as soon as the program ends.
-			defer sub.release()
-			parcels := buildBucketParcels(sub, input, bstart, s, numGroups)
-			received, rErr := routeParcels(sub, parcels, st.sub("s6.route", kcSortS6), square)
-			if rErr != nil {
-				return rErr
-			}
-			routedKeys, rErr = unbundleKeys(received)
-			return rErr
-		},
-		2: func(ex clique.Exchanger) error {
-			sub := fullCommOn(ex, c, label+"/s6agg")
-			defer sub.release()
-			contributions := make([]int64, numGroups)
-			for j := 0; j < numGroups; j++ {
-				contributions[j] = int64(bstart[j+1] - bstart[j])
-			}
-			sums, aErr := aggregateAndBroadcast(sub, 0, contributions, numGroups)
-			if aErr != nil {
-				return aErr
-			}
-			copy(bucketSizes, sums)
-			return nil
-		},
-	})
+// routeBuckets is Algorithm 4's Step 6 routing on ex (a Mux instance, or the
+// node itself when a replay routes alone): every key travels to a member of
+// its bucket's group. The instance label is the same either way, so a
+// replay's shared computations are the captured run's.
+func routeBuckets(ex clique.Exchanger, c *comm, label string, input []Key, bstart []int, s, numGroups int, st step, square squareRouter) ([]Key, error) {
+	sub := fullCommOn(ex, c, label+"/s6")
+	// The keys are value copies, so the sub-instance's buffers can go back to
+	// the pool as soon as the routing ends.
+	defer sub.release()
+	parcels := buildBucketParcels(sub, input, bstart, s, numGroups)
+	received, err := routeParcels(sub, parcels, st.sub("s6.route", kcSortS6), square)
 	if err != nil {
-		return nil, fmt.Errorf("alg4 step6: %w", err)
+		return nil, err
 	}
-
-	// Step 7 (8 rounds): Algorithm 3 inside every group concurrently sorts
-	// the keys of that group's bucket.
-	bucketSort, err := groupSort(c, myGroupMembers, routedKeys, 4*n, st.sub("s7", kcSortS7))
-	if err != nil {
-		return nil, fmt.Errorf("alg4 step7: %w", err)
-	}
-
-	// Step 8 (2 rounds): every node knows the global rank of each key it
-	// holds (bucket offset + within-group offset + local position), so the
-	// keys can be dealt to relays and forwarded to their final nodes.
-	total := 0
-	myStartRank := 0
-	for j := 0; j < numGroups; j++ {
-		if j < myGroup {
-			myStartRank += int(bucketSizes[j])
-		}
-		total += int(bucketSizes[j])
-	}
-	for i, sz := range bucketSort.bucketSizes {
-		if i < indexIn(myGroupMembers, c.me) {
-			myStartRank += sz
-		}
-	}
-	return dealByRank(c, bucketSort.myBucket, myStartRank, total, "alg4.s8")
+	return unbundleKeys(received)
 }
 
 // indexIn returns the position of x in the sorted slice members, or -1.

@@ -9,12 +9,14 @@ import (
 
 // groupSortResult is what a group member learns from Algorithm 3: its bucket
 // of the group's sorted key sequence, the sizes of all buckets (so global
-// offsets inside the group are known to every member), and the delimiters
-// that defined the buckets.
+// offsets inside the group are known to every member), and the two
+// announcements that fixed the buckets — the delimiters and the
+// bucket-count matrix (counts[a][j]: keys member a sent to bucket j).
 type groupSortResult struct {
 	myBucket    []Key
 	bucketSizes []int
 	delimiters  []Key
+	counts      [][]int
 }
 
 // groupSort implements Algorithm 3: the members of one group sort the union
@@ -28,16 +30,17 @@ type groupSortResult struct {
 // 8: 2 (announce samples) + 2 (announce bucket counts) + 4 (Corollary 3.4
 // key exchange). The paper's Step 8 (rebalancing to exactly equal batches) is
 // provided separately by dealByRank, matching how Algorithm 4 skips it.
-func groupSort(c *comm, group []int, myKeys []Key, capacity int, st step) (*groupSortResult, error) {
-	m := c.size()
+//
+// A replay passes the delimiters and count matrix an earlier execution on
+// the same keys announced (knownCounts non-nil, at every member of the comm
+// alike): both announcements are skipped — 4 rounds — and each member
+// checks its own count row against the known matrix before sending a key.
+func groupSort(c *comm, group []int, myKeys []Key, capacity int, st step, knownDelims []Key, knownCounts [][]int) (*groupSortResult, error) {
 	w := len(group)
 
 	var (
-		sigma    int
-		maxSel   int
-		selected []Key
-		input    []Key
-		myIdx    = -1
+		input []Key
+		myIdx = -1
 	)
 	if w > 0 {
 		if len(myKeys) > capacity {
@@ -47,73 +50,19 @@ func groupSort(c *comm, group []int, myKeys []Key, capacity int, st step) (*grou
 		if myIdx < 0 {
 			return nil, fmt.Errorf("core: groupSort(%s): node %d not in its group", st.name, c.ex.ID())
 		}
-		// Step 1 (local): sort the input and select every sigma-th key. The
-		// stride is chosen so that the group-wide number of samples is at
-		// most m, keeping the announcement inside the Corollary 3.3 budget
-		// (the paper's sigma = 2*sqrt(n) for w = sqrt(n), capacity = 2n,
-		// m = n).
 		input = append([]Key(nil), myKeys...)
 		sortKeys(input)
-		sigma = ceilDiv(w*capacity, m)
-		if sigma < 1 {
-			sigma = 1
-		}
-		maxSel = ceilDiv(capacity, sigma)
-		selected = make([]Key, 0, len(input)/sigma+1)
-		for i := sigma - 1; i < len(input); i += sigma {
-			selected = append(selected, input[i])
+	}
+	delims := knownDelims
+	if knownCounts == nil {
+		var err error
+		if delims, err = groupDelimiters(c, group, input, capacity, st); err != nil {
+			return nil, err
 		}
 	}
 
-	// Step 2 (2 rounds): announce the selected keys to every group member.
-	// Payload: [valid, value, origin, seq], padded to maxSel entries so the
-	// demand is uniform.
-	var payloads [][]clique.Word
-	if w > 0 {
-		payloads = make([][]clique.Word, 0, maxSel)
-		for _, k := range selected {
-			payloads = append(payloads, c.arenaAppend(1, k.Value, clique.Word(k.Origin), clique.Word(k.Seq)))
-		}
-		for len(payloads) < maxSel {
-			payloads = append(payloads, c.arenaAppend(0, 0, 0, 0))
-		}
-	}
-	announced, err := announceFixed(c, group, payloads, maxSel, st.sub("samples", kcSamples))
-	if err != nil {
-		return nil, fmt.Errorf("core: groupSort(%s) step2: %w", st.name, err)
-	}
-
-	var delims []Key
 	var bstart []int
 	if w > 0 {
-		// Step 3 (local): merge the samples and pick the w-quantiles as
-		// delimiters.
-		samples := make([]Key, 0, w*maxSel)
-		for _, perSender := range announced {
-			for _, p := range perSender {
-				if len(p) < 1+keyWords || p[0] != 1 {
-					continue
-				}
-				k, decErr := decodeKey(p[1:])
-				if decErr != nil {
-					return nil, fmt.Errorf("core: groupSort(%s) step3: %w", st.name, decErr)
-				}
-				samples = append(samples, k)
-			}
-		}
-		sortKeys(samples)
-		delims = make([]Key, 0, w-1)
-		for j := 1; j < w; j++ {
-			if len(samples) == 0 {
-				break
-			}
-			rank := ceilDiv(j*len(samples), w) - 1
-			if rank < 0 {
-				rank = 0
-			}
-			delims = append(delims, samples[rank])
-		}
-
 		// Step 4 (local): split my input into buckets by the delimiters; the
 		// last bucket is unbounded above. The input is sorted and the
 		// delimiters are non-decreasing, so bucket j is the contiguous range
@@ -139,7 +88,13 @@ func groupSort(c *comm, group []int, myKeys []Key, capacity int, st step) (*grou
 			counts[j] = bstart[j+1] - bstart[j]
 		}
 	}
-	allCounts, err := announceIntVector(c, group, counts, st.sub("counts", kcCounts))
+	allCounts := knownCounts
+	var err error
+	if allCounts == nil {
+		allCounts, err = announceIntVector(c, group, counts, st.sub("counts", kcCounts))
+	} else if w > 0 {
+		err = checkScheduleRow(allCounts, myIdx, counts)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("core: groupSort(%s) step5: %w", st.name, err)
 	}
@@ -208,5 +163,80 @@ func groupSort(c *comm, group []int, myKeys []Key, capacity int, st step) (*grou
 		return nil, fmt.Errorf("core: groupSort(%s): node %d received %d keys, announced bucket size %d",
 			st.name, c.ex.ID(), len(myBucket), bucketSizes[myIdx])
 	}
-	return &groupSortResult{myBucket: myBucket, bucketSizes: bucketSizes, delimiters: delims}, nil
+	return &groupSortResult{myBucket: myBucket, bucketSizes: bucketSizes, delimiters: delims, counts: allCounts}, nil
+}
+
+// groupDelimiters is Algorithm 3's Steps 1–3 on a member's sorted input
+// (nil at relays): select every sigma-th key, announce the selections to
+// the whole group (2 rounds), and pick the w-quantiles of the merged
+// samples as delimiters. Relays return nil.
+func groupDelimiters(c *comm, group []int, input []Key, capacity int, st step) ([]Key, error) {
+	w := len(group)
+
+	// Step 1 (local): select every sigma-th key. The stride is chosen so
+	// that the group-wide number of samples is at most m, keeping the
+	// announcement inside the Corollary 3.3 budget (the paper's
+	// sigma = 2*sqrt(n) for w = sqrt(n), capacity = 2n, m = n).
+	var (
+		maxSel   int
+		selected []Key
+	)
+	if w > 0 {
+		sigma := max(ceilDiv(w*capacity, c.size()), 1)
+		maxSel = ceilDiv(capacity, sigma)
+		selected = make([]Key, 0, len(input)/sigma+1)
+		for i := sigma - 1; i < len(input); i += sigma {
+			selected = append(selected, input[i])
+		}
+	}
+
+	// Step 2 (2 rounds): announce the selected keys to every group member.
+	// Payload: [valid, value, origin, seq], padded to maxSel entries so the
+	// demand is uniform.
+	var payloads [][]clique.Word
+	if w > 0 {
+		payloads = make([][]clique.Word, 0, maxSel)
+		for _, k := range selected {
+			payloads = append(payloads, c.arenaAppend(1, k.Value, clique.Word(k.Origin), clique.Word(k.Seq)))
+		}
+		for len(payloads) < maxSel {
+			payloads = append(payloads, c.arenaAppend(0, 0, 0, 0))
+		}
+	}
+	announced, err := announceFixed(c, group, payloads, maxSel, st.sub("samples", kcSamples))
+	if err != nil {
+		return nil, fmt.Errorf("core: groupSort(%s) step2: %w", st.name, err)
+	}
+	if w == 0 {
+		return nil, nil
+	}
+
+	// Step 3 (local): merge the samples and pick the w-quantiles as
+	// delimiters.
+	samples := make([]Key, 0, w*maxSel)
+	for _, perSender := range announced {
+		for _, p := range perSender {
+			if len(p) < 1+keyWords || p[0] != 1 {
+				continue
+			}
+			k, decErr := decodeKey(p[1:])
+			if decErr != nil {
+				return nil, fmt.Errorf("core: groupSort(%s) step3: %w", st.name, decErr)
+			}
+			samples = append(samples, k)
+		}
+	}
+	sortKeys(samples)
+	delims := make([]Key, 0, w-1)
+	for j := 1; j < w; j++ {
+		if len(samples) == 0 {
+			break
+		}
+		rank := ceilDiv(j*len(samples), w) - 1
+		if rank < 0 {
+			rank = 0
+		}
+		delims = append(delims, samples[rank])
+	}
+	return delims, nil
 }

@@ -559,3 +559,49 @@ func TestConcurrentClientsMixedOps(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestRepeatedSortReplaysCachedSchedule is svc_mixed's full Sort sent twice
+// at n=64 on a server with a plan cache: the second request is a validated
+// hit, so it returns the same batches while the server's cumulative rounds
+// grow by exactly the census plus the 14-round replay of Algorithm 4 from
+// Step 5 (SortReply carries no Stats; the server's StatsReply does).
+func TestRepeatedSortReplaysCachedSchedule(t *testing.T) {
+	const n = 64
+	_, addr := startServer(t, Config{N: n, MaxConcurrency: 1, Algorithm: cc.AlgorithmAuto, PlanCacheCapacity: 4})
+	cl := dialT(t, addr)
+	values := valuesInstance(n, n, rand.New(rand.NewSource(7)))
+
+	first, err := cl.Sort(values, nil)
+	if err != nil {
+		t.Fatalf("first sort: %v", err)
+	}
+	before, err := cl.ServerStats()
+	if err != nil {
+		t.Fatalf("stats: %v", err)
+	}
+	second, err := cl.Sort(values, nil)
+	if err != nil {
+		t.Fatalf("second sort: %v", err)
+	}
+	after, err := cl.ServerStats()
+	if err != nil {
+		t.Fatalf("stats: %v", err)
+	}
+
+	golden, err := cc.Sort(n, values)
+	if err != nil {
+		t.Fatalf("golden sort: %v", err)
+	}
+	for i, rep := range []*SortReply{first, second} {
+		if rep.Total != golden.Total || !reflect.DeepEqual(rep.Starts, golden.Starts) ||
+			!reflect.DeepEqual(normKeyRows(rep.Batches), normKeyRows(golden.Batches)) {
+			t.Fatalf("sort %d over the wire differs from the in-process golden", i+1)
+		}
+	}
+	if got := after.PlanCacheHits - before.PlanCacheHits; got != 1 {
+		t.Fatalf("plan-cache hits grew by %d across the repeated sort, want 1", got)
+	}
+	if got, want := after.Rounds-before.Rounds, int64(cc.SortCensusRounds+14); got != want {
+		t.Fatalf("cumulative rounds grew by %d across the hit, want census + 14 = %d", got, want)
+	}
+}

@@ -206,70 +206,97 @@ func TestPlanCacheRouteDrift(t *testing.T) {
 	}
 }
 
-// TestPlanCacheSortHitBitIdentical: the sort side caches the plan verdict
-// and shared colorings (no round skip — see the sort census honesty note),
-// so the miss and every hit cost the census plus the pipeline's 31 rounds,
-// match cache-off output exactly, return the miss's Stats, and count
-// correctly; the stored entry carries the shared-compute snapshot (Step 6's
-// Theorem 5.4 and Algorithm 3's colorings) that a hit arms.
+// TestPlanCacheSortHitBitIdentical: a sort miss costs the census plus the
+// pipeline's 31 rounds and captures Algorithm 4's announcements; every hit
+// replays that schedule from Step 5 — no Steps 2–4, no bucket-size
+// aggregation, no Step 6 count announcement at square n, no Step 7 sample
+// or count announcement — so it costs the census plus 8+4+2 = 14 rounds at
+// square n and 10+4+2 = 16 at non-square n. Miss and hits match cache-off output exactly, a hit sends fewer words
+// than the miss and loads no edge more, the handle counts correctly, and
+// the stored entry carries the shared-compute snapshot (Step 6's Theorem 5.4
+// and Algorithm 3's colorings) that a hit arms.
 func TestPlanCacheSortHitBitIdentical(t *testing.T) {
 	t.Parallel()
-	const n = 64
-	ctx := context.Background()
-	vals := cacheSortInstance(n, 0)
+	for _, tc := range []struct{ n, hitRounds int }{{64, 14}, {90, 16}, {256, 14}} {
+		n := tc.n
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			t.Parallel()
+			ctx := context.Background()
+			vals := cacheSortInstance(n, 0)
 
-	base, err := New(n, WithAlgorithm(AlgorithmAuto))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer base.Close()
-	golden, err := base.Sort(ctx, vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if golden.Strategy != SortStrategyPipeline || golden.Stats.Rounds != 31 {
-		t.Fatalf("cache-off sort: strategy %v, %d rounds, want pipeline in 31", golden.Strategy, golden.Stats.Rounds)
-	}
+			base, err := New(n, WithAlgorithm(AlgorithmAuto))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer base.Close()
+			golden, err := base.Sort(ctx, vals)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if golden.Strategy != SortStrategyPipeline || golden.Stats.Rounds != 31 {
+				t.Fatalf("cache-off sort: strategy %v, %d rounds, want pipeline in 31", golden.Strategy, golden.Stats.Rounds)
+			}
 
-	cl, err := New(n, WithAlgorithm(AlgorithmAuto), WithPlanCache(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	var miss Stats
-	for rep := 0; rep < 3; rep++ {
-		got, err := cl.Sort(ctx, vals)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Batches, golden.Batches) || got.Total != golden.Total {
-			t.Fatalf("sort run %d diverged from cache-off golden", rep)
-		}
-		if got.Strategy != golden.Strategy {
-			t.Fatalf("sort run %d strategy %v, golden %v", rep, got.Strategy, golden.Strategy)
-		}
-		if want := golden.Stats.Rounds + SortCensusRounds; got.Stats.Rounds != want {
-			t.Fatalf("sort run %d rounds = %d, want %d", rep, got.Stats.Rounds, want)
-		}
-		if rep == 0 {
-			miss = got.Stats
-		} else if got.Stats != miss {
-			t.Fatalf("hit %d stats %+v differ from the miss's %+v", rep, got.Stats, miss)
-		}
-	}
-	cs := cl.CumulativeStats()
-	if cs.PlanCacheHits != 2 || cs.PlanCacheMisses != 1 {
-		t.Fatalf("cache counters = (%d,%d), want (2,1)", cs.PlanCacheHits, cs.PlanCacheMisses)
-	}
+			cl, err := New(n, WithAlgorithm(AlgorithmAuto), WithPlanCache(8))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			var miss, hit Stats
+			for rep := 0; rep < 3; rep++ {
+				got, err := cl.Sort(ctx, vals)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got.Batches, golden.Batches) || !reflect.DeepEqual(got.Starts, golden.Starts) || got.Total != golden.Total {
+					t.Fatalf("sort run %d diverged from cache-off golden", rep)
+				}
+				if got.Strategy != golden.Strategy {
+					t.Fatalf("sort run %d strategy %v, golden %v", rep, got.Strategy, golden.Strategy)
+				}
+				want := SortCensusRounds + tc.hitRounds
+				if rep == 0 {
+					want = SortCensusRounds + golden.Stats.Rounds
+				}
+				if got.Stats.Rounds != want {
+					t.Fatalf("sort run %d rounds = %d, want %d", rep, got.Stats.Rounds, want)
+				}
+				switch rep {
+				case 0:
+					miss = got.Stats
+				case 1:
+					hit = got.Stats
+				default:
+					if got.Stats != hit {
+						t.Fatalf("hit %d stats %+v differ from the first hit's %+v", rep, got.Stats, hit)
+					}
+				}
+			}
+			if hit.TotalWords >= miss.TotalWords {
+				t.Errorf("hit sends %d words, not fewer than the miss's %d", hit.TotalWords, miss.TotalWords)
+			}
+			if hit.MaxEdgeWords > miss.MaxEdgeWords || hit.MaxEdgeWords > 64 {
+				t.Errorf("hit max edge words %d, miss %d: want ≤ both the miss's and 64", hit.MaxEdgeWords, miss.MaxEdgeWords)
+			}
+			cs := cl.CumulativeStats()
+			if cs.PlanCacheHits != 2 || cs.PlanCacheMisses != 1 {
+				t.Fatalf("cache counters = (%d,%d), want (2,1)", cs.PlanCacheHits, cs.PlanCacheMisses)
+			}
 
-	keys := make([][]core.Key, n)
-	for i, row := range vals {
-		for j, v := range row {
-			keys[i] = append(keys[i], core.Key{Value: v, Origin: i, Seq: j})
-		}
-	}
-	if _, entry, _ := cl.planCache.LookupSort(n, keys); entry == nil || entry.Shared.Len() == 0 {
-		t.Fatal("the cached sort entry carries no shared-compute seed for a hit to arm")
+			keys := make([][]core.Key, n)
+			for i, row := range vals {
+				for j, v := range row {
+					keys[i] = append(keys[i], core.Key{Value: v, Origin: i, Seq: j})
+				}
+			}
+			_, entry, _ := cl.planCache.LookupSort(n, keys)
+			if entry == nil || entry.Shared.Len() == 0 {
+				t.Fatal("the cached sort entry carries no shared-compute seed for a hit to arm")
+			}
+			if entry.Plan.Sched == nil {
+				t.Fatal("the cached sort entry carries no Algorithm 4 schedule to replay")
+			}
+		})
 	}
 }
 

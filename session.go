@@ -622,7 +622,9 @@ func (u *execUnit) sortStaged(ctx context.Context, cfg config, inputs [][]Key, p
 	// centrally (the plan is a pure function of the instance, so every
 	// node dispatching on it agrees on the schedule — see
 	// internal/core/planner_sort.go for the model-honesty note). The plan
-	// cache stores the verdict plus the shared-compute snapshot; instances
+	// cache stores the verdict, the shared-compute snapshot and — for
+	// pipeline instances — the Algorithm 4 schedule the miss captured into
+	// plan.Capture, which a hit's plan.Sched replays from Step 5; instances
 	// with non-canonical Origin/Seq labels (possible via SortKeys) bypass the
 	// cache entirely, since the fingerprint only covers values.
 	var (
