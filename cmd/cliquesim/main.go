@@ -242,8 +242,11 @@ func runMode(cl *cc.Clique, n, per int, dist string, seed int64, report bool) er
 	if err != nil {
 		return err
 	}
+	if err := verify.Mode(inst.Keys, res.Value, res.Count); err != nil {
+		return err
+	}
 	if report {
-		fmt.Printf("mode on n=%d: value %d occurs %d times\n\n", n, res.Value, res.Count)
+		fmt.Printf("mode on n=%d: value %d occurs %d times, output verified\n\n", n, res.Value, res.Count)
 		printStats("execution cost", res.Stats)
 	}
 	return nil

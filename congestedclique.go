@@ -119,8 +119,9 @@ const (
 	// Sort and SortKeys under LowCompute run Algorithm 4 with this router as
 	// Step 6 (Algorithm 4 uses its router as a black box): 31 rounds instead
 	// of 37, with batches identical to Deterministic's. The sorting-based
-	// corollaries (Rank, SelectKth, Median, Mode) run the deterministic
-	// implementations.
+	// corollaries (Rank, SelectKth, Median, Mode) are epilogues on that Sort,
+	// and Rank returns its ranks through this router: Rank takes 42 rounds
+	// instead of 54, the others 32 instead of 38.
 	LowCompute
 	// AlgorithmAuto is the demand-aware planner: each Route, Sort or
 	// SortKeys call classifies its instance and dispatches to the cheapest
@@ -137,9 +138,11 @@ const (
 	// bit-identical to LowCompute (31 rounds) and batches identical to
 	// Deterministic's. RouteResult.Strategy and
 	// SortResult.Strategy report the choice; see ARCHITECTURE.md for the
-	// dispatch rules. The sorting-based corollary operations (Rank,
-	// SelectKth, Median, Mode, CountSmallKeys) under AlgorithmAuto run the
-	// deterministic implementations, exactly like LowCompute.
+	// dispatch rules. The sorting-based corollaries (Rank, SelectKth,
+	// Median, Mode) are epilogues on the planned Sort, and Rank returns its
+	// ranks through Theorem 5.4: a pre-sorted instance's Mode or Median takes
+	// 3 rounds and its Rank 13. CountSmallKeys (Section 6.3) does not sort
+	// and is the same protocol under every algorithm.
 	AlgorithmAuto Algorithm = 5
 )
 

@@ -17,7 +17,7 @@ var benchEngineSizes = []int{64, 256, 1024}
 func BenchmarkRoundBarrier(b *testing.B) {
 	for _, n := range benchEngineSizes {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			nw, err := New(n, WithPerRoundStats(false))
+			nw, err := New(n)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -46,7 +46,7 @@ func BenchmarkRoundBarrier(b *testing.B) {
 func BenchmarkAllToAll(b *testing.B) {
 	for _, n := range benchEngineSizes {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			nw, err := New(n, WithPerRoundStats(false))
+			nw, err := New(n)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -83,7 +83,7 @@ func BenchmarkAllToAll(b *testing.B) {
 func BenchmarkAllToAllRunRounds(b *testing.B) {
 	for _, n := range benchEngineSizes {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			nw, err := New(n, WithPerRoundStats(false))
+			nw, err := New(n)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -117,7 +117,7 @@ func BenchmarkAllToAllRunRounds(b *testing.B) {
 func BenchmarkSparseExchange(b *testing.B) {
 	for _, n := range benchEngineSizes {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			nw, err := New(n, WithPerRoundStats(false))
+			nw, err := New(n)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -225,7 +225,7 @@ func BenchmarkDeliverReplay(b *testing.B) {
 				b.Run(name, func(b *testing.B) {
 					packets := 8 * n * (n / fo.senders) / words // per sender
 					payload := make(Packet, words)
-					nw, err := New(n, WithPerRoundStats(false))
+					nw, err := New(n)
 					if err != nil {
 						b.Fatal(err)
 					}

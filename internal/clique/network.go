@@ -1489,13 +1489,7 @@ func (nw *Network) deliverRound() {
 	}
 
 	nw.metricsMu.Lock()
-	if nw.cfg.recordPerRound {
-		nw.metrics.merge(stats)
-	} else {
-		saved := nw.metrics.PerRound
-		nw.metrics.merge(stats)
-		nw.metrics.PerRound = saved
-	}
+	nw.metrics.merge(stats)
 	nw.metricsMu.Unlock()
 
 	nw.round.Store(int64(round + 1))

@@ -17,9 +17,6 @@ type config struct {
 	// the computation itself, which changes nothing observable except
 	// simulator wall-clock time.
 	sharedCache bool
-	// recordPerRound controls whether Metrics.PerRound is populated. Disabling
-	// it saves memory for very long executions.
-	recordPerRound bool
 	// workers is the number of sweep workers a run executes its n logical
 	// nodes on (0 = GOMAXPROCS, never more than n), and the widest fan-out of
 	// a round's delivery.
@@ -35,7 +32,6 @@ func defaultConfig() config {
 	return config{
 		maxWordsPerEdge: 0,
 		sharedCache:     true,
-		recordPerRound:  true,
 		workers:         0,
 	}
 }
@@ -98,15 +94,6 @@ func WithRoundDeadline(d time.Duration) Option {
 func WithSharedCache(enabled bool) Option {
 	return func(c *config) error {
 		c.sharedCache = enabled
-		return nil
-	}
-}
-
-// WithPerRoundStats enables or disables per-round statistics retention. It is
-// enabled by default.
-func WithPerRoundStats(enabled bool) Option {
-	return func(c *config) error {
-		c.recordPerRound = enabled
 		return nil
 	}
 }

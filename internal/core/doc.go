@@ -13,7 +13,8 @@
 //   - the sorting algorithm of Problem 4.1 solved by Algorithms 3 and 4 in 37
 //     rounds (Theorem 4.5), and in 31 with Theorem 5.4 as Step 6's router
 //     (LowComputeSort),
-//   - the rank-in-union variant, selection and mode (Corollary 4.6),
+//   - the rank-in-union variant, selection and mode (Corollary 4.6), as
+//     epilogues on any sorter's SortResult,
 //   - the small-key counting protocol of Section 6.3,
 //   - the demand-aware routing planner (planner.go, not part of the paper):
 //     PlanRoute classifies an instance and AutoRoute dispatches it to a

@@ -18,16 +18,14 @@ type RankResult struct {
 	DistinctTotal int
 }
 
-// Rank implements Corollary 4.6. After sorting, one broadcast round
-// establishes how batches share values at their boundaries, every node
-// computes the distinct-value ranks of the keys it holds, and a routing
-// instance (Theorem 3.7) returns each rank to the node whose input the key
-// came from. The total is a constant number of rounds (37 + 1 + 16).
-func Rank(ex clique.Exchanger, myKeys []Key) (*RankResult, error) {
-	res, err := Sort(ex, myKeys)
-	if err != nil {
-		return nil, err
-	}
+// Rank implements Corollary 4.6 as an epilogue on res, this node's result of
+// Algorithm 4 under any sorter. One broadcast round establishes how batches
+// share values at their boundaries, every node computes the distinct-value
+// ranks of the keys it holds, and route (Route or LowComputeRoute) returns
+// each rank to the node whose input the key came from, as the message
+// {Src: holder, Dst: k.Origin, Seq: k.Seq, Payload: rank}. The epilogue takes
+// 1 + route's rounds: 1 + 16 under Route, 1 + 10 under LowComputeRoute.
+func Rank(ex clique.Exchanger, res *SortResult, route func(clique.Exchanger, []Message) ([]Message, error)) (*RankResult, error) {
 	c := fullComm(ex, fmt.Sprintf("rank@r%d", ex.Round()))
 	defer c.release()
 	n := c.size()
@@ -88,46 +86,33 @@ func Rank(ex clique.Exchanger, myKeys []Key) (*RankResult, error) {
 		lastValue = infos[j].last
 		haveLast = true
 	}
-	distinctTotal := running
 
-	// Rank the keys of my batch and route (origin, seq, rank) back to the
-	// owners using the deterministic router.
-	rc := fullComm(ex, fmt.Sprintf("rankroute@r%d", ex.Round()))
-	defer rc.release()
-	parcels := make([]parcel, 0, len(res.Batch))
+	// Rank the keys of my batch and route each rank back to its key's owner.
+	msgs := make([]Message, 0, len(res.Batch))
 	rank := startRank[c.me]
 	for i, k := range res.Batch {
 		if i > 0 && res.Batch[i].Value != res.Batch[i-1].Value {
 			rank++
 		}
-		parcels = append(parcels, parcel{
-			Src:   ex.ID(),
-			Dst:   k.Origin,
-			Words: rc.arenaAppend(clique.Word(k.Seq), clique.Word(rank)),
-		})
+		msgs = append(msgs, Message{Src: ex.ID(), Dst: k.Origin, Seq: k.Seq, Payload: clique.Word(rank)})
 	}
-	received, err := routeParcels(rc, parcels, rootStep("cor4.6"), routeSquare)
+	received, err := route(ex, msgs)
 	if err != nil {
 		return nil, fmt.Errorf("core: rank routing: %w", err)
 	}
-	out := &RankResult{Ranks: make(map[int]int, len(received)), DistinctTotal: distinctTotal}
-	for _, p := range received {
-		if len(p.Words) < 2 {
-			return nil, fmt.Errorf("core: rank routing: malformed parcel")
-		}
-		out.Ranks[int(p.Words[0])] = int(p.Words[1])
-	}
-	if len(out.Ranks) != len(myKeys) {
-		return nil, fmt.Errorf("core: node %d received %d ranks for %d input keys", ex.ID(), len(out.Ranks), len(myKeys))
+	out := &RankResult{Ranks: make(map[int]int, len(received)), DistinctTotal: running}
+	for _, m := range received {
+		out.Ranks[m.Seq] = int(m.Payload)
 	}
 	return out, nil
 }
 
 // Select returns the key of global rank k (0-based) in the sorted order of
-// all keys, at every node, using the sorting algorithm plus one broadcast
-// round (the selection corollary of Section 4).
-func Select(ex clique.Exchanger, myKeys []Key, k int) (Key, error) {
-	return selectRank(ex, myKeys, "select", func(total int) (int, error) {
+// all keys, at every node: an epilogue of one broadcast round on res, this
+// node's result of Algorithm 4 under any sorter (the selection corollary of
+// Section 4).
+func Select(ex clique.Exchanger, res *SortResult, k int) (Key, error) {
+	return selectRank(ex, res, "select", func(total int) (int, error) {
 		if k < 0 || k >= total {
 			return 0, fmt.Errorf("core: selection rank %d out of range [0,%d)", k, total)
 		}
@@ -135,9 +120,10 @@ func Select(ex clique.Exchanger, myKeys []Key, k int) (Key, error) {
 	})
 }
 
-// Median returns the lower median key (rank floor((total-1)/2)).
-func Median(ex clique.Exchanger, myKeys []Key) (Key, error) {
-	return selectRank(ex, myKeys, "median", func(total int) (int, error) {
+// Median returns the lower median key (rank floor((total-1)/2)), as Select
+// does.
+func Median(ex clique.Exchanger, res *SortResult) (Key, error) {
+	return selectRank(ex, res, "median", func(total int) (int, error) {
 		if total == 0 {
 			return 0, fmt.Errorf("core: median of empty input")
 		}
@@ -145,15 +131,11 @@ func Median(ex clique.Exchanger, myKeys []Key) (Key, error) {
 	})
 }
 
-// selectRank is the body of Select and Median: it sorts, resolves the rank
-// from the global total the sort reports (identical at every node, so every
-// node stays on the same schedule), and has the node holding that rank
-// broadcast the key in one round. name labels the broadcast and its errors.
-func selectRank(ex clique.Exchanger, myKeys []Key, name string, rank func(total int) (int, error)) (Key, error) {
-	res, err := Sort(ex, myKeys)
-	if err != nil {
-		return Key{}, err
-	}
+// selectRank is the body of Select and Median: it resolves the rank from the
+// global total the sort reported (identical at every node, so every node
+// stays on the same schedule), and has the node holding that rank broadcast
+// the key in one round. name labels the broadcast and its errors.
+func selectRank(ex clique.Exchanger, res *SortResult, name string, rank func(total int) (int, error)) (Key, error) {
 	k, err := rank(res.Total)
 	if err != nil {
 		return Key{}, err
@@ -184,15 +166,12 @@ type ModeResult struct {
 }
 
 // Mode determines the most frequent key value in the system (a further
-// corollary of the sorting result mentioned in Section 4). After sorting,
+// corollary of the sorting result mentioned in Section 4), as an epilogue on
+// res, this node's result of Algorithm 4 under any sorter. After sorting,
 // every value's occurrences are contiguous across the batches, so one
 // broadcast of each node's boundary runs and best interior run suffices.
 // Ties are broken towards the smaller value.
-func Mode(ex clique.Exchanger, myKeys []Key) (*ModeResult, error) {
-	res, err := Sort(ex, myKeys)
-	if err != nil {
-		return nil, err
-	}
+func Mode(ex clique.Exchanger, res *SortResult) (*ModeResult, error) {
 	c := fullComm(ex, fmt.Sprintf("mode@r%d", ex.Round()))
 	defer c.release()
 	n := c.size()

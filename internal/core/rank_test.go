@@ -29,6 +29,32 @@ func expectedDistinctRanks(keys [][]Key) (map[int64]int, int) {
 	return ranks, len(values)
 }
 
+// runSorted sorts keys with sorter on a fresh clique and hands every node's
+// result to epilogue in the same run, as the session's corollary driver
+// does; it returns the run's metrics.
+func runSorted(t *testing.T, keys [][]Key, sorter func(clique.Exchanger, []Key) (*SortResult, error), epilogue func(nd *clique.Node, res *SortResult) error) clique.Metrics {
+	t.Helper()
+	nw, err := clique.New(len(keys))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Close()
+	err = nw.Run(func(nd *clique.Node) error {
+		res, sErr := sorter(nd, keys[nd.ID()])
+		if sErr != nil {
+			return sErr
+		}
+		return epilogue(nd, res)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return nw.Metrics()
+}
+
+// TestRankMatchesReference runs Corollary 4.6 on both sorter/router pairs:
+// Algorithm 4 with Theorem 3.7 (37 + 1 + 16 rounds) and with Theorem 5.4
+// (31 + 1 + 10).
 func TestRankMatchesReference(t *testing.T) {
 	t.Parallel()
 	for _, tc := range []struct {
@@ -43,38 +69,34 @@ func TestRankMatchesReference(t *testing.T) {
 			keys := buildKeys(tc.n, tc.n, tc.dist, int64(tc.n))
 			wantRanks, wantDistinct := expectedDistinctRanks(keys)
 
-			nw, err := clique.New(tc.n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer nw.Close()
-			results := make([]*RankResult, tc.n)
-			err = nw.Run(func(nd *clique.Node) error {
-				res, rErr := Rank(nd, keys[nd.ID()])
-				if rErr != nil {
-					return rErr
+			for _, alg := range []struct {
+				name   string
+				sorter func(clique.Exchanger, []Key) (*SortResult, error)
+				route  func(clique.Exchanger, []Message) ([]Message, error)
+				rounds int
+			}{
+				{"thm3.7", Sort, Route, 54},
+				{"thm5.4", LowComputeSort, LowComputeRoute, 42},
+			} {
+				results := make([]*RankResult, tc.n)
+				m := runSorted(t, keys, alg.sorter, func(nd *clique.Node, res *SortResult) (err error) {
+					results[nd.ID()], err = Rank(nd, res, alg.route)
+					return err
+				})
+				if m.Rounds != alg.rounds {
+					t.Errorf("%s: rank used %d rounds, want %d", alg.name, m.Rounds, alg.rounds)
 				}
-				results[nd.ID()] = res
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			m := nw.Metrics()
-			if m.Rounds > 60 {
-				t.Errorf("rank used %d rounds, expected a constant (<= 54 + slack)", m.Rounds)
-			}
-			for i, res := range results {
-				if res.DistinctTotal != wantDistinct {
-					t.Fatalf("node %d reports %d distinct values, want %d", i, res.DistinctTotal, wantDistinct)
-				}
-				for _, k := range keys[i] {
-					got, ok := res.Ranks[k.Seq]
-					if !ok {
-						t.Fatalf("node %d missing rank for seq %d", i, k.Seq)
+				for i, res := range results {
+					if res.DistinctTotal != wantDistinct {
+						t.Fatalf("%s: node %d reports %d distinct values, want %d", alg.name, i, res.DistinctTotal, wantDistinct)
 					}
-					if got != wantRanks[k.Value] {
-						t.Fatalf("node %d key %d (value %d): rank %d, want %d", i, k.Seq, k.Value, got, wantRanks[k.Value])
+					if len(res.Ranks) != len(keys[i]) {
+						t.Fatalf("%s: node %d received %d ranks for %d keys", alg.name, i, len(res.Ranks), len(keys[i]))
+					}
+					for _, k := range keys[i] {
+						if got := res.Ranks[k.Seq]; got != wantRanks[k.Value] {
+							t.Fatalf("%s: node %d key %d (value %d): rank %d, want %d", alg.name, i, k.Seq, k.Value, got, wantRanks[k.Value])
+						}
 					}
 				}
 			}
@@ -96,23 +118,11 @@ func TestSelectAndMedian(t *testing.T) {
 		k := k
 		t.Run(fmt.Sprintf("rank=%d", k), func(t *testing.T) {
 			t.Parallel()
-			nw, err := clique.New(n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer nw.Close()
 			got := make([]Key, n)
-			err = nw.Run(func(nd *clique.Node) error {
-				res, sErr := Select(nd, keys[nd.ID()], k)
-				if sErr != nil {
-					return sErr
-				}
-				got[nd.ID()] = res
-				return nil
+			runSorted(t, keys, Sort, func(nd *clique.Node, res *SortResult) (err error) {
+				got[nd.ID()], err = Select(nd, res, k)
+				return err
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
 			for i := range got {
 				if got[i] != all[k] {
 					t.Fatalf("node %d selected %+v, want %+v", i, got[i], all[k])
@@ -123,45 +133,28 @@ func TestSelectAndMedian(t *testing.T) {
 
 	t.Run("median", func(t *testing.T) {
 		t.Parallel()
-		nw, err := clique.New(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer nw.Close()
 		want := all[(len(all)-1)/2]
-		err = nw.Run(func(nd *clique.Node) error {
-			res, mErr := Median(nd, keys[nd.ID()])
-			if mErr != nil {
-				return mErr
+		runSorted(t, keys, LowComputeSort, func(nd *clique.Node, res *SortResult) error {
+			got, err := Median(nd, res)
+			if err != nil {
+				return err
 			}
-			if res != want {
-				return fmt.Errorf("node %d median %+v, want %+v", nd.ID(), res, want)
+			if got != want {
+				return fmt.Errorf("node %d median %+v, want %+v", nd.ID(), got, want)
 			}
 			return nil
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 	})
 
 	t.Run("select-out-of-range", func(t *testing.T) {
 		t.Parallel()
-		nw, err := clique.New(4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer nw.Close()
 		small := buildKeys(4, 2, "uniform", 9)
-		err = nw.Run(func(nd *clique.Node) error {
-			_, sErr := Select(nd, small[nd.ID()], 100)
-			if sErr == nil {
+		runSorted(t, small, Sort, func(nd *clique.Node, res *SortResult) error {
+			if _, err := Select(nd, res, 100); err == nil {
 				return fmt.Errorf("out-of-range rank accepted")
 			}
 			return nil
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 	})
 }
 
@@ -191,24 +184,16 @@ func TestModeMatchesReference(t *testing.T) {
 					wantValue = v
 				}
 			}
-			nw, err := clique.New(tc.n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer nw.Close()
-			err = nw.Run(func(nd *clique.Node) error {
-				res, mErr := Mode(nd, keys[nd.ID()])
-				if mErr != nil {
-					return mErr
+			runSorted(t, keys, Sort, func(nd *clique.Node, res *SortResult) error {
+				got, err := Mode(nd, res)
+				if err != nil {
+					return err
 				}
-				if res.Count != wantCount || res.Value != wantValue {
-					return fmt.Errorf("node %d mode (%d,%d), want (%d,%d)", nd.ID(), res.Value, res.Count, wantValue, wantCount)
+				if got.Count != wantCount || got.Value != wantValue {
+					return fmt.Errorf("node %d mode (%d,%d), want (%d,%d)", nd.ID(), got.Value, got.Count, wantValue, wantCount)
 				}
 				return nil
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
 		})
 	}
 }
@@ -228,22 +213,14 @@ func TestModeRunSpanningManyNodes(t *testing.T) {
 			keys[i] = append(keys[i], Key{Value: v, Origin: i, Seq: k})
 		}
 	}
-	nw, err := clique.New(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nw.Close()
-	err = nw.Run(func(nd *clique.Node) error {
-		res, mErr := Mode(nd, keys[nd.ID()])
-		if mErr != nil {
-			return mErr
+	runSorted(t, keys, Sort, func(nd *clique.Node, res *SortResult) error {
+		got, err := Mode(nd, res)
+		if err != nil {
+			return err
 		}
-		if res.Value != 1000 || res.Count != 6*n {
-			return fmt.Errorf("mode (%d,%d), want (1000,%d)", res.Value, res.Count, 6*n)
+		if got.Value != 1000 || got.Count != 6*n {
+			return fmt.Errorf("mode (%d,%d), want (1000,%d)", got.Value, got.Count, 6*n)
 		}
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }

@@ -130,15 +130,16 @@ func MeasureSorting(n, per int, dist workload.KeyDistribution, algorithm string,
 	return fromMetrics(n, per, string(dist), algorithm, m), nil
 }
 
-// MeasureRank runs the Corollary 4.6 rank computation and verifies it.
+// MeasureRank runs the Corollary 4.6 rank computation as an epilogue on the
+// deterministic Sort, with Theorem 3.7 as its route back, and verifies it.
 func MeasureRank(n, per int, dist workload.KeyDistribution, seed int64) (*Measurement, error) {
 	inst, err := workload.NewSortingInstance(n, per, dist, seed)
 	if err != nil {
 		return nil, err
 	}
 	results := make([]*core.RankResult, n)
-	m, err := runNodes(n, func(nd *clique.Node) (err error) {
-		results[nd.ID()], err = core.Rank(nd, inst.Keys[nd.ID()])
+	m, err := runSorted(n, inst.Keys, func(nd *clique.Node, res *core.SortResult) (err error) {
+		results[nd.ID()], err = core.Rank(nd, res, core.Route)
 		return err
 	})
 	if err != nil {
@@ -150,36 +151,65 @@ func MeasureRank(n, per int, dist workload.KeyDistribution, seed int64) (*Measur
 	return fromMetrics(n, per, string(dist), "rank", m), nil
 }
 
-// MeasureSelect runs the selection corollary (median).
+// MeasureSelect runs the selection corollary (median) on the deterministic
+// Sort and verifies the key node 0 learns (every node decodes the same
+// broadcast).
 func MeasureSelect(n, per int, dist workload.KeyDistribution, seed int64) (*Measurement, error) {
 	inst, err := workload.NewSortingInstance(n, per, dist, seed)
 	if err != nil {
 		return nil, err
 	}
-	m, err := runNodes(n, func(nd *clique.Node) error {
-		_, err := core.Median(nd, inst.Keys[nd.ID()])
+	var median core.Key
+	m, err := runSorted(n, inst.Keys, func(nd *clique.Node, res *core.SortResult) error {
+		k, err := core.Median(nd, res)
+		if nd.ID() == 0 {
+			median = k
+		}
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
+	if err := verify.Select(inst.Keys, (inst.TotalKeys()-1)/2, median); err != nil {
+		return nil, fmt.Errorf("experiments: median invalid: %w", err)
+	}
 	return fromMetrics(n, per, string(dist), "select-median", m), nil
 }
 
-// MeasureMode runs the mode corollary.
+// MeasureMode runs the mode corollary on the deterministic Sort and verifies
+// the mode node 0 learns (every node decodes the same broadcast).
 func MeasureMode(n, per int, dist workload.KeyDistribution, seed int64) (*Measurement, error) {
 	inst, err := workload.NewSortingInstance(n, per, dist, seed)
 	if err != nil {
 		return nil, err
 	}
-	m, err := runNodes(n, func(nd *clique.Node) error {
-		_, err := core.Mode(nd, inst.Keys[nd.ID()])
+	var mode core.ModeResult
+	m, err := runSorted(n, inst.Keys, func(nd *clique.Node, res *core.SortResult) error {
+		got, err := core.Mode(nd, res)
+		if err == nil && nd.ID() == 0 {
+			mode = *got
+		}
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
+	if err := verify.Mode(inst.Keys, mode.Value, mode.Count); err != nil {
+		return nil, fmt.Errorf("experiments: mode invalid: %w", err)
+	}
 	return fromMetrics(n, per, string(dist), "mode", m), nil
+}
+
+// runSorted runs the deterministic Sort of keys on a fresh n-node network
+// and, in the same run, epilogue on every node's result.
+func runSorted(n int, keys [][]core.Key, epilogue func(*clique.Node, *core.SortResult) error) (clique.Metrics, error) {
+	return runNodes(n, func(nd *clique.Node) error {
+		res, err := core.Sort(nd, keys[nd.ID()])
+		if err != nil {
+			return err
+		}
+		return epilogue(nd, res)
+	})
 }
 
 // MeasureSmallKeys runs the Section 6.3 counting protocol and verifies it.

@@ -54,12 +54,7 @@ func Routing(sent [][]core.Message, delivered [][]core.Message) error {
 // Sorting checks that the batches form the globally sorted sequence of the
 // input keys, split contiguously and balanced across nodes.
 func Sorting(input [][]core.Key, results []*core.SortResult) error {
-	var want []core.Key
-	for _, ks := range input {
-		want = append(want, ks...)
-	}
-	core.SortKeySlice(want)
-
+	want := sortedKeys(input)
 	n := len(results)
 	var got []core.Key
 	next := 0
@@ -99,32 +94,19 @@ func Sorting(input [][]core.Key, results []*core.SortResult) error {
 // Ranks checks the Corollary 4.6 output: every input key's reported rank must
 // equal the rank of its value among the distinct values of the union.
 func Ranks(input [][]core.Key, results []*core.RankResult) error {
-	distinct := map[int64]bool{}
-	for _, ks := range input {
-		for _, k := range ks {
-			distinct[k.Value] = true
+	rankOf := map[int64]int{}
+	for _, k := range sortedKeys(input) {
+		if _, ok := rankOf[k.Value]; !ok {
+			rankOf[k.Value] = len(rankOf)
 		}
-	}
-	values := make([]int64, 0, len(distinct))
-	for v := range distinct {
-		values = append(values, v)
-	}
-	for i := 1; i < len(values); i++ {
-		for j := i; j > 0 && values[j] < values[j-1]; j-- {
-			values[j], values[j-1] = values[j-1], values[j]
-		}
-	}
-	rankOf := make(map[int64]int, len(values))
-	for i, v := range values {
-		rankOf[v] = i
 	}
 	for i, ks := range input {
 		res := results[i]
 		if res == nil {
 			return fmt.Errorf("verify: node %d has no rank result", i)
 		}
-		if res.DistinctTotal != len(values) {
-			return fmt.Errorf("verify: node %d reports %d distinct values, want %d", i, res.DistinctTotal, len(values))
+		if res.DistinctTotal != len(rankOf) {
+			return fmt.Errorf("verify: node %d reports %d distinct values, want %d", i, res.DistinctTotal, len(rankOf))
 		}
 		for _, k := range ks {
 			got, ok := res.Ranks[k.Seq]
@@ -137,6 +119,54 @@ func Ranks(input [][]core.Key, results []*core.RankResult) error {
 		}
 	}
 	return nil
+}
+
+// Select checks a selection output: got must be the key of global rank k
+// (0-based) in the sorted order of the input keys.
+func Select(input [][]core.Key, k int, got core.Key) error {
+	all := sortedKeys(input)
+	if k < 0 || k >= len(all) {
+		return fmt.Errorf("verify: selection rank %d out of range [0,%d)", k, len(all))
+	}
+	if got != all[k] {
+		return fmt.Errorf("verify: rank %d selected %+v, want %+v", k, got, all[k])
+	}
+	return nil
+}
+
+// Mode checks a mode output: value must be the most frequent input value
+// (the smaller value on a tie) and count its multiplicity.
+func Mode(input [][]core.Key, value int64, count int) error {
+	all := sortedKeys(input)
+	if len(all) == 0 {
+		return fmt.Errorf("verify: mode of empty input")
+	}
+	var want int64
+	wantCount := 0
+	for i := 0; i < len(all); {
+		j := i
+		for j < len(all) && all[j].Value == all[i].Value {
+			j++
+		}
+		if j-i > wantCount {
+			want, wantCount = all[i].Value, j-i
+		}
+		i = j
+	}
+	if value != want || count != wantCount {
+		return fmt.Errorf("verify: mode is %d (x%d), want %d (x%d)", value, count, want, wantCount)
+	}
+	return nil
+}
+
+// sortedKeys is every input key in the global sorted order.
+func sortedKeys(input [][]core.Key) []core.Key {
+	var all []core.Key
+	for _, ks := range input {
+		all = append(all, ks...)
+	}
+	core.SortKeySlice(all)
+	return all
 }
 
 // Histogram checks the Section 6.3 output against the true histogram.

@@ -133,3 +133,36 @@ func TestHistogramVerifier(t *testing.T) {
 		t.Fatal("out-of-domain value accepted")
 	}
 }
+
+// TestSelectAndModeVerifiers feeds each oracle a right answer and one wrong
+// one.
+func TestSelectAndModeVerifiers(t *testing.T) {
+	t.Parallel()
+	input := [][]core.Key{
+		{{Value: 7, Origin: 0, Seq: 0}, {Value: 2, Origin: 0, Seq: 1}, {Value: 7, Origin: 0, Seq: 2}},
+		{{Value: 2, Origin: 1, Seq: 0}, {Value: 9, Origin: 1, Seq: 1}},
+	}
+	// Sorted: 2@(0,1) 2@(1,0) 7@(0,0) 7@(0,2) 9@(1,1).
+	if err := Select(input, 1, core.Key{Value: 2, Origin: 1, Seq: 0}); err != nil {
+		t.Fatal(err)
+	}
+	if err := Select(input, 1, core.Key{Value: 2, Origin: 0, Seq: 1}); err == nil {
+		t.Fatal("key of rank 0 accepted as rank 1")
+	}
+	if err := Select(input, 5, core.Key{Value: 9, Origin: 1, Seq: 1}); err == nil {
+		t.Fatal("out-of-range rank accepted")
+	}
+	// 2 and 7 both occur twice: the tie goes to the smaller value.
+	if err := Mode(input, 2, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := Mode(input, 7, 2); err == nil {
+		t.Fatal("larger value of a tie accepted as the mode")
+	}
+	if err := Mode(input, 2, 3); err == nil {
+		t.Fatal("wrong multiplicity accepted")
+	}
+	if err := Mode(nil, 0, 0); err == nil {
+		t.Fatal("mode of empty input accepted")
+	}
+}

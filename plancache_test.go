@@ -407,6 +407,76 @@ func TestChargedCensusRounds(t *testing.T) {
 	}
 }
 
+// TestPlanCacheCorollaryCensus: an AlgorithmAuto corollary on a
+// WithPlanCache handle pays the sort census, as an uncacheable SortKeys
+// does — SortCensusRounds rounds, 4n words in 2n packets on top of plain
+// Auto — with the same output, and never looks the instance up or stores
+// it, however often it repeats.
+func TestPlanCacheCorollaryCensus(t *testing.T) {
+	t.Parallel()
+	const n = 64
+	ctx := context.Background()
+	vals := cacheSortInstance(n, 1)
+	base, err := New(n, WithAlgorithm(AlgorithmAuto))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer base.Close()
+	cen, err := New(n, WithAlgorithm(AlgorithmAuto), WithPlanCache(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cen.Close()
+	charged := func(op string, s0, s1 Stats) {
+		t.Helper()
+		if s1.Rounds != s0.Rounds+SortCensusRounds || s1.TotalWords-s0.TotalWords != 4*n || s1.TotalMessages-s0.TotalMessages != 2*n {
+			t.Fatalf("%s: census handle %+v, plain Auto %+v: want +%d rounds, +%d words, +%d packets",
+				op, s1, s0, SortCensusRounds, 4*n, 2*n)
+		}
+	}
+	for rep := 0; rep < 2; rep++ {
+		r0, err := base.Rank(ctx, vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r1, err := cen.Rank(ctx, vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(r1.Ranks, r0.Ranks) {
+			t.Fatal("census Rank diverged from plain Auto")
+		}
+		charged("Rank", r0.Stats, r1.Stats)
+		k0, m0, err := base.Median(ctx, vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k1, m1, err := cen.Median(ctx, vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k1 != k0 {
+			t.Fatal("census Median diverged from plain Auto")
+		}
+		charged("Median", m0, m1)
+		o0, err := base.Mode(ctx, vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o1, err := cen.Mode(ctx, vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o1.Value != o0.Value || o1.Count != o0.Count {
+			t.Fatal("census Mode diverged from plain Auto")
+		}
+		charged("Mode", o0.Stats, o1.Stats)
+	}
+	if cs := cen.CumulativeStats(); cs.PlanCacheHits != 0 || cs.PlanCacheMisses != 0 || cs.PlanCacheInvalidations != 0 {
+		t.Fatalf("corollaries touched the cache: (%d,%d,%d)", cs.PlanCacheHits, cs.PlanCacheMisses, cs.PlanCacheInvalidations)
+	}
+}
+
 // TestPlanCacheSeedScopedToOneRun pins the per-run shared-cache invariant
 // the cache must not weaken: a hit seeds the engine's shared-compute cache
 // for that one run only, so an immediately following different instance on

@@ -89,8 +89,6 @@ type execUnit struct {
 	intIn   [][]int
 	valKeys [][]Key
 	sortOut []*core.SortResult
-	rankOut []*core.RankResult
-	keyOut  []Key
 }
 
 func newExecUnit(n int, cfg config) (*execUnit, error) {
@@ -375,10 +373,7 @@ func validateFaultCfg(n int, cfg config) error {
 	return nil
 }
 
-// callConfig layers per-call options over the handle defaults. The
-// sorting-based corollary operations (Rank, SelectKth, Median, Mode,
-// CountSmallKeys) use it too: they only have deterministic implementations,
-// which every algorithm runs (the planner covers Route, Sort and SortKeys).
+// callConfig layers per-call options over the handle defaults.
 func (c *Clique) callConfig(opts []Option) (config, error) {
 	return applyCallOptions(c.cfg, opts)
 }
@@ -675,21 +670,9 @@ func (u *execUnit) sortStaged(ctx context.Context, cfg config, inputs [][]Key, p
 			}
 		}
 	} else {
+		sorter, _ := nodeSorter(cfg.algorithm, plan)
 		runErr = u.nw.RunContext(ctx, func(nd *clique.Node) error {
-			var (
-				res  *core.SortResult
-				sErr error
-			)
-			switch cfg.algorithm {
-			case Deterministic:
-				res, sErr = core.Sort(nd, inputs[nd.ID()])
-			case LowCompute:
-				res, sErr = core.LowComputeSort(nd, inputs[nd.ID()])
-			case AlgorithmAuto:
-				res, sErr = core.AutoSort(nd, inputs[nd.ID()], plan)
-			default:
-				sErr = fmt.Errorf("congestedclique: unsupported algorithm %v", cfg.algorithm)
-			}
+			res, sErr := sorter(nd, inputs[nd.ID()])
 			if sErr != nil {
 				return sErr
 			}
@@ -723,145 +706,130 @@ func (u *execUnit) sortStaged(ctx context.Context, cfg config, inputs [][]Key, p
 	return out, nil
 }
 
-// Rank computes, for every input value, its index in the sorted sequence of
-// distinct values present in the system; duplicate values share an index
-// (Corollary 4.6).
-func (c *Clique) Rank(ctx context.Context, values [][]int64, opts ...Option) (*RankResult, error) {
+// nodeSorter is the per-node sorter of alg — Algorithm 4 with Theorem 3.7
+// (Deterministic) or Theorem 5.4 (LowCompute) as Step 6's router, or
+// AutoSort on plan, AlgorithmAuto's verdict — and that Step 6 router.
+func nodeSorter(alg Algorithm, plan core.SortPlan) (func(clique.Exchanger, []Key) (*core.SortResult, error), router) {
+	switch alg {
+	case LowCompute:
+		return core.LowComputeSort, core.LowComputeRoute
+	case AlgorithmAuto:
+		return func(ex clique.Exchanger, keys []Key) (*core.SortResult, error) {
+			return core.AutoSort(ex, keys, plan)
+		}, core.LowComputeRoute
+	default:
+		return core.Sort, core.Route
+	}
+}
+
+// router is a per-node solution of Problem 3.1 (core.Route,
+// core.LowComputeRoute).
+type router = func(clique.Exchanger, []Message) ([]Message, error)
+
+// corollary runs a sorting-based corollary as an epilogue on the call's own
+// sort, in one run: every node sorts with nodeSorter (planned once under
+// AlgorithmAuto) and hands its result and Step 6's router to epilogue. An
+// AlgorithmAuto corollary on a WithPlanCache handle pays the census, as an
+// uncacheable SortKeys does, but neither looks up nor stores. It returns
+// node 0's output: every node's, for a selection or a mode; Rank's epilogue
+// gathers its per-node ranks itself.
+func corollary[T any](c *Clique, ctx context.Context, values [][]int64, opts []Option, epilogue func(clique.Exchanger, *core.SortResult, router) (T, error)) (T, Stats, error) {
+	var first T
 	cfg, err := c.callConfig(opts)
 	if err != nil {
-		return nil, err
+		return first, Stats{}, err
 	}
 	if err := validateValues(c.n, values); err != nil {
-		return nil, err
+		return first, Stats{}, err
 	}
 	if err := validateFaultCfg(c.n, cfg); err != nil {
-		return nil, err
+		return first, Stats{}, err
 	}
-	return runOp(c, ctx, cfg, func(u *execUnit) (*RankResult, error) {
-		return u.rank(ctx, values)
-	})
-}
-
-// rank is the rank pipeline body (the caller owns the unit).
-func (u *execUnit) rank(ctx context.Context, values [][]int64) (*RankResult, error) {
-	inputs := u.stageValues(values)
-	if u.rankOut == nil {
-		u.rankOut = make([]*core.RankResult, u.n)
-	}
-	results := u.rankOut
-	runErr := u.nw.RunContext(ctx, func(nd *clique.Node) error {
-		res, rErr := core.Rank(nd, inputs[nd.ID()])
-		if rErr != nil {
-			return rErr
-		}
-		results[nd.ID()] = res
-		return nil
-	})
-	if runErr != nil {
-		return nil, runErr
-	}
-	out := &RankResult{Ranks: make([][]int, u.n), Stats: statsFromMetrics(u.nw.Metrics())}
-	for i := range results {
-		out.DistinctTotal = results[i].DistinctTotal
-		if i < len(values) {
-			out.Ranks[i] = make([]int, len(values[i]))
-			for j := range values[i] {
-				out.Ranks[i][j] = results[i].Ranks[j]
-			}
-		}
-		results[i] = nil
-	}
-	return out, nil
-}
-
-// SelectKth returns the key of global rank k (0-based) among all input
-// values, together with the execution statistics.
-func (c *Clique) SelectKth(ctx context.Context, values [][]int64, k int, opts ...Option) (Key, Stats, error) {
-	return c.selectWith(ctx, values, opts, func(ex clique.Exchanger, in []Key) (Key, error) {
-		return core.Select(ex, in, k)
-	})
-}
-
-// Median returns the lower median of all input values.
-func (c *Clique) Median(ctx context.Context, values [][]int64, opts ...Option) (Key, Stats, error) {
-	return c.selectWith(ctx, values, opts, core.Median)
-}
-
-// keyStats pairs a selection result with its execution statistics so the
-// single-key operations can run under the generic retry wrapper.
-type keyStats struct {
-	key   Key
-	stats Stats
-}
-
-// selectWith runs one single-key selection protocol (SelectKth, Median).
-func (c *Clique) selectWith(ctx context.Context, values [][]int64, opts []Option, pick func(clique.Exchanger, []Key) (Key, error)) (Key, Stats, error) {
-	cfg, err := c.callConfig(opts)
-	if err != nil {
-		return Key{}, Stats{}, err
-	}
-	if err := validateValues(c.n, values); err != nil {
-		return Key{}, Stats{}, err
-	}
-	if err := validateFaultCfg(c.n, cfg); err != nil {
-		return Key{}, Stats{}, err
-	}
-	res, err := runOp(c, ctx, cfg, func(u *execUnit) (keyStats, error) {
+	stats, err := runOp(c, ctx, cfg, func(u *execUnit) (Stats, error) {
 		inputs := u.stageValues(values)
-		if u.keyOut == nil {
-			u.keyOut = make([]Key, u.n)
+		var plan core.SortPlan
+		if cfg.algorithm == AlgorithmAuto {
+			plan = core.PlanSort(u.n, inputs)
+			plan.Census = c.planCache != nil
 		}
-		picked := u.keyOut
+		sorter, route := nodeSorter(cfg.algorithm, plan)
 		runErr := u.nw.RunContext(ctx, func(nd *clique.Node) error {
-			res, sErr := pick(nd, inputs[nd.ID()])
+			res, sErr := sorter(nd, inputs[nd.ID()])
 			if sErr != nil {
 				return sErr
 			}
-			picked[nd.ID()] = res
-			return nil
+			out, sErr := epilogue(nd, res, route)
+			if nd.ID() == 0 {
+				first = out
+			}
+			return sErr
 		})
 		if runErr != nil {
-			return keyStats{}, runErr
+			return Stats{}, runErr
 		}
-		return keyStats{key: picked[0], stats: statsFromMetrics(u.nw.Metrics())}, nil
+		return statsFromMetrics(u.nw.Metrics()), nil
 	})
 	if err != nil {
-		return Key{}, Stats{}, err
+		return *new(T), Stats{}, err
 	}
-	return res.key, res.stats, nil
+	return first, stats, nil
+}
+
+// Rank computes, for every input value, its index in the sorted sequence of
+// distinct values present in the system; duplicate values share an index
+// (Corollary 4.6). It costs the algorithm's Sort plus one broadcast round
+// plus one route back (Theorem 3.7 under Deterministic, Theorem 5.4 under
+// LowCompute and AlgorithmAuto).
+func (c *Clique) Rank(ctx context.Context, values [][]int64, opts ...Option) (*RankResult, error) {
+	ranks := make([][]int, c.n)
+	distinct, stats, err := corollary(c, ctx, values, opts, func(ex clique.Exchanger, res *core.SortResult, route router) (int, error) {
+		r, err := core.Rank(ex, res, route)
+		if err != nil {
+			return 0, err
+		}
+		if id := ex.ID(); id < len(values) {
+			if len(r.Ranks) != len(values[id]) {
+				return 0, fmt.Errorf("congestedclique: node %d received %d ranks for %d input values", id, len(r.Ranks), len(values[id]))
+			}
+			ranks[id] = make([]int, len(values[id]))
+			for j := range ranks[id] {
+				ranks[id][j] = r.Ranks[j]
+			}
+		}
+		return r.DistinctTotal, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &RankResult{Ranks: ranks, DistinctTotal: distinct, Stats: stats}, nil
+}
+
+// SelectKth returns the key of global rank k (0-based) among all input
+// values, together with the execution statistics: the algorithm's Sort plus
+// one broadcast round.
+func (c *Clique) SelectKth(ctx context.Context, values [][]int64, k int, opts ...Option) (Key, Stats, error) {
+	return corollary(c, ctx, values, opts, func(ex clique.Exchanger, res *core.SortResult, _ router) (Key, error) {
+		return core.Select(ex, res, k)
+	})
+}
+
+// Median returns the lower median of all input values, as SelectKth does.
+func (c *Clique) Median(ctx context.Context, values [][]int64, opts ...Option) (Key, Stats, error) {
+	return corollary(c, ctx, values, opts, func(ex clique.Exchanger, res *core.SortResult, _ router) (Key, error) {
+		return core.Median(ex, res)
+	})
 }
 
 // Mode returns the most frequent value among all inputs (smallest value wins
-// ties), computed by sorting plus one summary round.
+// ties), computed by the algorithm's Sort plus one summary round.
 func (c *Clique) Mode(ctx context.Context, values [][]int64, opts ...Option) (*ModeResult, error) {
-	cfg, err := c.callConfig(opts)
+	mode, stats, err := corollary(c, ctx, values, opts, func(ex clique.Exchanger, res *core.SortResult, _ router) (*core.ModeResult, error) {
+		return core.Mode(ex, res)
+	})
 	if err != nil {
 		return nil, err
 	}
-	if err := validateValues(c.n, values); err != nil {
-		return nil, err
-	}
-	if err := validateFaultCfg(c.n, cfg); err != nil {
-		return nil, err
-	}
-	return runOp(c, ctx, cfg, func(u *execUnit) (*ModeResult, error) {
-		inputs := u.stageValues(values)
-		var mode core.ModeResult
-		runErr := u.nw.RunContext(ctx, func(nd *clique.Node) error {
-			res, mErr := core.Mode(nd, inputs[nd.ID()])
-			if mErr != nil {
-				return mErr
-			}
-			if nd.ID() == 0 {
-				mode = *res
-			}
-			return nil
-		})
-		if runErr != nil {
-			return nil, runErr
-		}
-		return &ModeResult{Value: mode.Value, Count: mode.Count, Stats: statsFromMetrics(u.nw.Metrics())}, nil
-	})
+	return &ModeResult{Value: mode.Value, Count: mode.Count, Stats: stats}, nil
 }
 
 // CountSmallKeys counts keys drawn from a small domain [0, domain) in two

@@ -347,8 +347,8 @@ func TestHandleScopedOptionRejectedPerCall(t *testing.T) {
 // TestSortAlgorithmFallbackAndRejection pins how the algorithms share
 // sorters — LowCompute sorting is AlgorithmAuto's pipeline arm (Algorithm 4
 // with Theorem 5.4 at Step 6, 31 rounds) with Deterministic's batches, and
-// the sorting-based corollaries run their deterministic implementations
-// under LowCompute and AlgorithmAuto — and that the one-shot sorting shims
+// the sorting-based corollaries sort with the call's algorithm — and that
+// the one-shot sorting shims
 // reject a retired algorithm value instead of sorting under another
 // algorithm.
 func TestSortAlgorithmFallbackAndRejection(t *testing.T) {
@@ -382,25 +382,26 @@ func TestSortAlgorithmFallbackAndRejection(t *testing.T) {
 		t.Fatal("SortKeys accepted the retired algorithm value 3")
 	}
 
-	// The corollaries fall back to their deterministic implementations,
-	// statistics included.
+	// The corollaries sort with the call's algorithm: Median under LowCompute
+	// and AlgorithmAuto (pipeline arm) is the 31-round Sort plus one
+	// broadcast, and selects Deterministic's key.
 	cl, err := New(n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
 	ctx := context.Background()
-	_, want, err := cl.Median(ctx, values)
+	want, _, err := cl.Median(ctx, values)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, alg := range []Algorithm{LowCompute, AlgorithmAuto} {
-		_, got, err := cl.Median(ctx, values, WithAlgorithm(alg))
+		got, stats, err := cl.Median(ctx, values, WithAlgorithm(alg))
 		if err != nil {
-			t.Fatalf("Median under %v fallback: %v", alg, err)
+			t.Fatalf("Median under %v: %v", alg, err)
 		}
-		if got != want {
-			t.Fatalf("Median under %v: stats %+v differ from deterministic %+v", alg, got, want)
+		if got != want || stats.Rounds != 32 {
+			t.Fatalf("Median under %v: key %+v in %d rounds, want deterministic's %+v in 32", alg, got, stats.Rounds, want)
 		}
 	}
 }

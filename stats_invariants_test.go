@@ -12,6 +12,10 @@ import (
 	"context"
 	"fmt"
 	"testing"
+
+	"congestedclique/internal/core"
+	"congestedclique/internal/verify"
+	"congestedclique/internal/workload"
 )
 
 type statsGolden struct {
@@ -226,6 +230,112 @@ func TestLowComputeSortStatsInvariants(t *testing.T) {
 						alg, s, g.lcSortRounds, g.lcSortMEW, g.lcSortMsgs, g.lcSortWords)
 				}
 				sortBatchesEqual(t, alg.String(), res, det)
+			}
+		})
+	}
+}
+
+// costGolden is one operation's Rounds, MaxEdgeWords and TotalWords.
+type costGolden struct {
+	rounds int
+	mew    int
+	words  int64
+}
+
+// corollaryGolden pins Rank, Median and Mode under one algorithm on one
+// cliquesim instance (workload.NewSortingInstance: n keys per node, seed 1).
+type corollaryGolden struct {
+	n                  int
+	dist               workload.KeyDistribution
+	alg                Algorithm
+	rank, median, mode costGolden
+}
+
+// corollaryGoldens: every corollary is its algorithm's Sort plus an
+// epilogue — one broadcast round, and for Rank a route back through the
+// algorithm's Step 6 router (Theorem 3.7 under Deterministic, Theorem 5.4
+// under LowCompute and AlgorithmAuto). The Deterministic rows were measured
+// while every algorithm still ran the deterministic corollaries, and have not
+// moved since: 37 + 1 + 16 and 37 + 1. LowCompute and the Auto pipeline arm
+// take 31 + 1 + 10 and 31 + 1; Auto's presorted arm 2 + 1 + 10 and 2 + 1.
+var corollaryGoldens = []corollaryGolden{
+	{90, workload.KeysUniform, Deterministic, costGolden{54, 32, 2407891}, costGolden{38, 32, 1491141}, costGolden{38, 32, 1563771}},
+	{90, workload.KeysUniform, LowCompute, costGolden{42, 36, 1670063}, costGolden{32, 36, 1091213}, costGolden{32, 36, 1163843}},
+	{90, workload.KeysUniform, AlgorithmAuto, costGolden{42, 36, 1670063}, costGolden{32, 36, 1091213}, costGolden{32, 36, 1163843}},
+	{90, workload.KeysPreSorted, Deterministic, costGolden{54, 26, 2270262}, costGolden{38, 26, 1348752}, costGolden{38, 26, 1421382}},
+	{90, workload.KeysPreSorted, LowCompute, costGolden{42, 26, 1542234}, costGolden{32, 26, 959304}, costGolden{32, 26, 1031934}},
+	{90, workload.KeysPreSorted, AlgorithmAuto, costGolden{13, 18, 652050}, costGolden{3, 9, 69120}, costGolden{3, 9, 141750}},
+	{256, workload.KeysUniform, Deterministic, costGolden{54, 48, 14536028}, costGolden{38, 48, 9547868}, costGolden{38, 48, 10136924}},
+	{256, workload.KeysUniform, LowCompute, costGolden{42, 48, 11333476}, costGolden{32, 48, 7795300}, costGolden{32, 48, 8384356}},
+	{256, workload.KeysUniform, AlgorithmAuto, costGolden{42, 48, 11333476}, costGolden{32, 48, 7795300}, costGolden{32, 48, 8384356}},
+	{256, workload.KeysPreSorted, Deterministic, costGolden{54, 18, 13363260}, costGolden{38, 18, 8375100}, costGolden{38, 18, 8964156}},
+	{256, workload.KeysPreSorted, LowCompute, costGolden{42, 24, 10262588}, costGolden{32, 24, 6724412}, costGolden{32, 24, 7313468}},
+	{256, workload.KeysPreSorted, AlgorithmAuto, costGolden{13, 9, 4096000}, costGolden{3, 9, 557824}, costGolden{3, 9, 1146880}},
+}
+
+// TestCorollaryStatsInvariants holds Rank, Median and Mode to their goldens
+// under every algorithm and checks every output against internal/verify.
+func TestCorollaryStatsInvariants(t *testing.T) {
+	ctx := context.Background()
+	for _, g := range corollaryGoldens {
+		g := g
+		t.Run(fmt.Sprintf("n=%d/%s/%v", g.n, g.dist, g.alg), func(t *testing.T) {
+			t.Parallel()
+			inst, err := workload.NewSortingInstance(g.n, g.n, g.dist, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			values := make([][]int64, g.n)
+			for i, ks := range inst.Keys {
+				for _, k := range ks {
+					values[i] = append(values[i], k.Value)
+				}
+			}
+			cl, err := New(g.n, WithAlgorithm(g.alg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			check := func(op string, s Stats, want costGolden) {
+				t.Helper()
+				if s.Rounds != want.rounds || s.MaxEdgeWords != want.mew || s.TotalWords != want.words {
+					t.Errorf("%s: %d rounds / %d max edge words / %d words, golden %d / %d / %d",
+						op, s.Rounds, s.MaxEdgeWords, s.TotalWords, want.rounds, want.mew, want.words)
+				}
+			}
+
+			rank, err := cl.Rank(ctx, values)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("Rank", rank.Stats, g.rank)
+			ranks := make([]*core.RankResult, g.n)
+			for i, rs := range rank.Ranks {
+				ranks[i] = &core.RankResult{Ranks: make(map[int]int, len(rs)), DistinctTotal: rank.DistinctTotal}
+				for j, r := range rs {
+					ranks[i].Ranks[j] = r
+				}
+			}
+			if err := verify.Ranks(inst.Keys, ranks); err != nil {
+				t.Error(err)
+			}
+
+			median, s, err := cl.Median(ctx, values)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("Median", s, g.median)
+			if err := verify.Select(inst.Keys, (inst.TotalKeys()-1)/2, median); err != nil {
+				t.Error(err)
+			}
+
+			mode, err := cl.Mode(ctx, values)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("Mode", mode.Stats, g.mode)
+			if err := verify.Mode(inst.Keys, mode.Value, mode.Count); err != nil {
+				t.Error(err)
 			}
 		})
 	}
