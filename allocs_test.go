@@ -20,9 +20,9 @@ import (
 //     or Sort allocates at most 5% more than the unwatched one
 //     (docs/RESILIENCE.md);
 //   - a validated WithPlanCache hit replaces planning and the announcement
-//     rounds with a fingerprint lookup, an exact demand check and the
-//     charged census, so it allocates no more than the warm uncached
-//     Deterministic op.
+//     rounds with a fingerprint lookup, an exact demand check and each
+//     node's check of its own row, so it allocates no more than the warm
+//     uncached Deterministic op.
 //
 // Race instrumentation changes allocation counts, hence the build tag. The
 // garbage collector is off while measuring: a collection in the window

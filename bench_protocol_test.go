@@ -231,11 +231,11 @@ func BenchmarkRouteWatchdog(b *testing.B) {
 // full-load routing instance issued repeatedly on one AlgorithmAuto handle
 // built with WithPlanCache. The warm-up call outside the timer pays the one
 // miss (planning + census + capture); every timed iteration then hits —
-// fingerprint lookup, exact demand validation, charged census, and the run
-// itself with the announcement rounds elided where the cached schedule
-// applies. No round-count assertion here: the charged census adds wire
-// rounds by design, so Theorem 3.7's 16-round bound is not the contract on
-// this path (see docs/PERFORMANCE.md, "Temporal caching"). A hit must never
+// fingerprint lookup, exact demand validation, each node's free check of
+// its own row, and the run itself with the announcement rounds elided where
+// the cached schedule applies: 8 rounds at n=64 and n=256, against the
+// miss's 2 + 10 (TestPlanCacheRouteExactRounds pins the counts; see
+// docs/PERFORMANCE.md, "Temporal caching"). A hit must never
 // allocate more than the uncached warm path it replaces
 // (TestWarmAllocsWatchdogAndCacheHit asserts it).
 func BenchmarkRouteCachedHit(b *testing.B) {

@@ -486,23 +486,31 @@ func WithMaxConcurrency(k int) Option {
 // record and hits run all 10). Sorting hits skip the planner and the
 // colorings, and run Algorithm 4 from Step 5 with the delimiters, bucket
 // counts and Step 6 and Step 7 announcements the miss learned: no
-// sampling, no delimiter broadcast, no bucket-size aggregation, so 31
-// rounds become 14 (16 at non-square n). SortKeys instances carrying caller-assigned
-// Origin/Seq labels bypass the cache (the canonical representation stores
-// values only).
+// sampling, no delimiter broadcast, no bucket-size aggregation, no Step 7
+// announcement, so 31 rounds become 12 (14 at non-square n). SortKeys
+// instances carrying caller-assigned Origin/Seq labels bypass the cache
+// (the canonical representation stores values only).
 //
 // Honest accounting: WithPlanCache arms the charged planner census on every
-// AlgorithmAuto operation — the O(1)-round aggregation that establishes the
-// plan distributedly and carries the fingerprint (RouteCensusRounds for
-// Route, SortCensusRounds for Sort) runs on the wire, its words and rounds
-// land in the Stats, and every node verifies the distributed verdict against
-// its plan — so cache advantage is reported net of planning cost. Without a
-// plan cache the plan is computed centrally and charged nothing, keeping the
-// goldens bit-identical; see internal/core/census.go for the protocol and
-// its one documented on-faith quantity. The hit/miss/invalidation ledger is
-// surfaced in CumulativeStats. Memory is bounded by capacity: a full-load
-// n=256 route entry (demand sequence + schedule + colorings) is on the order
-// of one megabyte. Handle-scoped: pass it to New.
+// AlgorithmAuto operation that misses the cache (and on the uncacheable
+// ones: SortKeys with its own labels, the sorting corollaries) — the
+// O(1)-round aggregation that establishes the plan distributedly and
+// carries the fingerprint (RouteCensusRounds for Route, SortCensusRounds for
+// Sort) runs on the wire, its words and rounds land in the Stats, and every
+// node verifies the distributed verdict against its plan — so cache
+// advantage is reported net of planning cost. A hit pays only for payload:
+// the host picks the candidate entry, and each node checks its own row
+// against the (row length, row hash) pair the entry keeps for it, at no
+// cost in rounds or words; a node whose row differs aborts the hit in its
+// first round, and the operation finishes with the plan-free Theorem 5.4
+// or LowComputeSort arm, that round charged. Without a plan cache the plan
+// is computed centrally and charged nothing, keeping the goldens
+// bit-identical; see internal/core/census.go and internal/core/hit.go for
+// the protocols and the census's one documented on-faith quantity. The
+// hit/miss/invalidation ledger is surfaced in CumulativeStats. Memory is
+// bounded by capacity: a full-load n=256 route entry (demand sequence +
+// schedule + colorings) is on the order of one megabyte. Handle-scoped:
+// pass it to New.
 func WithPlanCache(capacity int) Option {
 	return func(c *config) error {
 		if capacity < 1 {

@@ -73,9 +73,20 @@ type Mux struct {
 }
 
 // NewMux wraps a physical (or itself virtual) node; Run runs the instances.
+// nd may also be an exchanger that filters the exchanges of one of those and
+// names it with an Unwrap() Exchanger method: the physical exchanges then go
+// through nd, and the instances run on the coroutines of the node beneath.
 func NewMux(nd Exchanger) *Mux {
 	m := &Mux{nd: nd}
-	switch x := nd.(type) {
+	base := nd
+	for {
+		w, ok := base.(interface{ Unwrap() Exchanger })
+		if !ok {
+			break
+		}
+		base = w.Unwrap()
+	}
+	switch x := base.(type) {
 	case *Node:
 		m.node = x
 	case *VNode:

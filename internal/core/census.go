@@ -9,12 +9,17 @@ import (
 
 // This file implements the planner census as a real charged protocol: the
 // O(1)-round aggregation that, in a genuine congested clique, every
-// AlgorithmAuto operation would spend before dispatching on a plan. By
-// default the simulator computes the plan centrally and charges nothing
-// (the goldens stay bit-identical); on a handle with WithPlanCache, whose
-// hit-rate claims must be net of planning cost, the census runs on the wire,
-// its words and rounds land in the operation's Stats, and every node
-// verifies the distributed verdict against the plan it was handed.
+// AlgorithmAuto operation would spend before dispatching on a plan it had to
+// derive. By default the simulator computes the plan centrally and charges
+// nothing (the goldens stay bit-identical); on a handle with WithPlanCache,
+// whose hit-rate claims must be net of planning cost, every plan-cache miss
+// runs the census on the wire, its words and rounds land in the operation's
+// Stats, and every node verifies the distributed verdict against the plan it
+// was handed. A cache hit does not run it: the host picks the candidate entry
+// (fingerprint lookup and its own word-for-word compare), and each node
+// checks its own row against the entry's (row length, row hash) pair — the
+// pair it would have sent in R1 — in no round and no word, aborting the hit
+// in the arm's first round when they differ (hit.go).
 //
 // Route census (2 rounds):
 //
@@ -44,17 +49,17 @@ import (
 // fingerprint and broadcasts it with the strategy echoed from the plan;
 // every node verifies both. The costs of a full distributed verdict would be
 // the §6.3 machinery itself — the honesty note in planner_sort.go spells
-// this out. The fingerprint agreement is also what licenses a sort
-// plan-cache hit to skip rounds: each node reuses only what it learned
-// itself when the miss ran (the Step 4 delimiters, its Step 5 bucket
-// counts, the Step 6 bucket sizes and count matrix, its group's Step 7
-// announcements — see SortSchedule), and
-// the agreed fingerprint tells it the instance is the same one.
+// this out. What licenses a sort plan-cache hit to skip rounds is the hit's
+// row check, not this census: each node reuses only what it learned itself
+// when the miss ran (the Step 4 delimiters, its Step 5 bucket counts, the
+// Step 6 bucket sizes and count matrix, its group's Step 7 announcements —
+// see SortSchedule), and its row check tells it that it holds the row it
+// learned them on.
 
 // Census round and word costs, referenced by tests and docs.
 const (
 	// RouteCensusRounds is the round cost the charged route census adds to
-	// every AlgorithmAuto Route call.
+	// every AlgorithmAuto Route call that misses the plan cache.
 	RouteCensusRounds = 2
 	// SortCensusRounds is the round cost of the charged sort census.
 	SortCensusRounds = 2

@@ -32,6 +32,9 @@ import (
 //     collision or a drifted instance therefore can never produce a wrong
 //     schedule: it is detected host-side, counted as an invalidation, and
 //     the stale entry is evicted.
+//   - The entry also keeps every node's (row length, row hash) pair, and a
+//     hit's plan carries them to the nodes: on a hit each node checks its own
+//     row against its pair instead of running the census (hit.go).
 //
 // The cache lives on the session handle (one instance shared by every engine
 // of the pool), guarded by a mutex; entries are bounded by capacity with LRU
@@ -134,14 +137,15 @@ func SortFingerprint(n int, keys [][]Key) (Fingerprint, bool) {
 }
 
 // planCacheEntry is one cached demand shape. The canonical representation
-// (lens plus the flat dsts or vals sequence) is the validate-on-hit witness;
-// everything else is the reusable schedule state. All fields are immutable
-// after insertion.
+// (the row lengths in rows plus the flat dsts or vals sequence) is the
+// validate-on-hit witness; rows also carries every node's row hash for the
+// hit's row check; everything else is the reusable schedule state. All
+// fields are immutable after insertion.
 type planCacheEntry struct {
 	fp   Fingerprint
-	lens []int32
-	dsts []int32 // route: flat per-source destination sequence
-	vals []int64 // sort: flat per-node value sequence
+	rows []rowSig // every node's (row length, row hash)
+	dsts []int32  // route: flat per-source destination sequence
+	vals []int64  // sort: flat per-node value sequence
 
 	routePlan RoutePlan
 	sortPlan  SortPlan
@@ -212,7 +216,9 @@ func (pc *PlanCache) LookupRoute(n int, msgs [][]Message) (Fingerprint, *RouteHi
 	if e == nil {
 		return fp, nil
 	}
-	return fp, &RouteHit{Plan: e.routePlan, Sched: e.sched, Shared: e.shared}
+	plan := e.routePlan
+	plan.hitRows = e.rows
+	return fp, &RouteHit{Plan: plan, Sched: e.sched, Shared: e.shared}
 }
 
 // LookupSort is LookupRoute for sorting instances. cacheable is false when
@@ -229,6 +235,7 @@ func (pc *PlanCache) LookupSort(n int, keys [][]Key) (fp Fingerprint, hit *SortH
 	}
 	plan := e.sortPlan
 	plan.Sched = e.sortSched
+	plan.hitRows = e.rows
 	return fp, &SortHit{Plan: plan, Shared: e.shared}, true
 }
 
@@ -258,19 +265,24 @@ func (pc *PlanCache) validatedEntry(fp Fingerprint, same func(*planCacheEntry) b
 }
 
 // StoreRoute inserts (or replaces) the entry for a completed miss run:
-// the instance's canonical representation, the sanitized planner verdict,
-// the captured announcement schedule (nil unless the pipeline ran and the
-// capture completed) and the engine's shared-computation snapshot.
+// the instance's canonical representation, every node's (row length, row
+// hash) pair, the sanitized planner verdict, the captured announcement
+// schedule (nil unless the pipeline ran and the capture completed) and the
+// engine's shared-computation snapshot.
 func (pc *PlanCache) StoreRoute(fp Fingerprint, n int, msgs [][]Message, plan RoutePlan, sched *RouteSchedule, shared clique.SharedSnapshot) {
 	if sched != nil && !sched.complete() {
 		sched = nil
 	}
 	e := &planCacheEntry{fp: fp, routePlan: sanitizeRoutePlan(plan), sched: sched, shared: shared}
-	e.lens = make([]int32, n)
+	e.rows = make([]rowSig, n)
 	total := 0
-	for i := 0; i < n && i < len(msgs); i++ {
-		e.lens[i] = int32(len(msgs[i]))
-		total += len(msgs[i])
+	for i := 0; i < n; i++ {
+		var row []Message
+		if i < len(msgs) {
+			row = msgs[i]
+		}
+		e.rows[i] = rowSig{len(row), routeRowHash(row)}
+		total += len(row)
 	}
 	e.dsts = make([]int32, 0, total)
 	for i := 0; i < n && i < len(msgs); i++ {
@@ -289,11 +301,15 @@ func (pc *PlanCache) StoreSort(fp Fingerprint, n int, keys [][]Key, plan SortPla
 	if plan.Capture.seal() {
 		e.sortSched = plan.Capture
 	}
-	e.lens = make([]int32, n)
+	e.rows = make([]rowSig, n)
 	total := 0
-	for i := 0; i < n && i < len(keys); i++ {
-		e.lens[i] = int32(len(keys[i]))
-		total += len(keys[i])
+	for i := 0; i < n; i++ {
+		var row []Key
+		if i < len(keys) {
+			row = keys[i]
+		}
+		e.rows[i] = rowSig{len(row), sortRowHash(row)}
+		total += len(row)
 	}
 	e.vals = make([]int64, 0, total)
 	for i := 0; i < n && i < len(keys); i++ {
@@ -333,7 +349,7 @@ func (pc *PlanCache) Len() int {
 // staged instance, exactly: same per-source row lengths, same ordered
 // destination sequence.
 func routeRepEqual(e *planCacheEntry, n int, msgs [][]Message) bool {
-	if len(e.lens) != n {
+	if len(e.rows) != n {
 		return false
 	}
 	k := 0
@@ -342,7 +358,7 @@ func routeRepEqual(e *planCacheEntry, n int, msgs [][]Message) bool {
 		if i < len(msgs) {
 			row = msgs[i]
 		}
-		if int(e.lens[i]) != len(row) {
+		if e.rows[i].count != len(row) {
 			return false
 		}
 		for _, m := range row {
@@ -357,7 +373,7 @@ func routeRepEqual(e *planCacheEntry, n int, msgs [][]Message) bool {
 
 // sortRepEqual is routeRepEqual for value sequences.
 func sortRepEqual(e *planCacheEntry, n int, keys [][]Key) bool {
-	if len(e.lens) != n {
+	if len(e.rows) != n {
 		return false
 	}
 	k := 0
@@ -366,7 +382,7 @@ func sortRepEqual(e *planCacheEntry, n int, keys [][]Key) bool {
 		if i < len(keys) {
 			row = keys[i]
 		}
-		if int(e.lens[i]) != len(row) {
+		if e.rows[i].count != len(row) {
 			return false
 		}
 		for _, key := range row {
@@ -380,12 +396,13 @@ func sortRepEqual(e *planCacheEntry, n int, keys [][]Key) bool {
 }
 
 // sanitizeRoutePlan strips the per-run execution fields before a plan is
-// stored: census arming and schedule pointers belong to one operation, not
-// to the cached verdict.
+// stored: census arming, hit rows and schedule pointers belong to one
+// operation, not to the cached verdict.
 func sanitizeRoutePlan(p RoutePlan) RoutePlan {
 	p.Census = false
 	p.CensusHasFP = false
 	p.CensusFP = 0
+	p.hitRows = nil
 	p.Sched = nil
 	p.Capture = nil
 	return p
@@ -398,6 +415,7 @@ func sanitizeSortPlan(p SortPlan) SortPlan {
 	p.Census = false
 	p.CensusHasFP = false
 	p.CensusFP = 0
+	p.hitRows = nil
 	p.Sched = nil
 	p.Capture = nil
 	return p

@@ -36,19 +36,21 @@ import (
 // Local computation is self-reported through Exchanger.CountSteps so that
 // the O(n log n) claim can be checked experimentally (experiment E3).
 func LowComputeRoute(ex clique.Exchanger, msgs []Message) ([]Message, error) {
-	return lowComputeRoute(ex, msgs, nil, nil)
+	return lowComputeRoute(ex, msgs, ex.Round(), nil, nil)
 }
 
-// lowComputeRoute is LowComputeRoute with an optional cached schedule to
-// replay or an empty one to capture (see RouteSchedule). Schedules exist
+// lowComputeRoute is LowComputeRoute with the round its comm is labelled by
+// (shared computations are keyed by the label, so a cache hit names the
+// round its miss ran at) and an optional cached schedule to replay or an
+// empty one to capture (see RouteSchedule). Schedules exist
 // only for perfect-square n ≥ routeTrivialThreshold
 // (NewRouteScheduleCapture), where routeParcels runs the square router once,
 // on the whole clique.
-func lowComputeRoute(ex clique.Exchanger, msgs []Message, sched, capture *RouteSchedule) ([]Message, error) {
+func lowComputeRoute(ex clique.Exchanger, msgs []Message, at int, sched, capture *RouteSchedule) ([]Message, error) {
 	square := func(c *comm, parcels []parcel, st step) ([]parcel, error) {
 		return lowComputeSquare(c, parcels, st, sched, capture)
 	}
-	return routeMessages(ex, msgs, "lowroute@r", rootStep("thm5.4"), square)
+	return routeMessages(ex, msgs, "lowroute@r", at, rootStep("thm5.4"), square)
 }
 
 // RouteSchedule is the announcement state of one Theorem 5.4 execution at

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -47,8 +48,10 @@ import (
 // computations all nodes perform locally. The census also exists as a real
 // charged protocol (census.go, armed by WithPlanCache): two rounds on the
 // wire that recompute the strategy verdict distributedly and verify it
-// against the plan, so planner and cache wins can be reported net of
-// planning cost. The plan remains a pure
+// against the plan, so planner wins can be reported net of planning cost.
+// A plan-cache hit pays no census: the host picks the candidate entry, and
+// each node verifies that it holds the row the entry was learned on, aborting
+// the hit in the arm's first round if not (hit.go). The plan remains a pure
 // function of the instance, so every node dispatching on it agrees on the
 // strategy and the round count.
 
@@ -174,6 +177,13 @@ type RoutePlan struct {
 	Census      bool
 	CensusHasFP bool
 	CensusFP    uint64
+
+	// hitRows is the cache entry's per-node (row length, row hash) pairs,
+	// which PlanCache.LookupRoute attaches to a hit's plan: with Census set,
+	// each node checks its own row against its pair instead of running the
+	// census, and aborts the hit in the arm's first round on a mismatch
+	// (hit.go). Per-run execution state, never part of a cached verdict.
+	hitRows []rowSig
 
 	// Sched is a validated cached announcement schedule to execute instead
 	// of the pipeline's Step 5 announcement exchange; Capture is an empty
@@ -347,18 +357,23 @@ const pipelineReason = "Theorem 5.4 pipeline in 10 rounds"
 
 // AutoRoute executes one node's part of a planned routing instance as
 // blocking code. Every node must pass the same plan (PlanRoute of the
-// same instance) and its own message row; the plan fixes the communication
-// schedule, so no agreement rounds are needed. The output contract matches
-// Route: the messages addressed to this node, sorted by (Src, Dst, Seq). The
-// charged census and the empty, direct and broadcast arms are the step
-// programs of census.go and sparse_route.go under driveBlocking; the pipeline
-// arm is the Theorem 5.4 executor, LowComputeRoute with the plan's schedule.
+// same instance, or a validated cache hit of it) and its own message row;
+// the plan fixes the communication schedule, so no agreement rounds are
+// needed. The output contract matches Route: the messages addressed to this
+// node, sorted by (Src, Dst, Seq). The charged census and the empty, direct
+// and broadcast arms are the step programs of census.go and sparse_route.go
+// under driveBlocking; the pipeline arm is the Theorem 5.4 executor,
+// LowComputeRoute with the plan's schedule. A cache hit's plan replaces the
+// census with the row check of hit.go; when a node's row does not match, the
+// hit aborts in its first round and every node runs LowComputeRoute instead.
+// ex must be a node's own exchanger, not a tagged Mux instance.
 func AutoRoute(ex clique.Exchanger, msgs []Message, plan RoutePlan) ([]Message, error) {
 	if plan.N != ex.N() {
 		return nil, fmt.Errorf("core: plan computed for n=%d executed on n=%d", plan.N, ex.N())
 	}
-	var p routeProgram
-	if plan.Census {
+	hit := plan.Census && plan.hitRows != nil
+	matches := hit && plan.hitRows[ex.ID()] == rowSig{len(msgs), routeRowHash(msgs)}
+	if plan.Census && !hit {
 		err := driveBlocking(ex, func(round int, inbox clique.Inbox) (bool, error) {
 			return round == RouteCensusRounds, routeCensusStep(ex, &plan, msgs, round, inbox)
 		})
@@ -366,14 +381,39 @@ func AutoRoute(ex clique.Exchanger, msgs []Message, plan RoutePlan) ([]Message, 
 			return nil, err
 		}
 	}
-	if plan.Strategy == StrategyPipeline {
-		return lowComputeRoute(ex, msgs, plan.Sched, plan.Capture)
+	// at labels the pipeline's comms. A hit names them by the round its
+	// miss's arm started at, after the census, so that it finds the
+	// computations the miss seeded.
+	at := ex.Round()
+	var (
+		out []Message
+		err error
+	)
+	switch {
+	case plan.Strategy != StrategyPipeline:
+		var p routeProgram
+		err = driveBlocking(ex, func(round int, inbox clique.Inbox) (bool, error) {
+			if hit {
+				var hErr error
+				if round, hErr = hitRound(ex, matches, plan.Strategy == StrategyEmpty, round, inbox); round < 0 {
+					return hErr != nil, hErr
+				}
+			}
+			return p.step(ex, &plan, msgs, round, inbox)
+		})
+		out = p.out
+	case hit:
+		out, err = hitArm(ex, matches, func(ex clique.Exchanger) ([]Message, error) {
+			return lowComputeRoute(ex, msgs, at+RouteCensusRounds, plan.Sched, nil)
+		})
+	default:
+		return lowComputeRoute(ex, msgs, at, plan.Sched, plan.Capture)
 	}
-	err := driveBlocking(ex, func(round int, inbox clique.Inbox) (bool, error) {
-		return p.step(ex, &plan, msgs, round, inbox)
-	})
+	if errors.Is(err, ErrHitAborted) {
+		return LowComputeRoute(ex, msgs)
+	}
 	if err != nil {
 		return nil, err
 	}
-	return p.out, nil
+	return out, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -32,7 +33,7 @@ import (
 //     Theorem 5.4 as Step 6's router (LowComputeSort, 31 rounds) — stats
 //     are bit-identical to calling LowComputeSort directly, which the
 //     stats-invariant goldens pin; a validated plan-cache hit replays the
-//     miss's SortSchedule from Step 5 (14 rounds, 16 at non-square n).
+//     miss's SortSchedule from Step 5 (12 rounds, 14 at non-square n).
 //
 // Honesty note on the model: PlanSort runs centrally, over the instance the
 // simulator already holds, exactly like PlanRoute. In a real congested
@@ -43,22 +44,25 @@ import (
 // known. By default the simulator does not charge those words, exactly as it
 // does not charge the deterministic schedule computations all nodes perform
 // locally. A charged sort census also exists (census.go, armed by
-// WithPlanCache): two rounds of fingerprint agreement plus a verdict
-// broadcast. Unlike the route census it does not re-derive the verdict
-// distributedly — the sorting verdict depends on value distribution
-// properties with no O(1)-word per-node summary — so its charge is honest
-// for agreement, while the verdict itself is echoed from the plan.
+// WithPlanCache, run on every cache miss): two rounds of fingerprint
+// agreement plus a verdict broadcast. Unlike the route census it does not
+// re-derive the verdict distributedly — the sorting verdict depends on value
+// distribution properties with no O(1)-word per-node summary — so its charge
+// is honest for agreement, while the verdict itself is echoed from the plan.
 // The plan is a pure function of the instance, so every node dispatching on
 // it agrees on the strategy.
 //
 // Why a plan-cache hit may skip rounds: the pipeline arm of a hit replays a
-// SortSchedule from Step 5 (14 rounds instead of 31 at square n). Each node
-// reuses only what it learned itself when the miss ran — the delimiters and
-// bucket sizes broadcast to it, its own bucket counts, the Step 6 and
-// Step 7 announcements its group made to it — and the census's fingerprint
-// agreement is what tells every node the instance is the one it learned
-// them on. The replay still checks the schedule against the keys each node
-// holds, so a mismatch is an error, never a misplaced key.
+// SortSchedule from Step 5 (12 rounds instead of 2 + 31 at square n). Each
+// node reuses only what it learned itself when the miss ran — the
+// delimiters and bucket sizes broadcast to it, its own bucket counts, the
+// Step 6 and Step 7 announcements its group made to it. The host still picks
+// the candidate entry; what tells each node that it holds the row it learned
+// them on is its own row check against the entry's (row length, row hash)
+// pair, which replaces the census on every hit (hit.go): a node whose row
+// differs aborts the hit in its first round, and every node sorts with
+// LowComputeSort instead. The replay still checks the schedule against the
+// keys each node holds, so a mismatch is an error, never a misplaced key.
 
 // SortStrategy identifies the strategy the demand-aware sorting planner
 // selected for a sorting instance.
@@ -158,10 +162,16 @@ type SortPlan struct {
 	CensusHasFP bool
 	CensusFP    uint64
 
+	// hitRows is RoutePlan.hitRows for sorting: PlanCache.LookupSort
+	// attaches the entry's per-node (row length, row hash) pairs, and with
+	// Census set each node's row check replaces the census (hit.go).
+	hitRows []rowSig
+
 	// Sched is a validated cached Algorithm 4 schedule for the pipeline arm
-	// to replay from Step 5 (PlanCache.LookupSort sets it); Capture is an
-	// empty one PlanSort hands every pipeline verdict, which the run fills
-	// only when Census is set and PlanCache.StoreSort moves into the cache.
+	// to replay from Step 5 (PlanCache.LookupSort sets it, with hitRows);
+	// Capture is an empty one PlanSort hands every pipeline verdict, which
+	// a cache miss's run fills (Census set, no hitRows) and
+	// PlanCache.StoreSort moves into the cache.
 	// Per-run execution state, never part of a cached verdict.
 	Sched   *SortSchedule
 	Capture *SortSchedule
@@ -299,12 +309,16 @@ func PlanSort(n int, keys [][]Key) SortPlan {
 
 // AutoSort executes one node's part of a planned sorting instance as
 // blocking code. Every node must pass the same plan (PlanSort of the
-// same instance) and its own key row; the plan fixes the communication
-// schedule, so no agreement rounds are needed. The output contract matches
-// Sort exactly: node i's batch of the globally sorted sequence, identical to
-// the Deterministic pipeline's bit for bit. The charged census and the empty
-// and presorted arms are the step programs of census.go and sparse_sort.go
-// under driveBlocking.
+// same instance, or a validated cache hit of it) and its own key row; the
+// plan fixes the communication schedule, so no agreement rounds are needed.
+// The output contract matches Sort exactly: node i's batch of the globally
+// sorted sequence, identical to the Deterministic pipeline's bit for bit.
+// The charged census and the empty and presorted arms are the step programs
+// of census.go and sparse_sort.go under driveBlocking. A cache hit's plan
+// replaces the census with the row check of hit.go; when a node's row does
+// not match, the hit aborts in its first round and every node runs
+// LowComputeSort instead. ex must be a node's own exchanger, as for
+// AutoRoute.
 func AutoSort(ex clique.Exchanger, myKeys []Key, plan SortPlan) (*SortResult, error) {
 	if plan.N != ex.N() {
 		return nil, fmt.Errorf("core: sort plan computed for n=%d executed on n=%d", plan.N, ex.N())
@@ -313,7 +327,9 @@ func AutoSort(ex clique.Exchanger, myKeys []Key, plan SortPlan) (*SortResult, er
 		// Mirror Sort's single-node shortcut for every arm.
 		return sortAlone(myKeys), nil
 	}
-	if plan.Census {
+	hit := plan.Census && plan.hitRows != nil
+	matches := hit && plan.hitRows[ex.ID()] == rowSig{len(myKeys), sortRowHash(myKeys)}
+	if plan.Census && !hit {
 		err := driveBlocking(ex, func(round int, inbox clique.Inbox) (bool, error) {
 			return round == SortCensusRounds, sortCensusStep(ex, &plan, myKeys, round, inbox)
 		})
@@ -321,31 +337,59 @@ func AutoSort(ex clique.Exchanger, myKeys []Key, plan SortPlan) (*SortResult, er
 			return nil, err
 		}
 	}
+	// at labels the comms as in AutoRoute: a hit names the miss's round.
+	at := ex.Round()
+	if plan.Sched != nil && !hit {
+		// A schedule holds what the nodes learned about one instance; only
+		// the hit's row check tells each node it holds that instance.
+		return nil, fmt.Errorf("core: a cached sort schedule replays only on a cache hit's row check")
+	}
+	var (
+		res *SortResult
+		err error
+	)
 	switch plan.Strategy {
 	case SortStrategySmallDomain:
-		return smallDomainSort(ex, myKeys, plan)
+		if !hit {
+			return smallDomainSort(ex, myKeys, plan, at)
+		}
+		res, err = hitArm(ex, matches, func(ex clique.Exchanger) (*SortResult, error) {
+			return smallDomainSort(ex, myKeys, plan, at+SortCensusRounds)
+		})
 	case SortStrategyPipeline:
-		// Capture and replay both ride on the census: it is what tells every
-		// node that the instance is the one the schedule was learned on.
-		if !plan.Census {
+		switch {
+		case hit:
+			res, err = hitArm(ex, matches, func(ex clique.Exchanger) (*SortResult, error) {
+				return lowComputeSort(ex, myKeys, at+SortCensusRounds, plan.Sched, nil)
+			})
+		case plan.Census:
+			// Only a miss of a cache handle captures: a later hit replays.
+			return lowComputeSort(ex, myKeys, at, nil, plan.Capture)
+		default:
 			return LowComputeSort(ex, myKeys)
 		}
-		if plan.Sched != nil && !plan.CensusHasFP {
-			return nil, fmt.Errorf("core: a cached sort schedule replays only after the census's fingerprint agreement")
-		}
-		return lowComputeSort(ex, myKeys, plan.Sched, plan.Capture)
 	default:
 		// The empty and presorted arms — and the unknown-strategy error — are
 		// the step program's.
 		var p sortProgram
-		err := driveBlocking(ex, func(round int, inbox clique.Inbox) (bool, error) {
+		err = driveBlocking(ex, func(round int, inbox clique.Inbox) (bool, error) {
+			if hit {
+				var hErr error
+				if round, hErr = hitRound(ex, matches, plan.Strategy == SortStrategyEmpty, round, inbox); round < 0 {
+					return hErr != nil, hErr
+				}
+			}
 			return p.step(ex, &plan, myKeys, round, inbox)
 		})
-		if err != nil {
-			return nil, err
-		}
-		return p.result, nil
+		res = p.result
 	}
+	if errors.Is(err, ErrHitAborted) {
+		return LowComputeSort(ex, myKeys)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // smallDomainSort is the Section 6.3 arm: keys take at most
@@ -358,8 +402,8 @@ func AutoSort(ex clique.Exchanger, myKeys []Key, plan SortPlan) (*SortResult, er
 // global rank of every local key (value rank + origin prefix + local
 // sequence position, the same footnote-5 order the pipeline sorts by). Two
 // dealRanked rounds then deliver the batches. 4 rounds total.
-func smallDomainSort(ex clique.Exchanger, myKeys []Key, plan SortPlan) (*SortResult, error) {
-	c := fullComm(ex, fmt.Sprintf("smallsort@r%d", ex.Round()))
+func smallDomainSort(ex clique.Exchanger, myKeys []Key, plan SortPlan, at int) (*SortResult, error) {
+	c := fullComm(ex, fmt.Sprintf("smallsort@r%d", at))
 	defer c.release()
 	n := c.size()
 	k := len(plan.Domain)

@@ -36,15 +36,15 @@ type parcel struct {
 //     the virtual multiplexer, so the total stays 16 rounds at the cost of a
 //     constant-factor increase in message size.
 func Route(ex clique.Exchanger, msgs []Message) ([]Message, error) {
-	return routeMessages(ex, msgs, "route@r", rootStep("thm3.7"), routeSquare)
+	return routeMessages(ex, msgs, "route@r", ex.Round(), rootStep("thm3.7"), routeSquare)
 }
 
 // routeMessages is the Message-level shell shared by Route and
 // LowComputeRoute: it encodes msgs as parcels on a comm spanning the clique
-// (labelled label + round), routes them with routeParcels and square, and
+// (labelled label + at, the round the caller names the run by), routes them with routeParcels and square, and
 // decodes what arrived, sorted by (Src, Dst, Seq).
-func routeMessages(ex clique.Exchanger, msgs []Message, label string, st step, square squareRouter) ([]Message, error) {
-	c := fullComm(ex, label+strconv.Itoa(ex.Round()))
+func routeMessages(ex clique.Exchanger, msgs []Message, label string, at int, st step, square squareRouter) ([]Message, error) {
+	c := fullComm(ex, label+strconv.Itoa(at))
 	defer c.release()
 	parcels := make([]parcel, 0, len(msgs))
 	for _, m := range msgs {

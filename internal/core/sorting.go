@@ -39,7 +39,7 @@ const keysPerBundle = 2
 //	Step 7   8 rounds   Algorithm 3 inside every group concurrently
 //	Step 8   2 rounds   redistribute by global rank
 func Sort(ex clique.Exchanger, myKeys []Key) (*SortResult, error) {
-	return sortWith(ex, myKeys, routeSquare, nil, nil)
+	return sortWith(ex, myKeys, ex.Round(), routeSquare, nil, nil)
 }
 
 // LowComputeSort is Algorithm 4 with Theorem 5.4 as Step 6's router: Step 6
@@ -50,23 +50,24 @@ func Sort(ex clique.Exchanger, myKeys []Key) (*SortResult, error) {
 // steps after it do not depend on their arrival order. Non-square n runs
 // Theorem 5.4 on routeGeneral's V1/V2 instances, as LowComputeRoute does.
 func LowComputeSort(ex clique.Exchanger, myKeys []Key) (*SortResult, error) {
-	return lowComputeSort(ex, myKeys, nil, nil)
+	return lowComputeSort(ex, myKeys, ex.Round(), nil, nil)
 }
 
-// lowComputeSort is LowComputeSort with an optional cached schedule to
-// replay or an empty one to capture (see SortSchedule).
-func lowComputeSort(ex clique.Exchanger, myKeys []Key, sched, capture *SortSchedule) (*SortResult, error) {
-	return sortWith(ex, myKeys, func(c *comm, parcels []parcel, st step) ([]parcel, error) {
+// lowComputeSort is LowComputeSort with the round its comms are labelled by
+// (as in lowComputeRoute) and an optional cached schedule to replay or an
+// empty one to capture (see SortSchedule).
+func lowComputeSort(ex clique.Exchanger, myKeys []Key, at int, sched, capture *SortSchedule) (*SortResult, error) {
+	return sortWith(ex, myKeys, at, func(c *comm, parcels []parcel, st step) ([]parcel, error) {
 		return lowComputeSquare(c, parcels, st, sched.route(), capture.route())
 	}, sched, capture)
 }
 
 // sortWith is the body shared by Sort and LowComputeSort: input validation,
 // the single-node and tiny-clique shortcuts, and Algorithm 4 with square as
-// Step 6's router. sched and capture reach only Algorithm 4 proper: the
-// shortcuts have nothing to skip.
-func sortWith(ex clique.Exchanger, myKeys []Key, square squareRouter, sched, capture *SortSchedule) (*SortResult, error) {
-	label := fmt.Sprintf("sort@r%d", ex.Round())
+// Step 6's router, on comms labelled by round at. sched and capture reach
+// only Algorithm 4 proper: the shortcuts have nothing to skip.
+func sortWith(ex clique.Exchanger, myKeys []Key, at int, square squareRouter, sched, capture *SortSchedule) (*SortResult, error) {
+	label := fmt.Sprintf("sort@r%d", at)
 	c := fullComm(ex, label)
 	defer c.release()
 	n := c.size()
@@ -126,22 +127,23 @@ func sortTiny(c *comm, myKeys []Key) (*SortResult, error) {
 // schedule captured from one execution drives a later execution of the
 // *same* instance from Step 5 on: Steps 2–4 (11 rounds), Step 6's
 // bucket-size aggregation and its router's count announcement, and Step 7's
-// sample and count announcements disappear, so the replay takes 8+4+2 = 14
-// rounds at square n and 10+4+2 = 16 at non-square n, against the 31 of
-// LowComputeSort.
+// sample, count and bundle-count announcements disappear, so the replay
+// takes 8+2+2 = 12 rounds at square n and 10+2+2 = 14 at non-square n,
+// against the 31 of LowComputeSort.
 //
 // The skip is honest in the model because each node reuses only what it
 // learned itself in the captured execution — the delimiters and bucket
 // sizes were broadcast to every node, its count row is its own, and its
 // group announced the S5 matrix, the Step 7 samples and the Step 7 count
-// matrix to it — and the charged census's fingerprint agreement tells it
-// the instance is the same. A replay still checks the schedule against the
-// instance: before Step 6 sends a word each node compares its bucket counts
-// with its cached row, Step 6's router checks its S5 row and Step 7 its
-// Algorithm 3 count row (checkScheduleRow), and after Step 7 the Algorithm 3
-// bucket sizes of every group must sum to the cached size of the group's
-// bucket. A schedule that does not match the instance yields an error,
-// never a misplaced key.
+// matrix to it (whose entries fix the bundle counts as well) — and its row
+// check (hit.go) tells it that it holds the row it learned them on. A
+// replay still checks the schedule against the instance: before Step 6
+// sends a word each node compares its bucket counts with its cached row,
+// Step 6's router checks its S5 row and Step 7 its Algorithm 3 count row
+// (checkScheduleRow; a member that rejects its Step 7 row abandons the run,
+// so it fails everywhere), and after Step 7 the Algorithm 3 bucket sizes of
+// every group must sum to the cached size of the group's bucket. A schedule
+// that does not match the instance yields an error, never a misplaced key.
 type SortSchedule struct {
 	// Delims are the Step 4 delimiters (numGroups-1 keys).
 	Delims []Key
@@ -312,7 +314,7 @@ func sortLarge(c *comm, myKeys []Key, label string, square squareRouter, sched, 
 		return nil, fmt.Errorf("alg4 step6: %w", err)
 	}
 
-	// Step 7 (8 rounds, 4 on a replay): Algorithm 3 inside every group
+	// Step 7 (8 rounds, 2 on a replay): Algorithm 3 inside every group
 	// concurrently sorts the keys of that group's bucket.
 	var (
 		s7Delims []Key

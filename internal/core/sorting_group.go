@@ -35,6 +35,9 @@ type groupSortResult struct {
 // the same keys announced (knownCounts non-nil, at every member of the comm
 // alike): both announcements are skipped — 4 rounds — and each member
 // checks its own count row against the known matrix before sending a key.
+// The known matrix also fixes the key exchange's bundle demand, so its
+// Corollary 3.4 count announcement is skipped as well — 2 more rounds — and
+// the exchange is Corollary 3.3 alone (2 rounds instead of 8 in all).
 func groupSort(c *comm, group []int, myKeys []Key, capacity int, st step, knownDelims []Key, knownCounts [][]int) (*groupSortResult, error) {
 	w := len(group)
 
@@ -90,13 +93,15 @@ func groupSort(c *comm, group []int, myKeys []Key, capacity int, st step, knownD
 	}
 	allCounts := knownCounts
 	var err error
-	if allCounts == nil {
-		allCounts, err = announceIntVector(c, group, counts, st.sub("counts", kcCounts))
-	} else if w > 0 {
-		err = checkScheduleRow(allCounts, myIdx, counts)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("core: groupSort(%s) step5: %w", st.name, err)
+	switch {
+	case allCounts == nil:
+		if allCounts, err = announceIntVector(c, group, counts, st.sub("counts", kcCounts)); err != nil {
+			return nil, fmt.Errorf("core: groupSort(%s) step5: %w", st.name, err)
+		}
+	case w > 0:
+		if err = checkScheduleRow(allCounts, myIdx, counts); err != nil {
+			return nil, c.abandon(fmt.Errorf("core: groupSort(%s) step5: %w", st.name, err))
+		}
 	}
 
 	// Step 6 (4 rounds): send bucket j to the j-th group member, bundling a
@@ -119,7 +124,25 @@ func groupSort(c *comm, group []int, myKeys []Key, capacity int, st step, knownD
 		}
 		*slot = items
 	}
-	received, err := groupRouteUnknown(c, group, items, st.sub("exchange", kcExchange))
+	var received []item
+	if knownCounts == nil {
+		received, err = groupRouteUnknown(c, group, items, st.sub("exchange", kcExchange))
+	} else {
+		// The demand groupRouteUnknown would announce: member a holds
+		// ⌈counts[a][b]/keysPerBundle⌉ bundles for member b. The step keys
+		// are groupRouteUnknown's, so the colorings the announcing run
+		// seeded are found.
+		var demand [][]int
+		if w > 0 {
+			demand = makeIntMatrix(w, w)
+			for a, row := range allCounts {
+				for b, cnt := range row {
+					demand[a][b] = ceilDiv(cnt, keysPerBundle)
+				}
+			}
+		}
+		received, err = relayRouteColored(c, group, demand, items, st.sub("exchange", kcExchange).sub("deliver", kcDeliver), false)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("core: groupSort(%s) step6: %w", st.name, err)
 	}

@@ -15,7 +15,8 @@ import (
 //
 // Round mapping of the strategies (with the census armed, SparseRouteRun
 // prepends its RouteCensusRounds rounds; the verdict is verified in the step
-// that is also the strategy's round 0):
+// that is also the strategy's round 0; a cache hit's row check adds nothing,
+// except to the empty arm, which it gives one round — see hitRound):
 //
 //	direct     round 0: frames out          round 1: decode, done
 //	broadcast  round 0: scatter             round 1: build held, relay 0
@@ -219,7 +220,11 @@ func (p *routeProgram) relaySends(ex clique.Exchanger, r int) {
 
 // SparseRouteRun drives one routeProgram per node as a step program
 // (RunRounds): with the census armed, step rounds 0..1 carry its
-// two exchanges and the strategy starts in the round that verifies it.
+// two exchanges and the strategy starts in the round that verifies it. A
+// cache hit's plan runs the row check of hit.go instead; when it aborts, the
+// run ends with ErrHitAborted after one round, and the caller completes the
+// operation with AutoRoute on the same plan, which pays that round and
+// LowComputeRoute in one run.
 type SparseRouteRun struct {
 	plan  RoutePlan
 	sd    *SparseDemand
@@ -247,7 +252,15 @@ func (run *SparseRouteRun) Output(node int) []Message { return run.progs[node].o
 // round under RunRounds.
 func (run *SparseRouteRun) Step(nd *clique.Node, round int, inbox clique.Inbox) (bool, error) {
 	p, row := &run.progs[nd.ID()], run.sd.Row(nd.ID())
-	if run.plan.Census {
+	switch plan := &run.plan; {
+	case plan.Census && plan.hitRows != nil:
+		// Only round 0 reads the row check.
+		matches := round > 0 || plan.hitRows[nd.ID()] == rowSig{len(row), routeRowHash(row)}
+		var err error
+		if round, err = hitRound(nd, matches, plan.Strategy == StrategyEmpty, round, inbox); round < 0 {
+			return err != nil, err
+		}
+	case plan.Census:
 		if round <= RouteCensusRounds {
 			if err := routeCensusStep(nd, &run.plan, row, round, inbox); err != nil || round < RouteCensusRounds {
 				return err != nil, err

@@ -20,7 +20,8 @@ import (
 // commScratch borrowed for the one step.
 //
 // Round mapping (with the census armed, SparseSortRun prepends its
-// SortCensusRounds rounds):
+// SortCensusRounds rounds; a cache hit's row check adds nothing, except to
+// the empty arm, which it gives one round — see hitRound):
 //
 //	presorted  round 0: ranked bundles out   round 1: forward by rank
 //	           round 2: assemble batch, done
@@ -114,7 +115,10 @@ func (p *sortProgram) presortedStep(ex clique.Exchanger, plan *SortPlan, myKeys 
 
 // SparseSortRun drives one sortProgram per node as a step program
 // (RunRounds): with the census armed, step rounds 0..1 carry its
-// two exchanges and the strategy starts in the round that verifies it.
+// two exchanges and the strategy starts in the round that verifies it. A
+// cache hit's plan runs the row check of hit.go instead; an abort ends the
+// run with ErrHitAborted, as in SparseRouteRun, and the caller completes the
+// operation with AutoSort on the same plan.
 type SparseSortRun struct {
 	plan  SortPlan
 	keys  [][]Key
@@ -149,7 +153,15 @@ func (run *SparseSortRun) Step(nd *clique.Node, round int, inbox clique.Inbox) (
 		run.progs[0].result = sortAlone(row)
 		return true, nil
 	}
-	if run.plan.Census {
+	switch plan := &run.plan; {
+	case plan.Census && plan.hitRows != nil:
+		// Only round 0 reads the row check.
+		matches := round > 0 || plan.hitRows[nd.ID()] == rowSig{len(row), sortRowHash(row)}
+		var err error
+		if round, err = hitRound(nd, matches, plan.Strategy == SortStrategyEmpty, round, inbox); round < 0 {
+			return err != nil, err
+		}
+	case plan.Census:
 		if round <= SortCensusRounds {
 			if err := sortCensusStep(nd, &run.plan, row, round, inbox); err != nil || round < SortCensusRounds {
 				return err != nil, err

@@ -442,6 +442,9 @@ func (c *comm) exchange() (*rxBuf, error) {
 		}
 		rx.msgs, err = appendFrameMessages(rx.msgs, frame)
 		if err != nil {
+			if isAbort(frame) {
+				return nil, fmt.Errorf("core: instance %q: node %d abandoned the run", c.label, from)
+			}
 			return nil, fmt.Errorf("core: instance %q: %w", c.label, err)
 		}
 	}
@@ -449,6 +452,19 @@ func (c *comm) exchange() (*rxBuf, error) {
 		rx.start[cur] = int32(len(rx.msgs))
 	}
 	return rx, nil
+}
+
+// abandon ends this node's part of a replay whose backstop rejected the
+// cached schedule, so that the whole run fails rather than the nodes the
+// rejecting one happened to serve: it sends the abort packet to every node
+// in the round they expect its traffic (no frame is one word long, so every
+// comm receiving it fails that exchange), then returns err.
+func (c *comm) abandon(err error) error {
+	sendAbort(c.ex)
+	if _, xErr := c.ex.ExchangeFlat(); xErr != nil {
+		return xErr
+	}
+	return err
 }
 
 // shared runs a deterministic computation identically known to all members

@@ -135,10 +135,10 @@ type ServiceSection struct {
 
 // TemporalBench is one measured temporal-scenario trace: a sequence of
 // routing instances with bursty repetition, executed on one handle with the
-// plan cache armed (census charged) versus one plain AlgorithmAuto handle,
-// every step's delivery deep-compared between the two. The speedup is net:
-// the cache side pays the census on every step and the capture on every
-// miss.
+// plan cache armed (census charged on misses) versus one plain
+// AlgorithmAuto handle, every step's delivery deep-compared between the two.
+// The speedup is net: the cache side pays the census and the capture on
+// every miss, and the lookup and the nodes' row check on every hit.
 type TemporalBench struct {
 	Scenario string `json:"scenario"`
 	N        int    `json:"n"`
@@ -152,7 +152,8 @@ type TemporalBench struct {
 	// HitRate = CacheHits / (CacheHits + CacheMisses).
 	HitRate float64 `json:"hit_rate"`
 	// MissRounds/HitRounds are the per-op round costs observed on the cache
-	// side (census included); CacheOffRounds is the plain planner's cost.
+	// side (a miss's census included; a hit pays none); CacheOffRounds is
+	// the plain planner's cost.
 	CacheOffRounds int `json:"cache_off_rounds"`
 	MissRounds     int `json:"miss_rounds"`
 	HitRounds      int `json:"hit_rounds"`

@@ -561,16 +561,22 @@ func TestConcurrentClientsMixedOps(t *testing.T) {
 }
 
 // TestRepeatedSortReplaysCachedSchedule is svc_mixed's full Sort sent twice
-// at n=64 on a server with a plan cache: the second request is a validated
-// hit, so it returns the same batches while the server's cumulative rounds
-// grow by exactly the census plus the 14-round replay of Algorithm 4 from
-// Step 5 (SortReply carries no Stats; the server's StatsReply does).
+// at n=64 on a server with a plan cache: the first request is a miss, which
+// grows the server's cumulative rounds by the census plus the 31-round
+// LowComputeSort; the second is a validated hit, so it returns the same
+// batches while the rounds grow by exactly the 12-round replay of
+// Algorithm 4 from Step 5, with no census (SortReply carries no Stats; the
+// server's StatsReply does).
 func TestRepeatedSortReplaysCachedSchedule(t *testing.T) {
 	const n = 64
 	_, addr := startServer(t, Config{N: n, MaxConcurrency: 1, Algorithm: cc.AlgorithmAuto, PlanCacheCapacity: 4})
 	cl := dialT(t, addr)
 	values := valuesInstance(n, n, rand.New(rand.NewSource(7)))
 
+	start, err := cl.ServerStats()
+	if err != nil {
+		t.Fatalf("stats: %v", err)
+	}
 	first, err := cl.Sort(values, nil)
 	if err != nil {
 		t.Fatalf("first sort: %v", err)
@@ -601,7 +607,10 @@ func TestRepeatedSortReplaysCachedSchedule(t *testing.T) {
 	if got := after.PlanCacheHits - before.PlanCacheHits; got != 1 {
 		t.Fatalf("plan-cache hits grew by %d across the repeated sort, want 1", got)
 	}
-	if got, want := after.Rounds-before.Rounds, int64(cc.SortCensusRounds+14); got != want {
-		t.Fatalf("cumulative rounds grew by %d across the hit, want census + 14 = %d", got, want)
+	if got, want := before.Rounds-start.Rounds, int64(cc.SortCensusRounds+31); got != want {
+		t.Fatalf("cumulative rounds grew by %d across the miss, want census + 31 = %d", got, want)
+	}
+	if got, want := after.Rounds-before.Rounds, int64(12); got != want {
+		t.Fatalf("cumulative rounds grew by %d across the hit, want %d", got, want)
 	}
 }

@@ -4,9 +4,10 @@ package congestedclique
 // charged census it arms. The safety claim under test: a cached
 // hit can never change a result — every hit is validated against the exact
 // instance, the seeded schedule replays only on the run that matched, and a
-// drifted or colliding instance always re-plans. The perf claim: a pipeline
-// hit skips the Step 5 count announcement of Theorem 5.4 (10 -> 8, plus the
-// 2-round census either way).
+// drifted or colliding instance always re-plans. The perf claim: a miss pays
+// the 2-round census, a hit pays only for payload — its nodes check their
+// own rows instead — and a pipeline hit skips the Step 5 count announcement
+// of Theorem 5.4 (2 + 10 -> 8).
 
 import (
 	"context"
@@ -45,9 +46,9 @@ func cacheSortInstance(n, salt int) [][]int64 {
 
 // TestPlanCacheRouteHitBitIdentical pins the whole contract on the route
 // side at once: the miss and every subsequent hit deliver bit-identically to
-// a cache-off handle, the hit skips the Step 5 announcement
-// (10 -> 8 protocol rounds) while the census adds its 2 rounds to both, and
-// the handle counters account for every lookup.
+// a cache-off handle, the census adds its 2 rounds to the miss only, the hit
+// skips the Step 5 announcement (10 -> 8 protocol rounds), and the handle
+// counters account for every lookup.
 func TestPlanCacheRouteHitBitIdentical(t *testing.T) {
 	t.Parallel()
 	const n = 64
@@ -95,13 +96,14 @@ func TestPlanCacheRouteHitBitIdentical(t *testing.T) {
 		if hit.Strategy != golden.Strategy {
 			t.Fatalf("hit strategy %v, golden %v", hit.Strategy, golden.Strategy)
 		}
-		// Hit cost: census (2) + the 8 payload rounds; the 2 rounds of the
-		// Step 5 announcement are replayed from the cached schedule.
+		// Hit cost: the 8 payload rounds; the 2 rounds of the Step 5
+		// announcement are replayed from the cached schedule, and the row
+		// check that replaces the census costs nothing.
 		if hit.Stats.Rounds >= miss.Stats.Rounds {
 			t.Fatalf("hit rounds = %d, no cheaper than the miss's %d", hit.Stats.Rounds, miss.Stats.Rounds)
 		}
-		if want := RouteCensusRounds + golden.Stats.Rounds - 2; hit.Stats.Rounds != want {
-			t.Fatalf("hit rounds = %d, want %d (census %d + payload %d)", hit.Stats.Rounds, want, RouteCensusRounds, golden.Stats.Rounds-2)
+		if want := golden.Stats.Rounds - 2; hit.Stats.Rounds != want {
+			t.Fatalf("hit rounds = %d, want %d (payload only)", hit.Stats.Rounds, want)
 		}
 		if hit.Stats.TotalWords >= miss.Stats.TotalWords {
 			t.Fatalf("hit words = %d, no cheaper than the miss's %d", hit.Stats.TotalWords, miss.Stats.TotalWords)
@@ -116,16 +118,17 @@ func TestPlanCacheRouteHitBitIdentical(t *testing.T) {
 
 // TestPlanCacheRouteExactRounds pins the round schedule of a plan-cache
 // handle on full loads: a miss is the census plus Theorem 5.4 (2 + 10), a
-// hit at perfect-square n replays the cached schedule (2 + 8), and at
-// non-square n, where the V1/V2 decomposition has no capturable schedule, a
-// hit costs what the miss did. Hits deliver exactly what the miss did.
+// hit pays no census and at perfect-square n replays the cached schedule
+// (8), and at non-square n, where the V1/V2 decomposition has no capturable
+// schedule, a hit is Theorem 5.4's 10. Hits deliver exactly what the miss
+// did.
 func TestPlanCacheRouteExactRounds(t *testing.T) {
 	t.Parallel()
 	ctx := context.Background()
 	for _, tc := range []struct{ n, miss, hit int }{
-		{64, 12, 10},
-		{256, 12, 10},
-		{90, 12, 12},
+		{64, 12, 8},
+		{256, 12, 8},
+		{90, 12, 10},
 	} {
 		tc := tc
 		t.Run(fmt.Sprintf("n=%d", tc.n), func(t *testing.T) {
@@ -208,16 +211,17 @@ func TestPlanCacheRouteDrift(t *testing.T) {
 
 // TestPlanCacheSortHitBitIdentical: a sort miss costs the census plus the
 // pipeline's 31 rounds and captures Algorithm 4's announcements; every hit
-// replays that schedule from Step 5 — no Steps 2–4, no bucket-size
-// aggregation, no Step 6 count announcement at square n, no Step 7 sample
-// or count announcement — so it costs the census plus 8+4+2 = 14 rounds at
-// square n and 10+4+2 = 16 at non-square n. Miss and hits match cache-off output exactly, a hit sends fewer words
+// replays that schedule from Step 5 with no census — no Steps 2–4, no
+// bucket-size aggregation, no Step 6 count announcement at square n, no
+// Step 7 sample, count or bundle-count announcement — so it costs 8+2+2 = 12
+// rounds at square n and 10+2+2 = 14 at non-square n. Miss and hits match
+// cache-off output exactly, a hit sends fewer words
 // than the miss and loads no edge more, the handle counts correctly, and
 // the stored entry carries the shared-compute snapshot (Step 6's Theorem 5.4
 // and Algorithm 3's colorings) that a hit arms.
 func TestPlanCacheSortHitBitIdentical(t *testing.T) {
 	t.Parallel()
-	for _, tc := range []struct{ n, hitRounds int }{{64, 14}, {90, 16}, {256, 14}} {
+	for _, tc := range []struct{ n, hitRounds int }{{64, 12}, {90, 14}, {256, 12}} {
 		n := tc.n
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			t.Parallel()
@@ -254,7 +258,7 @@ func TestPlanCacheSortHitBitIdentical(t *testing.T) {
 				if got.Strategy != golden.Strategy {
 					t.Fatalf("sort run %d strategy %v, golden %v", rep, got.Strategy, golden.Strategy)
 				}
-				want := SortCensusRounds + tc.hitRounds
+				want := tc.hitRounds
 				if rep == 0 {
 					want = SortCensusRounds + golden.Stats.Rounds
 				}

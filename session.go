@@ -488,7 +488,8 @@ func (u *execUnit) route(ctx context.Context, cfg config, msgs [][]Message, pc *
 	// allocated for this run, so they become the result rows as they are.
 	outputs := make([][]Message, u.n)
 	var runErr error
-	if core.SparseStepCapable(plan.Strategy) {
+	stepped := core.SparseStepCapable(plan.Strategy)
+	if stepped {
 		sd, buildErr := core.NewSparseDemand(u.n, inputs)
 		if buildErr != nil {
 			return nil, buildErr
@@ -503,7 +504,17 @@ func (u *execUnit) route(ctx context.Context, cfg config, msgs [][]Message, pc *
 				outputs[i] = run.Output(i)
 			}
 		}
-	} else {
+		// A step program cannot go on into the blocking plan-free arm: a hit
+		// the nodes' row check aborted reruns as a blocking program, which
+		// pays the aborted round and that arm in one run. (The exact compare
+		// of the lookup makes this unreachable here.)
+		stepped = !errors.Is(runErr, core.ErrHitAborted)
+	}
+	if !stepped {
+		// The program captures this copy: a RoutePlan is too large to be
+		// captured by value, and the copy moves to the heap only on this
+		// branch, not on the step programs' path.
+		plan := plan
 		runErr = u.nw.RunContext(ctx, func(nd *clique.Node) error {
 			var (
 				out  []Message
@@ -658,7 +669,8 @@ func (u *execUnit) sortStaged(ctx context.Context, cfg config, inputs [][]Key, p
 	// The program shape follows from the plan, as in route (the zero plan of
 	// the other algorithms is not step-capable).
 	var runErr error
-	if core.SparseSortStepCapable(plan.Strategy) {
+	stepped := core.SparseSortStepCapable(plan.Strategy)
+	if stepped {
 		run, buildErr := core.NewSparseSortRun(u.n, inputs, plan)
 		if buildErr != nil {
 			return nil, buildErr
@@ -669,7 +681,10 @@ func (u *execUnit) sortStaged(ctx context.Context, cfg config, inputs [][]Key, p
 				results[i] = run.Result(i)
 			}
 		}
-	} else {
+		// An aborted hit reruns as a blocking program, as in route.
+		stepped = !errors.Is(runErr, core.ErrHitAborted)
+	}
+	if !stepped {
 		sorter, _ := nodeSorter(cfg.algorithm, plan)
 		runErr = u.nw.RunContext(ctx, func(nd *clique.Node) error {
 			res, sErr := sorter(nd, inputs[nd.ID()])

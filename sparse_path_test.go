@@ -104,29 +104,37 @@ func TestSparsePathSortBitIdentical(t *testing.T) {
 }
 
 // TestSparsePathPlanCacheHit pins the interplay of the cross-run plan cache
-// with the step programs: the second run of the same instance hits the cache
-// (whose plans always arm the census with a pinned fingerprint), the step
-// run is built from the cached verdict, its census verify accepts it, and
-// both runs match the one-shot miss of a fresh cache handle bit for bit.
+// with the step programs: the first run of an instance is a miss, which
+// matches the one-shot miss of a fresh cache handle bit for bit (census
+// included); the second hits the cache, the step run is built from the
+// cached verdict, every node's row check passes, and it matches a cache-off
+// run bit for bit — the direct arm's one round, no census.
 func TestSparsePathPlanCacheHit(t *testing.T) {
 	t.Parallel()
 	const n = 64
 	ctx := context.Background()
 	msgs := scenarioMessages(t, "sparse", n, 1)
 
-	want, err := Route(n, msgs, WithAlgorithm(AlgorithmAuto), WithPlanCache(8))
+	miss, err := Route(n, msgs, WithAlgorithm(AlgorithmAuto), WithPlanCache(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want.Strategy != StrategyDirect || want.Stats.Rounds != 1+RouteCensusRounds {
-		t.Fatalf("reference run: strategy %v in %d rounds, want direct in %d", want.Strategy, want.Stats.Rounds, 1+RouteCensusRounds)
+	if miss.Strategy != StrategyDirect || miss.Stats.Rounds != 1+RouteCensusRounds {
+		t.Fatalf("reference miss: strategy %v in %d rounds, want direct in %d", miss.Strategy, miss.Stats.Rounds, 1+RouteCensusRounds)
+	}
+	hit, err := Route(n, msgs, WithAlgorithm(AlgorithmAuto))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit.Strategy != StrategyDirect || hit.Stats.Rounds != 1 {
+		t.Fatalf("reference cache-off run: strategy %v in %d rounds, want direct in 1", hit.Strategy, hit.Stats.Rounds)
 	}
 	cl, err := New(n, WithPlanCache(8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	for i := 0; i < 2; i++ {
+	for i, want := range []*RouteResult{miss, hit} {
 		res, err := cl.Route(ctx, msgs, WithAlgorithm(AlgorithmAuto))
 		if err != nil {
 			t.Fatal(err)
