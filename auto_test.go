@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"congestedclique/internal/core"
 	"congestedclique/internal/verify"
 	"congestedclique/internal/workload"
 )
@@ -246,7 +247,33 @@ func TestAutoRouteKeepsWideSeq(t *testing.T) {
 			if res.Strategy != tc.want {
 				t.Fatalf("%s: strategy %v, want %v", tc.name, res.Strategy, tc.want)
 			}
-			checkDelivery(t, tc.msgs, res)
+			checkDelivery(t, tc.name, tc.msgs, res)
+		}
+	}
+}
+
+// TestSortKeysKeepsWideSeq is the sorting side of TestAutoRouteKeepsWideSeq:
+// a key's Seq is the caller's bookkeeping too, so ties on (Value, Origin)
+// must order by Seq without overflow. The key comparator once subtracted
+// Seqs, and SortKeys put {Seq: 0} before {Seq: -1}.
+func TestSortKeysKeepsWideSeq(t *testing.T) {
+	t.Parallel()
+	const n = 16
+	keys := make([][]Key, n)
+	for j, seq := range []int{1 << 40, -1, math.MinInt64, math.MaxInt64, 7, -(1 << 33), 1<<32 + 5, 0, 1 << 31, -(1 << 31) - 1} {
+		keys[0] = append(keys[0], Key{Value: int64(j % 2), Origin: 0, Seq: seq})
+	}
+	for _, alg := range []Algorithm{Deterministic, LowCompute, AlgorithmAuto} {
+		res, err := SortKeys(n, keys, WithAlgorithm(alg))
+		if err != nil {
+			t.Fatalf("%v: %v", alg, err)
+		}
+		results := make([]*core.SortResult, n)
+		for i := range results {
+			results[i] = &core.SortResult{Batch: res.Batches[i], Start: res.Starts[i], Total: res.Total}
+		}
+		if err := verify.Sorting(keys, results); err != nil {
+			t.Errorf("%v: %v", alg, err)
 		}
 	}
 }

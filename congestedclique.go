@@ -43,7 +43,7 @@
 // independent operations run in parallel on one handle, each on its own
 // engine checked out of a lazily-grown pool, with results bit-identical to
 // serial execution. Each operation runs the per-node protocol for all n
-// nodes on the engine's sweep workers (WithWorkers; a node's blocking program
+// nodes on the engine's GOMAXPROCS sweep workers (a node's blocking program
 // is a coroutine of its worker), verifies nothing exceeds the bandwidth model, and
 // returns both the protocol output and the execution statistics (rounds,
 // per-edge words, traffic) that the paper's bounds are stated in;
@@ -51,7 +51,7 @@
 // the engine pool.
 //
 // Options split by scope: engine shape and handle state — WithStrictBandwidth,
-// WithWorkers, WithMaxConcurrency, WithRoundDeadline, WithPlanCache — are
+// WithMaxConcurrency, WithRoundDeadline, WithPlanCache — are
 // fixed per handle and must be passed to New, while WithAlgorithm, WithRetry
 // and the fault-injection options may be passed either to New (as the
 // handle's defaults) or to an individual call. Passing a handle-scoped option
@@ -360,12 +360,11 @@ func statsFromMetrics(m clique.Metrics) Stats {
 
 // config collects the functional options of the public entry points.
 // algorithm is call-scoped (a handle holds the default, an individual call
-// may override it); strictBudget, workers and maxConcurrency shape the engine
-// pool and are handle-scoped.
+// may override it); strictBudget and maxConcurrency shape the engine pool and
+// are handle-scoped.
 type config struct {
 	algorithm      Algorithm
 	strictBudget   int
-	workers        int
 	maxConcurrency int
 	// roundDeadline arms the engine's round watchdog (WithRoundDeadline);
 	// handle-scoped because it shapes every engine of the pool.
@@ -430,30 +429,14 @@ func WithStrictBandwidth(words int) Option {
 	}
 }
 
-// WithWorkers sets the number of sweep workers each engine executes its n
-// logical nodes on, whatever the shape of the protocol's node programs (0,
-// the default, means GOMAXPROCS; see the engine's scheduling notes).
-// Executions are deterministic for every worker count. Handle-scoped: pass
-// it to New.
-func WithWorkers(k int) Option {
-	return func(c *config) error {
-		if k < 0 {
-			return fmt.Errorf("congestedclique: worker count must be non-negative, got %d", k)
-		}
-		c.workers = k
-		c.handleScoped = "WithWorkers"
-		return nil
-	}
-}
-
 // WithMaxConcurrency lets up to k independent operations execute in parallel
 // on one Clique handle, backed by a lazily-grown pool of up to k engines
 // (default 1: operations serialize, the behaviour of earlier versions).
 // Results are bit-identical to serial execution for every k; each engine
 // costs roughly what a k=1 handle costs (delivery arenas, staging buffers —
 // O(n²) words under full load), so memory grows linearly in the concurrency
-// actually used. Within one engine a run already keeps WithWorkers
-// goroutines (GOMAXPROCS by default) busy, so aggregate throughput is bounded
+// actually used. Within one engine a run already keeps GOMAXPROCS sweep
+// workers busy, so aggregate throughput is bounded
 // by the cores — keep k at or below the number of genuinely overlapping
 // callers the cores can serve.
 // Handle-scoped: pass it to New.
@@ -487,13 +470,15 @@ func WithMaxConcurrency(k int) Option {
 // colorings, and run Algorithm 4 from Step 5 with the delimiters, bucket
 // counts and Step 6 and Step 7 announcements the miss learned: no
 // sampling, no delimiter broadcast, no bucket-size aggregation, no Step 7
-// announcement, so 31 rounds become 12 (14 at non-square n). SortKeys
-// instances carrying caller-assigned Origin/Seq labels bypass the cache
-// (the canonical representation stores values only).
+// announcement, so 31 rounds become 12 (14 at non-square n). The sorting
+// corollaries (Rank, SelectKth, Median, Mode) are epilogues on that same
+// Sort and share its entries: a repeat pays the Sort hit plus its epilogue.
+// SortKeys instances carrying caller-assigned Origin/Seq labels bypass the
+// cache (the canonical representation stores values only).
 //
 // Honest accounting: WithPlanCache arms the charged planner census on every
 // AlgorithmAuto operation that misses the cache (and on the uncacheable
-// ones: SortKeys with its own labels, the sorting corollaries) — the
+// ones: SortKeys with its own labels) — the
 // O(1)-round aggregation that establishes the plan distributedly and
 // carries the fingerprint (RouteCensusRounds for Route, SortCensusRounds for
 // Sort) runs on the wire, its words and rounds land in the Stats, and every
@@ -648,9 +633,6 @@ func buildNetwork(n int, cfg config) (*clique.Network, error) {
 	var opts []clique.Option
 	if cfg.strictBudget > 0 {
 		opts = append(opts, clique.WithStrictEdgeBudget(cfg.strictBudget))
-	}
-	if cfg.workers > 0 {
-		opts = append(opts, clique.WithWorkers(cfg.workers))
 	}
 	if cfg.roundDeadline > 0 {
 		opts = append(opts, clique.WithRoundDeadline(cfg.roundDeadline))

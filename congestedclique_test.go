@@ -7,6 +7,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"congestedclique/internal/verify"
 )
 
 func uniformInstance(n, per int, seed int64) [][]Message {
@@ -21,31 +23,24 @@ func uniformInstance(n, per int, seed int64) [][]Message {
 	return msgs
 }
 
-func checkDelivery(t *testing.T, msgs [][]Message, res *RouteResult) {
+// checkDelivery checks a Route result against its instance: exactly-once
+// delivery (internal/verify), and the row order RouteResult documents and
+// the service passes to the wire as it is — every delivered row strictly
+// increasing in (Src, Seq).
+func checkDelivery(t *testing.T, label string, msgs [][]Message, res *RouteResult) {
 	t.Helper()
-	want := map[Message]int{}
-	total := 0
-	for _, ms := range msgs {
-		for _, m := range ms {
-			want[m]++
-			total++
-		}
+	sent := make([][]Message, len(res.Delivered))
+	copy(sent, msgs)
+	if err := verify.Routing(sent, res.Delivered); err != nil {
+		t.Fatalf("%s (strategy %v): %v", label, res.Strategy, err)
 	}
-	got := 0
-	for dst, ms := range res.Delivered {
-		for _, m := range ms {
-			if m.Dst != dst {
-				t.Fatalf("node %d received message for %d", dst, m.Dst)
+	for dst, row := range res.Delivered {
+		for j := 1; j < len(row); j++ {
+			if a, b := row[j-1], row[j]; a.Src > b.Src || a.Src == b.Src && a.Seq >= b.Seq {
+				t.Fatalf("%s (strategy %v): node %d's row is out of (Src, Seq) order at %d: %+v before %+v",
+					label, res.Strategy, dst, j, a, b)
 			}
-			if want[m] == 0 {
-				t.Fatalf("unexpected message %+v", m)
-			}
-			want[m]--
-			got++
 		}
-	}
-	if got != total {
-		t.Fatalf("delivered %d of %d", got, total)
 	}
 }
 
@@ -61,7 +56,7 @@ func TestRoutePublicAPIAllAlgorithms(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkDelivery(t, msgs, res)
+			checkDelivery(t, alg.String(), msgs, res)
 			if res.Stats.Rounds == 0 || res.Stats.TotalMessages == 0 {
 				t.Fatalf("missing stats: %+v", res.Stats)
 			}

@@ -30,8 +30,8 @@ func expectedDistinctRanks(keys [][]Key) (map[int64]int, int) {
 }
 
 // runSorted sorts keys with sorter on a fresh clique and hands every node's
-// result to epilogue in the same run, as the session's corollary driver
-// does; it returns the run's metrics.
+// result to epilogue in the same run, as the session's sort path does for
+// a corollary; it returns the run's metrics.
 func runSorted(t *testing.T, keys [][]Key, sorter func(clique.Exchanger, []Key) (*SortResult, error), epilogue func(nd *clique.Node, res *SortResult) error) clique.Metrics {
 	t.Helper()
 	nw, err := clique.New(len(keys))

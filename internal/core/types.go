@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -28,7 +29,8 @@ func compareMessages(a, b Message) int {
 	if a.Dst != b.Dst {
 		return a.Dst - b.Dst
 	}
-	return a.Seq - b.Seq
+	// Seq is the caller's bookkeeping, any int: a difference could overflow.
+	return cmp.Compare(a.Seq, b.Seq)
 }
 
 // Key is one unit of the sorting problem (Problem 4.1). Keys are made
@@ -62,7 +64,7 @@ func compareKeys(a, b Key) int {
 	if a.Origin != b.Origin {
 		return a.Origin - b.Origin
 	}
-	return a.Seq - b.Seq
+	return cmp.Compare(a.Seq, b.Seq)
 }
 
 // keyWords is the wire size of an encoded Key.

@@ -312,7 +312,9 @@ func serialGolden(ctx context.Context, n int, msgs [][]cc.Message, values [][]in
 		if err != nil {
 			return nil, err
 		}
-		g.route = canonicalRoute(res.Delivered)
+		// Row i is sorted by (Src, Dst, Seq) with Dst = i: the wire
+		// protocol's canonical (Src, Seq) order already.
+		g.route = res.Delivered
 	}
 	if values != nil {
 		if g.sort, err = cl.Sort(ctx, values); err != nil {
@@ -320,26 +322,6 @@ func serialGolden(ctx context.Context, n int, msgs [][]cc.Message, values [][]in
 		}
 	}
 	return g, nil
-}
-
-// canonicalRoute deep-copies a delivery and sorts every row by (Src, Seq) —
-// the wire protocol's canonical response order.
-func canonicalRoute(delivered [][]cc.Message) [][]cc.Message {
-	rows := make([][]cc.Message, len(delivered))
-	for i, row := range delivered {
-		if len(row) == 0 {
-			continue
-		}
-		r := slices.Clone(row)
-		slices.SortFunc(r, func(a, b cc.Message) int {
-			if a.Src != b.Src {
-				return a.Src - b.Src
-			}
-			return a.Seq - b.Seq
-		})
-		rows[i] = r
-	}
-	return rows
 }
 
 type issueFunc func(cl *service.Client, op, stream int, verify bool) (bool, bool, error)

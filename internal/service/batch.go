@@ -16,7 +16,12 @@ import (
 // distinguishable, and a reverse reference table splits the merged delivery
 // back into per-request results with the original sequence numbers restored.
 // Combined with the canonical (Src, Seq) response order, a batched request's
-// response is bit-identical to what an unbatched run would have produced.
+// delivered rows are bit-identical to what an unbatched run would have
+// produced. Its reported strategy is the merged run's, which under
+// AlgorithmAuto can differ from the request's solo plan: an empty request
+// batched with others reports direct, and requests that are each direct
+// merge into broadcast once one (src, dst) pair passes the direct arm's
+// multiplicity cap.
 
 // batchable reports whether a request may join a merged Route run: Route
 // only, not opted out, not carrying an injected fault (a fault must hit
@@ -220,12 +225,13 @@ func (s *Server) runBatch(batch []*pending) {
 				cc.Message{Src: m.Src, Dst: dst, Seq: ref.seq, Payload: m.Payload})
 		}
 	}
+	// The remapped Seqs order each row by position in the merged row, not
+	// by the request's own Seqs, so the split rows are put back into
+	// canonical order.
 	for k, p := range batch {
-		resp := &Response{ID: p.req.ID, Strategy: int64(res.Strategy),
-			Route: &RouteReply{Delivered: perReq[k], Strategy: res.Strategy}}
 		for _, row := range perReq[k] {
 			canonicalizeRow(row)
 		}
-		s.finish(p, resp)
+		s.finish(p, routeResponse(p.req.ID, perReq[k], res.Strategy))
 	}
 }

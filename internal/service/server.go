@@ -1,11 +1,12 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"net"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -417,27 +418,22 @@ func errResponse(id uint64, err error) *Response {
 	return &Response{ID: id, Status: st, Err: err.Error()}
 }
 
-// routeResponse builds an OpRoute reply with every delivered row in the wire
-// protocol's canonical (Src, Seq) order — the order is part of the protocol
-// so that batched and unbatched executions of the same request are
-// bit-identical on the wire.
+// routeResponse builds an OpRoute reply around delivered, whose rows must be
+// in the wire protocol's canonical (Src, Seq) order — the order is part of
+// the protocol so that batched and unbatched executions of the same request
+// deliver the same rows. A session's RouteResult.Delivered already is: row i
+// is sorted by (Src, Dst, Seq) with Dst = i, and fresh for the call.
 func routeResponse(id uint64, delivered [][]cc.Message, strategy cc.RouteStrategy) *Response {
-	rows := make([][]cc.Message, len(delivered))
-	for i, row := range delivered {
-		r := append([]cc.Message(nil), row...)
-		canonicalizeRow(r)
-		rows[i] = r
-	}
-	return &Response{ID: id, Strategy: int64(strategy), Route: &RouteReply{Delivered: rows, Strategy: strategy}}
+	return &Response{ID: id, Strategy: int64(strategy), Route: &RouteReply{Delivered: delivered, Strategy: strategy}}
 }
 
 // canonicalizeRow sorts one destination's delivered messages by (Src, Seq).
 func canonicalizeRow(row []cc.Message) {
-	sort.Slice(row, func(a, b int) bool {
-		if row[a].Src != row[b].Src {
-			return row[a].Src < row[b].Src
+	slices.SortFunc(row, func(a, b cc.Message) int {
+		if c := cmp.Compare(a.Src, b.Src); c != 0 {
+			return c
 		}
-		return row[a].Seq < row[b].Seq
+		return cmp.Compare(a.Seq, b.Seq)
 	})
 }
 

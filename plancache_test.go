@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"congestedclique/internal/core"
+	"congestedclique/internal/workload"
 )
 
 // cachePipelineInstance is a full-load pipeline-shaped demand (total n^2
@@ -412,73 +413,79 @@ func TestChargedCensusRounds(t *testing.T) {
 }
 
 // TestPlanCacheCorollaryCensus: an AlgorithmAuto corollary on a
-// WithPlanCache handle pays the sort census, as an uncacheable SortKeys
-// does — SortCensusRounds rounds, 4n words in 2n packets on top of plain
-// Auto — with the same output, and never looks the instance up or stores
-// it, however often it repeats.
+// WithPlanCache handle is looked up, stored and hit exactly as Sort is. Its
+// first call misses and pays the sort census on top of plain Auto —
+// SortCensusRounds rounds, 4n words in 2n packets — and its repeat hits,
+// paying the Sort hit on the same values plus the corollary's own epilogue
+// (its cache-off rounds minus cache-off Sort's). Every output, at square and
+// non-square n, uniform and pre-sorted, passes internal/verify.
 func TestPlanCacheCorollaryCensus(t *testing.T) {
 	t.Parallel()
-	const n = 64
 	ctx := context.Background()
-	vals := cacheSortInstance(n, 1)
-	base, err := New(n, WithAlgorithm(AlgorithmAuto))
+	for _, n := range []int{64, 90} {
+		for _, dist := range []workload.KeyDistribution{workload.KeysUniform, workload.KeysPreSorted} {
+			t.Run(fmt.Sprintf("n=%d/%s", n, dist), func(t *testing.T) {
+				inst, err := workload.NewSortingInstance(n, n, dist, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				vals := keyValues(inst.Keys)
+				base, err := New(n, WithAlgorithm(AlgorithmAuto))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer base.Close()
+				sortOff, err := base.Sort(ctx, vals)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sortHit := cachedStats(t, n, func(cl *Clique) (Stats, error) {
+					res, err := cl.Sort(ctx, vals)
+					if err != nil {
+						return Stats{}, err
+					}
+					return res.Stats, nil
+				})[1]
+				for _, op := range corollaryOps(ctx, inst.Keys) {
+					off, err := op.run(base)
+					if err != nil {
+						t.Fatalf("%s cache off: %v", op.name, err)
+					}
+					st := cachedStats(t, n, op.run)
+					if miss := st[0]; miss.Rounds != off.Rounds+SortCensusRounds || miss.TotalWords-off.TotalWords != 4*int64(n) || miss.TotalMessages-off.TotalMessages != 2*int64(n) {
+						t.Fatalf("%s miss %+v, cache off %+v: want +%d rounds, +%d words, +%d packets",
+							op.name, miss, off, SortCensusRounds, 4*n, 2*n)
+					}
+					if want := sortHit.Rounds + off.Rounds - sortOff.Stats.Rounds; st[1].Rounds != want {
+						t.Fatalf("%s hit: %d rounds, want the Sort hit's %d + the epilogue's %d = %d",
+							op.name, st[1].Rounds, sortHit.Rounds, off.Rounds-sortOff.Stats.Rounds, want)
+					}
+				}
+			})
+		}
+	}
+}
+
+// cachedStats runs op twice on a fresh WithPlanCache handle, requires a
+// miss and then a hit on the handle's ledger, and returns both calls' Stats.
+func cachedStats(t *testing.T, n int, op func(*Clique) (Stats, error)) [2]Stats {
+	t.Helper()
+	cl, err := New(n, WithAlgorithm(AlgorithmAuto), WithPlanCache(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer base.Close()
-	cen, err := New(n, WithAlgorithm(AlgorithmAuto), WithPlanCache(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cen.Close()
-	charged := func(op string, s0, s1 Stats) {
-		t.Helper()
-		if s1.Rounds != s0.Rounds+SortCensusRounds || s1.TotalWords-s0.TotalWords != 4*n || s1.TotalMessages-s0.TotalMessages != 2*n {
-			t.Fatalf("%s: census handle %+v, plain Auto %+v: want +%d rounds, +%d words, +%d packets",
-				op, s1, s0, SortCensusRounds, 4*n, 2*n)
+	defer cl.Close()
+	var st [2]Stats
+	for rep := range st {
+		if st[rep], err = op(cl); err != nil {
+			t.Fatalf("call %d: %v", rep, err)
+		}
+		if cs := cl.CumulativeStats(); cs.PlanCacheHits != int64(rep) || cs.PlanCacheMisses != 1 || cs.PlanCacheInvalidations != 0 {
+			t.Fatalf("call %d: ledger (hits, misses, invalidations) = (%d, %d, %d), want (%d, 1, 0)",
+				rep, cs.PlanCacheHits, cs.PlanCacheMisses, cs.PlanCacheInvalidations, rep)
 		}
 	}
-	for rep := 0; rep < 2; rep++ {
-		r0, err := base.Rank(ctx, vals)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r1, err := cen.Rank(ctx, vals)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(r1.Ranks, r0.Ranks) {
-			t.Fatal("census Rank diverged from plain Auto")
-		}
-		charged("Rank", r0.Stats, r1.Stats)
-		k0, m0, err := base.Median(ctx, vals)
-		if err != nil {
-			t.Fatal(err)
-		}
-		k1, m1, err := cen.Median(ctx, vals)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if k1 != k0 {
-			t.Fatal("census Median diverged from plain Auto")
-		}
-		charged("Median", m0, m1)
-		o0, err := base.Mode(ctx, vals)
-		if err != nil {
-			t.Fatal(err)
-		}
-		o1, err := cen.Mode(ctx, vals)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if o1.Value != o0.Value || o1.Count != o0.Count {
-			t.Fatal("census Mode diverged from plain Auto")
-		}
-		charged("Mode", o0.Stats, o1.Stats)
-	}
-	if cs := cen.CumulativeStats(); cs.PlanCacheHits != 0 || cs.PlanCacheMisses != 0 || cs.PlanCacheInvalidations != 0 {
-		t.Fatalf("corollaries touched the cache: (%d,%d,%d)", cs.PlanCacheHits, cs.PlanCacheMisses, cs.PlanCacheInvalidations)
-	}
+	return st
 }
 
 // TestPlanCacheSeedScopedToOneRun pins the per-run shared-cache invariant
@@ -523,11 +530,12 @@ func TestPlanCacheSeedScopedToOneRun(t *testing.T) {
 }
 
 // TestPlanCacheConcurrentHammer is the -race stress for the handle-shared
-// cache: four engines route and sort a small set of repeated and drifted
-// instances concurrently, every result deep-compared against cache-off
-// goldens. Exercises concurrent lookups, stores of the same fingerprint
-// (replace-on-insert), seeded and capturing runs interleaving across
-// engines, and LRU churn (capacity 2 < distinct instances).
+// cache: four engines route, sort and rank a small set of repeated and
+// drifted instances concurrently, every result deep-compared against
+// cache-off goldens. Exercises concurrent lookups, stores of the same
+// fingerprint (replace-on-insert), seeded and capturing runs interleaving
+// across engines, a corollary and a Sort sharing one entry, and LRU churn
+// (capacity 2 < distinct instances).
 func TestPlanCacheConcurrentHammer(t *testing.T) {
 	t.Parallel()
 	const (
@@ -558,6 +566,12 @@ func TestPlanCacheConcurrentHammer(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The one corollary op ranks sortIn[0], the values one Sort op sorts.
+	rankGold, err := base.Rank(ctx, sortIn[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := len(routeIn) + len(sortIn) + 1
 
 	cl, err := New(n, WithAlgorithm(AlgorithmAuto), WithPlanCache(2), WithMaxConcurrency(4))
 	if err != nil {
@@ -573,8 +587,19 @@ func TestPlanCacheConcurrentHammer(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for it := 0; it < iters; it++ {
-				k := (w + it) % (len(routeIn) + len(sortIn))
-				if k < len(routeIn) {
+				k := (w + it) % ops
+				switch {
+				case k == ops-1:
+					res, err := cl.Rank(ctx, sortIn[0])
+					if err != nil {
+						errs <- err
+						return
+					}
+					if !reflect.DeepEqual(res.Ranks, rankGold.Ranks) || res.DistinctTotal != rankGold.DistinctTotal {
+						errs <- fmt.Errorf("worker %d iter %d: rank diverged from golden", w, it)
+						return
+					}
+				case k < len(routeIn):
 					res, err := cl.Route(ctx, routeIn[k])
 					if err != nil {
 						errs <- err
@@ -584,7 +609,7 @@ func TestPlanCacheConcurrentHammer(t *testing.T) {
 						errs <- fmt.Errorf("worker %d iter %d: route %d diverged from golden", w, it, k)
 						return
 					}
-				} else {
+				default:
 					k -= len(routeIn)
 					res, err := cl.Sort(ctx, sortIn[k])
 					if err != nil {

@@ -100,12 +100,8 @@ func checkRouteInvariants(t *testing.T, label string, n int, msgs [][]Message) {
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	// Exactly-once delivery: the multiset of deliveries equals the demand.
-	sent := make([][]Message, n)
-	copy(sent, msgs)
-	if err := verify.Routing(sent, res.Delivered); err != nil {
-		t.Fatalf("%s (strategy %v): %v", label, res.Strategy, err)
-	}
+	// Exactly-once delivery in (Src, Seq) row order.
+	checkDelivery(t, label, msgs, res)
 	// The pipeline arm's 10-round Theorem 5.4 schedule (every fast path is
 	// below it) and the constant per-edge bandwidth.
 	if res.Stats.Rounds > 10 {

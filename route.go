@@ -38,7 +38,7 @@ func Route(n int, msgs [][]Message, opts ...Option) (*RouteResult, error) {
 		return nil, err
 	}
 	defer c.Close()
-	return c.routeValidated(context.Background(), msgs)
+	return c.Route(context.Background(), msgs)
 }
 
 // NewUniformMessages is a convenience constructor: it labels payloads[i][j]

@@ -115,14 +115,15 @@ func borrowRows[T any](hdr, rows [][]T) [][]T {
 	return hdr
 }
 
-// New builds a session handle for a congested clique of n >= 1 nodes.
-// Handle-scoped options (WithStrictBandwidth, WithWorkers,
-// WithMaxConcurrency, WithRoundDeadline, WithPlanCache) shape the engine
-// pool; call-scoped options (WithAlgorithm, WithRetry, fault injection)
-// passed here become the handle's defaults, overridable per call. The first
-// engine is built eagerly (so construction errors surface here); engines
-// beyond the first are built lazily, only when operations actually overlap.
-// Close the handle when done to release the engines' pooled buffers.
+// New builds a session handle for a congested clique of n >= 1 nodes, each
+// of whose engines runs its nodes on GOMAXPROCS sweep workers. Handle-scoped
+// options (WithStrictBandwidth, WithMaxConcurrency, WithRoundDeadline,
+// WithPlanCache) shape the engine pool; call-scoped options (WithAlgorithm,
+// WithRetry, fault injection) passed here become the handle's defaults,
+// overridable per call. The first engine is built eagerly (so construction
+// errors surface here); engines beyond the first are built lazily, only
+// when operations actually overlap. Close the handle when done to release
+// the engines' pooled buffers.
 func New(n int, opts ...Option) (*Clique, error) {
 	if err := validateNodeCount(n); err != nil {
 		return nil, err
@@ -414,18 +415,6 @@ func (c *Clique) Route(ctx context.Context, msgs [][]Message, opts ...Option) (*
 	})
 }
 
-// routeValidated runs Route on an instance the caller has already validated
-// (the one-shot shim validates before building the handle, so the happy
-// path pays one validation scan, not two).
-func (c *Clique) routeValidated(ctx context.Context, msgs [][]Message) (*RouteResult, error) {
-	if err := validateFaultCfg(c.n, c.cfg); err != nil {
-		return nil, err
-	}
-	return runOp(c, ctx, c.cfg, func(u *execUnit) (*RouteResult, error) {
-		return u.route(ctx, c.cfg, msgs, c.planCache)
-	})
-}
-
 // route is the routing pipeline body; the caller owns the unit and has
 // validated msgs.
 func (u *execUnit) route(ctx context.Context, cfg config, msgs [][]Message, pc *core.PlanCache) (*RouteResult, error) {
@@ -565,6 +554,12 @@ func (u *execUnit) route(ctx context.Context, cfg config, msgs [][]Message, pc *
 // with identical output and runs everything else as LowCompute does
 // (SortResult.Strategy reports the choice).
 func (c *Clique) Sort(ctx context.Context, values [][]int64, opts ...Option) (*SortResult, error) {
+	return c.sortValues(ctx, values, opts, nil)
+}
+
+// sortValues is Sort with an optional per-node epilogue (see sortStaged):
+// the one path of Sort and of every sorting-based corollary.
+func (c *Clique) sortValues(ctx context.Context, values [][]int64, opts []Option, ep epilogue) (*SortResult, error) {
 	cfg, err := c.callConfig(opts)
 	if err != nil {
 		return nil, err
@@ -576,7 +571,7 @@ func (c *Clique) Sort(ctx context.Context, values [][]int64, opts ...Option) (*S
 		return nil, err
 	}
 	return runOp(c, ctx, cfg, func(u *execUnit) (*SortResult, error) {
-		return u.sortStaged(ctx, cfg, u.stageValues(values), c.planCache)
+		return u.sortStaged(ctx, cfg, u.stageValues(values), c.planCache, ep)
 	})
 }
 
@@ -594,31 +589,16 @@ func (c *Clique) SortKeys(ctx context.Context, keys [][]Key, opts ...Option) (*S
 		return nil, err
 	}
 	return runOp(c, ctx, cfg, func(u *execUnit) (*SortResult, error) {
-		return u.sortKeys(ctx, cfg, keys, c.planCache)
+		defer clear(u.keyIn)
+		return u.sortStaged(ctx, cfg, borrowRows(u.keyIn, keys), c.planCache, nil)
 	})
-}
-
-// sortKeysValidated is SortKeys minus the validation scan, for the one-shot
-// shim which has already validated (see routeValidated).
-func (c *Clique) sortKeysValidated(ctx context.Context, keys [][]Key) (*SortResult, error) {
-	if err := validateFaultCfg(c.n, c.cfg); err != nil {
-		return nil, err
-	}
-	return runOp(c, ctx, c.cfg, func(u *execUnit) (*SortResult, error) {
-		return u.sortKeys(ctx, c.cfg, keys, c.planCache)
-	})
-}
-
-// sortKeys is the key-sorting pipeline body; the caller owns the unit and
-// has validated keys.
-func (u *execUnit) sortKeys(ctx context.Context, cfg config, keys [][]Key, pc *core.PlanCache) (*SortResult, error) {
-	defer clear(u.keyIn)
-	return u.sortStaged(ctx, cfg, borrowRows(u.keyIn, keys), pc)
 }
 
 // sortStaged runs the sorting pipeline on n input rows (the caller owns the
-// unit).
-func (u *execUnit) sortStaged(ctx context.Context, cfg config, inputs [][]Key, pc *core.PlanCache) (*SortResult, error) {
+// unit). A non-nil epilogue ep runs on every node right after its sort, in
+// the same run, so a corollary is planned, cached and charged exactly as Sort
+// is; it forces the blocking program.
+func (u *execUnit) sortStaged(ctx context.Context, cfg config, inputs [][]Key, pc *core.PlanCache, ep epilogue) (*SortResult, error) {
 	if u.sortOut == nil {
 		u.sortOut = make([]*core.SortResult, u.n)
 	}
@@ -667,9 +647,10 @@ func (u *execUnit) sortStaged(ctx context.Context, cfg config, inputs [][]Key, p
 	}
 
 	// The program shape follows from the plan, as in route (the zero plan of
-	// the other algorithms is not step-capable).
+	// the other algorithms is not step-capable), unless an epilogue needs the
+	// blocking program.
 	var runErr error
-	stepped := core.SparseSortStepCapable(plan.Strategy)
+	stepped := ep == nil && core.SparseSortStepCapable(plan.Strategy)
 	if stepped {
 		run, buildErr := core.NewSparseSortRun(u.n, inputs, plan)
 		if buildErr != nil {
@@ -685,13 +666,16 @@ func (u *execUnit) sortStaged(ctx context.Context, cfg config, inputs [][]Key, p
 		stepped = !errors.Is(runErr, core.ErrHitAborted)
 	}
 	if !stepped {
-		sorter, _ := nodeSorter(cfg.algorithm, plan)
+		sorter, route := nodeSorter(cfg.algorithm, plan)
 		runErr = u.nw.RunContext(ctx, func(nd *clique.Node) error {
 			res, sErr := sorter(nd, inputs[nd.ID()])
 			if sErr != nil {
 				return sErr
 			}
 			results[nd.ID()] = res
+			if ep != nil {
+				return ep(nd, res, route)
+			}
 			return nil
 		})
 	}
@@ -741,110 +725,84 @@ func nodeSorter(alg Algorithm, plan core.SortPlan) (func(clique.Exchanger, []Key
 // core.LowComputeRoute).
 type router = func(clique.Exchanger, []Message) ([]Message, error)
 
-// corollary runs a sorting-based corollary as an epilogue on the call's own
-// sort, in one run: every node sorts with nodeSorter (planned once under
-// AlgorithmAuto) and hands its result and Step 6's router to epilogue. An
-// AlgorithmAuto corollary on a WithPlanCache handle pays the census, as an
-// uncacheable SortKeys does, but neither looks up nor stores. It returns
-// node 0's output: every node's, for a selection or a mode; Rank's epilogue
-// gathers its per-node ranks itself.
-func corollary[T any](c *Clique, ctx context.Context, values [][]int64, opts []Option, epilogue func(clique.Exchanger, *core.SortResult, router) (T, error)) (T, Stats, error) {
-	var first T
-	cfg, err := c.callConfig(opts)
-	if err != nil {
-		return first, Stats{}, err
-	}
-	if err := validateValues(c.n, values); err != nil {
-		return first, Stats{}, err
-	}
-	if err := validateFaultCfg(c.n, cfg); err != nil {
-		return first, Stats{}, err
-	}
-	stats, err := runOp(c, ctx, cfg, func(u *execUnit) (Stats, error) {
-		inputs := u.stageValues(values)
-		var plan core.SortPlan
-		if cfg.algorithm == AlgorithmAuto {
-			plan = core.PlanSort(u.n, inputs)
-			plan.Census = c.planCache != nil
-		}
-		sorter, route := nodeSorter(cfg.algorithm, plan)
-		runErr := u.nw.RunContext(ctx, func(nd *clique.Node) error {
-			res, sErr := sorter(nd, inputs[nd.ID()])
-			if sErr != nil {
-				return sErr
-			}
-			out, sErr := epilogue(nd, res, route)
-			if nd.ID() == 0 {
-				first = out
-			}
-			return sErr
-		})
-		if runErr != nil {
-			return Stats{}, runErr
-		}
-		return statsFromMetrics(u.nw.Metrics()), nil
-	})
-	if err != nil {
-		return *new(T), Stats{}, err
-	}
-	return first, stats, nil
-}
+// epilogue is a sorting-based corollary's per-node step, run on the node's
+// sort result with Step 6's router (see nodeSorter). Selection and mode
+// keep node 0's answer, which every node shares; Rank keeps every node's.
+type epilogue = func(clique.Exchanger, *core.SortResult, router) error
 
 // Rank computes, for every input value, its index in the sorted sequence of
 // distinct values present in the system; duplicate values share an index
-// (Corollary 4.6). It costs the algorithm's Sort plus one broadcast round
-// plus one route back (Theorem 3.7 under Deterministic, Theorem 5.4 under
-// LowCompute and AlgorithmAuto).
+// (Corollary 4.6). It costs the call's Sort, plan cache included, plus one
+// broadcast round plus one route back (Theorem 3.7 under Deterministic,
+// Theorem 5.4 under LowCompute and AlgorithmAuto).
 func (c *Clique) Rank(ctx context.Context, values [][]int64, opts ...Option) (*RankResult, error) {
 	ranks := make([][]int, c.n)
-	distinct, stats, err := corollary(c, ctx, values, opts, func(ex clique.Exchanger, res *core.SortResult, route router) (int, error) {
+	var distinct int
+	res, err := c.sortValues(ctx, values, opts, func(ex clique.Exchanger, res *core.SortResult, route router) error {
 		r, err := core.Rank(ex, res, route)
 		if err != nil {
-			return 0, err
+			return err
 		}
-		if id := ex.ID(); id < len(values) {
+		id := ex.ID()
+		if id == 0 {
+			distinct = r.DistinctTotal
+		}
+		if id < len(values) {
 			if len(r.Ranks) != len(values[id]) {
-				return 0, fmt.Errorf("congestedclique: node %d received %d ranks for %d input values", id, len(r.Ranks), len(values[id]))
+				return fmt.Errorf("congestedclique: node %d received %d ranks for %d input values", id, len(r.Ranks), len(values[id]))
 			}
 			ranks[id] = make([]int, len(values[id]))
 			for j := range ranks[id] {
 				ranks[id][j] = r.Ranks[j]
 			}
 		}
-		return r.DistinctTotal, nil
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &RankResult{Ranks: ranks, DistinctTotal: distinct, Stats: stats}, nil
+	return &RankResult{Ranks: ranks, DistinctTotal: distinct, Stats: res.Stats}, nil
 }
 
 // SelectKth returns the key of global rank k (0-based) among all input
-// values, together with the execution statistics: the algorithm's Sort plus
-// one broadcast round.
+// values, together with the execution statistics: the call's Sort plus one
+// broadcast round.
 func (c *Clique) SelectKth(ctx context.Context, values [][]int64, k int, opts ...Option) (Key, Stats, error) {
-	return corollary(c, ctx, values, opts, func(ex clique.Exchanger, res *core.SortResult, _ router) (Key, error) {
+	return sharedAnswer(c, ctx, values, opts, func(ex clique.Exchanger, res *core.SortResult) (Key, error) {
 		return core.Select(ex, res, k)
 	})
 }
 
 // Median returns the lower median of all input values, as SelectKth does.
 func (c *Clique) Median(ctx context.Context, values [][]int64, opts ...Option) (Key, Stats, error) {
-	return corollary(c, ctx, values, opts, func(ex clique.Exchanger, res *core.SortResult, _ router) (Key, error) {
-		return core.Median(ex, res)
-	})
+	return sharedAnswer(c, ctx, values, opts, core.Median)
 }
 
 // Mode returns the most frequent value among all inputs (smallest value wins
-// ties), computed by the algorithm's Sort plus one summary round.
+// ties), computed by the call's Sort plus one summary round.
 func (c *Clique) Mode(ctx context.Context, values [][]int64, opts ...Option) (*ModeResult, error) {
-	mode, stats, err := corollary(c, ctx, values, opts, func(ex clique.Exchanger, res *core.SortResult, _ router) (*core.ModeResult, error) {
-		return core.Mode(ex, res)
-	})
+	mode, stats, err := sharedAnswer(c, ctx, values, opts, core.Mode)
 	if err != nil {
 		return nil, err
 	}
 	return &ModeResult{Value: mode.Value, Count: mode.Count, Stats: stats}, nil
+}
+
+// sharedAnswer runs an epilogue whose answer every node shares (a selection
+// or a mode) and returns node 0's.
+func sharedAnswer[T any](c *Clique, ctx context.Context, values [][]int64, opts []Option, answer func(clique.Exchanger, *core.SortResult) (T, error)) (T, Stats, error) {
+	var out T
+	res, err := c.sortValues(ctx, values, opts, func(ex clique.Exchanger, res *core.SortResult, _ router) error {
+		v, err := answer(ex, res)
+		if ex.ID() == 0 {
+			out = v
+		}
+		return err
+	})
+	if err != nil {
+		return *new(T), Stats{}, err
+	}
+	return out, res.Stats, nil
 }
 
 // CountSmallKeys counts keys drawn from a small domain [0, domain) in two

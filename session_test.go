@@ -321,7 +321,7 @@ func TestSessionUseAfterClose(t *testing.T) {
 func TestHandleScopedOptionRejectedPerCall(t *testing.T) {
 	t.Parallel()
 	ctx := context.Background()
-	cl, err := New(8, WithStrictBandwidth(64), WithWorkers(2), WithMaxConcurrency(2),
+	cl, err := New(8, WithStrictBandwidth(64), WithMaxConcurrency(2),
 		WithRoundDeadline(time.Minute), WithPlanCache(4))
 	if err != nil {
 		t.Fatal(err)
@@ -329,7 +329,6 @@ func TestHandleScopedOptionRejectedPerCall(t *testing.T) {
 	defer cl.Close()
 	for name, opt := range map[string]Option{
 		"WithStrictBandwidth": WithStrictBandwidth(16),
-		"WithWorkers":         WithWorkers(4),
 		"WithMaxConcurrency":  WithMaxConcurrency(3),
 		"WithRoundDeadline":   WithRoundDeadline(time.Second),
 		"WithPlanCache":       WithPlanCache(8),

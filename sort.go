@@ -52,7 +52,7 @@ func SortKeys(n int, keys [][]Key, opts ...Option) (*SortResult, error) {
 		return nil, err
 	}
 	defer c.Close()
-	return c.sortKeysValidated(context.Background(), keys)
+	return c.SortKeys(context.Background(), keys)
 }
 
 // RankResult is the outcome of the rank-in-union computation

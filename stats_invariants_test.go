@@ -285,12 +285,7 @@ func TestCorollaryStatsInvariants(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			values := make([][]int64, g.n)
-			for i, ks := range inst.Keys {
-				for _, k := range ks {
-					values[i] = append(values[i], k.Value)
-				}
-			}
+			values := keyValues(inst.Keys)
 			cl, err := New(g.n, WithAlgorithm(g.alg))
 			if err != nil {
 				t.Fatal(err)
@@ -309,14 +304,7 @@ func TestCorollaryStatsInvariants(t *testing.T) {
 				t.Fatal(err)
 			}
 			check("Rank", rank.Stats, g.rank)
-			ranks := make([]*core.RankResult, g.n)
-			for i, rs := range rank.Ranks {
-				ranks[i] = &core.RankResult{Ranks: make(map[int]int, len(rs)), DistinctTotal: rank.DistinctTotal}
-				for j, r := range rs {
-					ranks[i].Ranks[j] = r
-				}
-			}
-			if err := verify.Ranks(inst.Keys, ranks); err != nil {
+			if err := verify.Ranks(inst.Keys, rankResults(rank)); err != nil {
 				t.Error(err)
 			}
 
@@ -338,5 +326,71 @@ func TestCorollaryStatsInvariants(t *testing.T) {
 				t.Error(err)
 			}
 		})
+	}
+}
+
+// keyValues is the plain-value form of a sorting instance's keys.
+func keyValues(keys [][]Key) [][]int64 {
+	values := make([][]int64, len(keys))
+	for i, ks := range keys {
+		for _, k := range ks {
+			values[i] = append(values[i], k.Value)
+		}
+	}
+	return values
+}
+
+// rankResults is a Rank result in the per-node form internal/verify checks.
+func rankResults(rank *RankResult) []*core.RankResult {
+	ranks := make([]*core.RankResult, len(rank.Ranks))
+	for i, rs := range rank.Ranks {
+		ranks[i] = &core.RankResult{Ranks: make(map[int]int, len(rs)), DistinctTotal: rank.DistinctTotal}
+		for j, r := range rs {
+			ranks[i].Ranks[j] = r
+		}
+	}
+	return ranks
+}
+
+// corollaryOp is one sorting-based corollary on one instance: run calls it
+// on a handle and checks its output against internal/verify.
+type corollaryOp struct {
+	name string
+	run  func(*Clique) (Stats, error)
+}
+
+// corollaryOps lists Rank, SelectKth (rank total/3), Median and Mode on keys.
+func corollaryOps(ctx context.Context, keys [][]Key) []corollaryOp {
+	values := keyValues(keys)
+	total := 0
+	for _, ks := range keys {
+		total += len(ks)
+	}
+	selectOp := func(k int, sel func(*Clique) (Key, Stats, error)) func(*Clique) (Stats, error) {
+		return func(cl *Clique) (Stats, error) {
+			key, s, err := sel(cl)
+			if err != nil {
+				return s, err
+			}
+			return s, verify.Select(keys, k, key)
+		}
+	}
+	return []corollaryOp{
+		{"Rank", func(cl *Clique) (Stats, error) {
+			r, err := cl.Rank(ctx, values)
+			if err != nil {
+				return Stats{}, err
+			}
+			return r.Stats, verify.Ranks(keys, rankResults(r))
+		}},
+		{"SelectKth", selectOp(total/3, func(cl *Clique) (Key, Stats, error) { return cl.SelectKth(ctx, values, total/3) })},
+		{"Median", selectOp((total-1)/2, func(cl *Clique) (Key, Stats, error) { return cl.Median(ctx, values) })},
+		{"Mode", func(cl *Clique) (Stats, error) {
+			m, err := cl.Mode(ctx, values)
+			if err != nil {
+				return Stats{}, err
+			}
+			return m.Stats, verify.Mode(keys, m.Value, m.Count)
+		}},
 	}
 }
