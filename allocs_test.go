@@ -8,6 +8,7 @@ import (
 	"runtime/debug"
 	"testing"
 	"time"
+	"unsafe"
 
 	"congestedclique/internal/workload"
 )
@@ -116,6 +117,68 @@ func TestWarmAllocsLowComputeRoute(t *testing.T) {
 		t.Logf("n=%d allocs/op: Theorem 3.7 %.0f, Theorem 5.4 %.0f", n, det, low)
 		if low > det {
 			t.Errorf("n=%d: a warm Theorem 5.4 op allocates %.0f, more than Theorem 3.7's %.0f", n, low, det)
+		}
+	}
+}
+
+// TestWarmAllocsRouteBytes pins the bytes a warm n=256 Route allocates per
+// op to at most routeBytesPerRow times what its result rows take (n² Message
+// values of 32 bytes), under Theorem 3.7 (Deterministic) and Theorem 5.4
+// (LowCompute), on the protocol benchmark's full load and on the
+// drift-shuffle trace's first instance (non-uniform Step 5 demands). The
+// routers' bookkeeping — count matrices, balance plans, member lists —
+// comes from each comm's pooled scratch, and parcels travel in its rotating
+// held slots, so what is left per op is mostly the rows themselves: 1.2x
+// and 1.0x on the full load under Theorems 3.7 and 5.4, 1.5x and 1.9x on
+// drift-shuffle, where Step 5's greedy colourings add their runs. Routers
+// that build their matrices and parcel slices per op read 4.4x to 7.9x.
+func TestWarmAllocsRouteBytes(t *testing.T) {
+	const (
+		n                = 256
+		runs             = 5
+		routeBytesPerRow = 3.0
+	)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	ctx := context.Background()
+	sc, ok := workload.TemporalScenarioByName("drift-shuffle")
+	if !ok {
+		t.Fatal("temporal scenario drift-shuffle missing from the catalog")
+	}
+	tr, err := sc.Build(n, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := float64(n * n * int(unsafe.Sizeof(Message{})))
+	for _, inst := range []struct {
+		name string
+		msgs [][]Message
+	}{{"full load", benchRouteWorkload(n)}, {"drift-shuffle", tr.Distinct[0].Msgs}} {
+		for _, alg := range []Algorithm{Deterministic, LowCompute} {
+			cl, err := New(n, WithAlgorithm(alg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			route := func() {
+				if _, err := cl.Route(ctx, inst.msgs); err != nil {
+					t.Fatal(err)
+				}
+			}
+			route()
+			route()
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				route()
+			}
+			runtime.ReadMemStats(&after)
+			cl.Close()
+			perOp := float64(after.TotalAlloc-before.TotalAlloc) / runs
+			t.Logf("%s, %v: %.0f KiB/op, %.2f x the rows' %.0f KiB", inst.name, alg, perOp/1024, perOp/rows, rows/1024)
+			if perOp > routeBytesPerRow*rows {
+				t.Errorf("%s, %v: a warm Route allocates %.0f KiB/op, more than %.1f x its rows' %.0f KiB",
+					inst.name, alg, perOp/1024, routeBytesPerRow, rows/1024)
+			}
 		}
 	}
 }

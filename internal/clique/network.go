@@ -1099,6 +1099,27 @@ type SharedSnapshot struct {
 // Len returns the number of captured entries (for tests and introspection).
 func (s SharedSnapshot) Len() int { return len(s.keyed) }
 
+// Filter returns the snapshot of the entries whose key keep accepts (s
+// itself when it keeps them all).
+func (s SharedSnapshot) Filter(keep func(SharedKey) bool) SharedSnapshot {
+	var m map[SharedKey]interface{}
+	for k := range s.keyed {
+		if !keep(k) {
+			m = make(map[SharedKey]interface{}, len(s.keyed))
+			break
+		}
+	}
+	if m == nil {
+		return s
+	}
+	for k, v := range s.keyed {
+		if keep(k) {
+			m[k] = v
+		}
+	}
+	return SharedSnapshot{keyed: m}
+}
+
 // CaptureShared copies the keyed shared-computation cache of the engine's
 // most recent run. Memoised error values are skipped — a snapshot must only
 // carry reusable results. Call it between runs (after RunContext returns).

@@ -55,7 +55,7 @@
 //
 // # Arena ownership and lifetime rules
 //
-// Three kinds of memory back the words protocol code touches; retaining a
+// Four kinds of memory back what protocol code touches; retaining a
 // decoded slice beyond its window is a bug:
 //
 //   - Engine receive memory. Messages decoded from an exchange (rxBuf views,
@@ -70,10 +70,16 @@
 //   - Instance arena memory. comm.arenaAppend/arenaHeld copy words into the
 //     instance-owned arena. Views stay valid across appends (growth is
 //     append-only) until comm.release hands the arena to the pool; arenaReset
-//     truncates it at pipeline points where no views are live. Parcels
-//     returned by routeParcels are arena-backed for exactly this reason:
-//     they outlive the engine's grace window, and the comm's creator
-//     consumes them before releasing the comm.
+//     truncates it at pipeline points where no views are live. The parcels
+//     a router delivers (routeHeld) are engine-backed views, decoded by the
+//     comm's creator right away; a V1/V2/corner sub-instance of Theorem
+//     3.7's decomposition, which finishes while its siblings keep running,
+//     copies its delivered payloads into its parent's arena first.
+//
+//   - Int arena memory. The count matrices, balance plans and cursors an
+//     instance builds are carved from its comm's int arena (intMatrix,
+//     intVec) and live until comm.release; a matrix a schedule capture keeps
+//     for later runs is cloned at the capture site (cloneIntMatrix).
 //
 //   - Staging memory. The staging log and frame buffer are recycled every
 //     round; the engine copies frame contents at delivery, so nothing may
@@ -81,8 +87,7 @@
 //     it, which is why a step program's node keeps its stager across steps.
 //
 // comm.release returns all of it to process-wide pools; it is only legal
-// once the instance's results have been copied into caller-owned values.
-// Sub-instances whose arena-backed parcels flow upward (the V1/V2/corner
-// routers of Theorem 3.7's decomposition) are never released and fall to the
-// garbage collector instead.
+// once the instance's results have been copied into caller-owned values (or
+// into its parent's arena, as the V1/V2/corner routers of Theorem 3.7's
+// decomposition do).
 package core

@@ -44,11 +44,11 @@ func LowComputeRoute(ex clique.Exchanger, msgs []Message) ([]Message, error) {
 // round its miss ran at) and an optional cached schedule to replay or an
 // empty one to capture (see RouteSchedule). Schedules exist
 // only for perfect-square n ≥ routeTrivialThreshold
-// (NewRouteScheduleCapture), where routeParcels runs the square router once,
+// (NewRouteScheduleCapture), where routeHeld runs the square router once,
 // on the whole clique.
 func lowComputeRoute(ex clique.Exchanger, msgs []Message, at int, sched, capture *RouteSchedule) ([]Message, error) {
-	square := func(c *comm, parcels []parcel, st step) ([]parcel, error) {
-		return lowComputeSquare(c, parcels, st, sched, capture)
+	square := func(c *comm, load []held, st step) ([]held, error) {
+		return lowComputeSquare(c, load, st, sched, capture)
 	}
 	return routeMessages(ex, msgs, "lowroute@r", at, rootStep("thm5.4"), square)
 }
@@ -133,9 +133,9 @@ func checkScheduleRow(all [][]int, myIdx int, local []int) error {
 // The theorem's schedule opens with Algorithm 2 Step 1's 2-round set-total
 // aggregation; the proportional rule never reads those totals, so they are
 // not aggregated (see ARCHITECTURE.md). With a capture target member 0 of
-// every group records that group's Step 5 count matrix; a cached schedule
-// replaces the announcement — 8 rounds.
-func lowComputeSquare(c *comm, parcels []parcel, st step, sched, capture *RouteSchedule) ([]parcel, error) {
+// every group records (a clone of) that group's Step 5 count matrix; a
+// cached schedule replaces the announcement — 8 rounds.
+func lowComputeSquare(c *comm, load []held, st step, sched, capture *RouteSchedule) ([]held, error) {
 	m := c.size()
 	s := isqrt(m)
 	grp, err := newGrouping(m, s)
@@ -144,18 +144,8 @@ func lowComputeSquare(c *comm, parcels []parcel, st step, sched, capture *RouteS
 	}
 	myGroup := grp.groupOf(c.me)
 	myIdxInGroup := grp.indexInGroup(c.me)
-	groupMembers := make([]int, s)
-	for i := range groupMembers {
-		groupMembers[i] = grp.member(myGroup, i)
-	}
+	groupMembers := identityMembers(m)[myGroup*s : (myGroup+1)*s : (myGroup+1)*s]
 
-	loadSlot := c.heldSlot()
-	load := *loadSlot
-	for _, p := range parcels {
-		dstLocal, _ := c.localOf(p.Dst)
-		load = append(load, held{dstLocal: dstLocal, src: p.Src, payload: p.Words})
-	}
-	*loadSlot = load
 	c.ex.CountSteps(len(load) + s*s)
 	c.ex.ReportMemory(len(load)*6 + s*s)
 
@@ -165,7 +155,7 @@ func lowComputeSquare(c *comm, parcels []parcel, st step, sched, capture *RouteS
 	// rotation rule: the j-th message a node holds for destination set B goes
 	// to intermediate set (j + a + B) mod s, so every node splits its per-set
 	// traffic evenly over the intermediate sets.
-	perSetCursor := make([]int, s)
+	perSetCursor := c.intVec(s)
 	for i := range load {
 		b := grp.groupOf(load[i].dstLocal)
 		j := perSetCursor[b]
@@ -180,7 +170,7 @@ func lowComputeSquare(c *comm, parcels []parcel, st step, sched, capture *RouteS
 	if err != nil {
 		return nil, fmt.Errorf("%s inter-set balancing: %w", st.name, err)
 	}
-	// The input parcels' payloads have been copied into frames and delivered;
+	// The input load's payloads have been copied into frames and delivered;
 	// their arena storage is dead.
 	c.arenaReset()
 	c.ex.CountSteps(len(load))
@@ -188,7 +178,7 @@ func lowComputeSquare(c *comm, parcels []parcel, st step, sched, capture *RouteS
 	// (1 round) Inter-set exchange: for each intermediate set, send one held
 	// message to each of its members (at most a constant number per edge
 	// because of the previous balancing).
-	dealInter := make([]int, s)
+	dealInter := c.intVec(s)
 	for _, h := range load {
 		k := dealInter[h.interSet]
 		dealInter[h.interSet]++
@@ -213,7 +203,7 @@ func lowComputeSquare(c *comm, parcels []parcel, st step, sched, capture *RouteS
 
 	// (1 round) Move every message to a member of its destination set, at most
 	// two per edge (Lemma 5.1).
-	dealDst := make([]int, s)
+	dealDst := c.intVec(s)
 	for _, h := range load {
 		t := grp.groupOf(h.dstLocal)
 		k := dealDst[t]
@@ -232,7 +222,7 @@ func lowComputeSquare(c *comm, parcels []parcel, st step, sched, capture *RouteS
 	// groupRouteUnknown's, so captured and seeded runs share colorings.
 	itemsSlot := c.itemSlot()
 	items := *itemsSlot
-	counts := make([]int, s)
+	counts := c.intVec(s)
 	for _, h := range load {
 		if grp.groupOf(h.dstLocal) != myGroup {
 			return nil, fmt.Errorf("%s step5: node %d holds a parcel for foreign set %d", st.name, c.ex.ID(), grp.groupOf(h.dstLocal))
@@ -254,7 +244,7 @@ func lowComputeSquare(c *comm, parcels []parcel, st step, sched, capture *RouteS
 			return nil, fmt.Errorf("%s step5: %w", st.name, err)
 		}
 		if capture != nil && myIdxInGroup == 0 {
-			capture.S5Counts[myGroup] = demand
+			capture.S5Counts[myGroup] = cloneIntMatrix(demand)
 		}
 	}
 	receivedItems, err := relayRouteColored(c, groupMembers, demand, items, st5.sub("deliver", kcDeliver), true)
@@ -262,7 +252,7 @@ func lowComputeSquare(c *comm, parcels []parcel, st step, sched, capture *RouteS
 		return nil, fmt.Errorf("%s step5: %w", st.name, err)
 	}
 	c.ex.CountSteps(len(receivedItems))
-	return heldItemsToParcels(c, receivedItems, "low-compute step5")
+	return deliveredHeld(c, receivedItems, "low-compute step5")
 }
 
 // roundRobinRedistribute is Lemma 5.1: every member of a set orders its held

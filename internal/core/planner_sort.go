@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
 
 	"congestedclique/internal/clique"
 )
@@ -403,7 +404,7 @@ func AutoSort(ex clique.Exchanger, myKeys []Key, plan SortPlan) (*SortResult, er
 // sequence position, the same footnote-5 order the pipeline sorts by). Two
 // dealRanked rounds then deliver the batches. 4 rounds total.
 func smallDomainSort(ex clique.Exchanger, myKeys []Key, plan SortPlan, at int) (*SortResult, error) {
-	c := fullComm(ex, fmt.Sprintf("smallsort@r%d", at))
+	c := fullComm(ex, smallSortLabel+strconv.Itoa(at))
 	defer c.release()
 	n := c.size()
 	k := len(plan.Domain)

@@ -292,23 +292,25 @@ func announceFixed(c *comm, group []int, payloads [][]clique.Word, perMember int
 
 // announceIntVector announces one integer vector per group member to the
 // whole group (Algorithm 2 Step 3, Corollary 3.5, Corollary 3.4 phase 1, ...).
-// It returns all[a][t] = element t of the vector announced by group member a.
-// The vector length must be identical at all members.
+// It returns all[a][t] = element t of the vector announced by group member a,
+// carved from the comm's int arena. The vector length must be identical at
+// all members.
 func announceIntVector(c *comm, group []int, vec []int, st step) ([][]int, error) {
 	var payloads [][]clique.Word
 	perMember := 0
 	if len(group) > 0 {
 		perMember = len(vec)
-		payloads = make([][]clique.Word, 0, len(vec))
+		payloads = c.annIn[:0]
 		for t, v := range vec {
 			payloads = append(payloads, c.arenaAppend(clique.Word(t), clique.Word(v)))
 		}
+		c.annIn = payloads
 	}
 	raw, err := announceFixed(c, group, payloads, perMember, st)
 	if err != nil || len(group) == 0 {
 		return nil, err
 	}
-	all := makeIntMatrix(len(group), len(vec))
+	all := c.intMatrix(len(group), len(vec))
 	for a := range all {
 		if len(raw[a]) != len(vec) {
 			return nil, fmt.Errorf("core: announceIntVector(%s): member %d announced %d values, want %d", st.name, a, len(raw[a]), len(vec))
@@ -343,7 +345,7 @@ func groupRouteUnknownColored(c *comm, group []int, mine []item, st step, greedy
 	var vec []int
 	if w > 0 {
 		pos := c.groupPositions(group)
-		vec = make([]int, w)
+		vec = c.intVec(w)
 		for _, it := range mine {
 			b := int32(-1)
 			if it.dst >= 0 && it.dst < c.size() {
@@ -377,8 +379,9 @@ func groupRouteUnknownColored(c *comm, group []int, mine []item, st step, greedy
 // vals[b] is this node's contribution to slot base+b; every caller
 // contributes a contiguous slot range (zero contributions included), which
 // keeps the interface dense and allocation-free. numSlots must not exceed the
-// comm size, so each member aggregates at most its own slot.
-func aggregateAndBroadcast(c *comm, base int, vals []int64, numSlots int) ([]int64, error) {
+// comm size, so each member aggregates at most its own slot. The sums are
+// carved from the comm's int arena.
+func aggregateAndBroadcast(c *comm, base int, vals []int, numSlots int) ([]int, error) {
 	if !c.isMember() {
 		return nil, fmt.Errorf("core: aggregateAndBroadcast: node %d is not a member", c.ex.ID())
 	}
@@ -395,7 +398,7 @@ func aggregateAndBroadcast(c *comm, base int, vals []int64, numSlots int) ([]int
 	}
 
 	// Sum the contributions of the slot this node aggregates (its own index).
-	var mySum int64
+	var mySum int
 	for _, p := range rx.all() {
 		if len(p) < 2 {
 			continue
@@ -403,7 +406,7 @@ func aggregateAndBroadcast(c *comm, base int, vals []int64, numSlots int) ([]int
 		if slot := int(p[0]); slot != c.me || slot >= numSlots {
 			return nil, fmt.Errorf("core: aggregateAndBroadcast: node %d received contribution for foreign slot %d", c.ex.ID(), int(p[0]))
 		}
-		mySum += int64(p[1])
+		mySum += int(p[1])
 	}
 	if c.me < numSlots {
 		for to := 0; to < c.size(); to++ {
@@ -414,7 +417,7 @@ func aggregateAndBroadcast(c *comm, base int, vals []int64, numSlots int) ([]int
 	if err != nil {
 		return nil, err
 	}
-	out := make([]int64, numSlots)
+	out := c.intVec(numSlots)
 	seen := c.cursors(numSlots)
 	for _, p := range rx.all() {
 		if len(p) < 2 {
@@ -424,7 +427,7 @@ func aggregateAndBroadcast(c *comm, base int, vals []int64, numSlots int) ([]int
 		if slot < 0 || slot >= numSlots {
 			return nil, fmt.Errorf("core: aggregateAndBroadcast: broadcast slot %d out of range", slot)
 		}
-		out[slot] = int64(p[1])
+		out[slot] = int(p[1])
 		seen[slot] = 1
 	}
 	for slot, ok := range seen {
@@ -507,24 +510,21 @@ type balancePlan struct {
 }
 
 // newBalancePlan builds the plan from counts[a][t] = number of class-t items
-// held by group member a. The matrix is squared up with zero rows/columns if
-// the number of classes differs from the group size. group discriminates
-// concurrent groups sharing the step key.
-func newBalancePlan(c *comm, counts [][]int, w int, st step, group int32) (*balancePlan, error) {
-	numClasses := 0
-	for _, row := range counts {
-		if len(row) > numClasses {
-			numClasses = len(row)
-		}
-	}
+// held by group member a. The matrix is squared up with zero rows/columns
+// (in a copy from the comm's int arena) if it is not square. group
+// discriminates concurrent groups sharing the step key.
+func newBalancePlan(c *comm, counts [][]int, w int, st step, group int32) (balancePlan, error) {
 	dim := len(counts)
-	if numClasses > dim {
-		dim = numClasses
+	ragged := false
+	for _, row := range counts {
+		dim = max(dim, len(row))
+		ragged = ragged || len(row) != len(counts)
 	}
-	square := makeIntMatrix(dim, dim)
-	for i := range square {
-		if i < len(counts) {
-			copy(square[i], counts[i])
+	square := counts
+	if ragged {
+		square = c.intMatrix(dim, dim)
+		for i, row := range counts {
+			copy(square[i], row)
 		}
 	}
 	d := bipartite.MaxRowColSum(square)
@@ -540,14 +540,14 @@ func newBalancePlan(c *comm, counts [][]int, w int, st step, group int32) (*bala
 	})
 	dc, ok := shared.(*bipartite.DemandColoring)
 	if !ok {
-		return nil, fmt.Errorf("core: balance plan (%s): %v", st.name, shared)
+		return balancePlan{}, fmt.Errorf("core: balance plan (%s): %v", st.name, shared)
 	}
-	return &balancePlan{coloring: dc, w: w}, nil
+	return balancePlan{coloring: dc, w: w}, nil
 }
 
 // target returns the group position that the k-th class-t item of member a
 // must move to.
-func (p *balancePlan) target(a, t, k int) (int, error) {
+func (p balancePlan) target(a, t, k int) (int, error) {
 	color, err := p.coloring.ColorOfUnit(a, t, k)
 	if err != nil {
 		return 0, err
@@ -555,15 +555,16 @@ func (p *balancePlan) target(a, t, k int) (int, error) {
 	return color % p.w, nil
 }
 
-// moveDemand returns the member-to-member demand matrix induced by the plan,
-// which is what Corollary 3.3 needs to execute the redistribution. Instead
-// of resolving every unit's color individually (O(units) coloring lookups),
-// it walks each cell's color runs once: a run of consecutive colors spreads
-// over the residues modulo w in full cycles plus one extra for the first
-// span%w residues — the same arithmetic as countUnitsByResidue.
-func (p *balancePlan) moveDemand(counts [][]int) ([][]int, error) {
+// moveDemand returns the member-to-member demand matrix induced by the plan
+// (carved from c's int arena), which is what Corollary 3.3 needs to execute
+// the redistribution. Instead of resolving every unit's color individually
+// (O(units) coloring lookups), it walks each cell's color runs once: a run
+// of consecutive colors spreads over the residues modulo w in full cycles
+// plus one extra for the first span%w residues — the same arithmetic as
+// countUnitsByResidue.
+func (p balancePlan) moveDemand(c *comm, counts [][]int) ([][]int, error) {
 	w := p.w
-	demand := makeIntMatrix(w, w)
+	demand := c.intMatrix(w, w)
 	for a := range counts {
 		for t := range counts[a] {
 			n := counts[a][t]

@@ -2,26 +2,12 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"congestedclique/internal/bipartite"
 	"congestedclique/internal/clique"
 )
-
-// parcel is the unit of the Information Distribution Task in its general
-// form: a constant number of payload words that must travel from Src to Dst
-// (both global node identifiers). The paper's messages of O(log n) bits are
-// parcels with a bounded number of words; the sorting pipeline reuses the
-// same machinery to move bundles of keys.
-//
-// Parcel payloads returned by routeParcels borrow instance-owned or
-// engine-owned memory (valid for the engine's payload grace window); callers
-// consume or copy them immediately.
-type parcel struct {
-	Src   int
-	Dst   int
-	Words []clique.Word
-}
 
 // Route is the per-node entry point for the Information Distribution Task
 // (Problem 3.1): every node calls Route with the messages it wants delivered
@@ -40,26 +26,36 @@ func Route(ex clique.Exchanger, msgs []Message) ([]Message, error) {
 }
 
 // routeMessages is the Message-level shell shared by Route and
-// LowComputeRoute: it encodes msgs as parcels on a comm spanning the clique
-// (labelled label + at, the round the caller names the run by), routes them with routeParcels and square, and
-// decodes what arrived, sorted by (Src, Dst, Seq).
+// LowComputeRoute: it encodes msgs as held parcels (payload [Seq, Payload])
+// on a comm spanning the clique (labelled label + at, the round the caller
+// names the run by), routes them with routeHeld and square, and decodes the
+// last hop straight into the result, sorted by (Src, Dst, Seq).
 func routeMessages(ex clique.Exchanger, msgs []Message, label string, at int, st step, square squareRouter) ([]Message, error) {
 	c := fullComm(ex, label+strconv.Itoa(at))
 	defer c.release()
-	parcels := make([]parcel, 0, len(msgs))
+	slot := c.heldSlot()
+	load := slices.Grow(*slot, len(msgs))
 	for _, m := range msgs {
-		parcels = append(parcels, parcel{Src: m.Src, Dst: m.Dst, Words: c.arenaAppend(clique.Word(m.Seq), m.Payload)})
+		if m.Src != ex.ID() {
+			return nil, fmt.Errorf("core: parcel (%d->%d) submitted by node %d", m.Src, m.Dst, ex.ID())
+		}
+		dstLocal, ok := c.localOf(m.Dst)
+		if !ok {
+			return nil, fmt.Errorf("core: parcel destination %d is not a member of instance %q", m.Dst, c.label)
+		}
+		load = append(load, held{dstLocal: dstLocal, src: m.Src, payload: c.arenaAppend(clique.Word(m.Seq), m.Payload)})
 	}
-	received, err := routeParcels(c, parcels, st, square)
+	*slot = load
+	received, err := routeHeld(c, load, st, square)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]Message, 0, len(received))
-	for _, p := range received {
-		if len(p.Words) < 2 {
-			return nil, fmt.Errorf("core: malformed routed message with %d payload words", len(p.Words))
+	for _, h := range received {
+		if len(h.payload) < 2 {
+			return nil, fmt.Errorf("core: malformed routed message with %d payload words", len(h.payload))
 		}
-		out = append(out, Message{Src: p.Src, Dst: p.Dst, Seq: int(p.Words[0]), Payload: p.Words[1]})
+		out = append(out, Message{Src: h.src, Dst: c.global(h.dstLocal), Seq: int(h.payload[0]), Payload: h.payload[1]})
 	}
 	sortMessages(out)
 	return out, nil
@@ -70,48 +66,41 @@ func routeMessages(ex clique.Exchanger, msgs []Message, label string, at int, st
 // Corollary 3.4 group instead.
 const routeTrivialThreshold = 9
 
-// squareRouter routes parcels on a comm whose member count is a perfect
-// square: routeSquare (Algorithm 1, Theorem 3.7) or lowComputeSquare
-// (Theorem 5.4).
-type squareRouter func(c *comm, parcels []parcel, st step) ([]parcel, error)
+// squareRouter routes held parcels on a comm whose member count is a
+// perfect square: routeSquare (Algorithm 1, Theorem 3.7) or
+// lowComputeSquare (Theorem 5.4).
+type squareRouter func(c *comm, load []held, st step) ([]held, error)
 
-// routeParcels dispatches between the perfect-square algorithm, the
+// routeHeld dispatches between the perfect-square algorithm, the
 // tiny-clique fallback and the general decomposition, which runs square on
 // V1 and V2. Every member of the comm must call it in the same round.
-func routeParcels(c *comm, parcels []parcel, st step, square squareRouter) ([]parcel, error) {
-	if err := validateParcels(c, parcels); err != nil {
-		return nil, err
-	}
+//
+// load is this node's parcels, each with its source (this node) and its
+// destination as a local index of c; the router may reorder and modify it.
+// The result lists the parcels delivered to this node in a rotating held
+// slot of c (see deliveredHeld); the caller decodes it before its comm's
+// next exchange or release.
+func routeHeld(c *comm, load []held, st step, square squareRouter) ([]held, error) {
 	m := c.size()
 	switch {
 	case m == 1:
-		return parcels, nil
+		return load, nil
 	case m < routeTrivialThreshold:
-		return routeTiny(c, parcels, st.sub("tiny", kcTiny))
+		return routeTiny(c, load, st.sub("tiny", kcTiny))
 	case isPerfectSquare(m):
-		return square(c, parcels, st.sub("square", kcSquare))
+		return square(c, load, st.sub("square", kcSquare))
 	default:
-		return routeGeneral(c, parcels, st.sub("general", kcGeneral), square)
+		return routeGeneral(c, load, st.sub("general", kcGeneral), square)
 	}
 }
 
-// validateParcels checks that every parcel source is this node and every
-// destination is a member of the instance.
-func validateParcels(c *comm, parcels []parcel) error {
-	for _, p := range parcels {
-		if p.Src != c.ex.ID() {
-			return fmt.Errorf("core: parcel (%d->%d) submitted by node %d", p.Src, p.Dst, c.ex.ID())
-		}
-		if _, ok := c.localOf(p.Dst); !ok {
-			return fmt.Errorf("core: parcel destination %d is not a member of instance %q", p.Dst, c.label)
-		}
-	}
-	return nil
-}
-
-// held is a parcel in transit together with the bookkeeping Algorithm 2
+// held is a parcel — the unit of the Information Distribution Task in its
+// general form: a constant number of payload words that must travel from a
+// source to a destination node — together with the bookkeeping Algorithm 2
 // attaches to it: the destination as a local index of the enclosing comm and
-// the intermediate set assigned by the set-level coloring.
+// the intermediate set assigned by the set-level coloring. The paper's
+// messages of O(log n) bits are parcels with a bounded number of words; the
+// sorting pipeline reuses the same machinery to move bundles of keys.
 //
 // Wire layout: [dstLocal, interSet, src, payload...]. The payload borrows
 // whatever buffer the parcel was decoded from (engine receive arena or
@@ -135,50 +124,37 @@ func decodeHeldParcel(w []clique.Word, c *comm) (held, error) {
 	return h, nil
 }
 
-// toParcel converts a delivered held parcel to the caller-facing form. The
-// payload is copied into the instance arena: delivered parcels must outlive
-// the engine's payload grace window (concurrently multiplexed instances may
-// keep completing rounds after this instance has finished, recycling the
-// engine's receive buffers), and the arena is stable for the lifetime of the
-// comm without per-parcel allocation.
-func (h held) toParcel(c *comm) parcel {
-	return parcel{Src: h.src, Dst: c.global(h.dstLocal), Words: c.arenaAppend(h.payload...)}
-}
-
 // routeTiny routes within a very small clique by treating all members as a
 // single group of Corollary 3.4 (4 rounds). The announcement volume is |W|^2
 // values, which is a constant because the clique size is bounded by
 // routeTrivialThreshold.
-func routeTiny(c *comm, parcels []parcel, st step) ([]parcel, error) {
-	group := make([]int, c.size())
-	for i := range group {
-		group[i] = i
-	}
+func routeTiny(c *comm, load []held, st step) ([]held, error) {
+	group := identityMembers(c.size()) // every local index
 	slot := c.itemSlot()
 	items := *slot
-	for _, p := range parcels {
-		dstLocal, _ := c.localOf(p.Dst)
-		items = append(items, item{dst: dstLocal, words: c.arenaHeld(held{dstLocal: dstLocal, src: p.Src, payload: p.Words})})
+	for _, h := range load {
+		items = append(items, item{dst: h.dstLocal, words: c.arenaHeld(h)})
 	}
 	*slot = items
 	received, err := groupRouteUnknown(c, group, items, st)
 	if err != nil {
 		return nil, err
 	}
-	return heldItemsToParcels(c, received, st.name)
+	return deliveredHeld(c, received, st.name)
 }
 
-func heldItemsToParcels(c *comm, items []item, context string) ([]parcel, error) {
-	out := make([]parcel, 0, len(items))
-	for _, it := range items {
-		h, err := decodeHeldParcel(it.words, c)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", context, err)
-		}
+// deliveredHeld decodes the items of a router's last hop, every one of which
+// must be addressed to this node, into a rotating held slot of c. Their
+// payloads borrow the engine's receive arena (see item).
+func deliveredHeld(c *comm, items []item, context string) ([]held, error) {
+	out, err := decodeHeldItems(c, items)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", context, err)
+	}
+	for _, h := range out {
 		if h.dstLocal != c.me {
 			return nil, fmt.Errorf("%s: node %d received parcel for node %d", context, c.ex.ID(), c.global(h.dstLocal))
 		}
-		out = append(out, h.toParcel(c))
 	}
 	return out, nil
 }
@@ -191,7 +167,7 @@ func heldItemsToParcels(c *comm, items []item, context string) ([]parcel, error)
 //	Step 4                1 round    move parcels to their destination sets
 //	Step 5                4 rounds   deliver inside each destination set (Cor. 3.4)
 //	                     -- total 16 rounds (Theorem 3.7)
-func routeSquare(c *comm, parcels []parcel, st step) ([]parcel, error) {
+func routeSquare(c *comm, load []held, st step) ([]held, error) {
 	m := c.size()
 	s := isqrt(m)
 	if s*s != m {
@@ -202,19 +178,8 @@ func routeSquare(c *comm, parcels []parcel, st step) ([]parcel, error) {
 		return nil, err
 	}
 	myGroup := grp.groupOf(c.me)
-	groupMembers := make([]int, s)
-	for i := range groupMembers {
-		groupMembers[i] = grp.member(myGroup, i)
-	}
+	groupMembers := identityMembers(m)[myGroup*s : (myGroup+1)*s : (myGroup+1)*s]
 	myIdxInGroup := grp.indexInGroup(c.me)
-
-	loadSlot := c.heldSlot()
-	load := *loadSlot
-	for _, p := range parcels {
-		dstLocal, _ := c.localOf(p.Dst)
-		load = append(load, held{dstLocal: dstLocal, src: p.Src, payload: p.Words})
-	}
-	*loadSlot = load
 
 	// ------------------------------------------------------------------
 	// Step 2 of Algorithm 1, implemented by Algorithm 2 (7 rounds).
@@ -222,24 +187,15 @@ func routeSquare(c *comm, parcels []parcel, st step) ([]parcel, error) {
 
 	// Algorithm 2, Step 1 (2 rounds): every set learns, for every pair of
 	// sets (A,B), how many parcels A holds with destination in B.
-	cntSet := make([]int, s)
+	cntSet := c.intVec(s)
 	for _, h := range load {
 		cntSet[grp.groupOf(h.dstLocal)]++
 	}
-	contributions := make([]int64, s)
-	for b, v := range cntSet {
-		contributions[b] = int64(v)
-	}
-	tFlat, err := aggregateAndBroadcast(c, myGroup*s, contributions, s*s)
+	tFlat, err := aggregateAndBroadcast(c, myGroup*s, cntSet, s*s)
 	if err != nil {
 		return nil, fmt.Errorf("%s step2.1: %w", st.name, err)
 	}
-	setDemand := makeIntMatrix(s, s)
-	for a := 0; a < s; a++ {
-		for b := 0; b < s; b++ {
-			setDemand[a][b] = int(tFlat[a*s+b])
-		}
-	}
+	setDemand := c.matrixOver(tFlat, s, s)
 
 	// Algorithm 2, Step 2 (local): color the set-level multigraph; the parcel
 	// of color col is (eventually) moved to set col mod s. This is the
@@ -272,7 +228,7 @@ func routeSquare(c *comm, parcels []parcel, st step) ([]parcel, error) {
 	// Algorithm 2, Step 4 (local): derive each parcel's intermediate set and
 	// compute the within-set balancing pattern so that afterwards every
 	// member holds (almost) the same number of parcels per intermediate set.
-	offsets := makeIntMatrix(s, s) // offsets[a][b]: first unit index of member a in cell (myGroup,b)
+	offsets := c.intMatrix(s, s) // offsets[a][b]: first unit index of member a in cell (myGroup,b)
 	for b := 0; b < s; b++ {
 		run := 0
 		for a := 0; a < s; a++ {
@@ -283,8 +239,8 @@ func routeSquare(c *comm, parcels []parcel, st step) ([]parcel, error) {
 	// interCounts[a][t]: number of parcels of member a assigned to
 	// intermediate set t; computable by every group member from the shared
 	// coloring and the announced counts.
-	interCounts := makeIntMatrix(s, s)
-	byRes := make([]int, s)
+	interCounts := c.intMatrix(s, s)
+	byRes := c.intVec(s)
 	for a := 0; a < s; a++ {
 		for b := 0; b < s; b++ {
 			if perMemberCnt[a][b] == 0 || setColoring == nil {
@@ -299,7 +255,7 @@ func routeSquare(c *comm, parcels []parcel, st step) ([]parcel, error) {
 		}
 	}
 	// Assign my own parcels their intermediate sets.
-	bucketCursor := make([]int, s)
+	bucketCursor := c.intVec(s)
 	for i := range load {
 		b := grp.groupOf(load[i].dstLocal)
 		unit := offsets[myIdxInGroup][b] + bucketCursor[b]
@@ -318,13 +274,13 @@ func routeSquare(c *comm, parcels []parcel, st step) ([]parcel, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s step2.4: %w", st.name, err)
 	}
-	demand2, err := plan2.moveDemand(interCounts)
+	demand2, err := plan2.moveDemand(c, interCounts)
 	if err != nil {
 		return nil, fmt.Errorf("%s step2.4: %w", st.name, err)
 	}
 
 	// Algorithm 2, Step 5 (2 rounds): execute the within-set redistribution.
-	classCursor := make([]int, s)
+	classCursor := c.intVec(s)
 	items2Slot := c.itemSlot()
 	items2 := *items2Slot
 	for _, h := range load {
@@ -345,7 +301,7 @@ func routeSquare(c *comm, parcels []parcel, st step) ([]parcel, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s step2.5: %w", st.name, err)
 	}
-	// All payloads encoded so far (the input parcels and the step-2.5 items)
+	// All payloads encoded so far (the input load and the step-2.5 items)
 	// have been copied into frames and delivered; their arena storage is dead.
 	c.arenaReset()
 
@@ -353,7 +309,7 @@ func routeSquare(c *comm, parcels []parcel, st step) ([]parcel, error) {
 	// number of parcels for each intermediate set and sends one of them to
 	// each of that set's members. Parcels of one intermediate set are dealt
 	// round-robin in held order, which matches the bucketed order.
-	dealCursor := make([]int, s)
+	dealCursor := c.intVec(s)
 	for _, h := range load {
 		k := dealCursor[h.interSet]
 		dealCursor[h.interSet]++
@@ -368,7 +324,7 @@ func routeSquare(c *comm, parcels []parcel, st step) ([]parcel, error) {
 	// Step 3 of Algorithm 1 (4 rounds, Corollary 3.5): inside every set,
 	// balance the held parcels by (final) destination set.
 	// ------------------------------------------------------------------
-	cnt3 := make([]int, s)
+	cnt3 := c.intVec(s)
 	for _, h := range load {
 		cnt3[grp.groupOf(h.dstLocal)]++
 	}
@@ -380,11 +336,11 @@ func routeSquare(c *comm, parcels []parcel, st step) ([]parcel, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s step3: %w", st.name, err)
 	}
-	demand3, err := plan3.moveDemand(all3)
+	demand3, err := plan3.moveDemand(c, all3)
 	if err != nil {
 		return nil, fmt.Errorf("%s step3: %w", st.name, err)
 	}
-	cursor3 := make([]int, s)
+	cursor3 := c.intVec(s)
 	items3Slot := c.itemSlot()
 	items3 := *items3Slot
 	for _, h := range load {
@@ -412,7 +368,7 @@ func routeSquare(c *comm, parcels []parcel, st step) ([]parcel, error) {
 	// Step 4 of Algorithm 1 (1 round): every member sends, for each
 	// destination set, one of its parcels to each member of that set.
 	// ------------------------------------------------------------------
-	deal4 := make([]int, s)
+	deal4 := c.intVec(s)
 	for _, h := range load {
 		t := grp.groupOf(h.dstLocal)
 		k := deal4[t]
@@ -441,7 +397,7 @@ func routeSquare(c *comm, parcels []parcel, st step) ([]parcel, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s step5: %w", st.name, err)
 	}
-	return heldItemsToParcels(c, received5, "step5")
+	return deliveredHeld(c, received5, "step5")
 }
 
 // decodeHeldItems converts relay-routed items back to held parcels (into a

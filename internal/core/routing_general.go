@@ -23,7 +23,13 @@ import (
 // count stays the square router's (16, respectively 12) while the per-edge
 // load grows by a constant factor only — exactly the trade-off stated in the
 // proof of Theorem 3.7.
-func routeGeneral(c *comm, parcels []parcel, st step, router squareRouter) ([]parcel, error) {
+//
+// Each sub-instance takes its share of load into its own comm (V2's local
+// indices are the parent's minus r), and appends what it delivers to the
+// parent's result as soon as it finishes, payloads copied into the parent's
+// arena — it must not hand engine-backed payloads upward while its
+// siblings keep running (see doc.go) — before releasing its comm.
+func routeGeneral(c *comm, load []held, st step, router squareRouter) ([]held, error) {
 	m := c.size()
 	s := isqrt(m)
 	square := s * s
@@ -32,104 +38,92 @@ func routeGeneral(c *comm, parcels []parcel, st step, router squareRouter) ([]pa
 		return nil, fmt.Errorf("core: routeGeneral invariants violated for m=%d", m)
 	}
 
-	v1 := make([]int, square) // global ids of the first s^2 members
-	v2 := make([]int, square) // global ids of the last  s^2 members
-	for i := 0; i < square; i++ {
-		v1[i] = c.global(i)
-		v2[i] = c.global(r + i)
-	}
-
-	// Partition my parcels by sub-instance.
-	var parcels1, parcels2, corner []parcel
-	for _, p := range parcels {
-		srcLocal := c.me
-		dstLocal, _ := c.localOf(p.Dst)
-		switch {
-		case srcLocal < square && dstLocal < square:
-			parcels1 = append(parcels1, p)
-		case srcLocal >= r && dstLocal >= r:
-			parcels2 = append(parcels2, p)
-		default:
-			corner = append(corner, p)
-		}
-	}
-
+	// Every parcel belongs to exactly one sub-instance.
 	const (
 		instV1 = iota + 1
 		instV2
 		instCorner
 	)
+	instOf := func(h held) int {
+		switch {
+		case c.me < square && h.dstLocal < square:
+			return instV1
+		case c.me >= r && h.dstLocal >= r:
+			return instV2
+		default:
+			return instCorner
+		}
+	}
 
-	var out1, out2, outCorner []parcel
-	programs := make([]func(clique.Exchanger) error, instCorner+1)
-	programs[instCorner] = func(ex clique.Exchanger) error {
-		res, err := routeCorner(ex, c, r, square, corner, st.sub("corner", kcCorner))
+	out := c.heldSlot()
+	// run routes this node's parcels of sub-instance inst on sub (local
+	// index = parent's - base) and appends the delivery to out.
+	run := func(sub *comm, inst, base int, route func(*comm, []held) ([]held, error)) error {
+		defer sub.release()
+		mine := sub.heldSlot()
+		for _, h := range load {
+			if instOf(h) == inst {
+				h.dstLocal -= base
+				*mine = append(*mine, h)
+			}
+		}
+		res, err := route(sub, *mine)
 		if err != nil {
 			return err
 		}
-		outCorner = res
+		for _, h := range res {
+			h.dstLocal += base
+			h.payload = c.arenaAppend(h.payload...)
+			*out = append(*out, h)
+		}
 		return nil
 	}
-	if c.me < square {
-		programs[instV1] = func(ex clique.Exchanger) error {
-			sub, err := newComm(ex, c.label+"/v1", v1)
+	programs := make([]func(clique.Exchanger) error, instCorner+1)
+	programs[instCorner] = func(ex clique.Exchanger) error {
+		return run(fullCommOn(ex, c, c.label+"/corner"), instCorner, 0, func(sub *comm, mine []held) ([]held, error) {
+			return routeCorner(sub, r, square, mine, st.sub("corner", kcCorner))
+		})
+	}
+	// onSquare runs router on V1 (base 0) or V2 (base r), the s² members
+	// from local index base on.
+	onSquare := func(inst, base int, label string, sst step) func(clique.Exchanger) error {
+		return func(ex clique.Exchanger) error {
+			sub, err := newComm(ex, c.label+label, c.members[base:base+square:base+square])
 			if err != nil {
 				return err
 			}
-			res, err := router(sub, parcels1, st.sub("v1", kcV1))
-			if err != nil {
-				return err
-			}
-			out1 = res
-			return nil
+			return run(sub, inst, base, func(sub *comm, mine []held) ([]held, error) {
+				return router(sub, mine, sst)
+			})
 		}
 	}
+	if c.me < square {
+		programs[instV1] = onSquare(instV1, 0, "/v1", st.sub("v1", kcV1))
+	}
 	if c.me >= r {
-		programs[instV2] = func(ex clique.Exchanger) error {
-			sub, err := newComm(ex, c.label+"/v2", v2)
-			if err != nil {
-				return err
-			}
-			res, err := router(sub, parcels2, st.sub("v2", kcV2))
-			if err != nil {
-				return err
-			}
-			out2 = res
-			return nil
-		}
+		programs[instV2] = onSquare(instV2, r, "/v2", st.sub("v2", kcV2))
 	}
 	if err := clique.NewMux(c.ex).Run(programs); err != nil {
 		return nil, fmt.Errorf("%s: %w", st.name, err)
 	}
-
-	out := make([]parcel, 0, len(out1)+len(out2)+len(outCorner))
-	out = append(out, out1...)
-	out = append(out, out2...)
-	out = append(out, outCorner...)
-	return out, nil
+	return *out, nil
 }
 
 // routeCorner is the 6-round boundary procedure from the proof of
 // Theorem 3.7. It delivers the parcels whose source lies in V1\V2 and whose
-// destination lies in V2\V1, or vice versa. parent is the enclosing comm
-// (used to translate node identifiers); the procedure itself runs on all m
-// members through the multiplexed Exchanger ex.
+// destination lies in V2\V1, or vice versa. sub spans all m members of the
+// enclosing comm (same local indices) on a multiplexed Exchanger.
 //
 //	Round 1: every corner source spreads its corner parcels, one per node.
 //	Round 2: every node forwards the parcels it relays, one per member of the
 //	         corner set the parcel is destined to.
 //	Rounds 3-6: Corollary 3.4 delivers inside V1\V2 and V2\V1 concurrently.
-func routeCorner(ex clique.Exchanger, parent *comm, r, square int, corner []parcel, st step) ([]parcel, error) {
-	sub := fullCommOn(ex, parent, parent.label+"/corner")
+func routeCorner(sub *comm, r, square int, corner []held, st step) ([]held, error) {
 	m := sub.size()
 
 	// Round 1: spread my corner parcels across all nodes.
-	for j, p := range corner {
-		dstLocal, ok := sub.localOf(p.Dst)
-		if !ok {
-			return nil, fmt.Errorf("%s: destination %d not a member", st.name, p.Dst)
-		}
-		sub.sendHeld(j%m, held{dstLocal: dstLocal, src: p.Src, payload: p.Words})
+	for j, h := range corner {
+		sub.sendHeld(j%m, h)
 	}
 	relayLoad, err := collectHeld(sub, st.name, "round1")
 	if err != nil {
@@ -184,7 +178,7 @@ func routeCorner(ex clique.Exchanger, parent *comm, r, square int, corner []parc
 	if err != nil {
 		return nil, fmt.Errorf("%s rounds3-6: %w", st.name, err)
 	}
-	return heldItemsToParcels(sub, received, "corner deliver")
+	return deliveredHeld(sub, received, "corner deliver")
 }
 
 // fullCommOn rebuilds the parent's member universe on top of a (possibly

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
+	"strings"
 
 	"congestedclique/internal/clique"
 )
@@ -20,6 +22,22 @@ type SortResult struct {
 	Start int
 	// Total is the total number of keys in the system.
 	Total int
+}
+
+// sortLabel and smallSortLabel prefix the labels of every comm a sort runs
+// (Algorithm 4 with its sub-instances, the small-domain arm), followed by
+// the round the sort is named by.
+const (
+	sortLabel      = "sort@r"
+	smallSortLabel = "smallsort@r"
+)
+
+// SortShared reports whether the shared computation keyed k belongs to a
+// sort rather than to what ran after it in the same run (a corollary's
+// epilogue): what a sort's plan-cache entry keeps of the run's
+// clique.SharedSnapshot, since only a sort hit can find it again.
+func SortShared(k clique.SharedKey) bool {
+	return strings.HasPrefix(k.Label, sortLabel) || strings.HasPrefix(k.Label, smallSortLabel)
 }
 
 // keysPerBundle is the number of keys packed into one routed parcel, the
@@ -57,8 +75,8 @@ func LowComputeSort(ex clique.Exchanger, myKeys []Key) (*SortResult, error) {
 // (as in lowComputeRoute) and an optional cached schedule to replay or an
 // empty one to capture (see SortSchedule).
 func lowComputeSort(ex clique.Exchanger, myKeys []Key, at int, sched, capture *SortSchedule) (*SortResult, error) {
-	return sortWith(ex, myKeys, at, func(c *comm, parcels []parcel, st step) ([]parcel, error) {
-		return lowComputeSquare(c, parcels, st, sched.route(), capture.route())
+	return sortWith(ex, myKeys, at, func(c *comm, load []held, st step) ([]held, error) {
+		return lowComputeSquare(c, load, st, sched.route(), capture.route())
 	}, sched, capture)
 }
 
@@ -67,7 +85,7 @@ func lowComputeSort(ex clique.Exchanger, myKeys []Key, at int, sched, capture *S
 // Step 6's router, on comms labelled by round at. sched and capture reach
 // only Algorithm 4 proper: the shortcuts have nothing to skip.
 func sortWith(ex clique.Exchanger, myKeys []Key, at int, square squareRouter, sched, capture *SortSchedule) (*SortResult, error) {
-	label := fmt.Sprintf("sort@r%d", at)
+	label := sortLabel + strconv.Itoa(at)
 	c := fullComm(ex, label)
 	defer c.release()
 	n := c.size()
@@ -101,10 +119,7 @@ func sortAlone(myKeys []Key) *SortResult {
 // sortTiny sorts a small clique with one invocation of Algorithm 3 over the
 // whole member set, followed by the rank-balanced redistribution.
 func sortTiny(c *comm, myKeys []Key) (*SortResult, error) {
-	group := make([]int, c.size())
-	for i := range group {
-		group[i] = i
-	}
+	group := identityMembers(c.size()) // every local index
 	res, err := groupSort(c, group, myKeys, c.size(), rootStep("alg3.tiny").sub("tiny", kcSortTiny), nil, nil)
 	if err != nil {
 		return nil, err
@@ -295,17 +310,11 @@ func sortLarge(c *comm, myKeys []Key, label string, square squareRouter, sched, 
 			2: func(ex clique.Exchanger) error {
 				sub := fullCommOn(ex, c, label+"/s6agg")
 				defer sub.release()
-				contributions := make([]int64, numGroups)
-				for j, cnt := range counts {
-					contributions[j] = int64(cnt)
-				}
-				sums, aErr := aggregateAndBroadcast(sub, 0, contributions, numGroups)
+				sums, aErr := aggregateAndBroadcast(sub, 0, counts, numGroups)
 				if aErr != nil {
 					return aErr
 				}
-				for j, sum := range sums {
-					bucketSizes[j] = int(sum)
-				}
+				copy(bucketSizes, sums)
 				return nil
 			},
 		})
@@ -329,7 +338,7 @@ func sortLarge(c *comm, myKeys []Key, label string, square squareRouter, sched, 
 	}
 	if capture != nil && c.me == lo {
 		capture.S7Delims[myGroup] = bucketSort.delimiters
-		capture.S7Counts[myGroup] = bucketSort.counts
+		capture.S7Counts[myGroup] = cloneIntMatrix(bucketSort.counts)
 	}
 	if sched != nil {
 		got := 0
@@ -459,8 +468,8 @@ func routeBuckets(ex clique.Exchanger, c *comm, label string, input []Key, bstar
 	// The keys are value copies, so the sub-instance's buffers can go back to
 	// the pool as soon as the routing ends.
 	defer sub.release()
-	parcels := buildBucketParcels(sub, input, bstart, s, numGroups)
-	received, err := routeParcels(sub, parcels, st.sub("s6.route", kcSortS6), square)
+	load := bundleBuckets(sub, input, bstart, s, numGroups)
+	received, err := routeHeld(sub, load, st.sub("s6.route", kcSortS6), square)
 	if err != nil {
 		return nil, err
 	}
@@ -477,20 +486,20 @@ func indexIn(members []int, x int) int {
 	return -1
 }
 
-// buildBucketParcels bundles the keys of every bucket into parcels addressed
-// to the members of the bucket's group, spreading each bucket evenly over the
-// group and rotating the start member by the sender's identifier so the
-// rounding excess does not pile up on the same member. Bucket j is the
-// contiguous input range [bstart[j], bstart[j+1]) and its group occupies the
-// nodes [j*s, min((j+1)*s, n)): key t of the bucket goes to member slot
-// (t+me) mod w, so a slot's keys are the stride-w subsequence starting at
-// (slot-me) mod w — no per-member staging is needed. The parcel payloads live
-// in the comm's arena.
-func buildBucketParcels(c *comm, input []Key, bstart []int, s, numGroups int) []parcel {
+// bundleBuckets bundles the keys of every bucket into held parcels (in a
+// rotating held slot of c) addressed to the members of the bucket's group,
+// spreading each bucket evenly over the group and rotating the start member
+// by the sender's identifier so the rounding excess does not pile up on the
+// same member. Bucket j is the contiguous input range [bstart[j],
+// bstart[j+1]) and its group occupies the nodes [j*s, min((j+1)*s, n)): key
+// t of the bucket goes to member slot (t+me) mod w, so a slot's keys are the
+// stride-w subsequence starting at (slot-me) mod w — no per-member staging
+// is needed. The bundle payloads live in the comm's arena.
+func bundleBuckets(c *comm, input []Key, bstart []int, s, numGroups int) []held {
 	n := c.size()
 	me := c.me
 
-	// Count the parcels so the slice is allocated exactly once.
+	// Count the bundles so a cold slot grows exactly once.
 	total := 0
 	for j := 0; j < numGroups; j++ {
 		cnt := bstart[j+1] - bstart[j]
@@ -507,7 +516,8 @@ func buildBucketParcels(c *comm, input []Key, bstart []int, s, numGroups int) []
 		}
 	}
 
-	parcels := make([]parcel, 0, total)
+	buf := c.heldSlot()
+	load := slices.Grow(*buf, total)
 	src := c.ex.ID()
 	for j := 0; j < numGroups; j++ {
 		b0 := bstart[j]
@@ -530,33 +540,34 @@ func buildBucketParcels(c *comm, input []Key, bstart []int, s, numGroups int) []
 					k := input[b0+t+u*w]
 					c.arena = append(c.arena, k.Value, clique.Word(k.Origin), clique.Word(k.Seq))
 				}
-				parcels = append(parcels, parcel{Src: src, Dst: lo + slot, Words: c.arenaView(mark)})
+				load = append(load, held{dstLocal: lo + slot, src: src, payload: c.arenaView(mark)})
 			}
 		}
 	}
-	return parcels
+	*buf = load
+	return load
 }
 
-// unbundleKeys decodes the key bundles produced by buildBucketParcels. It
-// validates and counts in a first sweep so the key slice is allocated exactly
-// once.
-func unbundleKeys(parcels []parcel) ([]Key, error) {
+// unbundleKeys decodes the key bundles produced by bundleBuckets, as
+// delivered to this node. It validates and counts in a first sweep so the
+// key slice is allocated exactly once.
+func unbundleKeys(received []held) ([]Key, error) {
 	total := 0
-	for _, p := range parcels {
-		if len(p.Words) < 1 {
+	for _, h := range received {
+		if len(h.payload) < 1 {
 			return nil, fmt.Errorf("core: empty key bundle")
 		}
-		count := int(p.Words[0])
-		if count < 0 || len(p.Words) < 1+count*keyWords {
-			return nil, fmt.Errorf("core: malformed key bundle (%d keys, %d words)", count, len(p.Words))
+		count := int(h.payload[0])
+		if count < 0 || len(h.payload) < 1+count*keyWords {
+			return nil, fmt.Errorf("core: malformed key bundle (%d keys, %d words)", count, len(h.payload))
 		}
 		total += count
 	}
 	keys := make([]Key, 0, total)
-	for _, p := range parcels {
-		count := int(p.Words[0])
+	for _, h := range received {
+		count := int(h.payload[0])
 		for i := 0; i < count; i++ {
-			k, err := decodeKey(p.Words[1+i*keyWords:])
+			k, err := decodeKey(h.payload[1+i*keyWords:])
 			if err != nil {
 				return nil, err
 			}

@@ -134,7 +134,7 @@ func groupSort(c *comm, group []int, myKeys []Key, capacity int, st step, knownD
 		// seeded are found.
 		var demand [][]int
 		if w > 0 {
-			demand = makeIntMatrix(w, w)
+			demand = c.intMatrix(w, w)
 			for a, row := range allCounts {
 				for b, cnt := range row {
 					demand[a][b] = ceilDiv(cnt, keysPerBundle)

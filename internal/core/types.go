@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"congestedclique/internal/clique"
 )
@@ -188,12 +189,17 @@ type comm struct {
 // commScratch is the poolable buffer state of a comm (a presorted step
 // program borrows one per step for its rank and receive buffers and the
 // destination tables of its flush). Releasing hands every
-// buffer — including the arena — to the next acquirer, so release is only
+// buffer — including both arenas — to the next acquirer, so release is only
 // legal once the comm's results have been fully copied out of arena-backed
-// parcels and scratch slices (protocol entry points release after converting
-// to caller-owned values; sub-instances whose parcels flow upward, like the
-// V1/V2/corner routers, are never released and simply fall to the garbage
-// collector).
+// parcels, matrices and scratch slices (protocol entry points release after
+// converting to caller-owned values, the V1/V2/corner routers after copying
+// their deliveries into the parent's arena).
+//
+// Ownership of the int arena: a matrix or vector carved by intMatrix/intVec
+// lives until release and is never handed out twice before it. Nothing
+// carved from it may be kept past release — a schedule capture
+// (RouteSchedule.S5Counts, SortSchedule.S7Counts), which the plan cache keeps
+// for later runs, stores a clone made at the capture site.
 type commScratch struct {
 	local []int32 // dense global id -> local index table, -1 for non-members
 
@@ -238,6 +244,68 @@ type commScratch struct {
 	annOut        [][][]clique.Word
 	annDemand     [][]int
 	annDemandFlat []int
+	annIn         [][]clique.Word // announceIntVector's payload list
+
+	// ints and intRows back the int matrices and vectors an instance builds
+	// (announced count matrices, balance-plan squares and move demands, set
+	// totals, per-class cursors): carved append-only by intVec/intMatrix and
+	// emptied by acquireScratch. A carve that does not fit is allocated on
+	// its own; intsWant/rowsWant total every carve since the last reset, and
+	// acquireScratch regrows an arena that fell short to exactly that total,
+	// so a warm instance of the same shape carves without allocating.
+	ints     []int
+	intRows  [][]int
+	intsWant int
+	rowsWant int
+}
+
+// intVec returns a zeroed vector of k ints carved from the int arena.
+func (s *commScratch) intVec(k int) []int {
+	s.intsWant += k
+	n0 := len(s.ints)
+	if n0+k > cap(s.ints) {
+		return make([]int, k)
+	}
+	s.ints = s.ints[:n0+k]
+	v := s.ints[n0 : n0+k : n0+k]
+	clear(v)
+	return v
+}
+
+// intMatrix returns a zeroed r-by-cols matrix carved from the int arena.
+func (s *commScratch) intMatrix(r, cols int) [][]int {
+	return s.matrixOver(s.intVec(r*cols), r, cols)
+}
+
+// matrixOver returns the r-by-cols matrix whose rows are consecutive
+// windows of flat; the row headers are carved from the arena.
+func (s *commScratch) matrixOver(flat []int, r, cols int) [][]int {
+	s.rowsWant += r
+	n0 := len(s.intRows)
+	var rows [][]int
+	if n0+r > cap(s.intRows) {
+		rows = make([][]int, r)
+	} else {
+		s.intRows = s.intRows[:n0+r]
+		rows = s.intRows[n0 : n0+r : n0+r]
+	}
+	for i := range rows {
+		rows[i] = flat[i*cols : (i+1)*cols : (i+1)*cols]
+	}
+	return rows
+}
+
+// resetInts empties the int arena, first regrowing it to the total the last
+// instance carved if that did not fit.
+func (s *commScratch) resetInts() {
+	if cap(s.ints) < s.intsWant {
+		s.ints = make([]int, 0, s.intsWant)
+	}
+	if cap(s.intRows) < s.rowsWant {
+		s.intRows = make([][]int, 0, s.rowsWant)
+	}
+	s.ints, s.intRows = s.ints[:0], s.intRows[:0]
+	s.intsWant, s.rowsWant = 0, 0
 }
 
 // uniformDemandMatrix returns a pooled w x w matrix with every cell set to
@@ -287,6 +355,7 @@ func acquireScratch(size, n int) *commScratch {
 		s.posScratch[i] = -1
 	}
 	s.heldCursor, s.itemCursor = 0, 0
+	s.resetInts()
 	return s
 }
 
@@ -337,13 +406,30 @@ func newComm(ex clique.Exchanger, label string, members []int) (*comm, error) {
 	return &comm{ex: ex, members: members, me: me, label: label, stager: st, commScratch: scratch}, nil
 }
 
+// identity holds 0, 1, 2, ...: the member list of every full comm on n
+// nodes is its n-prefix, shared read-only (no comm writes its members).
+var identity atomic.Pointer[[]int]
+
+// identityMembers returns the read-only member list 0..n-1.
+func identityMembers(n int) []int {
+	for {
+		p := identity.Load()
+		if p != nil && len(*p) >= n {
+			return (*p)[:n:n]
+		}
+		ids := make([]int, n)
+		for i := range ids {
+			ids[i] = i
+		}
+		if identity.CompareAndSwap(p, &ids) {
+			return ids[:n:n]
+		}
+	}
+}
+
 // fullComm is the common case of an instance spanning the whole clique.
 func fullComm(ex clique.Exchanger, label string) *comm {
-	members := make([]int, ex.N())
-	for i := range members {
-		members[i] = i
-	}
-	c, err := newComm(ex, label, members)
+	c, err := newComm(ex, label, identityMembers(ex.N()))
 	if err != nil {
 		// Cannot happen: the member list is valid by construction and both
 		// of the engine's exchangers receive flat.
@@ -594,16 +680,21 @@ func isPerfectSquare(n int) bool {
 	return s*s == n
 }
 
-// makeIntMatrix returns an r-by-c zero matrix whose rows share one backing
-// array (two allocations instead of r+1; round loops build many small
-// matrices).
-func makeIntMatrix(r, c int) [][]int {
-	rows := make([][]int, r)
-	backing := make([]int, r*c)
-	for i := range rows {
-		rows[i] = backing[i*c : (i+1)*c : (i+1)*c]
+// cloneIntMatrix returns a copy of m whose rows share one fresh backing
+// array: what a capture stores of a matrix carved from a comm's int arena.
+func cloneIntMatrix(m [][]int) [][]int {
+	total := 0
+	for _, row := range m {
+		total += len(row)
 	}
-	return rows
+	backing := make([]int, 0, total)
+	out := make([][]int, len(m))
+	for i, row := range m {
+		n0 := len(backing)
+		backing = append(backing, row...)
+		out[i] = backing[n0:len(backing):len(backing)]
+	}
+	return out
 }
 
 // ceilDiv returns ceil(a/b) for positive b.

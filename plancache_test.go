@@ -637,3 +637,151 @@ func TestPlanCacheConcurrentHammer(t *testing.T) {
 		t.Fatalf("unexpected invalidations: %d", cs.PlanCacheInvalidations)
 	}
 }
+
+// TestPlanCacheArenaAliasing pins the ownership rule of the comms' int
+// arena (internal/core commScratch): the count matrices a miss captures
+// into its entry (RouteSchedule.S5Counts, SortSchedule.S7Counts) are
+// clones, so the pooled scratches that later instances on the same handle
+// carve their matrices from cannot rewrite them. A miss on instance A,
+// misses on three other instances (which reuse those scratches), then A
+// again: the repeat must hit in exactly the hit rounds and return what a
+// cache-off run returns, bit for bit. A route is the drift-shuffle trace's
+// first instance, whose Step 5 counts are not uniform; the others are
+// rotations (cachePipelineInstance), whose counts differ from A's.
+func TestPlanCacheArenaAliasing(t *testing.T) {
+	t.Parallel()
+	ctx := context.Background()
+	sc, ok := workload.TemporalScenarioByName("drift-shuffle")
+	if !ok {
+		t.Fatal("temporal scenario drift-shuffle missing from the catalog")
+	}
+	const others = 3
+	for _, tc := range []struct{ n, routeHit, sortHit int }{{64, 8, 12}, {90, 10, 14}, {256, 8, 12}} {
+		n := tc.n
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			t.Parallel()
+			routes := make([][][]Message, others+1)
+			sorts := make([][][]int64, others+1)
+			tr, err := sc.Build(n, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			routes[0] = tr.Distinct[0].Msgs
+			for i := range routes {
+				if i > 0 {
+					routes[i] = cachePipelineInstance(n, i)
+				}
+				inst, err := workload.NewSortingInstance(n, n, workload.KeysUniform, int64(i+1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				sorts[i] = keyValues(inst.Keys)
+			}
+			base, err := New(n, WithAlgorithm(AlgorithmAuto))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer base.Close()
+			cl, err := New(n, WithAlgorithm(AlgorithmAuto), WithPlanCache(2*(others+1)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+
+			goldenRoute, err := base.Route(ctx, routes[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, msgs := range routes {
+				if _, err := cl.Route(ctx, msgs); err != nil {
+					t.Fatal(err)
+				}
+			}
+			route, err := cl.Route(ctx, routes[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if route.Stats.Rounds != tc.routeHit {
+				t.Errorf("route repeat: %d rounds, want a %d-round hit", route.Stats.Rounds, tc.routeHit)
+			}
+			if !reflect.DeepEqual(route.Delivered, goldenRoute.Delivered) {
+				t.Error("route repeat diverged from the cache-off run")
+			}
+
+			goldenSort, err := base.Sort(ctx, sorts[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, vals := range sorts {
+				if _, err := cl.Sort(ctx, vals); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sorted, err := cl.Sort(ctx, sorts[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sorted.Stats.Rounds != tc.sortHit {
+				t.Errorf("sort repeat: %d rounds, want a %d-round hit", sorted.Stats.Rounds, tc.sortHit)
+			}
+			if !reflect.DeepEqual(sorted.Batches, goldenSort.Batches) || !reflect.DeepEqual(sorted.Starts, goldenSort.Starts) {
+				t.Error("sort repeat diverged from the cache-off run")
+			}
+			if cs := cl.CumulativeStats(); cs.PlanCacheHits != 2 || cs.PlanCacheMisses != 2*(others+1) {
+				t.Errorf("cache counters = (%d,%d), want (2,%d)", cs.PlanCacheHits, cs.PlanCacheMisses, 2*(others+1))
+			}
+		})
+	}
+}
+
+// TestCorollaryMissStoresOnlySortShared: a corollary's cache entry keeps
+// only the sort's shared computations (core.SortShared), not its
+// epilogue's, which no hit could find again — so a Rank or Mode miss stores
+// exactly as many as a Sort miss on the same values.
+func TestCorollaryMissStoresOnlySortShared(t *testing.T) {
+	t.Parallel()
+	ctx := context.Background()
+	const n = 64
+	inst, err := workload.NewSortingInstance(n, n, workload.KeysUniform, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := keyValues(inst.Keys)
+	keys := make([][]core.Key, n)
+	for i, row := range vals {
+		for j, v := range row {
+			keys[i] = append(keys[i], core.Key{Value: v, Origin: i, Seq: j})
+		}
+	}
+	stored := func(op func(*Clique) error) int {
+		t.Helper()
+		cl, err := New(n, WithAlgorithm(AlgorithmAuto), WithPlanCache(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		if err := op(cl); err != nil {
+			t.Fatal(err)
+		}
+		_, entry, _ := cl.planCache.LookupSort(n, keys)
+		if entry == nil {
+			t.Fatal("the miss stored no entry")
+		}
+		return entry.Shared.Len()
+	}
+	sortLen := stored(func(cl *Clique) error { _, err := cl.Sort(ctx, vals); return err })
+	if sortLen == 0 {
+		t.Fatal("a Sort miss stored no shared computations")
+	}
+	for _, op := range []struct {
+		name string
+		run  func(*Clique) error
+	}{
+		{"Rank", func(cl *Clique) error { _, err := cl.Rank(ctx, vals); return err }},
+		{"Mode", func(cl *Clique) error { _, err := cl.Mode(ctx, vals); return err }},
+	} {
+		if got := stored(op.run); got != sortLen {
+			t.Errorf("%s miss stored %d shared computations, a Sort miss %d", op.name, got, sortLen)
+		}
+	}
+}

@@ -683,7 +683,9 @@ func (u *execUnit) sortStaged(ctx context.Context, cfg config, inputs [][]Key, p
 		return nil, runErr
 	}
 	if pc != nil && cfg.algorithm == AlgorithmAuto && cacheable && !cacheHit {
-		pc.StoreSort(fp, u.n, inputs, plan, u.nw.CaptureShared())
+		// An epilogue's shared computations are keyed by rounds no hit
+		// reaches again; the entry keeps only the sort's.
+		pc.StoreSort(fp, u.n, inputs, plan, u.nw.CaptureShared().Filter(core.SortShared))
 	}
 
 	// Every batch is a slice core allocated for this run, so it becomes the
