@@ -182,3 +182,57 @@ func TestWarmAllocsRouteBytes(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmAllocsSortBytes pins the bytes a warm n=196 Sort (the benchmark's
+// sort_full instance) allocates per op to at most sortBytesPerBatch times
+// what its batches take (n² Key values of 24 bytes), under Algorithm 4 with
+// Theorem 3.7 (Deterministic) and with Theorem 5.4 (LowCompute) at Step 6.
+// The sort's key sets come from its comm's key arena, Algorithm 3 sorts the
+// slice it is handed in place, the Mux's send queues stay on its pooled
+// coroutines and the shared colorings are recycled across runs, so what is
+// left per op is mostly the batches: 2.3-2.5x and 1.9-2.1x under Theorems
+// 3.7 and 5.4. Copying the key set at every step, growing a send queue per
+// Mux instance and coloring afresh per run read 26x and 30x.
+func TestWarmAllocsSortBytes(t *testing.T) {
+	const (
+		n                 = 196
+		runs              = 5
+		sortBytesPerBatch = 7.0
+	)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	ctx := context.Background()
+	values := benchSortWorkload(n)
+	batches := float64(n * n * int(unsafe.Sizeof(Key{})))
+	for _, alg := range []Algorithm{Deterministic, LowCompute} {
+		// Two collections empty the pools of what earlier tests left in
+		// them (scratches of other shapes, each regrowing once when it
+		// resurfaces), so the figure does not depend on the test order.
+		runtime.GC()
+		runtime.GC()
+		cl, err := New(n, WithAlgorithm(alg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sort := func() {
+			if _, err := cl.Sort(ctx, values); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sort()
+		sort()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			sort()
+		}
+		runtime.ReadMemStats(&after)
+		cl.Close()
+		perOp := float64(after.TotalAlloc-before.TotalAlloc) / runs
+		t.Logf("%v: %.0f KiB/op, %.2f x the batches' %.0f KiB", alg, perOp/1024, perOp/batches, batches/1024)
+		if perOp > sortBytesPerBatch*batches {
+			t.Errorf("%v: a warm Sort allocates %.0f KiB/op, more than %.1f x its batches' %.0f KiB",
+				alg, perOp/1024, sortBytesPerBatch, batches/1024)
+		}
+	}
+}

@@ -26,6 +26,51 @@ type ColorRun struct {
 type DemandColoring struct {
 	NumColors int
 	Runs      [][][]ColorRun
+
+	// cells and backing are the flat arrays ColorDemandMatrix and
+	// ColorDemandGreedy carve Runs from (nil for a uniform or empty
+	// coloring): Release hands them on.
+	cells   [][]ColorRun
+	backing []ColorRun
+}
+
+// coloringPool holds released colorings whose arrays the next results of
+// ColorDemandMatrix and ColorDemandGreedy are carved from.
+var coloringPool sync.Pool
+
+// Release hands the storage of a coloring to later colorings; dc must not
+// be used afterwards. Uniform and empty colorings are left to the garbage
+// collector.
+func (dc *DemandColoring) Release() {
+	if dc.backing == nil {
+		return
+	}
+	dc.Runs, dc.NumColors = dc.Runs[:0], 0
+	coloringPool.Put(dc)
+}
+
+// pooledColoring returns a coloring of an n x n matrix with its cells empty
+// and an empty backing with room for runs color runs, reusing a released
+// coloring if it can.
+func pooledColoring(n, runs int) *DemandColoring {
+	dc, _ := coloringPool.Get().(*DemandColoring)
+	if dc == nil {
+		dc = new(DemandColoring)
+	}
+	if cap(dc.backing) < runs {
+		dc.backing = make([]ColorRun, 0, runs)
+	}
+	dc.backing = dc.backing[:0]
+	if cap(dc.cells) < n*n {
+		dc.cells = make([][]ColorRun, n*n)
+	}
+	dc.cells = dc.cells[:n*n]
+	clear(dc.cells)
+	if cap(dc.Runs) < n {
+		dc.Runs = make([][][]ColorRun, n)
+	}
+	dc.Runs = dc.Runs[:n]
+	return dc
 }
 
 // ColorOfUnit returns the color of the k-th unit (0-based) of cell (i,j).
@@ -353,10 +398,11 @@ func colorDemandScratch(sc *demandScratch, demand [][]int, n, d int) (*DemandCol
 		}
 	}
 
-	// Compact into exact-size result storage: one flat ColorRun backing array
-	// carved into per-cell slices. sc.counts becomes the per-cell fill cursor.
-	backing := make([]ColorRun, totalRuns)
-	cells := make([][]ColorRun, n*n)
+	// Compact into result storage: one flat ColorRun backing array carved
+	// into per-cell slices, from a released coloring when there is one.
+	// sc.counts becomes the per-cell fill cursor.
+	dc := pooledColoring(n, totalRuns)
+	backing, cells := dc.backing, dc.cells
 	off := 0
 	for cell, cnt := range sc.counts {
 		if cnt == 0 {
@@ -380,11 +426,11 @@ func colorDemandScratch(sc *demandScratch, demand [][]int, n, d int) (*DemandCol
 		cells[ev.cell] = append(cells[ev.cell], ColorRun{Start: int(ev.start), Len: take})
 		sc.work[ev.cell] = need - take
 	}
-	runs := make([][][]ColorRun, n)
-	for i := range runs {
-		runs[i] = cells[i*n : (i+1)*n : (i+1)*n]
+	for i := range dc.Runs {
+		dc.Runs[i] = cells[i*n : (i+1)*n : (i+1)*n]
 	}
-	return &DemandColoring{NumColors: d, Runs: runs}, nil
+	dc.NumColors = d
+	return dc, nil
 }
 
 // perfectMatching finds a perfect matching in the bipartite graph whose edges

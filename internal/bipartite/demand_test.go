@@ -2,6 +2,7 @@ package bipartite
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -183,4 +184,47 @@ func TestColorDemandMatrixProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 250}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestReleasedColoringsRecolorIdentically checks that colorings carved from
+// the storage of released ones equal colorings computed from scratch, for
+// both constructors and for matrices of different sizes in turn.
+func TestReleasedColoringsRecolorIdentically(t *testing.T) {
+	colorers := map[string]func([][]int) (*DemandColoring, error){
+		"exact":  func(d [][]int) (*DemandColoring, error) { return ColorDemandMatrix(d, MaxRowColSum(d)) },
+		"greedy": ColorDemandGreedy,
+	}
+	for name, color := range colorers {
+		for i, s := range []int{12, 5, 16, 3, 12} {
+			demand := randomBoundedDemand(s, 9, int64(i))
+			want, err := color(demand)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantRuns, wantColors := cloneRuns(want.Runs), want.NumColors
+			want.Release()
+			got, err := color(demand)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Runs, wantRuns) || got.NumColors != wantColors {
+				t.Fatalf("%s, s=%d: a coloring on released storage differs from a fresh one", name, s)
+			}
+			if err := got.Validate(demand); err != nil {
+				t.Fatalf("%s, s=%d: %v", name, s, err)
+			}
+			got.Release()
+		}
+	}
+}
+
+func cloneRuns(runs [][][]ColorRun) [][][]ColorRun {
+	out := make([][][]ColorRun, len(runs))
+	for i, row := range runs {
+		out[i] = make([][]ColorRun, len(row))
+		for j, cell := range row {
+			out[i][j] = append([]ColorRun(nil), cell...)
+		}
+	}
+	return out
 }

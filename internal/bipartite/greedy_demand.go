@@ -80,8 +80,8 @@ func ColorDemandGreedy(demand [][]int) (*DemandColoring, error) {
 		}
 	}
 	free := newFreeSets(r+c, numColors) // rows 0..r-1, columns r..r+c-1
-	backing := make([]ColorRun, 0, nonzero+nonzero/2)
-	cells := make([][]ColorRun, r*c)
+	dc := pooledColoring(r, nonzero+nonzero/2)
+	backing, cells := dc.backing, dc.cells
 	for i := 0; i < r; i++ {
 		for j := 0; j < c; j++ {
 			need := demand[i][j]
@@ -106,11 +106,12 @@ func ColorDemandGreedy(demand [][]int) (*DemandColoring, error) {
 			off += len(cell)
 		}
 	}
-	runs := make([][][]ColorRun, r)
-	for i := range runs {
-		runs[i] = cells[i*c : (i+1)*c : (i+1)*c]
+	dc.backing = backing
+	for i := range dc.Runs {
+		dc.Runs[i] = cells[i*c : (i+1)*c : (i+1)*c]
 	}
-	return &DemandColoring{NumColors: numColors, Runs: runs}, nil
+	dc.NumColors = numColors
+	return dc, nil
 }
 
 func emptyRuns(r, c int) [][][]ColorRun {

@@ -95,7 +95,10 @@
 // array, and the coroutines, so a run on a warm engine performs no
 // construction work. The shared cache is deliberately scoped per run: the
 // memoised values are colorings of the run's demand matrices, which depend
-// on the instance data, not only on n. Metrics is the per-run view and
+// on the instance data, not only on n. The next run releases those with a
+// Release method (the colorings hand their arrays to later ones) unless
+// CaptureShared snapshotted the run or ArmSharedSeed supplied them, since
+// the plan cache keeps both beyond the run. Metrics is the per-run view and
 // CumulativeMetrics the across-run aggregate; Close ends the coroutines and
 // releases the pooled delivery buffers, so every Network must be closed.
 //
@@ -117,14 +120,15 @@
 //     of the Network, guarded by its own mutexes.
 //   - Shared, by design: netBufPool itself, wordBufPool (sender-side packet
 //     buffers; released only after delivery has copied the payload) and the
-//     protocol layer's comm-scratch pool are process-wide sync.Pools. They
-//     exchange only quiescent buffers — a buffer is either owned by exactly
-//     one run or sitting in the pool — so concurrent Networks recycle
-//     through them without coordination beyond the Pool's own. New first
-//     tries the most recently released buffer set (a weak pointer beside
-//     netBufPool, so it never outlives the pool's hold on the set): a lone
-//     sync.Pool Put is only visible to Gets on its own processor, and the
-//     next Network would otherwise miss it about half the time.
+//     protocol layer's comm-scratch and stager pools are process-wide
+//     sync.Pools. They exchange only quiescent buffers — a buffer is either
+//     owned by exactly one run or sitting in the pool — so concurrent
+//     Networks recycle through them without coordination beyond the Pool's
+//     own. New first tries the most recently released buffer set (a weak
+//     pointer beside netBufPool, so it never outlives the pool's hold on the
+//     set): a lone sync.Pool Put is only visible to Gets on its own
+//     processor, and the next Network would otherwise miss it about half the
+//     time.
 //
 // Nothing else is process-global; running k Networks costs k times the
 // engine-local state plus whatever the pools currently cache.

@@ -67,6 +67,9 @@ type Exchanger interface {
 	// (deterministic) value; the cache only removes redundant recomputation in
 	// the simulator, it does not communicate. The key is structured so
 	// protocol round loops can address the cache without building strings.
+	// A memoised value is valid until the run ends: one with a Release()
+	// method is released when the next run starts, unless CaptureShared
+	// snapshotted the run or ArmSharedSeed supplied the value.
 	SharedComputeKeyed(key SharedKey, f func() interface{}) interface{}
 }
 
@@ -247,6 +250,12 @@ type Network struct {
 
 	sharedMu sync.Mutex
 	sharedK  map[SharedKey]interface{}
+	// sharedSeeded is the seed this run's cache started from, and
+	// sharedCaptured says whether CaptureShared has snapshotted it: values
+	// that either one names outlive the run, so resetRun releases only the
+	// others.
+	sharedSeeded   map[SharedKey]interface{}
+	sharedCaptured bool
 
 	// steps[i] and memory[i] are node i's self-reported accounting, copied
 	// out of the Node structs when a run ends.
@@ -457,6 +466,7 @@ func (nw *Network) beginRun() error {
 		for k, v := range nw.pendingSeed.keyed {
 			nw.sharedK[k] = v
 		}
+		nw.sharedSeeded = nw.pendingSeed.keyed
 		nw.sharedMu.Unlock()
 		nw.pendingSeed = SharedSnapshot{}
 	}
@@ -488,7 +498,10 @@ func (nw *Network) endRun(completed bool) {
 // n. The one sanctioned way to carry values across runs is ArmSharedSeed,
 // which re-populates the cleared cache for exactly one run — and only after
 // the session's plan cache has verified the new run executes the identical
-// instance (validate-on-hit).
+// instance (validate-on-hit). The last run's values that nothing outside it
+// holds — it was not snapshotted and did not seed them — are released (see
+// Exchanger.SharedComputeKeyed), so a coloring's storage serves the next
+// run's colorings.
 func (nw *Network) resetRun() {
 	b := nw.buffers
 	for t := 0; t < nw.n; t++ {
@@ -504,7 +517,17 @@ func (nw *Network) resetRun() {
 	nw.fail.Store(nil)
 
 	nw.sharedMu.Lock()
+	if !nw.sharedCaptured {
+		for k, v := range nw.sharedK {
+			if _, seeded := nw.sharedSeeded[k]; !seeded {
+				if r, ok := v.(interface{ Release() }); ok {
+					r.Release()
+				}
+			}
+		}
+	}
 	clear(nw.sharedK)
+	nw.sharedSeeded, nw.sharedCaptured = nil, false
 	nw.sharedMu.Unlock()
 
 	nw.stepsMu.Lock()
@@ -962,6 +985,11 @@ type nodeCoro struct {
 	yield func(suspension) bool
 	prog  func(Exchanger) error
 	ex    Exchanger
+	// pending is the send queue of the Mux instance the coroutine last ran,
+	// kept with it so the next instance appends into its capacity. It is
+	// cleared to its full capacity before the coroutine is pooled, so a
+	// parked coroutine pins no frame.
+	pending []pendingPacket
 }
 
 // start makes co a coroutine that runs prog(ex) whenever it is resumed at
@@ -1123,9 +1151,11 @@ func (s SharedSnapshot) Filter(keep func(SharedKey) bool) SharedSnapshot {
 // CaptureShared copies the keyed shared-computation cache of the engine's
 // most recent run. Memoised error values are skipped — a snapshot must only
 // carry reusable results. Call it between runs (after RunContext returns).
+// The snapshot's values are never released (see resetRun).
 func (nw *Network) CaptureShared() SharedSnapshot {
 	nw.sharedMu.Lock()
 	defer nw.sharedMu.Unlock()
+	nw.sharedCaptured = true
 	if len(nw.sharedK) == 0 {
 		return SharedSnapshot{}
 	}

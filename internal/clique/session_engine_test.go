@@ -247,6 +247,62 @@ func TestSharedCacheScopedPerRun(t *testing.T) {
 	}
 }
 
+// releasable is a shared value that records its release.
+type releasable struct{ released bool }
+
+func (r *releasable) Release() { r.released = true }
+
+// TestSharedValuesReleasedAtNextRun pins the ownership rule of memoised
+// values with a Release method: the next run releases what the last run
+// computed, unless CaptureShared snapshotted that run or ArmSharedSeed
+// supplied the value, since the plan cache keeps both beyond the run.
+func TestSharedValuesReleasedAtNextRun(t *testing.T) {
+	t.Parallel()
+	const n = 4
+	nw, err := New(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Close()
+	// run memoises a fresh value under each key and returns what the run
+	// saw under them.
+	run := func(keys ...string) []*releasable {
+		t.Helper()
+		seen := make([]*releasable, len(keys))
+		if err := nw.Run(func(nd *Node) error {
+			for i, k := range keys {
+				v := nd.SharedComputeKeyed(SharedKey{Label: k}, func() interface{} { return new(releasable) })
+				if nd.ID() == 0 {
+					seen[i] = v.(*releasable)
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return seen
+	}
+	first := run("a")
+	second := run("a")
+	if !first[0].released || second[0].released {
+		t.Fatalf("released: first run's value %v, second's %v; want true, false", first[0].released, second[0].released)
+	}
+	snap := nw.CaptureShared()
+	run("b")
+	if second[0].released {
+		t.Fatal("a value CaptureShared snapshotted was released")
+	}
+	nw.ArmSharedSeed(snap)
+	seeded := run("a", "c")
+	if seeded[0] != second[0] {
+		t.Fatal("the seeded run did not see the seeded value")
+	}
+	run()
+	if second[0].released || !seeded[1].released {
+		t.Fatalf("released: seeded value %v, value computed beside it %v; want false, true", second[0].released, seeded[1].released)
+	}
+}
+
 // TestStrictBudgetFailureThenReuse drives a run into an engine-level strict
 // budget failure and checks the next run on the same Network starts clean.
 func TestStrictBudgetFailureThenReuse(t *testing.T) {

@@ -25,8 +25,11 @@ import (
 // then performs the one physical exchange for all of them. Nothing runs
 // concurrently with anything else on a node, so the Mux holds no lock.
 //
-// Allocation behaviour: instances queue their sends locally. When the Mux
-// runs directly on the engine ("passthrough" mode), the instances are
+// Allocation behaviour: instances queue their sends locally, in the queue
+// the instance's pooled coroutine keeps between Mux runs: a warm run appends
+// into the capacity an earlier instance left, and close clears the whole
+// backing before the coroutine is pooled, so a parked coroutine pins no
+// frame. When the Mux runs directly on the engine ("passthrough" mode), the instances are
 // FrameTaggers: senders that build the tag into their frames (SendTagged) are
 // forwarded without any copy, and receivers share the engine's raw FlatInbox,
 // filtering records by tag themselves (ExchangeFlat callers in their decoder,
@@ -130,6 +133,7 @@ func (m *Mux) Run(programs []func(Exchanger) error) (err error) {
 			v.mux, v.instance = m, id
 			v.co = nd.nw.takeCoro(nd.id)
 			v.co.prog, v.co.ex = prog, v
+			v.pending = v.co.pending
 		}
 	}
 	// Only a panic leaves Run with instances suspended, and none may outlive
@@ -197,7 +201,8 @@ type VNode struct {
 	// program has returned (or, in a slot Run left empty, ever).
 	co *nodeCoro
 	// pending queues this instance's sends until the Mux forwards them at
-	// the physical exchange.
+	// the physical exchange. Its backing is the one its coroutine brought
+	// from the node's pool, and goes back with it at close.
 	pending []pendingPacket
 	// tagBuf is the pooled buffer this instance's tagged payloads are carved
 	// from. Growth is append-only, so earlier carved views stay valid when
@@ -401,8 +406,9 @@ func (v *VNode) close() {
 		}
 		m.retired = append(m.retired, buf)
 		m.pending = append(m.pending, v.pending...)
-		v.pending = nil
 	}
+	clear(v.pending[:cap(v.pending)])
+	co.pending, v.pending = v.pending[:0], nil
 	if v.tagBuf != nil {
 		releaseWords(v.tagBuf)
 		v.tagBuf = nil

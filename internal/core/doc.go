@@ -76,10 +76,20 @@
 //     3.7's decomposition, which finishes while its siblings keep running,
 //     copies its delivered payloads into its parent's arena first.
 //
-//   - Int arena memory. The count matrices, balance plans and cursors an
-//     instance builds are carved from its comm's int arena (intMatrix,
-//     intVec) and live until comm.release; a matrix a schedule capture keeps
-//     for later runs is cloned at the capture site (cloneIntMatrix).
+//   - Int and key arena memory. The count matrices, balance plans and
+//     cursors an instance builds are carved from its comm's int arena
+//     (intMatrix, intVec), and the key sets of a sort (Algorithm 4's sorted
+//     input, samples, delimiters and routed keys, Algorithm 3's selections,
+//     samples, delimiters and bucket) from its key arena (keyVec); both live
+//     until comm.release. Algorithm 4's Step 6 router runs on a sub-comm
+//     released before anyone reads the keys it delivered, so it carves them
+//     from the sort's own comm. Algorithm 3 (groupSort) sorts the slice it
+//     is handed in place, so a caller hands it one it owns: sortTiny copies
+//     the caller's row into the key arena first. What a schedule capture
+//     keeps for later runs is cloned at the capture site (cloneIntMatrix,
+//     slices.Clone), and a sort's result batch is a fresh slice. Scratches
+//     are pooled per commKind, so a warm one only serves comms of its own
+//     shape, and grow to the most a comm of that kind used (sizeHint).
 //
 //   - Staging memory. The staging log and frame buffer are recycled every
 //     round; the engine copies frame contents at delivery, so nothing may

@@ -58,25 +58,42 @@ type stager struct {
 	// handed over zero-copy via SendTagged.
 	tagEx    clique.FrameTagger
 	frameTag clique.Word
+
+	kind commKind // the pool the stager returns to
 }
 
-var stagerPool = sync.Pool{New: func() interface{} { return new(stager) }}
+// stagerPools holds released stagers, one pool per commKind (see comm).
+var stagerPools [numCommKinds]sync.Pool
 
-// pooledStager takes a stager from the pool, its log empty (a released owner
-// may have aborted mid-round) and untagged.
-func pooledStager() *stager {
-	s := stagerPool.Get().(*stager)
+// pooledStager takes a stager of the given kind from its pool, its log empty
+// (a released owner may have aborted mid-round) and untagged.
+func pooledStager(kind commKind) *stager {
+	s, ok := stagerPools[kind].Get().(*stager)
+	if !ok {
+		return &stager{kind: kind}
+	}
 	s.stage = s.stage[:0]
 	s.tagEx = nil
 	return s
 }
 
-// recycle returns the stager to the pool. No queued frame may still point
-// into its buffers: the owner's last flush has been delivered, or the run
-// has failed and delivers nothing more.
+// reserve grows the staging log and the frame buffer to hold stage and
+// frames words (a kind's sizeHint).
+func (s *stager) reserve(stage, frames int) {
+	if cap(s.stage) < stage {
+		s.stage = make([]clique.Word, 0, stage)
+	}
+	if cap(s.frameBuf) < frames {
+		s.frameBuf = make([]clique.Word, 0, frames)
+	}
+}
+
+// recycle returns the stager to its kind's pool. No queued frame may still
+// point into its buffers: the owner's last flush has been delivered, or the
+// run has failed and delivers nothing more.
 func (s *stager) recycle() {
 	s.tagEx = nil // the pool must not pin a finished run's exchanger
-	stagerPool.Put(s)
+	stagerPools[s.kind].Put(s)
 }
 
 // dstTables is the per-destination accounting of one flush, indexed densely

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"sync"
 
 	"congestedclique/internal/clique"
 )
@@ -106,13 +107,21 @@ func hitArm[T any](ex clique.Exchanger, matches bool, arm func(clique.Exchanger)
 		}
 		return zero, ErrHitAborted
 	}
-	g := &hitGate{Exchanger: ex, pending: true}
+	g := hitGatePool.Get().(*hitGate)
+	*g = hitGate{Exchanger: ex, pending: true}
 	out, err := arm(g)
-	if g.aborted {
+	aborted := g.aborted
+	*g = hitGate{} // the pool must not pin the run's exchanger
+	hitGatePool.Put(g)
+	if aborted {
 		return zero, ErrHitAborted
 	}
 	return out, err
 }
+
+// hitGatePool recycles the gates of finished arms: once arm has returned,
+// its comms are released and nothing holds the gate.
+var hitGatePool = sync.Pool{New: func() any { return new(hitGate) }}
 
 // hitGate is the exchanger a matching node's comm arm runs on: its first
 // ExchangeFlat fails with ErrHitAborted when the round delivered an abort, so

@@ -47,9 +47,7 @@ func LowComputeRoute(ex clique.Exchanger, msgs []Message) ([]Message, error) {
 // (NewRouteScheduleCapture), where routeHeld runs the square router once,
 // on the whole clique.
 func lowComputeRoute(ex clique.Exchanger, msgs []Message, at int, sched, capture *RouteSchedule) ([]Message, error) {
-	square := func(c *comm, load []held, st step) ([]held, error) {
-		return lowComputeSquare(c, load, st, sched, capture)
-	}
+	square := squareRouter{lowCompute: true, sched: sched, capture: capture}
 	return routeMessages(ex, msgs, "lowroute@r", at, rootStep("thm5.4"), square)
 }
 

@@ -504,21 +504,34 @@ func spreadBroadcast(c *comm, held []clique.Packet, numSlots int) ([]clique.Pack
 // member holds an (almost) equal number of items of every class. The
 // assignment is derived from a König coloring of the member-by-class demand
 // matrix: the item of color c moves to member c mod w (the paper's rule).
+//
+// A uniform square matrix (every cell u, Theorem 3.7 on a full load) has no
+// coloring object: ColorDemandMatrix would color it as the Latin square
+// bipartite.uniformDemandColoring builds, cell (a,t) owning the color block
+// ((a+t) mod dim)*u, and the plan computes those colors arithmetically, as
+// relayRouteColored does for uniform demand.
 type balancePlan struct {
-	coloring *bipartite.DemandColoring
+	coloring *bipartite.DemandColoring // nil for a uniform plan
 	w        int
+	dim, u   int // a uniform plan's matrix: dim x dim, every cell u
 }
 
 // newBalancePlan builds the plan from counts[a][t] = number of class-t items
 // held by group member a. The matrix is squared up with zero rows/columns
 // (in a copy from the comm's int arena) if it is not square. group
-// discriminates concurrent groups sharing the step key.
+// discriminates concurrent groups sharing the step key. A uniform plan
+// needs no shared computation, on a replay neither.
 func newBalancePlan(c *comm, counts [][]int, w int, st step, group int32) (balancePlan, error) {
 	dim := len(counts)
 	ragged := false
 	for _, row := range counts {
 		dim = max(dim, len(row))
 		ragged = ragged || len(row) != len(counts)
+	}
+	if !ragged && dim > 0 {
+		if u := uniformDemand(counts); u > 0 {
+			return balancePlan{w: w, dim: dim, u: u}, nil
+		}
 	}
 	square := counts
 	if ragged {
@@ -548,6 +561,12 @@ func newBalancePlan(c *comm, counts [][]int, w int, st step, group int32) (balan
 // target returns the group position that the k-th class-t item of member a
 // must move to.
 func (p balancePlan) target(a, t, k int) (int, error) {
+	if p.coloring == nil {
+		if k < 0 || k >= p.u {
+			return 0, fmt.Errorf("core: balance plan cell (%d,%d) has no unit %d", a, t, k)
+		}
+		return (((a+t)%p.dim)*p.u + k) % p.w, nil
+	}
 	color, err := p.coloring.ColorOfUnit(a, t, k)
 	if err != nil {
 		return 0, err
@@ -558,38 +577,26 @@ func (p balancePlan) target(a, t, k int) (int, error) {
 // moveDemand returns the member-to-member demand matrix induced by the plan
 // (carved from c's int arena), which is what Corollary 3.3 needs to execute
 // the redistribution. Instead of resolving every unit's color individually
-// (O(units) coloring lookups), it walks each cell's color runs once: a run
-// of consecutive colors spreads over the residues modulo w in full cycles
-// plus one extra for the first span%w residues — the same arithmetic as
-// countUnitsByResidue.
+// (O(units) coloring lookups), it walks each cell's color runs once (a
+// uniform plan's cell is one run) with spreadRun.
 func (p balancePlan) moveDemand(c *comm, counts [][]int) ([][]int, error) {
 	w := p.w
 	demand := c.intMatrix(w, w)
 	for a := range counts {
-		for t := range counts[a] {
-			n := counts[a][t]
+		for t, n := range counts[a] {
 			if n == 0 {
 				continue
 			}
-			row := demand[a]
 			unit := 0
-			for _, run := range p.coloring.Runs[a][t] {
-				if unit >= n {
-					break
-				}
-				span := run.Len
-				if span > n-unit {
-					span = n - unit
-				}
-				if full := span / w; full > 0 {
-					for b := 0; b < w; b++ {
-						row[b] += full
+			if p.coloring == nil {
+				unit = spreadRun(demand[a], ((a+t)%p.dim)*p.u, min(p.u, n), w)
+			} else {
+				for _, run := range p.coloring.Runs[a][t] {
+					if unit >= n {
+						break
 					}
+					unit += spreadRun(demand[a], run.Start, min(run.Len, n-unit), w)
 				}
-				for k := 0; k < span%w; k++ {
-					row[(run.Start+k)%w]++
-				}
-				unit += span
 			}
 			if unit < n {
 				return nil, fmt.Errorf("core: balance plan cell (%d,%d) has only %d units, need %d", a, t, unit, n)
@@ -597,4 +604,20 @@ func (p balancePlan) moveDemand(c *comm, counts [][]int) ([][]int, error) {
 		}
 	}
 	return demand, nil
+}
+
+// spreadRun adds the span consecutive colors from start to row, the count
+// of target members by color residue modulo w, and returns span: a run
+// spreads over the residues in full cycles plus one extra for the first
+// span%w residues — the same arithmetic as countUnitsByResidue.
+func spreadRun(row []int, start, span, w int) int {
+	if full := span / w; full > 0 {
+		for b := 0; b < w; b++ {
+			row[b] += full
+		}
+	}
+	for k := 0; k < span%w; k++ {
+		row[(start+k)%w]++
+	}
+	return span
 }

@@ -22,7 +22,7 @@ import (
 //     the virtual multiplexer, so the total stays 16 rounds at the cost of a
 //     constant-factor increase in message size.
 func Route(ex clique.Exchanger, msgs []Message) ([]Message, error) {
-	return routeMessages(ex, msgs, "route@r", ex.Round(), rootStep("thm3.7"), routeSquare)
+	return routeMessages(ex, msgs, "route@r", ex.Round(), rootStep("thm3.7"), squareRouter{})
 }
 
 // routeMessages is the Message-level shell shared by Route and
@@ -66,10 +66,22 @@ func routeMessages(ex clique.Exchanger, msgs []Message, label string, at int, st
 // Corollary 3.4 group instead.
 const routeTrivialThreshold = 9
 
-// squareRouter routes held parcels on a comm whose member count is a
-// perfect square: routeSquare (Algorithm 1, Theorem 3.7) or
-// lowComputeSquare (Theorem 5.4).
-type squareRouter func(c *comm, load []held, st step) ([]held, error)
+// squareRouter names the router for a comm whose member count is a
+// perfect square: routeSquare (Algorithm 1, Theorem 3.7; the zero value) or
+// lowComputeSquare (Theorem 5.4) with its optional schedule to replay or
+// capture. It is a value, not a closure, so choosing one allocates nothing.
+type squareRouter struct {
+	lowCompute     bool
+	sched, capture *RouteSchedule
+}
+
+// route routes held parcels on c with the named router.
+func (r squareRouter) route(c *comm, load []held, st step) ([]held, error) {
+	if r.lowCompute {
+		return lowComputeSquare(c, load, st, r.sched, r.capture)
+	}
+	return routeSquare(c, load, st)
+}
 
 // routeHeld dispatches between the perfect-square algorithm, the
 // tiny-clique fallback and the general decomposition, which runs square on
@@ -88,7 +100,7 @@ func routeHeld(c *comm, load []held, st step, square squareRouter) ([]held, erro
 	case m < routeTrivialThreshold:
 		return routeTiny(c, load, st.sub("tiny", kcTiny))
 	case isPerfectSquare(m):
-		return square(c, load, st.sub("square", kcSquare))
+		return square.route(c, load, st.sub("square", kcSquare))
 	default:
 		return routeGeneral(c, load, st.sub("general", kcGeneral), square)
 	}

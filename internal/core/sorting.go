@@ -57,7 +57,7 @@ const keysPerBundle = 2
 //	Step 7   8 rounds   Algorithm 3 inside every group concurrently
 //	Step 8   2 rounds   redistribute by global rank
 func Sort(ex clique.Exchanger, myKeys []Key) (*SortResult, error) {
-	return sortWith(ex, myKeys, ex.Round(), routeSquare, nil, nil)
+	return sortWith(ex, myKeys, ex.Round(), squareRouter{}, nil, nil)
 }
 
 // LowComputeSort is Algorithm 4 with Theorem 5.4 as Step 6's router: Step 6
@@ -75,9 +75,8 @@ func LowComputeSort(ex clique.Exchanger, myKeys []Key) (*SortResult, error) {
 // (as in lowComputeRoute) and an optional cached schedule to replay or an
 // empty one to capture (see SortSchedule).
 func lowComputeSort(ex clique.Exchanger, myKeys []Key, at int, sched, capture *SortSchedule) (*SortResult, error) {
-	return sortWith(ex, myKeys, at, func(c *comm, load []held, st step) ([]held, error) {
-		return lowComputeSquare(c, load, st, sched.route(), capture.route())
-	}, sched, capture)
+	square := squareRouter{lowCompute: true, sched: sched.route(), capture: capture.route()}
+	return sortWith(ex, myKeys, at, square, sched, capture)
 }
 
 // sortWith is the body shared by Sort and LowComputeSort: input validation,
@@ -120,7 +119,9 @@ func sortAlone(myKeys []Key) *SortResult {
 // whole member set, followed by the rank-balanced redistribution.
 func sortTiny(c *comm, myKeys []Key) (*SortResult, error) {
 	group := identityMembers(c.size()) // every local index
-	res, err := groupSort(c, group, myKeys, c.size(), rootStep("alg3.tiny").sub("tiny", kcSortTiny), nil, nil)
+	// groupSort sorts in place, and the caller's row is borrowed.
+	keys := append(c.keyVec(len(myKeys)), myKeys...)
+	res, err := groupSort(c, group, keys, c.size(), rootStep("alg3.tiny").sub("tiny", kcSortTiny), nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -240,13 +241,15 @@ func sortLarge(c *comm, myKeys []Key, label string, square squareRouter, sched, 
 	numGroups := ceilDiv(n, s)
 	myGroup := c.me / s
 	lo := myGroup * s
-	myGroupMembers := make([]int, min(lo+s, n)-lo)
+	myGroupMembers := c.intVec(min(lo+s, n) - lo)
 	for i := range myGroupMembers {
 		myGroupMembers[i] = lo + i
 	}
 
-	// Step 1 (local): sort the input.
-	input := append([]Key(nil), myKeys...)
+	// Step 1 (local): sort the input. Every key set the steps below build
+	// (samples, delimiters, routed keys, the group's bucket) is carved from
+	// c's key arena and dies with c; what a capture keeps is cloned.
+	input := append(c.keyVec(len(myKeys)), myKeys...)
 	sortKeys(input)
 
 	var (
@@ -269,13 +272,13 @@ func sortLarge(c *comm, myKeys []Key, label string, square squareRouter, sched, 
 	// non-decreasing (quantiles of a sorted sample, with missing slots
 	// collapsing onto their predecessor), so bucket j is the contiguous range
 	// input[bstart[j]:bstart[j+1]] found by binary search.
-	bstart := make([]int, numGroups+1)
+	bstart := c.intVec(numGroups + 1)
 	for j := 1; j < numGroups; j++ {
 		d := delims[j-1]
 		bstart[j] = sort.Search(len(input), func(i int) bool { return d.Less(input[i]) })
 	}
 	bstart[numGroups] = len(input)
-	counts := make([]int, numGroups)
+	counts := c.intVec(numGroups)
 	for j := range counts {
 		counts[j] = bstart[j+1] - bstart[j]
 	}
@@ -286,7 +289,7 @@ func sortLarge(c *comm, myKeys []Key, label string, square squareRouter, sched, 
 	// (2 rounds) on the multiplexer. A replay knows the sizes already and
 	// routes alone, with the router's announcement replayed as well.
 	var routedKeys []Key
-	bucketSizes := make([]int, numGroups)
+	bucketSizes := c.intVec(numGroups)
 	route := func(ex clique.Exchanger) error {
 		var rErr error
 		routedKeys, rErr = routeBuckets(ex, c, label, input, bstart, s, numGroups, st, square)
@@ -301,14 +304,14 @@ func sortLarge(c *comm, myKeys []Key, label string, square squareRouter, sched, 
 	} else {
 		if capture != nil {
 			if c.me == 0 {
-				capture.Delims = delims
+				capture.Delims = slices.Clone(delims)
 			}
-			capture.Counts[c.me] = counts
+			capture.Counts[c.me] = slices.Clone(counts)
 		}
 		err = clique.NewMux(c.ex).Run([]func(clique.Exchanger) error{
 			1: route,
 			2: func(ex clique.Exchanger) error {
-				sub := fullCommOn(ex, c, label+"/s6agg")
+				sub := fullCommOn(ex, kindAgg, c, label+"/s6agg")
 				defer sub.release()
 				sums, aErr := aggregateAndBroadcast(sub, 0, counts, numGroups)
 				if aErr != nil {
@@ -337,7 +340,7 @@ func sortLarge(c *comm, myKeys []Key, label string, square squareRouter, sched, 
 		return nil, fmt.Errorf("alg4 step7: %w", err)
 	}
 	if capture != nil && c.me == lo {
-		capture.S7Delims[myGroup] = bucketSort.delimiters
+		capture.S7Delims[myGroup] = slices.Clone(bucketSort.delimiters)
 		capture.S7Counts[myGroup] = cloneIntMatrix(bucketSort.counts)
 	}
 	if sched != nil {
@@ -377,7 +380,7 @@ func sortDelimiters(c *comm, input []Key, s, myGroup int, myGroupMembers []int, 
 
 	// Step 1 (local): select every sigma1-th key of the sorted input.
 	sigma1 := ceilDiv(n, s)
-	selected := make([]Key, 0, len(input)/sigma1+1)
+	selected := c.keyVec(len(input)/sigma1 + 1)
 	for i := sigma1 - 1; i < len(input); i += sigma1 {
 		selected = append(selected, input[i])
 	}
@@ -391,7 +394,7 @@ func sortDelimiters(c *comm, input []Key, s, myGroup int, myGroupMembers []int, 
 	if err != nil {
 		return nil, fmt.Errorf("alg4 step2: %w", err)
 	}
-	var samples []Key
+	samples := c.keyVec(len(rx.all()))
 	for _, p := range rx.all() {
 		k, decErr := decodeKey(p)
 		if decErr != nil {
@@ -437,7 +440,7 @@ func sortDelimiters(c *comm, input []Key, s, myGroup int, myGroupMembers []int, 
 	if err != nil {
 		return nil, fmt.Errorf("alg4 step4: %w", err)
 	}
-	delims := make([]Key, 0, numGroups-1)
+	delims := c.keyVec(numGroups - 1)
 	for k := 0; k < numGroups-1; k++ {
 		p := delimPackets[k]
 		if p == nil {
@@ -462,18 +465,18 @@ func sortDelimiters(c *comm, input []Key, s, myGroup int, myGroupMembers []int, 
 // routeBuckets is Algorithm 4's Step 6 routing on ex (a Mux instance, or the
 // node itself when a replay routes alone): every key travels to a member of
 // its bucket's group. The instance label is the same either way, so a
-// replay's shared computations are the captured run's.
+// replay's shared computations are the captured run's. The routed keys are
+// carved from c's key arena: the sub-instance's buffers go back to the pool
+// as soon as the routing ends, before anyone reads the keys.
 func routeBuckets(ex clique.Exchanger, c *comm, label string, input []Key, bstart []int, s, numGroups int, st step, square squareRouter) ([]Key, error) {
-	sub := fullCommOn(ex, c, label+"/s6")
-	// The keys are value copies, so the sub-instance's buffers can go back to
-	// the pool as soon as the routing ends.
+	sub := fullCommOn(ex, kindRouter, c, label+"/s6")
 	defer sub.release()
 	load := bundleBuckets(sub, input, bstart, s, numGroups)
 	received, err := routeHeld(sub, load, st.sub("s6.route", kcSortS6), square)
 	if err != nil {
 		return nil, err
 	}
-	return unbundleKeys(received)
+	return unbundleKeys(c, received)
 }
 
 // indexIn returns the position of x in the sorted slice members, or -1.
@@ -549,9 +552,9 @@ func bundleBuckets(c *comm, input []Key, bstart []int, s, numGroups int) []held 
 }
 
 // unbundleKeys decodes the key bundles produced by bundleBuckets, as
-// delivered to this node. It validates and counts in a first sweep so the
-// key slice is allocated exactly once.
-func unbundleKeys(received []held) ([]Key, error) {
+// delivered to this node, into a slice carved from c's key arena. It
+// validates and counts in a first sweep so the slice is carved exactly once.
+func unbundleKeys(c *comm, received []held) ([]Key, error) {
 	total := 0
 	for _, h := range received {
 		if len(h.payload) < 1 {
@@ -563,7 +566,7 @@ func unbundleKeys(received []held) ([]Key, error) {
 		}
 		total += count
 	}
-	keys := make([]Key, 0, total)
+	keys := c.keyVec(total)
 	for _, h := range received {
 		count := int(h.payload[0])
 		for i := 0; i < count; i++ {
@@ -590,7 +593,7 @@ type rankedKey struct {
 // rounds suffice: keys are dealt round-robin over all nodes (with their rank
 // attached) and every relay forwards each key to its final node.
 func dealByRank(c *comm, run []Key, start, total int, context string) (*SortResult, error) {
-	c.rankScratch = rankRun(c.rankScratch[:0], run, start)
+	c.rankScratch = rankRun(slices.Grow(c.rankScratch[:0], len(run)), run, start)
 	return dealRanked(c, c.rankScratch, total, context)
 }
 

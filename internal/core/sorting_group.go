@@ -20,7 +20,8 @@ type groupSortResult struct {
 }
 
 // groupSort implements Algorithm 3: the members of one group sort the union
-// of their keys using only edges with at least one endpoint in the group
+// of their keys (myKeys, which it sorts in place: callers hand it a slice
+// they own) using only edges with at least one endpoint in the group
 // (plus the shared relays of Corollary 3.3, which is what allows disjoint
 // groups to run concurrently). Every member of the comm must call groupSort
 // in the same round; nodes with a nil group participate as relays only.
@@ -53,7 +54,7 @@ func groupSort(c *comm, group []int, myKeys []Key, capacity int, st step, knownD
 		if myIdx < 0 {
 			return nil, fmt.Errorf("core: groupSort(%s): node %d not in its group", st.name, c.ex.ID())
 		}
-		input = append([]Key(nil), myKeys...)
+		input = myKeys
 		sortKeys(input)
 	}
 	delims := knownDelims
@@ -71,7 +72,7 @@ func groupSort(c *comm, group []int, myKeys []Key, capacity int, st step, knownD
 		// delimiters are non-decreasing, so bucket j is the contiguous range
 		// input[bstart[j]:bstart[j+1]] found by binary search (keys above the
 		// last delimiter fall into bucket len(delims)).
-		bstart = make([]int, w+1)
+		bstart = c.intVec(w + 1)
 		for j := 1; j < w; j++ {
 			if j-1 < len(delims) {
 				d := delims[j-1]
@@ -86,7 +87,7 @@ func groupSort(c *comm, group []int, myKeys []Key, capacity int, st step, knownD
 	// Step 5 (2 rounds): announce the bucket counts.
 	var counts []int
 	if w > 0 {
-		counts = make([]int, w)
+		counts = c.intVec(w)
 		for j := 0; j < w; j++ {
 			counts[j] = bstart[j+1] - bstart[j]
 		}
@@ -157,14 +158,14 @@ func groupSort(c *comm, group []int, myKeys []Key, capacity int, st step, knownD
 
 	// Step 7 (local): sort the received keys; they form my bucket of the
 	// group-wide order. The announced counts already pin the bucket size, so
-	// the bucket is allocated exactly once.
-	bucketSizes := make([]int, w)
+	// the bucket is carved exactly once.
+	bucketSizes := c.intVec(w)
 	for j := 0; j < w; j++ {
 		for a := 0; a < w; a++ {
 			bucketSizes[j] += allCounts[a][j]
 		}
 	}
-	myBucket := make([]Key, 0, bucketSizes[myIdx])
+	myBucket := c.keyVec(bucketSizes[myIdx])
 	for _, it := range received {
 		if len(it.words) < 1 {
 			return nil, fmt.Errorf("core: groupSort(%s) step7: empty bundle", st.name)
@@ -207,7 +208,7 @@ func groupDelimiters(c *comm, group []int, input []Key, capacity int, st step) (
 	if w > 0 {
 		sigma := max(ceilDiv(w*capacity, c.size()), 1)
 		maxSel = ceilDiv(capacity, sigma)
-		selected = make([]Key, 0, len(input)/sigma+1)
+		selected = c.keyVec(len(input)/sigma + 1)
 		for i := sigma - 1; i < len(input); i += sigma {
 			selected = append(selected, input[i])
 		}
@@ -218,13 +219,14 @@ func groupDelimiters(c *comm, group []int, input []Key, capacity int, st step) (
 	// demand is uniform.
 	var payloads [][]clique.Word
 	if w > 0 {
-		payloads = make([][]clique.Word, 0, maxSel)
+		payloads = c.annIn[:0]
 		for _, k := range selected {
 			payloads = append(payloads, c.arenaAppend(1, k.Value, clique.Word(k.Origin), clique.Word(k.Seq)))
 		}
 		for len(payloads) < maxSel {
 			payloads = append(payloads, c.arenaAppend(0, 0, 0, 0))
 		}
+		c.annIn = payloads
 	}
 	announced, err := announceFixed(c, group, payloads, maxSel, st.sub("samples", kcSamples))
 	if err != nil {
@@ -236,7 +238,7 @@ func groupDelimiters(c *comm, group []int, input []Key, capacity int, st step) (
 
 	// Step 3 (local): merge the samples and pick the w-quantiles as
 	// delimiters.
-	samples := make([]Key, 0, w*maxSel)
+	samples := c.keyVec(w * maxSel)
 	for _, perSender := range announced {
 		for _, p := range perSender {
 			if len(p) < 1+keyWords || p[0] != 1 {
@@ -250,7 +252,7 @@ func groupDelimiters(c *comm, group []int, input []Key, capacity int, st step) (
 		}
 	}
 	sortKeys(samples)
-	delims := make([]Key, 0, w-1)
+	delims := c.keyVec(w - 1)
 	for j := 1; j < w; j++ {
 		if len(samples) == 0 {
 			break

@@ -41,9 +41,9 @@ func (p *sortProgram) step(ex clique.Exchanger, plan *SortPlan, row []Key, round
 		p.result = &SortResult{}
 		return true, nil
 	case SortStrategyPresorted:
-		scratch := commScratchPool.Get().(*commScratch)
+		scratch := pooledScratch(kindOwn)
 		done, err := p.presortedStep(ex, plan, row, round, inbox, scratch)
-		commScratchPool.Put(scratch)
+		scratch.recycle()
 		if (done || err != nil) && p.staged != nil {
 			p.staged.recycle()
 			p.staged = nil
@@ -83,7 +83,7 @@ func (p *sortProgram) presortedStep(ex clique.Exchanger, plan *SortPlan, myKeys 
 			ranked[t].rank = plan.StartRanks[id] + t
 		}
 		scratch.rankScratch = ranked
-		p.staged = pooledStager()
+		p.staged = pooledStager(kindOwn)
 		stageRankedBundles(p.staged, id, n, ranked)
 	case 1:
 		bundles, err := scratch.rx.decodeInbox(ex.InboxSenders(), inbox)
@@ -94,7 +94,7 @@ func (p *sortProgram) presortedStep(ex clique.Exchanger, plan *SortPlan, myKeys 
 			return false, nil
 		}
 		if p.staged == nil {
-			p.staged = pooledStager()
+			p.staged = pooledStager(kindOwn)
 		}
 		if err := forwardByRank(p.staged, bundles, perNode, n, context); err != nil {
 			return true, err

@@ -182,9 +182,30 @@ type comm struct {
 	// are acquired from process-wide pools at newComm and returned by
 	// release, so the hundreds of short-lived instances a protocol spawns
 	// (one per node per call, plus sub-instances) do not cold-start their
-	// pipeline buffers from zero capacity each time.
+	// pipeline buffers from zero capacity each time. There is one pool of
+	// each per commKind, so a pooled buffer set only ever serves instances
+	// of one shape, and newComm grows it to its kind's sizeHint.
 	*commScratch
 }
+
+// commKind is the role of a comm in a protocol, which fixes how much of its
+// scratch and staging log an instance uses: buffers are pooled per kind, so
+// a warm set never migrates between a sort's own comm, its Step 6 router and
+// its bucket-size aggregation (which would regrow it at every move).
+type commKind uint8
+
+const (
+	// kindOwn is a protocol's own comm (fullComm), and the presorted step
+	// program's per-step scratch and staging log.
+	kindOwn commKind = iota
+	// kindRouter is a routing sub-instance on (part of) its parent's members:
+	// Algorithm 4's Step 6 router and the V1/V2/corner instances of
+	// routeGeneral.
+	kindRouter
+	// kindAgg is Algorithm 4's Step 6 bucket-size aggregation.
+	kindAgg
+	numCommKinds
+)
 
 // commScratch is the poolable buffer state of a comm (a presorted step
 // program borrows one per step for its rank and receive buffers and the
@@ -195,12 +216,16 @@ type comm struct {
 // converting to caller-owned values, the V1/V2/corner routers after copying
 // their deliveries into the parent's arena).
 //
-// Ownership of the int arena: a matrix or vector carved by intMatrix/intVec
-// lives until release and is never handed out twice before it. Nothing
-// carved from it may be kept past release — a schedule capture
-// (RouteSchedule.S5Counts, SortSchedule.S7Counts), which the plan cache keeps
-// for later runs, stores a clone made at the capture site.
+// Ownership of the int and key arenas: a matrix or vector carved by
+// intMatrix/intVec, or a key slice carved by keyVec, lives until release and
+// is never handed out twice before it. Nothing carved from them may be kept
+// past release — a schedule capture (RouteSchedule.S5Counts,
+// SortSchedule.Counts/Delims/S7Delims/S7Counts), which the plan cache keeps
+// for later runs, stores a clone made at the capture site, and a sort's
+// result batch is a fresh slice.
 type commScratch struct {
+	kind commKind // the pool the scratch returns to
+
 	local []int32 // dense global id -> local index table, -1 for non-members
 
 	dst dstTables // what the stager's flush needs per destination
@@ -244,19 +269,26 @@ type commScratch struct {
 	annOut        [][][]clique.Word
 	annDemand     [][]int
 	annDemandFlat []int
-	annIn         [][]clique.Word // announceIntVector's payload list
+	annIn         [][]clique.Word // announceIntVector's and groupDelimiters' payload lists
 
 	// ints and intRows back the int matrices and vectors an instance builds
 	// (announced count matrices, balance-plan squares and move demands, set
 	// totals, per-class cursors): carved append-only by intVec/intMatrix and
 	// emptied by acquireScratch. A carve that does not fit is allocated on
-	// its own; intsWant/rowsWant total every carve since the last reset, and
-	// acquireScratch regrows an arena that fell short to exactly that total,
-	// so a warm instance of the same shape carves without allocating.
+	// its own; intsWant/rowsWant total every carve since the last reset,
+	// release folds the totals into the kind's sizeHint, and acquireScratch
+	// grows an arena that falls short of it, so a warm instance of the same
+	// shape carves without allocating.
 	ints     []int
 	intRows  [][]int
 	intsWant int
 	rowsWant int
+
+	// keys backs the key slices a sort carves with keyVec — its sorted
+	// input, samples, delimiters, routed keys and buckets — carved, counted
+	// and sized like ints.
+	keys     []Key
+	keysWant int
 }
 
 // intVec returns a zeroed vector of k ints carved from the int arena.
@@ -295,17 +327,85 @@ func (s *commScratch) matrixOver(flat []int, r, cols int) [][]int {
 	return rows
 }
 
-// resetInts empties the int arena, first regrowing it to the total the last
-// instance carved if that did not fit.
-func (s *commScratch) resetInts() {
-	if cap(s.ints) < s.intsWant {
-		s.ints = make([]int, 0, s.intsWant)
+// keyVec returns an empty slice with room for k keys carved from the key
+// arena; the caller appends into it.
+func (s *commScratch) keyVec(k int) []Key {
+	s.keysWant += k
+	n0 := len(s.keys)
+	if n0+k > cap(s.keys) {
+		return make([]Key, 0, k)
 	}
-	if cap(s.intRows) < s.rowsWant {
-		s.intRows = make([][]int, 0, s.rowsWant)
+	s.keys = s.keys[:n0+k]
+	return s.keys[n0 : n0 : n0+k]
+}
+
+// sizeHint is the most any comm of one kind on a clique of n nodes carved
+// from each arena (ints, rows, keys) and grew its staging log, frame
+// buffer, rank buffer and receive list to (stage, frames, ranked, msgs):
+// the buffers that grow with the keys and words a node handles. The nodes
+// of one protocol use different amounts (Algorithm 4's sample sorters in
+// group 0 carve four times the keys of the rest), so a pooled buffer sized
+// by the comms it happened to serve would regrow whenever it next served a
+// busier node. Sized to the hint, every pooled scratch and stager of a kind
+// grows once, and one the pool creates after a collection starts at the
+// hint. A process alternating clique sizes keeps replacing the hint, and
+// its buffers grow as they did before hints.
+type sizeHint struct{ n, ints, rows, keys, stage, frames, ranked, msgs int }
+
+var sizeHints [numCommKinds]atomic.Pointer[sizeHint]
+
+// hintFor returns the hint of kind for a clique of n nodes, zero if none is
+// known.
+func hintFor(kind commKind, n int) sizeHint {
+	if h := sizeHints[kind].Load(); h != nil && h.n == n {
+		return *h
 	}
-	s.ints, s.intRows = s.ints[:0], s.intRows[:0]
-	s.intsWant, s.rowsWant = 0, 0
+	return sizeHint{}
+}
+
+// raiseHint folds what a released comm used into its kind's hint; a comm on
+// another clique size replaces the hint.
+func raiseHint(kind commKind, used sizeHint) {
+	p := &sizeHints[kind]
+	for {
+		old := p.Load()
+		next := used
+		if old != nil && old.n == used.n {
+			next = sizeHint{n: used.n, ints: max(old.ints, used.ints), rows: max(old.rows, used.rows),
+				keys: max(old.keys, used.keys), stage: max(old.stage, used.stage), frames: max(old.frames, used.frames),
+				ranked: max(old.ranked, used.ranked), msgs: max(old.msgs, used.msgs)}
+			if next == *old {
+				return
+			}
+		}
+		raised := new(sizeHint) // only a raise allocates
+		*raised = next
+		if p.CompareAndSwap(old, raised) {
+			return
+		}
+	}
+}
+
+// fitHint grows every buffer h covers that is smaller than h, and empties
+// the int and key arenas.
+func (s *commScratch) fitHint(h sizeHint) {
+	if cap(s.rankScratch) < h.ranked {
+		s.rankScratch = make([]rankedKey, 0, h.ranked)
+	}
+	if cap(s.rx.msgs) < h.msgs {
+		s.rx.msgs = make([][]clique.Word, 0, h.msgs)
+	}
+	if cap(s.ints) < h.ints {
+		s.ints = make([]int, 0, h.ints)
+	}
+	if cap(s.intRows) < h.rows {
+		s.intRows = make([][]int, 0, h.rows)
+	}
+	if cap(s.keys) < h.keys {
+		s.keys = make([]Key, 0, h.keys)
+	}
+	s.ints, s.intRows, s.keys = s.ints[:0], s.intRows[:0], s.keys[:0]
+	s.intsWant, s.rowsWant, s.keysWant = 0, 0, 0
 }
 
 // uniformDemandMatrix returns a pooled w x w matrix with every cell set to
@@ -328,12 +428,26 @@ func (c *comm) uniformDemandMatrix(w, u int) [][]int {
 	return m
 }
 
-var commScratchPool = sync.Pool{New: func() interface{} { return new(commScratch) }}
+// commScratchPools holds released scratches, one pool per commKind.
+var commScratchPools [numCommKinds]sync.Pool
 
-// acquireScratch readies a pooled scratch for an instance with the given
-// member count on a clique of n nodes.
-func acquireScratch(size, n int) *commScratch {
-	s := commScratchPool.Get().(*commScratch)
+// pooledScratch takes a scratch of the given kind from its pool, or a new one.
+func pooledScratch(kind commKind) *commScratch {
+	if s, ok := commScratchPools[kind].Get().(*commScratch); ok {
+		return s
+	}
+	return &commScratch{kind: kind}
+}
+
+// recycle returns the scratch to its kind's pool.
+func (s *commScratch) recycle() { commScratchPools[s.kind].Put(s) }
+
+// acquireScratch readies a pooled scratch of the given kind for an instance
+// with the given member count on a clique of n nodes, its arenas grown to
+// the kind's hint h.
+func acquireScratch(kind commKind, h sizeHint, size, n int) *commScratch {
+	s := pooledScratch(kind)
+	s.fitHint(h)
 	if cap(s.local) < n {
 		s.local = make([]int32, n)
 	}
@@ -355,7 +469,6 @@ func acquireScratch(size, n int) *commScratch {
 		s.posScratch[i] = -1
 	}
 	s.heldCursor, s.itemCursor = 0, 0
-	s.resetInts()
 	return s
 }
 
@@ -369,15 +482,17 @@ func (c *comm) release() {
 		return
 	}
 	c.commScratch = nil
-	commScratchPool.Put(s)
+	raiseHint(s.kind, sizeHint{n: len(s.local), ints: s.intsWant, rows: s.rowsWant, keys: s.keysWant,
+		stage: cap(c.stage), frames: cap(c.frameBuf), ranked: cap(s.rankScratch), msgs: cap(s.rx.msgs)})
+	s.recycle()
 	c.stager.recycle()
 	c.stager = nil
 }
 
-// newComm builds the context for an instance named label (labels scope the
-// deterministic shared-computation cache) with the given members. Members
-// must be sorted, distinct and valid node identifiers.
-func newComm(ex clique.Exchanger, label string, members []int) (*comm, error) {
+// newComm builds the context for an instance of the given kind named label
+// (labels scope the deterministic shared-computation cache) with the given
+// members. Members must be sorted, distinct and valid node identifiers.
+func newComm(ex clique.Exchanger, kind commKind, label string, members []int) (*comm, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("core: instance %q has no members", label)
 	}
@@ -389,7 +504,8 @@ func newComm(ex clique.Exchanger, label string, members []int) (*comm, error) {
 			return nil, fmt.Errorf("core: instance %q members not sorted/distinct at index %d", label, i)
 		}
 	}
-	scratch := acquireScratch(len(members), ex.N())
+	h := hintFor(kind, ex.N())
+	scratch := acquireScratch(kind, h, len(members), ex.N())
 	for i, g := range members {
 		scratch.local[g] = int32(i)
 	}
@@ -397,7 +513,8 @@ func newComm(ex clique.Exchanger, label string, members []int) (*comm, error) {
 	if idx := scratch.local[ex.ID()]; idx >= 0 {
 		me = int(idx)
 	}
-	st := pooledStager()
+	st := pooledStager(kind)
+	st.reserve(h.stage, h.frames)
 	if ft, ok := ex.(clique.FrameTagger); ok {
 		if tag, on := ft.FrameTag(); on {
 			st.tagEx, st.frameTag = ft, tag
@@ -429,7 +546,7 @@ func identityMembers(n int) []int {
 
 // fullComm is the common case of an instance spanning the whole clique.
 func fullComm(ex clique.Exchanger, label string) *comm {
-	c, err := newComm(ex, label, identityMembers(ex.N()))
+	c, err := newComm(ex, kindOwn, label, identityMembers(ex.N()))
 	if err != nil {
 		// Cannot happen: the member list is valid by construction and both
 		// of the engine's exchangers receive flat.

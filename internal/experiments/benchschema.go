@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"time"
@@ -241,12 +242,16 @@ type ProtocolDoc struct {
 	MaxN   int    `json:"max_n"`
 	Host   Host   `json:"host"`
 	// Measured holds the one-shot Route and Sort rows at n = 64, 256 and
-	// 1024 (up to MaxN).
-	Measured  []ProtocolBench  `json:"measured"`
-	Scenarios *ScenarioSection `json:"scenarios,omitempty"`
-	Service   *ServiceSection  `json:"service,omitempty"`
-	Temporal  *TemporalSection `json:"temporal,omitempty"`
-	Scaling   *ScalingSection  `json:"scaling,omitempty"`
+	// 1024 (up to MaxN), each measured by MeasureWarmOp: with the collector
+	// off, every timed op follows an untimed op of the same row, so it finds
+	// the engine's and the protocols' pools as that op left them.
+	// MeasuredNote says so in the file.
+	Measured     []ProtocolBench  `json:"measured"`
+	MeasuredNote string           `json:"measured_note"`
+	Scenarios    *ScenarioSection `json:"scenarios,omitempty"`
+	Service      *ServiceSection  `json:"service,omitempty"`
+	Temporal     *TemporalSection `json:"temporal,omitempty"`
+	Scaling      *ScalingSection  `json:"scaling,omitempty"`
 }
 
 // WriteFile writes the document to path with stable indentation.
@@ -267,9 +272,10 @@ type OpMeasurement struct {
 }
 
 // MeasureOp is the measurement discipline of every BENCH_protocol.json
-// section: run op iters times after a GC flush and report wall time and
-// allocation figures per op. The caller is responsible for warming the op
-// (pools, engine construction) before measuring.
+// section but the one-shot rows (MeasureWarmOp): run op iters times after a
+// GC flush and report wall time and allocation figures per op. The caller
+// is responsible for warming the op (pools, engine construction) before
+// measuring.
 func MeasureOp(iters int, op func() error) (OpMeasurement, error) {
 	runtime.GC()
 	var before, after runtime.MemStats
@@ -286,5 +292,41 @@ func MeasureOp(iters int, op func() error) (OpMeasurement, error) {
 		NsPerOp:     wall.Nanoseconds() / int64(iters),
 		AllocsPerOp: int64(after.Mallocs-before.Mallocs) / int64(iters),
 		BytesPerOp:  int64(after.TotalAlloc-before.TotalAlloc) / int64(iters),
+	}, nil
+}
+
+// MeasureWarmOp measures ops whose allocations depend on what the process's
+// pools hold when they start, as a one-shot op's do (a fresh engine takes
+// its buffers from them). It turns the collector off, and each of the iters
+// timed runs of op follows a GC flush and an untimed run of op; only the
+// timed runs count. Every timed run thus finds the pools as op itself
+// leaves them, and ns/op excludes collection work. With the collector on,
+// a collection in the window empties the pools (two in a row drop what they
+// hold), so what such a row reads depends on the collector's phase, not on
+// the code.
+func MeasureWarmOp(iters int, op func() error) (OpMeasurement, error) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var wall time.Duration
+	var mallocs, bytes uint64
+	for i := 0; i < iters; i++ {
+		runtime.GC()
+		if err := op(); err != nil {
+			return OpMeasurement{}, err
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		if err := op(); err != nil {
+			return OpMeasurement{}, err
+		}
+		wall += time.Since(start)
+		runtime.ReadMemStats(&after)
+		mallocs += after.Mallocs - before.Mallocs
+		bytes += after.TotalAlloc - before.TotalAlloc
+	}
+	return OpMeasurement{
+		NsPerOp:     wall.Nanoseconds() / int64(iters),
+		AllocsPerOp: int64(mallocs) / int64(iters),
+		BytesPerOp:  int64(bytes) / int64(iters),
 	}, nil
 }

@@ -569,6 +569,53 @@ func TestCallerOwnership(t *testing.T) {
 	}
 }
 
+// TestCallerOwnershipTinyCliques extends TestCallerOwnership below the
+// clique size at which Algorithm 4 degenerates into one Algorithm 3 over
+// the whole clique (n < 9, core's sortTiny), which sorts the keys it is
+// handed in place: Sort, SortKeys and a corollary must leave the caller's
+// rows, each in descending order so that any sort would reorder it, as they
+// were.
+func TestCallerOwnershipTinyCliques(t *testing.T) {
+	t.Parallel()
+	ctx := context.Background()
+	for _, n := range []int{4, 8} {
+		values := make([][]int64, n)
+		keys := make([][]Key, n)
+		for i := range values {
+			for j := 0; j < n; j++ {
+				v := int64((n-j)*n + i)
+				values[i] = append(values[i], v)
+				keys[i] = append(keys[i], Key{Value: v, Origin: i, Seq: j})
+			}
+		}
+		for _, alg := range []Algorithm{Deterministic, LowCompute, AlgorithmAuto} {
+			t.Run(fmt.Sprintf("n=%d/%v", n, alg), func(t *testing.T) {
+				cl, err := New(n, WithAlgorithm(alg))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer cl.Close()
+				valuesBefore, keysBefore := cloneRows(values), cloneRows(keys)
+				for _, op := range []struct {
+					name string
+					run  func() error
+				}{
+					{"Sort", func() error { _, err := cl.Sort(ctx, values); return err }},
+					{"SortKeys", func() error { _, err := cl.SortKeys(ctx, keys); return err }},
+					{"Rank", func() error { _, err := cl.Rank(ctx, values); return err }},
+				} {
+					if err := op.run(); err != nil {
+						t.Fatalf("%s: %v", op.name, err)
+					}
+					if !reflect.DeepEqual(values, valuesBefore) || !reflect.DeepEqual(keys, keysBefore) {
+						t.Fatalf("%s wrote to the caller's input rows", op.name)
+					}
+				}
+			})
+		}
+	}
+}
+
 // cloneRows deep-copies rows, keeping nil rows nil.
 func cloneRows[T any](rows [][]T) [][]T {
 	out := make([][]T, len(rows))
