@@ -6,6 +6,7 @@ import (
 	"context"
 	"runtime"
 	"runtime/debug"
+	"sync"
 	"testing"
 	"time"
 	"unsafe"
@@ -233,6 +234,84 @@ func TestWarmAllocsSortBytes(t *testing.T) {
 		if perOp > sortBytesPerBatch*batches {
 			t.Errorf("%v: a warm Sort allocates %.0f KiB/op, more than %.1f x its batches' %.0f KiB",
 				alg, perOp/1024, sortBytesPerBatch, batches/1024)
+		}
+	}
+}
+
+// TestWarmAllocsMixedSizes checks that handles of two clique sizes keep
+// their warm allocation figures when their Sorts interleave: a warm n=196
+// and a warm n=144 Sort, run alternately and run side by side, allocate at
+// most mixedSizesBytes times what each allocates on its own. The comm
+// buffers both sizes share grow to a size hint kept per clique size, and an
+// arena also grows to what it carved last. One hint per comm kind, which
+// every comm of the other size replaced, left fresh arenas ungrown and read
+// 1.5-1.6x side by side in some runs; per-size hints read 0.88-1.04x.
+func TestWarmAllocsMixedSizes(t *testing.T) {
+	const (
+		warm            = 5
+		runs            = 8
+		mixedSizesBytes = 1.35
+	)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	ctx := context.Background()
+	runtime.GC()
+	runtime.GC()
+	sizes := []int{196, 144}
+	sorts := make([]func(), len(sizes))
+	for i, n := range sizes {
+		cl, err := New(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		values := benchSortWorkload(n)
+		sorts[i] = func() {
+			if _, err := cl.Sort(ctx, values); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	perOp := func(op func()) float64 {
+		for i := 0; i < warm; i++ {
+			op()
+		}
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			op()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	alone := perOp(sorts[0]) + perOp(sorts[1])
+	mixes := []struct {
+		name string
+		op   func()
+	}{
+		{"alternately", func() {
+			for _, sort := range sorts {
+				sort()
+			}
+		}},
+		{"side by side", func() {
+			var wg sync.WaitGroup
+			for _, sort := range sorts {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					sort()
+				}()
+			}
+			wg.Wait()
+		}},
+	}
+	for _, mix := range mixes {
+		got := perOp(mix.op)
+		t.Logf("%s: %.0f KiB/op, %.2f x the %.0f KiB/op of each size on its own", mix.name, got/1024, got/alone, alone/1024)
+		if got > mixedSizesBytes*alone {
+			t.Errorf("sizes %v sorting %s allocate %.0f KiB/op, more than %.2f x the %.0f KiB/op of each on its own",
+				sizes, mix.name, got/1024, mixedSizesBytes, alone/1024)
 		}
 	}
 }

@@ -32,6 +32,8 @@ func recordCmd(fs *flag.FlagSet) func([]string) error {
 			Schema: "congestedclique/bench-protocol/v2",
 			MaxN:   *maxN,
 			Host:   experiments.CurrentHost(),
+
+			MeasureNote: experiments.MeasureNote,
 		}
 		// The scaling curve runs first: its peak RSS column is the process
 		// high-water mark, which any earlier section would inflate.
@@ -43,7 +45,6 @@ func recordCmd(fs *flag.FlagSet) func([]string) error {
 		if doc.Measured, err = runMeasured(*maxN); err != nil {
 			return fmt.Errorf("measured: %w", err)
 		}
-		doc.MeasuredNote = measuredNote
 		emit(measuredTable(doc.Measured))
 		catalogN := min(256, *maxN)
 		if doc.Scenarios, err = runScenarios(catalogN, 1, "all", 1); err != nil {
@@ -64,19 +65,11 @@ func recordCmd(fs *flag.FlagSet) func([]string) error {
 	}
 }
 
-// measuredNote is BENCH_protocol.json's account of the state the one-shot
-// rows measure.
-const measuredNote = "one-shot ops (a fresh engine per op) on warm pools: with the collector off, each " +
-	"timed op follows a GC flush and an untimed op of the same row (experiments.MeasureWarmOp), so it finds " +
-	"the engine's and the protocols' pools as that op left them, and bytes/op no longer depends on whether " +
-	"a collection emptied them in the op's window; ns/op excludes collection work"
-
 // runMeasured measures one-shot Route and Sort of the protocol-benchmark
 // instances, each under Deterministic and under AlgorithmAuto without a plan
 // cache (whose full-load verdicts run Theorem 5.4, as the router and as
 // Algorithm 4's Step 6), at every size up to maxN: one op reads the row's
-// model cost, then MeasureWarmOp times iters ops, each right after an
-// untimed one (see measuredNote).
+// model cost, then MeasureOp times iters ops.
 func runMeasured(maxN int) ([]experiments.ProtocolBench, error) {
 	var rows []experiments.ProtocolBench
 	for _, n := range []int{64, 256, 1024} {
@@ -129,7 +122,7 @@ func runMeasured(maxN int) ([]experiments.ProtocolBench, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s n=%d: %w", op.name, n, err)
 			}
-			m, err := experiments.MeasureWarmOp(iters, func() error {
+			m, err := experiments.MeasureOp(iters, func() error {
 				_, err := op.run()
 				return err
 			})

@@ -64,9 +64,9 @@ func scalingOps(n int) ([]scalingOp, error) {
 	}, nil
 }
 
-// measureScaling runs one frontier point: a warm-up pass whose output must
-// pass the internal/verify oracle, followed by iters timed runs through the
-// shared measurement helper.
+// measureScaling runs one frontier point: a pass whose output must pass the
+// internal/verify oracle, followed by iters timed runs through the shared
+// measurement helper.
 func measureScaling(n, iters int, o scalingOp) (experiments.ScalingBench, error) {
 	auto := cc.WithAlgorithm(cc.AlgorithmAuto)
 	var strategy string

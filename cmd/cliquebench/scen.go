@@ -26,7 +26,7 @@ func scenCmd(fs *flag.FlagSet) func([]string) error {
 	n := fs.Int("n", 256, "number of clique nodes")
 	seed := fs.Int64("seed", 1, "workload seed")
 	names := scenarioFlag(fs)
-	iters := fs.Int("iters", 1, "measured iterations per scenario (after one warm-up)")
+	iters := fs.Int("iters", 1, "measured iterations per scenario (each after an untimed one)")
 	return func([]string) error {
 		section, err := runScenarios(*n, *seed, *names, *iters)
 		if err != nil {
@@ -82,21 +82,16 @@ func runScenarios(n int, seed int64, names string, iters int) (*experiments.Scen
 	return section, nil
 }
 
-// runScenario measures one scenario on the shared session handle: a warm-up
-// pass, iters measured planner runs, and the deterministic pipeline on the
-// same instance for the word comparison and verification.
+// runScenario measures one scenario on the shared session handle: iters
+// measured planner runs, and the deterministic pipeline on the same instance
+// for the word comparison and verification.
 func runScenario(cl *cc.Clique, sc workload.Scenario, n int, seed int64, iters int) (experiments.ScenarioBench, error) {
 	ri, err := sc.Build(n, seed)
 	if err != nil {
 		return experiments.ScenarioBench{}, err
 	}
 	ctx := context.Background()
-	// One warm-up op primes the engine and protocol buffer pools before the
-	// measured window.
-	auto, err := cl.Route(ctx, ri.Msgs, cc.WithAlgorithm(cc.AlgorithmAuto))
-	if err != nil {
-		return experiments.ScenarioBench{}, err
-	}
+	var auto *cc.RouteResult
 	m, err := experiments.MeasureOp(iters, func() error {
 		var opErr error
 		auto, opErr = cl.Route(ctx, ri.Msgs, cc.WithAlgorithm(cc.AlgorithmAuto))
@@ -151,11 +146,10 @@ func runScenario(cl *cc.Clique, sc workload.Scenario, n int, seed int64, iters i
 	return row, nil
 }
 
-// runSortScenario is runScenario for the sorting catalog: a warm-up pass,
-// iters measured planner runs, the sorting planner's verdict cross-checked
-// against the executed strategy, and the deterministic Algorithm 4 pipeline
-// on the same instance for the word comparison and batch-by-batch
-// verification.
+// runSortScenario is runScenario for the sorting catalog: iters measured
+// planner runs, the sorting planner's verdict cross-checked against the
+// executed strategy, and the deterministic Algorithm 4 pipeline on the same
+// instance for the word comparison and batch-by-batch verification.
 func runSortScenario(cl *cc.Clique, sc workload.SortScenario, n int, seed int64, iters int) (experiments.ScenarioBench, error) {
 	si, err := sc.Build(n, seed)
 	if err != nil {
@@ -166,10 +160,7 @@ func runSortScenario(cl *cc.Clique, sc workload.SortScenario, n int, seed int64,
 		return experiments.ScenarioBench{}, err
 	}
 	ctx := context.Background()
-	auto, err := cl.Sort(ctx, values, cc.WithAlgorithm(cc.AlgorithmAuto))
-	if err != nil {
-		return experiments.ScenarioBench{}, err
-	}
+	var auto *cc.SortResult
 	m, err := experiments.MeasureOp(iters, func() error {
 		var opErr error
 		auto, opErr = cl.Sort(ctx, values, cc.WithAlgorithm(cc.AlgorithmAuto))

@@ -89,7 +89,8 @@
 //     keeps for later runs is cloned at the capture site (cloneIntMatrix,
 //     slices.Clone), and a sort's result batch is a fresh slice. Scratches
 //     are pooled per commKind, so a warm one only serves comms of its own
-//     shape, and grow to the most a comm of that kind used (sizeHint).
+//     shape, and grow to the most a comm of that kind on a clique of that
+//     size used (sizeHint), or to what they carved last if that is more.
 //
 //   - Staging memory. The staging log and frame buffer are recycled every
 //     round; the engine copies frame contents at delivery, so nothing may

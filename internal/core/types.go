@@ -184,14 +184,18 @@ type comm struct {
 	// (one per node per call, plus sub-instances) do not cold-start their
 	// pipeline buffers from zero capacity each time. There is one pool of
 	// each per commKind, so a pooled buffer set only ever serves instances
-	// of one shape, and newComm grows it to its kind's sizeHint.
+	// of one shape, and newComm grows it to hint, the most any comm of its
+	// kind on a clique of this size has used.
 	*commScratch
+	hint *sizeHint
 }
 
 // commKind is the role of a comm in a protocol, which fixes how much of its
 // scratch and staging log an instance uses: buffers are pooled per kind, so
 // a warm set never migrates between a sort's own comm, its Step 6 router and
-// its bucket-size aggregation (which would regrow it at every move).
+// its bucket-size aggregation. With one pool, every buffer would grow to
+// what the busiest comm of any kind uses: the n=196 sort benchmark then
+// peaks at 390 MiB of RSS instead of 245.
 type commKind uint8
 
 const (
@@ -276,9 +280,10 @@ type commScratch struct {
 	// totals, per-class cursors): carved append-only by intVec/intMatrix and
 	// emptied by acquireScratch. A carve that does not fit is allocated on
 	// its own; intsWant/rowsWant total every carve since the last reset,
-	// release folds the totals into the kind's sizeHint, and acquireScratch
-	// grows an arena that falls short of it, so a warm instance of the same
-	// shape carves without allocating.
+	// release folds the totals into the sizeHint of the comm's kind and
+	// clique size, and acquireScratch grows an arena that falls short of the
+	// hint or of its own last totals, so a warm instance of the same shape
+	// carves without allocating.
 	ints     []int
 	intRows  [][]int
 	intsWant int
@@ -347,62 +352,70 @@ func (s *commScratch) keyVec(k int) []Key {
 // group 0 carve four times the keys of the rest), so a pooled buffer sized
 // by the comms it happened to serve would regrow whenever it next served a
 // busier node. Sized to the hint, every pooled scratch and stager of a kind
-// grows once, and one the pool creates after a collection starts at the
-// hint. A process alternating clique sizes keeps replacing the hint, and
-// its buffers grow as they did before hints.
-type sizeHint struct{ n, ints, rows, keys, stage, frames, ranked, msgs int }
-
-var sizeHints [numCommKinds]atomic.Pointer[sizeHint]
-
-// hintFor returns the hint of kind for a clique of n nodes, zero if none is
-// known.
-func hintFor(kind commKind, n int) sizeHint {
-	if h := sizeHints[kind].Load(); h != nil && h.n == n {
-		return *h
-	}
-	return sizeHint{}
+// grows once per clique size, and one the pool creates after a collection
+// starts at the hint.
+type sizeHint struct {
+	n                                             int
+	ints, rows, keys, stage, frames, ranked, msgs atomic.Int64
 }
 
-// raiseHint folds what a released comm used into its kind's hint; a comm on
-// another clique size replaces the hint.
-func raiseHint(kind commKind, used sizeHint) {
-	p := &sizeHints[kind]
+// sizeHints holds each kind's hints for the clique sizes in use, in slots
+// picked by a hash of n. A size whose slot holds another size's hint
+// replaces it; its scratches still grow to what they carved last (fitHint).
+var sizeHints [numCommKinds][32]atomic.Pointer[sizeHint]
+
+// hintFor returns the hint of kind for a clique of n nodes.
+func hintFor(kind commKind, n int) *sizeHint {
+	p := &sizeHints[kind][uint64(n)*0x9e3779b97f4a7c15>>59]
 	for {
-		old := p.Load()
-		next := used
-		if old != nil && old.n == used.n {
-			next = sizeHint{n: used.n, ints: max(old.ints, used.ints), rows: max(old.rows, used.rows),
-				keys: max(old.keys, used.keys), stage: max(old.stage, used.stage), frames: max(old.frames, used.frames),
-				ranked: max(old.ranked, used.ranked), msgs: max(old.msgs, used.msgs)}
-			if next == *old {
-				return
-			}
+		h := p.Load()
+		if h != nil && h.n == n {
+			return h
 		}
-		raised := new(sizeHint) // only a raise allocates
-		*raised = next
-		if p.CompareAndSwap(old, raised) {
+		fresh := &sizeHint{n: n}
+		if p.CompareAndSwap(h, fresh) {
+			return fresh
+		}
+	}
+}
+
+// raiseTo raises *p to v if v is larger.
+func raiseTo(p *atomic.Int64, v int) {
+	for old := p.Load(); int64(v) > old; old = p.Load() {
+		if p.CompareAndSwap(old, int64(v)) {
 			return
 		}
 	}
 }
 
-// fitHint grows every buffer h covers that is smaller than h, and empties
-// the int and key arenas.
-func (s *commScratch) fitHint(h sizeHint) {
-	if cap(s.rankScratch) < h.ranked {
-		s.rankScratch = make([]rankedKey, 0, h.ranked)
+// raise folds what a released comm used into the hint.
+func (h *sizeHint) raise(c *comm) {
+	raiseTo(&h.ints, c.intsWant)
+	raiseTo(&h.rows, c.rowsWant)
+	raiseTo(&h.keys, c.keysWant)
+	raiseTo(&h.stage, cap(c.stage))
+	raiseTo(&h.frames, cap(c.frameBuf))
+	raiseTo(&h.ranked, cap(c.rankScratch))
+	raiseTo(&h.msgs, cap(c.rx.msgs))
+}
+
+// fitHint grows every buffer h covers that is smaller than h, and each arena
+// to at least what it carved last, then empties the arenas.
+func (s *commScratch) fitHint(h *sizeHint) {
+	if k := int(h.ranked.Load()); cap(s.rankScratch) < k {
+		s.rankScratch = make([]rankedKey, 0, k)
 	}
-	if cap(s.rx.msgs) < h.msgs {
-		s.rx.msgs = make([][]clique.Word, 0, h.msgs)
+	if k := int(h.msgs.Load()); cap(s.rx.msgs) < k {
+		s.rx.msgs = make([][]clique.Word, 0, k)
 	}
-	if cap(s.ints) < h.ints {
-		s.ints = make([]int, 0, h.ints)
+	if k := max(int(h.ints.Load()), s.intsWant); cap(s.ints) < k {
+		s.ints = make([]int, 0, k)
 	}
-	if cap(s.intRows) < h.rows {
-		s.intRows = make([][]int, 0, h.rows)
+	if k := max(int(h.rows.Load()), s.rowsWant); cap(s.intRows) < k {
+		s.intRows = make([][]int, 0, k)
 	}
-	if cap(s.keys) < h.keys {
-		s.keys = make([]Key, 0, h.keys)
+	if k := max(int(h.keys.Load()), s.keysWant); cap(s.keys) < k {
+		s.keys = make([]Key, 0, k)
 	}
 	s.ints, s.intRows, s.keys = s.ints[:0], s.intRows[:0], s.keys[:0]
 	s.intsWant, s.rowsWant, s.keysWant = 0, 0, 0
@@ -443,9 +456,9 @@ func pooledScratch(kind commKind) *commScratch {
 func (s *commScratch) recycle() { commScratchPools[s.kind].Put(s) }
 
 // acquireScratch readies a pooled scratch of the given kind for an instance
-// with the given member count on a clique of n nodes, its arenas grown to
-// the kind's hint h.
-func acquireScratch(kind commKind, h sizeHint, size, n int) *commScratch {
+// with the given member count on a clique of n nodes, its buffers grown to
+// the hint h.
+func acquireScratch(kind commKind, h *sizeHint, size, n int) *commScratch {
 	s := pooledScratch(kind)
 	s.fitHint(h)
 	if cap(s.local) < n {
@@ -481,9 +494,8 @@ func (c *comm) release() {
 	if s == nil {
 		return
 	}
+	c.hint.raise(c)
 	c.commScratch = nil
-	raiseHint(s.kind, sizeHint{n: len(s.local), ints: s.intsWant, rows: s.rowsWant, keys: s.keysWant,
-		stage: cap(c.stage), frames: cap(c.frameBuf), ranked: cap(s.rankScratch), msgs: cap(s.rx.msgs)})
 	s.recycle()
 	c.stager.recycle()
 	c.stager = nil
@@ -514,13 +526,13 @@ func newComm(ex clique.Exchanger, kind commKind, label string, members []int) (*
 		me = int(idx)
 	}
 	st := pooledStager(kind)
-	st.reserve(h.stage, h.frames)
+	st.reserve(int(h.stage.Load()), int(h.frames.Load()))
 	if ft, ok := ex.(clique.FrameTagger); ok {
 		if tag, on := ft.FrameTag(); on {
 			st.tagEx, st.frameTag = ft, tag
 		}
 	}
-	return &comm{ex: ex, members: members, me: me, label: label, stager: st, commScratch: scratch}, nil
+	return &comm{ex: ex, members: members, me: me, label: label, stager: st, commScratch: scratch, hint: h}, nil
 }
 
 // identity holds 0, 1, 2, ...: the member list of every full comm on n

@@ -241,17 +241,16 @@ type ProtocolDoc struct {
 	Schema string `json:"schema"`
 	MaxN   int    `json:"max_n"`
 	Host   Host   `json:"host"`
+	// MeasureNote says how the per-op figures of every section are
+	// measured (MeasureOp).
+	MeasureNote string `json:"measure_note"`
 	// Measured holds the one-shot Route and Sort rows at n = 64, 256 and
-	// 1024 (up to MaxN), each measured by MeasureWarmOp: with the collector
-	// off, every timed op follows an untimed op of the same row, so it finds
-	// the engine's and the protocols' pools as that op left them.
-	// MeasuredNote says so in the file.
-	Measured     []ProtocolBench  `json:"measured"`
-	MeasuredNote string           `json:"measured_note"`
-	Scenarios    *ScenarioSection `json:"scenarios,omitempty"`
-	Service      *ServiceSection  `json:"service,omitempty"`
-	Temporal     *TemporalSection `json:"temporal,omitempty"`
-	Scaling      *ScalingSection  `json:"scaling,omitempty"`
+	// 1024 (up to MaxN).
+	Measured  []ProtocolBench  `json:"measured"`
+	Scenarios *ScenarioSection `json:"scenarios,omitempty"`
+	Service   *ServiceSection  `json:"service,omitempty"`
+	Temporal  *TemporalSection `json:"temporal,omitempty"`
+	Scaling   *ScalingSection  `json:"scaling,omitempty"`
 }
 
 // WriteFile writes the document to path with stable indentation.
@@ -271,48 +270,27 @@ type OpMeasurement struct {
 	BytesPerOp  int64
 }
 
-// MeasureOp is the measurement discipline of every BENCH_protocol.json
-// section but the one-shot rows (MeasureWarmOp): run op iters times after a
-// GC flush and report wall time and allocation figures per op. The caller
-// is responsible for warming the op (pools, engine construction) before
-// measuring.
+// MeasureOp is the measurement discipline of every per-op figure in
+// BENCH_protocol.json (the one-shot, scenario and scaling rows; MeasureNote
+// says so in the file). It turns the collector off, and each of the iters
+// timed runs of op follows an untimed run of op and a GC flush; only the
+// timed runs count. The flush keeps what the process's sync.Pools hold (a
+// collection sets pooled values aside, and only the next one drops them)
+// and frees the untimed run's garbage for the timed run to reuse, so every
+// timed run finds the pools as op itself leaves them, and ns/op includes no
+// collection work. A one-shot op's fresh engine and every op's protocols
+// take their buffers from those pools: with the collector on, a collection
+// in the window empties them, and what a row read depended on the
+// collector's phase, not on the code.
 func MeasureOp(iters int, op func() error) (OpMeasurement, error) {
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		if err := op(); err != nil {
-			return OpMeasurement{}, err
-		}
-	}
-	wall := time.Since(start)
-	runtime.ReadMemStats(&after)
-	return OpMeasurement{
-		NsPerOp:     wall.Nanoseconds() / int64(iters),
-		AllocsPerOp: int64(after.Mallocs-before.Mallocs) / int64(iters),
-		BytesPerOp:  int64(after.TotalAlloc-before.TotalAlloc) / int64(iters),
-	}, nil
-}
-
-// MeasureWarmOp measures ops whose allocations depend on what the process's
-// pools hold when they start, as a one-shot op's do (a fresh engine takes
-// its buffers from them). It turns the collector off, and each of the iters
-// timed runs of op follows a GC flush and an untimed run of op; only the
-// timed runs count. Every timed run thus finds the pools as op itself
-// leaves them, and ns/op excludes collection work. With the collector on,
-// a collection in the window empties the pools (two in a row drop what they
-// hold), so what such a row reads depends on the collector's phase, not on
-// the code.
-func MeasureWarmOp(iters int, op func() error) (OpMeasurement, error) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var wall time.Duration
 	var mallocs, bytes uint64
 	for i := 0; i < iters; i++ {
-		runtime.GC()
 		if err := op(); err != nil {
 			return OpMeasurement{}, err
 		}
+		runtime.GC()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		start := time.Now()
@@ -330,3 +308,10 @@ func MeasureWarmOp(iters int, op func() error) (OpMeasurement, error) {
 		BytesPerOp:  int64(bytes) / int64(iters),
 	}, nil
 }
+
+// MeasureNote is BENCH_protocol.json's account of the state its per-op
+// figures measure (see MeasureOp).
+const MeasureNote = "ns/op, allocs/op and bytes/op of the measured, scenario and scaling rows: with the " +
+	"collector off, each timed op follows an untimed op of the same row and a GC flush (experiments.MeasureOp), " +
+	"so it finds the process's pools as that op left them, whatever the collector's phase; ns/op includes no " +
+	"collection work. The temporal rows time their whole trace with the collector on."
