@@ -315,3 +315,123 @@ func TestWarmAllocsMixedSizes(t *testing.T) {
 		}
 	}
 }
+
+// warmBytesPerOp is the mean of the bytes op allocates over runs calls, after
+// warm calls that warm the handle it runs on.
+func warmBytesPerOp(warm, runs int, op func()) float64 {
+	for i := 0; i < warm; i++ {
+		op()
+	}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		op()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestWarmAllocsMemoryBound turns Section 5's memory claim into a gate: a
+// warm AlgorithmAuto Route and Sort at n=256 (Theorem 5.4, and Algorithm 4
+// with it at Step 6) allocate per op at most memoryBoundMultiple times
+// n · Stats.MaxMemoryWordsPerNode · 8 bytes, the whole clique's resident
+// words as the protocol reports them. Warm comms carve from their executor's
+// buffer sets, so what is left per op is mostly the result rows: the Route
+// reads 0.58x and the Sort 0.73-0.83x here (0.80x with process-wide pools
+// sized by hints; the Sort's redistribution logs come from a shared pool). Routers that built their bookkeeping per op read 4.4-7.9x
+// their rows (TestWarmAllocsRouteBytes), 2.5-4.5x this bound.
+func TestWarmAllocsMemoryBound(t *testing.T) {
+	const (
+		n                   = 256
+		runs                = 5
+		memoryBoundMultiple = 1.5
+	)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	ctx := context.Background()
+	cl, err := New(n, WithAlgorithm(AlgorithmAuto))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	msgs, values := benchRouteWorkload(n), benchSortWorkload(n)
+	for _, op := range []struct {
+		name string
+		run  func() (Stats, error)
+	}{
+		{"Route", func() (Stats, error) { res, err := cl.Route(ctx, msgs); return res.Stats, err }},
+		{"Sort", func() (Stats, error) { res, err := cl.Sort(ctx, values); return res.Stats, err }},
+	} {
+		var stats Stats
+		perOp := warmBytesPerOp(2, runs, func() {
+			var err error
+			if stats, err = op.run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		bound := float64(n) * float64(stats.MaxMemoryWordsPerNode) * 8
+		if bound == 0 {
+			t.Fatalf("%s: the protocol reported no resident memory", op.name)
+		}
+		t.Logf("%s: %.0f KiB/op, %.2f x n · %d words · 8 B = %.0f KiB", op.name, perOp/1024, perOp/bound, stats.MaxMemoryWordsPerNode, bound/1024)
+		if perOp > memoryBoundMultiple*bound {
+			t.Errorf("%s: a warm op allocates %.0f KiB, more than %.1f x n · MaxMemoryWordsPerNode · 8 B = %.0f KiB",
+				op.name, perOp/1024, memoryBoundMultiple, bound/1024)
+		}
+	}
+}
+
+// TestWarmAllocsChangingRoles checks that executors whose buffer sets serve
+// changing roles stay warm: one n=196 handle cycling Route, Sort and Rank
+// (Theorem 3.7, Algorithm 4 with its Mux instances, and a sort under a live
+// Rank comm, so each set serves another comm at every op) allocates per
+// cycle at most changingRolesBytes times the sum of what each op allocates
+// warm on a handle of its own. Sets grow to what they carved last and keep
+// their capacity, so each converges to the largest role it serves: 0.95-0.97x
+// here (0.91x with process-wide pools sized by hints).
+func TestWarmAllocsChangingRoles(t *testing.T) {
+	const (
+		n                  = 196
+		warm               = 3
+		runs               = 5
+		changingRolesBytes = 1.35
+	)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	ctx := context.Background()
+	msgs, values := benchRouteWorkload(n), benchSortWorkload(n)
+	ops := []func(*Clique) error{
+		func(cl *Clique) error { _, err := cl.Route(ctx, msgs); return err },
+		func(cl *Clique) error { _, err := cl.Sort(ctx, values); return err },
+		func(cl *Clique) error { _, err := cl.Rank(ctx, values); return err },
+	}
+	handle := func() *Clique {
+		cl, err := New(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cl.Close() })
+		return cl
+	}
+	alone := 0.0
+	for _, op := range ops {
+		cl := handle()
+		alone += warmBytesPerOp(warm, runs, func() {
+			if err := op(cl); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	cl := handle()
+	cycle := warmBytesPerOp(warm, runs, func() {
+		for _, op := range ops {
+			if err := op(cl); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	t.Logf("Route, Sort, Rank on one handle: %.0f KiB/cycle, %.2f x the %.0f KiB of each op on its own", cycle/1024, cycle/alone, alone/1024)
+	if cycle > changingRolesBytes*alone {
+		t.Errorf("a cycle of Route, Sort and Rank allocates %.0f KiB, more than %.2f x the %.0f KiB of each op on its own",
+			cycle/1024, changingRolesBytes, alone/1024)
+	}
+}

@@ -99,8 +99,9 @@
 // Release method (the colorings hand their arrays to later ones) unless
 // CaptureShared snapshotted the run or ArmSharedSeed supplied them, since
 // the plan cache keeps both beyond the run. Metrics is the per-run view and
-// CumulativeMetrics the across-run aggregate; Close ends the coroutines and
-// releases the pooled delivery buffers, so every Network must be closed.
+// CumulativeMetrics the across-run aggregate; Close ends the coroutines,
+// releases the last run's values under the same rule and returns the pooled
+// delivery buffers, so every Network must be closed.
 //
 // RunContext and RunRoundsContext accept a context: the loop checks it before
 // every round, and a cancellation fails the run like any other failure — no
@@ -115,20 +116,23 @@
 //   - Engine-local, by ownership: the netBuffers delivery state (arenas,
 //     receive views, outboxes, Node structs) is checked out of the process-wide
 //     netBufPool at New and owned exclusively by that Network until Close —
-//     two live Networks never share a buffer set. The shared-computation
-//     cache, metrics, cumulative totals and step accounting are plain fields
-//     of the Network, guarded by its own mutexes.
+//     two live Networks never share a buffer set. So is execMem, the opaque
+//     ScratchHolder slots of the executors and the Mux send queues, which
+//     Close hands to the set for the next Network on it (a one-shot call's
+//     too). The shared-computation cache, metrics, cumulative totals and
+//     step accounting are plain fields of the Network, guarded by its own
+//     mutexes.
 //   - Shared, by design: netBufPool itself, wordBufPool (sender-side packet
-//     buffers; released only after delivery has copied the payload) and the
-//     protocol layer's comm-scratch and stager pools are process-wide
-//     sync.Pools. They exchange only quiescent buffers — a buffer is either
-//     owned by exactly one run or sitting in the pool — so concurrent
-//     Networks recycle through them without coordination beyond the Pool's
-//     own. New first tries the most recently released buffer set (a weak
-//     pointer beside netBufPool, so it never outlives the pool's hold on the
-//     set): a lone sync.Pool Put is only visible to Gets on its own
-//     processor, and the next Network would otherwise miss it about half the
-//     time.
+//     buffers; released only after delivery has copied the payload),
+//     execMemPool and the colorings' pool in package bipartite are
+//     process-wide sync.Pools. They
+//     exchange only quiescent buffers — a buffer is either owned by exactly
+//     one run or sitting in the pool — so concurrent Networks recycle
+//     through them without coordination beyond the Pool's own. New first
+//     tries the released buffer sets, most recent first (weak pointers
+//     beside netBufPool, so none outlives the pool's hold on its set): a
+//     lone sync.Pool Put is only visible to Gets on its own processor, and
+//     the next Network would otherwise miss it about half the time.
 //
 // Nothing else is process-global; running k Networks costs k times the
 // engine-local state plus whatever the pools currently cache.

@@ -639,6 +639,21 @@ func TestFailedRunNeverDelivers(t *testing.T) {
 	}
 }
 
+// settledGoroutines returns the goroutine count once it has stopped
+// falling for 50ms: the goroutines of an earlier test (sweep workers,
+// stopped coroutines) may still be exiting when the next one starts, and a
+// base counted among them is too high.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for still := 0; still < 10; still++ {
+		time.Sleep(5 * time.Millisecond)
+		if m := runtime.NumGoroutine(); m < n {
+			n, still = m, -1
+		}
+	}
+	return n
+}
+
 // TestCoroutineLifecycle pins what a Network owes for running blocking
 // programs as coroutines: they are made once per node and reused (a warm run's
 // allocations do not grow with n), they are gone after Close whatever the last
@@ -665,7 +680,7 @@ func TestCoroutineLifecycle(t *testing.T) {
 	}
 
 	t.Run("warm run allocations", func(t *testing.T) {
-		base := runtime.NumGoroutine()
+		base := settledGoroutines()
 		allocs := map[int]float64{}
 		for _, n := range []int{8, 64, 256} {
 			nw, err := New(n)
@@ -694,7 +709,7 @@ func TestCoroutineLifecycle(t *testing.T) {
 	})
 
 	t.Run("panic", func(t *testing.T) {
-		base := runtime.NumGoroutine()
+		base := settledGoroutines()
 		const n = 8
 		nw, err := New(n)
 		if err != nil {
@@ -746,7 +761,7 @@ func TestCoroutineLifecycle(t *testing.T) {
 	})
 
 	t.Run("cancel and ignored errors", func(t *testing.T) {
-		base := runtime.NumGoroutine()
+		base := settledGoroutines()
 		const n = 8
 		nw, err := New(n)
 		if err != nil {

@@ -1,6 +1,7 @@
 package clique
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -94,6 +95,16 @@ type FrameTagger interface {
 	SendTagged(to int, data Packet, count, modelWords int)
 }
 
+// ScratchHolder is implemented by exchangers that keep a slot for the
+// working memory of the executor their program runs on (a node's coroutine
+// under Run, a Mux instance's coroutine, a sweep worker under RunRounds),
+// which the engine never looks inside and keeps as execMem says.
+type ScratchHolder interface {
+	// ScratchSlot returns the executor's slot. Only the program running on
+	// that executor may use it, and only while it runs.
+	ScratchSlot() *any
+}
+
 // SharedKey identifies one shared deterministic computation without string
 // formatting: Label scopes the protocol instance, Path encodes the
 // algorithm's call path as packed step codes, and Group discriminates
@@ -174,6 +185,10 @@ type Network struct {
 	// Mux.Run); like coros they live until Close.
 	coros []nodeCoro
 	idle  [][]*nodeCoro
+
+	// mem is the run's executor memory, memRef it between runs (see execMem).
+	mem    *execMem
+	memRef weak.Pointer[execMem]
 
 	// outboxes[i] is published by the worker that ran node i's compute phase
 	// and consumed (and nilled) by delivery. A departed node — its program
@@ -297,6 +312,7 @@ type netBuffers struct {
 	spare   [][]pendingPacket
 	offs    [][]int32
 	views   []inboxView
+	mem     *execMem // that of the last Network that closed holding the set
 	// idle is set while the set is released and cleared by the acquire that
 	// claims it: a set can be reachable through both netBufPool and
 	// lastReleased, and only one of them may hand it out.
@@ -309,9 +325,10 @@ type netBuffers struct {
 // other processor can take from — so a Network built right after another one
 // closed missed the released set about every other time, allocating a fresh
 // one (tens of MB at n=256) while the old set sat in the pool. lastReleased
-// therefore points weakly at the most recently released set: it never keeps a
-// set alive, the pool still decides how long one stays, but while it does the
-// next acquire finds it whatever processor it runs on.
+// therefore points weakly at the released sets, most recent last: it never
+// keeps a set alive, the pool still decides how long one stays, but while it
+// does an acquire finds it whatever processor it runs on — each of the sets a
+// pooled handle's engines released, too, with their execMem.
 var (
 	netBufPool = sync.Pool{New: func() interface{} {
 		b := new(netBuffers)
@@ -320,7 +337,7 @@ var (
 	}}
 	lastReleased struct {
 		sync.Mutex
-		b weak.Pointer[netBuffers]
+		b []weak.Pointer[netBuffers]
 	}
 )
 
@@ -328,9 +345,12 @@ var (
 // released one if it is still alive — reallocating the dense arrays only
 // when that set is too small.
 func acquireNetBuffers(n int) *netBuffers {
+	var b *netBuffers
 	lastReleased.Lock()
-	b := lastReleased.b.Value()
-	lastReleased.b = weak.Pointer[netBuffers]{}
+	for k := len(lastReleased.b) - 1; k >= 0 && b == nil; k-- {
+		b = lastReleased.b[k].Value()
+		lastReleased.b = lastReleased.b[:k]
+	}
 	lastReleased.Unlock()
 	// A set claimed through lastReleased leaves its pool entry behind (and a
 	// later release adds another), so the pool may hand out a set that is in
@@ -352,6 +372,7 @@ func acquireNetBuffers(n int) *netBuffers {
 		b.spare = make([][]pendingPacket, n)
 		b.offs = make([][]int32, n)
 		b.views = make([]inboxView, n)
+		b.mem = nil
 		b.n = n
 	}
 	for i := 0; i < n; i++ {
@@ -394,7 +415,7 @@ func (nw *Network) releaseBuffers() {
 	b.idle.Store(true)
 	netBufPool.Put(b)
 	lastReleased.Lock()
-	lastReleased.b = weak.Make(b)
+	lastReleased.b = append(lastReleased.b, weak.Make(b))
 	lastReleased.Unlock()
 }
 
@@ -422,6 +443,7 @@ func New(n int, opts ...Option) (*Network, error) {
 		sortMin:   max(1, n/sortMinShare),
 		wordArena: b.wordArena,
 		loads:     b.loads,
+		mem:       b.mem,
 		sharedK:   make(map[SharedKey]interface{}),
 		steps:     make([]int64, n),
 		memory:    make([]int64, n),
@@ -447,6 +469,10 @@ func (nw *Network) beginRun() error {
 		nw.resetRun()
 	}
 	nw.runs++
+	if nw.mem = cmp.Or(nw.mem, nw.memRef.Value()); nw.mem == nil {
+		n := nw.buffers.n // a larger Network may take the set next
+		nw.mem = &execMem{slots: make([]any, n), coros: make([][]*coroMem, n)}
+	}
 	nw.procs = runtime.GOMAXPROCS(0)
 	nw.maxShards = min(nw.workerCount(), nw.procs)
 	runningNetworks.Add(1)
@@ -477,7 +503,8 @@ func (nw *Network) beginRun() error {
 // folds its metrics into the cumulative totals — failed or cancelled runs
 // are not counted as completed operations (their per-run Metrics stay
 // readable until the next run starts, but the session aggregate only speaks
-// for runs that finished). completed is false for error returns.
+// for runs that finished), and lets go of the run's execMem. completed is
+// false for error returns.
 func (nw *Network) endRun(completed bool) {
 	if completed {
 		m := nw.Metrics()
@@ -485,6 +512,9 @@ func (nw *Network) endRun(completed bool) {
 		nw.cum.accumulate(m)
 		nw.metricsMu.Unlock()
 	}
+	nw.memRef = weak.Make(nw.mem)
+	execMemPool.Put(nw.mem)
+	nw.mem = nil
 	runningNetworks.Add(-1)
 	nw.running.Store(false)
 }
@@ -516,7 +546,24 @@ func (nw *Network) resetRun() {
 	nw.round.Store(0)
 	nw.fail.Store(nil)
 
+	nw.releaseShared()
+
+	nw.stepsMu.Lock()
+	clear(nw.steps)
+	clear(nw.memory)
+	nw.stepsMu.Unlock()
+
+	nw.metricsMu.Lock()
+	nw.metrics = Metrics{PerRound: nw.metrics.PerRound[:0]}
+	nw.metricsMu.Unlock()
+}
+
+// releaseShared empties the last run's shared-computation cache, releasing
+// each value with a Release method that neither CaptureShared nor
+// ArmSharedSeed holds (see Exchanger.SharedComputeKeyed).
+func (nw *Network) releaseShared() {
 	nw.sharedMu.Lock()
+	defer nw.sharedMu.Unlock()
 	if !nw.sharedCaptured {
 		for k, v := range nw.sharedK {
 			if _, seeded := nw.sharedSeeded[k]; !seeded {
@@ -528,16 +575,6 @@ func (nw *Network) resetRun() {
 	}
 	clear(nw.sharedK)
 	nw.sharedSeeded, nw.sharedCaptured = nil, false
-	nw.sharedMu.Unlock()
-
-	nw.stepsMu.Lock()
-	clear(nw.steps)
-	clear(nw.memory)
-	nw.stepsMu.Unlock()
-
-	nw.metricsMu.Lock()
-	nw.metrics = Metrics{PerRound: nw.metrics.PerRound[:0]}
-	nw.metricsMu.Unlock()
 }
 
 // Close ends the Network's coroutines and watchdog, releases its pooled
@@ -569,6 +606,8 @@ func (nw *Network) Close() error {
 		}
 	}
 	nw.coros, nw.idle = nil, nil
+	nw.buffers.mem, nw.mem = cmp.Or(nw.mem, nw.memRef.Value()), nil
+	nw.releaseShared()
 	nw.releaseBuffers()
 	return nil
 }
@@ -803,12 +842,12 @@ func (nw *Network) prepareSweep(k int) {
 		nw.coros = make([]nodeCoro, nw.n)
 		nw.idle = make([][]*nodeCoro, nw.n)
 	}
-	b := nw.buffers
+	b, slots := nw.buffers, nw.mem.slots
 	for w := 0; w < k; w++ {
 		for i := w * nw.n / k; i < (w+1)*nw.n/k; i++ {
-			nd := Node{nw: nw, id: i, pending: b.pending[i], view: &b.views[w]}
+			nd := Node{nw: nw, id: i, pending: b.pending[i], view: &b.views[w], scratch: &slots[w]}
 			if nw.program != nil {
-				nd.view, nd.co = &b.views[i], &nw.coros[i]
+				nd.view, nd.scratch, nd.co = &b.views[i], &slots[i], &nw.coros[i]
 			}
 			b.nodes[i] = nd
 		}
@@ -831,7 +870,7 @@ func (nw *Network) finishSweep() {
 		clear(nd.pending[:max(nd.sent, len(nd.pending))])
 		clear(b.spare[i][:min(nd.sent, cap(b.spare[i]))])
 		b.pending[i], b.spare[i] = nd.pending[:0], b.spare[i][:0]
-		nd.pending = nil
+		nd.pending, nd.scratch = nil, nil // pin nothing between runs
 		nw.steps[i], nw.memory[i] = nd.steps, nd.memory
 	}
 	nw.stepsMu.Unlock()
@@ -985,11 +1024,40 @@ type nodeCoro struct {
 	yield func(suspension) bool
 	prog  func(Exchanger) error
 	ex    Exchanger
-	// pending is the send queue of the Mux instance the coroutine last ran,
-	// kept with it so the next instance appends into its capacity. It is
-	// cleared to its full capacity before the coroutine is pooled, so a
-	// parked coroutine pins no frame.
+}
+
+// execMem is the memory a Network keeps for its executors: slots[i] is the
+// ScratchHolder slot of node i under Run and of worker i under RunRounds,
+// coros[i] the slots and send queues of node i's idle Mux coroutines (taken
+// and put back with them). A run holds it; between runs only memRef and
+// execMemPool do, so a busy engine stays warm while an idle one's memory is
+// reclaimed like a pooled buffer. Close hands it to the buffer set.
+type execMem struct {
+	slots []any
+	coros [][]*coroMem
+}
+
+// coroMem is one Mux coroutine's share of execMem; VNode.close clears the
+// queue's whole backing, so it pins no frame.
+type coroMem struct {
 	pending []pendingPacket
+	scratch any
+}
+
+// execMemPool keeps Networks' execMem alive between runs; nothing is taken.
+var execMemPool sync.Pool
+
+// takeCoroMem returns the memory of one of node id's idle Mux coroutines, or
+// a new one.
+func (m *execMem) takeCoroMem(id int) *coroMem {
+	free := m.coros[id]
+	k := len(free) - 1
+	if k < 0 {
+		return new(coroMem)
+	}
+	c := free[k]
+	free[k], m.coros[id] = nil, free[:k]
+	return c
 }
 
 // start makes co a coroutine that runs prog(ex) whenever it is resumed at
@@ -1047,7 +1115,8 @@ type Node struct {
 	// view boxes the records of this node's Exchange calls and step inboxes;
 	// it is a slot of the pooled netBuffers.views — the node's own under Run,
 	// its worker's (shared with the worker's other nodes) under RunRounds.
-	view *inboxView
+	view    *inboxView
+	scratch *any // its ScratchHolder slot in execMem, owned like view
 	// co is the coroutine the node's blocking program runs on; a node without
 	// one is being stepped.
 	co     *nodeCoro
@@ -1056,6 +1125,10 @@ type Node struct {
 }
 
 var _ Exchanger = (*Node)(nil)
+
+// ScratchSlot implements ScratchHolder: the slot of the node under Run, of
+// the sweep worker stepping it under RunRounds.
+func (nd *Node) ScratchSlot() *any { return nd.scratch }
 
 // ID returns the node identifier (0-based).
 func (nd *Node) ID() int { return nd.id }

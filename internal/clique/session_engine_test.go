@@ -301,6 +301,27 @@ func TestSharedValuesReleasedAtNextRun(t *testing.T) {
 	if second[0].released || !seeded[1].released {
 		t.Fatalf("released: seeded value %v, value computed beside it %v; want false, true", second[0].released, seeded[1].released)
 	}
+	// Close releases the last run's values under the same rule, so a fresh
+	// engine carves from them; a snapshotted run keeps them all.
+	nw.ArmSharedSeed(snap)
+	last := run("a", "d")
+	if err := nw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if second[0].released || !last[1].released {
+		t.Fatalf("released at Close: seeded value %v, value computed beside it %v; want false, true", second[0].released, last[1].released)
+	}
+	if nw, err = New(n); err != nil {
+		t.Fatal(err)
+	}
+	captured := run("e")
+	nw.CaptureShared()
+	if err := nw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if captured[0].released {
+		t.Fatal("Close released a value CaptureShared snapshotted")
+	}
 }
 
 // TestStrictBudgetFailureThenReuse drives a run into an engine-level strict

@@ -29,7 +29,7 @@ import (
 // the instance's pooled coroutine keeps between Mux runs: a warm run appends
 // into the capacity an earlier instance left, and close clears the whole
 // backing before the coroutine is pooled, so a parked coroutine pins no
-// frame. When the Mux runs directly on the engine ("passthrough" mode), the instances are
+// frame (the queue lives in the engine's execMem). When the Mux runs directly on the engine ("passthrough" mode), the instances are
 // FrameTaggers: senders that build the tag into their frames (SendTagged) are
 // forwarded without any copy, and receivers share the engine's raw FlatInbox,
 // filtering records by tag themselves (ExchangeFlat callers in their decoder,
@@ -133,7 +133,8 @@ func (m *Mux) Run(programs []func(Exchanger) error) (err error) {
 			v.mux, v.instance = m, id
 			v.co = nd.nw.takeCoro(nd.id)
 			v.co.prog, v.co.ex = prog, v
-			v.pending = v.co.pending
+			v.mem = nd.nw.mem.takeCoroMem(nd.id)
+			v.pending = v.mem.pending
 		}
 	}
 	// Only a panic leaves Run with instances suspended, and none may outlive
@@ -201,9 +202,9 @@ type VNode struct {
 	// program has returned (or, in a slot Run left empty, ever).
 	co *nodeCoro
 	// pending queues this instance's sends until the Mux forwards them at
-	// the physical exchange. Its backing is the one its coroutine brought
-	// from the node's pool, and goes back with it at close.
+	// the physical exchange, in its coroutine's backing (mem).
 	pending []pendingPacket
+	mem     *coroMem
 	// tagBuf is the pooled buffer this instance's tagged payloads are carved
 	// from. Growth is append-only, so earlier carved views stay valid when
 	// the backing array is reallocated.
@@ -227,6 +228,10 @@ var (
 	_ Exchanger   = (*VNode)(nil)
 	_ FrameTagger = (*VNode)(nil)
 )
+
+// ScratchSlot implements ScratchHolder: the slot of the pooled coroutine the
+// instance runs on.
+func (v *VNode) ScratchSlot() *any { return &v.mem.scratch }
 
 // FrameTag implements FrameTagger: in passthrough mode the instance
 // identifier is the frame tag, and senders/receivers that honour it skip the
@@ -408,7 +413,8 @@ func (v *VNode) close() {
 		m.pending = append(m.pending, v.pending...)
 	}
 	clear(v.pending[:cap(v.pending)])
-	co.pending, v.pending = v.pending[:0], nil
+	v.mem.pending, v.pending = v.pending[:0], nil
+	nd.nw.mem.coros[nd.id] = append(nd.nw.mem.coros[nd.id], v.mem)
 	if v.tagBuf != nil {
 		releaseWords(v.tagBuf)
 		v.tagBuf = nil

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -516,6 +518,58 @@ func TestMuxCoroutineLifecycle(t *testing.T) {
 
 	// Leave no exiting goroutine behind for the next test's count.
 	settle(t, start)
+}
+
+// TestScratchSlotsOutliveClose checks that the executors' ScratchHolder slots
+// — each node's and each of its Mux coroutines' — reach the next Network
+// built on the released buffer set, a larger one and a smaller one, and that
+// memory made by a small Network serves a larger one on the same set. The
+// collector is off: a collection may reclaim a released set, and then the
+// next Network starts cold, correctly.
+func TestScratchSlotsOutliveClose(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var seen atomic.Int32
+	mark := func(ex Exchanger) error {
+		slot := ex.(ScratchHolder).ScratchSlot()
+		if *slot != nil {
+			seen.Add(1)
+		}
+		*slot = true
+		_, err := ex.ExchangeFlat()
+		return err
+	}
+	program := func(nd *Node) error {
+		if err := mark(nd); err != nil {
+			return err
+		}
+		return NewMux(nd).Run([]func(Exchanger) error{mark, mark})
+	}
+	// A buffer set for 8 nodes, released without executor memory.
+	nw, err := New(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw.mem = nil
+	if err := nw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	prev := 0
+	for _, n := range []int{4, 8, 4} {
+		if nw, err = New(n); err != nil {
+			t.Fatal(err)
+		}
+		seen.Store(0)
+		if err := nw.Run(program); err != nil {
+			t.Fatal(err)
+		}
+		if err := nw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := seen.Load(), int32(3*min(n, prev)); got != want {
+			t.Fatalf("n=%d after n=%d: %d slots held the last network's values, want %d", n, prev, got, want)
+		}
+		prev = n
+	}
 }
 
 func TestVNodeDelegation(t *testing.T) {

@@ -69,7 +69,7 @@
 //
 //   - Instance arena memory. comm.arenaAppend/arenaHeld copy words into the
 //     instance-owned arena. Views stay valid across appends (growth is
-//     append-only) until comm.release hands the arena to the pool; arenaReset
+//     append-only) until comm.release hands the arena back; arenaReset
 //     truncates it at pipeline points where no views are live. The parcels
 //     a router delivers (routeHeld) are engine-backed views, decoded by the
 //     comm's creator right away; a V1/V2/corner sub-instance of Theorem
@@ -87,18 +87,18 @@
 //     is handed in place, so a caller hands it one it owns: sortTiny copies
 //     the caller's row into the key arena first. What a schedule capture
 //     keeps for later runs is cloned at the capture site (cloneIntMatrix,
-//     slices.Clone), and a sort's result batch is a fresh slice. Scratches
-//     are pooled per commKind, so a warm one only serves comms of its own
-//     shape, and grow to the most a comm of that kind on a clique of that
-//     size used (sizeHint), or to what they carved last if that is more.
+//     slices.Clone), and a sort's result batch is a fresh slice.
 //
 //   - Staging memory. The staging log and frame buffer are recycled every
 //     round; the engine copies frame contents at delivery, so nothing may
 //     retain them across an exchange — and nothing may overwrite them before
-//     it, which is why a step program's node keeps its stager across steps.
+//     it, which is why a step program's node keeps its stager across steps
+//     (taken from rankLogs, the one pool left on this path).
 //
-// comm.release returns all of it to process-wide pools; it is only legal
-// once the instance's results have been copied into caller-owned values (or
-// into its parent's arena, as the V1/V2/corner routers of Theorem 3.7's
-// decomposition do).
+// All of it but the engine's receive memory is the buffer set at the comm's
+// depth on its executor's stack (scratchStack), which newComm takes and
+// comm.release hands back: only once the instance's results have been copied
+// into caller-owned values (or into its parent's arena, as the V1/V2/corner
+// routers of Theorem 3.7's decomposition do), and only after every comm
+// taken after it on the executor.
 package core

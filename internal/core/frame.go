@@ -42,12 +42,8 @@ import (
 // retained state proportional to the traffic actually staged: everything
 // indexed by destination lives in the dstTables lent to flush.
 //
-// Stagers are pooled on their own. A comm holds one for its lifetime and a
-// presorted step program holds one per node from its first staged key to its
-// last round — the log must outlive the step, because the engine copies
-// frames at delivery — so the two kinds of sort arm keep one set of log
-// buffers warm between them, and a node of a sparse run at large n retains
-// its few staged words and nothing of a comm's length-n scratch.
+// A comm's stager is part of its buffer set (see scratchStack); the rank
+// redistribution that ends every sort borrows its buffers from rankLogs.
 type stager struct {
 	stage      []clique.Word
 	stageLenAt int // index of the open record's length slot
@@ -58,43 +54,15 @@ type stager struct {
 	// handed over zero-copy via SendTagged.
 	tagEx    clique.FrameTagger
 	frameTag clique.Word
-
-	kind commKind // the pool the stager returns to
 }
 
-// stagerPools holds released stagers, one pool per commKind (see comm).
-var stagerPools [numCommKinds]sync.Pool
-
-// pooledStager takes a stager of the given kind from its pool, its log empty
-// (a released owner may have aborted mid-round) and untagged.
-func pooledStager(kind commKind) *stager {
-	s, ok := stagerPools[kind].Get().(*stager)
-	if !ok {
-		return &stager{kind: kind}
-	}
-	s.stage = s.stage[:0]
-	s.tagEx = nil
-	return s
-}
-
-// reserve grows the staging log and the frame buffer to hold stage and
-// frames words (a kind's sizeHint).
-func (s *stager) reserve(stage, frames int) {
-	if cap(s.stage) < stage {
-		s.stage = make([]clique.Word, 0, stage)
-	}
-	if cap(s.frameBuf) < frames {
-		s.frameBuf = make([]clique.Word, 0, frames)
-	}
-}
-
-// recycle returns the stager to its kind's pool. No queued frame may still
-// point into its buffers: the owner's last flush has been delivered, or the
-// run has failed and delivers nothing more.
-func (s *stager) recycle() {
-	s.tagEx = nil // the pool must not pin a finished run's exchanger
-	stagerPools[s.kind].Put(s)
-}
+// rankLogs holds the logs of the rank redistribution that ends every sort,
+// the one pool left on the comm path. A presorted step program's log outlives
+// its step (the engine copies frames at delivery), so it cannot live on the
+// sweep worker's stack, and a slot per node would pin n logs between runs of
+// a large sparse clique; comms borrow theirs here too, so both sort arms
+// keep one set of these largest logs warm.
+var rankLogs = sync.Pool{New: func() any { return new(stager) }}
 
 // dstTables is the per-destination accounting of one flush, indexed densely
 // by destination and all-zero between flushes (flush re-zeroes it through the

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"sync"
 
 	"congestedclique/internal/clique"
 )
@@ -107,21 +106,16 @@ func hitArm[T any](ex clique.Exchanger, matches bool, arm func(clique.Exchanger)
 		}
 		return zero, ErrHitAborted
 	}
-	g := hitGatePool.Get().(*hitGate)
+	g := &stackOf(ex).gate
 	*g = hitGate{Exchanger: ex, pending: true}
 	out, err := arm(g)
 	aborted := g.aborted
-	*g = hitGate{} // the pool must not pin the run's exchanger
-	hitGatePool.Put(g)
+	*g = hitGate{} // the stack must not pin the run's exchanger
 	if aborted {
 		return zero, ErrHitAborted
 	}
 	return out, err
 }
-
-// hitGatePool recycles the gates of finished arms: once arm has returned,
-// its comms are released and nothing holds the gate.
-var hitGatePool = sync.Pool{New: func() any { return new(hitGate) }}
 
 // hitGate is the exchanger a matching node's comm arm runs on: its first
 // ExchangeFlat fails with ErrHitAborted when the round delivered an abort, so
@@ -136,6 +130,10 @@ type hitGate struct {
 
 // Unwrap returns the exchanger the gate filters (see clique.NewMux).
 func (g *hitGate) Unwrap() clique.Exchanger { return g.Exchanger }
+
+// ScratchSlot is the slot of the exchanger the gate filters, a Node or a
+// VNode: the arm's comms run on its executor (see scratchStack).
+func (g *hitGate) ScratchSlot() *any { return g.Exchanger.(clique.ScratchHolder).ScratchSlot() }
 
 // ExchangeFlat exchanges and, the first time, checks the round for an abort.
 func (g *hitGate) ExchangeFlat() (clique.FlatInbox, error) {

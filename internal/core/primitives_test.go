@@ -18,7 +18,7 @@ func TestUniformBalancePlanMatchesColoring(t *testing.T) {
 			for a := range counts {
 				counts[a] = slices.Repeat([]int{u}, w)
 			}
-			c := &comm{commScratch: new(commScratch)}
+			c := &comm{bufferSet: new(bufferSet)}
 			uniform, err := newBalancePlan(c, counts, w, rootStep("test"), 0)
 			if err != nil {
 				t.Fatal(err)

@@ -80,7 +80,7 @@ func routeGeneral(c *comm, load []held, st step, router squareRouter) ([]held, e
 	}
 	programs := make([]func(clique.Exchanger) error, instCorner+1)
 	programs[instCorner] = func(ex clique.Exchanger) error {
-		return run(fullCommOn(ex, kindRouter, c, c.label+"/corner"), instCorner, 0, func(sub *comm, mine []held) ([]held, error) {
+		return run(fullCommOn(ex, c, c.label+"/corner"), instCorner, 0, func(sub *comm, mine []held) ([]held, error) {
 			return routeCorner(sub, r, square, mine, st.sub("corner", kcCorner))
 		})
 	}
@@ -88,7 +88,7 @@ func routeGeneral(c *comm, load []held, st step, router squareRouter) ([]held, e
 	// from local index base on.
 	onSquare := func(inst, base int, label string, sst step) func(clique.Exchanger) error {
 		return func(ex clique.Exchanger) error {
-			sub, err := newComm(ex, kindRouter, c.label+label, c.members[base:base+square:base+square])
+			sub, err := newComm(ex, c.label+label, c.members[base:base+square:base+square])
 			if err != nil {
 				return err
 			}
@@ -182,10 +182,10 @@ func routeCorner(sub *comm, r, square int, corner []held, st step) ([]held, erro
 }
 
 // fullCommOn rebuilds the parent's member universe on top of a (possibly
-// virtual) Exchanger, for an instance of the given kind. The member lists are
-// identical, only the communication surface differs.
-func fullCommOn(ex clique.Exchanger, kind commKind, parent *comm, label string) *comm {
-	c, err := newComm(ex, kind, label, parent.members)
+// virtual) Exchanger. The member lists are identical, only the communication
+// surface differs.
+func fullCommOn(ex clique.Exchanger, parent *comm, label string) *comm {
+	c, err := newComm(ex, label, parent.members)
 	if err != nil {
 		// Cannot happen: the parent's member list is already validated.
 		panic(err)

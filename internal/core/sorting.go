@@ -311,7 +311,7 @@ func sortLarge(c *comm, myKeys []Key, label string, square squareRouter, sched, 
 		err = clique.NewMux(c.ex).Run([]func(clique.Exchanger) error{
 			1: route,
 			2: func(ex clique.Exchanger) error {
-				sub := fullCommOn(ex, kindAgg, c, label+"/s6agg")
+				sub := fullCommOn(ex, c, label+"/s6agg")
 				defer sub.release()
 				sums, aErr := aggregateAndBroadcast(sub, 0, counts, numGroups)
 				if aErr != nil {
@@ -466,10 +466,10 @@ func sortDelimiters(c *comm, input []Key, s, myGroup int, myGroupMembers []int, 
 // node itself when a replay routes alone): every key travels to a member of
 // its bucket's group. The instance label is the same either way, so a
 // replay's shared computations are the captured run's. The routed keys are
-// carved from c's key arena: the sub-instance's buffers go back to the pool
-// as soon as the routing ends, before anyone reads the keys.
+// carved from c's key arena: the sub-instance's buffers go back to its
+// executor's stack as soon as the routing ends, before anyone reads the keys.
 func routeBuckets(ex clique.Exchanger, c *comm, label string, input []Key, bstart []int, s, numGroups int, st step, square squareRouter) ([]Key, error) {
-	sub := fullCommOn(ex, kindRouter, c, label+"/s6")
+	sub := fullCommOn(ex, c, label+"/s6")
 	defer sub.release()
 	load := bundleBuckets(sub, input, bstart, s, numGroups)
 	received, err := routeHeld(sub, load, st.sub("s6.route", kcSortS6), square)
@@ -604,14 +604,20 @@ func dealByRank(c *comm, run []Key, start, total int, context string) (*SortResu
 // forwardByRank, assembleBatch, which the presorted step program
 // (sparse_sort.go) drives from its step inbox — around the comm's exchanges.
 func dealRanked(c *comm, ranked []rankedKey, total int, context string) (*SortResult, error) {
+	log := rankLogs.Get().(*stager)
+	c.stage, c.frameBuf, log.stage, log.frameBuf = log.stage[:0], log.frameBuf, c.stage, c.frameBuf
+	defer func() { // both exchanges have delivered, or the run has failed
+		c.stage, c.frameBuf, log.stage, log.frameBuf = log.stage, log.frameBuf, c.stage[:0], c.frameBuf
+		rankLogs.Put(log)
+	}()
 	n := c.size()
 	perNode := ranksPerNode(total, n)
-	stageRankedBundles(c.stager, c.me, n, ranked)
+	stageRankedBundles(&c.stager, c.me, n, ranked)
 	rx, err := c.exchange()
 	if err != nil {
 		return nil, fmt.Errorf("%s deal: %w", context, err)
 	}
-	if err := forwardByRank(c.stager, rx.all(), perNode, n, context); err != nil {
+	if err := forwardByRank(&c.stager, rx.all(), perNode, n, context); err != nil {
 		return nil, err
 	}
 	rx, err = c.exchange()

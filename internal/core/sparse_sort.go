@@ -14,10 +14,10 @@ import (
 // The presorted arm is Step 8 of Algorithm 4 run alone: the three pieces of
 // the rank redistribution in sorting.go, driven from the step inbox where
 // dealRanked drives them around a comm's exchanges. All a node keeps between
-// rounds is its pooled stager (the log must outlive the step: the engine
-// copies frames at delivery), and only once it has a key to stage; the rank
-// and receive buffers and the destination tables of the flush are a
-// commScratch borrowed for the one step.
+// rounds is its stager from rankLogs (the log must outlive the step: the
+// engine copies frames at delivery), and only once it has a key to stage; the
+// rank and receive buffers and the destination tables of the flush are the
+// sweep worker's scratch, borrowed for the one step.
 //
 // Round mapping (with the census armed, SparseSortRun prepends its
 // SortCensusRounds rounds; a cache hit's row check adds nothing, except to
@@ -27,7 +27,7 @@ import (
 //	           round 2: assemble batch, done
 //	empty      round 0: done
 type sortProgram struct {
-	staged *stager     // pooled, held from the first staged key until done
+	staged *stager     // from rankLogs, held from the first staged key until done
 	result *SortResult // non-nil once the program is done
 }
 
@@ -41,11 +41,13 @@ func (p *sortProgram) step(ex clique.Exchanger, plan *SortPlan, row []Key, round
 		p.result = &SortResult{}
 		return true, nil
 	case SortStrategyPresorted:
-		scratch := pooledScratch(kindOwn)
-		done, err := p.presortedStep(ex, plan, row, round, inbox, scratch)
-		scratch.recycle()
+		stack := stackOf(ex)
+		set := stack.push()
+		done, err := p.presortedStep(ex, plan, row, round, inbox, &set.commScratch)
+		stack.pop(set)
 		if (done || err != nil) && p.staged != nil {
-			p.staged.recycle()
+			p.staged.stage = p.staged.stage[:0] // a failed step may leave its log staged
+			rankLogs.Put(p.staged)
 			p.staged = nil
 		}
 		return done, err
@@ -83,7 +85,7 @@ func (p *sortProgram) presortedStep(ex clique.Exchanger, plan *SortPlan, myKeys 
 			ranked[t].rank = plan.StartRanks[id] + t
 		}
 		scratch.rankScratch = ranked
-		p.staged = pooledStager(kindOwn)
+		p.staged = rankLogs.Get().(*stager)
 		stageRankedBundles(p.staged, id, n, ranked)
 	case 1:
 		bundles, err := scratch.rx.decodeInbox(ex.InboxSenders(), inbox)
@@ -94,7 +96,7 @@ func (p *sortProgram) presortedStep(ex clique.Exchanger, plan *SortPlan, myKeys 
 			return false, nil
 		}
 		if p.staged == nil {
-			p.staged = pooledStager(kindOwn)
+			p.staged = rankLogs.Get().(*stager)
 		}
 		if err := forwardByRank(p.staged, bundles, perNode, n, context); err != nil {
 			return true, err

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"congestedclique/internal/clique"
@@ -172,50 +171,74 @@ type comm struct {
 	me      int // local index of this node, or -1 if it is not a member
 	label   string
 
-	// The outgoing staging log (see frame.go). On a passthrough virtual node
-	// (stager.tagEx set) received flat records are shared by all instances
-	// on the node, so exchange filters them by stager.frameTag and strips it
-	// before decoding.
-	*stager
-
-	// commScratch holds every other reusable buffer of the instance. Both
-	// are acquired from process-wide pools at newComm and returned by
-	// release, so the hundreds of short-lived instances a protocol spawns
-	// (one per node per call, plus sub-instances) do not cold-start their
-	// pipeline buffers from zero capacity each time. There is one pool of
-	// each per commKind, so a pooled buffer set only ever serves instances
-	// of one shape, and newComm grows it to hint, the most any comm of its
-	// kind on a clique of this size has used.
-	*commScratch
-	hint *sizeHint
+	// bufferSet is the set at the comm's depth on its executor's stack. On a
+	// passthrough virtual node (stager.tagEx set) received flat records are
+	// shared by all instances on the node, so exchange filters them by
+	// stager.frameTag and strips it before decoding.
+	*bufferSet
+	stack *scratchStack
 }
 
-// commKind is the role of a comm in a protocol, which fixes how much of its
-// scratch and staging log an instance uses: buffers are pooled per kind, so
-// a warm set never migrates between a sort's own comm, its Step 6 router and
-// its bucket-size aggregation. With one pool, every buffer would grow to
-// what the busiest comm of any kind uses: the n=196 sort benchmark then
-// peaks at 390 MiB of RSS instead of 245.
-type commKind uint8
+// scratchStack is the working memory of one executor, kept in its
+// clique.ScratchHolder slot: sets[d] serves the comm at nesting depth d.
+// Comms on one executor nest (a Rank's comm stays live while its route back
+// runs, Algorithm 4's own comm while a replay's Step 6 router runs on the
+// node) and are released innermost first. The protocols are deterministic,
+// so a depth on a node serves the same role op after op, and a set grown to
+// what it carved last carves the next op without allocating.
+type scratchStack struct {
+	sets []*bufferSet
+	top  int // sets[:top] are taken
+	// gate is the hitGate of the executor's cache-hit arm (an arm never
+	// runs inside another); it is zeroed when the arm returns.
+	gate hitGate
+}
 
-const (
-	// kindOwn is a protocol's own comm (fullComm), and the presorted step
-	// program's per-step scratch and staging log.
-	kindOwn commKind = iota
-	// kindRouter is a routing sub-instance on (part of) its parent's members:
-	// Algorithm 4's Step 6 router and the V1/V2/corner instances of
-	// routeGeneral.
-	kindRouter
-	// kindAgg is Algorithm 4's Step 6 bucket-size aggregation.
-	kindAgg
-	numCommKinds
-)
+// bufferSet is one depth's buffers: a staging log and a scratch.
+type bufferSet struct {
+	stager
+	commScratch
+}
 
-// commScratch is the poolable buffer state of a comm (a presorted step
+// stackOf returns the scratch stack of the executor ex runs on. An exchanger
+// that keeps no slot gets a stack of its own, dropped with its comms.
+func stackOf(ex clique.Exchanger) *scratchStack {
+	h, ok := ex.(clique.ScratchHolder)
+	if !ok {
+		return new(scratchStack)
+	}
+	slot := h.ScratchSlot()
+	s, _ := (*slot).(*scratchStack)
+	if s == nil {
+		s = new(scratchStack)
+		*slot = s
+	}
+	return s
+}
+
+// push takes the set at the next depth.
+func (s *scratchStack) push() *bufferSet {
+	if s.top == len(s.sets) {
+		s.sets = append(s.sets, new(bufferSet))
+	}
+	b := s.sets[s.top]
+	s.top++
+	return b
+}
+
+// pop hands back b, which must be the innermost set taken.
+func (s *scratchStack) pop(b *bufferSet) {
+	s.top--
+	if s.sets[s.top] != b {
+		panic("core: comm buffers released out of nesting order")
+	}
+}
+
+// commScratch is the reusable buffer state of a comm (a presorted step
 // program borrows one per step for its rank and receive buffers and the
-// destination tables of its flush). Releasing hands every
-// buffer — including both arenas — to the next acquirer, so release is only
-// legal once the comm's results have been fully copied out of arena-backed
+// destination tables of its flush). Releasing hands every buffer — including
+// both arenas — to the next comm at that depth, so release is only legal
+// once the comm's results have been fully copied out of arena-backed
 // parcels, matrices and scratch slices (protocol entry points release after
 // converting to caller-owned values, the V1/V2/corner routers after copying
 // their deliveries into the parent's arena).
@@ -228,8 +251,6 @@ const (
 // for later runs, stores a clone made at the capture site, and a sort's
 // result batch is a fresh slice.
 type commScratch struct {
-	kind commKind // the pool the scratch returns to
-
 	local []int32 // dense global id -> local index table, -1 for non-members
 
 	dst dstTables // what the stager's flush needs per destination
@@ -278,12 +299,10 @@ type commScratch struct {
 	// ints and intRows back the int matrices and vectors an instance builds
 	// (announced count matrices, balance-plan squares and move demands, set
 	// totals, per-class cursors): carved append-only by intVec/intMatrix and
-	// emptied by acquireScratch. A carve that does not fit is allocated on
-	// its own; intsWant/rowsWant total every carve since the last reset,
-	// release folds the totals into the sizeHint of the comm's kind and
-	// clique size, and acquireScratch grows an arena that falls short of the
-	// hint or of its own last totals, so a warm instance of the same shape
-	// carves without allocating.
+	// emptied by ready. A carve that does not fit is allocated on its own;
+	// intsWant/rowsWant total every carve since the last reset, and ready
+	// grows an arena that falls short of them, so the next instance at this
+	// depth carves without allocating.
 	ints     []int
 	intRows  [][]int
 	intsWant int
@@ -291,7 +310,7 @@ type commScratch struct {
 
 	// keys backs the key slices a sort carves with keyVec — its sorted
 	// input, samples, delimiters, routed keys and buckets — carved, counted
-	// and sized like ints.
+	// and sized like ints. A comm that carves no key grows no key arena.
 	keys     []Key
 	keysWant int
 }
@@ -344,84 +363,7 @@ func (s *commScratch) keyVec(k int) []Key {
 	return s.keys[n0 : n0 : n0+k]
 }
 
-// sizeHint is the most any comm of one kind on a clique of n nodes carved
-// from each arena (ints, rows, keys) and grew its staging log, frame
-// buffer, rank buffer and receive list to (stage, frames, ranked, msgs):
-// the buffers that grow with the keys and words a node handles. The nodes
-// of one protocol use different amounts (Algorithm 4's sample sorters in
-// group 0 carve four times the keys of the rest), so a pooled buffer sized
-// by the comms it happened to serve would regrow whenever it next served a
-// busier node. Sized to the hint, every pooled scratch and stager of a kind
-// grows once per clique size, and one the pool creates after a collection
-// starts at the hint.
-type sizeHint struct {
-	n                                             int
-	ints, rows, keys, stage, frames, ranked, msgs atomic.Int64
-}
-
-// sizeHints holds each kind's hints for the clique sizes in use, in slots
-// picked by a hash of n. A size whose slot holds another size's hint
-// replaces it; its scratches still grow to what they carved last (fitHint).
-var sizeHints [numCommKinds][32]atomic.Pointer[sizeHint]
-
-// hintFor returns the hint of kind for a clique of n nodes.
-func hintFor(kind commKind, n int) *sizeHint {
-	p := &sizeHints[kind][uint64(n)*0x9e3779b97f4a7c15>>59]
-	for {
-		h := p.Load()
-		if h != nil && h.n == n {
-			return h
-		}
-		fresh := &sizeHint{n: n}
-		if p.CompareAndSwap(h, fresh) {
-			return fresh
-		}
-	}
-}
-
-// raiseTo raises *p to v if v is larger.
-func raiseTo(p *atomic.Int64, v int) {
-	for old := p.Load(); int64(v) > old; old = p.Load() {
-		if p.CompareAndSwap(old, int64(v)) {
-			return
-		}
-	}
-}
-
-// raise folds what a released comm used into the hint.
-func (h *sizeHint) raise(c *comm) {
-	raiseTo(&h.ints, c.intsWant)
-	raiseTo(&h.rows, c.rowsWant)
-	raiseTo(&h.keys, c.keysWant)
-	raiseTo(&h.stage, cap(c.stage))
-	raiseTo(&h.frames, cap(c.frameBuf))
-	raiseTo(&h.ranked, cap(c.rankScratch))
-	raiseTo(&h.msgs, cap(c.rx.msgs))
-}
-
-// fitHint grows every buffer h covers that is smaller than h, and each arena
-// to at least what it carved last, then empties the arenas.
-func (s *commScratch) fitHint(h *sizeHint) {
-	if k := int(h.ranked.Load()); cap(s.rankScratch) < k {
-		s.rankScratch = make([]rankedKey, 0, k)
-	}
-	if k := int(h.msgs.Load()); cap(s.rx.msgs) < k {
-		s.rx.msgs = make([][]clique.Word, 0, k)
-	}
-	if k := max(int(h.ints.Load()), s.intsWant); cap(s.ints) < k {
-		s.ints = make([]int, 0, k)
-	}
-	if k := max(int(h.rows.Load()), s.rowsWant); cap(s.intRows) < k {
-		s.intRows = make([][]int, 0, k)
-	}
-	if k := max(int(h.keys.Load()), s.keysWant); cap(s.keys) < k {
-		s.keys = make([]Key, 0, k)
-	}
-	s.ints, s.intRows, s.keys = s.ints[:0], s.intRows[:0], s.keys[:0]
-	s.intsWant, s.rowsWant, s.keysWant = 0, 0, 0
-}
-
-// uniformDemandMatrix returns a pooled w x w matrix with every cell set to
+// uniformDemandMatrix returns the comm's reused w x w matrix with every cell set to
 // u. It is only valid until the comm's next announcement.
 func (c *comm) uniformDemandMatrix(w, u int) [][]int {
 	if cap(c.annDemand) < w {
@@ -441,26 +383,20 @@ func (c *comm) uniformDemandMatrix(w, u int) [][]int {
 	return m
 }
 
-// commScratchPools holds released scratches, one pool per commKind.
-var commScratchPools [numCommKinds]sync.Pool
-
-// pooledScratch takes a scratch of the given kind from its pool, or a new one.
-func pooledScratch(kind commKind) *commScratch {
-	if s, ok := commScratchPools[kind].Get().(*commScratch); ok {
-		return s
+// ready empties the scratch for an instance with the given member count on
+// a clique of n nodes, first growing each arena to what it carved last.
+func (s *commScratch) ready(size, n int) {
+	if cap(s.ints) < s.intsWant {
+		s.ints = make([]int, 0, s.intsWant)
 	}
-	return &commScratch{kind: kind}
-}
-
-// recycle returns the scratch to its kind's pool.
-func (s *commScratch) recycle() { commScratchPools[s.kind].Put(s) }
-
-// acquireScratch readies a pooled scratch of the given kind for an instance
-// with the given member count on a clique of n nodes, its buffers grown to
-// the hint h.
-func acquireScratch(kind commKind, h *sizeHint, size, n int) *commScratch {
-	s := pooledScratch(kind)
-	s.fitHint(h)
+	if cap(s.intRows) < s.rowsWant {
+		s.intRows = make([][]int, 0, s.rowsWant)
+	}
+	if cap(s.keys) < s.keysWant {
+		s.keys = make([]Key, 0, s.keysWant)
+	}
+	s.ints, s.intRows, s.keys = s.ints[:0], s.intRows[:0], s.keys[:0]
+	s.intsWant, s.rowsWant, s.keysWant = 0, 0, 0
 	if cap(s.local) < n {
 		s.local = make([]int32, n)
 	}
@@ -482,29 +418,27 @@ func acquireScratch(kind commKind, h *sizeHint, size, n int) *commScratch {
 		s.posScratch[i] = -1
 	}
 	s.heldCursor, s.itemCursor = 0, 0
-	return s
 }
 
-// release returns the comm's scratch to the pool. It must only be called
-// when the comm will neither send nor receive again; results that borrow the
-// arena remain valid (see commScratch), but the caller must have stopped
-// using rx views and held/item scratch slices.
+// release hands the comm's buffers back to its executor's stack. It must
+// only be called when the comm will neither send nor receive again, after
+// every comm taken after it on the executor has been released; results that
+// borrow the arena remain valid (see commScratch), but the caller must have
+// stopped using rx views and held/item scratch slices.
 func (c *comm) release() {
-	s := c.commScratch
-	if s == nil {
+	if c.bufferSet == nil {
 		return
 	}
-	c.hint.raise(c)
-	c.commScratch = nil
-	s.recycle()
-	c.stager.recycle()
-	c.stager = nil
+	c.tagEx = nil // the stack must not pin a finished run's exchanger
+	c.stack.pop(c.bufferSet)
+	c.bufferSet = nil
 }
 
-// newComm builds the context for an instance of the given kind named label
-// (labels scope the deterministic shared-computation cache) with the given
-// members. Members must be sorted, distinct and valid node identifiers.
-func newComm(ex clique.Exchanger, kind commKind, label string, members []int) (*comm, error) {
+// newComm builds the context for an instance named label (labels scope the
+// deterministic shared-computation cache) with the given members, on the
+// next buffer set of ex's executor. Members must be sorted, distinct and
+// valid node identifiers.
+func newComm(ex clique.Exchanger, label string, members []int) (*comm, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("core: instance %q has no members", label)
 	}
@@ -516,23 +450,23 @@ func newComm(ex clique.Exchanger, kind commKind, label string, members []int) (*
 			return nil, fmt.Errorf("core: instance %q members not sorted/distinct at index %d", label, i)
 		}
 	}
-	h := hintFor(kind, ex.N())
-	scratch := acquireScratch(kind, h, len(members), ex.N())
+	stack := stackOf(ex)
+	set := stack.push()
+	set.ready(len(members), ex.N())
 	for i, g := range members {
-		scratch.local[g] = int32(i)
+		set.local[g] = int32(i)
 	}
 	me := -1
-	if idx := scratch.local[ex.ID()]; idx >= 0 {
+	if idx := set.local[ex.ID()]; idx >= 0 {
 		me = int(idx)
 	}
-	st := pooledStager(kind)
-	st.reserve(int(h.stage.Load()), int(h.frames.Load()))
+	set.stage = set.stage[:0] // a released owner may have aborted mid-round
 	if ft, ok := ex.(clique.FrameTagger); ok {
 		if tag, on := ft.FrameTag(); on {
-			st.tagEx, st.frameTag = ft, tag
+			set.tagEx, set.frameTag = ft, tag
 		}
 	}
-	return &comm{ex: ex, members: members, me: me, label: label, stager: st, commScratch: scratch, hint: h}, nil
+	return &comm{ex: ex, members: members, me: me, label: label, bufferSet: set, stack: stack}, nil
 }
 
 // identity holds 0, 1, 2, ...: the member list of every full comm on n
@@ -558,7 +492,7 @@ func identityMembers(n int) []int {
 
 // fullComm is the common case of an instance spanning the whole clique.
 func fullComm(ex clique.Exchanger, label string) *comm {
-	c, err := newComm(ex, kindOwn, label, identityMembers(ex.N()))
+	c, err := newComm(ex, label, identityMembers(ex.N()))
 	if err != nil {
 		// Cannot happen: the member list is valid by construction and both
 		// of the engine's exchangers receive flat.
