@@ -435,3 +435,54 @@ func TestWarmAllocsChangingRoles(t *testing.T) {
 			cycle/1024, changingRolesBytes, alone/1024)
 	}
 }
+
+// TestWarmAllocsAutoSortArms holds the AlgorithmAuto Sort arms that end in
+// Algorithm 4's Step 8 alone — the presorted arm (pre-sorted and
+// near-sorted rows) and the Section 6.3 small-domain arm (duplicate-heavy
+// rows) — to at most autoSortArmsBytes times their batches' bytes per warm
+// n=256 op (n² keys of 24 B). Every key arrives with its global rank, so the
+// receiver writes it straight to its slot, and the counting arm ranks by a
+// counting sort carved from its comm's arenas: what is left per op is mostly
+// the batches: 1.03x, 1.02x and 1.05x here. Sorting every received batch
+// by rank and copying, comparison-sorting and re-ranking each small-domain
+// row read 1.03x, 1.02x and 3.38x: the presorted arm's buffers were warm
+// already, the counting arm allocated two copies of its row per op.
+func TestWarmAllocsAutoSortArms(t *testing.T) {
+	const (
+		n                 = 256
+		runs              = 5
+		autoSortArmsBytes = 1.5
+	)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	ctx := context.Background()
+	cl, err := New(n, WithAlgorithm(AlgorithmAuto))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	batches := float64(n * n * int(unsafe.Sizeof(Key{})))
+	for _, name := range []string{"sort-presorted", "sort-near-sorted", "sort-duplicate-heavy"} {
+		sc, ok := workload.SortScenarioByName(name)
+		if !ok {
+			t.Fatalf("sorting scenario %q missing from the catalog", name)
+		}
+		inst, err := sc.Build(n, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		values, err := workload.SortScenarioValues(inst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perOp := warmBytesPerOp(2, runs, func() {
+			if _, err := cl.Sort(ctx, values); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.0f KiB/op, %.2f x the batches' %.0f KiB", name, perOp/1024, perOp/batches, batches/1024)
+		if perOp > autoSortArmsBytes*batches {
+			t.Errorf("%s: a warm AlgorithmAuto Sort allocates %.0f KiB/op, more than %.1f x its batches' %.0f KiB",
+				name, perOp/1024, autoSortArmsBytes, batches/1024)
+		}
+	}
+}

@@ -80,12 +80,15 @@
 //     cursors an instance builds are carved from its comm's int arena
 //     (intMatrix, intVec), and the key sets of a sort (Algorithm 4's sorted
 //     input, samples, delimiters and routed keys, Algorithm 3's selections,
-//     samples, delimiters and bucket) from its key arena (keyVec); both live
-//     until comm.release. Algorithm 4's Step 6 router runs on a sub-comm
-//     released before anyone reads the keys it delivered, so it carves them
-//     from the sort's own comm. Algorithm 3 (groupSort) sorts the slice it
-//     is handed in place, so a caller hands it one it owns: sortTiny copies
-//     the caller's row into the key arena first. What a schedule capture
+//     samples, delimiters and bucket, the small-domain arm's counting sort)
+//     from its key arena (keyVec); both live until comm.release. A presorted
+//     step program, which builds no comm, readies the two arenas of the set
+//     it borrows (readyArenas) and carves its sorted copy and rank marker
+//     from them for the one step. Algorithm 4's Step 6 router runs on a
+//     sub-comm released before anyone reads the keys it delivered, so it
+//     carves them from the sort's own comm. Algorithm 3 (groupSort) sorts
+//     the slice it is handed in place, so a caller hands it one it owns:
+//     sortTiny copies the caller's row into the key arena first. What a schedule capture
 //     keeps for later runs is cloned at the capture site (cloneIntMatrix,
 //     slices.Clone), and a sort's result batch is a fresh slice.
 //

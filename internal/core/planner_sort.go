@@ -203,7 +203,10 @@ func PlanSort(n int, keys [][]Key) SortPlan {
 
 	// Census pass: totals, loads, per-row sortedness and min/max under the
 	// full key order (value with the footnote-5 tie-break), and the running
-	// cross-row partition check.
+	// cross-row partition check. Each row is scanned only while a verdict is
+	// open: its sorted prefix costs one compare per key (a sorted row's
+	// min and max are its ends), the rest two while Partitioned may still
+	// hold, and nothing once both verdicts are false.
 	var runningMax Key
 	havePrev := false
 	for i := 0; i < n; i++ {
@@ -219,11 +222,21 @@ func PlanSort(n int, keys [][]Key) SortPlan {
 		if len(row) > plan.MaxLoad {
 			plan.MaxLoad = len(row)
 		}
-		rowMin, rowMax := row[0], row[0]
-		for j := 1; j < len(row); j++ {
-			if compareKeys(row[j], row[j-1]) < 0 {
-				plan.LocallySorted = false
-			}
+		if !plan.LocallySorted && !plan.Partitioned {
+			continue
+		}
+		j := 1
+		for j < len(row) && compareKeys(row[j], row[j-1]) >= 0 {
+			j++
+		}
+		if j < len(row) {
+			plan.LocallySorted = false
+		}
+		if !plan.Partitioned {
+			continue
+		}
+		rowMin, rowMax := row[0], row[j-1]
+		for ; j < len(row); j++ {
 			if compareKeys(row[j], rowMin) < 0 {
 				rowMin = row[j]
 			}
@@ -413,13 +426,16 @@ func smallDomainSort(ex clique.Exchanger, myKeys []Key, plan SortPlan, at int) (
 	}
 	bits := smallKeyBits(n)
 
-	// Local histogram over dense indices (positions in the Domain table).
-	local := make([]int64, k)
-	for _, key := range myKeys {
+	// Local histogram over dense indices (positions in the Domain table);
+	// idx keeps each key's index for the counting sort below.
+	local := c.intVec(k)
+	idx := c.intVec(len(myKeys))
+	for i, key := range myKeys {
 		v, ok := slices.BinarySearch(plan.Domain, key.Value)
 		if !ok {
 			return nil, fmt.Errorf("core: key value %d not in the plan's domain table (plan does not match the instance)", key.Value)
 		}
+		idx[i] = v
 		local[v]++
 	}
 
@@ -455,32 +471,39 @@ func smallDomainSort(ex clique.Exchanger, myKeys []Key, plan SortPlan, at int) (
 	}
 
 	// Reconstruct the global histogram and my per-value origin prefixes.
-	counts := make([]int64, k)
-	prefix := make([]int64, k)
+	counts, prefix := c.intVec(k), c.intVec(k)
 	if err := readCountBits(rx, bits, "small-domain sort round 2", counts, prefix); err != nil {
 		return nil, err
 	}
-	base := make([]int64, k+1)
-	for v := 0; v < k; v++ {
-		base[v+1] = base[v] + counts[v]
-	}
-	total := int(base[k])
 
-	// Exact global rank of every local key: keys ordered by (Value, Origin,
-	// Seq); within my own equal-value run the local sort already yields Seq
-	// order (Origin is constant), so consecutive equal values count up.
-	run := append([]Key(nil), myKeys...)
-	sortKeys(run)
-	ranked := make([]rankedKey, len(run))
-	t := 0
-	for i, key := range run {
-		v, _ := slices.BinarySearch(plan.Domain, key.Value)
-		if i > 0 && run[i-1].Value == key.Value {
-			t++
-		} else {
-			t = 0
-		}
-		ranked[i] = rankedKey{rank: int(base[v]) + int(prefix[v]) + t, key: key}
+	// Exact global rank of every local key, keys ordered by (Value, Origin,
+	// Seq): a stable counting sort by domain index puts my keys of value v
+	// in positions [ends[v]-local[v], ends[v]), and since my equal-valued
+	// keys share my Origin, the one of them at position t has rank
+	// base[v] + prefix[v] + t - (ends[v]-local[v]), base[v] being the keys
+	// of smaller values. offs[v] holds all but t; local becomes each
+	// bucket's fill cursor.
+	ends, offs := c.intVec(k), c.intVec(k)
+	base, pos := 0, 0
+	for v := 0; v < k; v++ {
+		offs[v] = base + prefix[v] - pos
+		local[v], pos = pos, pos+local[v]
+		ends[v] = pos
+		base += counts[v]
 	}
-	return dealRanked(c, ranked, total, "smalldomain.rank")
+	sorted := c.keyVec(len(myKeys))[:len(myKeys)]
+	for i, key := range myKeys {
+		sorted[local[idx[i]]] = key
+		local[idx[i]]++
+	}
+	// A bucket keeps row order, which is (Origin, Seq) order unless the
+	// caller listed its keys out of Seq order.
+	lo := 0
+	for _, hi := range ends {
+		if bucket := sorted[lo:hi]; !slices.IsSortedFunc(bucket, compareKeys) {
+			sortKeys(bucket)
+		}
+		lo = hi
+	}
+	return dealRanked(c, sorted, ends, offs, base, "smalldomain.rank")
 }

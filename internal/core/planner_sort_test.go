@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"congestedclique/internal/clique"
@@ -29,40 +30,39 @@ func smallDomainKeys(n, per, distinct int) [][]Key {
 // node, returning the per-node results and the run's metrics.
 func runAutoSort(t *testing.T, keys [][]Key) ([]*SortResult, clique.Metrics) {
 	t.Helper()
-	n := len(keys)
-	plan := PlanSort(n, keys)
-	nw, err := clique.New(n)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nw := newTestNetwork(t, len(keys))
 	defer nw.Close()
-	results := make([]*SortResult, n)
-	err = nw.Run(func(nd *clique.Node) error {
-		res, sErr := AutoSort(nd, keys[nd.ID()], plan)
-		if sErr != nil {
-			return sErr
-		}
-		results[nd.ID()] = res
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return results, nw.Metrics()
+	plan := PlanSort(len(keys), keys)
+	return runSorter(t, nw, keys, func(ex clique.Exchanger, row []Key) (*SortResult, error) {
+		return AutoSort(ex, row, plan)
+	}), nw.Metrics()
 }
 
 // runPipelineSort executes the deterministic Sort on every node.
 func runPipelineSort(t *testing.T, keys [][]Key) []*SortResult {
 	t.Helper()
-	n := len(keys)
+	nw := newTestNetwork(t, len(keys))
+	defer nw.Close()
+	return runSorter(t, nw, keys, Sort)
+}
+
+// newTestNetwork returns an n-node network; the caller closes it.
+func newTestNetwork(t *testing.T, n int) *clique.Network {
+	t.Helper()
 	nw, err := clique.New(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer nw.Close()
-	results := make([]*SortResult, n)
-	err = nw.Run(func(nd *clique.Node) error {
-		res, sErr := Sort(nd, keys[nd.ID()])
+	return nw
+}
+
+// runSorter runs sorter on every node of nw, each on its row of keys, and
+// returns the per-node results.
+func runSorter(t *testing.T, nw *clique.Network, keys [][]Key, sorter func(ex clique.Exchanger, row []Key) (*SortResult, error)) []*SortResult {
+	t.Helper()
+	results := make([]*SortResult, len(keys))
+	err := nw.Run(func(nd *clique.Node) error {
+		res, sErr := sorter(nd, keys[nd.ID()])
 		if sErr != nil {
 			return sErr
 		}
@@ -296,24 +296,60 @@ func TestAutoSortUnevenPresorted(t *testing.T) {
 
 // TestAutoSortSmallDomainDuplicates exercises the counting arm where every
 // value collides heavily across origins, so the per-origin prefix bits carry
-// the whole ordering.
+// the whole ordering. Every instance also runs with each row reversed, out
+// of Seq order, which the arm's counting sort must put back. At n=64 and
+// n=90 the cap admits a single value, an instance PlanSort sends to the
+// presorted arm (the tie-break partitions it by origin), so those rows hand
+// AutoSort a small-domain plan of their own, as a core-level caller may.
+// Both orders yield the pipeline's batches, and the cost is pinned: the arm
+// stages the same frames as the comparison-sorting implementation it
+// replaced.
 func TestAutoSortSmallDomainDuplicates(t *testing.T) {
 	t.Parallel()
-	const n = 256
-	distinctCap := SmallDomainDistinctCap(n)
-	for distinct := 1; distinct <= distinctCap; distinct++ {
-		keys := smallDomainKeys(n, 4, distinct)
-		plan := PlanSort(n, keys)
-		if plan.Strategy != SortStrategySmallDomain {
-			// distinct == 1 is partitioned by the tie-break; skip it.
-			if distinct == 1 && plan.Strategy == SortStrategyPresorted {
-				continue
+	type cost struct {
+		words              int64
+		maxEdgeWords, msgs int
+	}
+	for _, tc := range []struct {
+		n, per, distinct int
+		want             cost
+	}{
+		{256, 4, 2, cost{133120, 9, 84480}},
+		{256, 4, 3, cost{195328, 9, 125952}},
+		{64, 8, 1, cost{13760, 9, 7040}},
+		{90, 8, 1, cost{19350, 9, 9900}},
+		{90, 3, 1, cost{15570, 9, 9270}},
+	} {
+		t.Run(fmt.Sprintf("n=%d/per=%d/distinct=%d", tc.n, tc.per, tc.distinct), func(t *testing.T) {
+			keys := smallDomainKeys(tc.n, tc.per, tc.distinct)
+			nw := newTestNetwork(t, tc.n)
+			defer nw.Close()
+			// The batches depend only on the keys, not on the order rows
+			// list them.
+			want := runSorter(t, nw, keys, Sort)
+			for _, reversed := range []bool{false, true} {
+				if reversed {
+					for _, row := range keys {
+						slices.Reverse(row)
+					}
+				}
+				plan := PlanSort(tc.n, keys)
+				if tc.distinct == 1 {
+					plan = SortPlan{N: tc.n, Strategy: SortStrategySmallDomain, Domain: []int64{0}}
+				}
+				if plan.Strategy != SortStrategySmallDomain {
+					t.Fatalf("reversed=%v: strategy = %v (%s)", reversed, plan.Strategy, plan.Reason)
+				}
+				got := runSorter(t, nw, keys, func(ex clique.Exchanger, row []Key) (*SortResult, error) {
+					return AutoSort(ex, row, plan)
+				})
+				sortResultsEqual(t, fmt.Sprintf("reversed=%v", reversed), got, want)
+				m := nw.Metrics()
+				if c := (cost{m.TotalWords, m.MaxEdgeWords, int(m.TotalMessages)}); m.Rounds != 4 || c != tc.want {
+					t.Errorf("reversed=%v: %d rounds, %+v, want 4 rounds, %+v", reversed, m.Rounds, c, tc.want)
+				}
 			}
-			t.Fatalf("distinct=%d: strategy = %v (%s)", distinct, plan.Strategy, plan.Reason)
-		}
-		got, _ := runAutoSort(t, keys)
-		want := runPipelineSort(t, keys)
-		sortResultsEqual(t, fmt.Sprintf("small-domain distinct=%d", distinct), got, want)
+		})
 	}
 }
 

@@ -175,7 +175,7 @@ func smallKeyHelper(bits, value, countBit, aggBit int) int {
 // sendCountBits stages round 1 of the Section 6.3 protocol: bit i of my
 // count local[v] goes to every helper of (v, i), one single-word message
 // each.
-func sendCountBits(c *comm, local []int64, bits int) {
+func sendCountBits[T int | int64](c *comm, local []T, bits int) {
 	for v := range local {
 		for i := 0; i < bits; i++ {
 			bit := (local[v] >> uint(i)) & 1
@@ -192,7 +192,7 @@ func sendCountBits(c *comm, local []int64, bits int) {
 // the sum over i of that count shifted left by i — for word 0, the number of
 // keys of value v in the whole system. context labels the error for a
 // missing packet.
-func readCountBits(rx *rxBuf, bits int, context string, sums ...[]int64) error {
+func readCountBits[T int | int64](rx *rxBuf, bits int, context string, sums ...[]T) error {
 	for v := range sums[0] {
 		for i := 0; i < bits; i++ {
 			for j := 0; j < bits; j++ {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"strconv"
@@ -580,12 +581,6 @@ func unbundleKeys(c *comm, received []held) ([]Key, error) {
 	return keys, nil
 }
 
-// rankedKey pairs a key with its global rank during the final redistribution.
-type rankedKey struct {
-	rank int
-	key  Key
-}
-
 // dealByRank implements the final redistribution (Algorithm 3/4, Step 8):
 // this node holds a contiguous run of the globally sorted sequence starting
 // at global rank start; afterwards node i holds ranks [i*perNode,
@@ -593,17 +588,17 @@ type rankedKey struct {
 // rounds suffice: keys are dealt round-robin over all nodes (with their rank
 // attached) and every relay forwards each key to its final node.
 func dealByRank(c *comm, run []Key, start, total int, context string) (*SortResult, error) {
-	c.rankScratch = rankRun(slices.Grow(c.rankScratch[:0], len(run)), run, start)
-	return dealRanked(c, c.rankScratch, total, context)
+	return dealRanked(c, run, []int{len(run)}, []int{start}, total, context)
 }
 
-// dealRanked is dealByRank for keys whose global ranks need not be contiguous
-// (the small-domain sorting arm, where a node's keys interleave with every
-// other node's in the global order): the caller supplies each key's exact
-// rank. It drives the redistribution's three pieces — stageRankedBundles,
-// forwardByRank, assembleBatch, which the presorted step program
-// (sparse_sort.go) drives from its step inbox — around the comm's exchanges.
-func dealRanked(c *comm, ranked []rankedKey, total int, context string) (*SortResult, error) {
+// dealRanked is dealByRank for sorted keys whose global ranks need not be
+// contiguous (the small-domain sorting arm, where a node's keys interleave
+// with every other node's in the global order): keys is cut into runs of
+// consecutive ranks, described as stageRankedBundles reads them. It drives
+// the redistribution's three pieces — stageRankedBundles, forwardByRank,
+// assembleBatch, which the presorted step program (sparse_sort.go) drives
+// from its step inbox — around the comm's exchanges.
+func dealRanked(c *comm, keys []Key, ends, offs []int, total int, context string) (*SortResult, error) {
 	log := rankLogs.Get().(*stager)
 	c.stage, c.frameBuf, log.stage, log.frameBuf = log.stage[:0], log.frameBuf, c.stage, c.frameBuf
 	defer func() { // both exchanges have delivered, or the run has failed
@@ -612,7 +607,7 @@ func dealRanked(c *comm, ranked []rankedKey, total int, context string) (*SortRe
 	}()
 	n := c.size()
 	perNode := ranksPerNode(total, n)
-	stageRankedBundles(&c.stager, c.me, n, ranked)
+	stageRankedBundles(&c.stager, c.me, n, keys, ends, offs)
 	rx, err := c.exchange()
 	if err != nil {
 		return nil, fmt.Errorf("%s deal: %w", context, err)
@@ -624,8 +619,8 @@ func dealRanked(c *comm, ranked []rankedKey, total int, context string) (*SortRe
 	if err != nil {
 		return nil, fmt.Errorf("%s deliver: %w", context, err)
 	}
-	c.rankScratch = slices.Grow(c.rankScratch[:0], len(rx.all()))
-	return assembleBatch(rx.all(), c.rankScratch, c.ex.ID(), perNode, total, context)
+	records := rx.all()
+	return assembleBatch(records, c.intVec(rankMarkWords(len(records))), c.ex.ID(), perNode, total, context)
 }
 
 // ranksPerNode is the width of every node's rank range in the balanced
@@ -634,24 +629,23 @@ func ranksPerNode(total, n int) int {
 	return max(ceilDiv(total, n), 1)
 }
 
-// rankRun appends run to buf with the consecutive global ranks start,
-// start+1, ... attached.
-func rankRun(buf []rankedKey, run []Key, start int) []rankedKey {
-	for t, k := range run {
-		buf = append(buf, rankedKey{rank: start + t, key: k})
-	}
-	return buf
-}
-
 // stageRankedBundles stages round 1 of the redistribution for node me: its
-// (rank,key) pairs, bundled, dealt round-robin over all n nodes.
-func stageRankedBundles(s *stager, me, n int, ranked []rankedKey) {
-	for lo, packetIdx := 0, 0; lo < len(ranked); lo, packetIdx = lo+keysPerBundle, packetIdx+1 {
-		hi := min(lo+keysPerBundle, len(ranked))
+// sorted keys with their global ranks attached, bundled, dealt round-robin
+// over all n nodes. The keys form runs of consecutive ranks: key t lies in
+// the first run r with t < ends[r] and has rank offs[r]+t (one run on the
+// contiguous arms, one per domain value on the small-domain arm).
+func stageRankedBundles(s *stager, me, n int, keys []Key, ends, offs []int) {
+	r := 0
+	for lo, packetIdx := 0, 0; lo < len(keys); lo, packetIdx = lo+keysPerBundle, packetIdx+1 {
+		hi := min(lo+keysPerBundle, len(keys))
 		s.stageOpen((me + packetIdx) % n)
 		s.stageWords(clique.Word(hi - lo))
-		for _, rk := range ranked[lo:hi] {
-			s.stageWords(clique.Word(rk.rank), rk.key.Value, clique.Word(rk.key.Origin), clique.Word(rk.key.Seq))
+		for t := lo; t < hi; t++ {
+			for t >= ends[r] {
+				r++
+			}
+			k := keys[t]
+			s.stageWords(clique.Word(offs[r]+t), k.Value, clique.Word(k.Origin), clique.Word(k.Seq))
 		}
 		s.stageClose()
 	}
@@ -677,34 +671,78 @@ func forwardByRank(s *stager, bundles [][]clique.Word, perNode, n int, context s
 	return nil
 }
 
+// rankMarkWords is the length of the marker assembleBatch needs for
+// records records: one bit per record.
+func rankMarkWords(records int) int {
+	return ceilDiv(records, bits.UintSize)
+}
+
 // assembleBatch finishes the redistribution at node id: the received [rank,
-// key] records, ordered by rank, must form one contiguous run — the node's
-// batch. mine is scratch with room for one entry per record.
-func assembleBatch(records [][]clique.Word, mine []rankedKey, id, perNode, total int, context string) (*SortResult, error) {
+// key] records must hold one contiguous run of ranks — the node's batch —
+// so each key is written straight to its slot. seen is a marker of at least
+// rankMarkWords(len(records)) ints (a shorter one is replaced), which
+// catches a rank received twice; nothing is sized by the rank span.
+func assembleBatch(records [][]clique.Word, seen []int, id, perNode, total int, context string) (*SortResult, error) {
+	count, lo, hi := 0, 0, 0
 	for _, p := range records {
 		if len(p) < 1+keyWords {
 			continue
 		}
-		k, decErr := decodeKey(p[1:])
-		if decErr != nil {
-			return nil, fmt.Errorf("%s deliver: %w", context, decErr)
+		r := int(p[0])
+		if count == 0 || r < lo {
+			lo = r
 		}
-		mine = append(mine, rankedKey{rank: int(p[0]), key: k})
+		if count == 0 || r > hi {
+			hi = r
+		}
+		count++
 	}
-	slices.SortFunc(mine, func(a, b rankedKey) int { return a.rank - b.rank })
-
 	res := &SortResult{Total: total}
-	if len(mine) > 0 {
-		res.Start = mine[0].rank
-		res.Batch = make([]Key, 0, len(mine))
-	} else {
+	if count == 0 {
 		res.Start = min(id*perNode, total)
+		return res, nil
 	}
-	for i, rk := range mine {
-		if i > 0 && mine[i-1].rank+1 != rk.rank {
-			return nil, fmt.Errorf("%s deliver: node %d received non-contiguous ranks %d and %d", context, id, mine[i-1].rank, rk.rank)
+	// hi-lo may wrap, but as an unsigned difference it is exact.
+	if uint(hi-lo) != uint(count-1) {
+		return nil, nonContiguousRanks(records, count, id, context)
+	}
+	if words := rankMarkWords(count); len(seen) < words {
+		seen = make([]int, words)
+	} else {
+		clear(seen[:words])
+	}
+	res.Start = lo
+	res.Batch = make([]Key, count)
+	for _, p := range records {
+		if len(p) < 1+keyWords {
+			continue
 		}
-		res.Batch = append(res.Batch, rk.key)
+		slot := int(p[0]) - lo
+		word, bit := slot/bits.UintSize, uint(slot%bits.UintSize)
+		if seen[word]>>bit&1 != 0 {
+			return nil, nonContiguousRanks(records, count, id, context)
+		}
+		seen[word] |= 1 << bit
+		res.Batch[slot], _ = decodeKey(p[1:]) // len(p) >= 1+keyWords
 	}
 	return res, nil
+}
+
+// nonContiguousRanks words assembleBatch's error for records whose count
+// ranks do not form one contiguous run: the first gap or repeat in rank
+// order.
+func nonContiguousRanks(records [][]clique.Word, count, id int, context string) error {
+	ranks := make([]int, 0, count)
+	for _, p := range records {
+		if len(p) >= 1+keyWords {
+			ranks = append(ranks, int(p[0]))
+		}
+	}
+	slices.Sort(ranks)
+	for i := 1; i < len(ranks); i++ {
+		if ranks[i-1]+1 != ranks[i] {
+			return fmt.Errorf("%s deliver: node %d received non-contiguous ranks %d and %d", context, id, ranks[i-1], ranks[i])
+		}
+	}
+	return fmt.Errorf("%s deliver: node %d received non-contiguous ranks", context, id) // unreachable: the run was contiguous
 }

@@ -13,11 +13,15 @@ import (
 //
 // The presorted arm is Step 8 of Algorithm 4 run alone: the three pieces of
 // the rank redistribution in sorting.go, driven from the step inbox where
-// dealRanked drives them around a comm's exchanges. All a node keeps between
-// rounds is its stager from rankLogs (the log must outlive the step: the
-// engine copies frames at delivery), and only once it has a key to stage; the
-// rank and receive buffers and the destination tables of the flush are the
-// sweep worker's scratch, borrowed for the one step.
+// dealRanked drives them around a comm's exchanges. A node's keys take the
+// consecutive ranks from StartRanks[id], so round 0 stages them with that
+// start rank — straight from the caller's row when it is sorted, from a
+// sorted copy otherwise — and the last round writes every received key to
+// its slot of the batch. All a node keeps between rounds is its stager from
+// rankLogs (the log must outlive the step: the engine copies frames at
+// delivery), and only once it has a key to stage; the sorted copy, the
+// batch's rank marker, the receive buffers and the destination tables of the
+// flush are the executor's scratch, borrowed for the one step.
 //
 // Round mapping (with the census armed, SparseSortRun prepends its
 // SortCensusRounds rounds; a cache hit's row check adds nothing, except to
@@ -43,6 +47,7 @@ func (p *sortProgram) step(ex clique.Exchanger, plan *SortPlan, row []Key, round
 	case SortStrategyPresorted:
 		stack := stackOf(ex)
 		set := stack.push()
+		set.readyArenas()
 		done, err := p.presortedStep(ex, plan, row, round, inbox, &set.commScratch)
 		stack.pop(set)
 		if (done || err != nil) && p.staged != nil {
@@ -77,16 +82,15 @@ func (p *sortProgram) presortedStep(ex clique.Exchanger, plan *SortPlan, myKeys 
 		if len(myKeys) == 0 {
 			return false, nil
 		}
-		// The caller's row is borrowed, so the free local sort runs on the
-		// ranked copy the bundles are staged from.
-		ranked := rankRun(scratch.rankScratch[:0], myKeys, 0)
-		slices.SortFunc(ranked, func(a, b rankedKey) int { return compareKeys(a.key, b.key) })
-		for t := range ranked {
-			ranked[t].rank = plan.StartRanks[id] + t
+		keys := myKeys
+		if !slices.IsSortedFunc(keys, compareKeys) {
+			// The caller's row is borrowed, so the free local sort runs on
+			// a copy.
+			keys = append(scratch.keyVec(len(myKeys)), myKeys...)
+			sortKeys(keys)
 		}
-		scratch.rankScratch = ranked
 		p.staged = rankLogs.Get().(*stager)
-		stageRankedBundles(p.staged, id, n, ranked)
+		stageRankedBundles(p.staged, id, n, keys, []int{len(keys)}, []int{plan.StartRanks[id]})
 	case 1:
 		bundles, err := scratch.rx.decodeInbox(ex.InboxSenders(), inbox)
 		if err != nil {
@@ -106,8 +110,7 @@ func (p *sortProgram) presortedStep(ex clique.Exchanger, plan *SortPlan, myKeys 
 		if err != nil {
 			return true, fmt.Errorf("%s deliver: %w", context, err)
 		}
-		scratch.rankScratch = slices.Grow(scratch.rankScratch[:0], len(records))
-		p.result, err = assembleBatch(records, scratch.rankScratch, id, perNode, total, context)
+		p.result, err = assembleBatch(records, scratch.intVec(rankMarkWords(len(records))), id, perNode, total, context)
 		return true, err
 	}
 	scratch.dst.grow(n)

@@ -235,13 +235,14 @@ func (s *scratchStack) pop(b *bufferSet) {
 }
 
 // commScratch is the reusable buffer state of a comm (a presorted step
-// program borrows one per step for its rank and receive buffers and the
-// destination tables of its flush). Releasing hands every buffer — including
-// both arenas — to the next comm at that depth, so release is only legal
-// once the comm's results have been fully copied out of arena-backed
-// parcels, matrices and scratch slices (protocol entry points release after
-// converting to caller-owned values, the V1/V2/corner routers after copying
-// their deliveries into the parent's arena).
+// program borrows one per step for its int and key arenas, its receive
+// buffers and the destination tables of its flush). Releasing hands every
+// buffer — including both arenas — to the next comm at that depth, so
+// release is only legal once the comm's results have been fully copied out
+// of arena-backed parcels, matrices and scratch slices (protocol entry
+// points release after converting to caller-owned values, the
+// V1/V2/corner routers after copying their deliveries into the parent's
+// arena).
 //
 // Ownership of the int and key arenas: a matrix or vector carved by
 // intMatrix/intVec, or a key slice carved by keyVec, lives until release and
@@ -270,11 +271,6 @@ type commScratch struct {
 	heldCursor  int
 	itemScratch [4][]item
 	itemCursor  int
-
-	// rankScratch backs the rankedKey slices of the rank redistribution: the
-	// ranked run (dead once its bundles are staged), then the received batch
-	// (dead once it has been copied out).
-	rankScratch []rankedKey
 
 	// posScratch maps a local member index to its position inside the group
 	// currently being processed (-1 outside); groupPositions/releasePositions
@@ -383,9 +379,10 @@ func (c *comm) uniformDemandMatrix(w, u int) [][]int {
 	return m
 }
 
-// ready empties the scratch for an instance with the given member count on
-// a clique of n nodes, first growing each arena to what it carved last.
-func (s *commScratch) ready(size, n int) {
+// readyArenas empties the int and key arenas, first growing each to what
+// it carved last. A presorted step program, which borrows a buffer set for
+// one step without building a comm on it, readies only these.
+func (s *commScratch) readyArenas() {
 	if cap(s.ints) < s.intsWant {
 		s.ints = make([]int, 0, s.intsWant)
 	}
@@ -397,6 +394,12 @@ func (s *commScratch) ready(size, n int) {
 	}
 	s.ints, s.intRows, s.keys = s.ints[:0], s.intRows[:0], s.keys[:0]
 	s.intsWant, s.rowsWant, s.keysWant = 0, 0, 0
+}
+
+// ready empties the scratch for an instance with the given member count on
+// a clique of n nodes, first growing each arena to what it carved last.
+func (s *commScratch) ready(size, n int) {
+	s.readyArenas()
 	if cap(s.local) < n {
 		s.local = make([]int32, n)
 	}
