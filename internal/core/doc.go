@@ -59,22 +59,27 @@
 // decoded slice beyond its window is a bug:
 //
 //   - Engine receive memory. Messages decoded from an exchange (rxBuf views,
-//     relayRoute items, announceFixed payloads, spreadBroadcast packets)
-//     point into the engine's receive arena. They are valid for
-//     clique.PayloadGraceRounds further barriers of the instance that
-//     received them; every constant-round primitive re-stages or decodes
-//     them within that window. Concurrently multiplexed instances keep
-//     advancing the physical barrier, so a sub-instance that finishes early
-//     must not hand engine-backed views upward.
+//     the units relayRoute delivers, announceFixed payloads,
+//     spreadBroadcast packets) point into the engine's receive arena. They
+//     are valid for clique.PayloadGraceRounds further barriers of the
+//     instance that received them; every constant-round primitive re-stages
+//     or decodes them within that window. The relay primitives stage each
+//     unit from where it lies: a held parcel received one round before
+//     Corollary 3.4 is staged after the two announcement barriers, inside
+//     the window, with no copy in between. Concurrently multiplexed
+//     instances keep advancing the physical barrier, so a sub-instance that
+//     finishes early must not hand engine-backed views upward.
 //
-//   - Instance arena memory. comm.arenaAppend/arenaHeld copy words into the
-//     instance-owned arena. Views stay valid across appends (growth is
-//     append-only) until comm.release hands the arena back; arenaReset
-//     truncates it at pipeline points where no views are live. The parcels
-//     a router delivers (routeHeld) are engine-backed views, decoded by the
-//     comm's creator right away; a V1/V2/corner sub-instance of Theorem
-//     3.7's decomposition, which finishes while its siblings keep running,
-//     copies its delivered payloads into its parent's arena first.
+//   - Instance arena memory. comm.arenaAppend copies words into the
+//     instance-owned arena for the three things a comm encodes itself:
+//     a router's input parcels (routeMessages), Algorithm 4's key bundles
+//     (bundleBuckets) and the deliveries a V1/V2/corner sub-instance of
+//     Theorem 3.7's decomposition copies up into its parent's arena, since
+//     it finishes while its siblings keep running. Views stay valid across
+//     appends (growth is append-only) until comm.release hands the arena
+//     back; arenaReset truncates it at pipeline points where no views are
+//     live. The parcels a router delivers (routeHeld) are engine-backed
+//     views, decoded by the comm's creator right away.
 //
 //   - Int and key arena memory. The count matrices, balance plans and
 //     cursors an instance builds are carved from its comm's int arena

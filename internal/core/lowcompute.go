@@ -68,7 +68,7 @@ func lowComputeRoute(ex clique.Exchanger, msgs []Message, at int, sched, capture
 //
 // A seeded run still cross-checks the schedule against the instance: before
 // Step 5 sends a word each node compares its locally computed count row
-// with the cached matrix row, and relayRoute independently verifies items
+// with the cached matrix row, and relayRoute independently verifies units
 // against demand, so a schedule that does not match the instance yields an
 // error, never a misrouted parcel.
 type RouteSchedule struct {
@@ -215,20 +215,17 @@ func lowComputeSquare(c *comm, load []held, st step, sched, capture *RouteSchedu
 	c.ex.CountSteps(len(load))
 
 	// --- Step 5 (Corollary 3.4 with the greedy coloring), 4 rounds -----------
-	// Open-coded groupRouteUnknownColored so the count announcement can be
-	// served from (or recorded into) the schedule; the step keys are
-	// groupRouteUnknown's, so captured and seeded runs share colorings.
-	itemsSlot := c.itemSlot()
-	items := *itemsSlot
+	// Open-coded groupRouteUnknown, with the greedy coloring, so the count
+	// announcement can be served from (or recorded into) the schedule; the
+	// step keys are groupRouteUnknown's, so captured and seeded runs share
+	// colorings.
 	counts := c.intVec(s)
 	for _, h := range load {
 		if grp.groupOf(h.dstLocal) != myGroup {
 			return nil, fmt.Errorf("%s step5: node %d holds a parcel for foreign set %d", st.name, c.ex.ID(), grp.groupOf(h.dstLocal))
 		}
-		items = append(items, item{dst: h.dstLocal, words: c.arenaHeld(h)})
 		counts[grp.indexInGroup(h.dstLocal)]++
 	}
-	*itemsSlot = items
 	st5 := st.sub("s5", kcLowS5)
 	var demand [][]int
 	if sched != nil {
@@ -245,12 +242,14 @@ func lowComputeSquare(c *comm, load []held, st step, sched, capture *RouteSchedu
 			capture.S5Counts[myGroup] = cloneIntMatrix(demand)
 		}
 	}
-	receivedItems, err := relayRouteColored(c, groupMembers, demand, items, st5.sub("deliver", kcDeliver), true)
+	received, err := relayRoute(c, groupMembers, demand, len(load),
+		func(i int) int { return load[i].dstLocal },
+		func(i int) { c.stageHeld(load[i]) }, st5.sub("deliver", kcDeliver), true)
 	if err != nil {
 		return nil, fmt.Errorf("%s step5: %w", st.name, err)
 	}
-	c.ex.CountSteps(len(receivedItems))
-	return deliveredHeld(c, receivedItems, "low-compute step5")
+	c.ex.CountSteps(len(received))
+	return deliveredHeld(c, received, "low-compute step5")
 }
 
 // roundRobinRedistribute is Lemma 5.1: every member of a set orders its held

@@ -277,32 +277,33 @@ func PlanSort(n int, keys [][]Key) SortPlan {
 		return plan
 	}
 
-	// Small-domain census: count distinct values, bailing out as soon as the
-	// count exceeds the Section 6.3 feasibility cap.
+	// Small-domain census: count distinct values into a sorted table of at
+	// most distinctCap entries, bailing out at the first value that would
+	// exceed the Section 6.3 feasibility cap.
 	distinctCap := SmallDomainDistinctCap(n)
 	if distinctCap >= 1 {
-		counts := make(map[int64]int, distinctCap+1)
+		domain := make([]int64, 0, distinctCap)
+		counts := make([]int, 0, distinctCap)
+		complete := true
+	census:
 		for i := 0; i < len(keys) && i < n; i++ {
 			for _, k := range keys[i] {
-				counts[k.Value]++
-				if len(counts) > distinctCap {
-					break
+				at, found := slices.BinarySearch(domain, k.Value)
+				if !found {
+					if len(domain) == distinctCap {
+						complete = false
+						break census
+					}
+					domain = slices.Insert(domain, at, k.Value)
+					counts = slices.Insert(counts, at, 0)
 				}
-			}
-			if len(counts) > distinctCap {
-				break
+				counts[at]++
 			}
 		}
-		if len(counts) <= distinctCap {
-			plan.DistinctValues = len(counts)
-			plan.Domain = make([]int64, 0, len(counts))
-			for v, c := range counts {
-				plan.Domain = append(plan.Domain, v)
-				if c > plan.MaxDuplicity {
-					plan.MaxDuplicity = c
-				}
-			}
-			slices.Sort(plan.Domain)
+		if complete {
+			plan.DistinctValues = len(domain)
+			plan.Domain = domain
+			plan.MaxDuplicity = slices.Max(counts)
 			plan.Strategy = SortStrategySmallDomain
 			plan.Reason = fmt.Sprintf("small key domain: %d distinct value(s) ≤ distinctCap %d, Section 6.3 counting + rank delivery in 4 rounds",
 				plan.DistinctValues, distinctCap)

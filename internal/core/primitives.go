@@ -7,50 +7,49 @@ import (
 	"congestedclique/internal/clique"
 )
 
-// item is one routable unit handled by the communication primitives: a
-// destination (a local member index of the enclosing comm) plus a constant
-// number of payload words. Items returned by the primitives borrow the
-// engine's receive arena: they are valid for clique.PayloadGraceRounds
-// further barriers and must be consumed or copied within that window.
-type item struct {
-	dst   int
-	words []clique.Word
-}
-
-// relayRoute implements Corollary 3.3: two-round routing of items whose
-// demand matrix is known to every member of the sending group.
+// relayRoute implements Corollary 3.3: two-round routing of units whose
+// demand matrix is known to every member of the sending group. A unit is a
+// constant number of words bound for one member of the group: a held parcel
+// on a routing hop, an announced payload, a bundle of keys.
 //
 // Every member of the comm must call relayRoute in the same round, because
 // any member can serve as a relay. Nodes that do not belong to a sending
-// group in this step pass a nil group; they participate purely as relays.
+// group in this step pass a nil group and no units; they participate purely
+// as relays.
 //
 //   - group lists the local indices of this node's group (sorted ascending);
 //     groups of different callers must be identical or disjoint.
-//   - demand[a][b] is the number of items the a-th group member sends to the
+//   - demand[a][b] is the number of units the a-th group member sends to the
 //     b-th group member; it must be identical at every member of the group
-//     and consistent with the items actually passed in mine.
-//   - mine are this node's items; each destination must lie inside group.
+//     and consistent with the units this node sends.
+//   - units is the number of units this node sends. Unit i is bound for the
+//     local member index dstOf(i), which must lie inside group, and stage(i)
+//     appends its words to the message relayRoute has opened for it. Their
+//     order defines the canonical unit order of each demand cell at the
+//     sender. Both are called before the first exchange, so a unit may be
+//     staged straight from a payload received within the engine's grace
+//     window (clique.PayloadGraceRounds).
+//   - greedy selects the greedy 2Δ-1 coloring of footnote 3, which Section 5
+//     uses to keep local computation near-linear at the price of relays
+//     carrying up to two messages per edge, instead of the exact König
+//     coloring (Theorem 3.2).
 //
 // Following the proof of Corollary 3.3, the demand multigraph is edge-colored
-// with d = max degree colors (König / Theorem 3.2); the item of color c is
-// relayed through the comm member c mod size in the first round and forwarded
-// to its destination in the second. When d exceeds the comm size (overloaded
-// instances), relays carry ceil(d/size) items per edge, which only increases
-// the constant number of words per edge.
-func relayRoute(c *comm, group []int, demand [][]int, mine []item, st step) ([]item, error) {
-	return relayRouteColored(c, group, demand, mine, st, false)
-}
-
-// relayRouteColored is relayRoute with a choice of schedule coloring: the
-// exact König coloring (Theorem 3.2) or the greedy 2Δ-1 coloring of
-// footnote 3, which Section 5 uses to keep local computation near-linear at
-// the price of relays carrying up to two messages per edge.
-func relayRouteColored(c *comm, group []int, demand [][]int, mine []item, st step, greedy bool) ([]item, error) {
+// with d = max degree colors; the unit of color c is relayed through the comm
+// member c mod size in the first round, as [dstOf(i), words...], and
+// forwarded to its destination in the second. When d exceeds the comm size
+// (overloaded instances), relays carry ceil(d/size) units per edge, which
+// only increases the constant number of words per edge.
+//
+// The result lists the words of every unit delivered to this node. It reuses
+// the comm's receive buffer, so it is valid until the comm's next exchange;
+// the words borrow the engine's receive arena for the grace window.
+func relayRoute(c *comm, group []int, demand [][]int, units int, dstOf func(int) int, stage func(int), st step, greedy bool) ([][]clique.Word, error) {
 	size := c.size()
 
 	if len(group) > 0 {
-		if len(mine) > 0 && c.me < 0 {
-			return nil, fmt.Errorf("core: relayRoute(%s): non-member holds items", st.name)
+		if units > 0 && c.me < 0 {
+			return nil, fmt.Errorf("core: relayRoute(%s): non-member holds units", st.name)
 		}
 		pos := c.groupPositions(group)
 		defer c.releasePositions(group)
@@ -65,94 +64,86 @@ func relayRouteColored(c *comm, group []int, demand [][]int, mine []item, st ste
 			return nil, fmt.Errorf("core: relayRoute(%s): demand has %d rows for group of %d", st.name, len(demand), len(group))
 		}
 
-		// Count my items per destination position within the group; their
-		// given order defines the canonical unit order of each demand cell at
-		// the sender.
+		// Count my units per destination position within the group.
 		counts := c.cursors(len(group))
-		for _, it := range mine {
+		for i := 0; i < units; i++ {
+			dst := dstOf(i)
 			b := int32(-1)
-			if it.dst >= 0 && it.dst < size {
-				b = pos[it.dst]
+			if dst >= 0 && dst < size {
+				b = pos[dst]
 			}
 			if b < 0 {
-				return nil, fmt.Errorf("core: relayRoute(%s): item destination %d outside group", st.name, it.dst)
+				return nil, fmt.Errorf("core: relayRoute(%s): unit destination %d outside group", st.name, dst)
 			}
 			counts[b]++
 		}
 		for b := range counts {
 			if counts[b] != demand[myIdx][b] {
-				return nil, fmt.Errorf("core: relayRoute(%s): node %d holds %d items for group position %d, demand says %d",
+				return nil, fmt.Errorf("core: relayRoute(%s): node %d holds %d units for group position %d, demand says %d",
 					st.name, c.ex.ID(), counts[b], b, demand[myIdx][b])
 			}
 		}
 
-		d := bipartite.MaxRowColSum(demand)
-		if u := uniformDemand(demand); u > 0 {
-			// Uniform demand (every announcement pattern): the König coloring
-			// degenerates to the Latin-square layout of
-			// bipartite.uniformDemandColoring — cell (i,j) owns the color
-			// block ((i+j) mod w)*u — so the relay of unit k is computed
-			// arithmetically, with no coloring object and no cache access.
-			// The colors are identical to the ones ColorDemandMatrix and
-			// ColorDemandGreedy would assign.
-			w := len(group)
-			clear(counts)
-			for _, it := range mine {
-				b := int(pos[it.dst])
-				k := counts[b]
-				counts[b]++
-				color := ((myIdx+b)%w)*u + k
-				c.stageOpen(color % size)
-				c.stageWords(clique.Word(it.dst))
-				c.stageWords(it.words...)
-				c.stageClose()
-			}
-		} else if d > 0 {
+		// Uniform demand (every announcement pattern): the König coloring
+		// degenerates to the Latin-square layout of
+		// bipartite.uniformDemandColoring — cell (i,j) owns the color block
+		// ((i+j) mod w)*u — so the relay of unit k is computed arithmetically,
+		// with no coloring object and no cache access. The colors are
+		// identical to the ones ColorDemandMatrix and ColorDemandGreedy would
+		// assign.
+		u := uniformDemand(demand)
+		var dc *bipartite.DemandColoring
+		if d := bipartite.MaxRowColSum(demand); u == 0 && d > 0 {
 			shared := c.shared(st.key.sub(kcColor), int32(group[0]), func() interface{} {
-				var dc *bipartite.DemandColoring
+				var col *bipartite.DemandColoring
 				var err error
 				if greedy {
-					dc, err = bipartite.ColorDemandGreedy(demand)
+					col, err = bipartite.ColorDemandGreedy(demand)
 				} else {
-					dc, err = bipartite.ColorDemandMatrix(demand, d)
+					col, err = bipartite.ColorDemandMatrix(demand, d)
 				}
 				if err != nil {
 					return err
 				}
-				return dc
+				return col
 			})
-			dc, ok := shared.(*bipartite.DemandColoring)
-			if !ok {
+			var ok bool
+			if dc, ok = shared.(*bipartite.DemandColoring); !ok {
 				return nil, fmt.Errorf("core: relayRoute(%s): coloring failed: %v", st.name, shared)
 			}
-			// The counts slice doubles as the per-cell unit cursor now that
-			// the demand check is done.
-			clear(counts)
-			for _, it := range mine {
-				b := int(pos[it.dst])
-				k := counts[b]
-				counts[b]++
-				color, err := dc.ColorOfUnit(myIdx, b, k)
-				if err != nil {
+		}
+		// The counts slice doubles as the per-cell unit cursor now that the
+		// demand check is done.
+		clear(counts)
+		w := len(group)
+		for i := 0; i < units; i++ {
+			dst := dstOf(i)
+			b := int(pos[dst])
+			k := counts[b]
+			counts[b]++
+			color := ((myIdx+b)%w)*u + k
+			if dc != nil {
+				var err error
+				if color, err = dc.ColorOfUnit(myIdx, b, k); err != nil {
 					return nil, fmt.Errorf("core: relayRoute(%s): %w", st.name, err)
 				}
-				c.stageOpen(color % size)
-				c.stageWords(clique.Word(it.dst))
-				c.stageWords(it.words...)
-				c.stageClose()
 			}
+			c.stageOpen(color % size)
+			c.stageWords(clique.Word(dst))
+			stage(i)
+			c.stageClose()
 		}
-	} else if len(mine) > 0 {
-		return nil, fmt.Errorf("core: relayRoute(%s): items passed without a group", st.name)
+	} else if units > 0 {
+		return nil, fmt.Errorf("core: relayRoute(%s): units passed without a group", st.name)
 	}
 
-	// Round 1: items travel to their relays.
+	// Round 1: units travel to their relays.
 	rx, err := c.exchange()
 	if err != nil {
 		return nil, err
 	}
 
-	// Round 2: relays forward each item to its destination.
+	// Round 2: relays forward each unit to its destination.
 	for _, p := range rx.all() {
 		if len(p) == 0 {
 			continue
@@ -168,15 +159,14 @@ func relayRouteColored(c *comm, group []int, demand [][]int, mine []item, st ste
 		return nil, err
 	}
 
-	slot := c.itemSlot()
-	received := *slot
+	// Strip the relay header in place: entry i of the result is written
+	// after entry i of the receive buffer has been read.
+	received := rx.msgs[:0]
 	for _, p := range rx.all() {
-		if len(p) == 0 {
-			continue
+		if len(p) > 0 {
+			received = append(received, p[1:])
 		}
-		received = append(received, item{dst: int(p[0]), words: p[1:]})
 	}
-	*slot = received
 	return received, nil
 }
 
@@ -204,47 +194,30 @@ func uniformDemand(demand [][]int) int {
 // directly (2 rounds).
 //
 // perMember is the fixed number of payloads each member announces; callers
-// pad with sentinel payloads when members have fewer real values. The return
-// value lists, for each group position a, the payloads announced by that
-// member (in unspecified order; payloads should carry their own indices when
-// order matters). The returned word slices borrow the engine's receive arena
-// (see item).
+// pad with sentinel payloads when members have fewer real values.
+// stagePayload(k) stages the words of payload k, once per group member; the
+// relay sends each as [myIdx, payload...]. The return value lists, for each
+// group position a, the payloads announced by that member (in unspecified
+// order; payloads should carry their own indices when order matters). The
+// returned word slices borrow the engine's receive arena (see relayRoute).
 //
 // Non-members pass a nil group and act as relays.
-func announceFixed(c *comm, group []int, payloads [][]clique.Word, perMember int, st step) ([][][]clique.Word, error) {
-	var mine []item
+func announceFixed(c *comm, group []int, perMember int, stagePayload func(k int), st step) ([][][]clique.Word, error) {
 	var demand [][]int
-	myIdx := -1
+	units, myIdx := 0, -1
 	if len(group) > 0 {
-		for i, g := range group {
-			if g == c.me {
-				myIdx = i
-				break
-			}
-		}
-		if myIdx < 0 {
+		if myIdx = indexIn(group, c.me); myIdx < 0 {
 			return nil, fmt.Errorf("core: announceFixed(%s): node %d not in its group", st.name, c.ex.ID())
 		}
-		if len(payloads) != perMember {
-			return nil, fmt.Errorf("core: announceFixed(%s): %d payloads, want %d", st.name, len(payloads), perMember)
-		}
 		demand = c.uniformDemandMatrix(len(group), perMember)
-		// Each announced item is [myIdx, payload...]; the copies live in the
-		// instance arena so no per-item allocation happens.
-		slot := c.itemSlot()
-		mine = *slot
-		for _, dst := range group {
-			for _, p := range payloads {
-				mark := c.arenaMark()
-				c.arena = append(c.arena, clique.Word(myIdx))
-				c.arena = append(c.arena, p...)
-				mine = append(mine, item{dst: dst, words: c.arenaView(mark)})
-			}
-		}
-		*slot = mine
+		units = len(group) * perMember
 	}
-
-	received, err := relayRoute(c, group, demand, mine, st)
+	received, err := relayRoute(c, group, demand, units,
+		func(i int) int { return group[i/perMember] },
+		func(i int) {
+			c.stageWords(clique.Word(myIdx))
+			stagePayload(i % perMember)
+		}, st, false)
 	if err != nil {
 		return nil, err
 	}
@@ -253,7 +226,7 @@ func announceFixed(c *comm, group []int, payloads [][]clique.Word, perMember int
 	}
 	// The result structure is carved from the comm's announcement scratch:
 	// out's w buckets are fixed-capacity windows of the flat annRows arena
-	// (every member announces exactly perMember items), so no per-bucket
+	// (every member announces exactly perMember payloads), so no per-bucket
 	// growth allocation happens. The structure is only valid until the comm's
 	// next announcement; both callers consume it immediately.
 	w := len(group)
@@ -274,18 +247,18 @@ func announceFixed(c *comm, group []int, payloads [][]clique.Word, perMember int
 	for a := 0; a < w; a++ {
 		out[a] = rows[a*perMember : a*perMember : (a+1)*perMember]
 	}
-	for _, it := range received {
-		if len(it.words) < 1 {
+	for _, p := range received {
+		if len(p) < 1 {
 			return nil, fmt.Errorf("core: announceFixed(%s): malformed announcement", st.name)
 		}
-		a := int(it.words[0])
+		a := int(p[0])
 		if a < 0 || a >= len(group) {
 			return nil, fmt.Errorf("core: announceFixed(%s): announcement from invalid group position %d", st.name, a)
 		}
 		if len(out[a]) == cap(out[a]) {
-			return nil, fmt.Errorf("core: announceFixed(%s): member %d announced more than %d items", st.name, a, perMember)
+			return nil, fmt.Errorf("core: announceFixed(%s): member %d announced more than %d payloads", st.name, a, perMember)
 		}
-		out[a] = append(out[a], it.words[1:])
+		out[a] = append(out[a], p[1:])
 	}
 	return out, nil
 }
@@ -296,17 +269,9 @@ func announceFixed(c *comm, group []int, payloads [][]clique.Word, perMember int
 // carved from the comm's int arena. The vector length must be identical at
 // all members.
 func announceIntVector(c *comm, group []int, vec []int, st step) ([][]int, error) {
-	var payloads [][]clique.Word
-	perMember := 0
-	if len(group) > 0 {
-		perMember = len(vec)
-		payloads = c.annIn[:0]
-		for t, v := range vec {
-			payloads = append(payloads, c.arenaAppend(clique.Word(t), clique.Word(v)))
-		}
-		c.annIn = payloads
-	}
-	raw, err := announceFixed(c, group, payloads, perMember, st)
+	raw, err := announceFixed(c, group, len(vec), func(t int) {
+		c.stageWords(clique.Word(t), clique.Word(vec[t]))
+	}, st)
 	if err != nil || len(group) == 0 {
 		return nil, err
 	}
@@ -329,31 +294,28 @@ func announceIntVector(c *comm, group []int, vec []int, st step) ([][]int, error
 	return all, nil
 }
 
-// groupRouteUnknown implements Corollary 3.4: four-round routing of items
+// groupRouteUnknown implements Corollary 3.4: four-round routing of units
 // within a group when the demands are not known in advance. The first two
 // rounds announce the per-destination counts (uniform demand, Corollary 3.3),
-// which establishes the preconditions for delivering the items with another
-// invocation of Corollary 3.3.
-func groupRouteUnknown(c *comm, group []int, mine []item, st step) ([]item, error) {
-	return groupRouteUnknownColored(c, group, mine, st, false)
-}
-
-// groupRouteUnknownColored is groupRouteUnknown with a choice of schedule
-// coloring (see relayRouteColored).
-func groupRouteUnknownColored(c *comm, group []int, mine []item, st step, greedy bool) ([]item, error) {
+// which establishes the preconditions for delivering the units with another
+// invocation of Corollary 3.3 under the König coloring. The units, their
+// destinations and the result are relayRoute's; the units are staged after
+// the announcement, two barriers after the call.
+func groupRouteUnknown(c *comm, group []int, units int, dstOf func(int) int, stage func(int), st step) ([][]clique.Word, error) {
 	w := len(group)
 	var vec []int
 	if w > 0 {
 		pos := c.groupPositions(group)
 		vec = c.intVec(w)
-		for _, it := range mine {
+		for i := 0; i < units; i++ {
+			dst := dstOf(i)
 			b := int32(-1)
-			if it.dst >= 0 && it.dst < c.size() {
-				b = pos[it.dst]
+			if dst >= 0 && dst < c.size() {
+				b = pos[dst]
 			}
 			if b < 0 {
 				c.releasePositions(group)
-				return nil, fmt.Errorf("core: groupRouteUnknown(%s): destination %d outside group", st.name, it.dst)
+				return nil, fmt.Errorf("core: groupRouteUnknown(%s): destination %d outside group", st.name, dst)
 			}
 			vec[b]++
 		}
@@ -367,7 +329,7 @@ func groupRouteUnknownColored(c *comm, group []int, mine []item, st step, greedy
 	if w > 0 {
 		demand = counts
 	}
-	return relayRouteColored(c, group, demand, mine, st.sub("deliver", kcDeliver), greedy)
+	return relayRoute(c, group, demand, units, dstOf, stage, st.sub("deliver", kcDeliver), false)
 }
 
 // aggregateAndBroadcast makes slot sums globally known in two rounds: every
@@ -509,7 +471,7 @@ func spreadBroadcast(c *comm, held []clique.Packet, numSlots int) ([]clique.Pack
 // coloring object: ColorDemandMatrix would color it as the Latin square
 // bipartite.uniformDemandColoring builds, cell (a,t) owning the color block
 // ((a+t) mod dim)*u, and the plan computes those colors arithmetically, as
-// relayRouteColored does for uniform demand.
+// relayRoute does for uniform demand.
 type balancePlan struct {
 	coloring *bipartite.DemandColoring // nil for a uniform plan
 	w        int

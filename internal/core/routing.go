@@ -142,24 +142,20 @@ func decodeHeldParcel(w []clique.Word, c *comm) (held, error) {
 // routeTrivialThreshold.
 func routeTiny(c *comm, load []held, st step) ([]held, error) {
 	group := identityMembers(c.size()) // every local index
-	slot := c.itemSlot()
-	items := *slot
-	for _, h := range load {
-		items = append(items, item{dst: h.dstLocal, words: c.arenaHeld(h)})
-	}
-	*slot = items
-	received, err := groupRouteUnknown(c, group, items, st)
+	received, err := groupRouteUnknown(c, group, len(load),
+		func(i int) int { return load[i].dstLocal },
+		func(i int) { c.stageHeld(load[i]) }, st)
 	if err != nil {
 		return nil, err
 	}
 	return deliveredHeld(c, received, st.name)
 }
 
-// deliveredHeld decodes the items of a router's last hop, every one of which
-// must be addressed to this node, into a rotating held slot of c. Their
-// payloads borrow the engine's receive arena (see item).
-func deliveredHeld(c *comm, items []item, context string) ([]held, error) {
-	out, err := decodeHeldItems(c, items)
+// deliveredHeld decodes the units of a router's last hop, every one of which
+// must be a parcel addressed to this node, into a rotating held slot of c.
+// Their payloads borrow the engine's receive arena (see relayRoute).
+func deliveredHeld(c *comm, received [][]clique.Word, context string) ([]held, error) {
+	out, err := decodeHeld(c, received)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", context, err)
 	}
@@ -293,28 +289,28 @@ func routeSquare(c *comm, load []held, st step) ([]held, error) {
 
 	// Algorithm 2, Step 5 (2 rounds): execute the within-set redistribution.
 	classCursor := c.intVec(s)
-	items2Slot := c.itemSlot()
-	items2 := *items2Slot
-	for _, h := range load {
+	targets := c.intVec(len(load))
+	for i, h := range load {
 		k := classCursor[h.interSet]
 		classCursor[h.interSet]++
 		target, tErr := plan2.target(myIdxInGroup, h.interSet, k)
 		if tErr != nil {
 			return nil, fmt.Errorf("%s step2.5: %w", st.name, tErr)
 		}
-		items2 = append(items2, item{dst: grp.member(myGroup, target), words: c.arenaHeld(h)})
+		targets[i] = grp.member(myGroup, target)
 	}
-	*items2Slot = items2
-	received2, err := relayRoute(c, groupMembers, demand2, items2, st.sub("a2.move", kcA2Move))
+	received2, err := relayRoute(c, groupMembers, demand2, len(load),
+		func(i int) int { return targets[i] },
+		func(i int) { c.stageHeld(load[i]) }, st.sub("a2.move", kcA2Move), false)
 	if err != nil {
 		return nil, fmt.Errorf("%s step2.5: %w", st.name, err)
 	}
-	load, err = decodeHeldItems(c, received2)
+	load, err = decodeHeld(c, received2)
 	if err != nil {
 		return nil, fmt.Errorf("%s step2.5: %w", st.name, err)
 	}
-	// All payloads encoded so far (the input load and the step-2.5 items)
-	// have been copied into frames and delivered; their arena storage is dead.
+	// The input load, the only payloads this router encoded, has been
+	// copied into frames and delivered; its arena storage is dead.
 	c.arenaReset()
 
 	// Algorithm 2, Step 6 (1 round): every member now holds (almost) the same
@@ -353,9 +349,8 @@ func routeSquare(c *comm, load []held, st step) ([]held, error) {
 		return nil, fmt.Errorf("%s step3: %w", st.name, err)
 	}
 	cursor3 := c.intVec(s)
-	items3Slot := c.itemSlot()
-	items3 := *items3Slot
-	for _, h := range load {
+	targets = c.intVec(len(load))
+	for i, h := range load {
 		cls := grp.groupOf(h.dstLocal)
 		k := cursor3[cls]
 		cursor3[cls]++
@@ -363,18 +358,18 @@ func routeSquare(c *comm, load []held, st step) ([]held, error) {
 		if tErr != nil {
 			return nil, fmt.Errorf("%s step3: %w", st.name, tErr)
 		}
-		items3 = append(items3, item{dst: grp.member(myGroup, target), words: c.arenaHeld(h)})
+		targets[i] = grp.member(myGroup, target)
 	}
-	*items3Slot = items3
-	received3, err := relayRoute(c, groupMembers, demand3, items3, st.sub("s3.move", kcS3Move))
+	received3, err := relayRoute(c, groupMembers, demand3, len(load),
+		func(i int) int { return targets[i] },
+		func(i int) { c.stageHeld(load[i]) }, st.sub("s3.move", kcS3Move), false)
 	if err != nil {
 		return nil, fmt.Errorf("%s step3: %w", st.name, err)
 	}
-	load, err = decodeHeldItems(c, received3)
+	load, err = decodeHeld(c, received3)
 	if err != nil {
 		return nil, fmt.Errorf("%s step3: %w", st.name, err)
 	}
-	c.arenaReset()
 
 	// ------------------------------------------------------------------
 	// Step 4 of Algorithm 1 (1 round): every member sends, for each
@@ -396,29 +391,27 @@ func routeSquare(c *comm, load []held, st step) ([]held, error) {
 	// Step 5 of Algorithm 1 (4 rounds, Corollary 3.4): deliver inside every
 	// destination set.
 	// ------------------------------------------------------------------
-	items5Slot := c.itemSlot()
-	items5 := *items5Slot
 	for _, h := range load {
 		if grp.groupOf(h.dstLocal) != myGroup {
 			return nil, fmt.Errorf("%s step5: node %d holds a parcel for foreign set %d", st.name, c.ex.ID(), grp.groupOf(h.dstLocal))
 		}
-		items5 = append(items5, item{dst: h.dstLocal, words: c.arenaHeld(h)})
 	}
-	*items5Slot = items5
-	received5, err := groupRouteUnknown(c, groupMembers, items5, st.sub("s5", kcS5))
+	received5, err := groupRouteUnknown(c, groupMembers, len(load),
+		func(i int) int { return load[i].dstLocal },
+		func(i int) { c.stageHeld(load[i]) }, st.sub("s5", kcS5))
 	if err != nil {
 		return nil, fmt.Errorf("%s step5: %w", st.name, err)
 	}
 	return deliveredHeld(c, received5, "step5")
 }
 
-// decodeHeldItems converts relay-routed items back to held parcels (into a
-// rotating scratch buffer of the comm).
-func decodeHeldItems(c *comm, items []item) ([]held, error) {
+// decodeHeld decodes received messages as held parcels (into a rotating
+// scratch buffer of the comm).
+func decodeHeld(c *comm, msgs [][]clique.Word) ([]held, error) {
 	slot := c.heldSlot()
 	out := *slot
-	for _, it := range items {
-		h, err := decodeHeldParcel(it.words, c)
+	for _, p := range msgs {
+		h, err := decodeHeldParcel(p, c)
 		if err != nil {
 			return nil, err
 		}
@@ -435,16 +428,10 @@ func collectHeld(c *comm, context, phase string) ([]held, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s %s: %w", context, phase, err)
 	}
-	slot := c.heldSlot()
-	out := *slot
-	for _, p := range rx.all() {
-		h, decErr := decodeHeldParcel(p, c)
-		if decErr != nil {
-			return nil, fmt.Errorf("%s %s: %w", context, phase, decErr)
-		}
-		out = append(out, h)
+	out, err := decodeHeld(c, rx.all())
+	if err != nil {
+		return nil, fmt.Errorf("%s %s: %w", context, phase, err)
 	}
-	*slot = out
 	return out, nil
 }
 

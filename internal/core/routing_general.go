@@ -155,26 +155,16 @@ func routeCorner(sub *comm, r, square int, corner []held, st step) ([]held, erro
 	var group []int
 	switch {
 	case sub.me < r:
-		group = make([]int, r)
-		for i := range group {
-			group[i] = i
-		}
+		group = identityMembers(m)[:r:r]
 	case sub.me >= square:
-		group = make([]int, r)
-		for i := range group {
-			group[i] = square + i
-		}
+		group = identityMembers(m)[square:]
 	}
-	itemsSlot := sub.itemSlot()
-	items := *itemsSlot
-	for _, h := range dealt {
-		items = append(items, item{dst: h.dstLocal, words: sub.arenaHeld(h)})
-	}
-	*itemsSlot = items
-	if len(items) > 0 && group == nil {
+	if len(dealt) > 0 && group == nil {
 		return nil, fmt.Errorf("%s round3: overlap node %d holds corner parcels", st.name, sub.ex.ID())
 	}
-	received, err := groupRouteUnknown(sub, group, items, st.sub("deliver", kcCornerDeliver))
+	received, err := groupRouteUnknown(sub, group, len(dealt),
+		func(i int) int { return dealt[i].dstLocal },
+		func(i int) { sub.stageHeld(dealt[i]) }, st.sub("deliver", kcCornerDeliver))
 	if err != nil {
 		return nil, fmt.Errorf("%s rounds3-6: %w", st.name, err)
 	}

@@ -106,28 +106,32 @@ func groupSort(c *comm, group []int, myKeys []Key, capacity int, st step, knownD
 	}
 
 	// Step 6 (4 rounds): send bucket j to the j-th group member, bundling a
-	// constant number of keys per message (Corollary 3.4).
-	var items []item
+	// constant number of keys per message (Corollary 3.4). Bucket j's
+	// bundles are the units firstBundle[j] to firstBundle[j+1]-1, each staged
+	// straight from the sorted input as [count, keys...].
+	units := 0
+	var firstBundle []int
 	if w > 0 {
-		slot := c.itemSlot()
-		items = *slot
+		firstBundle = c.intVec(w + 1)
 		for j := 0; j < w; j++ {
-			bucket := input[bstart[j]:bstart[j+1]]
-			for lo := 0; lo < len(bucket); lo += keysPerBundle {
-				hi := min(lo+keysPerBundle, len(bucket))
-				mark := c.arenaMark()
-				c.arena = append(c.arena, clique.Word(hi-lo))
-				for _, k := range bucket[lo:hi] {
-					c.arena = append(c.arena, k.Value, clique.Word(k.Origin), clique.Word(k.Seq))
-				}
-				items = append(items, item{dst: group[j], words: c.arenaView(mark)})
-			}
+			firstBundle[j+1] = firstBundle[j] + ceilDiv(counts[j], keysPerBundle)
 		}
-		*slot = items
+		units = firstBundle[w]
 	}
-	var received []item
+	bucketOf := func(i int) int { return sort.SearchInts(firstBundle, i+1) - 1 }
+	dstOf := func(i int) int { return group[bucketOf(i)] }
+	stage := func(i int) {
+		j := bucketOf(i)
+		lo := bstart[j] + (i-firstBundle[j])*keysPerBundle
+		hi := min(lo+keysPerBundle, bstart[j+1])
+		c.stageWords(clique.Word(hi - lo))
+		for _, k := range input[lo:hi] {
+			c.stageWords(k.Value, clique.Word(k.Origin), clique.Word(k.Seq))
+		}
+	}
+	var received [][]clique.Word
 	if knownCounts == nil {
-		received, err = groupRouteUnknown(c, group, items, st.sub("exchange", kcExchange))
+		received, err = groupRouteUnknown(c, group, units, dstOf, stage, st.sub("exchange", kcExchange))
 	} else {
 		// The demand groupRouteUnknown would announce: member a holds
 		// ⌈counts[a][b]/keysPerBundle⌉ bundles for member b. The step keys
@@ -142,15 +146,11 @@ func groupSort(c *comm, group []int, myKeys []Key, capacity int, st step, knownD
 				}
 			}
 		}
-		received, err = relayRouteColored(c, group, demand, items, st.sub("exchange", kcExchange).sub("deliver", kcDeliver), false)
+		received, err = relayRoute(c, group, demand, units, dstOf, stage, st.sub("exchange", kcExchange).sub("deliver", kcDeliver), false)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("core: groupSort(%s) step6: %w", st.name, err)
 	}
-	// Everything this groupSort staged through the arena (sample payloads,
-	// announcement items, key bundles) has been delivered; the received
-	// bundles below are views into the engine's arena, not this one.
-	c.arenaReset()
 
 	if w == 0 {
 		return &groupSortResult{}, nil
@@ -166,16 +166,16 @@ func groupSort(c *comm, group []int, myKeys []Key, capacity int, st step, knownD
 		}
 	}
 	myBucket := c.keyVec(bucketSizes[myIdx])
-	for _, it := range received {
-		if len(it.words) < 1 {
+	for _, p := range received {
+		if len(p) < 1 {
 			return nil, fmt.Errorf("core: groupSort(%s) step7: empty bundle", st.name)
 		}
-		count := int(it.words[0])
-		if count < 0 || len(it.words) < 1+count*keyWords {
+		count := int(p[0])
+		if count < 0 || len(p) < 1+count*keyWords {
 			return nil, fmt.Errorf("core: groupSort(%s) step7: malformed bundle", st.name)
 		}
 		for i := 0; i < count; i++ {
-			k, decErr := decodeKey(it.words[1+i*keyWords:])
+			k, decErr := decodeKey(p[1+i*keyWords:])
 			if decErr != nil {
 				return nil, fmt.Errorf("core: groupSort(%s) step7: %w", st.name, decErr)
 			}
@@ -217,18 +217,14 @@ func groupDelimiters(c *comm, group []int, input []Key, capacity int, st step) (
 	// Step 2 (2 rounds): announce the selected keys to every group member.
 	// Payload: [valid, value, origin, seq], padded to maxSel entries so the
 	// demand is uniform.
-	var payloads [][]clique.Word
-	if w > 0 {
-		payloads = c.annIn[:0]
-		for _, k := range selected {
-			payloads = append(payloads, c.arenaAppend(1, k.Value, clique.Word(k.Origin), clique.Word(k.Seq)))
+	announced, err := announceFixed(c, group, maxSel, func(t int) {
+		if t < len(selected) {
+			k := selected[t]
+			c.stageWords(1, k.Value, clique.Word(k.Origin), clique.Word(k.Seq))
+		} else {
+			c.stageWords(0, 0, 0, 0)
 		}
-		for len(payloads) < maxSel {
-			payloads = append(payloads, c.arenaAppend(0, 0, 0, 0))
-		}
-		c.annIn = payloads
-	}
-	announced, err := announceFixed(c, group, payloads, maxSel, st.sub("samples", kcSamples))
+	}, st.sub("samples", kcSamples))
 	if err != nil {
 		return nil, fmt.Errorf("core: groupSort(%s) step2: %w", st.name, err)
 	}

@@ -160,7 +160,7 @@ const (
 //
 // The comm owns the instance's flat-frame pipeline state: the staging log
 // (flushed into one SendFramed packet per busy edge at every exchange), the
-// decoded receive buffer, and a word arena backing re-encoded payloads. All
+// decoded receive buffer, and a word arena for the words it encodes. All
 // of it is recycled round over round, so a steady-state protocol round
 // performs no per-message allocation.
 type comm struct {
@@ -258,19 +258,19 @@ type commScratch struct {
 
 	rx rxBuf // decoded inbound messages of the last exchange
 
-	// arena backs item payloads re-encoded between pipeline hops. Growth is
+	// arena backs the words a comm encodes itself rather than stages from
+	// where they lie: a router's input parcels, Algorithm 4's key bundles
+	// and the deliveries a V1/V2/corner sub-instance copies up. Growth is
 	// append-only, so views stay valid across appends; arenaReset truncates
 	// it (keeping capacity) at pipeline points where no views are live.
 	arena []clique.Word
 
-	// heldScratch and itemScratch are rotating buffers for the held/item
-	// slices produced at every pipeline hop. The rotation depth covers the
-	// maximum number of such buffers simultaneously alive in any pipeline
-	// (current load, staged items, announcement items, delivery result).
+	// heldScratch is a set of rotating buffers for the held slices produced
+	// at every pipeline hop. The rotation depth covers the maximum number of
+	// such buffers simultaneously alive in any pipeline (current load,
+	// decoded delivery, a result its caller is still assembling).
 	heldScratch [3][]held
 	heldCursor  int
-	itemScratch [4][]item
-	itemCursor  int
 
 	// posScratch maps a local member index to its position inside the group
 	// currently being processed (-1 outside); groupPositions/releasePositions
@@ -290,7 +290,6 @@ type commScratch struct {
 	annOut        [][][]clique.Word
 	annDemand     [][]int
 	annDemandFlat []int
-	annIn         [][]clique.Word // announceIntVector's and groupDelimiters' payload lists
 
 	// ints and intRows back the int matrices and vectors an instance builds
 	// (announced count matrices, balance-plan squares and move demands, set
@@ -420,14 +419,14 @@ func (s *commScratch) ready(size, n int) {
 	for i := range s.posScratch {
 		s.posScratch[i] = -1
 	}
-	s.heldCursor, s.itemCursor = 0, 0
+	s.heldCursor = 0
 }
 
 // release hands the comm's buffers back to its executor's stack. It must
 // only be called when the comm will neither send nor receive again, after
 // every comm taken after it on the executor has been released; results that
 // borrow the arena remain valid (see commScratch), but the caller must have
-// stopped using rx views and held/item scratch slices.
+// stopped using rx views and held scratch slices.
 func (c *comm) release() {
 	if c.bufferSet == nil {
 		return
@@ -525,9 +524,14 @@ func (c *comm) localOf(global int) (int, bool) {
 // sendHeld stages one held parcel for the member with the given local index.
 func (c *comm) sendHeld(localTo int, h held) {
 	c.stageOpen(localTo)
+	c.stageHeld(h)
+	c.stageClose()
+}
+
+// stageHeld appends a held parcel's wire form to the open message.
+func (c *comm) stageHeld(h held) {
 	c.stageWords(clique.Word(h.dstLocal), clique.Word(h.interSet), clique.Word(h.src))
 	c.stageWords(h.payload...)
-	c.stageClose()
 }
 
 // exchange flushes the staged frames, runs one round barrier and decodes
@@ -635,15 +639,6 @@ func (c *comm) arenaAppend(ws ...clique.Word) []clique.Word {
 	return c.arena[n0:len(c.arena):len(c.arena)]
 }
 
-// arenaHeld encodes a held parcel into the instance arena and returns the
-// stable view of its wire form.
-func (c *comm) arenaHeld(h held) []clique.Word {
-	n0 := len(c.arena)
-	c.arena = append(c.arena, clique.Word(h.dstLocal), clique.Word(h.interSet), clique.Word(h.src))
-	c.arena = append(c.arena, h.payload...)
-	return c.arena[n0:len(c.arena):len(c.arena)]
-}
-
 // arenaMark returns the current arena position; arenaView returns the words
 // appended since a mark as a stable view.
 func (c *comm) arenaMark() int { return len(c.arena) }
@@ -666,14 +661,6 @@ func (c *comm) arenaReset() { c.arena = c.arena[:0] }
 func (c *comm) heldSlot() *[]held {
 	c.heldCursor = (c.heldCursor + 1) % len(c.heldScratch)
 	s := &c.heldScratch[c.heldCursor]
-	*s = (*s)[:0]
-	return s
-}
-
-// itemSlot is heldSlot for item slices.
-func (c *comm) itemSlot() *[]item {
-	c.itemCursor = (c.itemCursor + 1) % len(c.itemScratch)
-	s := &c.itemScratch[c.itemCursor]
 	*s = (*s)[:0]
 	return s
 }

@@ -5,6 +5,7 @@
 package leakcheck
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"runtime"
@@ -15,11 +16,15 @@ import (
 // Main runs the package's tests and exits with their status, or with 1 when
 // they passed but left more goroutines behind than existed before them. Call
 // it from TestMain.
+//
+// The one goroutine it tolerates is os/signal's watcher, which the fuzzing
+// engine's coordinator starts (signal.Notify) and which lives until the
+// process exits: it is left out of the count before the tests and after.
 func Main(m *testing.M) {
-	before := runtime.NumGoroutine()
+	before := runtime.NumGoroutine() - signalWatchers()
 	code := m.Run()
 	if code == 0 {
-		if err := Settle(before, 5*time.Second); err != nil {
+		if err := Settle(before+signalWatchers(), 5*time.Second); err != nil {
 			buf := make([]byte, 1<<20)
 			fmt.Fprintf(os.Stderr, "%v\n%s\n", err, buf[:runtime.Stack(buf, true)])
 			code = 1
@@ -40,4 +45,11 @@ func Settle(want int, patience time.Duration) error {
 		time.Sleep(5 * time.Millisecond)
 	}
 	return nil
+}
+
+// signalWatchers counts the goroutines running os/signal's watcher loop (at
+// most one: the package starts it once per process).
+func signalWatchers() int {
+	buf := make([]byte, 1<<20)
+	return bytes.Count(buf[:runtime.Stack(buf, true)], []byte("\nos/signal.loop()\n"))
 }
