@@ -4,6 +4,7 @@ package congestedclique
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -188,12 +189,15 @@ func TestWarmAllocsRouteBytes(t *testing.T) {
 // sort_full instance) allocates per op to at most sortBytesPerBatch times
 // what its batches take (n² Key values of 24 bytes), under Algorithm 4 with
 // Theorem 3.7 (Deterministic) and with Theorem 5.4 (LowCompute) at Step 6.
-// The sort's key sets come from its comm's key arena, Algorithm 3 sorts the
-// slice it is handed in place, the Mux's send queues stay on its pooled
-// coroutines and the shared colorings are recycled across runs, so what is
-// left per op is mostly the batches: 2.3-2.5x and 1.9-2.1x under Theorems
-// 3.7 and 5.4. Copying the key set at every step, growing a send queue per
-// Mux instance and coloring afresh per run read 26x and 30x.
+// Every comm carves from its executor's buffer sets (core's scratchStack),
+// which grow to what they carved last; the sort's key sets come from its
+// comm's key arena, Algorithm 3 sorts the slice it is handed in place, the
+// Mux's send queues stay on its pooled coroutines and the shared colorings
+// are recycled across runs, so what is left per op is mostly the batches:
+// 2.4-2.8x and 1.7-2.3x under Theorems 3.7 and 5.4, the spread mostly the
+// redistribution logs, which migrate between nodes through rankLogs and
+// regrow. Copying the key set at every step, growing a send queue per Mux
+// instance and coloring afresh per run read 26x and 30x.
 func TestWarmAllocsSortBytes(t *testing.T) {
 	const (
 		n                 = 196
@@ -238,14 +242,65 @@ func TestWarmAllocsSortBytes(t *testing.T) {
 	}
 }
 
+// TestWarmAllocsNonSquareSort pins the bytes a warm Sort allocates per op at
+// non-square n to at most perBatch times what its batches take (n² Key
+// values of 24 bytes). There Deterministic's Step 6 route is Theorem 3.7's
+// V1/V2/corner construction, a Mux nested in an instance of Step 6's own
+// Mux, and LowCompute routes Step 6 with Theorem 5.4 beside the same root
+// Mux. Nested instances tag their frames by instance path, queue them into
+// the parent instance as they are and read the node's records like every
+// other instance: n=90 reads 9.1-10.0x and 6.6-7.4x (Deterministic,
+// LowCompute), n=200 8.7-9.9x and 6.2-6.4x. A nested Mux that copied every
+// frame behind a second tag and demultiplexed the records into per-instance
+// rings read 18.0-18.1x and 16.0-16.1x, 15.5-15.8x and 13.2-14.1x.
+func TestWarmAllocsNonSquareSort(t *testing.T) {
+	const runs = 5
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	ctx := context.Background()
+	for _, tc := range []struct {
+		n        int
+		alg      Algorithm
+		perBatch float64
+	}{
+		{90, Deterministic, 13},
+		{90, LowCompute, 11},
+		{200, Deterministic, 12},
+		{200, LowCompute, 9.5},
+	} {
+		t.Run(fmt.Sprintf("n=%d/%v", tc.n, tc.alg), func(t *testing.T) {
+			runtime.GC()
+			runtime.GC()
+			cl, err := New(tc.n, WithAlgorithm(tc.alg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			values := benchSortWorkload(tc.n)
+			perOp := warmBytesPerOp(2, runs, func() {
+				if _, err := cl.Sort(ctx, values); err != nil {
+					t.Fatal(err)
+				}
+			})
+			batches := float64(tc.n * tc.n * int(unsafe.Sizeof(Key{})))
+			t.Logf("%.0f KiB/op, %.2f x the batches' %.0f KiB", perOp/1024, perOp/batches, batches/1024)
+			if perOp > tc.perBatch*batches {
+				t.Errorf("a warm Sort allocates %.0f KiB/op, more than %.1f x its batches' %.0f KiB",
+					perOp/1024, tc.perBatch, batches/1024)
+			}
+		})
+	}
+}
+
 // TestWarmAllocsMixedSizes checks that handles of two clique sizes keep
 // their warm allocation figures when their Sorts interleave: a warm n=196
 // and a warm n=144 Sort, run alternately and run side by side, allocate at
 // most mixedSizesBytes times what each allocates on its own. The comm
-// buffers both sizes share grow to a size hint kept per clique size, and an
-// arena also grows to what it carved last. One hint per comm kind, which
-// every comm of the other size replaced, left fresh arenas ungrown and read
-// 1.5-1.6x side by side in some runs; per-size hints read 0.88-1.04x.
+// buffers are the buffer sets of each handle's own executors, which grow to
+// what they carved last, so no comm of one size resizes the other's; only
+// the redistribution logs of rankLogs pass between the sizes: 0.75-1.00x
+// here. Buffers taken from process-wide pools and sized by one hint per comm
+// kind, which every comm of the other size replaced, left fresh arenas
+// ungrown and read 1.5-1.6x side by side in some runs.
 func TestWarmAllocsMixedSizes(t *testing.T) {
 	const (
 		warm            = 5
@@ -338,9 +393,10 @@ func warmBytesPerOp(warm, runs int, op func()) float64 {
 // n · Stats.MaxMemoryWordsPerNode · 8 bytes, the whole clique's resident
 // words as the protocol reports them. Warm comms carve from their executor's
 // buffer sets, so what is left per op is mostly the result rows: the Route
-// reads 0.58x and the Sort 0.73-0.83x here (0.80x with process-wide pools
-// sized by hints; the Sort's redistribution logs come from a shared pool). Routers that built their bookkeeping per op read 4.4-7.9x
-// their rows (TestWarmAllocsRouteBytes), 2.5-4.5x this bound.
+// reads 0.58x and the Sort 0.71-0.91x here, the Sort's spread mostly its
+// redistribution logs, which come from the shared rankLogs pool. Routers
+// that built their bookkeeping per op read 4.4-7.9x their rows
+// (TestWarmAllocsRouteBytes), 2.5-4.5x this bound.
 func TestWarmAllocsMemoryBound(t *testing.T) {
 	const (
 		n                   = 256

@@ -70,9 +70,8 @@
 // own goroutine, by one builder with three callers: Node.Exchange (the node's
 // view, pooled with the Network's buffers), the sweep of step programs (one
 // view per worker, rebuilt for each stepping node) and VNode.Exchange (the
-// instance's view, built with a tag filter over the node's shared records on
-// a passthrough Mux, or over the instance's own ring on a stacked one). The
-// builder also lists the senders it met; Exchanger.InboxSenders hands that
+// instance's view over the node's records, filtered by the instance's tag on
+// a Mux of the node and on one nested in an instance alike). The builder also lists the senders it met; Exchanger.InboxSenders hands that
 // list out, so a receiver that heard from a handful of nodes visits those
 // table entries and not all n.
 // Lifetimes: the Inbox structure is valid until the receiver's next exchange
@@ -117,18 +116,16 @@
 //     receive views, outboxes, Node structs) is checked out of the process-wide
 //     netBufPool at New and owned exclusively by that Network until Close —
 //     two live Networks never share a buffer set. So is execMem, the opaque
-//     ScratchHolder slots of the executors and the Mux send queues, which
-//     Close hands to the set for the next Network on it (a one-shot call's
-//     too). The shared-computation cache, metrics, cumulative totals and
-//     step accounting are plain fields of the Network, guarded by its own
-//     mutexes.
-//   - Shared, by design: netBufPool itself, wordBufPool (sender-side packet
-//     buffers; released only after delivery has copied the payload),
-//     execMemPool and the colorings' pool in package bipartite are
-//     process-wide sync.Pools. They
-//     exchange only quiescent buffers — a buffer is either owned by exactly
-//     one run or sitting in the pool — so concurrent Networks recycle
-//     through them without coordination beyond the Pool's own. New first
+//     ScratchHolder slots of the executors and the Mux instances' send
+//     queues and tag buffers, which Close hands to the set for the next
+//     Network on it (a one-shot call's too). The shared-computation cache,
+//     metrics, cumulative totals and step accounting are plain fields of the
+//     Network, guarded by its own mutexes.
+//   - Shared, by design: netBufPool itself, execMemPool and the colorings'
+//     pool in package bipartite are process-wide sync.Pools. They exchange
+//     only quiescent buffers — a buffer is either owned by exactly one run
+//     or sitting in the pool — so concurrent Networks recycle through them
+//     without coordination beyond the Pool's own. New first
 //     tries the released buffer sets, most recent first (weak pointers
 //     beside netBufPool, so none outlives the pool's hold on its set): a
 //     lone sync.Pool Put is only visible to Gets on its own processor, and

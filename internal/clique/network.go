@@ -75,18 +75,15 @@ type Exchanger interface {
 }
 
 // FrameTagger is implemented by exchangers whose wire frames carry a leading
-// instance-tag word — the Mux's virtual nodes when they run directly on the
-// engine. A sender that can build the tag into its frames avoids the copy
-// SendFramed would otherwise make to prepend it, and a receiver reading the
-// (shared) FlatInbox of such an exchanger must filter records by the tag and
-// strip it before decoding. FrameTag reports ok == false when the exchanger
-// does not use tagged frames this way (a physical node, or a virtual node
-// whose underlying exchanger is itself tagged); callers then fall back to
-// SendFramed and receive pre-demultiplexed, untagged records.
+// instance-tag word — the Mux's virtual nodes. A sender that can build the
+// tag into its frames avoids the copy SendFramed makes to prepend it, and a
+// receiver reading the FlatInbox of such an exchanger, which is the node's
+// and shared by every instance on it, must filter records by the tag and
+// strip it before decoding.
 type FrameTagger interface {
 	// FrameTag returns the tag word senders must place in data[0] of
 	// SendTagged frames and receivers must filter ExchangeFlat records by.
-	FrameTag() (tag Word, ok bool)
+	FrameTag() Word
 	// SendTagged queues one pre-tagged frame (data[0] must equal the tag).
 	// Accounting matches SendFramed plus one tag word per logical message,
 	// exactly as if the exchanger had prepended the tag itself. The frame
@@ -1037,10 +1034,12 @@ type execMem struct {
 	coros [][]*coroMem
 }
 
-// coroMem is one Mux coroutine's share of execMem; VNode.close clears the
+// coroMem is one Mux coroutine's share of execMem: its instance's send queue
+// and the tag buffer SendFramed copies frames into. VNode.close clears the
 // queue's whole backing, so it pins no frame.
 type coroMem struct {
 	pending []pendingPacket
+	tagged  []Word
 	scratch any
 }
 
@@ -1156,9 +1155,8 @@ func (nd *Node) SendFramed(to int, data Packet, count, modelWords int) {
 	if to < 0 || to >= nd.nw.n {
 		panic(fmt.Sprintf("clique: node %d sent to invalid destination %d (n=%d)", nd.id, to, nd.nw.n))
 	}
-	// The model cost may exceed len(data): stacked transports (nested Mux
-	// layers) charge per-message tag overhead that the frame carries only
-	// once physically.
+	// The model cost may exceed len(data): every Mux level charges a tag
+	// word per logical message, and a frame carries one tag for all of them.
 	if count < 1 || modelWords < 0 {
 		panic(fmt.Sprintf("clique: node %d framed send with count %d, model %d", nd.id, count, modelWords))
 	}

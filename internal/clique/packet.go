@@ -1,9 +1,6 @@
 package clique
 
-import (
-	"sync"
-	"unsafe"
-)
+import "unsafe"
 
 // Word is the unit of message payload. The congested-clique model allows a
 // constant number of integers that are polynomially bounded in n per message;
@@ -67,31 +64,6 @@ func queued(to int, data Packet, count, model int) pendingPacket {
 // payload returns the queued packet's words.
 func (pp *pendingPacket) payload() Packet {
 	return unsafe.Slice(pp.data, pp.len)
-}
-
-// wordBufPool recycles word buffers used to build packet payloads whose
-// lifetime ends at a known barrier (the engine copies payloads during
-// delivery, so a sender-side buffer is free once the sender's Exchange has
-// returned). The Mux carves all of a round's tagged packets out of one pooled
-// buffer, so steady-state virtual rounds allocate nothing.
-var wordBufPool = sync.Pool{
-	New: func() interface{} {
-		b := make([]Word, 0, 256)
-		return &b
-	},
-}
-
-// acquireWords returns an empty word buffer from the pool.
-func acquireWords() *[]Word {
-	b := wordBufPool.Get().(*[]Word)
-	*b = (*b)[:0]
-	return b
-}
-
-// releaseWords returns a buffer to the pool. The caller must not touch any
-// memory carved from it afterwards.
-func releaseWords(b *[]Word) {
-	wordBufPool.Put(b)
 }
 
 // Inbox holds everything a node received in one round, indexed by sender.

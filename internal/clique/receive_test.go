@@ -81,7 +81,7 @@ func receive(ex Exchanger, boxed bool) ([]rxPacket, error) {
 	}
 	tag, tagged := Word(0), false
 	if ft, ok := ex.(FrameTagger); ok {
-		tag, tagged = ft.FrameTag()
+		tag, tagged = ft.FrameTag(), true
 	}
 	var out []rxPacket
 	for i := 0; i < len(flat); {

@@ -3,20 +3,22 @@ package clique
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Mux multiplexes several logical protocol instances onto one physical node.
 // All live instances advance in lockstep: one virtual round of every live
 // instance corresponds to exactly one physical round of the underlying node.
-// Packets are tagged with their instance identifier (one extra word) so that
-// the receiving Mux can demultiplex them; this is the implementation of the
+// Packets carry their instance's tag (one extra word), so every instance can
+// pick its own records out of the node's; this is the implementation of the
 // paper's "run the instances in parallel, increasing the message size by a
 // constant factor".
 //
 // The Mux is used by the non-square-n routing construction of Theorem 3.7
 // (two square sub-instances plus the 6-round boundary procedure run in
 // parallel) and by Step 6 of Algorithm 4 (the 2-round bucket-size aggregation
-// rides on the 16-round route).
+// rides on the 16-round route); at non-square n the first runs nested in an
+// instance of the second.
 //
 // Scheduling: Run is a run loop of the engine's shape, on the node's own
 // coroutine. Every instance runs on a coroutine nested in it, one of the
@@ -25,36 +27,31 @@ import (
 // then performs the one physical exchange for all of them. Nothing runs
 // concurrently with anything else on a node, so the Mux holds no lock.
 //
-// Allocation behaviour: instances queue their sends locally, in the queue
-// the instance's pooled coroutine keeps between Mux runs: a warm run appends
-// into the capacity an earlier instance left, and close clears the whole
-// backing before the coroutine is pooled, so a parked coroutine pins no
-// frame (the queue lives in the engine's execMem). When the Mux runs directly on the engine ("passthrough" mode), the instances are
-// FrameTaggers: senders that build the tag into their frames (SendTagged) are
-// forwarded without any copy, and receivers share the engine's raw FlatInbox,
-// filtering records by tag themselves (ExchangeFlat callers in their decoder,
-// Exchange in the view builder) — the round's traffic is never copied inside
-// the Mux at all. Sends through the plain Send/SendFramed path are tagged by
-// copying into a per-instance buffer that is truncated (and kept) once the
-// engine has copied the round's payloads. A Mux stacked on another Mux's
-// virtual node cannot share inboxes this way (records then carry the outer
-// tag), so it falls back to copy-tagging and demultiplexing into per-instance
-// ring buffers of untagged records.
+// Tags: an instance's tag is its instance path — its identifier on a Mux of
+// the node, and on a Mux nested in an instance its identifier packed beside
+// that instance's tag — so it is the same on every node, distinct from every
+// other instance live on the node, and non-negative.
+//
+// Traffic: instances are FrameTaggers. Senders that build the tag into their
+// frames (SendTagged) are queued without a copy; plain Send/SendFramed frames
+// are copied behind the tag into a buffer the instance's pooled coroutine
+// keeps, truncated once the engine has copied the round's payloads. Queued
+// frames go to the node as they are — through a nested Mux's parent instance,
+// whose queue they join — and every instance reads the node's raw FlatInbox,
+// filtering records by its tag (ExchangeFlat callers in their decoder,
+// Exchange in the view builder): the round's traffic is never copied inside
+// the Mux. The queues and tag buffers live in the engine's execMem; close
+// clears a queue's whole backing before the coroutine is pooled, so a parked
+// coroutine pins no frame.
 type Mux struct {
 	nd Exchanger
 	// node is the physical node beneath nd, whose Network keeps the node's
 	// pooled coroutines; nil when nd is not one of a Network's nodes.
 	node *Node
-
-	// passthrough is true when nd is not itself tagged: tagged frames and the
-	// shared flat inbox travel through the Mux untouched. Fixed at
-	// construction.
-	passthrough bool
-	// ndTag is the tag of the underlying exchanger when it is itself a tagged
-	// virtual node (a stacked Mux): received records must be filtered by it
-	// and stripped before demultiplexing by this Mux's own instance tags.
-	ndTag    Word
-	ndTagged bool
+	// parent is the virtual node beneath nd when the Mux is nested in an
+	// instance of another Mux: queued frames join its queue, and the
+	// instances' tags extend its tag.
+	parent *VNode
 
 	// vnodes[id] is the virtual node of instance id, in the dense table Run
 	// sets up: it also fixes the (ascending, deterministic) order in which
@@ -63,16 +60,15 @@ type Mux struct {
 	// failed is the error of the physical exchange that failed, handed to
 	// every instance by its next exchange.
 	failed error
-	// rawFlat is the engine's flat inbox of the round that just completed,
-	// shared by all instances in passthrough mode. Views stay valid under the
-	// engine's payload grace window, so overwriting it each round is safe.
+	// rawFlat is the node's flat inbox of the round that just completed,
+	// shared by all instances. Views stay valid under the engine's payload
+	// grace window, so overwriting it each round is safe.
 	rawFlat FlatInbox
 	// pending holds tagged packets handed over by instances that closed with
-	// sends still queued; they are delivered at the next physical round.
+	// sends still queued, copied into closing; they are forwarded at the next
+	// physical round, after which closing is truncated.
 	pending []pendingPacket
-	// retired holds the tagged-payload buffers backing pending: they must
-	// survive until the engine has copied the packets at the next barrier.
-	retired []*[]Word
+	closing []Word
 }
 
 // NewMux wraps a physical (or itself virtual) node; Run runs the instances.
@@ -93,11 +89,22 @@ func NewMux(nd Exchanger) *Mux {
 	case *Node:
 		m.node = x
 	case *VNode:
-		m.node = x.mux.node
-		m.ndTag, m.ndTagged = x.FrameTag()
+		m.node, m.parent = x.mux.node, x
 	}
-	m.passthrough = !m.ndTagged
 	return m
+}
+
+// instanceBits is the width of an instance identifier within a tag.
+const instanceBits = 16
+
+// tagOf returns the tag of instance id: the identifier itself on a Mux of the
+// node, else (parent tag + 1) << instanceBits | id. Identifiers below
+// 1<<instanceBits keep the map from instance paths to tags one-to-one.
+func (m *Mux) tagOf(id int) Word {
+	if m.parent == nil {
+		return Word(id)
+	}
+	return (m.parent.tag+1)<<instanceBits | Word(id)
 }
 
 // Run runs programs[id], for every non-nil entry, as instance id on a virtual
@@ -126,11 +133,14 @@ func (m *Mux) Run(programs []func(Exchanger) error) (err error) {
 	if m.vnodes != nil {
 		return errors.New("clique: Mux.Run called twice")
 	}
+	if len(programs) > 1<<instanceBits || m.parent != nil && m.parent.tag >= math.MaxInt64>>instanceBits {
+		return fmt.Errorf("clique: Mux.Run: the paths of %d instances do not fit a frame tag", len(programs))
+	}
 	m.vnodes = make([]VNode, len(programs))
 	for id, prog := range programs {
 		if prog != nil {
 			v := &m.vnodes[id]
-			v.mux, v.instance = m, id
+			v.mux, v.instance, v.tag = m, id, m.tagOf(id)
 			v.co = nd.nw.takeCoro(nd.id)
 			v.co.prog, v.co.ex = prog, v
 			v.mem = nd.nw.mem.takeCoroMem(nd.id)
@@ -197,31 +207,18 @@ func (nw *Network) takeCoro(id int) *nodeCoro {
 type VNode struct {
 	mux      *Mux
 	instance int
+	tag      Word // see Mux.tagOf
 	round    int
 	// co is the coroutine the instance's program runs on, nil once the
 	// program has returned (or, in a slot Run left empty, ever).
 	co *nodeCoro
 	// pending queues this instance's sends until the Mux forwards them at
-	// the physical exchange, in its coroutine's backing (mem).
+	// the physical exchange, in its coroutine's backing (mem), which also
+	// holds the tag buffer SendFramed copies into.
 	pending []pendingPacket
 	mem     *coroMem
-	// tagBuf is the pooled buffer this instance's tagged payloads are carved
-	// from. Growth is append-only, so earlier carved views stay valid when
-	// the backing array is reallocated.
-	tagBuf *[]Word
 	// view boxes this instance's records for Exchange, rebuilt every call.
 	view inboxView
-	// flatRing cycles the per-round record buffers a stacked Mux
-	// demultiplexes this instance's traffic into, mirroring the engine's
-	// payload ring so received payload views stay valid for
-	// PayloadGraceRounds further exchanges. The buffers are pooled: acquired
-	// on first use, returned when the instance closes.
-	flatRing [payloadRingDepth]*[]Word
-	flatSlot int
-	// flatHint remembers the flat volume of a recent round so a freshly
-	// acquired ring buffer can be sized in one step (pooled buffers arrive
-	// with arbitrary, often tiny, capacity).
-	flatHint int
 }
 
 var (
@@ -233,13 +230,8 @@ var (
 // instance runs on.
 func (v *VNode) ScratchSlot() *any { return &v.mem.scratch }
 
-// FrameTag implements FrameTagger: in passthrough mode the instance
-// identifier is the frame tag, and senders/receivers that honour it skip the
-// Mux's internal copies entirely. On a stacked Mux (the underlying exchanger
-// is itself tagged) ok is false and the copy-tagging fallback applies.
-func (v *VNode) FrameTag() (Word, bool) {
-	return Word(v.instance), v.mux.passthrough
-}
+// FrameTag implements FrameTagger: the instance's tag (see Mux).
+func (v *VNode) FrameTag() Word { return v.tag }
 
 // SendTagged queues one pre-tagged frame without copying it. data[0] must be
 // this instance's tag; the frame must stay valid until this instance's next
@@ -247,21 +239,23 @@ func (v *VNode) FrameTag() (Word, bool) {
 // The accounted cost adds one tag word per logical message, identical to what
 // SendFramed charges for the tag it prepends.
 func (v *VNode) SendTagged(to int, data Packet, count, modelWords int) {
-	if !v.mux.passthrough {
-		panic(fmt.Sprintf("clique: SendTagged on instance %d of a stacked Mux (node %d)", v.instance, v.ID()))
+	v.checkSend(to, count, modelWords)
+	if len(data) == 0 || data[0] != v.tag {
+		panic(fmt.Sprintf("clique: instance %d on node %d tagged send without its tag", v.instance, v.ID()))
 	}
+	v.pending = append(v.pending, queued(to, data, count, modelWords+count))
+}
+
+// checkSend panics on a send no exchanger accepts.
+func (v *VNode) checkSend(to, count, modelWords int) {
 	if to < 0 || to >= v.N() {
 		panic(fmt.Sprintf("clique: instance %d on node %d sent to invalid destination %d (n=%d)",
 			v.instance, v.ID(), to, v.N()))
 	}
 	if count < 1 || modelWords < 0 {
-		panic(fmt.Sprintf("clique: instance %d on node %d tagged send with count %d, model %d",
+		panic(fmt.Sprintf("clique: instance %d on node %d framed send with count %d, model %d",
 			v.instance, v.ID(), count, modelWords))
 	}
-	if len(data) == 0 || data[0] != Word(v.instance) {
-		panic(fmt.Sprintf("clique: instance %d on node %d tagged send without its tag", v.instance, v.ID()))
-	}
-	v.pending = append(v.pending, queued(to, data, count, modelWords+count))
 }
 
 // ID returns the physical node identifier.
@@ -285,69 +279,52 @@ func (v *VNode) SharedComputeKeyed(key SharedKey, f func() interface{}) interfac
 }
 
 // Send queues a packet for delivery within this instance. The packet is
-// tagged with the instance identifier (one extra word on the wire); the
-// tagged copy is carved from a pooled buffer that is released once the
-// engine has copied the round's payloads at the physical barrier.
+// tagged with the instance tag (one extra word on the wire), copied into the
+// instance's tag buffer.
 func (v *VNode) Send(to int, data Packet) {
 	v.SendFramed(to, data, 1, len(data))
 }
 
 // SendFramed queues one physical packet carrying count logical messages (see
-// Exchanger). The instance tag the Mux adds is per-message overhead in the
-// unbatched model, so the accounted cost forwarded to the physical node is
-// modelWords plus one tag word per logical message — exactly what count
-// individually tagged packets would have cost. The packet is handed to the
-// physical node at the Mux's next physical exchange.
+// Exchanger). The instance tag is per-message overhead in the unbatched
+// model, so the accounted cost forwarded to the physical node is modelWords
+// plus one tag word per logical message — exactly what count individually
+// tagged packets would have cost. The tagged copy is carved from the
+// instance's tag buffer, which grows by append only (earlier carved views keep
+// the array they were carved from) and is truncated once the engine has
+// copied the round's payloads.
 func (v *VNode) SendFramed(to int, data Packet, count, modelWords int) {
-	if to < 0 || to >= v.N() {
-		panic(fmt.Sprintf("clique: instance %d on node %d sent to invalid destination %d (n=%d)",
-			v.instance, v.ID(), to, v.N()))
-	}
-	if count < 1 || modelWords < 0 {
-		panic(fmt.Sprintf("clique: instance %d on node %d framed send with count %d, model %d",
-			v.instance, v.ID(), count, modelWords))
-	}
-	if v.tagBuf == nil {
-		v.tagBuf = acquireWords()
-	}
-	buf := *v.tagBuf
+	v.checkSend(to, count, modelWords)
+	buf := v.mem.tagged
 	pos := len(buf)
-	buf = append(buf, Word(v.instance))
-	buf = append(buf, data...)
-	*v.tagBuf = buf
-	tagged := buf[pos:len(buf):len(buf)]
-	v.pending = append(v.pending, queued(to, tagged, count, modelWords+count))
+	buf = append(append(buf, v.tag), data...)
+	v.mem.tagged = buf
+	v.pending = append(v.pending, queued(to, buf[pos:len(buf):len(buf)], count, modelWords+count))
 }
 
 // Exchange advances this instance by one round: it suspends the instance
 // until Mux.Run has resumed every other live instance of the node up to its
 // exchange and performed the physical exchange. The returned Inbox is this
-// instance's own view over its records of the round (on a passthrough Mux: the
-// shared raw inbox filtered by the instance tag) and is valid until the
-// instance's next exchange.
+// instance's own view over its records of the round (the node's records
+// filtered by the instance tag) and is valid until the instance's next
+// exchange.
 func (v *VNode) Exchange() (Inbox, error) {
 	flat, err := v.ExchangeFlat()
 	if err != nil {
 		return nil, err
 	}
-	tag := noTag
-	if v.mux.passthrough {
-		tag = Word(v.instance)
-	}
-	return v.view.build(v.N(), flat, tag), nil
+	return v.view.build(v.N(), flat, v.tag), nil
 }
 
 // InboxSenders implements Exchanger over the instance's view.
 func (v *VNode) InboxSenders() []int32 { return v.view.touched }
 
-// ExchangeFlat is Exchange for the flat receive path. In passthrough mode it
-// returns the engine's raw round inbox, shared by all instances: records keep
-// their leading tag word, and the caller filters by FrameTag (this is what
-// makes the receive path copy-free). On a stacked Mux the records are instead
-// demultiplexed into a per-instance ring buffer with the tag already
-// stripped. Either way the records arrive in ascending physical-sender order
-// and payload views stay valid for PayloadGraceRounds further exchanges of
-// this instance.
+// ExchangeFlat is Exchange for the flat receive path. It returns the node's
+// raw round inbox, shared by every instance on the node: records keep their
+// leading tag word, and the caller filters by FrameTag (this is what makes
+// the receive path copy-free). The records arrive in ascending
+// physical-sender order and payload views stay valid for PayloadGraceRounds
+// further exchanges of this instance.
 func (v *VNode) ExchangeFlat() (FlatInbox, error) {
 	if v.co == nil {
 		return nil, errors.New("clique: Exchange called on closed virtual node")
@@ -356,18 +333,6 @@ func (v *VNode) ExchangeFlat() (FlatInbox, error) {
 	if m.failed != nil {
 		return nil, m.failed
 	}
-	// Rotate the ring: the slot about to be rewritten is the one filled
-	// payloadRingDepth exchanges ago, which is exactly the engine's grace
-	// window.
-	if !m.passthrough {
-		v.flatSlot = (v.flatSlot + 1) % payloadRingDepth
-		if buf := v.flatRing[v.flatSlot]; buf != nil {
-			if len(*buf) > v.flatHint {
-				v.flatHint = len(*buf)
-			}
-			*buf = (*buf)[:0]
-		}
-	}
 	if !v.co.yield(suspension{}) {
 		return nil, errors.New("clique: instance stopped by a crash of its node")
 	}
@@ -375,17 +340,11 @@ func (v *VNode) ExchangeFlat() (FlatInbox, error) {
 		return nil, m.failed
 	}
 	v.round++
-	if m.passthrough {
-		return m.rawFlat, nil
-	}
-	if buf := v.flatRing[v.flatSlot]; buf != nil {
-		return FlatInbox(*buf), nil
-	}
-	return nil, nil
+	return m.rawFlat, nil
 }
 
-// close ends the instance once its program has returned: the coroutine goes
-// back to the node's pool, the buffers to theirs.
+// close ends the instance once its program has returned: the coroutine and
+// its memory go back to the node's pools.
 func (v *VNode) close() {
 	m, nd, co := v.mux, v.mux.node, v.co
 	co.prog, co.ex = nil, nil // a pooled coroutine pins no Mux
@@ -394,39 +353,19 @@ func (v *VNode) close() {
 	// Hand over sends queued since the last exchange (normally none): they
 	// are delivered at the next physical round, so their payloads must
 	// survive until the engine has copied them. The instance's own buffers
-	// (tag buffer, or the sender's frame storage for SendTagged) die with the
-	// program, so the payloads are copied into a buffer retired after the
-	// next physical exchange.
-	if len(v.pending) > 0 {
-		buf := acquireWords()
-		for i := range v.pending {
-			*buf = append(*buf, v.pending[i].payload()...)
-		}
-		off := 0
-		for i := range v.pending {
-			pp := &v.pending[i]
-			l := int(pp.len)
-			*pp = queued(int(pp.to), (*buf)[off:off+l:off+l], int(pp.count), int(pp.model))
-			off += l
-		}
-		m.retired = append(m.retired, buf)
-		m.pending = append(m.pending, v.pending...)
+	// (tag buffer, or the sender's frame storage for SendTagged) go with the
+	// program, so the payloads are copied into the Mux's closing buffer.
+	for i := range v.pending {
+		pp := &v.pending[i]
+		off := len(m.closing)
+		m.closing = append(m.closing, pp.payload()...)
+		*pp = queued(int(pp.to), m.closing[off:len(m.closing):len(m.closing)], int(pp.count), int(pp.model))
 	}
+	m.pending = append(m.pending, v.pending...)
 	clear(v.pending[:cap(v.pending)])
 	v.mem.pending, v.pending = v.pending[:0], nil
+	v.mem.tagged = v.mem.tagged[:0]
 	nd.nw.mem.coros[nd.id] = append(nd.nw.mem.coros[nd.id], v.mem)
-	if v.tagBuf != nil {
-		releaseWords(v.tagBuf)
-		v.tagBuf = nil
-	}
-	// Nothing can read this instance's flat ring anymore; the buffers go back
-	// to the pool for the next Mux.
-	for i, bp := range v.flatRing {
-		if bp != nil {
-			releaseWords(bp)
-			v.flatRing[i] = nil
-		}
-	}
 }
 
 // exchange performs one physical exchange on behalf of all live instances,
@@ -440,78 +379,43 @@ func (m *Mux) exchange() {
 	for id := range m.vnodes {
 		v := &m.vnodes[id]
 		for i := range v.pending {
-			pp := &v.pending[i]
-			m.nd.SendFramed(int(pp.to), pp.payload(), int(pp.count), int(pp.model))
+			m.forward(&v.pending[i])
 		}
 		v.pending = v.pending[:0]
 	}
 	for i := range m.pending {
-		pp := &m.pending[i]
-		m.nd.SendFramed(int(pp.to), pp.payload(), int(pp.count), int(pp.model))
+		m.forward(&m.pending[i])
 	}
 	m.pending = m.pending[:0]
 
 	flat, err := m.nd.ExchangeFlat()
 	// The engine has copied all payloads at the barrier, so the round's
-	// tagged-packet buffers can be truncated in place even on error. The
-	// buffer stays attached to its instance — per-round traffic is near
-	// constant, so after the first round no tagging allocation happens at all.
+	// tag buffers can be truncated in place even on error. A buffer stays
+	// with its instance — per-round traffic is near constant, so after the
+	// first round no tagging allocation happens at all.
 	for id := range m.vnodes {
-		if b := m.vnodes[id].tagBuf; b != nil {
-			*b = (*b)[:0]
+		if v := &m.vnodes[id]; v.co != nil {
+			v.mem.tagged = v.mem.tagged[:0]
 		}
 	}
-	for i, b := range m.retired {
-		releaseWords(b)
-		m.retired[i] = nil
-	}
-	m.retired = m.retired[:0]
+	m.closing = m.closing[:0]
 	if err != nil {
 		m.failed = err
 		return
 	}
-
-	if m.passthrough {
-		// Every instance reads the shared raw inbox directly, filtering by
-		// its own tag: nothing to distribute.
-		m.rawFlat = flat
-		return
-	}
-	// Stacked Mux: records carry the underlying virtual node's tag; strip it
-	// and demultiplex by this Mux's own instance tags.
-	for i := 0; i < len(flat); {
-		from := int(flat[i])
-		l := int(flat[i+1])
-		p := Packet(flat[i+2 : i+2+l : i+2+l])
-		i += 2 + l
-		if len(p) > 0 && p[0] == m.ndTag {
-			m.demux(from, p[1:])
-		}
-	}
+	// Every instance reads the node's raw inbox directly, filtering by its
+	// own tag: nothing to distribute.
+	m.rawFlat = flat
 }
 
-// demux appends one received packet of a stacked Mux to the ring buffer of
-// the instance its tag names, as an untagged [from, len, payload...] record.
-// Records are appended in physical delivery order, which is ascending by
-// sender (see FlatInbox). Packets for instances this node does not run, or no
-// longer runs, are dropped (nothing could ever read them).
-func (m *Mux) demux(from int, p Packet) {
-	if len(p) == 0 {
+// forward hands one queued frame on as it is: to the physical exchange, or,
+// on a nested Mux, into the parent instance's queue, which charges its own
+// tag word per logical message as the parent's SendFramed would.
+func (m *Mux) forward(pp *pendingPacket) {
+	if p := m.parent; p != nil {
+		pp.model += pp.count
+		p.pending = append(p.pending, *pp)
 		return
 	}
-	instance := int(p[0])
-	if instance < 0 || instance >= len(m.vnodes) || m.vnodes[instance].co == nil {
-		return
-	}
-	v := &m.vnodes[instance]
-	bp := v.flatRing[v.flatSlot]
-	if bp == nil {
-		bp = acquireWords()
-		if cap(*bp) < v.flatHint {
-			*bp = make([]Word, 0, v.flatHint+v.flatHint/8)
-		}
-		v.flatRing[v.flatSlot] = bp
-	}
-	buf := append(*bp, Word(from), Word(len(p)-1))
-	*bp = append(buf, p[1:]...)
+	m.nd.SendFramed(int(pp.to), pp.payload(), int(pp.count), int(pp.model))
 }

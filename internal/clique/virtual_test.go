@@ -3,8 +3,10 @@ package clique
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -175,6 +177,54 @@ func TestMuxInstanceValidation(t *testing.T) {
 	}
 	if got := nw.Rounds(); got != 0 {
 		t.Fatalf("a Mux without instances took %d rounds", got)
+	}
+}
+
+// TestMuxTagPaths pins the instance tags: an instance's identifier on a Mux
+// of the node, its path packed into one word on a nested Mux, the same on
+// every node; each level's instance exchanges one round before nesting the
+// next, reading only its own packets. Run refuses instances whose path does
+// not fit a tag: a fifth nesting level, or more than 1<<16 identifiers.
+func TestMuxTagPaths(t *testing.T) {
+	t.Parallel()
+	const n = 3
+	nw, err := New(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Close()
+	tags := make([][]Word, n)
+	err = nw.Run(func(nd *Node) error {
+		if err := NewMux(nd).Run(make([]func(Exchanger) error, 1<<16+1)); err == nil {
+			return fmt.Errorf("node %d: Run accepted %d instances", nd.ID(), 1<<16+1)
+		}
+		var nest func(ex Exchanger, depth int) error
+		nest = func(ex Exchanger, depth int) error {
+			tags[ex.ID()] = append(tags[ex.ID()], ex.(FrameTagger).FrameTag())
+			ex.Send((ex.ID()+1)%n, Packet{Word(depth)})
+			inbox, err := ex.Exchange()
+			if err != nil {
+				return err
+			}
+			from := (ex.ID() + n - 1) % n
+			if p := inbox.Single(from); len(p) != 1 || p[0] != Word(depth) || len(ex.InboxSenders()) != 1 {
+				return fmt.Errorf("node %d depth %d: received %v", ex.ID(), depth, inbox)
+			}
+			return NewMux(ex).Run([]func(Exchanger) error{3: func(ex Exchanger) error { return nest(ex, depth+1) }})
+		}
+		return NewMux(nd).Run([]func(Exchanger) error{3: func(ex Exchanger) error { return nest(ex, 1) }})
+	})
+	if err == nil || !strings.Contains(err.Error(), "do not fit a frame tag") {
+		t.Fatalf("nesting without end ended with %v", err)
+	}
+	want := []Word{3, 4<<16 | 3, (4<<16|3+1)<<16 | 3, ((4<<16|3+1)<<16|3+1)<<16 | 3}
+	for id, got := range tags {
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("node %d: tags %v, want %v", id, got, want)
+		}
+	}
+	if got := nw.Rounds(); got != len(want) {
+		t.Fatalf("physical rounds = %d, want %d", got, len(want))
 	}
 }
 

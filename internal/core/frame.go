@@ -49,8 +49,8 @@ type stager struct {
 	stageLenAt int // index of the open record's length slot
 	frameBuf   []clique.Word
 
-	// tagEx is non-nil when the frames travel over a passthrough virtual
-	// node: records are staged with frameTag ahead of their frame words and
+	// tagEx is non-nil when the frames travel over a Mux's virtual node:
+	// records are staged with frameTag ahead of their frame words and
 	// handed over zero-copy via SendTagged.
 	tagEx    clique.FrameTagger
 	frameTag clique.Word
@@ -246,9 +246,9 @@ func appendFrameMessages(dst [][]clique.Word, frame clique.Packet) ([][]clique.W
 
 // AppendFrame encodes the logical messages msgs into dst as one flat frame
 // ([count, len_1, msg_1 words..., ...]) and returns the grown slice. It is the
-// encoding twin of DecodeFrame, exported for the service wire layer
-// (internal/service), which reuses the engine's frame layout for instance
-// payloads and results on the network.
+// encoding twin of DecodeFrame, exported for the repository benchmark's
+// frame-codec timing (bench/); the service wire layer streams the same
+// layout with its own writer.
 func AppendFrame(dst []clique.Word, msgs ...[]clique.Word) []clique.Word {
 	dst = append(dst, clique.Word(len(msgs)))
 	for _, m := range msgs {

@@ -128,12 +128,10 @@ type hitGate struct {
 	aborted bool
 }
 
-// Unwrap returns the exchanger the gate filters (see clique.NewMux).
+// Unwrap returns the exchanger the gate filters: a Mux built on the gate
+// exchanges through it, and the arm's comms run on the executor beneath (see
+// clique.NewMux and stackOf).
 func (g *hitGate) Unwrap() clique.Exchanger { return g.Exchanger }
-
-// ScratchSlot is the slot of the exchanger the gate filters, a Node or a
-// VNode: the arm's comms run on its executor (see scratchStack).
-func (g *hitGate) ScratchSlot() *any { return g.Exchanger.(clique.ScratchHolder).ScratchSlot() }
 
 // ExchangeFlat exchanges and, the first time, checks the round for an abort.
 func (g *hitGate) ExchangeFlat() (clique.FlatInbox, error) {

@@ -416,3 +416,30 @@ func TestHitPaysOnlyPayload(t *testing.T) {
 		}
 	}
 }
+
+// slotless is an exchanger that keeps no scratch slot: it embeds only the
+// Exchanger interface, so the node's ScratchSlot is hidden.
+type slotless struct{ clique.Exchanger }
+
+// TestHitOnSlotlessExchanger: a validated hit's comms run behind a hitGate
+// on the executor beneath it; an exchanger beneath that keeps no slot gets a
+// stack of its own, as under a plain Route, and the hit pays its 8 pipeline
+// rounds.
+func TestHitOnSlotlessExchanger(t *testing.T) {
+	t.Parallel()
+	const n = 64
+	a := fullRouteInstance(n)
+	plan, seed := routeHitPlan(t, n, a)
+	out, m, _, err := runRoute(t, n, seed, func(nd *clique.Node) ([]core.Message, error) {
+		return core.AutoRoute(slotless{nd}, a[nd.ID()], plan)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := verify.Routing(a, out); err != nil {
+		t.Fatal(err)
+	}
+	if m.Rounds != 8 {
+		t.Fatalf("the hit took %d rounds, want 8", m.Rounds)
+	}
+}

@@ -172,8 +172,8 @@ type comm struct {
 	label   string
 
 	// bufferSet is the set at the comm's depth on its executor's stack. On a
-	// passthrough virtual node (stager.tagEx set) received flat records are
-	// shared by all instances on the node, so exchange filters them by
+	// Mux's virtual node (stager.tagEx set) received flat records are shared
+	// by all instances on the node, so exchange filters them by
 	// stager.frameTag and strips it before decoding.
 	*bufferSet
 	stack *scratchStack
@@ -200,12 +200,19 @@ type bufferSet struct {
 	commScratch
 }
 
-// stackOf returns the scratch stack of the executor ex runs on. An exchanger
-// that keeps no slot gets a stack of its own, dropped with its comms.
+// stackOf returns the scratch stack of the executor ex runs on, looking
+// through exchangers that filter another and name it with an Unwrap method
+// (as clique.NewMux does). An exchanger that keeps no slot gets a stack of
+// its own, dropped with its comms.
 func stackOf(ex clique.Exchanger) *scratchStack {
 	h, ok := ex.(clique.ScratchHolder)
-	if !ok {
-		return new(scratchStack)
+	for !ok {
+		w, filters := ex.(interface{ Unwrap() clique.Exchanger })
+		if !filters {
+			return new(scratchStack)
+		}
+		ex = w.Unwrap()
+		h, ok = ex.(clique.ScratchHolder)
 	}
 	slot := h.ScratchSlot()
 	s, _ := (*slot).(*scratchStack)
@@ -464,9 +471,7 @@ func newComm(ex clique.Exchanger, label string, members []int) (*comm, error) {
 	}
 	set.stage = set.stage[:0] // a released owner may have aborted mid-round
 	if ft, ok := ex.(clique.FrameTagger); ok {
-		if tag, on := ft.FrameTag(); on {
-			set.tagEx, set.frameTag = ft, tag
-		}
+		set.tagEx, set.frameTag = ft, ft.FrameTag()
 	}
 	return &comm{ex: ex, members: members, me: me, label: label, bufferSet: set, stack: stack}, nil
 }

@@ -4,10 +4,12 @@
 // matching client used by cliquebench's load and record subcommands and
 // the tests.
 //
-// The wire protocol reuses the flat [count, len, msg...] frame encoding of
-// internal/core (see core.AppendFrame / core.DecodeFrame): every request and
-// response is one such frame, carried as a 64-bit word count followed by the
-// frame's words in big-endian byte order. Instance payloads (message rows,
+// The wire protocol reuses the flat [count, len, msg...] frame layout of
+// internal/core: every request and response is one such frame, carried as a
+// 64-bit word count followed by the frame's words in big-endian byte order.
+// The package streams its frames with its own writer (beginBody/endBody open
+// and close each message, appendFrameBytes adds the prefix and the byte
+// order) and decodes them with core.DecodeFrame. Instance payloads (message rows,
 // value rows) and result payloads (delivered rows, sorted batches) are the
 // frame's logical messages, so the same decoder discipline that protects the
 // engine's receive path — truncated or malformed frames error, never panic —
