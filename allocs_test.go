@@ -29,9 +29,9 @@ import (
 //
 // Race instrumentation changes allocation counts, hence the build tag. The
 // garbage collector is off while measuring: a collection in the window
-// empties the sync.Pools the engine and the protocols recycle through, and
-// the refills (about ±1% of a Sort) would swamp the 2% between a Sort hit
-// and the uncached op.
+// empties the sync.Pools the protocols recycle colorings and planner scratch
+// through, and the refills (about ±1% of a Sort) would swamp the 2% between
+// a Sort hit and the uncached op.
 func TestWarmAllocsWatchdogAndCacheHit(t *testing.T) {
 	const n, runs = 64, 20
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -192,12 +192,13 @@ func TestWarmAllocsRouteBytes(t *testing.T) {
 // Every comm carves from its executor's buffer sets (core's scratchStack),
 // which grow to what they carved last; the sort's key sets come from its
 // comm's key arena, Algorithm 3 sorts the slice it is handed in place, the
-// Mux's send queues stay on its pooled coroutines and the shared colorings
-// are recycled across runs, so what is left per op is mostly the batches:
-// 2.4-2.8x and 1.7-2.3x under Theorems 3.7 and 5.4, the spread mostly the
-// redistribution logs, which migrate between nodes through rankLogs and
-// regrow. Copying the key set at every step, growing a send queue per Mux
-// instance and coloring afresh per run read 26x and 30x.
+// Mux's send queues stay with their instance paths, each node keeps its own
+// redistribution log and the shared colorings are recycled across runs, so
+// what is left per op is mostly the batches: 2.1x and 1.7x under Theorems
+// 3.7 and 5.4. Logs that migrated between nodes through a process-wide pool
+// and regrew read 2.4-2.8x and 1.7-2.3x; copying the key set at every step,
+// growing a send queue per Mux instance and coloring afresh per run read 26x
+// and 30x.
 func TestWarmAllocsSortBytes(t *testing.T) {
 	const (
 		n                 = 196
@@ -249,10 +250,14 @@ func TestWarmAllocsSortBytes(t *testing.T) {
 // Mux, and LowCompute routes Step 6 with Theorem 5.4 beside the same root
 // Mux. Nested instances tag their frames by instance path, queue them into
 // the parent instance as they are and read the node's records like every
-// other instance: n=90 reads 9.1-10.0x and 6.6-7.4x (Deterministic,
-// LowCompute), n=200 8.7-9.9x and 6.2-6.4x. A nested Mux that copied every
-// frame behind a second tag and demultiplexed the records into per-instance
-// rings read 18.0-18.1x and 16.0-16.1x, 15.5-15.8x and 13.2-14.1x.
+// other instance, and each instance gets back the memory its instance path
+// used last: n=90 reads 3.6-3.7x and 3.1x (Deterministic, LowCompute), n=200
+// 2.7-2.8x and 2.1x. Instance memory handed out in the order instances
+// finished, which rotated the roles between runs, with redistribution logs
+// from a process-wide pool read 9.1-10.0x and 6.6-7.4x, 8.7-9.9x and
+// 6.2-6.4x; a nested Mux that copied every frame behind a second tag and
+// demultiplexed the records into per-instance rings 18.0-18.1x and
+// 16.0-16.1x, 15.5-15.8x and 13.2-14.1x.
 func TestWarmAllocsNonSquareSort(t *testing.T) {
 	const runs = 5
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -262,10 +267,10 @@ func TestWarmAllocsNonSquareSort(t *testing.T) {
 		alg      Algorithm
 		perBatch float64
 	}{
-		{90, Deterministic, 13},
-		{90, LowCompute, 11},
-		{200, Deterministic, 12},
-		{200, LowCompute, 9.5},
+		{90, Deterministic, 5},
+		{90, LowCompute, 4.5},
+		{200, Deterministic, 4},
+		{200, LowCompute, 3.2},
 	} {
 		t.Run(fmt.Sprintf("n=%d/%v", tc.n, tc.alg), func(t *testing.T) {
 			runtime.GC()
@@ -296,11 +301,12 @@ func TestWarmAllocsNonSquareSort(t *testing.T) {
 // and a warm n=144 Sort, run alternately and run side by side, allocate at
 // most mixedSizesBytes times what each allocates on its own. The comm
 // buffers are the buffer sets of each handle's own executors, which grow to
-// what they carved last, so no comm of one size resizes the other's; only
-// the redistribution logs of rankLogs pass between the sizes: 0.75-1.00x
-// here. Buffers taken from process-wide pools and sized by one hint per comm
-// kind, which every comm of the other size replaced, left fresh arenas
-// ungrown and read 1.5-1.6x side by side in some runs.
+// what they carved last, and every node keeps its own redistribution log, so
+// no comm of one size resizes the other's: 0.86-0.95x here (0.75-1.00x when
+// the logs passed between the sizes through a process-wide pool). Buffers
+// taken from process-wide pools and sized by one hint per comm kind, which
+// every comm of the other size replaced, left fresh arenas ungrown and read
+// 1.5-1.6x side by side in some runs.
 func TestWarmAllocsMixedSizes(t *testing.T) {
 	const (
 		warm            = 5
@@ -387,14 +393,74 @@ func warmBytesPerOp(warm, runs int, op func()) float64 {
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
+// TestWarmAllocsAfterIdle checks that a handle keeps its warm memory while it
+// sits idle: with two collections before each measured op, which reclaim
+// whatever only a sync.Pool or a weak pointer holds, an op allocates at most
+// afterIdle times a warm op. An open engine owns everything it keeps warm —
+// delivery arenas, the executors' and Mux instances' buffer sets, each node's
+// redistribution log — so what an idle op still regrows is the few
+// process-wide pools left (colourings, planner and validator scratch):
+// 0.96-1.07x here. Engines that held their executor memory only weakly
+// between runs, with the logs in a process-wide pool, read 25.6x for the
+// Deterministic Route and 6.4-9.7x for the n=196 Sorts.
+func TestWarmAllocsAfterIdle(t *testing.T) {
+	const runs = 3
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	ctx := context.Background()
+	for _, tc := range []struct {
+		op        string
+		n         int
+		alg       Algorithm
+		afterIdle float64
+	}{
+		{"Route", 256, Deterministic, 1.2},
+		{"Route", 256, LowCompute, 1.2},
+		{"Sort", 196, Deterministic, 2},
+		{"Sort", 196, LowCompute, 2},
+		{"Sort", 200, Deterministic, 2},
+	} {
+		t.Run(fmt.Sprintf("%s/n=%d/%v", tc.op, tc.n, tc.alg), func(t *testing.T) {
+			cl, err := New(tc.n, WithAlgorithm(tc.alg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			msgs, values := benchRouteWorkload(tc.n), benchSortWorkload(tc.n)
+			op := func() {
+				var err error
+				if tc.op == "Route" {
+					_, err = cl.Route(ctx, msgs)
+				} else {
+					_, err = cl.Sort(ctx, values)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			warm := warmBytesPerOp(2, runs, op)
+			var idle float64
+			for i := 0; i < runs; i++ {
+				runtime.GC()
+				runtime.GC()
+				idle += warmBytesPerOp(0, 1, op) / runs
+			}
+			t.Logf("%.0f KiB/op after idle, %.2f x a warm op's %.0f KiB", idle/1024, idle/warm, warm/1024)
+			if idle > tc.afterIdle*warm {
+				t.Errorf("an op after two collections allocates %.0f KiB, more than %.1f x a warm op's %.0f KiB",
+					idle/1024, tc.afterIdle, warm/1024)
+			}
+		})
+	}
+}
+
 // TestWarmAllocsMemoryBound turns Section 5's memory claim into a gate: a
 // warm AlgorithmAuto Route and Sort at n=256 (Theorem 5.4, and Algorithm 4
 // with it at Step 6) allocate per op at most memoryBoundMultiple times
 // n · Stats.MaxMemoryWordsPerNode · 8 bytes, the whole clique's resident
 // words as the protocol reports them. Warm comms carve from their executor's
-// buffer sets, so what is left per op is mostly the result rows: the Route
-// reads 0.58x and the Sort 0.71-0.91x here, the Sort's spread mostly its
-// redistribution logs, which come from the shared rankLogs pool. Routers
+// buffer sets and every node keeps its own redistribution log, so what is
+// left per op is mostly the result rows: the Route reads 0.58x and the Sort
+// 0.71x here (0.71-0.91x with logs from a process-wide pool). Routers
 // that built their bookkeeping per op read 4.4-7.9x their rows
 // (TestWarmAllocsRouteBytes), 2.5-4.5x this bound.
 func TestWarmAllocsMemoryBound(t *testing.T) {

@@ -353,7 +353,7 @@ func RandomizedSampleSort(ex clique.Exchanger, keys []core.Key, seed int64) (*co
 	if len(mine) > 0 {
 		res.Start = mine[0].rank
 	} else {
-		res.Start = minInt(ex.ID()*perNode, total)
+		res.Start = min(ex.ID()*perNode, total)
 	}
 	for _, rk := range mine {
 		res.Batch = append(res.Batch, rk.key)
@@ -380,11 +380,4 @@ func agreeOnSizes(ex clique.Exchanger, mine int) ([]int, error) {
 		}
 	}
 	return sizes, nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

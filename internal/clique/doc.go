@@ -50,7 +50,7 @@
 // computes or a packet is delivered, and a steady-state round allocates
 // nothing: loads are accounted per segment or in dense scratch slices, arenas
 // and both outbox arrays are reused round over round, and sender-side buffers
-// (the Mux's tagged packets) are recycled through a sync.Pool.
+// (the Mux's tagged packets) stay with their instance paths.
 //
 // A run fails through one slot, which records the first of: a node's panic
 // (converted by the sweep's crash barrier), a panic in a delivery shard, a
@@ -99,8 +99,8 @@
 // CaptureShared snapshotted the run or ArmSharedSeed supplied them, since
 // the plan cache keeps both beyond the run. Metrics is the per-run view and
 // CumulativeMetrics the across-run aggregate; Close ends the coroutines,
-// releases the last run's values under the same rule and returns the pooled
-// delivery buffers, so every Network must be closed.
+// releases the last run's values under the same rule and releases the
+// Network's buffer set, so every Network must be closed.
 //
 // RunContext and RunRoundsContext accept a context: the loop checks it before
 // every round, and a cancellation fails the run like any other failure — no
@@ -110,29 +110,28 @@
 // # Engine-local vs shared state (concurrent Networks)
 //
 // Multiple Networks may run concurrently in one process (the public session
-// API pools them behind one handle). The locality rules:
+// API pools them behind one handle). Everything a Network keeps warm lives in
+// one buffer set (netBuffers), under two rules:
 //
-//   - Engine-local, by ownership: the netBuffers delivery state (arenas,
-//     receive views, outboxes, Node structs) is checked out of the process-wide
-//     netBufPool at New and owned exclusively by that Network until Close —
-//     two live Networks never share a buffer set. So is execMem, the opaque
-//     ScratchHolder slots of the executors and the Mux instances' send
-//     queues and tag buffers, which Close hands to the set for the next
-//     Network on it (a one-shot call's too). The shared-computation cache,
-//     metrics, cumulative totals and step accounting are plain fields of the
-//     Network, guarded by its own mutexes.
-//   - Shared, by design: netBufPool itself, execMemPool and the colorings'
-//     pool in package bipartite are process-wide sync.Pools. They exchange
-//     only quiescent buffers — a buffer is either owned by exactly one run
-//     or sitting in the pool — so concurrent Networks recycle through them
-//     without coordination beyond the Pool's own. New first
-//     tries the released buffer sets, most recent first (weak pointers
-//     beside netBufPool, so none outlives the pool's hold on its set): a
-//     lone sync.Pool Put is only visible to Gets on its own processor, and
-//     the next Network would otherwise miss it about half the time.
+//   - An open Network keeps its memory. The set is taken at New and owned by
+//     that Network alone until Close. It holds the delivery state (arenas,
+//     receive views, outboxes, Node structs) and the ScratchHolder slots:
+//     each executor's ScratchSlot, each node's NodeSlot, and each node's Mux
+//     instance memory, found by instance path so that an instance gets back
+//     what its path used last. None of it goes at a collection, however long
+//     the Network sits idle. The shared-computation cache, metrics and step
+//     accounting are plain fields of the Network, guarded by its mutexes.
+//   - A closed Network's memory waits for the next New or for a collection
+//     or two. Close releases the set whole, New takes the most recently
+//     released set still alive (lastReleased), and releasedSets, a sync.Pool
+//     nothing takes from, keeps a released set alive as long as a pool
+//     would: a one-shot call, or the next handle of a set-up loop, starts
+//     warm on the last one's set.
 //
-// Nothing else is process-global; running k Networks costs k times the
-// engine-local state plus whatever the pools currently cache.
+// Nothing else of the engine is process-global; running k Networks costs k
+// times the engine-local state plus the released sets not yet reclaimed. The
+// protocols' remaining process-wide pools (the colorings' in package
+// bipartite, planner scratch) exchange only quiescent buffers.
 //
 // Node programs are written against the Exchanger interface so that the same
 // algorithm code can run either directly on a physical Node or on a virtual

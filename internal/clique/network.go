@@ -1,7 +1,6 @@
 package clique
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -92,14 +91,18 @@ type FrameTagger interface {
 	SendTagged(to int, data Packet, count, modelWords int)
 }
 
-// ScratchHolder is implemented by exchangers that keep a slot for the
-// working memory of the executor their program runs on (a node's coroutine
-// under Run, a Mux instance's coroutine, a sweep worker under RunRounds),
-// which the engine never looks inside and keeps as execMem says.
+// ScratchHolder is implemented by exchangers that keep slots for their
+// program's working memory, which the engine never looks inside and keeps
+// from New to Close in the Network's buffer set (see netBuffers).
 type ScratchHolder interface {
-	// ScratchSlot returns the executor's slot. Only the program running on
-	// that executor may use it, and only while it runs.
+	// ScratchSlot returns the slot of the executor the program runs on (a
+	// node's coroutine under Run, a sweep worker under RunRounds, a Mux
+	// instance's path on its node), for that program only, while it runs.
 	ScratchSlot() *any
+	// NodeSlot returns the physical node's slot, the same under Run and
+	// RunRounds and shared by its Mux instances: a value kept there across
+	// exchanges is taken out meanwhile.
+	NodeSlot() *any
 }
 
 // SharedKey identifies one shared deterministic computation without string
@@ -149,8 +152,8 @@ type Network struct {
 	n   int
 	cfg config
 
-	// buffers is the pooled delivery state backing the slices below; it is
-	// owned by the Network across runs and returned to the pool by Close.
+	// buffers is the buffer set backing the slices below and the
+	// ScratchHolder slots; it is owned by the Network from New to Close.
 	buffers *netBuffers
 
 	// running doubles as the mutual-exclusion latch for Run/RunRounds/Close:
@@ -182,10 +185,6 @@ type Network struct {
 	// Mux.Run); like coros they live until Close.
 	coros []nodeCoro
 	idle  [][]*nodeCoro
-
-	// mem is the run's executor memory, memRef it between runs (see execMem).
-	mem    *execMem
-	memRef weak.Pointer[execMem]
 
 	// outboxes[i] is published by the worker that ran node i's compute phase
 	// and consumed (and nilled) by delivery. A departed node — its program
@@ -276,13 +275,12 @@ type Network struct {
 	memory  []int64
 }
 
-// netBuffers is the recyclable delivery state of a Network. The per-receiver
-// arenas — the dominant allocation of a fresh Network — are owned by the
-// Network for its whole multi-run lifetime and returned to the pool by
-// Close, so both one-shot calls (handle per call, closed immediately) and
-// long-lived sessions amortise them. Recycling is what bounds the documented
-// packet lifetime: once the next run starts (or Close returns), the arenas
-// may be overwritten.
+// netBuffers is everything a Network keeps warm: its delivery state and its
+// programs' ScratchHolder slots, owned by the Network from New to Close and
+// then released for the next New (see lastReleased), so one-shot calls and
+// long-lived sessions alike amortise it. Recycling is what bounds the
+// documented packet lifetime: once the next run starts (or Close returns),
+// the arenas may be overwritten.
 type netBuffers struct {
 	n         int
 	outboxes  [][]pendingPacket
@@ -309,29 +307,22 @@ type netBuffers struct {
 	spare   [][]pendingPacket
 	offs    [][]int32
 	views   []inboxView
-	mem     *execMem // that of the last Network that closed holding the set
-	// idle is set while the set is released and cleared by the acquire that
-	// claims it: a set can be reachable through both netBufPool and
-	// lastReleased, and only one of them may hand it out.
-	idle atomic.Bool
+	// The ScratchHolder slots: slots[i] is the ScratchSlot of node i under
+	// Run and of worker i under RunRounds, nodeSlots[i] the NodeSlot of node
+	// i under both, and instances[i] the memory of node i's Mux instances,
+	// one entry per instance path (see instanceMem).
+	slots     []any
+	nodeSlots []any
+	instances [][]*instanceMem
 }
 
-// netBufPool holds released buffer sets until the garbage collector reclaims
-// them. A sync.Pool hands an object back to a Get on the processor whose Put
-// stored it, and a lone Put lands in that processor's private slot, which no
-// other processor can take from — so a Network built right after another one
-// closed missed the released set about every other time, allocating a fresh
-// one (tens of MB at n=256) while the old set sat in the pool. lastReleased
-// therefore points weakly at the released sets, most recent last: it never
-// keeps a set alive, the pool still decides how long one stays, but while it
-// does an acquire finds it whatever processor it runs on — each of the sets a
-// pooled handle's engines released, too, with their execMem.
+// lastReleased points weakly at the released buffer sets, most recent last:
+// the one way a set is handed out, whatever processor New runs on (a lone
+// sync.Pool Put lands in its processor's private slot, out of reach of a Get
+// on another). releasedSets, which nothing takes from, keeps each released
+// set alive as long as a sync.Pool would.
 var (
-	netBufPool = sync.Pool{New: func() interface{} {
-		b := new(netBuffers)
-		b.idle.Store(true)
-		return b
-	}}
+	releasedSets sync.Pool
 	lastReleased struct {
 		sync.Mutex
 		b []weak.Pointer[netBuffers]
@@ -349,12 +340,8 @@ func acquireNetBuffers(n int) *netBuffers {
 		lastReleased.b = lastReleased.b[:k]
 	}
 	lastReleased.Unlock()
-	// A set claimed through lastReleased leaves its pool entry behind (and a
-	// later release adds another), so the pool may hand out a set that is in
-	// use: such a stale entry is dropped — a pointer's worth, which the
-	// collector would clear anyway — and the pool's New ends the loop.
-	for b == nil || !b.idle.CompareAndSwap(true, false) {
-		b = netBufPool.Get().(*netBuffers)
+	if b == nil {
+		b = new(netBuffers)
 	}
 	if b.n < n {
 		b.outboxes = make([][]pendingPacket, n)
@@ -369,7 +356,9 @@ func acquireNetBuffers(n int) *netBuffers {
 		b.spare = make([][]pendingPacket, n)
 		b.offs = make([][]int32, n)
 		b.views = make([]inboxView, n)
-		b.mem = nil
+		b.slots = make([]any, n)
+		b.nodeSlots = make([]any, n)
+		b.instances = make([][]*instanceMem, n)
 		b.n = n
 	}
 	for i := 0; i < n; i++ {
@@ -382,7 +371,7 @@ func acquireNetBuffers(n int) *netBuffers {
 }
 
 // releaseBuffers cleans the delivery state left over from the final rounds
-// and returns it to the pool. It is called by Close; after this point any
+// and releases the set. It is called by Close; after this point any
 // packet views previously handed out may be overwritten by a future Network.
 func (nw *Network) releaseBuffers() {
 	b := nw.buffers
@@ -407,10 +396,9 @@ func (nw *Network) releaseBuffers() {
 		}
 	}
 	for _, sh := range b.shards {
-		sh.nw = nil // a pooled shard must not pin its last Network
+		sh.nw = nil // a released shard must not pin its last Network
 	}
-	b.idle.Store(true)
-	netBufPool.Put(b)
+	releasedSets.Put(b)
 	lastReleased.Lock()
 	lastReleased.b = append(lastReleased.b, weak.Make(b))
 	lastReleased.Unlock()
@@ -418,7 +406,7 @@ func (nw *Network) releaseBuffers() {
 
 // New creates a congested clique with n >= 1 nodes. The Network supports an
 // unbounded sequence of (non-overlapping) Run/RunRounds calls; call Close
-// when done to return its pooled delivery buffers.
+// when done to release its buffer set.
 func New(n int, opts ...Option) (*Network, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("clique: need at least one node, got %d", n)
@@ -440,7 +428,6 @@ func New(n int, opts ...Option) (*Network, error) {
 		sortMin:   max(1, n/sortMinShare),
 		wordArena: b.wordArena,
 		loads:     b.loads,
-		mem:       b.mem,
 		sharedK:   make(map[SharedKey]interface{}),
 		steps:     make([]int64, n),
 		memory:    make([]int64, n),
@@ -466,10 +453,6 @@ func (nw *Network) beginRun() error {
 		nw.resetRun()
 	}
 	nw.runs++
-	if nw.mem = cmp.Or(nw.mem, nw.memRef.Value()); nw.mem == nil {
-		n := nw.buffers.n // a larger Network may take the set next
-		nw.mem = &execMem{slots: make([]any, n), coros: make([][]*coroMem, n)}
-	}
 	nw.procs = runtime.GOMAXPROCS(0)
 	nw.maxShards = min(nw.workerCount(), nw.procs)
 	runningNetworks.Add(1)
@@ -500,8 +483,7 @@ func (nw *Network) beginRun() error {
 // folds its metrics into the cumulative totals — failed or cancelled runs
 // are not counted as completed operations (their per-run Metrics stay
 // readable until the next run starts, but the session aggregate only speaks
-// for runs that finished), and lets go of the run's execMem. completed is
-// false for error returns.
+// for runs that finished). completed is false for error returns.
 func (nw *Network) endRun(completed bool) {
 	if completed {
 		m := nw.Metrics()
@@ -509,9 +491,6 @@ func (nw *Network) endRun(completed bool) {
 		nw.cum.accumulate(m)
 		nw.metricsMu.Unlock()
 	}
-	nw.memRef = weak.Make(nw.mem)
-	execMemPool.Put(nw.mem)
-	nw.mem = nil
 	runningNetworks.Add(-1)
 	nw.running.Store(false)
 }
@@ -574,8 +553,8 @@ func (nw *Network) releaseShared() {
 	nw.sharedSeeded, nw.sharedCaptured = nil, false
 }
 
-// Close ends the Network's coroutines and watchdog, releases its pooled
-// delivery buffers and marks it unusable. After a blocking run a Network keeps
+// Close ends the Network's coroutines and watchdog, releases its buffer set
+// and marks it unusable. After a blocking run a Network keeps
 // one parked goroutine per node until Close, so every Network must be closed
 // (never while a run is in progress). Close is idempotent; any packet views
 // handed out by previous runs expire at the latest here (a future Network may
@@ -603,7 +582,6 @@ func (nw *Network) Close() error {
 		}
 	}
 	nw.coros, nw.idle = nil, nil
-	nw.buffers.mem, nw.mem = cmp.Or(nw.mem, nw.memRef.Value()), nil
 	nw.releaseShared()
 	nw.releaseBuffers()
 	return nil
@@ -839,12 +817,12 @@ func (nw *Network) prepareSweep(k int) {
 		nw.coros = make([]nodeCoro, nw.n)
 		nw.idle = make([][]*nodeCoro, nw.n)
 	}
-	b, slots := nw.buffers, nw.mem.slots
+	b := nw.buffers
 	for w := 0; w < k; w++ {
 		for i := w * nw.n / k; i < (w+1)*nw.n/k; i++ {
-			nd := Node{nw: nw, id: i, pending: b.pending[i], view: &b.views[w], scratch: &slots[w]}
+			nd := Node{nw: nw, id: i, pending: b.pending[i], view: &b.views[w], scratch: &b.slots[w]}
 			if nw.program != nil {
-				nd.view, nd.scratch, nd.co = &b.views[i], &slots[i], &nw.coros[i]
+				nd.view, nd.scratch, nd.co = &b.views[i], &b.slots[i], &nw.coros[i]
 			}
 			b.nodes[i] = nd
 		}
@@ -1023,40 +1001,29 @@ type nodeCoro struct {
 	ex    Exchanger
 }
 
-// execMem is the memory a Network keeps for its executors: slots[i] is the
-// ScratchHolder slot of node i under Run and of worker i under RunRounds,
-// coros[i] the slots and send queues of node i's idle Mux coroutines (taken
-// and put back with them). A run holds it; between runs only memRef and
-// execMemPool do, so a busy engine stays warm while an idle one's memory is
-// reclaimed like a pooled buffer. Close hands it to the buffer set.
-type execMem struct {
-	slots []any
-	coros [][]*coroMem
-}
-
-// coroMem is one Mux coroutine's share of execMem: its instance's send queue
-// and the tag buffer SendFramed copies frames into. VNode.close clears the
-// queue's whole backing, so it pins no frame.
-type coroMem struct {
+// instanceMem is the memory of one Mux instance path on a node (see
+// netBuffers.instanceMem): the instance's ScratchSlot, its send queue and the
+// tag buffer SendFramed copies frames into. VNode.clearMem clears the queue's
+// whole backing when the instance ends, so it pins no frame.
+type instanceMem struct {
+	tag     Word
 	pending []pendingPacket
 	tagged  []Word
 	scratch any
 }
 
-// execMemPool keeps Networks' execMem alive between runs; nothing is taken.
-var execMemPool sync.Pool
-
-// takeCoroMem returns the memory of one of node id's idle Mux coroutines, or
-// a new one.
-func (m *execMem) takeCoroMem(id int) *coroMem {
-	free := m.coros[id]
-	k := len(free) - 1
-	if k < 0 {
-		return new(coroMem)
+// instanceMem returns the memory of node id's Mux instance with the given
+// tag, the one the instance path used last, made on its first use. Tags are
+// distinct among the instances live on a node, so no two share one.
+func (b *netBuffers) instanceMem(id int, tag Word) *instanceMem {
+	for _, m := range b.instances[id] {
+		if m.tag == tag {
+			return m
+		}
 	}
-	c := free[k]
-	free[k], m.coros[id] = nil, free[:k]
-	return c
+	m := &instanceMem{tag: tag}
+	b.instances[id] = append(b.instances[id], m)
+	return m
 }
 
 // start makes co a coroutine that runs prog(ex) whenever it is resumed at
@@ -1115,7 +1082,7 @@ type Node struct {
 	// it is a slot of the pooled netBuffers.views — the node's own under Run,
 	// its worker's (shared with the worker's other nodes) under RunRounds.
 	view    *inboxView
-	scratch *any // its ScratchHolder slot in execMem, owned like view
+	scratch *any // its ScratchSlot in netBuffers.slots, owned like view
 	// co is the coroutine the node's blocking program runs on; a node without
 	// one is being stepped.
 	co     *nodeCoro
@@ -1128,6 +1095,10 @@ var _ Exchanger = (*Node)(nil)
 // ScratchSlot implements ScratchHolder: the slot of the node under Run, of
 // the sweep worker stepping it under RunRounds.
 func (nd *Node) ScratchSlot() *any { return nd.scratch }
+
+// NodeSlot implements ScratchHolder: the node's own slot, under Run and
+// RunRounds alike.
+func (nd *Node) NodeSlot() *any { return &nd.nw.buffers.nodeSlots[nd.id] }
 
 // ID returns the node identifier (0-based).
 func (nd *Node) ID() int { return nd.id }

@@ -34,15 +34,16 @@ import (
 //
 // Traffic: instances are FrameTaggers. Senders that build the tag into their
 // frames (SendTagged) are queued without a copy; plain Send/SendFramed frames
-// are copied behind the tag into a buffer the instance's pooled coroutine
-// keeps, truncated once the engine has copied the round's payloads. Queued
-// frames go to the node as they are — through a nested Mux's parent instance,
-// whose queue they join — and every instance reads the node's raw FlatInbox,
-// filtering records by its tag (ExchangeFlat callers in their decoder,
-// Exchange in the view builder): the round's traffic is never copied inside
-// the Mux. The queues and tag buffers live in the engine's execMem; close
-// clears a queue's whole backing before the coroutine is pooled, so a parked
-// coroutine pins no frame.
+// are copied behind the tag into a buffer the instance keeps, truncated once
+// the engine has copied the round's payloads. Queued frames go to the node as
+// they are — through a nested Mux's parent instance, whose queue they join —
+// and every instance reads the node's raw FlatInbox, filtering records by its
+// tag (ExchangeFlat callers in their decoder, Exchange in the view builder):
+// the round's traffic is never copied inside the Mux. An instance's queue,
+// tag buffer and ScratchSlot are the memory its instance path used last on
+// the node, kept in the engine's buffer set (see netBuffers.instanceMem); the
+// queue's whole backing is cleared when the instance ends, so that memory
+// pins no frame.
 type Mux struct {
 	nd Exchanger
 	// node is the physical node beneath nd, whose Network keeps the node's
@@ -143,16 +144,16 @@ func (m *Mux) Run(programs []func(Exchanger) error) (err error) {
 			v.mux, v.instance, v.tag = m, id, m.tagOf(id)
 			v.co = nd.nw.takeCoro(nd.id)
 			v.co.prog, v.co.ex = prog, v
-			v.mem = nd.nw.mem.takeCoroMem(nd.id)
-			v.pending = v.mem.pending
+			v.mem = nd.nw.buffers.instanceMem(nd.id, v.tag)
 		}
 	}
 	// Only a panic leaves Run with instances suspended, and none may outlive
 	// it: stop ends each, its exchange returning an error to the program.
 	defer func() {
 		for id := range m.vnodes {
-			if co := m.vnodes[id].co; co != nil {
-				co.stop()
+			if v := &m.vnodes[id]; v.co != nil {
+				v.co.stop()
+				v.clearMem()
 			}
 		}
 	}()
@@ -212,11 +213,10 @@ type VNode struct {
 	// co is the coroutine the instance's program runs on, nil once the
 	// program has returned (or, in a slot Run left empty, ever).
 	co *nodeCoro
-	// pending queues this instance's sends until the Mux forwards them at
-	// the physical exchange, in its coroutine's backing (mem), which also
-	// holds the tag buffer SendFramed copies into.
-	pending []pendingPacket
-	mem     *coroMem
+	// mem is the memory of the instance's path on the node: the queue its
+	// sends wait in until the Mux forwards them at the physical exchange,
+	// the tag buffer SendFramed copies into, and its ScratchSlot.
+	mem *instanceMem
 	// view boxes this instance's records for Exchange, rebuilt every call.
 	view inboxView
 }
@@ -226,9 +226,12 @@ var (
 	_ FrameTagger = (*VNode)(nil)
 )
 
-// ScratchSlot implements ScratchHolder: the slot of the pooled coroutine the
-// instance runs on.
+// ScratchSlot implements ScratchHolder: the slot of the instance's path on
+// its node.
 func (v *VNode) ScratchSlot() *any { return &v.mem.scratch }
+
+// NodeSlot implements ScratchHolder: the slot of the physical node.
+func (v *VNode) NodeSlot() *any { return v.mux.node.NodeSlot() }
 
 // FrameTag implements FrameTagger: the instance's tag (see Mux).
 func (v *VNode) FrameTag() Word { return v.tag }
@@ -243,7 +246,7 @@ func (v *VNode) SendTagged(to int, data Packet, count, modelWords int) {
 	if len(data) == 0 || data[0] != v.tag {
 		panic(fmt.Sprintf("clique: instance %d on node %d tagged send without its tag", v.instance, v.ID()))
 	}
-	v.pending = append(v.pending, queued(to, data, count, modelWords+count))
+	v.mem.pending = append(v.mem.pending, queued(to, data, count, modelWords+count))
 }
 
 // checkSend panics on a send no exchanger accepts.
@@ -299,7 +302,7 @@ func (v *VNode) SendFramed(to int, data Packet, count, modelWords int) {
 	pos := len(buf)
 	buf = append(append(buf, v.tag), data...)
 	v.mem.tagged = buf
-	v.pending = append(v.pending, queued(to, buf[pos:len(buf):len(buf)], count, modelWords+count))
+	v.mem.pending = append(v.mem.pending, queued(to, buf[pos:len(buf):len(buf)], count, modelWords+count))
 }
 
 // Exchange advances this instance by one round: it suspends the instance
@@ -343,8 +346,8 @@ func (v *VNode) ExchangeFlat() (FlatInbox, error) {
 	return m.rawFlat, nil
 }
 
-// close ends the instance once its program has returned: the coroutine and
-// its memory go back to the node's pools.
+// close ends the instance once its program has returned: the coroutine goes
+// back to the node's pool.
 func (v *VNode) close() {
 	m, nd, co := v.mux, v.mux.node, v.co
 	co.prog, co.ex = nil, nil // a pooled coroutine pins no Mux
@@ -355,17 +358,21 @@ func (v *VNode) close() {
 	// survive until the engine has copied them. The instance's own buffers
 	// (tag buffer, or the sender's frame storage for SendTagged) go with the
 	// program, so the payloads are copied into the Mux's closing buffer.
-	for i := range v.pending {
-		pp := &v.pending[i]
+	for i := range v.mem.pending {
+		pp := &v.mem.pending[i]
 		off := len(m.closing)
 		m.closing = append(m.closing, pp.payload()...)
 		*pp = queued(int(pp.to), m.closing[off:len(m.closing):len(m.closing)], int(pp.count), int(pp.model))
 	}
-	m.pending = append(m.pending, v.pending...)
-	clear(v.pending[:cap(v.pending)])
-	v.mem.pending, v.pending = v.pending[:0], nil
-	v.mem.tagged = v.mem.tagged[:0]
-	nd.nw.mem.coros[nd.id] = append(nd.nw.mem.coros[nd.id], v.mem)
+	m.pending = append(m.pending, v.mem.pending...)
+	v.clearMem()
+}
+
+// clearMem empties the instance's queue, its whole backing cleared so that the
+// memory its path keeps pins no frame, and its tag buffer.
+func (v *VNode) clearMem() {
+	clear(v.mem.pending[:cap(v.mem.pending)])
+	v.mem.pending, v.mem.tagged = v.mem.pending[:0], v.mem.tagged[:0]
 }
 
 // exchange performs one physical exchange on behalf of all live instances,
@@ -377,11 +384,12 @@ func (m *Mux) exchange() {
 	// not observable (each instance only ever reads its own records, and the
 	// per-round edge accounting is order-independent).
 	for id := range m.vnodes {
-		v := &m.vnodes[id]
-		for i := range v.pending {
-			m.forward(&v.pending[i])
+		if v := &m.vnodes[id]; v.co != nil {
+			for i := range v.mem.pending {
+				m.forward(&v.mem.pending[i])
+			}
+			v.mem.pending = v.mem.pending[:0]
 		}
-		v.pending = v.pending[:0]
 	}
 	for i := range m.pending {
 		m.forward(&m.pending[i])
@@ -414,7 +422,7 @@ func (m *Mux) exchange() {
 func (m *Mux) forward(pp *pendingPacket) {
 	if p := m.parent; p != nil {
 		pp.model += pp.count
-		p.pending = append(p.pending, *pp)
+		p.mem.pending = append(p.mem.pending, *pp)
 		return
 	}
 	m.nd.SendFramed(int(pp.to), pp.payload(), int(pp.count), int(pp.model))

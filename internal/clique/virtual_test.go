@@ -599,7 +599,8 @@ func TestScratchSlotsOutliveClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw.mem = nil
+	clear(nw.buffers.slots)
+	clear(nw.buffers.instances)
 	if err := nw.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -619,6 +620,67 @@ func TestScratchSlotsOutliveClose(t *testing.T) {
 			t.Fatalf("n=%d after n=%d: %d slots held the last network's values, want %d", n, prev, got, want)
 		}
 		prev = n
+	}
+}
+
+// TestMuxMemoryFollowsInstancePath checks that a Mux instance gets back the
+// memory its instance path used last. The program's instances — one of them
+// running a nested Mux — finish in another order than they start, and each
+// marks its ScratchSlot with its tag; in the second run every instance must
+// find its own mark. Memory handed out in the order instances finished would
+// rotate the roles between runs.
+func TestMuxMemoryFollowsInstancePath(t *testing.T) {
+	const n = 4
+	var marked, wrong atomic.Int32
+	second := false
+	// instance marks its slot, checking the mark in the second run, and
+	// returns after rounds exchanges.
+	instance := func(rounds int) func(Exchanger) error {
+		return func(ex Exchanger) error {
+			tag := ex.(FrameTagger).FrameTag()
+			slot := ex.(ScratchHolder).ScratchSlot()
+			if second && *slot != tag {
+				wrong.Add(1)
+			}
+			*slot = tag
+			marked.Add(1)
+			for r := 0; r < rounds; r++ {
+				if _, err := ex.ExchangeFlat(); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
+	program := func(nd *Node) error {
+		return NewMux(nd).Run([]func(Exchanger) error{
+			instance(1),
+			func(ex Exchanger) error {
+				if err := instance(0)(ex); err != nil {
+					return err
+				}
+				return NewMux(ex).Run([]func(Exchanger) error{instance(3), instance(1)})
+			},
+			instance(2),
+		})
+	}
+	nw, err := New(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Close()
+	for run := 0; run < 2; run++ {
+		second = run == 1
+		marked.Store(0)
+		if err := nw.Run(program); err != nil {
+			t.Fatal(err)
+		}
+		if got := marked.Load(); got != 5*n {
+			t.Fatalf("run %d: %d instances marked their slot, want %d", run, got, 5*n)
+		}
+	}
+	if got := wrong.Load(); got != 0 {
+		t.Fatalf("second run: %d of %d instances found another instance's mark", got, 5*n)
 	}
 }
 

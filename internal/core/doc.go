@@ -100,13 +100,14 @@
 //   - Staging memory. The staging log and frame buffer are recycled every
 //     round; the engine copies frame contents at delivery, so nothing may
 //     retain them across an exchange — and nothing may overwrite them before
-//     it, which is why a step program's node keeps its stager across steps
-//     (taken from rankLogs, the one pool left on this path).
+//     it, which is why a step program's node keeps its stager across steps:
+//     the node's redistribution log (takeLog), which dealRanked borrows too.
 //
-// All of it but the engine's receive memory is the buffer set at the comm's
-// depth on its executor's stack (scratchStack), which newComm takes and
-// comm.release hands back: only once the instance's results have been copied
-// into caller-owned values (or into its parent's arena, as the V1/V2/corner
-// routers of Theorem 3.7's decomposition do), and only after every comm
-// taken after it on the executor.
+// All of it but the engine's receive memory and the redistribution log is
+// the buffer set at the comm's depth on its executor's stack (scratchStack),
+// which newComm takes and comm.release hands back: only once the instance's
+// results have been copied into caller-owned values (or into its parent's
+// arena, as the V1/V2/corner routers of Theorem 3.7's decomposition do), and
+// only after every comm taken after it on the executor. The engine keeps
+// both in its clique.ScratchHolder slots from New to Close.
 package core

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"congestedclique/internal/clique"
 )
@@ -43,7 +42,7 @@ import (
 // indexed by destination lives in the dstTables lent to flush.
 //
 // A comm's stager is part of its buffer set (see scratchStack); the rank
-// redistribution that ends every sort borrows its buffers from rankLogs.
+// redistribution that ends every sort borrows its node's log (see takeLog).
 type stager struct {
 	stage      []clique.Word
 	stageLenAt int // index of the open record's length slot
@@ -56,13 +55,26 @@ type stager struct {
 	frameTag clique.Word
 }
 
-// rankLogs holds the logs of the rank redistribution that ends every sort,
-// the one pool left on the comm path. A presorted step program's log outlives
-// its step (the engine copies frames at delivery), so it cannot live on the
-// sweep worker's stack, and a slot per node would pin n logs between runs of
-// a large sparse clique; comms borrow theirs here too, so both sort arms
-// keep one set of these largest logs warm.
-var rankLogs = sync.Pool{New: func() any { return new(stager) }}
+// takeLog takes the log of the rank redistribution that ends every sort out
+// of the NodeSlot of ex's node (a new one if the slot is empty); putLog puts
+// it back, emptied. A presorted step program's log outlives its step (the
+// engine copies frames at delivery) while its sweep worker's stack serves
+// other nodes, so the log is the node's, and dealRanked borrows the same one.
+func takeLog(ex clique.Exchanger) *stager {
+	_, slot := slotsOf(ex)
+	s, _ := (*slot).(*stager)
+	*slot = nil
+	if s == nil {
+		s = new(stager)
+	}
+	return s
+}
+
+func putLog(ex clique.Exchanger, s *stager) {
+	s.stage = s.stage[:0]
+	_, slot := slotsOf(ex)
+	*slot = s
+}
 
 // dstTables is the per-destination accounting of one flush, indexed densely
 // by destination and all-zero between flushes (flush re-zeroes it through the

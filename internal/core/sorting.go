@@ -599,11 +599,11 @@ func dealByRank(c *comm, run []Key, start, total int, context string) (*SortResu
 // assembleBatch, which the presorted step program (sparse_sort.go) drives
 // from its step inbox — around the comm's exchanges.
 func dealRanked(c *comm, keys []Key, ends, offs []int, total int, context string) (*SortResult, error) {
-	log := rankLogs.Get().(*stager)
-	c.stage, c.frameBuf, log.stage, log.frameBuf = log.stage[:0], log.frameBuf, c.stage, c.frameBuf
+	log := takeLog(c.ex)
+	c.stage, c.frameBuf, log.stage, log.frameBuf = log.stage, log.frameBuf, c.stage, c.frameBuf
 	defer func() { // both exchanges have delivered, or the run has failed
-		c.stage, c.frameBuf, log.stage, log.frameBuf = log.stage, log.frameBuf, c.stage[:0], c.frameBuf
-		rankLogs.Put(log)
+		c.stage, c.frameBuf, log.stage, log.frameBuf = log.stage, log.frameBuf, c.stage, c.frameBuf
+		putLog(c.ex, log)
 	}()
 	n := c.size()
 	perNode := ranksPerNode(total, n)

@@ -17,11 +17,11 @@ import (
 // consecutive ranks from StartRanks[id], so round 0 stages them with that
 // start rank — straight from the caller's row when it is sorted, from a
 // sorted copy otherwise — and the last round writes every received key to
-// its slot of the batch. All a node keeps between rounds is its stager from
-// rankLogs (the log must outlive the step: the engine copies frames at
-// delivery), and only once it has a key to stage; the sorted copy, the
-// batch's rank marker, the receive buffers and the destination tables of the
-// flush are the executor's scratch, borrowed for the one step.
+// its slot of the batch. All a node keeps between rounds is its node's
+// redistribution log (takeLog: the log must outlive the step, the engine
+// copies frames at delivery), and only once it has a key to stage; the sorted
+// copy, the batch's rank marker, the receive buffers and the destination
+// tables of the flush are the executor's scratch, borrowed for the one step.
 //
 // Round mapping (with the census armed, SparseSortRun prepends its
 // SortCensusRounds rounds; a cache hit's row check adds nothing, except to
@@ -31,7 +31,7 @@ import (
 //	           round 2: assemble batch, done
 //	empty      round 0: done
 type sortProgram struct {
-	staged *stager     // from rankLogs, held from the first staged key until done
+	staged *stager     // the node's log (takeLog), held from the first staged key until done
 	result *SortResult // non-nil once the program is done
 }
 
@@ -51,8 +51,7 @@ func (p *sortProgram) step(ex clique.Exchanger, plan *SortPlan, row []Key, round
 		done, err := p.presortedStep(ex, plan, row, round, inbox, &set.commScratch)
 		stack.pop(set)
 		if (done || err != nil) && p.staged != nil {
-			p.staged.stage = p.staged.stage[:0] // a failed step may leave its log staged
-			rankLogs.Put(p.staged)
+			putLog(ex, p.staged) // a failed step may leave its log staged
 			p.staged = nil
 		}
 		return done, err
@@ -89,7 +88,7 @@ func (p *sortProgram) presortedStep(ex clique.Exchanger, plan *SortPlan, myKeys 
 			keys = append(scratch.keyVec(len(myKeys)), myKeys...)
 			sortKeys(keys)
 		}
-		p.staged = rankLogs.Get().(*stager)
+		p.staged = takeLog(ex)
 		stageRankedBundles(p.staged, id, n, keys, []int{len(keys)}, []int{plan.StartRanks[id]})
 	case 1:
 		bundles, err := scratch.rx.decodeInbox(ex.InboxSenders(), inbox)
@@ -100,7 +99,7 @@ func (p *sortProgram) presortedStep(ex clique.Exchanger, plan *SortPlan, myKeys 
 			return false, nil
 		}
 		if p.staged == nil {
-			p.staged = rankLogs.Get().(*stager)
+			p.staged = takeLog(ex)
 		}
 		if err := forwardByRank(p.staged, bundles, perNode, n, context); err != nil {
 			return true, err

@@ -200,21 +200,26 @@ type bufferSet struct {
 	commScratch
 }
 
-// stackOf returns the scratch stack of the executor ex runs on, looking
-// through exchangers that filter another and name it with an Unwrap method
-// (as clique.NewMux does). An exchanger that keeps no slot gets a stack of
-// its own, dropped with its comms.
-func stackOf(ex clique.Exchanger) *scratchStack {
-	h, ok := ex.(clique.ScratchHolder)
-	for !ok {
+// slotsOf returns the clique.ScratchHolder slots of the executor ex runs on,
+// looking through exchangers that filter another and name it with an Unwrap
+// method (as clique.NewMux does). An exchanger that keeps no slots gets slots
+// of its own, dropped with its comms.
+func slotsOf(ex clique.Exchanger) (scratch, node *any) {
+	for {
+		if h, ok := ex.(clique.ScratchHolder); ok {
+			return h.ScratchSlot(), h.NodeSlot()
+		}
 		w, filters := ex.(interface{ Unwrap() clique.Exchanger })
 		if !filters {
-			return new(scratchStack)
+			return new(any), new(any)
 		}
 		ex = w.Unwrap()
-		h, ok = ex.(clique.ScratchHolder)
 	}
-	slot := h.ScratchSlot()
+}
+
+// stackOf returns the scratch stack of the executor ex runs on.
+func stackOf(ex clique.Exchanger) *scratchStack {
+	slot, _ := slotsOf(ex)
 	s, _ := (*slot).(*scratchStack)
 	if s == nil {
 		s = new(scratchStack)

@@ -160,9 +160,6 @@ func NewServer(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// N returns the clique size the server serves.
-func (s *Server) N() int { return s.cfg.N }
-
 // Serve accepts connections on ln until Shutdown closes it. It returns nil
 // on a drain-initiated stop and the accept error otherwise.
 func (s *Server) Serve(ln net.Listener) error {

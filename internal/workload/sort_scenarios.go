@@ -57,16 +57,6 @@ func SortScenarios() []SortScenario {
 	}
 }
 
-// SortScenarioNames lists the sorting catalog's names in canonical order.
-func SortScenarioNames() []string {
-	scenarios := SortScenarios()
-	names := make([]string, len(scenarios))
-	for i, s := range scenarios {
-		names[i] = s.Name
-	}
-	return names
-}
-
 // SortScenarioByName looks a scenario up in the sorting catalog.
 func SortScenarioByName(name string) (SortScenario, bool) {
 	for _, s := range SortScenarios() {
